@@ -11,8 +11,7 @@
    alloc.enumerate / alloc.score / alloc.fill) that attributes where the
    admit time goes — in particular why multi-domain fan-out *hurts* the
    mixed workload (Domain.spawn overhead on chunks too small to amortize
-   it; see docs/TELEMETRY.md).  CI diffs these records against
-   bench/baseline_alloc.json via bench_compare.exe. *)
+   it; see docs/TELEMETRY.md). *)
 
 module Allocator = Activermt_alloc.Allocator
 module App = Activermt_apps.App
@@ -143,8 +142,7 @@ let json_of_stats s =
    with tracing off (a [Trace.noop] tracer — the default every component
    ships with), head-sampled at 1%, and fully sampled.  The "off" figure
    must stay within noise of the untraced runs above; the sampled figures
-   quantify what --trace-out costs.  The section is candidate-only, so
-   bench_compare reports it as INFO rather than gating on it. *)
+   quantify what --trace-out costs.  No gate reads it. *)
 let measure_traced ~tracer arrivals =
   let alloc =
     Allocator.create ~domains:1 ~telemetry:(Telemetry.create ()) ~tracer params
@@ -223,70 +221,27 @@ let git_commit () =
     | _ -> "unknown"
   with _ -> "unknown"
 
-(* Environment stamp so CI comparisons are apples-to-apples: a regression
+(* Environment stamp so comparisons are apples-to-apples: a regression
    gate should only trust records produced by the same code on a
-   comparable machine. *)
-let json_meta ~quick ~n =
+   comparable machine.  The writer adds the mode ("quick"). *)
+let json_meta ~n =
   Json.Obj
     [
       ("git_commit", Json.Str (git_commit ()));
       ("ocaml_version", Json.Str Sys.ocaml_version);
       ("recommended_domains", Json.Num (float_of_int (Domain.recommended_domain_count ())));
-      ("quick", Json.Bool quick);
       ("arrivals_per_workload", Json.Num (float_of_int n));
     ]
 
-let json_of_run ~quick ~n ~trace stats =
+let json_of_baseline (w, tput, p50, p99) =
   Json.Obj
     [
-      ("meta", json_meta ~quick ~n);
-      ("trace", trace);
-      ( "baseline_seq",
-        Json.Arr
-          (List.map
-             (fun (w, tput, p50, p99) ->
-               Json.Obj
-                 [
-                   ("workload", Json.Str w);
-                   ("domains", Json.Num 1.0);
-                   ("arrivals_per_sec", Json.Num tput);
-                   ("p50_ms", Json.Num p50);
-                   ("p99_ms", Json.Num p99);
-                 ])
-             baseline) );
-      ("fastpath", Json.Arr (List.map json_of_stats stats));
+      ("workload", Json.Str w);
+      ("domains", Json.Num 1.0);
+      ("arrivals_per_sec", Json.Num tput);
+      ("p50_ms", Json.Num p50);
+      ("p99_ms", Json.Num p99);
     ]
-
-(* Rewrite the file but carry over sections other bench entries own
-   (currently the fleet bench's "fleet" member), so running [alloc]
-   after [fleet] doesn't erase the fleet numbers. *)
-let write_json ~path json =
-  let preserved =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with
-      | Ok old ->
-        List.filter_map
-          (fun key -> Option.map (fun v -> (key, v)) (Json.member key old))
-          [ "fleet"; "chaos"; "device"; "churn" ]
-      | Error _ -> []
-    end
-    else []
-  in
-  let json =
-    match (json, preserved) with
-    | Json.Obj fields, _ :: _ ->
-      Json.Obj
-        (List.filter (fun (k, _) -> not (List.mem_assoc k preserved)) fields
-        @ preserved)
-    | _ -> json
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc
 
 let print_stats s =
   Printf.printf
@@ -338,5 +293,32 @@ let run ~quick =
       (throughput s /. base)
   | None -> ());
   let trace = trace_section mixed in
-  write_json ~path:"BENCH_alloc.json" (json_of_run ~quick ~n ~trace stats);
-  print_endline "wrote BENCH_alloc.json"
+  [
+    json_meta ~n;
+    trace;
+    Json.Arr (List.map json_of_baseline baseline);
+    Json.Arr (List.map json_of_stats stats);
+  ]
+
+(* Records match per workload at one domain and at whatever fan-out width
+   the run used ("dN"): the width differs across machines. *)
+let section =
+  {
+    Section.name = "alloc";
+    info = "admit throughput for the allocation fast path (BENCH_alloc.json)";
+    keys = [ "meta"; "trace"; "baseline_seq"; "fastpath" ];
+    run;
+    metrics =
+      (fun file ->
+        List.map
+          (fun r ->
+            let width = if Section.num "domains" r > Some 1.0 then "dN" else "d1" in
+            ( Section.str "workload" r ^ "/" ^ width,
+              Section.nums [ "arrivals_per_sec"; "p99_ms" ] r ))
+          (Section.items "fastpath" file));
+    gates =
+      [
+        Section.gate "arrivals_per_sec" (Max_drop 0.3);
+        Section.gate "p99_ms" (Max_growth 2.0);
+      ];
+  }

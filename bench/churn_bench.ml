@@ -8,11 +8,11 @@
 
    Two numbers matter:
    - measured admission throughput (arrivals / admit_batch wall time),
-     gated in-binary at >= [min_batch_speedup]x over a sequential
-     Allocator.admit replay of a prefix of the same trace, and against
-     the committed baseline by bench_compare;
+     against a sequential Allocator.admit replay of a prefix of the same
+     trace;
    - modeled p99 time-to-service from the deterministic virtual clock
-     (machine-independent; bench_compare fails if it more than doubles). *)
+     (machine-independent).
+   Gates: see [section]. *)
 
 module Allocator = Activermt_alloc.Allocator
 module Churn = Workload.Churn
@@ -85,27 +85,6 @@ let json_section ~clients ~(r : Churn_pipeline.result) ~sequential_aps ~speedup 
       ("p99_tts_ms", Json.Num r.Churn_pipeline.p99_tts_ms);
     ]
 
-(* Merge the churn section into BENCH_alloc.json without disturbing the
-   sections other bench entries own. *)
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "churn" fields @ [ ("churn", section) ]
-    | None -> [ ("churn", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
-
 let run ~quick =
   let clients = if quick then 50_000 else 1_000_000 in
   let prefix_arrivals = if quick then 3_000 else 10_000 in
@@ -141,18 +120,26 @@ let run ~quick =
     Printf.printf "NOTE: below the %.0f arrivals/s target on this machine\n"
       target_arrivals_per_sec;
 
-  let tel = Telemetry.default in
-  Telemetry.set_gauge tel "churn.bench.batched_arrivals_per_sec"
-    r.Churn_pipeline.arrivals_per_sec;
-  Telemetry.set_gauge tel "churn.bench.sequential_arrivals_per_sec" sequential_aps;
-  Telemetry.set_gauge tel "churn.bench.batch_speedup" speedup;
-  Telemetry.set_gauge tel "churn.bench.p99_tts_ms" r.Churn_pipeline.p99_tts_ms;
+  [ json_section ~clients ~r ~sequential_aps ~speedup ]
 
-  merge_into_bench_json ~path:"BENCH_alloc.json"
-    (json_section ~clients ~r ~sequential_aps ~speedup);
-  print_endline "merged churn section into BENCH_alloc.json";
-  if speedup < min_batch_speedup && Sys.getenv_opt "CHURN_PROFILE" = None then
-    failwith
-      (Printf.sprintf
-         "churn bench: batched admission %.2fx over sequential, below %.1fx gate"
-         speedup min_batch_speedup)
+let section =
+  {
+    Section.name = "churn";
+    info = "Zipf churn at scale: batched epoch admission (BENCH_alloc.json)";
+    keys = [ "churn" ];
+    run;
+    metrics =
+      (fun file ->
+        [
+          ( "",
+            Section.nums [ "batch_speedup"; "p99_tts_ms"; "batched_arrivals_per_sec" ]
+              (Section.member "churn" file) );
+        ]);
+    gates =
+      [
+        Section.gate "batch_speedup" (At_least min_batch_speedup);
+        Section.gate "batch_speedup" (Max_drop 0.3);
+        Section.gate "p99_tts_ms" (Max_growth 2.0);
+        Section.gate "batched_arrivals_per_sec" (Max_drop 0.3);
+      ];
+  }

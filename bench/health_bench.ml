@@ -5,20 +5,15 @@
    monitor, SLO evaluation) — and the section records the wall-clock
    overhead recording imposes.
 
-   Gates (in-binary, HEALTH_PROFILE=1 bypasses; bench_compare re-checks
-   the section):
-   - decisions identical: enabling the health plane must not change a
-     single admission outcome (admitted/rejected/epoch counts equal, and
-     the modeled clock agrees bit for bit);
-   - overhead_frac <= max_overhead (5%): best-of-[trials] wall time with
-     the plane enabled vs disabled;
-   - the standing SLOs over the recorded series do not page on the
-     healthy workload. *)
+   Gates (see [section]): enabling the health plane must not change a
+   single admission outcome (admitted/rejected/epoch counts equal, and
+   the modeled clock agrees bit for bit), its best-of-[trials] wall-time
+   overhead stays under [max_overhead], and the standing SLOs over the
+   recorded series do not page on the healthy workload. *)
 
 module Churn = Workload.Churn
 module Churn_pipeline = Experiments.Churn_pipeline
 module Timeseries = Activermt_telemetry.Timeseries
-module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
 module Slo = Activermt_health.Slo
 module Monitor = Activermt_health.Monitor
@@ -67,25 +62,6 @@ let timed ~series zcfg =
   let t0 = Unix.gettimeofday () in
   let r = Churn_pipeline.run ~params ~series ~seed zcfg in
   (Unix.gettimeofday () -. t0, r)
-
-let merge_into_bench_json ~path section =
-  let existing =
-    if Sys.file_exists path then
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string text with Ok v -> Json.to_obj v | Error _ -> None
-    else None
-  in
-  let fields =
-    match existing with
-    | Some fields -> List.remove_assoc "health" fields @ [ ("health", section) ]
-    | None -> [ ("health", section) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc
 
 let run ~quick =
   let zcfg = zcfg ~quick in
@@ -136,10 +112,7 @@ let run ~quick =
     (List.length (Timeseries.names series))
     (List.length evals) pages
     (if identical then "" else "  DECISIONS DIVERGED");
-  let tel = Telemetry.default in
-  Telemetry.set_gauge tel "health.bench.overhead_frac" overhead;
-  Telemetry.set_gauge tel "health.bench.pages" (float_of_int pages);
-  let section =
+  [
     Json.Obj
       [
         ("max_overhead", Json.Num max_overhead);
@@ -151,19 +124,28 @@ let run ~quick =
         ("series_count", Json.Num (float_of_int (List.length (Timeseries.names series))));
         ("decisions_identical", Json.Num (if identical then 1.0 else 0.0));
         ("pages", Json.Num (float_of_int pages));
-      ]
-  in
-  merge_into_bench_json ~path:"BENCH_alloc.json" section;
-  print_endline "merged health section into BENCH_alloc.json";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not identical then fail "admission decisions diverged with recording on";
-  if overhead > max_overhead then
-    fail "recording overhead %.2f%% above %.0f%%" (100.0 *. overhead)
-      (100.0 *. max_overhead);
-  if pages > 0 then fail "%d page(s) on the healthy workload" pages;
-  match !failures with
-  | [] -> ()
-  | fs when Sys.getenv_opt "HEALTH_PROFILE" <> None ->
-    List.iter (fun f -> Printf.printf "NOTE (gate bypassed): %s\n" f) fs
-  | fs -> failwith ("health bench: " ^ String.concat "; " (List.rev fs))
+      ];
+  ]
+
+(* Wall times move with the machine, but overhead_frac is a ratio of two
+   measurements on one box, so it gates absolutely. *)
+let section =
+  {
+    Section.name = "health";
+    info = "health-plane overhead: series recording on vs off (BENCH_alloc.json)";
+    keys = [ "health" ];
+    run;
+    metrics =
+      (fun file ->
+        [
+          ( "",
+            Section.nums [ "overhead_frac"; "decisions_identical"; "pages" ]
+              (Section.member "health" file) );
+        ]);
+    gates =
+      [
+        Section.gate "overhead_frac" (At_most max_overhead);
+        Section.gate "decisions_identical" (Equal 1.0);
+        Section.gate "pages" (Equal 0.0);
+      ];
+  }

@@ -11,9 +11,12 @@
    after the selected experiments finish.
 
    Output is plain text series (see lib/exp/report.ml); EXPERIMENTS.md
-   records the headline numbers against the paper's. *)
+   records the headline numbers against the paper's.  The BENCH_alloc.json
+   sections (alloc ... health) are declared in bench/section.ml's shape
+   and listed in bench/sections.ml. *)
 
 module E = Experiments
+module Section = Activermt_bench.Section
 
 type experiment = { name : string; info : string; run : quick:bool -> unit }
 
@@ -129,49 +132,13 @@ let experiments =
             ~trials:(if quick then 2 else 5)
             params);
     };
-    {
-      name = "alloc";
-      info = "admit throughput for the allocation fast path (BENCH_alloc.json)";
-      run = (fun ~quick -> Alloc_bench.run ~quick);
-    };
-    {
-      name = "fleet";
-      info = "multi-switch placement capacity and failover (BENCH_alloc.json)";
-      run = (fun ~quick -> Fleet_bench.run ~quick);
-    };
-    {
-      name = "chaos";
-      info = "fault injection: loss x retry-policy sweep (BENCH_alloc.json)";
-      run = (fun ~quick -> Chaos_bench.run ~quick);
-    };
-    {
-      name = "churn";
-      info = "Zipf churn at scale: batched epoch admission (BENCH_alloc.json)";
-      run = (fun ~quick -> Churn_bench.run ~quick);
-    };
-    {
-      name = "tenants";
-      info = "multi-tenant fairness: noisy-neighbor quotas/WRR/preemption (BENCH_alloc.json)";
-      run = (fun ~quick -> Tenant_bench.run ~quick);
-    };
-    {
-      name = "device";
-      info = "exec throughput: interpreter vs JIT closures (BENCH_alloc.json)";
-      run = (fun ~quick -> Device_bench.run ~quick);
-    };
-    {
-      name = "fleetscale";
-      info =
-        "planet-scale fleet: fat-tree admission, link-flap repair, pod failure (BENCH_alloc.json)";
-      run = (fun ~quick -> Fleetscale_bench.run ~quick);
-    };
-    {
-      name = "health";
-      info = "health-plane overhead: series recording on vs off (BENCH_alloc.json)";
-      run = (fun ~quick -> Health_bench.run ~quick);
-    };
-    { name = "micro"; info = "Bechamel microbenchmarks"; run = (fun ~quick:_ -> Micro.run ()) };
   ]
+  @ List.map
+      (fun (s : Section.t) -> { name = s.name; info = s.info; run = Section.bench s })
+      Activermt_bench.Sections.all
+  @ [
+      { name = "micro"; info = "Bechamel microbenchmarks"; run = (fun ~quick:_ -> Micro.run ()) };
+    ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
