@@ -43,6 +43,7 @@ type breakdown = {
 }
 
 let total b = b.allocation_s +. b.table_update_s +. b.snapshot_s +. b.notify_s
+let modeled b = b.table_update_s +. b.snapshot_s +. b.notify_s
 
 let breakdown t ~allocation_s ~entries_updated ~apps_touched ~words_snapshotted ~notifications =
   {

@@ -51,6 +51,13 @@ type breakdown = {
 
 val total : breakdown -> float
 
+val modeled : breakdown -> float
+(** [total] without the measured [allocation_s]: the part that depends
+    only on the cost model and the work counts, so simulated time built
+    from it replays exactly from a seed.  Summed without [allocation_s]
+    rather than subtracted from [total], whose rounding would carry the
+    measurement's low bits. *)
+
 val breakdown :
   t ->
   allocation_s:float ->

@@ -423,6 +423,53 @@ let test_chaos_traces_attribute_drops () =
               evs)))
     drops
 
+(* Simulated time must not depend on the machine: the provisioning delay
+   is the modeled part only, so the same seed replays the same fault
+   draws at the same instants (the CLI's faultsim profile). *)
+let test_chaos_replays_from_seed () =
+  let cfg =
+    {
+      Chaos.default_config with
+      Chaos.seed = 42;
+      profile =
+        {
+          (Faults.lossy ~drop:0.05 ~duplicate:0.02 ~corrupt:0.01 ()) with
+          Faults.table_update_fail = 0.1;
+        };
+    }
+  in
+  let run () =
+    let r = Chaos.run ~telemetry:(Telemetry.create ()) cfg in
+    let events =
+      List.map
+        (fun e -> (e.Faults.time, Faults.kind_to_string e.Faults.kind))
+        (Faults.events r.Chaos.faults)
+    in
+    let counts =
+      [
+        r.Chaos.completed;
+        r.Chaos.negotiation_attempts;
+        r.Chaos.negotiation_retries;
+        r.Chaos.sync_packets;
+        r.Chaos.sync_retransmits;
+        r.Chaos.fallback_words;
+        r.Chaos.fault_events;
+      ]
+    in
+    let outcomes =
+      List.map (fun (fid, o) -> (fid, Chaos.outcome_to_string o)) r.Chaos.outcomes
+    in
+    (events, counts, outcomes, r.Chaos.sim_time_s)
+  in
+  let ev1, c1, o1, t1 = run () in
+  let ev2, c2, o2, t2 = run () in
+  Alcotest.(check bool) "control failures fired" true
+    (List.exists (fun (_, k) -> k = "ctl_fail") ev1);
+  Alcotest.(check (list (pair (float 0.0) string))) "same fault trace" ev1 ev2;
+  Alcotest.(check (list int)) "same outcome counts" c1 c2;
+  Alcotest.(check (list (pair int string))) "same outcomes" o1 o2;
+  Alcotest.(check (float 0.0)) "same sim time" t1 t2
+
 (* -- Fleet migration under faults ---------------------------------------- *)
 
 let fill_pattern state =
@@ -510,6 +557,8 @@ let () =
             test_chaos_baseline_documents_failure;
           Alcotest.test_case "dropped capsules attributed in traces" `Quick
             test_chaos_traces_attribute_drops;
+          Alcotest.test_case "chaos replays from its seed" `Quick
+            test_chaos_replays_from_seed;
           Alcotest.test_case "fleet migration under faults" `Quick
             test_fleet_migration_under_faults;
         ] );
