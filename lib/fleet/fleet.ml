@@ -48,6 +48,7 @@ type t = {
   mutable up_sum : float;
   mutable up_count : int;
   tel : Telemetry.t;
+  bridged : Telemetry.counter;
   series : Timeseries.t;
   tracer : Trace.t;
 }
@@ -98,7 +99,7 @@ let route t ~from msg =
     | Some hop ->
       if t.down.(hop) then unroutable ()
       else begin
-        Telemetry.incr t.tel "fleet.bridged";
+        Telemetry.bump t.bridged;
         let msg =
           match msg.Fabric.trace with
           | Some ctx when Trace.enabled t.tracer ->
@@ -184,6 +185,7 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
       up_sum = 0.0;
       up_count = n;
       tel = telemetry;
+      bridged = Telemetry.counter telemetry "fleet.bridged";
       series;
       tracer;
     }

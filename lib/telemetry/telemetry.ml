@@ -83,12 +83,13 @@ let hist_percentile_of h p =
     Float.min h.h_max (Float.max h.h_min (bucket_mid !found))
   end
 
-type gauge = { mutable g_seq : int; mutable g_val : float }
-type cell = Counter of int ref | Gauge of gauge | Hist of hist
+type gauge_cell = { mutable g_seq : int; mutable g_val : float }
+type cell = Counter of int ref | Gauge of gauge_cell | Hist of hist
 
 type shard = {
   cells : (string, cell) Hashtbl.t;
   mutable stack : (string * float) list; (* open spans: name, start time *)
+  mutable generation : int; (* bumped by [reset], which drops every cell *)
 }
 
 type t = {
@@ -102,7 +103,7 @@ let create ?now () =
   {
     shards =
       Stdx.Sharded.create
-        ~init:(fun () -> { cells = Hashtbl.create 64; stack = [] })
+        ~init:(fun () -> { cells = Hashtbl.create 64; stack = []; generation = 0 })
         ();
     seq = Atomic.make 0;
     now;
@@ -116,24 +117,78 @@ let kind_error name got =
 
 let my_shard t = Stdx.Sharded.get t.shards
 
-let incr t ?(by = 1) name =
-  let s = my_shard t in
+(* The shard's cell for [name], registered on first use. *)
+let counter_cell s name =
   match Hashtbl.find_opt s.cells name with
-  | Some (Counter r) -> r := !r + by
+  | Some (Counter r) -> r
   | Some (Gauge _) -> kind_error name "gauge"
   | Some (Hist _) -> kind_error name "histogram"
-  | None -> Hashtbl.add s.cells name (Counter (ref by))
+  | None ->
+    let r = ref 0 in
+    Hashtbl.add s.cells name (Counter r);
+    r
+
+let gauge_cell s name =
+  match Hashtbl.find_opt s.cells name with
+  | Some (Gauge g) -> g
+  | Some (Counter _) -> kind_error name "counter"
+  | Some (Hist _) -> kind_error name "histogram"
+  | None ->
+    let g = { g_seq = 0; g_val = 0.0 } in
+    Hashtbl.add s.cells name (Gauge g);
+    g
+
+let incr t ?(by = 1) name =
+  let r = counter_cell (my_shard t) name in
+  r := !r + by
 
 let set_gauge t name v =
   let s = my_shard t in
   let seq = Atomic.fetch_and_add t.seq 1 in
-  match Hashtbl.find_opt s.cells name with
-  | Some (Gauge g) ->
-    g.g_seq <- seq;
-    g.g_val <- v
-  | Some (Counter _) -> kind_error name "counter"
-  | Some (Hist _) -> kind_error name "histogram"
-  | None -> Hashtbl.add s.cells name (Gauge { g_seq = seq; g_val = v })
+  let g = gauge_cell s name in
+  g.g_seq <- seq;
+  g.g_val <- v
+
+(* -- Handles --------------------------------------------------------------
+   A handle caches the cell it last resolved with the shard and generation
+   it came from.  The cache is one immutable record behind one mutable
+   field, so a handle shared across domains always reads a consistent
+   (shard, cell) pair: a domain whose shard does not match re-resolves
+   its own cell, and no domain ever writes another's. *)
+
+type 'a cached = { shard : shard; generation : int; cell : 'a }
+type 'a handle = { reg : t; name : string; mutable cached : 'a cached }
+type counter = int ref handle
+type gauge = gauge_cell handle
+
+(* No domain's shard, so a fresh handle resolves on its first record. *)
+let unresolved = { cells = Hashtbl.create 1; stack = []; generation = 0 }
+
+let handle reg name cell =
+  { reg; name; cached = { shard = unresolved; generation = 0; cell } }
+
+let counter t name = handle t name (ref 0)
+let gauge t name = handle t name { g_seq = 0; g_val = 0.0 }
+
+let[@inline] resolve h s find =
+  let c = h.cached in
+  if c.shard == s && c.generation = s.generation then c.cell
+  else begin
+    let cell = find s h.name in
+    h.cached <- { shard = s; generation = s.generation; cell };
+    cell
+  end
+
+let bump ?(by = 1) h =
+  let r = resolve h (my_shard h.reg) counter_cell in
+  r := !r + by
+
+let set h v =
+  let s = my_shard h.reg in
+  let seq = Atomic.fetch_and_add h.reg.seq 1 in
+  let g = resolve h s gauge_cell in
+  g.g_seq <- seq;
+  g.g_val <- v
 
 let observe t name v =
   let s = my_shard t in
@@ -247,7 +302,8 @@ let histograms t =
 let reset t =
   Stdx.Sharded.iter t.shards ~f:(fun s ->
       Hashtbl.reset s.cells;
-      s.stack <- [])
+      s.stack <- [];
+      s.generation <- s.generation + 1)
 
 (* -- Dumps ---------------------------------------------------------------- *)
 

@@ -2,7 +2,8 @@
     latency histograms, and span timers.
 
     Recording is allocation-cheap (a domain-local lookup plus an in-place
-    cell update) and safe under [Stdx.Domain_pool] fan-out: every writing
+    cell update; no lookup at all through a {!counter} or {!gauge}
+    handle) and safe under [Stdx.Domain_pool] fan-out: every writing
     domain gets its own shard and readers merge all shards, so no write
     ever contends.  Merged totals are exact once the writing domains have
     synchronized — [Domain_pool.parallel_for] returns only after every
@@ -41,6 +42,30 @@ val set_gauge : t -> string -> float -> unit
 
 val observe : t -> string -> float -> unit
 (** Record one observation into the named histogram. *)
+
+(** {2 Handles (per-packet and per-event paths)}
+
+    A handle names one counter or gauge and records into it without
+    hashing the name: it caches the calling domain's cell and checks the
+    cache against that domain's shard and a generation bumped by
+    {!reset}, so it stays exact under [Stdx.Domain_pool] fan-out and
+    after a reset.  Creating a handle registers nothing; the metric
+    appears on its first record, exactly as with {!incr} and
+    {!set_gauge}, which stay for cold paths. *)
+
+type counter
+type gauge
+
+val counter : t -> string -> counter
+val gauge : t -> string -> gauge
+
+val bump : ?by:int -> counter -> unit
+(** [incr t ?by name] through the handle.
+    @raise Invalid_argument if the name is registered as another kind. *)
+
+val set : gauge -> float -> unit
+(** [set_gauge t name v] through the handle.
+    @raise Invalid_argument if the name is registered as another kind. *)
 
 val span_begin : t -> string -> unit
 
@@ -92,7 +117,8 @@ val gauges : t -> (string * float) list
 val histograms : t -> (string * hist_summary) list
 
 val reset : t -> unit
-(** Clear every shard.  Only call while no other domain is recording. *)
+(** Clear every shard; handles re-register on their next record.  Only
+    call while no other domain is recording. *)
 
 (** {2 Dumps} *)
 

@@ -77,45 +77,6 @@ let test_prng_exponential_mean () =
   let mean = !total /. float_of_int n in
   Alcotest.(check bool) "mean close to 3" true (mean > 2.8 && mean < 3.2)
 
-(* -- Heap ---------------------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = Stdx.Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Stdx.Heap.is_empty h);
-  List.iter (Stdx.Heap.push h) [ 5; 1; 4; 2; 3 ];
-  Alcotest.(check int) "length" 5 (Stdx.Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Stdx.Heap.peek h);
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 4; 5 ]
-    (List.init 5 (fun _ -> Stdx.Heap.pop_exn h))
-
-let test_heap_pop_empty () =
-  let h = Stdx.Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "pop empty" None (Stdx.Heap.pop h);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Stdx.Heap.pop_exn h))
-
-let test_heap_to_sorted_nondestructive () =
-  let h = Stdx.Heap.create ~cmp:compare in
-  List.iter (Stdx.Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check (list int)) "sorted view" [ 1; 2; 3 ] (Stdx.Heap.to_sorted_list h);
-  Alcotest.(check int) "unchanged" 3 (Stdx.Heap.length h)
-
-let test_heap_clear () =
-  let h = Stdx.Heap.create ~cmp:compare in
-  List.iter (Stdx.Heap.push h) [ 1; 2 ];
-  Stdx.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Stdx.Heap.is_empty h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Stdx.Heap.create ~cmp:compare in
-      List.iter (Stdx.Heap.push h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Stdx.Heap.pop_exn h) in
-      drained = List.sort compare xs)
-
 (* -- Ewma ---------------------------------------------------------------- *)
 
 let test_ewma_first_sample () =
@@ -333,14 +294,6 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "poisson mean" `Quick test_prng_poisson_mean;
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
-          Alcotest.test_case "sorted view" `Quick test_heap_to_sorted_nondestructive;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
         ] );
       ( "ewma",
         [
