@@ -58,4 +58,4 @@ let populate_args ~bucket ~key0 ~key1 ~value = [| bucket; key0; key1; value |]
 
 let bucket_of_key ~capacity ~key0 ~key1 =
   if capacity <= 0 then 0
-  else Rmt.Crc.crc32 [ key0; key1 ] mod capacity
+  else Rmt.Crc.crc32_2 key0 key1 mod capacity

@@ -28,7 +28,7 @@ let program t = t.program
 let n_slots t = t.n_slots
 
 let slot_of_key t (k : Kv.key) =
-  if t.n_slots <= 0 then 0 else Rmt.Crc.crc32c [ k.Kv.k0; k.Kv.k1 ] mod t.n_slots
+  if t.n_slots <= 0 then 0 else Rmt.Crc.crc32c_2 k.Kv.k0 k.Kv.k1 mod t.n_slots
 
 let monitor_packet t ~seq (k : Kv.key) =
   let args = Hh.args ~key0:k.Kv.k0 ~key1:k.Kv.k1 ~slot:(slot_of_key t k) in

@@ -61,8 +61,7 @@ let slice8 tbl =
 let crc32_slice = slice8 crc32_table
 let crc32c_slice = slice8 crc32c_table
 
-let hash_words2 ~row w0 w1 =
-  let t = if row land 1 = 0 then crc32_slice else crc32c_slice in
+let[@inline] digest2 t w0 w1 =
   (* Both words in one slicing-by-8 step: the running CRC's contribution
      to the second word is fully captured by tables t4..t7, so all eight
      loads are independent — no serial dependency between the words. *)
@@ -78,4 +77,11 @@ let hash_words2 ~row w0 w1 =
     lxor Array.unsafe_get t (256 + ((y lsr 16) land 0xff))
     lxor Array.unsafe_get t ((y lsr 24) land 0xff)
   in
-  finalize ~row (crc lxor 0xFFFFFFFF)
+  crc lxor 0xFFFFFFFF
+
+let crc32_2 w0 w1 = digest2 crc32_slice w0 w1
+let crc32c_2 w0 w1 = digest2 crc32c_slice w0 w1
+
+let hash_words2 ~row w0 w1 =
+  let t = if row land 1 = 0 then crc32_slice else crc32c_slice in
+  finalize ~row (digest2 t w0 w1)

@@ -14,6 +14,13 @@ val crc32 : ?seed:int -> int list -> int
 val crc32c : ?seed:int -> int list -> int
 (** Castagnoli variant; an independent function for second sketch rows. *)
 
+val crc32_2 : int -> int -> int
+(** [crc32_2 w0 w1] = [crc32 [ w0; w1 ]] without the list allocations,
+    for per-packet key hashing. *)
+
+val crc32c_2 : int -> int -> int
+(** [crc32c_2 w0 w1] = [crc32c [ w0; w1 ]] without the list allocations. *)
+
 val hash_words : row:int -> int list -> int
 (** [hash_words ~row ws] gives a family of effectively independent hash
     functions indexed by [row] (one per stage).  CRC seeding alone is

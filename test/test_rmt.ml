@@ -63,6 +63,16 @@ let test_crc_nonnegative () =
     Alcotest.(check bool) "non-negative" true (Rmt.Crc.crc32 [ i; i * 7 ] >= 0)
   done
 
+(* The two-word digests replace the list-based CRCs in per-packet key
+   hashing, so they must agree on every word, negative ones included
+   (only the low 32 bits of a word are hashed). *)
+let prop_crc_two_words =
+  QCheck.Test.make ~name:"crc32_2/crc32c_2 = list crc32/crc32c" ~count:2000
+    QCheck.(pair int int)
+    (fun (w0, w1) ->
+      Rmt.Crc.crc32_2 w0 w1 = Rmt.Crc.crc32 [ w0; w1 ]
+      && Rmt.Crc.crc32c_2 w0 w1 = Rmt.Crc.crc32c [ w0; w1 ])
+
 (* -- Register_array ------------------------------------------------------ *)
 
 let test_regs_read_write () =
@@ -283,6 +293,7 @@ let () =
           Alcotest.test_case "variants differ" `Quick test_crc_variants_differ;
           Alcotest.test_case "rows differ" `Quick test_crc_rows_differ;
           Alcotest.test_case "non-negative" `Quick test_crc_nonnegative;
+          QCheck_alcotest.to_alcotest prop_crc_two_words;
         ] );
       ( "registers",
         [
