@@ -27,12 +27,10 @@ type t = {
   cost : Cost_model.t;
   mode : commit_mode;
   extraction_timeout_s : float;
-  snapshots : (Activermt.Packet.fid, (int * Pool.range * int array) list) Hashtbl.t;
   virtual_flags : (Activermt.Packet.fid, bool) Hashtbl.t;
   privileged : (Activermt.Packet.fid, unit) Hashtbl.t;
   pass_limits : (Activermt.Packet.fid, int) Hashtbl.t;
   mutable pending : pending option;
-  mutable log : Cost_model.breakdown list;
   queue : (Activermt.Packet.t * Trace.ctx option) Queue.t;
   mutable epoch_counter : int;
   tel : Telemetry.t;
@@ -59,12 +57,10 @@ let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
     series;
     tracer;
     admit_traces = Hashtbl.create 32;
-    snapshots = Hashtbl.create 32;
     virtual_flags = Hashtbl.create 32;
     privileged = Hashtbl.create 8;
     pass_limits = Hashtbl.create 8;
     pending = None;
-    log = [];
     queue = Queue.create ();
     epoch_counter = 0;
   }
@@ -72,35 +68,6 @@ let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
 let tables t = t.tables
 let allocator t = t.allocator
 let device t = t.device
-
-let words_per_block t = Rmt.Params.words_per_block (Rmt.Device.params t.device)
-
-let take_snapshot t ~fid =
-  match Activermt.Table.regions_of t.tables ~fid with
-  | None -> 0
-  | Some regions ->
-    let wpb = words_per_block t in
-    let snaps = ref [] in
-    let words = ref 0 in
-    Array.iteri
-      (fun stage reg ->
-        match reg with
-        | None -> ()
-        | Some { Activermt.Packet.start_word; n_words } ->
-          let st = Rmt.Device.stage t.device stage in
-          let data =
-            Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
-              ~hi:(start_word + n_words - 1)
-          in
-          words := !words + n_words;
-          snaps :=
-            ( stage,
-              { Pool.first_block = start_word / wpb; n_blocks = n_words / wpb },
-              data )
-            :: !snaps)
-      regions;
-    Hashtbl.replace t.snapshots fid (List.rev !snaps);
-    !words
 
 let zero_regions t ~fid =
   match Activermt.Table.regions_of t.tables ~fid with
@@ -136,20 +103,68 @@ let install_current t ~fid ~virtual_addressing =
       failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s)
     | Error `Already_installed -> assert false)
 
-let copy_snapshot_to_new_region t ~fid =
-  match (Hashtbl.find_opt t.snapshots fid, Activermt.Table.regions_of t.tables ~fid) with
-  | None, _ | _, None -> ()
-  | Some snaps, Some new_regions ->
-    List.iter
-      (fun (stage, _old_range, data) ->
-        match new_regions.(stage) with
-        | None -> ()
-        | Some { Activermt.Packet.start_word; n_words } ->
-          let st = Rmt.Device.stage t.device stage in
-          let copy_len = min n_words (Array.length data) in
-          Rmt.Register_array.restore_range st.Rmt.Device.regs ~lo:start_word
-            (Array.sub data 0 copy_len))
-      snaps
+(* Apply one stage's moves, each [(src, dst, len)] in words.  Regions
+   within a stage are disjoint before and after a reallocation and keep
+   their relative order — inelastic slots never move, elastic slots are
+   repacked in arrival order — so running the left moves in ascending and
+   then the right moves in descending destination order reads every
+   source before anything overwrites it. *)
+let move_stage t ~stage moves =
+  let moves = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) moves in
+  let rec check = function
+    | (s1, d1, l1) :: ((s2, d2, _) :: _ as rest) ->
+      if s1 + l1 > s2 || d1 + l1 > d2 then
+        failwith
+          (Printf.sprintf "Controller: relocation reorders regions at stage %d" stage);
+      check rest
+    | [ _ ] | [] -> ()
+  in
+  check moves;
+  let regs = (Rmt.Device.stage t.device stage).Rmt.Device.regs in
+  let move (src, dst, len) = Rmt.Register_array.move regs ~src ~dst ~len in
+  let left, right = List.partition (fun (src, dst, _) -> dst < src) moves in
+  List.iter move left;
+  List.iter move (List.rev right)
+
+(* Relocate the register state of apps the allocator just moved
+   (Section 4.3).  In [`Auto] mode each app's first [min old new] words
+   per stage move in place from its installed (old) region to its
+   allocated (new) one; destinations are disjoint, so the result is what
+   copying every old region out and back would leave.  Must run before
+   the apps' tables are reinstalled, since the old regions are read from
+   them, and before new apps' regions are zeroed.  Returns the old
+   regions' words, which the cost model charges as the snapshot. *)
+let relocate t fids =
+  let moves = Array.make (Rmt.Device.params t.device).Rmt.Params.logical_stages [] in
+  let words = ref 0 in
+  List.iter
+    (fun fid ->
+      match Activermt.Table.regions_of t.tables ~fid with
+      | None -> ()
+      | Some old_regions ->
+        let new_regions =
+          match t.mode with
+          | `Auto -> Allocator.regions_response t.allocator ~fid
+          | `Interactive -> None
+        in
+        Array.iteri
+          (fun stage reg ->
+            match reg with
+            | None -> ()
+            | Some { Activermt.Packet.start_word = src; n_words } -> (
+              words := !words + n_words;
+              match new_regions with
+              | None -> ()
+              | Some nr -> (
+                match nr.(stage) with
+                | Some { Activermt.Packet.start_word = dst; n_words = n_new }
+                  when dst <> src ->
+                  moves.(stage) <- (src, dst, min n_words n_new) :: moves.(stage)
+                | Some _ | None -> ())))
+          old_regions)
+    fids;
+  Array.iteri (fun stage ms -> if ms <> [] then move_stage t ~stage ms) moves;
+  !words
 
 let virtual_of t fid =
   Option.value ~default:true (Hashtbl.find_opt t.virtual_flags fid)
@@ -222,8 +237,8 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
     (* Idempotent re-request (dedup by FID): the response to an earlier
        request was lost in flight, or the request itself was duplicated
        by the network.  Answer from the existing allocation — never
-       allocate twice for one FID.  Not charged to the provisioning log:
-       no allocator or table work happened. *)
+       allocate twice for one FID.  Zero-work timing: no allocator or
+       table work happened. *)
     let fid = pkt.Activermt.Packet.fid in
     Telemetry.incr t.tel "control.dup_requests";
     (match trace with
@@ -272,11 +287,6 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
            Allocator.admit ?trace:tctx t.allocator arrival)
      with
     | Allocator.Rejected r ->
-      let timing =
-        Cost_model.breakdown t.cost ~allocation_s:r.Allocator.compute_time_s
-          ~entries_updated:0 ~apps_touched:0 ~words_snapshotted:0 ~notifications:1
-      in
-      t.log <- timing :: t.log;
       Telemetry.incr t.tel "control.rejections";
       Timeseries.add t.series "control.rejections";
       Telemetry.span_end t.tel (* control.provision *);
@@ -285,8 +295,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
       Hashtbl.replace t.virtual_flags fid flags.Activermt.Packet.virtual_addressing;
       let realloc_fids = List.map fst adm.Allocator.reallocated in
       let words =
-        Telemetry.with_span t.tel "control.snapshot" (fun () ->
-            List.fold_left (fun acc f -> acc + take_snapshot t ~fid:f) 0 realloc_fids)
+        Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t realloc_fids)
       in
       (match tctx with
       | None -> ()
@@ -300,13 +309,8 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
       let phase =
         match (t.mode, realloc_fids) with
         | `Auto, _ | `Interactive, [] ->
-          List.iter
-            (fun f -> commit_app t ~fid:f)
-            realloc_fids;
+          List.iter (fun f -> commit_app t ~fid:f) realloc_fids;
           commit_new_app t ~fid;
-          (match t.mode with
-          | `Auto -> List.iter (fun f -> copy_snapshot_to_new_region t ~fid:f) realloc_fids
-          | `Interactive -> ());
           Committed
         | `Interactive, impacted ->
           List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
@@ -337,7 +341,6 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
           ~words_snapshotted:words
           ~notifications:(List.length realloc_fids + 1)
       in
-      t.log <- timing :: t.log;
       Telemetry.span_end t.tel (* control.provision *);
       (match tctx with
       | None -> ()
@@ -503,14 +506,12 @@ let drain_epoch_auto t slots =
       batch.Allocator.outcomes
   in
   let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () ->
-        List.fold_left (fun acc f -> acc + take_snapshot t ~fid:f) 0 realloc_fids)
+    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t realloc_fids)
   in
   Activermt.Table.reset_update_stats t.tables;
   Telemetry.span_begin t.tel "control.table_update";
   List.iter (fun f -> commit_app t ~fid:f) realloc_fids;
   List.iter (fun f -> commit_new_app t ~fid:f) admitted_fids;
-  List.iter (fun f -> copy_snapshot_to_new_region t ~fid:f) realloc_fids;
   Telemetry.span_end t.tel (* control.table_update *);
   let stats = Activermt.Table.update_stats t.tables in
   let entries =
@@ -522,7 +523,6 @@ let drain_epoch_auto t slots =
       ~allocation_s:batch.Allocator.stats.Allocator.batch_compute_time_s
       ~entries_updated:entries ~words_snapshotted:words ~notifications:installs
   in
-  t.log <- epoch_timing :: t.log;
   Telemetry.incr t.tel ~by:(List.length admitted_fids) "control.provisions";
   Telemetry.incr t.tel
     ~by:batch.Allocator.stats.Allocator.batch_rejected
@@ -649,7 +649,7 @@ let handle_departure ?trace t ~fid =
   @@ fun tctx ->
   Activermt.Table.remove t.tables ~fid;
   Hashtbl.remove t.admit_traces fid;
-  Hashtbl.remove t.snapshots fid;
+  Hashtbl.remove t.virtual_flags fid;
   (* A service departing mid-extraction no longer blocks the pending
      admission. *)
   (match t.pending with
@@ -659,22 +659,19 @@ let handle_departure ?trace t ~fid =
   | Some _ | None -> ());
   Activermt.Table.reset_update_stats t.tables;
   Telemetry.incr t.tel "control.departures";
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let expanded =
     Telemetry.with_span t.tel "control.allocation" (fun () ->
         Allocator.depart ?trace:tctx t.allocator ~fid)
   in
-  let alloc_s = Sys.time () -. t0 in
+  let alloc_s = Unix.gettimeofday () -. t0 in
   let expanded_fids = List.map fst expanded in
   let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () ->
-        List.fold_left (fun acc f -> acc + take_snapshot t ~fid:f) 0 expanded_fids)
+    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t expanded_fids)
   in
   Telemetry.with_span t.tel "control.table_update" (fun () ->
       List.iter
-        (fun f ->
-          install_current t ~fid:f ~virtual_addressing:(virtual_of t f);
-          if t.mode = `Auto then copy_snapshot_to_new_region t ~fid:f)
+        (fun f -> install_current t ~fid:f ~virtual_addressing:(virtual_of t f))
         expanded_fids);
   let stats = Activermt.Table.update_stats t.tables in
   let timing =
@@ -684,7 +681,6 @@ let handle_departure ?trace t ~fid =
       ~words_snapshotted:words
       ~notifications:(List.length expanded_fids)
   in
-  t.log <- timing :: t.log;
   (timing, expanded_fids)
 
 let complete_extraction t ~fid =
@@ -710,9 +706,6 @@ let expire t ~elapsed_s =
       p.waiting <- [];
       finish_pending_if_done t
     end
-
-let snapshot_of t ~fid =
-  Option.value ~default:[] (Hashtbl.find_opt t.snapshots fid)
 
 let read_region t ~fid ~stage =
   match Activermt.Table.regions_of t.tables ~fid with
@@ -740,6 +733,5 @@ let write_region_word t ~fid ~stage ~index ~value =
         true
       end)
 
-let provision_log t = List.rev t.log
 let tracer t = t.tracer
 let admit_trace t ~fid = Hashtbl.find_opt t.admit_traces fid

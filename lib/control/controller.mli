@@ -4,20 +4,24 @@ open Import
 
     Runs on the switch CPU: serializes allocation requests arriving as
     data-plane digests, invokes the online allocator, installs/removes
-    match-table entries and protection ranges, takes consistent snapshots
-    of reallocated regions, quiesces impacted services during migration,
-    and answers clients with allocation-response packets.
+    match-table entries and protection ranges, migrates reallocated apps'
+    register state, quiesces impacted services during migration, and
+    answers clients with allocation-response packets.
 
     Two commit modes:
-    - [`Auto]: the whole admission (snapshot, table update, state copy)
-      completes synchronously; reallocated apps' old contents are copied
-      into their new regions by the control plane.  Used by the allocator
-      benchmarks.
+    - [`Auto]: the whole admission (state move, table update) completes
+      synchronously; before the tables change, each reallocated app's
+      old contents are moved in place into its new region, per stage, up
+      to the smaller of the two sizes.  The cost model still charges the
+      old regions' words as Section 4.3's snapshot.  Used by the
+      allocator benchmarks.
     - [`Interactive]: after computing an allocation the controller
       notifies impacted apps and leaves old tables in place so clients can
-      extract state through the data plane; [complete_extraction] (or a
-      timeout via [expire]) then applies the new tables and reactivates.
-      Used by the end-to-end case study (Figures 9, 10). *)
+      extract state through the data plane (or the control plane, via
+      {!read_region}, which reads the quiesced old region);
+      [complete_extraction] (or a timeout via [expire]) then applies the
+      new tables and reactivates.  Used by the end-to-end case study
+      (Figures 9, 10). *)
 
 type commit_mode = [ `Auto | `Interactive ]
 
@@ -50,9 +54,9 @@ val create :
 (** [telemetry] (default {!Telemetry.default}) is shared with the
     embedded allocator and additionally receives the controller's
     measured provisioning phases — [control.provision] with nested
-    [control.allocation], [control.snapshot] and [control.table_update]
-    spans (Fig. 8a's breakdown from real timers, next to the modeled
-    {!Cost_model.breakdown}) — plus [control.provisions],
+    [control.allocation], [control.snapshot] (the state move) and
+    [control.table_update] spans (Fig. 8a's breakdown from real timers,
+    next to the modeled {!Cost_model.breakdown}) — plus [control.provisions],
     [control.rejections] and [control.departures] counters.
 
     [tracer] (default {!Trace.noop}) is shared with the embedded
@@ -173,20 +177,13 @@ val regions_packet :
     regions; used to inform reallocated clients of their new placement.
     [None] if the FID is not resident. *)
 
-val snapshot_of :
-  t -> fid:Activermt.Packet.fid -> (int * Pool.range * int array) list
-(** Consistent snapshot (stage, old block range, words) taken for the FID
-    at its last reallocation; [] if none. *)
-
 val read_region : t -> fid:Activermt.Packet.fid -> stage:int -> int array option
-(** Control-plane (BFRT-style) read of the app's current region. *)
+(** Control-plane (BFRT-style) read of the app's installed region — for
+    an app quiesced awaiting extraction, its old, untouched one. *)
 
 val write_region_word :
   t -> fid:Activermt.Packet.fid -> stage:int -> index:int -> value:int -> bool
 (** Control-plane write of one word, region-relative; false if no region. *)
-
-val provision_log : t -> Cost_model.breakdown list
-(** Breakdown of every provisioning event so far, oldest first. *)
 
 val tracer : t -> Trace.t
 (** The tracer passed at {!create} ({!Trace.noop} by default). *)

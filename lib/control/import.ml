@@ -2,7 +2,6 @@
 module Spec = Activermt_compiler.Spec
 module Mutant = Activermt_compiler.Mutant
 module Allocator = Activermt_alloc.Allocator
-module Pool = Activermt_alloc.Pool
 module Telemetry = Activermt_telemetry.Telemetry
 module Timeseries = Activermt_telemetry.Timeseries
 module Trace = Activermt_telemetry.Trace

@@ -90,8 +90,22 @@ let snapshot_range t ~lo ~hi =
   check t hi;
   Array.sub t.data lo (hi - lo + 1)
 
-let restore_range t ~lo values =
-  check t lo;
-  if lo + Array.length values > Array.length t.data then
-    invalid_arg "Register_array.restore_range: range exceeds array";
-  Array.blit values 0 t.data lo (Array.length values)
+(* A plain loop rather than [Array.blit]: the array lives in the major
+   heap, where a blit pays a write barrier per word, while typed int
+   stores need none.  The range check up front covers every index the
+   loops touch. *)
+let move t ~src ~dst ~len =
+  let n = Array.length t.data in
+  if len < 0 || src < 0 || dst < 0 || src > n - len || dst > n - len then
+    invalid_arg
+      (Printf.sprintf "Register_array.move: src %d dst %d len %d outside [0,%d)"
+         src dst len n);
+  let d = t.data in
+  if dst < src then
+    for i = 0 to len - 1 do
+      Array.unsafe_set d (dst + i) (Array.unsafe_get d (src + i))
+    done
+  else if dst > src then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set d (dst + i) (Array.unsafe_get d (src + i))
+    done

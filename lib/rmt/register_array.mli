@@ -64,7 +64,11 @@ val access_count : t -> int
 (** Total data-plane accesses since creation. *)
 
 val snapshot_range : t -> lo:int -> hi:int -> int array
-(** Copy of the inclusive range, used for consistent snapshots during
-    reallocation (Section 4.3). *)
+(** Copy of the inclusive range: a control-plane read of a region. *)
 
-val restore_range : t -> lo:int -> int array -> unit
+val move : t -> src:int -> dst:int -> len:int -> unit
+(** Control-plane copy of the [len] words at [src] to [dst] within the
+    array, correct when the two ranges overlap — how the controller
+    relocates a reallocated app's state (Section 4.3).
+    @raise Invalid_argument if either range leaves the array or
+    [len < 0]. *)

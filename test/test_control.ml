@@ -1,6 +1,6 @@
 (* Tests for the switch controller: admission, table installation,
-   consistent snapshots, auto/interactive reallocation protocols, the
-   timeout path and the cost model. *)
+   register-state relocation, auto/interactive reallocation protocols,
+   the timeout path and the cost model. *)
 
 module Controller = Activermt_control.Controller
 module Cost_model = Activermt_control.Cost_model
@@ -96,19 +96,132 @@ let test_auto_migration_copies_data () =
   | None -> Alcotest.fail "region"
 
 let test_snapshot_contents () =
+  (* App 1 departs; app 2, packed above it, expands down into the freed
+     blocks, and its state moves with it. *)
   let ctl =
     Controller.create ~scheme:Activermt_alloc.Allocator.Best_fit
       (Rmt.Device.create params)
   in
   ignore (admit_exn ctl 1 cache);
-  ignore (Controller.write_region_word ctl ~fid:1 ~stage:1 ~index:3 ~value:42);
   ignore (admit_exn ctl 2 cache);
-  match Controller.snapshot_of ctl ~fid:1 with
-  | [] -> Alcotest.fail "snapshot taken"
-  | snaps ->
-    let stage1 = List.find (fun (s, _, _) -> s = 1) snaps in
-    let _, _, data = stage1 in
-    Alcotest.(check int) "snapshot has pre-move data" 42 data.(3)
+  let start () =
+    match Activermt.Table.regions_of (Controller.tables ctl) ~fid:2 with
+    | Some regions -> Option.map (fun r -> r.Pkt.start_word) regions.(1)
+    | None -> None
+  in
+  let before = start () in
+  ignore (Controller.write_region_word ctl ~fid:2 ~stage:1 ~index:3 ~value:42);
+  let _, expanded = Controller.handle_departure ctl ~fid:1 in
+  Alcotest.(check (list int)) "app 2 expanded" [ 2 ] expanded;
+  Alcotest.(check bool) "region moved" true (start () <> before);
+  match Controller.read_region ctl ~fid:2 ~stage:1 with
+  | Some data -> Alcotest.(check int) "moved region has pre-move data" 42 data.(3)
+  | None -> Alcotest.fail "region"
+
+(* Reference model of relocation.  Random admissions (through [drain]
+   epochs or [handle_request]) and departures run on a small device
+   whose every register holds a fresh random word before each operation.
+   Afterwards every word must be: zero in a newly admitted app's region;
+   for an app resident before and after, its old word at offset [k] in
+   its new region, for [k] below the smaller of the two sizes; otherwise
+   the word from before the operation.  The oracle builds its expectation
+   from a copy, so it does not depend on the order the moves run in. *)
+let small_params = { params with Rmt.Params.words_per_stage = 256 * 2 }
+
+let relocation_run ~scheme ~batched ~seed =
+  let rng = Random.State.make [| seed |] in
+  let device = Rmt.Device.create small_params in
+  let ctl = Controller.create ~scheme device in
+  let alloc = Controller.allocator ctl in
+  let tables = Controller.tables ctl in
+  let n_stages = small_params.Rmt.Params.logical_stages in
+  let regs s = (Rmt.Device.stage device s).Rmt.Device.regs in
+  let words = small_params.Rmt.Params.words_per_stage in
+  let apps =
+    [|
+      cache;
+      cache;
+      hh;
+      Activermt_apps.Cheetah_lb.service;
+      Activermt_apps.Counter.service;
+      Activermt_apps.Bloom.service;
+    |]
+  in
+  let next_fid = ref 1 in
+  let moved_words = ref 0 in
+  for op = 1 to 120 do
+    for s = 0 to n_stages - 1 do
+      for i = 0 to words - 1 do
+        Rmt.Register_array.set (regs s) i (Random.State.bits rng)
+      done
+    done;
+    let pre =
+      Array.init n_stages (fun s ->
+          Rmt.Register_array.snapshot_range (regs s) ~lo:0 ~hi:(words - 1))
+    in
+    let residents = Activermt_alloc.Allocator.resident alloc in
+    let old_regions = Hashtbl.create 64 in
+    List.iter
+      (fun f ->
+        Option.iter (Hashtbl.replace old_regions f) (Activermt.Table.regions_of tables ~fid:f))
+      residents;
+    (if residents <> [] && Random.State.int rng 3 = 0 then
+       let fid = List.nth residents (Random.State.int rng (List.length residents)) in
+       ignore (Controller.handle_departure ctl ~fid)
+     else
+       let k = if batched then 1 + Random.State.int rng 4 else 1 in
+       for _ = 1 to k do
+         let pkt = request !next_fid apps.(Random.State.int rng (Array.length apps)) in
+         incr next_fid;
+         if batched then Controller.enqueue_request ctl pkt
+         else ignore (Controller.handle_request ctl pkt)
+       done;
+       if batched then ignore (Controller.drain ctl));
+    let expected = Array.map Array.copy pre in
+    List.iter
+      (fun f ->
+        match Activermt.Table.regions_of tables ~fid:f with
+        | None -> Alcotest.failf "resident fid %d has no tables" f
+        | Some regions ->
+          let old = Hashtbl.find_opt old_regions f in
+          Array.iteri
+            (fun s reg ->
+              match (reg, old) with
+              | None, _ -> ()
+              | Some { Pkt.start_word; n_words }, None ->
+                Array.fill expected.(s) start_word n_words 0
+              | Some { Pkt.start_word = dst; n_words }, Some old -> (
+                match old.(s) with
+                | None -> ()
+                | Some { Pkt.start_word = src; n_words = n_old } ->
+                  if src <> dst then moved_words := !moved_words + min n_words n_old;
+                  Array.blit pre.(s) src expected.(s) dst (min n_words n_old)))
+            regions)
+      (Activermt_alloc.Allocator.resident alloc);
+    for s = 0 to n_stages - 1 do
+      for i = 0 to words - 1 do
+        let got = Rmt.Register_array.get (regs s) i in
+        if got <> expected.(s).(i) then
+          Alcotest.failf "seed %d op %d: stage %d word %d is %d, expected %d" seed op s i
+            got expected.(s).(i)
+      done
+    done
+  done;
+  !moved_words
+
+let test_relocation_reference_model () =
+  List.iter
+    (fun (scheme, batched) ->
+      for seed = 1 to 3 do
+        Alcotest.(check bool) "some state moved" true
+          (relocation_run ~scheme ~batched ~seed > 0)
+      done)
+    [
+      (Activermt_alloc.Allocator.Worst_fit, true);
+      (Activermt_alloc.Allocator.Worst_fit, false);
+      (Activermt_alloc.Allocator.Best_fit, true);
+      (Activermt_alloc.Allocator.Best_fit, false);
+    ]
 
 let test_departure_expands () =
   let ctl =
@@ -192,17 +305,14 @@ let test_regions_packet () =
   | None -> Alcotest.fail "resident");
   Alcotest.(check bool) "absent fid" true (Controller.regions_packet ctl ~fid:9 = None)
 
-let test_provision_log_and_costs () =
+let test_provision_timing () =
   let _, ctl = fresh () in
-  ignore (admit_exn ctl 1 cache);
-  ignore (admit_exn ctl 2 cache);
-  let log = Controller.provision_log ctl in
-  Alcotest.(check int) "two events" 2 (List.length log);
   List.iter
-    (fun b ->
+    (fun fid ->
+      let b = (admit_exn ctl fid cache).Controller.timing in
       Alcotest.(check bool) "positive table time" true (b.Cost_model.table_update_s > 0.0);
       Alcotest.(check bool) "total bounded" true (Cost_model.total b < 29.0))
-    log
+    [ 1; 2 ]
 
 let test_privilege_lifecycle () =
   let _, ctl = fresh () in
@@ -391,6 +501,8 @@ let () =
         [
           Alcotest.test_case "auto migration" `Quick test_auto_migration_copies_data;
           Alcotest.test_case "snapshot contents" `Quick test_snapshot_contents;
+          Alcotest.test_case "relocation matches reference model" `Quick
+            test_relocation_reference_model;
           Alcotest.test_case "departure expands" `Quick test_departure_expands;
           Alcotest.test_case "interactive protocol" `Quick test_interactive_protocol;
           Alcotest.test_case "interactive no-realloc" `Quick
@@ -413,7 +525,7 @@ let () =
         ] );
       ( "cost model",
         [
-          Alcotest.test_case "provision log" `Quick test_provision_log_and_costs;
+          Alcotest.test_case "provision timing" `Quick test_provision_timing;
           Alcotest.test_case "privilege lifecycle" `Quick test_privilege_lifecycle;
           Alcotest.test_case "recirculation limit" `Quick test_recirculation_limit_lifecycle;
           Alcotest.test_case "breakdown" `Quick test_cost_model_breakdown;

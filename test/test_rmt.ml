@@ -132,16 +132,45 @@ let test_regs_zero_range () =
   Alcotest.(check (list int)) "zeroed middle" [ 1; 2; 0; 0; 0; 0; 7; 8 ]
     (List.init 8 (R.get r))
 
-let test_regs_snapshot_restore () =
+let test_regs_snapshot () =
   let r = R.create ~words:8 in
   for i = 0 to 7 do
     R.set r i (10 * i)
   done;
-  let snap = R.snapshot_range r ~lo:2 ~hi:4 in
-  Alcotest.(check (array int)) "snapshot" [| 20; 30; 40 |] snap;
-  R.zero_range r ~lo:0 ~hi:7;
-  R.restore_range r ~lo:5 snap;
-  Alcotest.(check int) "restored elsewhere" 30 (R.get r 6)
+  Alcotest.(check (array int)) "snapshot" [| 20; 30; 40 |] (R.snapshot_range r ~lo:2 ~hi:4)
+
+(* [move] against a model that copies the source out first: overlap in
+   either direction must read every source word before it is
+   overwritten, and an out-of-range move — [max_int] included, where a
+   naive end check overflows — must raise without writing.  On 16 words,
+   about a fifth of the cases are in range, many of them overlapping,
+   and [len = 0] is among them. *)
+let prop_regs_move =
+  let n = 16 in
+  let arg =
+    QCheck.Gen.(frequency [ (19, int_range (-1) (n + 1)); (1, oneofl [ max_int; min_int ]) ])
+  in
+  QCheck.Test.make ~name:"move = copy-out model" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(triple int int int) (QCheck.Gen.triple arg arg arg))
+    (fun (src, dst, len) ->
+      let r = R.create ~words:n in
+      for i = 0 to n - 1 do
+        R.set r i (i + 1)
+      done;
+      let before = R.snapshot_range r ~lo:0 ~hi:(n - 1) in
+      let in_range = len >= 0 && src >= 0 && dst >= 0 && src <= n - len && dst <= n - len in
+      let raised =
+        match R.move r ~src ~dst ~len with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let expected =
+        if not in_range then before
+        else
+          Array.init n (fun i ->
+              if i >= dst && i < dst + len then before.(src + i - dst) else before.(i))
+      in
+      raised = not in_range && R.snapshot_range r ~lo:0 ~hi:(n - 1) = expected)
 
 (* -- Tcam ---------------------------------------------------------------- *)
 
@@ -305,7 +334,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_regs_bounds;
           Alcotest.test_case "access count" `Quick test_regs_access_count;
           Alcotest.test_case "zero range" `Quick test_regs_zero_range;
-          Alcotest.test_case "snapshot/restore" `Quick test_regs_snapshot_restore;
+          Alcotest.test_case "snapshot" `Quick test_regs_snapshot;
+          QCheck_alcotest.to_alcotest prop_regs_move;
         ] );
       ( "tcam",
         [
