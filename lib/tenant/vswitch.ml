@@ -263,7 +263,7 @@ let depart t ~fid =
   | None | Some (Denied _) | Some Departed -> false
   | Some Granted ->
     let bd, _ = Controller.handle_departure t.ctrl ~fid in
-    t.clock <- t.clock +. Cost_model.total bd -. bd.Cost_model.allocation_s;
+    t.clock <- t.clock +. Cost_model.modeled bd;
     settle t ~fid Departed;
     Telemetry.incr t.tel "tenant.departed";
     true
@@ -300,7 +300,7 @@ let evict_fid t ~tenant:vt ~epoch_evicted ~modeled =
     epoch_evicted := (vt, vf) :: !epoch_evicted;
     modeled :=
       !modeled
-      +. Cost_model.total bd -. bd.Cost_model.allocation_s
+      +. Cost_model.modeled bd
       +. (float_of_int (state_words state) *. t.cost.Cost_model.snapshot_word_s);
     Telemetry.incr t.tel "tenant.evictions";
     Timeseries.add t.series ~t:t.clock "tenant.evictions";
@@ -453,10 +453,7 @@ let run_epoch t =
       | _ -> (
         match Controller.drain ~max_batch:(List.length taken) t.ctrl with
         | [ e ] ->
-          modeled :=
-            !modeled
-            +. Cost_model.total e.Controller.epoch_timing
-            -. e.Controller.epoch_timing.Cost_model.allocation_s;
+          modeled := !modeled +. Cost_model.modeled e.Controller.epoch_timing;
           assert (List.length e.Controller.results = List.length taken);
           List.combine taken e.Controller.results
         | _ -> assert false)
