@@ -700,6 +700,56 @@ let test_batch_fill_coalescing_trace_attrs () =
     (string_of_int (List.length b.Allocator.batch_reallocated))
     (attr "reallocated")
 
+let test_batch_mixed_decision_identity () =
+  (* allocsim --mixed 120 --seed 3001: the same seeded arrival stream
+     admitted one at a time and in epochs of 64 must admit and reject the
+     same FIDs.  Placements may differ: the batched path scores against an
+     epoch-shared snapshot and coalesces elastic refills. *)
+  let module Churn = Workload.Churn in
+  let block_bytes = Rmt.Params.bytes_per_block params in
+  let arrivals =
+    Churn.mixed_arrivals ~n:120 (Stdx.Prng.create ~seed:3001)
+    |> List.concat_map (fun (e : Churn.epoch) ->
+           List.filter_map
+             (function
+               | Churn.Arrive { kind; _ } -> Some kind | Churn.Depart _ -> None)
+             e.Churn.events)
+    |> List.mapi (fun i kind ->
+           Experiments.Harness.arrival_of ~fid:(i + 1) kind ~block_bytes)
+  in
+  let split outcomes =
+    List.partition_map
+      (fun ((a : Allocator.arrival), o) ->
+        match o with
+        | Allocator.Admitted _ -> Left a.Allocator.fid
+        | Allocator.Rejected _ -> Right a.Allocator.fid)
+      (List.combine arrivals outcomes)
+  in
+  let seq_admitted, seq_rejected =
+    let alloc = Allocator.create params in
+    split (List.map (Allocator.admit alloc) arrivals)
+  in
+  let rec epochs = function
+    | [] -> []
+    | l ->
+      List.filteri (fun i _ -> i < 64) l
+      :: epochs (List.filteri (fun i _ -> i >= 64) l)
+  in
+  let chunks = epochs arrivals in
+  let batch_admitted, batch_rejected =
+    let alloc = Allocator.create params in
+    split
+      (List.concat_map
+         (fun chunk -> (Allocator.admit_batch alloc chunk).Allocator.outcomes)
+         chunks)
+  in
+  Alcotest.(check bool) "some admitted" true (seq_admitted <> []);
+  Alcotest.(check bool) "some rejected" true (seq_rejected <> []);
+  Alcotest.(check bool) "some epoch wider than 1" true
+    (List.exists (fun c -> List.length c > 1) chunks);
+  Alcotest.(check (list int)) "same admitted FIDs" seq_admitted batch_admitted;
+  Alcotest.(check (list int)) "same rejected FIDs" seq_rejected batch_rejected
+
 (* Random churn keeps the allocator's central invariants. *)
 let prop_churn_invariants =
   QCheck.Test.make ~name:"random churn: no overlap, utilization bounded"
@@ -788,6 +838,8 @@ let () =
             test_batch_duplicate_fid_raises;
           Alcotest.test_case "fill coalescing trace attrs" `Quick
             test_batch_fill_coalescing_trace_attrs;
+          Alcotest.test_case "mixed stream: sequential = epochs of 64" `Quick
+            test_batch_mixed_decision_identity;
           QCheck_alcotest.to_alcotest prop_batch_singleton_matches_admit;
         ] );
     ]

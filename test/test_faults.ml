@@ -438,8 +438,9 @@ let test_chaos_replays_from_seed () =
         };
     }
   in
-  let run () =
-    let r = Chaos.run ~telemetry:(Telemetry.create ()) cfg in
+  let run ~jit =
+    let telemetry = Telemetry.create () and tracer = Trace.create () in
+    let r = Chaos.run ~telemetry ~tracer { cfg with Chaos.jit } in
     let events =
       List.map
         (fun e -> (e.Faults.time, Faults.kind_to_string e.Faults.kind))
@@ -459,16 +460,58 @@ let test_chaos_replays_from_seed () =
     let outcomes =
       List.map (fun (fid, o) -> (fid, Chaos.outcome_to_string o)) r.Chaos.outcomes
     in
-    (events, counts, outcomes, r.Chaos.sim_time_s)
+    (* The JIT may touch only its own jit.* metrics, the per-exec "jit"
+       attr and its jit.compile instants, which consume span ids. *)
+    let not_jit (k, _) = not (String.starts_with ~prefix:"jit." k) in
+    let kept_attr (k, _) =
+      k <> "jit" && not (String.ends_with ~suffix:"span_id" k)
+    in
+    let trace =
+      List.filter_map
+        (fun (e : Trace.event) ->
+          if e.Trace.name = "jit.compile" then None
+          else
+            Some
+              ( e.Trace.name,
+                e.Trace.t_start,
+                e.Trace.t_end,
+                List.filter kept_attr e.Trace.attrs ))
+        (Trace.events tracer)
+    in
+    ( telemetry,
+      (events, counts, outcomes, r.Chaos.sim_time_s),
+      ( List.filter not_jit (Telemetry.counters telemetry),
+        List.filter not_jit (Telemetry.gauges telemetry) ),
+      trace )
   in
-  let ev1, c1, o1, t1 = run () in
-  let ev2, c2, o2, t2 = run () in
+  let same what (_, (ev1, c1, o1, t1), (k1, g1), tr1)
+      (_, (ev2, c2, o2, t2), (k2, g2), tr2) =
+    let check t name = Alcotest.check t (what ^ ": " ^ name) in
+    check Alcotest.(list (pair (float 0.0) string)) "fault trace" ev1 ev2;
+    check Alcotest.(list int) "outcome counts" c1 c2;
+    check Alcotest.(list (pair int string)) "outcomes" o1 o2;
+    check Alcotest.(float 0.0) "sim time" t1 t2;
+    check Alcotest.(list (pair string int)) "counters" k1 k2;
+    check Alcotest.(list (pair string (float 0.0))) "gauges" g1 g2;
+    check Alcotest.int "trace events" (List.length tr1) (List.length tr2);
+    List.iteri
+      (fun i (((name, _, _, _) as a), b) ->
+        if a <> b then Alcotest.failf "%s: trace event %d (%s) differs" what i name)
+      (List.combine tr1 tr2)
+  in
+  let jit = run ~jit:true in
+  let tel, (events, _, _, _), _, trace = jit in
+  let ((nojit_tel, _, _, _) as nojit) = run ~jit:false in
   Alcotest.(check bool) "control failures fired" true
-    (List.exists (fun (_, k) -> k = "ctl_fail") ev1);
-  Alcotest.(check (list (pair (float 0.0) string))) "same fault trace" ev1 ev2;
-  Alcotest.(check (list int)) "same outcome counts" c1 c2;
-  Alcotest.(check (list (pair int string))) "same outcomes" o1 o2;
-  Alcotest.(check (float 0.0)) "same sim time" t1 t2
+    (List.exists (fun (_, k) -> k = "ctl_fail") events);
+  Alcotest.(check bool) "traced" true (trace <> []);
+  Alcotest.(check bool) "jit run compiled and hit" true
+    (Telemetry.counter_value tel "jit.compile" > 0
+    && Telemetry.counter_value tel "jit.hit" > 0);
+  Alcotest.(check int) "no-jit run never compiled" 0
+    (Telemetry.counter_value nojit_tel "jit.compile");
+  same "same seed" jit (run ~jit:true);
+  same "no-jit" jit nojit
 
 (* -- Fleet migration under faults ---------------------------------------- *)
 
