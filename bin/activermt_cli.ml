@@ -1,25 +1,3 @@
-(* activermt — command-line front end.
-
-   Subcommands:
-     asm      assemble an active program and print its bytecode + analysis
-     disasm   decode instruction bytes (hex) back to assembly
-     mutants  show the mutant space of a program under a policy
-     allocsim replay a comma-separated arrival list against the allocator
-              (sequentially or in admission batches with --batch)
-     churnsim Zipf client churn through the batched epoch admission pipeline
-     tenantsim multi-tenant noisy-neighbor scenario (quotas, WRR, preemption)
-     fleetsim replay a service workload against a multi-switch fleet
-              (mesh/line/star/fat-tree/leaf-spine; --batch, --flap,
-              --pod-fail, --summary-out)
-     routecheck incremental-router equivalence vs the Floyd-Warshall oracle
-     faultsim run the protocol stack under a seeded fault profile
-     healthcheck run the health-plane scenario, evaluate SLOs/watchdogs,
-              exit non-zero on a page (--report-out, --inject-flap-storm)
-     fleettop render a per-switch/per-tenant dashboard from a --series-out
-              dump or a healthcheck report
-     tracequery filter and render a Chrome trace dump as causal trees
-     apps     print the bundled example services *)
-
 module Spec = Activermt_compiler.Spec
 module Mutant = Activermt_compiler.Mutant
 module Allocator = Activermt_alloc.Allocator
@@ -29,24 +7,43 @@ module Timeseries = Activermt_telemetry.Timeseries
 module Trace = Activermt_telemetry.Trace
 module Json = Activermt_telemetry.Json
 
-(* Shared by the subcommands that record telemetry (allocsim, trace):
-   dump the default registry as JSON once the command finishes. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1)
+    fmt
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+let read_json path =
+  match Json.of_string (read_file path) with
+  | Ok j -> j
+  | Error e -> die "%s: %s" path e
+
+(* The --summary-out and --report-out writer. *)
+let write_json what json path =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string ~pretty:true json);
+      output_char oc '\n');
+  Printf.printf "wrote %s to %s\n" what path
+
+(* Split an arrival stream into admission epochs of [n]. *)
+let rec chunks n = function
+  | [] -> []
+  | l ->
+    let rec take k acc = function
+      | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let chunk, rest = take n [] l in
+    chunk :: chunks n rest
+
 let write_metrics = function
   | None -> ()
   | Some path ->
     Telemetry.write_json Telemetry.default ~path;
     Printf.printf "wrote telemetry to %s\n" path
-
-(* Shared by the five sim subcommands: --series-out enables a windowed
-   time-series registry (virtual-clock buckets; see Timeseries) and
-   dumps it as JSON when the command finishes.  Without the flag the
-   registry is [Timeseries.noop] and the run is bit-identical to a
-   recording-free build.  Each sim wires the clock that makes sense for
-   it: churnsim/tenantsim/faultsim record on their modeled or simulated
-   clocks; allocsim and fleetsim tick one bucket per admission epoch. *)
-let make_series ?bucket_s ?capacity ?now = function
-  | None -> Timeseries.noop
-  | Some _ -> Timeseries.create ?bucket_s ?capacity ?now ()
 
 let write_series series = function
   | None -> ()
@@ -55,6 +52,42 @@ let write_series series = function
     Printf.printf "wrote %d series to %s\n"
       (List.length (Timeseries.names series))
       path
+
+(* What --metrics-out, --series-out, --trace-out and --trace-sample ask of
+   a simulation: a head-sampled flight recorder, a windowed time-series
+   registry on the sim's virtual clock, and one step that dumps them with
+   the default telemetry registry when the run finishes.  Without
+   --trace-out / --series-out they are [Trace.noop] / [Timeseries.noop],
+   and the run is bit-identical to a recording-free build. *)
+type recorder = {
+  tracer : Trace.t;
+  series : Timeseries.t;
+  finish : unit -> unit;
+}
+
+let recorder metrics_out series_out trace_out trace_sample =
+  let tracer =
+    match trace_out with
+    | None -> Trace.noop
+    | Some _ -> Trace.create ~sample:trace_sample ()
+  in
+  let series =
+    match series_out with
+    | None -> Timeseries.noop
+    | Some _ -> Timeseries.create ()
+  in
+  let finish () =
+    write_metrics metrics_out;
+    write_series series series_out;
+    Option.iter
+      (fun path ->
+        Trace.write_chrome tracer path;
+        Printf.printf "wrote %d trace events to %s\n"
+          (List.length (Trace.events tracer))
+          path)
+      trace_out
+  in
+  { tracer; series; finish }
 
 (* Every simulation dump carries the jit.* stats lines — even commands
    (or runs) that never execute a capsule — so metric files from runs
@@ -68,35 +101,12 @@ let seed_jit_metrics ~enabled =
   Telemetry.set_gauge Telemetry.default "jit.enabled"
     (if enabled then 1.0 else 0.0)
 
-(* Shared by the simulation subcommands: --trace-out enables the flight
-   recorder (head sampling at --trace-sample) and dumps Chrome trace JSON
-   when the command finishes.  Without --trace-out the tracer is
-   [Trace.noop] and the run is bit-identical to an untraced build. *)
-let make_tracer trace_out sample =
-  match trace_out with
-  | None -> Trace.noop
-  | Some _ -> Trace.create ~sample ()
-
-let write_trace tracer = function
-  | None -> ()
-  | Some path ->
-    Trace.write_chrome tracer path;
-    Printf.printf "wrote %d trace events to %s\n"
-      (List.length (Trace.events tracer))
-      path
-
 let params = Rmt.Params.default
 
 let read_program path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  match Activermt.Program.parse ~name:(Filename.basename path) text with
+  match Activermt.Program.parse ~name:(Filename.basename path) (read_file path) with
   | Ok p -> p
-  | Error e ->
-    Printf.eprintf "error: %s\n" e;
-    exit 1
+  | Error e -> die "%s" e
 
 let hex_of_bytes b =
   String.concat " "
@@ -131,23 +141,17 @@ and cmd_disasm hex =
   let clean =
     String.concat "" (String.split_on_char ' ' (String.trim hex))
   in
-  if String.length clean mod 4 <> 0 then begin
-    Printf.eprintf "error: expected pairs of 2-byte instruction headers\n";
-    exit 1
-  end;
+  if String.length clean mod 4 <> 0 then
+    die "expected pairs of 2-byte instruction headers";
   let bytes = Bytes.create (String.length clean / 2) in
   (try
      for i = 0 to Bytes.length bytes - 1 do
        Bytes.set_uint8 bytes i (int_of_string ("0x" ^ String.sub clean (2 * i) 2))
      done
-   with Failure _ ->
-     Printf.eprintf "error: invalid hex\n";
-     exit 1);
+   with Failure _ -> die "invalid hex");
   match Activermt.Wire.decode_program bytes ~off:0 with
   | Ok (program, _marks, _end) -> print_string (Activermt.Program.to_assembly program)
-  | Error e ->
-    Printf.eprintf "error: %s\n" e;
-    exit 1
+  | Error e -> die "%s" e
 
 and cmd_mutants path policy =
   let program = read_program path in
@@ -166,20 +170,15 @@ and cmd_mutants path policy =
   if List.length mutants > 50 then print_endline "  ..."
 
 and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
-    metrics_out series_out trace_out trace_sample =
+    { tracer; series; finish } =
   (* allocsim exercises only the control plane; the flag is accepted for
      symmetry with the other sim commands and recorded in the metrics. *)
   seed_jit_metrics ~enabled:(not no_jit);
-  if batch < 1 then begin
-    Printf.eprintf "error: --batch must be >= 1\n";
-    exit 1
-  end;
-  let tracer = make_tracer trace_out trace_sample in
   (* The series clock ticks one bucket per admission epoch (per arrival
      on the sequential path), so the dump shows admission outcomes over
      epochs rather than one flat bucket. *)
   let vclock = ref 0.0 in
-  let series = make_series ~now:(fun () -> !vclock) series_out in
+  Timeseries.set_clock series (fun () -> !vclock);
   let alloc = Allocator.create ~scheme ~policy ~domains ~series ~tracer params in
   let next_fid = ref 0 in
   let service_of = function
@@ -266,19 +265,7 @@ and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
         vclock := !vclock +. 1.0)
       arrivals
   else begin
-    (* Chunk the arrival stream into epochs of [batch] and admit each
-       through the batched pipeline. *)
-    let rec chunks = function
-      | [] -> []
-      | l ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> take (n - 1) (x :: acc) rest
-        in
-        let c, rest = take batch [] l in
-        c :: chunks rest
-    in
+    (* Admit each epoch of [batch] arrivals through the batched pipeline. *)
     let epochs = ref 0 in
     let memo_hits = ref 0 and rescored = ref 0 in
     let stage_refills = ref 0 and refills_saved = ref 0 in
@@ -305,33 +292,28 @@ and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
         stage_refills := !stage_refills + s.Allocator.stage_refills;
         refills_saved := !refills_saved + s.Allocator.refills_saved;
         vclock := !vclock +. 1.0)
-      (chunks arrivals);
+      (chunks batch arrivals);
     Printf.printf
       "batch stats: %d epochs of <= %d, %d memo hits, %d rescored, %d stage \
        refills (%d saved)\n"
       !epochs batch !memo_hits !rescored !stage_refills !refills_saved
   end;
   Printf.printf "final utilization: %.3f\n" (Allocator.utilization alloc);
-  write_metrics metrics_out;
-  write_series series series_out;
-  write_trace tracer trace_out
+  finish ()
 
-and cmd_churnsim clients batch resident seed summary_out metrics_out series_out
-    trace_out trace_sample =
+and cmd_churnsim clients batch resident seed summary_out { tracer; series; finish } =
   seed_jit_metrics ~enabled:true;
   let module Churn = Workload.Churn in
   let module Churn_pipeline = Experiments.Churn_pipeline in
-  let tracer = make_tracer trace_out trace_sample in
-  (* The pipeline rewires the registry clock to its modeled epoch clock. *)
-  let series = make_series series_out in
   let zcfg =
     { Churn.default_zipf_config with Churn.clients; batch; resident_target = resident }
   in
+  (* The pipeline rewires the registry clock to its modeled epoch clock. *)
   let r = Churn_pipeline.run ~tracer ~series ~params ~seed zcfg in
   (* Deterministic stdout: counts and the modeled virtual clock only — no
-     wall-clock numbers — so two same-seed runs print (and with
-     --summary-out / --trace-out, dump) byte-identical artifacts for the
-     CI determinism job to [cmp]. *)
+     wall-clock numbers — so same-seed runs print (and with --summary-out
+     / --trace-out, dump) byte-identical artifacts, which the goldens in
+     test/golden/ pin. *)
   Printf.printf "churnsim: %d clients, batch %d, resident target %d, seed %d\n"
     clients batch resident seed;
   Printf.printf "epochs %d: admitted %d, rejected %d, rescored %d, memo hits %d\n"
@@ -347,47 +329,38 @@ and cmd_churnsim clients batch resident seed summary_out metrics_out series_out
     r.Churn_pipeline.modeled_span_s r.Churn_pipeline.modeled_arrivals_per_sec
     r.Churn_pipeline.p50_tts_ms r.Churn_pipeline.p99_tts_ms
     r.Churn_pipeline.max_tts_ms;
-  (match summary_out with
-  | None -> ()
-  | Some path ->
-    let num v = Json.Num v in
-    let int v = Json.Num (float_of_int v) in
-    let summary =
-      Json.Obj
-        [
-          ("clients", int clients);
-          ("batch", int batch);
-          ("resident_target", int resident);
-          ("seed", int seed);
-          ("epochs", int r.Churn_pipeline.epochs);
-          ("admitted", int r.Churn_pipeline.admitted);
-          ("rejected", int r.Churn_pipeline.rejected);
-          ("rescored", int r.Churn_pipeline.rescored);
-          ("memo_hits", int r.Churn_pipeline.memo_hits);
-          ("stage_refills", int r.Churn_pipeline.stage_refills);
-          ("refills_saved", int r.Churn_pipeline.refills_saved);
-          ("departures", int r.Churn_pipeline.departures);
-          ("final_residents", int r.Churn_pipeline.final_residents);
-          ("final_utilization", num r.Churn_pipeline.final_utilization);
-          ("modeled_span_s", num r.Churn_pipeline.modeled_span_s);
-          ("modeled_arrivals_per_sec", num r.Churn_pipeline.modeled_arrivals_per_sec);
-          ("p50_tts_ms", num r.Churn_pipeline.p50_tts_ms);
-          ("p99_tts_ms", num r.Churn_pipeline.p99_tts_ms);
-          ("max_tts_ms", num r.Churn_pipeline.max_tts_ms);
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Json.to_string ~pretty:true summary);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote churn summary to %s\n" path);
-  write_metrics metrics_out;
-  write_series series series_out;
-  write_trace tracer trace_out
+  let num v = Json.Num v in
+  let int v = Json.Num (float_of_int v) in
+  Option.iter
+    (write_json "churn summary"
+       (Json.Obj
+          [
+            ("clients", int clients);
+            ("batch", int batch);
+            ("resident_target", int resident);
+            ("seed", int seed);
+            ("epochs", int r.Churn_pipeline.epochs);
+            ("admitted", int r.Churn_pipeline.admitted);
+            ("rejected", int r.Churn_pipeline.rejected);
+            ("rescored", int r.Churn_pipeline.rescored);
+            ("memo_hits", int r.Churn_pipeline.memo_hits);
+            ("stage_refills", int r.Churn_pipeline.stage_refills);
+            ("refills_saved", int r.Churn_pipeline.refills_saved);
+            ("departures", int r.Churn_pipeline.departures);
+            ("final_residents", int r.Churn_pipeline.final_residents);
+            ("final_utilization", num r.Churn_pipeline.final_utilization);
+            ("modeled_span_s", num r.Churn_pipeline.modeled_span_s);
+            ( "modeled_arrivals_per_sec",
+              num r.Churn_pipeline.modeled_arrivals_per_sec );
+            ("p50_tts_ms", num r.Churn_pipeline.p50_tts_ms);
+            ("p99_tts_ms", num r.Churn_pipeline.p99_tts_ms);
+            ("max_tts_ms", num r.Churn_pipeline.max_tts_ms);
+          ]))
+    summary_out;
+  finish ()
 
 and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
-    batch seed fail_sw pod_fail flap summary_out no_jit metrics_out series_out
-    trace_out trace_sample =
+    batch seed fail_sw pod_fail flap summary_out no_jit { tracer; series; finish } =
   let module Topology = Activermt_fleet.Topology in
   let module Placement = Activermt_fleet.Placement in
   let module Fleet = Activermt_fleet.Fleet in
@@ -403,27 +376,21 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
         | Some pods -> Topology.fat_tree ~pods ~k ()
         | None -> Topology.fat_tree ~k ())
       | `Leaf_spine -> Topology.leaf_spine ~leaves ~spines ()
-    with Invalid_argument e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
+    with Invalid_argument e -> die "%s" e
   in
   (* Fat-tree / leaf-spine fleets derive their own switch count. *)
   let switches = Topology.switches topo in
   (match fail_sw with
   | Some sw when sw < 0 || sw >= switches ->
-    Printf.eprintf "error: --fail %d out of range for %d switches\n" sw switches;
-    exit 1
+    die "--fail %d out of range for %d switches" sw switches
   | _ -> ());
   (match pod_fail with
   | Some p when p < 0 || p >= Topology.n_pods topo ->
-    Printf.eprintf "error: --pod-fail %d out of range for %d pods\n" p
-      (Topology.n_pods topo);
-    exit 1
+    die "--pod-fail %d out of range for %d pods" p (Topology.n_pods topo)
   | _ -> ());
-  let tracer = make_tracer trace_out trace_sample in
   (* One series bucket per admission epoch (per arrival when --batch 1). *)
   let vclock = ref 0.0 in
-  let series = make_series ~now:(fun () -> !vclock) series_out in
+  Timeseries.set_clock series (fun () -> !vclock);
   let fleet = Fleet.create ~policy ~jit:(not no_jit) ~series ~tracer topo in
   let events =
     List.concat_map
@@ -467,32 +434,24 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
         ignore (Fleet.admit fleet ~fid (Experiments.Harness.app_of_kind kind));
         vclock := !vclock +. 1.0)
       events
-  else begin
-    (* Chunk the arrival stream into epochs of [batch] and push each
-       through the fleet's enqueue/drain admission pipeline; the --fail
-       drill fires before the epoch that spans the halfway mark. *)
-    let rec epochs i = function
-      | [] -> ()
-      | l ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> take (n - 1) (x :: acc) rest
-        in
-        let chunk, rest = take batch [] l in
-        if i <= halfway && halfway < i + List.length chunk then
-          fail_drill ~after:i;
-        List.iter
-          (fun (fid, kind) ->
-            Fleet.enqueue_admission fleet ~fid
-              (Experiments.Harness.app_of_kind kind))
-          chunk;
-        ignore (Fleet.drain_admissions fleet);
-        vclock := !vclock +. 1.0;
-        epochs (i + List.length chunk) rest
-    in
-    epochs 0 events
-  end;
+  else
+    (* Push each epoch of [batch] arrivals through the fleet's
+       enqueue/drain admission pipeline; the --fail drill fires before the
+       epoch that spans the halfway mark. *)
+    ignore
+      (List.fold_left
+         (fun i chunk ->
+           let next = i + List.length chunk in
+           if i <= halfway && halfway < next then fail_drill ~after:i;
+           List.iter
+             (fun (fid, kind) ->
+               Fleet.enqueue_admission fleet ~fid
+                 (Experiments.Harness.app_of_kind kind))
+             chunk;
+           ignore (Fleet.drain_admissions fleet);
+           vclock := !vclock +. 1.0;
+           next)
+         0 (chunks batch events));
   (* Link-flap drill against fully built tables: one link of a shortest
      0 -> n-1 path goes down and comes back, and we report how many
      routed (src, dst) pairs each transition's repair touched. *)
@@ -605,66 +564,56 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
     (Telemetry.counter_value tel "fleet.lost")
     occupancy;
   (* Deterministic summary: counts and modeled occupancy only — no wall
-     times — so two same-seed runs dump byte-identical files for the CI
-     determinism job to [cmp]. *)
-  (match summary_out with
-  | None -> ()
-  | Some path ->
-    let int v = Json.Num (float_of_int v) in
-    let counter c = int (Telemetry.counter_value tel c) in
-    let summary =
-      Json.Obj
-        ([
-           ("topology", Json.Str topo_name);
-           ("switches", int switches);
-           ("links", int (Topology.n_links topo));
-           ("pods", int (Topology.n_pods topo));
-           ("policy", Json.Str (Placement.policy_to_string policy));
-           ("arrivals", int arrivals);
-           ("batch", int batch);
-           ("seed", int seed);
-           ("admitted", counter "fleet.admitted");
-           ("rejected", counter "fleet.rejected");
-           ("spillover", counter "fleet.spillover");
-           ("migrated", counter "fleet.migrated");
-           ("lost", counter "fleet.lost");
-           ("adm_epochs", counter "fleet.adm.epochs");
-           ("residents", int (List.length (Fleet.residents fleet)));
-           ("occupancy", Json.Num occupancy);
-         ]
-        @ (match flap_stats with
+     times — so same-seed runs dump byte-identical files. *)
+  let int v = Json.Num (float_of_int v) in
+  let counter c = int (Telemetry.counter_value tel c) in
+  Option.iter
+    (write_json "fleet summary"
+       (Json.Obj
+          ([
+             ("topology", Json.Str topo_name);
+             ("switches", int switches);
+             ("links", int (Topology.n_links topo));
+             ("pods", int (Topology.n_pods topo));
+             ("policy", Json.Str (Placement.policy_to_string policy));
+             ("arrivals", int arrivals);
+             ("batch", int batch);
+             ("seed", int seed);
+             ("admitted", counter "fleet.admitted");
+             ("rejected", counter "fleet.rejected");
+             ("spillover", counter "fleet.spillover");
+             ("migrated", counter "fleet.migrated");
+             ("lost", counter "fleet.lost");
+             ("adm_epochs", counter "fleet.adm.epochs");
+             ("residents", int (List.length (Fleet.residents fleet)));
+             ("occupancy", Json.Num occupancy);
+           ]
+          @ (match flap_stats with
+            | None -> []
+            | Some (b, down, up, routed) ->
+              [
+                ("flap_link_peer", int b);
+                ("flap_down_touched", int down);
+                ("flap_up_touched", int up);
+                ("routed_pairs", int routed);
+              ])
+          @
+          match pod_stats with
           | None -> []
-          | Some (b, down, up, routed) ->
+          | Some (failed, relocated, lost) ->
             [
-              ("flap_link_peer", int b);
-              ("flap_down_touched", int down);
-              ("flap_up_touched", int up);
-              ("routed_pairs", int routed);
-            ])
-        @
-        match pod_stats with
-        | None -> []
-        | Some (failed, relocated, lost) ->
-          [
-            ("pod_failed_switches", int failed);
-            ("pod_relocated", int relocated);
-            ("pod_lost", int lost);
-          ])
-    in
-    let oc = open_out path in
-    output_string oc (Json.to_string ~pretty:true summary);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote fleet summary to %s\n" path);
+              ("pod_failed_switches", int failed);
+              ("pod_relocated", int relocated);
+              ("pod_lost", int lost);
+            ])))
+    summary_out;
   for sw = 0 to switches - 1 do
     Activermt.Jit.flush_stats (Netsim.Fabric.jit (Fleet.fabric fleet ~sw))
   done;
-  write_metrics metrics_out;
-  write_series series series_out;
-  write_trace tracer trace_out
+  finish ()
 
 and cmd_faultsim services words loss dup corrupt jitter slow_ctl ctl_fail seed
-    no_retries no_jit trace metrics_out series_out trace_out trace_sample =
+    no_retries no_jit trace { tracer; series; finish } =
   let module Chaos = Experiments.Chaos in
   let module Faults = Netsim.Faults in
   let profile =
@@ -697,9 +646,7 @@ and cmd_faultsim services words loss dup corrupt jitter slow_ctl ctl_fail seed
     (if no_retries then "off" else "on")
     (if no_jit then "off" else "on")
     loss dup corrupt jitter slow_ctl ctl_fail;
-  let tracer = make_tracer trace_out trace_sample in
   (* Chaos records on the simulation engine's clock (explicit ~t). *)
-  let series = make_series series_out in
   let r = Chaos.run ~series ~tracer cfg in
   List.iter
     (fun (fid, o) ->
@@ -717,31 +664,13 @@ and cmd_faultsim services words loss dup corrupt jitter slow_ctl ctl_fail seed
     List.iter
       (fun e -> Format.printf "%a@." Faults.pp_event e)
       (Faults.events r.Chaos.faults);
-  write_metrics metrics_out;
-  write_series series series_out;
-  write_trace tracer trace_out
+  finish ()
 
 and cmd_tracequery path trace_id fid switch name_filter assert_cross =
-  let text =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let json =
-    match Json.of_string text with
-    | Ok j -> j
-    | Error e ->
-      Printf.eprintf "error: %s: %s\n" path e;
-      exit 1
-  in
   let raw =
-    match Json.member "traceEvents" json with
+    match Json.member "traceEvents" (read_json path) with
     | Some (Json.Arr l) -> l
-    | _ ->
-      Printf.eprintf "error: %s: no traceEvents array\n" path;
-      exit 1
+    | _ -> die "%s: no traceEvents array" path
   in
   (* Reconstruct events from the Chrome dump: "X" slices carry the span
      triple (numbers) and the attributes (strings) in [args]; "M"
@@ -833,10 +762,7 @@ and cmd_tracequery path trace_id fid switch name_filter assert_cross =
         kept
     in
     if cross then print_endline "cross-switch: ok"
-    else begin
-      Printf.eprintf "error: no kept trace spans two or more switches\n";
-      exit 1
-    end
+    else die "no kept trace spans two or more switches"
   end
 
 and cmd_trace path args_str privileged metrics_out =
@@ -863,9 +789,7 @@ and cmd_trace path args_str privileged metrics_out =
       |> List.map (fun x ->
              match int_of_string_opt (String.trim x) with
              | Some v -> v
-             | None ->
-               Printf.eprintf "error: bad argument %S\n" x;
-               exit 1)
+             | None -> die "bad argument %S" x)
       |> Array.of_list
   in
   let pkt = Activermt.Packet.exec ~fid:1 ~seq:0 ~args program in
@@ -1057,69 +981,60 @@ let scheme_arg =
     (Arg.opt sconv Allocator.Worst_fit
        (Arg.info [ "scheme" ] ~docv:"wf|ff|bf|realloc"))
 
-let cmd_tenantsim tenants hostile_factor seed summary_out metrics_out series_out =
+let cmd_tenantsim tenants hostile_factor seed summary_out { series; finish; _ } =
   seed_jit_metrics ~enabled:true;
   let module Tenants = Experiments.Tenants in
   let cfg = { (Tenants.preset ~tenants ()) with Tenants.hostile_factor; seed } in
   (* The vswitch records on its modeled clock (explicit ~t). *)
-  let series = make_series series_out in
   let r = Tenants.run ~telemetry:Telemetry.default ~series cfg in
   (* Deterministic stdout: the whole summary derives from the modeled
-     clock and the seeded shuffle (no wall times), so two same-config
-     runs print — and with --summary-out, dump — byte-identical
-     artifacts for the CI determinism job to [cmp]. *)
+     clock and the seeded shuffle (no wall times), so same-config runs
+     print — and with --summary-out, dump — byte-identical artifacts. *)
   print_string (Tenants.summary_lines r);
-  (match summary_out with
-  | None -> ()
-  | Some path ->
-    let num v = Json.Num v in
-    let int v = Json.Num (float_of_int v) in
-    let summary =
-      Json.Obj
-        [
-          ("tenants", int tenants);
-          ("hostile_factor", int hostile_factor);
-          ("demand_blocks", int cfg.Tenants.demand_blocks);
-          ("services_per_tenant", int cfg.Tenants.services_per_tenant);
-          ("seed", int seed);
-          ("capacity_blocks", int r.Tenants.capacity_blocks);
-          ("effective_capacity_blocks", int r.Tenants.effective_capacity_blocks);
-          ("epochs", int r.Tenants.epochs);
-          ("granted", int r.Tenants.granted);
-          ("denied_quota", int r.Tenants.denied_quota);
-          ("denied_capacity", int r.Tenants.denied_capacity);
-          ("evictions", int r.Tenants.evictions);
-          ("relocations", int r.Tenants.relocations);
-          ("deferrals", int r.Tenants.deferrals);
-          ("jain_wb", num r.Tenants.jain_wb);
-          ("min_retained_wb", num r.Tenants.min_retained_wb);
-          ("p50_admit_ms", num (1000.0 *. r.Tenants.p50_admit_s));
-          ("p99_admit_ms", num (1000.0 *. r.Tenants.p99_admit_s));
-          ("modeled_span_s", num r.Tenants.modeled_span_s);
-          ("consistent", int (if r.Tenants.consistent then 1 else 0));
-          ( "per_tenant",
-            Json.Arr
-              (List.map
-                 (fun (o : Tenants.tenant_outcome) ->
-                   Json.Obj
-                     [
-                       ("tenant", int o.Tenants.tenant);
-                       ("hostile", int (if o.Tenants.hostile then 1 else 0));
-                       ("offered_blocks", int o.Tenants.offered_blocks);
-                       ("granted_blocks", int o.Tenants.granted_blocks);
-                       ("fair_blocks", num o.Tenants.fair_blocks);
-                       ("retained", num o.Tenants.retained);
-                     ])
-                 r.Tenants.per_tenant) );
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Json.to_string ~pretty:true summary);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote tenant summary to %s\n" path);
-  write_metrics metrics_out;
-  write_series series series_out
+  let num v = Json.Num v in
+  let int v = Json.Num (float_of_int v) in
+  Option.iter
+    (write_json "tenant summary"
+       (Json.Obj
+          [
+            ("tenants", int tenants);
+            ("hostile_factor", int hostile_factor);
+            ("demand_blocks", int cfg.Tenants.demand_blocks);
+            ("services_per_tenant", int cfg.Tenants.services_per_tenant);
+            ("seed", int seed);
+            ("capacity_blocks", int r.Tenants.capacity_blocks);
+            ( "effective_capacity_blocks",
+              int r.Tenants.effective_capacity_blocks );
+            ("epochs", int r.Tenants.epochs);
+            ("granted", int r.Tenants.granted);
+            ("denied_quota", int r.Tenants.denied_quota);
+            ("denied_capacity", int r.Tenants.denied_capacity);
+            ("evictions", int r.Tenants.evictions);
+            ("relocations", int r.Tenants.relocations);
+            ("deferrals", int r.Tenants.deferrals);
+            ("jain_wb", num r.Tenants.jain_wb);
+            ("min_retained_wb", num r.Tenants.min_retained_wb);
+            ("p50_admit_ms", num (1000.0 *. r.Tenants.p50_admit_s));
+            ("p99_admit_ms", num (1000.0 *. r.Tenants.p99_admit_s));
+            ("modeled_span_s", num r.Tenants.modeled_span_s);
+            ("consistent", int (if r.Tenants.consistent then 1 else 0));
+            ( "per_tenant",
+              Json.Arr
+                (List.map
+                   (fun (o : Tenants.tenant_outcome) ->
+                     Json.Obj
+                       [
+                         ("tenant", int o.Tenants.tenant);
+                         ("hostile", int (if o.Tenants.hostile then 1 else 0));
+                         ("offered_blocks", int o.Tenants.offered_blocks);
+                         ("granted_blocks", int o.Tenants.granted_blocks);
+                         ("fair_blocks", num o.Tenants.fair_blocks);
+                         ("retained", num o.Tenants.retained);
+                       ])
+                   r.Tenants.per_tenant) );
+          ]))
+    summary_out;
+  finish ()
 
 (* healthcheck: run the health-plane scenario (mini fleetscale + chaos +
    tenants feeding one monitor), print the SLO table and incident log,
@@ -1136,22 +1051,8 @@ let cmd_healthcheck quick inject_flap_storm report_out series_out =
   in
   let r = H.run ~log:print_endline cfg in
   List.iter print_endline (H.summary_lines r);
-  (match report_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Json.to_string ~pretty:true r.H.report);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote health report to %s\n" path);
-  (match series_out with
-  | None -> ()
-  | Some path ->
-    let series = Monitor.series r.H.monitor in
-    Timeseries.write_json series ~path;
-    Printf.printf "wrote %d series to %s\n"
-      (List.length (Timeseries.names series))
-      path);
+  Option.iter (write_json "health report" r.H.report) report_out;
+  write_series (Monitor.series r.H.monitor) series_out;
   if not r.H.healthy then exit 1
 
 (* fleettop: render a static text dashboard from a --series-out dump (or
@@ -1159,32 +1060,17 @@ let cmd_healthcheck quick inject_flap_storm report_out series_out =
    shape).  Rows align on the newest bucket index across all series;
    sparklines cover the newest --last windows. *)
 let cmd_fleettop path last filter =
-  let text =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   let dump =
-    let parsed =
-      match Json.of_string text with
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" path e;
-        exit 1
-      | Ok j -> (
-        (* A health report embeds the series dump under "series". *)
-        match Json.member "series" j with
-        | Some (Json.Obj _ as s)
-          when Json.member "bucket_s" s <> None ->
-          s
-        | _ -> j)
+    let json = read_json path in
+    (* A health report embeds the series dump under "series". *)
+    let json =
+      match Json.member "series" json with
+      | Some (Json.Obj _ as s) when Json.member "bucket_s" s <> None -> s
+      | _ -> json
     in
-    match Timeseries.dump_of_json parsed with
+    match Timeseries.dump_of_json json with
     | Ok d -> d
-    | Error e ->
-      Printf.eprintf "error: %s: %s\n" path e;
-      exit 1
+    | Error e -> die "%s: %s" path e
   in
   let series =
     match filter with
@@ -1197,12 +1083,10 @@ let cmd_fleettop path last filter =
           fl = 0 || at 0)
         dump.Timeseries.d_series
   in
-  if series = [] then begin
-    Printf.eprintf "error: no series%s in %s\n"
+  if series = [] then
+    die "no series%s in %s"
       (match filter with Some f -> Printf.sprintf " matching %S" f | None -> "")
       path;
-    exit 1
-  end;
   (* Align every row on the registry-wide newest bucket. *)
   let newest =
     List.fold_left
@@ -1298,41 +1182,45 @@ let mutants_cmd =
   Cmd.v (Cmd.info "mutants" ~doc:"enumerate program mutants")
     Term.(const cmd_mutants $ path_arg $ policy_arg)
 
-let metrics_out_arg =
+let out_file_arg name doc =
   Arg.value
-    (Arg.opt (Arg.some Arg.string) None
-       (Arg.info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Dump the telemetry registry (counters, gauges, span \
-                histograms) as JSON to $(docv) when the command finishes."))
+    (Arg.opt (Arg.some Arg.string) None (Arg.info [ name ] ~docv:"FILE" ~doc))
+
+let metrics_out_arg =
+  out_file_arg "metrics-out"
+    "Dump the telemetry registry (counters, gauges, span histograms) as \
+     JSON to $(docv) when the command finishes."
 
 let series_out_arg =
-  Arg.value
-    (Arg.opt (Arg.some Arg.string) None
-       (Arg.info [ "series-out" ] ~docv:"FILE"
-          ~doc:"Record windowed time series (fixed-capacity rings of \
-                virtual-clock buckets — counts, sums and percentile \
-                sketches per window) and dump them as JSON to $(docv) \
-                when the command finishes.  Buckets come from each sim's \
-                virtual clock, never wall time, so same-seed dumps are \
-                byte-identical; render with $(b,fleettop)."))
+  out_file_arg "series-out"
+    "Record windowed time series (fixed-capacity rings of virtual-clock \
+     buckets — counts, sums and percentile sketches per window) and dump \
+     them as JSON to $(docv) when the command finishes.  Buckets come from \
+     each sim's virtual clock, never wall time, so same-seed dumps are \
+     byte-identical; render with $(b,fleettop)."
 
-let trace_out_arg =
-  Arg.value
-    (Arg.opt (Arg.some Arg.string) None
-       (Arg.info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Enable the capsule flight recorder and dump the causal \
-                trace as Chrome trace-event JSON (Perfetto-loadable) to \
-                $(docv) when the command finishes.  Without this flag \
-                tracing is fully disabled and the run is bit-identical to \
-                an untraced build."))
+let recorder_arg =
+  let trace_out_arg =
+    out_file_arg "trace-out"
+      "Enable the capsule flight recorder and dump the causal trace as \
+       Chrome trace-event JSON (Perfetto-loadable) to $(docv) when the \
+       command finishes.  Without this flag tracing is fully disabled and \
+       the run is bit-identical to an untraced build."
+  in
+  let trace_sample_arg =
+    Arg.value
+      (Arg.opt Arg.float 1.0
+         (Arg.info [ "trace-sample" ] ~docv:"RATE"
+            ~doc:"Head-sampling probability in [0,1] for new traces \
+                  (default 1 = keep everything).  Sampling is seeded and \
+                  deterministic: the same run keeps the same traces."))
+  in
+  Term.(
+    const recorder $ metrics_out_arg $ series_out_arg $ trace_out_arg
+    $ trace_sample_arg)
 
-let trace_sample_arg =
-  Arg.value
-    (Arg.opt Arg.float 1.0
-       (Arg.info [ "trace-sample" ] ~docv:"RATE"
-          ~doc:"Head-sampling probability in [0,1] for new traces \
-                (default 1 = keep everything).  Sampling is seeded and \
-                deterministic: the same run keeps the same traces."))
+let seed_arg default =
+  Arg.value (Arg.opt Arg.int default (Arg.info [ "seed" ] ~docv:"SEED"))
 
 let positive_int =
   Arg.conv
@@ -1373,9 +1261,6 @@ let allocsim_cmd =
                   the named apps, enough load to drive the pool to \
                   rejection — the batch-decision-identity smoke's workload."))
   in
-  let seed_arg =
-    Arg.value (Arg.opt Arg.int 3001 (Arg.info [ "seed" ] ~docv:"SEED"))
-  in
   let batch_arg =
     Arg.value
       (Arg.opt positive_int 1
@@ -1387,9 +1272,8 @@ let allocsim_cmd =
   in
   Cmd.v (Cmd.info "allocsim" ~doc:"replay arrivals against the allocator")
     Term.(
-      const cmd_allocsim $ spec $ mixed_arg $ seed_arg $ batch_arg
-      $ scheme_arg $ policy_arg $ domains_arg $ no_jit_arg $ metrics_out_arg
-      $ series_out_arg $ trace_out_arg $ trace_sample_arg)
+      const cmd_allocsim $ spec $ mixed_arg $ seed_arg 3001 $ batch_arg
+      $ scheme_arg $ policy_arg $ domains_arg $ no_jit_arg $ recorder_arg)
 
 let churnsim_cmd =
   let clients_arg =
@@ -1410,24 +1294,18 @@ let churnsim_cmd =
             ~doc:"Resident target: uniform departures trim the alive set \
                   back to $(docv) after each epoch."))
   in
-  let seed_arg =
-    Arg.value (Arg.opt Arg.int 4242 (Arg.info [ "seed" ] ~docv:"SEED"))
-  in
   let summary_out_arg =
-    Arg.value
-      (Arg.opt (Arg.some Arg.string) None
-         (Arg.info [ "summary-out" ] ~docv:"FILE"
-            ~doc:"Write the deterministic churn summary (counts and \
-                  modeled-clock metrics only, no wall times) as JSON to \
-                  $(docv); same-seed runs produce byte-identical files."))
+    out_file_arg "summary-out"
+      "Write the deterministic churn summary (counts and modeled-clock \
+       metrics only, no wall times) as JSON to $(docv); same-seed runs \
+       produce byte-identical files."
   in
   Cmd.v
     (Cmd.info "churnsim"
        ~doc:"Zipf client churn through the batched epoch admission pipeline")
     Term.(
-      const cmd_churnsim $ clients_arg $ batch_arg $ target_arg $ seed_arg
-      $ summary_out_arg $ metrics_out_arg $ series_out_arg $ trace_out_arg
-      $ trace_sample_arg)
+      const cmd_churnsim $ clients_arg $ batch_arg $ target_arg $ seed_arg 4242
+      $ summary_out_arg $ recorder_arg)
 
 let tenantsim_cmd =
   let tenants_arg =
@@ -1443,24 +1321,25 @@ let tenantsim_cmd =
          (Arg.info [ "hostile-factor" ] ~docv:"X"
             ~doc:"Hostile offered load as a multiple of its fair share."))
   in
-  let seed_arg =
-    Arg.value (Arg.opt Arg.int 7 (Arg.info [ "seed" ] ~docv:"SEED"))
-  in
   let summary_out_arg =
-    Arg.value
-      (Arg.opt (Arg.some Arg.string) None
-         (Arg.info [ "summary-out" ] ~docv:"FILE"
-            ~doc:"Write the deterministic scenario summary (modeled-clock \
-                  metrics only, no wall times) as JSON to $(docv); \
-                  same-seed runs produce byte-identical files."))
+    out_file_arg "summary-out"
+      "Write the deterministic scenario summary (modeled-clock metrics \
+       only, no wall times) as JSON to $(docv); same-seed runs produce \
+       byte-identical files."
+  in
+  (* No --trace-out: the scenario records no traces. *)
+  let recorder_arg =
+    Term.(
+      const recorder $ metrics_out_arg $ series_out_arg $ const None
+      $ const 1.0)
   in
   Cmd.v
     (Cmd.info "tenantsim"
        ~doc:"multi-tenant noisy-neighbor scenario: quotas, WRR admission, \
              preemptive reclamation")
     Term.(
-      const cmd_tenantsim $ tenants_arg $ hostile_arg $ seed_arg
-      $ summary_out_arg $ metrics_out_arg $ series_out_arg)
+      const cmd_tenantsim $ tenants_arg $ hostile_arg $ seed_arg 7
+      $ summary_out_arg $ recorder_arg)
 
 let fleetsim_cmd =
   let module Placement = Activermt_fleet.Placement in
@@ -1534,9 +1413,6 @@ let fleetsim_cmd =
             ~doc:"Admit through the batched epoch pipeline in epochs of \
                   $(docv) (1 = the sequential admit path)."))
   in
-  let seed_arg =
-    Arg.value (Arg.opt Arg.int 7001 (Arg.info [ "seed" ] ~docv:"SEED"))
-  in
   let fail_arg =
     Arg.value
       (Arg.opt (Arg.some Arg.int) None
@@ -1562,12 +1438,10 @@ let fleetsim_cmd =
                 incremental repair touched.")
   in
   let summary_out_arg =
-    Arg.value
-      (Arg.opt (Arg.some Arg.string) None
-         (Arg.info [ "summary-out" ] ~docv:"FILE"
-            ~doc:"Write the deterministic fleet summary (counts and modeled \
-                  occupancy only, no wall times) as JSON to $(docv); \
-                  same-seed runs produce byte-identical files."))
+    out_file_arg "summary-out"
+      "Write the deterministic fleet summary (counts and modeled occupancy \
+       only, no wall times) as JSON to $(docv); same-seed runs produce \
+       byte-identical files."
   in
   Cmd.v
     (Cmd.info "fleetsim"
@@ -1575,9 +1449,8 @@ let fleetsim_cmd =
     Term.(
       const cmd_fleetsim $ switches_arg $ topo_arg $ k_arg $ pods_arg
       $ leaves_arg $ spines_arg $ policy_arg $ arrivals_arg $ batch_arg
-      $ seed_arg $ fail_arg $ pod_fail_arg $ flap_arg $ summary_out_arg
-      $ no_jit_arg $ metrics_out_arg $ series_out_arg $ trace_out_arg
-      $ trace_sample_arg)
+      $ seed_arg 7001 $ fail_arg $ pod_fail_arg $ flap_arg $ summary_out_arg
+      $ no_jit_arg $ recorder_arg)
 
 let routecheck_cmd =
   Cmd.v
@@ -1624,9 +1497,6 @@ let faultsim_cmd =
   let ctl_fail_arg =
     prob "ctl-fail" "Probability a provisioning response is lost after commit."
   in
-  let seed_arg =
-    Arg.value (Arg.opt Arg.int 0xC4A05 (Arg.info [ "seed" ] ~docv:"SEED"))
-  in
   let no_retries_arg =
     Arg.(
       value
@@ -1644,9 +1514,9 @@ let faultsim_cmd =
              profile")
     Term.(
       const cmd_faultsim $ services_arg $ words_arg $ loss_arg $ dup_arg
-      $ corrupt_arg $ jitter_arg $ slow_ctl_arg $ ctl_fail_arg $ seed_arg
-      $ no_retries_arg $ no_jit_arg $ trace_arg $ metrics_out_arg
-      $ series_out_arg $ trace_out_arg $ trace_sample_arg)
+      $ corrupt_arg $ jitter_arg $ slow_ctl_arg $ ctl_fail_arg
+      $ seed_arg 0xC4A05 $ no_retries_arg $ no_jit_arg $ trace_arg
+      $ recorder_arg)
 
 let tracequery_cmd =
   let path =
@@ -1733,13 +1603,10 @@ let healthcheck_cmd =
                 offending topology.flap trace ids).")
   in
   let report_out_arg =
-    Arg.value
-      (Arg.opt (Arg.some Arg.string) None
-         (Arg.info [ "report-out" ] ~docv:"FILE"
-            ~doc:"Write the full deterministic health report (config, \
-                  scenario summary, SLO evaluations, incident log, series \
-                  dump) as JSON to $(docv); same-seed runs produce \
-                  byte-identical files."))
+    out_file_arg "report-out"
+      "Write the full deterministic health report (config, scenario \
+       summary, SLO evaluations, incident log, series dump) as JSON to \
+       $(docv); same-seed runs produce byte-identical files."
   in
   Cmd.v
     (Cmd.info "healthcheck"
