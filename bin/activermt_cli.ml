@@ -792,6 +792,8 @@ and cmd_trace path args_str privileged metrics_out =
              | None -> die "bad argument %S" x)
       |> Array.of_list
   in
+  if Array.length args > 4 then
+    die "at most 4 arguments fit a capsule, got %d" (Array.length args);
   let pkt = Activermt.Packet.exec ~fid:1 ~seq:0 ~args program in
   let meta = Activermt.Runtime.meta ~src:100 ~dst:200 () in
   let r, events =
@@ -1182,6 +1184,37 @@ let mutants_cmd =
   Cmd.v (Cmd.info "mutants" ~doc:"enumerate program mutants")
     Term.(const cmd_mutants $ path_arg $ policy_arg)
 
+let positive_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some v when v >= 1 -> Ok v
+        | Some v ->
+          Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
+        | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
+      fun fmt v -> Format.pp_print_int fmt v )
+
+(* A float that must pass [ok]; NaN passes no range test.  Printed like
+   [Arg.float], so defaults and --help=plain read the same. *)
+let float_where expected ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let probability =
+  float_where "a probability in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)
+
+let factor =
+  float_where "a finite factor >= 1" (fun v -> Float.is_finite v && v >= 1.0)
+
+let seconds =
+  float_where "a finite number of seconds >= 0" (fun v ->
+      Float.is_finite v && v >= 0.0)
+
 let out_file_arg name doc =
   Arg.value
     (Arg.opt (Arg.some Arg.string) None (Arg.info [ name ] ~docv:"FILE" ~doc))
@@ -1209,7 +1242,7 @@ let recorder_arg =
   in
   let trace_sample_arg =
     Arg.value
-      (Arg.opt Arg.float 1.0
+      (Arg.opt probability 1.0
          (Arg.info [ "trace-sample" ] ~docv:"RATE"
             ~doc:"Head-sampling probability in [0,1] for new traces \
                   (default 1 = keep everything).  Sampling is seeded and \
@@ -1221,16 +1254,6 @@ let recorder_arg =
 
 let seed_arg default =
   Arg.value (Arg.opt Arg.int default (Arg.info [ "seed" ] ~docv:"SEED"))
-
-let positive_int =
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some v when v >= 1 -> Ok v
-        | Some v ->
-          Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
-        | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
-      fun fmt v -> Format.pp_print_int fmt v )
 
 let domains_arg =
   Arg.value
@@ -1460,8 +1483,8 @@ let routecheck_cmd =
     Term.(const cmd_routecheck $ const ())
 
 let faultsim_cmd =
-  let prob name doc =
-    Arg.value (Arg.opt Arg.float 0.0 (Arg.info [ name ] ~docv:"P" ~doc))
+  let prob ?(default = 0.0) name doc =
+    Arg.value (Arg.opt probability default (Arg.info [ name ] ~docv:"P" ~doc))
   in
   let services_arg =
     Arg.value
@@ -1473,24 +1496,20 @@ let faultsim_cmd =
       (Arg.opt positive_int 48
          (Arg.info [ "words" ] ~docv:"N" ~doc:"State words each service writes."))
   in
-  let loss_arg =
-    Arg.value
-      (Arg.opt Arg.float 0.01
-         (Arg.info [ "loss" ] ~docv:"P" ~doc:"Per-hop packet drop probability."))
-  in
+  let loss_arg = prob ~default:0.01 "loss" "Per-hop packet drop probability." in
   let dup_arg = prob "dup" "Packet duplication probability." in
   let corrupt_arg =
     prob "corrupt" "Byte-corruption probability (rejected by the wire checksum)."
   in
   let jitter_arg =
     Arg.value
-      (Arg.opt Arg.float 0.0
+      (Arg.opt seconds 0.0
          (Arg.info [ "jitter" ] ~docv:"SECONDS"
             ~doc:"Extra per-delivery delay, uniform in [0,$(docv)) — reorders."))
   in
   let slow_ctl_arg =
     Arg.value
-      (Arg.opt Arg.float 1.0
+      (Arg.opt factor 1.0
          (Arg.info [ "slow-ctl" ] ~docv:"FACTOR"
             ~doc:"Slow control-plane table updates by $(docv) (>= 1)."))
   in

@@ -25,22 +25,27 @@ let none =
 
 let is_none p = p = none
 
+(* Each check accepts its valid range, so a NaN field fails it. *)
 let validate p =
   let prob name v =
-    if v < 0.0 || v > 1.0 then
+    if not (v >= 0.0 && v <= 1.0) then
       invalid_arg (Printf.sprintf "Faults: %s must be in [0, 1], got %g" name v)
+  in
+  let finite_from lo name v =
+    if not (Float.is_finite v && v >= lo) then
+      invalid_arg
+        (Printf.sprintf "Faults: %s must be finite and >= %g, got %g" name lo v)
   in
   prob "drop" p.drop;
   prob "duplicate" p.duplicate;
   prob "corrupt" p.corrupt;
   prob "table_update_fail" p.table_update_fail;
-  if p.jitter_s < 0.0 then invalid_arg "Faults: jitter_s must be non-negative";
-  if p.flap_period_s < 0.0 || p.flap_down_s < 0.0 then
-    invalid_arg "Faults: flap windows must be non-negative";
+  finite_from 0.0 "jitter_s" p.jitter_s;
+  finite_from 0.0 "flap_period_s" p.flap_period_s;
+  finite_from 0.0 "flap_down_s" p.flap_down_s;
   if p.flap_down_s > p.flap_period_s then
     invalid_arg "Faults: flap_down_s must not exceed flap_period_s";
-  if p.table_update_slowdown < 1.0 then
-    invalid_arg "Faults: table_update_slowdown must be >= 1"
+  finite_from 1.0 "table_update_slowdown" p.table_update_slowdown
 
 let lossy ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(jitter_s = 0.0) () =
   let p = { none with drop; duplicate; corrupt; jitter_s } in

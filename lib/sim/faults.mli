@@ -70,8 +70,10 @@ val create :
 (** [trace_limit] (default 10k) bounds the in-memory fault-event trace.
     [telemetry] receives [faults.injected.<kind>] counters and the
     [faults.jitter_s] histogram.
-    @raise Invalid_argument on an ill-formed profile (probabilities
-    outside [0, 1], slowdown < 1, down window longer than the period). *)
+    @raise Invalid_argument on an ill-formed profile (a probability
+    outside [0, 1], a negative or non-finite time, a slowdown that is not
+    a finite number >= 1, a down window longer than the period; NaN is
+    outside every range). *)
 
 val profile : t -> profile
 

@@ -148,7 +148,30 @@ let test_faults_none_is_free () =
 let test_faults_validation () =
   Alcotest.check_raises "drop > 1"
     (Invalid_argument "Faults: drop must be in [0, 1], got 1.5")
-    (fun () -> ignore (Faults.create (Faults.lossy ~drop:1.5 ())))
+    (fun () -> ignore (Faults.create (Faults.lossy ~drop:1.5 ())));
+  (* NaN is outside every field's range; an infinite time is too. *)
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (try
+           ignore (Faults.create p);
+           false
+         with Invalid_argument _ -> true))
+    Faults.
+      [
+        ("drop nan", { none with drop = Float.nan });
+        ("duplicate nan", { none with duplicate = Float.nan });
+        ("corrupt nan", { none with corrupt = Float.nan });
+        ("table_update_fail nan", { none with table_update_fail = Float.nan });
+        ("jitter_s nan", { none with jitter_s = Float.nan });
+        ("jitter_s inf", { none with jitter_s = Float.infinity });
+        ("flap_period_s nan", { none with flap_period_s = Float.nan });
+        ("flap_down_s nan", { none with flap_down_s = Float.nan });
+        ( "table_update_slowdown nan",
+          { none with table_update_slowdown = Float.nan } );
+        ( "table_update_slowdown inf",
+          { none with table_update_slowdown = Float.infinity } );
+      ]
 
 (* -- Cost-model degradation ---------------------------------------------- *)
 
