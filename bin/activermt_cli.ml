@@ -235,21 +235,20 @@ and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
                e.Churn.events)
   in
   let arrivals = named @ generated in
+  (* Decisions only: the measured compute time is in --metrics-out's
+     alloc.admit / alloc.admit_batch histograms, so stdout replays. *)
   let report name fid = function
     | Allocator.Admitted adm ->
-      Printf.printf
-        "fid %d (%s): admitted; stages %s; reallocated %d apps; %.2f ms\n" fid
-        name
+      Printf.printf "fid %d (%s): admitted; stages %s; reallocated %d apps\n"
+        fid name
         (String.concat ","
            (List.map
               (fun r -> string_of_int r.Allocator.stage)
               adm.Allocator.regions))
         (List.length adm.Allocator.reallocated)
-        (1000.0 *. adm.Allocator.compute_time_s)
     | Allocator.Rejected r ->
-      Printf.printf "fid %d (%s): REJECTED after %d mutants (%.2f ms)\n" fid
-        name r.Allocator.considered_mutants
-        (1000.0 *. r.Allocator.compute_time_s)
+      Printf.printf "fid %d (%s): REJECTED after %d mutants\n" fid name
+        r.Allocator.considered_mutants
   in
   if batch = 1 then
     (* The pre-batching sequential path, one admit per arrival: the
