@@ -838,8 +838,8 @@ let () =
             test_batch_duplicate_fid_raises;
           Alcotest.test_case "fill coalescing trace attrs" `Quick
             test_batch_fill_coalescing_trace_attrs;
+          QCheck_alcotest.to_alcotest prop_batch_singleton_matches_admit;
           Alcotest.test_case "mixed stream: sequential = epochs of 64" `Quick
             test_batch_mixed_decision_identity;
-          QCheck_alcotest.to_alcotest prop_batch_singleton_matches_admit;
         ] );
     ]
