@@ -100,5 +100,5 @@ val run :
 
 val summary_lines : result -> string
 (** Deterministic multi-line summary (modeled quantities only — no wall
-    times), byte-identical across same-config runs; the CI determinism
-    replay compares two of these. *)
+    times), byte-identical across same-config runs; the tenantsim golden
+    in [test/golden/churn.t] pins it. *)

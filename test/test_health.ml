@@ -4,7 +4,7 @@
 
    Everything here drives an explicit virtual clock — no wall time — so
    every assertion is exact, including the byte-identity checks that back
-   the CI determinism replay. *)
+   the healthcheck goldens. *)
 
 module Timeseries = Activermt_telemetry.Timeseries
 module Json = Activermt_telemetry.Json

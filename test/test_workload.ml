@@ -204,8 +204,8 @@ let zipf_arrivals epochs =
     epochs
 
 let test_zipf_churn_deterministic () =
-  (* Equal-seed generators replay identically — the property the CI churn
-     determinism job leans on end to end. *)
+  (* Equal-seed generators replay identically — the property the churnsim
+     golden leans on end to end. *)
   Alcotest.(check bool) "same sequence" true (force zcfg 11 = force zcfg 11)
 
 let test_zipf_churn_every_client_arrives_once () =
