@@ -1,6 +1,8 @@
 module Cache = Activermt_apps.Cache
 module Kv = Workload.Kv
 
+let vflags = { Activermt.Packet.no_flags with virtual_addressing = true }
+
 type t = {
   fid : Activermt.Packet.fid;
   granted : Synthesis.granted;
@@ -38,18 +40,14 @@ let query_packet t ~seq (k : Kv.key) =
   let args =
     Cache.query_args ~bucket:(bucket_of_key t k) ~key0:k.Kv.k0 ~key1:k.Kv.k1
   in
-  Activermt.Packet.exec
-    ~flags:{ Activermt.Packet.no_flags with virtual_addressing = true }
-    ~fid:t.fid ~seq ~args t.query_program
+  Activermt.Packet.exec ~flags:vflags ~fid:t.fid ~seq ~args t.query_program
 
 let populate_packet t ~seq (k : Kv.key) ~value =
   let args =
     Cache.populate_args ~bucket:(bucket_of_key t k) ~key0:k.Kv.k0 ~key1:k.Kv.k1
       ~value
   in
-  Activermt.Packet.exec
-    ~flags:{ Activermt.Packet.no_flags with virtual_addressing = true }
-    ~fid:t.fid ~seq ~args t.populate_program
+  Activermt.Packet.exec ~flags:vflags ~fid:t.fid ~seq ~args t.populate_program
 
 let reply_value (pkt : Activermt.Packet.t) =
   match pkt.Activermt.Packet.payload with

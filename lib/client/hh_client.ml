@@ -2,6 +2,8 @@ module Hh = Activermt_apps.Heavy_hitter
 module Kv = Workload.Kv
 module Mutant = Activermt_compiler.Mutant
 
+let vflags = { Activermt.Packet.no_flags with virtual_addressing = true }
+
 type t = {
   fid : Activermt.Packet.fid;
   granted : Synthesis.granted;
@@ -32,9 +34,7 @@ let slot_of_key t (k : Kv.key) =
 
 let monitor_packet t ~seq (k : Kv.key) =
   let args = Hh.args ~key0:k.Kv.k0 ~key1:k.Kv.k1 ~slot:(slot_of_key t k) in
-  Activermt.Packet.exec
-    ~flags:{ Activermt.Packet.no_flags with virtual_addressing = true }
-    ~fid:t.fid ~seq ~args t.program
+  Activermt.Packet.exec ~flags:vflags ~fid:t.fid ~seq ~args t.program
 
 let stage_of_access t i = t.granted.Synthesis.mutant.Mutant.stages.(i)
 let threshold_stage t = stage_of_access t Hh.threshold_access

@@ -1066,13 +1066,14 @@ let drive_with_events c st f =
   st.f_pc <- !pc;
   st.f_passes <- (if !passes > 1 then !passes else 1)
 
-let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
+(* Load a capsule into the scratch state.  The args are copied: the copy
+   is the working argument store and then the capsule's output args, the
+   only per-packet allocation of a compiled execution.  The wire format
+   pads every Exec to exactly four argument words, so the common case is
+   an inline literal (a pointer-bump allocation) rather than the C call
+   behind [Array.copy]. *)
+let load st ~src ~dst ~flow_key args =
   let n_args = Array.length args in
-  (* One copy serves as both the working argument store and the result's
-     [args_out] — the only per-packet allocation besides the result.  The
-     wire format pads every Exec to exactly four argument words, so the
-     common case is an inline literal (a pointer-bump allocation) rather
-     than the C call behind [Array.copy]. *)
   let args =
     if n_args = 4 then
       [|
@@ -1091,7 +1092,7 @@ let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
   st.complete <- false;
   st.disabled <- no_label;
   st.rts <- false;
-  st.dst <- meta.Runtime.dst;
+  st.dst <- dst;
   st.dropped <- None;
   st.executed <- 0;
   st.port_recircs <- 0;
@@ -1100,20 +1101,24 @@ let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
   st.f_pc <- 0;
   st.f_passes <- 1;
   st.args <- args;
-  st.src <- meta.Runtime.src;
-  st.flow_key <- meta.Runtime.flow_key;
+  st.src <- src;
+  st.flow_key <- flow_key
+
+let drive_fast c st =
+  match c.straight with
+  | Some f -> f st
+  | None -> if c.single_pass then drive_single c st else drive c st
+
+let pipelines c st =
+  let within_ingress = st.last_stage < c.c_ingress in
+  ((st.f_passes - 1) * 2) + (if within_ingress then 1 else 2) + (2 * st.port_recircs)
+
+let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
+  load st ~src:meta.Runtime.src ~dst:meta.Runtime.dst
+    ~flow_key:meta.Runtime.flow_key args;
   (match on_event with
-  | None -> (
-      match c.straight with
-      | Some f -> f st
-      | None -> if c.single_pass then drive_single c st else drive c st)
+  | None -> drive_fast c st
   | Some f -> drive_with_events c st f);
-  let pipelines =
-    let within_ingress = st.last_stage < c.c_ingress in
-    ((st.f_passes - 1) * 2)
-    + (if within_ingress then 1 else 2)
-    + (2 * st.port_recircs)
-  in
   let decision =
     match st.dropped with
     | Some r -> Runtime.Dropped r
@@ -1121,11 +1126,11 @@ let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
   in
   {
     Runtime.decision;
-    args_out = args;
+    args_out = st.args;
     executed = st.executed;
     passes = st.f_passes;
     port_recirculations = st.port_recircs;
-    pipelines;
+    pipelines = pipelines c st;
     quiesced = false;
     consumed_prefix = st.f_pc;
     final_mar = st.mar;
@@ -1133,6 +1138,28 @@ let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
     final_mbr2 = st.mbr2;
     forks = st.forks;
   }
+
+type outcome = {
+  mutable dropped : Runtime.drop_reason option;
+  mutable rts : bool;
+  mutable dst : int;
+  mutable pipelines : int;
+  mutable args_out : int array;
+}
+
+let outcome () =
+  { dropped = None; rts = false; dst = 0; pipelines = 0; args_out = [||] }
+
+let no_flow_key = [||]
+
+let exec_compiled_into c o ~src ~dst ~args ~st =
+  load st ~src ~dst ~flow_key:no_flow_key args;
+  drive_fast c st;
+  o.dropped <- st.dropped;
+  o.rts <- st.rts;
+  o.dst <- (if st.rts then src else st.dst);
+  o.pipelines <- pipelines c st;
+  o.args_out <- st.args
 
 module Telemetry = Activermt_telemetry.Telemetry
 
@@ -1226,13 +1253,13 @@ let invalidate_all t =
     flush_stats t
   end
 
-let find_prog progs program =
-  let rec go = function
-    | [] -> None
-    | (p, c) :: tl ->
-      if p == program || Program.equal p program then Some c else go tl
-  in
-  go progs
+(* The FID's compiled variant of [program]; raises [Not_found] rather
+   than returning an option, so a hit allocates nothing. *)
+let rec find_prog progs program =
+  match progs with
+  | [] -> raise_notrace Not_found
+  | (p, c) :: tl ->
+    if p == program || Program.equal p program then c else find_prog tl program
 
 let compile_into t ~fid ~program entry =
   let c =
@@ -1261,76 +1288,90 @@ let compile_into t ~fid ~program entry =
 
 let default_meta = Runtime.meta ~src:0 ~dst:0 ()
 
+(* The FID's cache entry, through the direct-mapped slot; [no_entry],
+   which is never valid, when it has none.  Allocates nothing. *)
+let entry t fid =
+  let slot = fid land (dm_slots - 1) in
+  if Array.unsafe_get t.dm_fid slot = fid then Array.unsafe_get t.dm_entry slot
+  else
+    match Hashtbl.find t.cache fid with
+    | ce ->
+      t.dm_fid.(slot) <- fid;
+      t.dm_entry.(slot) <- ce;
+      ce
+    | exception Not_found -> no_entry
+
+(* A valid epoch implies the FID is installed and not quiesced: install,
+   remove and quiescence transitions all bump it. *)
+let[@inline] valid ce = !(ce.ce_cell) = ce.ce_version
+
 (* Miss path: the FID has no valid cached closure for this program.
    Uninstalled or quiesced FIDs execute in the interpreter (which handles
    pass-through); otherwise compile against the current allocation. *)
 let run_slow ?on_event t ~meta ~fid ~args ~program ~entry pkt =
-  let stale =
-    match entry with Some ce -> !(ce.ce_cell) <> ce.ce_version | None -> false
-  in
+  let stale = entry != no_entry && not (valid entry) in
   if stale then invalidate t ~fid;
   if Table.is_quiesced t.tables ~fid || not (Table.installed t.tables ~fid) then begin
     t.last_mode <- Interpreted;
     Runtime.run ?on_event t.tables ~meta pkt
   end
   else begin
-    let entry = if stale then None else entry in
+    let entry = if stale || entry == no_entry then None else Some entry in
     let c = compile_into t ~fid ~program entry in
     t.last_mode <- Compiled_fresh;
     exec_compiled ?on_event c ~meta ~args ~st:t.scratch
   end
 
-(* Cache-entry hit with the head program already ruled out: scan the rest
-   of the FID's compiled variants, else take the miss path. *)
-let run_entry_rest ?on_event t ~meta ~fid ~args ~program ~ce pkt =
-  match find_prog ce.ce_progs program with
-  | Some c ->
-    t.s_hits <- t.s_hits + 1;
-    t.last_mode <- Compiled;
-    exec_compiled ?on_event c ~meta ~args ~st:t.scratch
-  | None -> run_slow ?on_event t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
-
-let run_entry ?on_event t ~meta ~fid ~args ~program ~ce pkt =
-  (* A valid epoch implies the FID is installed and not quiesced: install,
-     remove and quiescence transitions all bump it. *)
-  if !(ce.ce_cell) = ce.ce_version then
-    match ce.ce_progs with
-    | (p0, c0) :: _ when p0 == program ->
-      t.s_hits <- t.s_hits + 1;
-      t.last_mode <- Compiled;
-      exec_compiled ?on_event c0 ~meta ~args ~st:t.scratch
-    | _ -> run_entry_rest ?on_event t ~meta ~fid ~args ~program ~ce pkt
-  else run_slow ?on_event t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
-
 let run ?on_event t ?(meta = default_meta) (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Exec { args; program } when t.enabled -> (
     let fid = pkt.Packet.fid in
-    let slot = fid land (dm_slots - 1) in
-    if Array.unsafe_get t.dm_fid slot = fid then begin
-      (* Hot path, fully inline: direct-mapped slot hit, valid epoch,
-         head-of-list program match. *)
-      let ce = Array.unsafe_get t.dm_entry slot in
-      if !(ce.ce_cell) = ce.ce_version then
-        match ce.ce_progs with
-        | (p0, c0) :: _ when p0 == program ->
-          t.s_hits <- t.s_hits + 1;
-          t.last_mode <- Compiled;
-          exec_compiled ?on_event c0 ~meta ~args ~st:t.scratch
-        | _ -> run_entry_rest ?on_event t ~meta ~fid ~args ~program ~ce pkt
-      else run_slow ?on_event t ~meta ~fid ~args ~program ~entry:(Some ce) pkt
-    end
+    let ce = entry t fid in
+    if not (valid ce) then run_slow ?on_event t ~meta ~fid ~args ~program ~entry:ce pkt
     else
-      match Hashtbl.find t.cache fid with
-      | ce ->
-        t.dm_fid.(slot) <- fid;
-        t.dm_entry.(slot) <- ce;
-        run_entry ?on_event t ~meta ~fid ~args ~program ~ce pkt
+      match find_prog ce.ce_progs program with
+      | c ->
+        t.s_hits <- t.s_hits + 1;
+        t.last_mode <- Compiled;
+        exec_compiled ?on_event c ~meta ~args ~st:t.scratch
       | exception Not_found ->
-        run_slow ?on_event t ~meta ~fid ~args ~program ~entry:None pkt)
+        run_slow ?on_event t ~meta ~fid ~args ~program ~entry:ce pkt)
   | _ ->
     t.last_mode <- Interpreted;
     Runtime.run ?on_event t.tables ~meta pkt
+
+(* Anything but a hit on a compiled variant under a valid epoch goes
+   through [run]: it compiles, interprets and counts exactly as a [run]
+   call would. *)
+let run_copy t o ~src ~dst pkt =
+  let r = run t ~meta:(Runtime.meta ~src ~dst ()) pkt in
+  (match r.Runtime.decision with
+  | Runtime.Dropped why -> o.dropped <- Some why
+  | Runtime.Return_to_sender ->
+    o.dropped <- None;
+    o.rts <- true;
+    o.dst <- src
+  | Runtime.Forward d ->
+    o.dropped <- None;
+    o.rts <- false;
+    o.dst <- d);
+  o.pipelines <- r.Runtime.pipelines;
+  o.args_out <- r.Runtime.args_out
+
+let run_into t o ~src ~dst (pkt : Packet.t) =
+  match pkt.Packet.payload with
+  | Packet.Exec { args; program } when t.enabled -> (
+    let ce = entry t pkt.Packet.fid in
+    if not (valid ce) then run_copy t o ~src ~dst pkt
+    else
+      match find_prog ce.ce_progs program with
+      | c ->
+        t.s_hits <- t.s_hits + 1;
+        t.last_mode <- Compiled;
+        exec_compiled_into c o ~src ~dst ~args ~st:t.scratch
+      | exception Not_found -> run_copy t o ~src ~dst pkt)
+  | Packet.Exec _ | Packet.Request _ | Packet.Response _ | Packet.Bare ->
+    run_copy t o ~src ~dst pkt
 
 let run_info ?on_event t ?meta pkt =
   let r = run ?on_event t ?meta pkt in

@@ -42,6 +42,32 @@ val run_info :
   Runtime.result * mode
 (** [run] plus how the packet was executed, for span attributes. *)
 
+(** What a switch needs of an execution to act on it, in a record the
+    caller owns and reuses, as a pipeline slot owns its header vector. *)
+type outcome = {
+  mutable dropped : Runtime.drop_reason option;
+      (** [Some why] when the switch dropped the capsule *)
+  mutable rts : bool;
+      (** when not dropped: returned to sender, else forwarded to [dst] *)
+  mutable dst : int;  (** the forward destination; the source on RTS *)
+  mutable pipelines : int;  (** as {!Runtime.result.pipelines} *)
+  mutable args_out : int array;
+      (** the argument fields after execution, in a fresh array the
+          caller may hand on with the capsule *)
+}
+
+val outcome : unit -> outcome
+(** A blank outcome, to be filled by {!run_into}. *)
+
+val run_into : t -> outcome -> src:int -> dst:int -> Packet.t -> unit
+(** [run_into t o ~src ~dst pkt] is [run t ~meta:(Runtime.meta ~src ~dst ()) pkt]
+    written into [o] instead of a new result.  A capsule whose FID has a
+    compiled variant of its program, under a valid epoch, runs the same
+    drivers as [run] and allocates only [o.args_out].  Anything else —
+    misses, quiesced or uninstalled FIDs, non-[Exec] packets, a disabled
+    JIT — goes through [run] and copies its result, so the outcome, the
+    device state and the stats are always those of [run]. *)
+
 val would_specialize : t -> Packet.t -> bool
 (** Whether [run] would take the compiled path for this packet (modulo
     compilation itself): enabled, [Exec] payload, installed, not

@@ -26,10 +26,17 @@ type payload =
 type t = { fid : fid; seq : int; flags : flags; payload : payload }
 
 let exec ?(flags = no_flags) ~fid ~seq ~args program =
-  if Array.length args > 4 then invalid_arg "Packet.exec: more than 4 args";
-  let padded = Array.make 4 0 in
-  Array.blit args 0 padded 0 (Array.length args);
-  { fid; seq; flags; payload = Exec { args = padded; program } }
+  let n = Array.length args in
+  if n > 4 then invalid_arg "Packet.exec: more than 4 args";
+  let args =
+    if n = 4 then args
+    else begin
+      let padded = Array.make 4 0 in
+      Array.blit args 0 padded 0 n;
+      padded
+    end
+  in
+  { fid; seq; flags; payload = Exec { args; program } }
 
 let strip_executed t ~upto =
   match t.payload with

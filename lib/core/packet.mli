@@ -51,13 +51,17 @@ type payload =
   | Request of request
   | Response of response
   | Exec of { args : int array; program : Program.t }
-      (** [args] has exactly four 32-bit fields *)
+      (** [args] has exactly four 32-bit fields.  The packet owns the
+          array and nothing writes it: the interpreter and the JIT both
+          execute on a copy. *)
   | Bare
 
 type t = { fid : fid; seq : int; flags : flags; payload : payload }
 
 val exec : ?flags:flags -> fid:fid -> seq:int -> args:int array -> Program.t -> t
-(** Convenience constructor; pads/checks args to four fields.
+(** Convenience constructor; pads/checks args to four fields.  A
+    four-element [args] is taken as is, not copied: the packet owns it
+    from here, so the caller must not write it afterwards.
     @raise Invalid_argument on more than four args. *)
 
 val initial_header_bytes : int

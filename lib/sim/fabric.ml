@@ -44,45 +44,12 @@ type t = {
   dropped_c : Telemetry.counter;
   tx : Telemetry.counter Addr_tbl.t;
   tracer : Trace.t;
+  (* Built once per fabric: the events of a hop are these handlers and
+     the message, and untraced capsules execute into [outcome]. *)
+  to_switch : msg -> unit;
+  to_node : msg -> unit;
+  outcome : Activermt.Jit.outcome;
 }
-
-let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
-    ?(loss_rate = 0.0) ?(loss_seed = 4_059) ?faults ?(jit = true)
-    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~engine ~controller
-    () =
-  if loss_rate < 0.0 || loss_rate >= 1.0 then
-    invalid_arg "Fabric.create: loss_rate must be in [0, 1)";
-  (* A faults handle with an all-off profile is the same as no handle:
-     take the legacy (zero-cost, bit-identical) paths. *)
-  let faults =
-    match faults with
-    | Some f when Faults.is_none (Faults.profile f) -> None
-    | other -> other
-  in
-  {
-    engine;
-    controller;
-    address;
-    wire_latency_s;
-    loss_rate;
-    loss_rng = Stdx.Prng.create ~seed:loss_seed;
-    faults;
-    nodes = Addr_tbl.create 16;
-    default_node = None;
-    owners = Hashtbl.create 16;
-    jit =
-      Activermt.Jit.create ~enabled:jit ~telemetry
-        (Controller.tables controller);
-    drops = 0;
-    lost = 0;
-    tel = telemetry;
-    sent_c = Telemetry.counter telemetry "sim.packets.sent";
-    delivered_c = Telemetry.counter telemetry "sim.packets.delivered";
-    lost_c = Telemetry.counter telemetry "sim.packets.lost";
-    dropped_c = Telemetry.counter telemetry "sim.packets.dropped";
-    tx = Addr_tbl.create 16;
-    tracer;
-  }
 
 let engine t = t.engine
 let controller t = t.controller
@@ -174,7 +141,10 @@ let corruption_rejected t f m =
 
 (* One network hop under the fault model: decide the delivery's fate,
    then schedule the surviving copies (each with its own jitter, so
-   duplicates and back-to-back sends can reorder). *)
+   duplicates and back-to-back sends can reorder).  A jittered copy goes
+   straight to the engine's heap: its time is the float [Engine.schedule]
+   would compute from the same delay, and one-off delays would only
+   churn the engine's per-delay rings. *)
 let faulty_hop t f ~delay thunk =
   let now = Engine.now t.engine in
   let v = Faults.plan f ~now in
@@ -182,7 +152,7 @@ let faulty_hop t f ~delay thunk =
   else if v.Faults.corrupt then `Corrupted
   else begin
     for _ = 1 to v.Faults.copies do
-      Engine.schedule t.engine ~delay:(delay +. Faults.jitter f) thunk
+      Engine.schedule_at t.engine ~time:(now +. (delay +. Faults.jitter f)) thunk
     done;
     `Scheduled v.Faults.copies
   end
@@ -191,10 +161,10 @@ let cause_attr = function
   | None -> []
   | Some k -> [ ("cause", Faults.kind_to_string k) ]
 
-(* Schedule one hop of [m] toward [fire] (which receives the message with
-   its trace advanced by an [event] child), emitting fault events under
-   the message's trace as verdicts land. *)
-let hop t m ~delay ~event fire =
+(* Schedule one hop of [m] toward [handler] (which receives the message
+   with its trace advanced by an [event] child), emitting fault events
+   under the message's trace as verdicts land. *)
+let traced_or_faulty_hop t m ~delay ~event handler =
   let m =
     if Trace.stage_detail t.tracer then
       tr_hop t m
@@ -202,7 +172,7 @@ let hop t m ~delay ~event fire =
         "sim.enqueue"
     else m
   in
-  let thunk () = fire t (tr_hop t m event) in
+  let thunk () = handler (tr_hop t m event) in
   match t.faults with
   | None -> Engine.schedule t.engine ~delay thunk
   | Some f -> (
@@ -222,6 +192,13 @@ let hop t m ~delay ~event fire =
         count_lost t
       end)
 
+(* Without a trace context or faults [tr_hop] is the identity, so the
+   event is the handler and the message as they are: no closure. *)
+let hop t m ~delay ~event handler =
+  match (m.trace, t.faults) with
+  | None, None -> Engine.schedule_call t.engine ~delay handler m
+  | Some _, _ | _, Some _ -> traced_or_faulty_hop t m ~delay ~event handler
+
 let arrive t m =
   match Addr_tbl.find t.nodes m.dst with
   | node ->
@@ -240,7 +217,7 @@ let deliver t m ~delay =
     tr_fault t m ~attrs:[ ("cause", "loss_rate") ] "fault.drop";
     count_lost t
   end
-  else hop t m ~delay ~event:"sim.deliver" arrive
+  else hop t m ~delay ~event:"sim.deliver" t.to_node
 
 let notify_impacted ?trace t fids =
   List.iter
@@ -342,33 +319,39 @@ let exec_traced t pkt ~meta c =
          "device.result"));
   (r, exec_ctx)
 
-(* Act on the switch's decision for an executed capsule: count a drop,
-   or send the capsule on after the per-pipeline latency, chained under
-   the exec span when traced. *)
-let forward_result t m pkt r ~exec_ctx =
+let count_drop t =
+  t.drops <- t.drops + 1;
+  Telemetry.bump t.dropped_c
+
+(* The executed capsule as it leaves the switch: the results of
+   execution (MBR_STORE) travel in its args. *)
+let executed pkt program args =
+  Active { pkt with Activermt.Packet.payload = Activermt.Packet.Exec { args; program } }
+
+(* Send an executed capsule on after the wire latency plus the pass
+   latency of every pipeline it traversed: back to its source on RTS,
+   else toward [fwd] (0 or the capsule's own destination keep it on its
+   way). *)
+let send_on t m payload ~trace ~rts ~fwd ~pipelines =
   let params = Rmt.Device.params (Controller.device t.controller) in
-  let proc_s =
-    1.0e-6
-    *. params.Rmt.Params.pass_latency_us
-    *. float_of_int r.Activermt.Runtime.pipelines
+  let delay =
+    (1.0e-6 *. params.Rmt.Params.pass_latency_us *. float_of_int pipelines)
+    +. t.wire_latency_s
   in
-  let out_trace = match exec_ctx with Some c -> Some c | None -> m.trace in
-  let out_payload =
-    (* Results of execution (MBR_STORE) travel in the packet. *)
-    Active
-      {
-        pkt with
-        Activermt.Packet.payload =
-          (match pkt.Activermt.Packet.payload with
-          | Activermt.Packet.Exec { program; _ } ->
-            Activermt.Packet.Exec { args = r.Activermt.Runtime.args_out; program }
-          | other -> other);
-      }
-  in
+  if rts then deliver t { src = m.dst; dst = m.src; payload; trace } ~delay
+  else begin
+    let dst = if fwd = m.dst || fwd = 0 then m.dst else fwd in
+    deliver t { src = m.src; dst; payload; trace } ~delay
+  end
+
+(* Act on the switch's decision for a traced capsule: count a drop, or
+   send the capsule on, chained under the exec span. *)
+let forward_result t m pkt program r ~exec_ctx =
+  let trace = match exec_ctx with Some c -> Some c | None -> m.trace in
+  let pipelines = r.Activermt.Runtime.pipelines in
   match r.Activermt.Runtime.decision with
   | Activermt.Runtime.Dropped _ -> (
-    t.drops <- t.drops + 1;
-    Telemetry.bump t.dropped_c;
+    count_drop t;
     match exec_ctx with
     | None -> ()
     | Some c ->
@@ -378,14 +361,22 @@ let forward_result t m pkt r ~exec_ctx =
              [ sw_attr t; ("reason", decision_string r.Activermt.Runtime.decision) ]
            "device.drop"))
   | Activermt.Runtime.Return_to_sender ->
-    deliver t
-      { src = m.dst; dst = m.src; payload = out_payload; trace = out_trace }
-      ~delay:(proc_s +. t.wire_latency_s)
-  | Activermt.Runtime.Forward dst ->
-    let dst = if dst = m.dst || dst = 0 then m.dst else dst in
-    deliver t
-      { src = m.src; dst; payload = out_payload; trace = out_trace }
-      ~delay:(proc_s +. t.wire_latency_s)
+    send_on t m (executed pkt program r.Activermt.Runtime.args_out) ~trace ~rts:true
+      ~fwd:0 ~pipelines
+  | Activermt.Runtime.Forward fwd ->
+    send_on t m (executed pkt program r.Activermt.Runtime.args_out) ~trace ~rts:false
+      ~fwd ~pipelines
+
+(* [forward_result] for an untraced capsule, from the fabric's outcome:
+   only the capsule sent on is allocated. *)
+let forward_outcome t m pkt program (o : Activermt.Jit.outcome) =
+  match o.Activermt.Jit.dropped with
+  | Some _ -> count_drop t
+  | None ->
+    send_on t m
+      (executed pkt program o.Activermt.Jit.args_out)
+      ~trace:m.trace ~rts:o.Activermt.Jit.rts ~fwd:o.Activermt.Jit.dst
+      ~pipelines:o.Activermt.Jit.pipelines
 
 let at_switch t m =
   match m.payload with
@@ -460,7 +451,7 @@ let at_switch t m =
         notify_impacted ?trace:m.trace t expanded
       end
     | Activermt.Packet.Response _ -> deliver t m ~delay:t.wire_latency_s
-    | Activermt.Packet.Exec _ ->
+    | Activermt.Packet.Exec { program; _ } ->
       let tables = Controller.tables t.controller in
       let fid = pkt.Activermt.Packet.fid in
       if not (Activermt.Table.installed tables ~fid) then
@@ -468,14 +459,59 @@ let at_switch t m =
            plain traffic. *)
         deliver t m ~delay:t.wire_latency_s
       else begin
-        let meta = Activermt.Runtime.meta ~src:m.src ~dst:m.dst () in
         match tr_on t m with
         | None ->
-          forward_result t m pkt (Activermt.Jit.run t.jit ~meta pkt) ~exec_ctx:None
+          Activermt.Jit.run_into t.jit t.outcome ~src:m.src ~dst:m.dst pkt;
+          forward_outcome t m pkt program t.outcome
         | Some c ->
+          let meta = Activermt.Runtime.meta ~src:m.src ~dst:m.dst () in
           let r, exec_ctx = exec_traced t pkt ~meta c in
-          forward_result t m pkt r ~exec_ctx
+          forward_result t m pkt program r ~exec_ctx
       end)
+
+let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
+    ?(loss_rate = 0.0) ?(loss_seed = 4_059) ?faults ?(jit = true)
+    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~engine ~controller
+    () =
+  if loss_rate < 0.0 || loss_rate >= 1.0 then
+    invalid_arg "Fabric.create: loss_rate must be in [0, 1)";
+  (* A faults handle with an all-off profile is the same as no handle:
+     take the legacy (zero-cost, bit-identical) paths. *)
+  let faults =
+    match faults with
+    | Some f when Faults.is_none (Faults.profile f) -> None
+    | other -> other
+  in
+  let rec t =
+    {
+      engine;
+      controller;
+      address;
+      wire_latency_s;
+      loss_rate;
+      loss_rng = Stdx.Prng.create ~seed:loss_seed;
+      faults;
+      nodes = Addr_tbl.create 16;
+      default_node = None;
+      owners = Hashtbl.create 16;
+      jit =
+        Activermt.Jit.create ~enabled:jit ~telemetry
+          (Controller.tables controller);
+      drops = 0;
+      lost = 0;
+      tel = telemetry;
+      sent_c = Telemetry.counter telemetry "sim.packets.sent";
+      delivered_c = Telemetry.counter telemetry "sim.packets.delivered";
+      lost_c = Telemetry.counter telemetry "sim.packets.lost";
+      dropped_c = Telemetry.counter telemetry "sim.packets.dropped";
+      tx = Addr_tbl.create 16;
+      tracer;
+      to_switch = (fun m -> at_switch t m);
+      to_node = (fun m -> arrive t m);
+      outcome = Activermt.Jit.outcome ();
+    }
+  in
+  t
 
 let send t m =
   if lossy t m then begin
@@ -485,7 +521,7 @@ let send t m =
   else begin
     Telemetry.bump t.sent_c;
     Telemetry.bump (tx_counter t m.src);
-    hop t m ~delay:t.wire_latency_s ~event:"sim.hop" at_switch
+    hop t m ~delay:t.wire_latency_s ~event:"sim.hop" t.to_switch
   end
 
 (* Head-based sampling happens exactly once, here, when a capsule enters

@@ -107,7 +107,10 @@ val create :
     tracer (and its clock, wired to [Engine.now]) across every fabric of
     a fleet so traces follow capsules between switches.  An untraced
     capsule (no context, or a disabled tracer) skips all of this: it runs
-    straight through [Jit.run] and builds no attribute. *)
+    straight through {!Activermt.Jit.run_into} into an outcome the fabric
+    owns and builds no attribute; without faults, each of its hops queues
+    one of the fabric's two prebuilt handlers with the message
+    ({!Engine.schedule_call}), not a closure. *)
 
 val engine : t -> Engine.t
 val controller : t -> Activermt_control.Controller.t

@@ -83,7 +83,10 @@ let hist_percentile_of h p =
     Float.min h.h_max (Float.max h.h_min (bucket_mid !found))
   end
 
-type gauge_cell = { mutable g_seq : int; mutable g_val : float }
+(* The value sits in a float-only record, which is stored flat, so
+   setting a gauge boxes no float. *)
+type gauge_value = { mutable v : float }
+type gauge_cell = { mutable g_seq : int; g_val : gauge_value }
 type cell = Counter of int ref | Gauge of gauge_cell | Hist of hist
 
 type shard = {
@@ -134,7 +137,7 @@ let gauge_cell s name =
   | Some (Counter _) -> kind_error name "counter"
   | Some (Hist _) -> kind_error name "histogram"
   | None ->
-    let g = { g_seq = 0; g_val = 0.0 } in
+    let g = { g_seq = 0; g_val = { v = 0.0 } } in
     Hashtbl.add s.cells name (Gauge g);
     g
 
@@ -147,7 +150,7 @@ let set_gauge t name v =
   let seq = Atomic.fetch_and_add t.seq 1 in
   let g = gauge_cell s name in
   g.g_seq <- seq;
-  g.g_val <- v
+  g.g_val.v <- v
 
 (* -- Handles --------------------------------------------------------------
    A handle caches the cell it last resolved with the shard and generation
@@ -168,7 +171,7 @@ let handle reg name cell =
   { reg; name; cached = { shard = unresolved; generation = 0; cell } }
 
 let counter t name = handle t name (ref 0)
-let gauge t name = handle t name { g_seq = 0; g_val = 0.0 }
+let gauge t name = handle t name { g_seq = 0; g_val = { v = 0.0 } }
 
 let[@inline] resolve h s find =
   let c = h.cached in
@@ -183,12 +186,17 @@ let bump ?(by = 1) h =
   let r = resolve h (my_shard h.reg) counter_cell in
   r := !r + by
 
-let set h v =
+(* The calling domain's value cell for [h], stamped with the next write
+   order: across shards the last write wins. *)
+let stamp h =
   let s = my_shard h.reg in
   let seq = Atomic.fetch_and_add h.reg.seq 1 in
   let g = resolve h s gauge_cell in
   g.g_seq <- seq;
-  g.g_val <- v
+  g.g_val
+
+let set h v = (stamp h).v <- v
+let set_int h n = (stamp h).v <- float_of_int n
 
 let observe t name v =
   let s = my_shard t in
@@ -233,7 +241,7 @@ let gauge_value t name =
       | Some (Gauge g) -> (
         match acc with
         | Some (seq, _) when seq >= g.g_seq -> acc
-        | _ -> Some (g.g_seq, g.g_val))
+        | _ -> Some (g.g_seq, g.g_val.v))
       | _ -> acc)
   |> Option.map snd
 

@@ -67,6 +67,11 @@ val set : gauge -> float -> unit
 (** [set_gauge t name v] through the handle.
     @raise Invalid_argument if the name is registered as another kind. *)
 
+val set_int : gauge -> int -> unit
+(** [set h (float_of_int n)] without boxing the float, for gauges set on
+    every event (such as [sim.queue_depth]).
+    @raise Invalid_argument if the name is registered as another kind. *)
+
 val span_begin : t -> string -> unit
 
 val span_end : t -> unit

@@ -11,7 +11,10 @@
    driven by Runtime.run, the other by Jit.run, fed the same packet
    sequence.  Comparing full post-run device state (not just results)
    catches a specialized closure that computes the right answer with the
-   wrong side effects. *)
+   wrong side effects.  A second pair checks Jit.run_into, the entry
+   point the fabric executes untraced capsules through, against
+   Runtime.run under the fabric's meta (which has no flow key): the same
+   decision, destination, pipeline count, output args and device state. *)
 
 module I = Activermt.Instr
 module P = Activermt.Program
@@ -38,7 +41,15 @@ let regions_with assoc =
 
 (* -- Twin worlds ---------------------------------------------------------- *)
 
-type twin = { it : Tbl.t; jt : Tbl.t; jit : Jit.t }
+type twin = {
+  it : Tbl.t;  (** Runtime.run under [meta] *)
+  jt : Tbl.t;  (** Jit.run under [meta] *)
+  jit : Jit.t;
+  ft : Tbl.t;  (** Runtime.run under [fabric_meta] *)
+  ot : Tbl.t;  (** Jit.run_into, as the fabric calls it *)
+  ojit : Jit.t;
+  o : Jit.outcome;
+}
 
 let twin ?(params = params) ?privileged ?max_passes ?(virtual_addressing = true)
     ?(stages = [ (0, 0, 256); (5, 256, 256); (13, 0, 512) ]) () =
@@ -54,24 +65,51 @@ let twin ?(params = params) ?privileged ?max_passes ?(virtual_addressing = true)
   in
   let it = mk () in
   let jt = mk () in
-  { it; jt; jit = Jit.create jt }
+  let ft = mk () in
+  let ot = mk () in
+  { it; jt; jit = Jit.create jt; ft; ot; ojit = Jit.create ot; o = Jit.outcome () }
 
 let meta = RT.meta ~flow_key:[| 0xBEEF; 0xCAFE |] ~src:100 ~dst:200 ()
+let fabric_meta = RT.meta ~src:meta.RT.src ~dst:meta.RT.dst ()
 
 (* Full observable device state: register contents and access counts for
-   every stage, plus the drop/recirculation counters. *)
-let device_state tbl =
-  let d = Tbl.device tbl in
-  let per_stage =
-    Array.map
-      (fun s ->
-        let regs = s.Rmt.Device.regs in
-        let words = Rmt.Register_array.words regs in
-        ( Rmt.Register_array.snapshot_range regs ~lo:0 ~hi:(words - 1),
-          Rmt.Register_array.access_count regs ))
-      (Rmt.Device.stages d)
+   every stage, plus the drop/recirculation counters.  Compared in place:
+   a copy of every register file costs more than the executions. *)
+let same_state a b =
+  let da = Tbl.device a and db = Tbl.device b in
+  let same_stage (sa : Rmt.Device.stage) (sb : Rmt.Device.stage) =
+    let ra = sa.Rmt.Device.regs and rb = sb.Rmt.Device.regs in
+    ra.Rmt.Register_array.data = rb.Rmt.Register_array.data
+    && Rmt.Register_array.access_count ra = Rmt.Register_array.access_count rb
   in
-  (per_stage, Rmt.Device.drops d, Rmt.Device.recirculations d)
+  Array.for_all2 same_stage (Rmt.Device.stages da) (Rmt.Device.stages db)
+  && Rmt.Device.drops da = Rmt.Device.drops db
+  && Rmt.Device.recirculations da = Rmt.Device.recirculations db
+
+(* Whether [Jit.run_into] wrote what [Runtime.run] returned: the decision
+   (with the forward destination), the RTS destination, the pipeline
+   count and the output args. *)
+let outcome_matches ~src (r : RT.result) (o : Jit.outcome) =
+  let decision =
+    match o.Jit.dropped with
+    | Some why -> RT.Dropped why
+    | None -> if o.Jit.rts then RT.Return_to_sender else RT.Forward o.Jit.dst
+  in
+  decision = r.RT.decision
+  && ((not o.Jit.rts) || o.Jit.dst = src)
+  && o.Jit.pipelines = r.RT.pipelines
+  && o.Jit.args_out = r.RT.args_out
+
+(* Run [pkt] through the fabric pair: the interpreter on [ft] and
+   [Jit.run_into] on [ot]. *)
+let exec_into w pkt =
+  let r = RT.run w.ft ~meta:fabric_meta pkt in
+  Jit.run_into w.ojit w.o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst pkt;
+  (r, w.o)
+
+let into_identical w pkt =
+  let r, o = exec_into w pkt in
+  outcome_matches ~src:fabric_meta.RT.src r o && same_state w.ft w.ot
 
 let exec_both w pkt =
   let iev = ref [] in
@@ -86,16 +124,19 @@ let exec_both w pkt =
    drop reasons) and the whole trace-event stream. *)
 let identical w pkt =
   let ri, iev, rj, jev, _ = exec_both w pkt in
-  ri = rj && iev = jev && device_state w.it = device_state w.jt
+  ri = rj && iev = jev && same_state w.it w.jt && into_identical w pkt
 
 let check_identical msg w pkt =
   let ri, iev, rj, jev, _ = exec_both w pkt in
   Alcotest.(check bool) (msg ^ ": result") true (ri = rj);
   Alcotest.(check bool) (msg ^ ": trace stream") true (iev = jev);
+  Alcotest.(check bool) (msg ^ ": device state") true (same_state w.it w.jt);
+  let r, o = exec_into w pkt in
   Alcotest.(check bool)
-    (msg ^ ": device state")
+    (msg ^ ": run_into outcome")
     true
-    (device_state w.it = device_state w.jt);
+    (outcome_matches ~src:fabric_meta.RT.src r o);
+  Alcotest.(check bool) (msg ^ ": run_into device state") true (same_state w.ft w.ot);
   ri
 
 let exec_pkt ?(seq = 0) ?(args = [| 0; 0; 0; 0 |]) instrs =
@@ -152,9 +193,15 @@ let app_pool t =
 let test_real_apps_identical () =
   let ti = setup_tenants () in
   let tj = setup_tenants () in
+  let tf = setup_tenants () in
+  let tout = setup_tenants () in
   let jit = Jit.create tj.tables in
+  let ojit = Jit.create tout.tables in
+  let o = Jit.outcome () in
   let ipool = app_pool ti in
   let jpool = app_pool tj in
+  let fpool = app_pool tf in
+  let opool = app_pool tout in
   (* Three rounds: round 1 compiles (cache misses, cold sketches), later
      rounds serve from the closure cache with warm register state. *)
   for round = 1 to 3 do
@@ -167,17 +214,27 @@ let test_real_apps_identical () =
           Jit.run ~on_event:(fun e -> jev := e :: !jev) jit ~meta jpool.(k)
         in
         if not (ri = rj && !iev = !jev) then
-          Alcotest.failf "round %d packet %d diverged" round k)
+          Alcotest.failf "round %d packet %d diverged" round k;
+        let rf = RT.run tf.tables ~meta:fabric_meta fpool.(k) in
+        Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst opool.(k);
+        if not (outcome_matches ~src:fabric_meta.RT.src rf o) then
+          Alcotest.failf "round %d packet %d: run_into diverged" round k)
       ipool;
     Alcotest.(check bool)
       (Printf.sprintf "round %d device state" round)
       true
-      (device_state ti.tables = device_state tj.tables)
+      (same_state ti.tables tj.tables);
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d run_into device state" round)
+      true
+      (same_state tf.tables tout.tables)
   done;
   let hits, misses, compiles, _ = Jit.stats jit in
   Alcotest.(check bool) "specialized at least once" true (compiles > 0);
   Alcotest.(check bool) "misses only on first sight" true (misses = compiles);
-  Alcotest.(check bool) "later rounds hit the cache" true (hits >= 2 * 64)
+  Alcotest.(check bool) "later rounds hit the cache" true (hits >= 2 * 64);
+  Alcotest.(check bool) "run_into counts as run does" true
+    (Jit.stats ojit = Jit.stats jit)
 
 (* -- Directed: control flow, recirculation, faults ------------------------ *)
 
@@ -263,12 +320,17 @@ let test_quiescence_identical () =
   Tbl.quiesce w.jt ~fid:1;
   Alcotest.(check bool) "quiesced FID not specialized" false
     (Jit.would_specialize w.jit incr);
+  Tbl.quiesce w.ft ~fid:1;
+  Tbl.quiesce w.ot ~fid:1;
   let _, _, rj, _, mode = exec_both w incr in
   Alcotest.(check bool) "passes through unprocessed" true rj.RT.quiesced;
   Alcotest.(check bool) "interpreter fallback while quiesced" true
     (mode = Jit.Interpreted);
+  Alcotest.(check bool) "run_into passes through too" true (into_identical w incr);
   Tbl.unquiesce w.it ~fid:1;
   Tbl.unquiesce w.jt ~fid:1;
+  Tbl.unquiesce w.ft ~fid:1;
+  Tbl.unquiesce w.ot ~fid:1;
   (* Quiescence transitions bump the allocation epoch, so the cached
      closure from before the quiesce window is stale: the next packet
      recompiles rather than reusing it. *)
@@ -294,8 +356,7 @@ let test_reinstall_invalidates () =
     | Ok () -> ()
     | Error _ -> Alcotest.fail "reinstall"
   in
-  reinstall w.it;
-  reinstall w.jt;
+  List.iter reinstall [ w.it; w.jt; w.ft; w.ot ];
   let _, _, compiles0, _ = Jit.stats w.jit in
   ignore (check_identical "after reallocation" w incr);
   let _, _, compiles1, _ = Jit.stats w.jit in
@@ -308,9 +369,9 @@ let test_departure_invalidation () =
   Alcotest.(check bool) "closure cached" true (Jit.cache_size w.jit > 0);
   (* Departure / migration source path (what Fabric and Fleet.migrate do):
      remove the tables, then evict the dead closures. *)
-  Tbl.remove w.it ~fid:1;
-  Tbl.remove w.jt ~fid:1;
+  List.iter (fun t -> Tbl.remove t ~fid:1) [ w.it; w.jt; w.ft; w.ot ];
   Jit.invalidate w.jit ~fid:1;
+  Jit.invalidate w.ojit ~fid:1;
   Alcotest.(check int) "cache emptied" 0 (Jit.cache_size w.jit);
   Alcotest.(check bool) "departed FID not specialized" false
     (Jit.would_specialize w.jit (exec_pkt [ I.Return ]));
@@ -327,9 +388,17 @@ let test_disabled_jit () =
   let rj, mode = Jit.run_info jit ~meta pkt in
   Alcotest.(check bool) "interpreted" true (mode = Jit.Interpreted);
   Alcotest.(check bool) "same result" true (ri = rj);
-  let hits, misses, compiles, _ = Jit.stats jit in
-  Alcotest.(check (list int)) "no cache activity" [ 0; 0; 0 ]
-    [ hits; misses; compiles ]
+  let ojit = Jit.create ~enabled:false w.ot in
+  let rf = RT.run w.ft ~meta:fabric_meta pkt in
+  Jit.run_into ojit w.o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst pkt;
+  Alcotest.(check bool) "run_into falls back to the interpreter" true
+    (outcome_matches ~src:fabric_meta.RT.src rf w.o && same_state w.ft w.ot);
+  List.iter
+    (fun jit ->
+      let hits, misses, compiles, _ = Jit.stats jit in
+      Alcotest.(check (list int)) "no cache activity" [ 0; 0; 0 ]
+        [ hits; misses; compiles ])
+    [ jit; ojit ]
 
 let test_non_exec_passthrough () =
   let w = twin () in
@@ -392,7 +461,9 @@ let prop_reinstall_safe =
       in
       let a = reinstall w.it in
       let b = reinstall w.jt in
-      a = b
+      let c = reinstall w.ft in
+      let d = reinstall w.ot in
+      a = b && b = c && c = d
       && ok1
       && identical w (Pkt.exec ~fid:1 ~seq:1 ~args:[| 7; 1; 2; 3 |] p))
 

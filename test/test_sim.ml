@@ -51,6 +51,25 @@ let test_engine_until () =
   Engine.run ~until:9.0 e;
   Alcotest.(check (float 1e-9)) "empty queue runs to the limit" 9.0 (Engine.now e)
 
+(* A limit below the clock must not move it back, queue or no queue:
+   an event scheduled after such a stop would otherwise fire before
+   events that already fired. *)
+let test_engine_until_below_now () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let at time = Engine.schedule_at e ~time (fun () -> log := Engine.now e :: !log) in
+  at 5.0;
+  at 10.0;
+  Engine.run ~until:6.0 e;
+  Engine.run ~until:2.0 e;
+  Alcotest.(check (float 1e-9)) "clock kept" 6.0 (Engine.now e);
+  Engine.schedule e ~delay:1.0 (fun () -> log := Engine.now e :: !log);
+  Engine.run e;
+  Alcotest.(check (list (float 1e-9))) "fire times never decrease" [ 5.0; 7.0; 10.0 ]
+    (List.rev !log);
+  Engine.run ~until:3.0 e;
+  Alcotest.(check (float 1e-9)) "empty queue keeps the clock" 10.0 (Engine.now e)
+
 let test_engine_nested_scheduling () =
   let e = Engine.create () in
   let log = ref [] in
@@ -87,67 +106,126 @@ let test_engine_releases_fired_thunks () =
   (* The engine itself stays live across the collection. *)
   Alcotest.(check int) "queue empty" 0 (Engine.pending e)
 
-(* Random schedule / schedule_at programs against a sorted-list model of
-   the (time, seq) order.  Times are multiples of 0.5, so equal times are
-   common and all arithmetic is exact; negative values exercise the
-   clamp to now, and [kids] are scheduled by the event when it fires. *)
-type op = { absolute : bool; t : float; kids : op list }
+(* Random programs against a sorted-list model of the (time, seq) order.
+   Top-level actions schedule events or run the engine up to a limit,
+   and an event schedules its [kids] when it fires.  Relative delays are
+   drawn from a small set, so the engine's per-delay rings fill, with
+   more distinct delays than there are rings, so the heap takes the
+   rest; negative, NaN and infinite delays and times go to the heap.
+   Limits often lie below the clock, which must then stay put.  Times are
+   multiples of 0.25, so equal times are common. *)
+type how = Delay | Call | At
 
-let rec pp_op { absolute; t; kids } =
-  Printf.sprintf "%s%g[%s]" (if absolute then "@" else "+") t
-    (String.concat ";" (List.map pp_op kids))
+type op = { how : how; t : float; kids : op list }
 
-let gen_ops =
+type action = Schedule of op | Until of float
+
+let rec pp_op { how; t; kids } =
+  let how = match how with Delay -> "+" | Call -> "call+" | At -> "@" in
+  Printf.sprintf "%s%g[%s]" how t (String.concat ";" (List.map pp_op kids))
+
+let pp_action = function
+  | Schedule op -> pp_op op
+  | Until limit -> Printf.sprintf "until %g" limit
+
+let quarter lo hi = QCheck.Gen.map (fun k -> 0.25 *. float_of_int k) (QCheck.Gen.int_range lo hi)
+
+let gen_delay =
+  QCheck.Gen.frequency
+    [
+      (12, quarter 0 3);
+      (6, quarter 4 15);
+      (1, QCheck.Gen.return (-1.0));
+      (1, QCheck.Gen.return Float.nan);
+      (1, QCheck.Gen.return Float.infinity);
+    ]
+
+let gen_time =
+  QCheck.Gen.frequency
+    [ (8, quarter (-4) 40); (1, QCheck.Gen.return Float.nan); (1, QCheck.Gen.return Float.infinity) ]
+
+let gen_actions =
   let open QCheck.Gen in
   let rec op depth =
-    map3
-      (fun absolute t kids -> { absolute; t = 0.5 *. float_of_int t; kids })
-      bool (int_range (-2) 6)
-      (if depth = 0 then return [] else list_size (int_range 0 3) (op (depth - 1)))
+    let* how = frequencyl [ (3, Delay); (2, Call); (1, At) ] in
+    let* t = match how with At -> gen_time | Delay | Call -> gen_delay in
+    let+ kids =
+      if depth = 0 then return [] else list_size (int_range 0 3) (op (depth - 1))
+    in
+    { how; t; kids }
   in
-  list_size (int_range 0 40) (op 2)
+  let action =
+    frequency
+      [ (5, map (fun op -> Schedule op) (op 2)); (1, map (fun l -> Until l) (quarter (-4) 40)) ]
+  in
+  list_size (int_range 0 40) action
 
-let model ops =
-  let clock = ref 0.0 and next = ref 0 and pending = ref [] and fired = ref [] in
+(* What fired, as (id, time), and after each [Until] the clock and the
+   number of events still pending. *)
+type trace = { fired : (int * float) list; stops : (float * int) list }
+
+let model actions =
+  let clock = ref 0.0 and next = ref 0 and pending = ref [] in
+  let fired = ref [] and stops = ref [] in
   let schedule op =
-    let time = if op.absolute then op.t else !clock +. op.t in
-    pending := (Float.max time !clock, !next, op) :: !pending;
+    let time = match op.how with At -> op.t | Delay | Call -> !clock +. op.t in
+    let time = if time > !clock then time else !clock in
+    pending := (time, !next, op) :: !pending;
     incr next
   in
-  List.iter schedule ops;
-  while !pending <> [] do
-    let by_time_seq (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2) in
+  let by_time_seq (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2) in
+  let rec fire_until limit =
     match List.sort by_time_seq !pending with
-    | [] -> ()
-    | (time, id, op) :: rest ->
+    | (time, id, op) :: rest when time <= limit ->
       pending := rest;
       clock := time;
       fired := (id, time) :: !fired;
-      List.iter schedule op.kids
-  done;
-  List.rev !fired
+      List.iter schedule op.kids;
+      fire_until limit
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Schedule op -> schedule op
+      | Until limit ->
+        fire_until limit;
+        if limit > !clock then clock := limit;
+        stops := (!clock, List.length !pending) :: !stops)
+    actions;
+  fire_until Float.infinity;
+  { fired = List.rev !fired; stops = List.rev !stops }
 
-let simulate ops =
+let simulate actions =
   let e = Engine.create () in
-  let next = ref 0 and fired = ref [] in
+  let next = ref 0 and fired = ref [] and stops = ref [] in
   let rec schedule op =
     let id = !next in
     incr next;
-    let thunk () =
+    let fire op =
       fired := (id, Engine.now e) :: !fired;
       List.iter schedule op.kids
     in
-    if op.absolute then Engine.schedule_at e ~time:op.t thunk
-    else Engine.schedule e ~delay:op.t thunk
+    match op.how with
+    | Delay -> Engine.schedule e ~delay:op.t (fun () -> fire op)
+    | Call -> Engine.schedule_call e ~delay:op.t fire op
+    | At -> Engine.schedule_at e ~time:op.t (fun () -> fire op)
   in
-  List.iter schedule ops;
+  List.iter
+    (function
+      | Schedule op -> schedule op
+      | Until limit ->
+        Engine.run ~until:limit e;
+        stops := (Engine.now e, Engine.pending e) :: !stops)
+    actions;
   Engine.run e;
-  List.rev !fired
+  { fired = List.rev !fired; stops = List.rev !stops }
 
 let prop_engine_order =
   QCheck.Test.make ~name:"events fire in (time, seq) order" ~count:300
-    (QCheck.make ~print:(fun ops -> String.concat " " (List.map pp_op ops)) gen_ops)
-    (fun ops -> simulate ops = model ops)
+    (QCheck.make
+       ~print:(fun actions -> String.concat " " (List.map pp_action actions))
+       gen_actions)
+    (fun actions -> simulate actions = model actions)
 
 (* -- Fabric -------------------------------------------------------------- *)
 
@@ -382,6 +460,7 @@ let () =
           Alcotest.test_case "same-time FIFO" `Quick test_engine_fifo_same_time;
           Alcotest.test_case "clock" `Quick test_engine_clock_advances;
           Alcotest.test_case "run until" `Quick test_engine_until;
+          Alcotest.test_case "run until below now" `Quick test_engine_until_below_now;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
           Alcotest.test_case "fired thunks released" `Quick

@@ -65,6 +65,34 @@ let test_handle_records () =
   Alcotest.(check string) "same dump as by name" (Telemetry.dump_json by_name)
     (Telemetry.dump_json t)
 
+(* [set_int] is [set] of the same value as a float: the same gauge
+   reading, the same JSON and Prometheus dumps, and the same last-write
+   order against [set_gauge]. *)
+let test_handle_set_int () =
+  let by_int = Telemetry.create () and by_float = Telemetry.create () in
+  let gi = Telemetry.gauge by_int "sim.queue_depth" in
+  let gf = Telemetry.gauge by_float "sim.queue_depth" in
+  List.iter
+    (fun n ->
+      Telemetry.set_int gi n;
+      Telemetry.set gf (float_of_int n);
+      Alcotest.(check (list (pair string (float 0.0))))
+        (Printf.sprintf "gauges after %d" n)
+        (Telemetry.gauges by_float) (Telemetry.gauges by_int))
+    [ 0; 7; -3; 4096; max_int ];
+  Alcotest.(check string) "json dump" (Telemetry.dump_json by_float)
+    (Telemetry.dump_json by_int);
+  Alcotest.(check string) "prometheus dump" (Telemetry.dump_prometheus by_float)
+    (Telemetry.dump_prometheus by_int);
+  Telemetry.set_gauge by_int "sim.queue_depth" 0.5;
+  Telemetry.set_int gi 2;
+  Alcotest.(check (option (float 0.0))) "last write wins" (Some 2.0)
+    (Telemetry.gauge_value by_int "sim.queue_depth");
+  Telemetry.incr by_int "n";
+  Alcotest.check_raises "kind mismatch"
+    (Invalid_argument "Telemetry: metric \"n\" already registered as a counter")
+    (fun () -> Telemetry.set_int (Telemetry.gauge by_int "n") 1)
+
 let test_handle_registers_on_record () =
   let t = Telemetry.create () in
   let c = Telemetry.counter t "c" and _g = Telemetry.gauge t "g" in
@@ -530,6 +558,7 @@ let () =
       ( "handles",
         [
           Alcotest.test_case "records like incr" `Quick test_handle_records;
+          Alcotest.test_case "set_int reads back like set" `Quick test_handle_set_int;
           Alcotest.test_case "registers on first record" `Quick
             test_handle_registers_on_record;
           Alcotest.test_case "after reset" `Quick test_handle_after_reset;
