@@ -1204,6 +1204,17 @@ let float_where expected ok =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* An int in [lo, hi], printed like [Arg.int]. *)
+let int_between lo hi =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v >= lo && v <= hi -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let probability =
   float_where "a probability in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)
 
@@ -1254,9 +1265,10 @@ let recorder_arg =
 let seed_arg default =
   Arg.value (Arg.opt Arg.int default (Arg.info [ "seed" ] ~docv:"SEED"))
 
+(* The OCaml 5 runtime caps a process at 128 domains. *)
 let domains_arg =
   Arg.value
-    (Arg.opt positive_int 1
+    (Arg.opt (int_between 1 128) 1
        (Arg.info [ "domains" ] ~docv:"N"
           ~doc:"Scoring fan-out width (>= 1): mutants are scored on $(docv) \
                 domains against a per-arrival occupancy snapshot; decisions \
@@ -1638,9 +1650,11 @@ let fleettop_cmd =
   let path =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"SERIES.json")
   in
+  (* One character per window; the largest ring any simulator records
+     is 256 windows. *)
   let last_arg =
     Arg.value
-      (Arg.opt positive_int 48
+      (Arg.opt (int_between 1 4096) 48
          (Arg.info [ "last" ] ~docv:"N"
             ~doc:"Sparkline width: the newest $(docv) windows, aligned on \
                   the newest bucket across all series."))

@@ -229,54 +229,100 @@ let regions_packet t ~fid =
          ~granted:true)
   else None
 
-let handle_request ?trace t (pkt : Activermt.Packet.t) =
+(* Bump a run total and its windowed series together. *)
+let count t ?(by = 1) name =
+  Telemetry.incr t.tel ~by name;
+  Timeseries.add t.series ~by:(float_of_int by) name
+
+(* What a request asks of the allocator: nothing (malformed, or a retry
+   for a FID already resident), or one arrival. *)
+let classify t (pkt : Activermt.Packet.t) =
   match pkt.Activermt.Packet.payload with
   | Activermt.Packet.Response _ | Activermt.Packet.Exec _ | Activermt.Packet.Bare ->
-    Error (`Bad_packet "not an allocation request")
-  | Activermt.Packet.Request _ when Allocator.is_resident t.allocator ~fid:pkt.Activermt.Packet.fid ->
-    (* Idempotent re-request (dedup by FID): the response to an earlier
-       request was lost in flight, or the request itself was duplicated
-       by the network.  Answer from the existing allocation — never
-       allocate twice for one FID.  Zero-work timing: no allocator or
-       table work happened. *)
+    `Bad "not an allocation request"
+  | Activermt.Packet.Request req ->
     let fid = pkt.Activermt.Packet.fid in
-    Telemetry.incr t.tel "control.dup_requests";
-    (match trace with
-    | None -> ()
-    | Some c ->
+    if Allocator.is_resident t.allocator ~fid then `Resident
+    else
+      `Arrival
+        {
+          Allocator.fid;
+          spec = Spec.of_request req;
+          elastic = pkt.Activermt.Packet.flags.Activermt.Packet.elastic;
+          demand_blocks =
+            Array.of_list
+              (List.map
+                 (fun a -> max 1 a.Activermt.Packet.demand_blocks)
+                 req.Activermt.Packet.accesses);
+        }
+
+(* Idempotent re-request (dedup by FID): the response to an earlier
+   request was lost in flight, or the request itself was duplicated by
+   the network.  Answer from the existing allocation — never allocate
+   twice for one FID.  Zero-work timing: no allocator or table work
+   happened. *)
+let duplicate ?trace t (pkt : Activermt.Packet.t) =
+  let fid = pkt.Activermt.Packet.fid in
+  Telemetry.incr t.tel "control.dup_requests";
+  Option.iter
+    (fun c ->
       ignore
         (Trace.instant t.tracer c
            ~attrs:[ ("fid", string_of_int fid) ]
-           "control.dup_request"));
-    Ok
-      {
-        fid;
-        response =
-          response_packet t ~fid ~flags:pkt.Activermt.Packet.flags ~granted:true;
-        reallocated = [];
-        phase = Committed;
-        timing =
-          Cost_model.breakdown t.cost ~allocation_s:0.0 ~entries_updated:0
-            ~apps_touched:0 ~words_snapshotted:0 ~notifications:1;
-      }
-  | Activermt.Packet.Request req ->
-    let fid = pkt.Activermt.Packet.fid in
+           "control.dup_request"))
+    trace;
+  {
+    fid;
+    response = response_packet t ~fid ~flags:pkt.Activermt.Packet.flags ~granted:true;
+    reallocated = [];
+    phase = Committed;
+    timing =
+      Cost_model.breakdown t.cost ~allocation_s:0.0 ~entries_updated:0
+        ~apps_touched:0 ~words_snapshotted:0 ~notifications:1;
+  }
+
+(* Move the reallocated apps' register state, then (re)install every
+   reallocated and admitted app once, in one table-write session.
+   Returns the words moved and the table entries written. *)
+let commit t ~reallocated ~admitted =
+  let words =
+    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t reallocated)
+  in
+  Activermt.Table.reset_update_stats t.tables;
+  Telemetry.with_span t.tel "control.table_update" (fun () ->
+      List.iter (fun fid -> commit_app t ~fid) reallocated;
+      List.iter (fun fid -> commit_new_app t ~fid) admitted);
+  let stats = Activermt.Table.update_stats t.tables in
+  (words, stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed)
+
+let finish_pending_if_done t =
+  match t.pending with
+  | Some p when p.waiting = [] ->
+    commit_new_app t ~fid:p.new_fid;
+    t.pending <- None
+  | Some _ | None -> ()
+
+(* Commit the pending admission without waiting for more acks: apps
+   still extracting move to their new placement, losing what they did
+   not extract, and the new app commits. *)
+let force_pending t =
+  match t.pending with
+  | None -> ()
+  | Some p ->
+    List.iter (fun fid -> commit_app t ~fid) p.waiting;
+    p.waiting <- [];
+    finish_pending_if_done t
+
+let handle_request ?trace t (pkt : Activermt.Packet.t) =
+  match classify t pkt with
+  | `Bad msg -> Error (`Bad_packet msg)
+  | `Resident -> Ok (duplicate ?trace t pkt)
+  | `Arrival arrival ->
+    (* Admission is serialized: an admission still awaiting extraction
+       completes before the next one is allocated. *)
+    force_pending t;
+    let fid = arrival.Allocator.fid in
     let flags = pkt.Activermt.Packet.flags in
-    let spec = Spec.of_request req in
-    let demand_blocks =
-      Array.of_list
-        (List.map
-           (fun a -> max 1 a.Activermt.Packet.demand_blocks)
-           req.Activermt.Packet.accesses)
-    in
-    let arrival =
-      {
-        Allocator.fid;
-        spec;
-        elastic = flags.Activermt.Packet.elastic;
-        demand_blocks;
-      }
-    in
     Telemetry.span_begin t.tel "control.provision";
     Trace.with_span t.tracer trace
       ~attrs:[ ("fid", string_of_int fid) ]
@@ -287,53 +333,34 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
            Allocator.admit ?trace:tctx t.allocator arrival)
      with
     | Allocator.Rejected r ->
-      Telemetry.incr t.tel "control.rejections";
-      Timeseries.add t.series "control.rejections";
+      count t "control.rejections";
       Telemetry.span_end t.tel (* control.provision *);
       Error (`Rejected r)
     | Allocator.Admitted adm ->
       Hashtbl.replace t.virtual_flags fid flags.Activermt.Packet.virtual_addressing;
       let realloc_fids = List.map fst adm.Allocator.reallocated in
-      let words =
-        Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t realloc_fids)
-      in
-      (match tctx with
-      | None -> ()
-      | Some c ->
-        ignore
-          (Trace.instant t.tracer c
-             ~attrs:[ ("words", string_of_int words) ]
-             "control.snapshot"));
-      Activermt.Table.reset_update_stats t.tables;
-      Telemetry.span_begin t.tel "control.table_update";
-      let phase =
+      let words, entries, phase =
         match (t.mode, realloc_fids) with
-        | `Auto, _ | `Interactive, [] ->
-          List.iter (fun f -> commit_app t ~fid:f) realloc_fids;
-          commit_new_app t ~fid;
-          Committed
-        | `Interactive, impacted ->
-          List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
-          Activermt.Table.quiesce t.tables ~fid;
+        | `Interactive, (_ :: _ as impacted) ->
+          (* Old tables stay in place so impacted clients can extract;
+             the table work happens at commit time but is charged to this
+             event, estimated from the impacted set. *)
+          let words =
+            Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t impacted)
+          in
+          Telemetry.with_span t.tel "control.table_update" (fun () ->
+              List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
+              Activermt.Table.quiesce t.tables ~fid);
           t.pending <-
             Some { new_fid = fid; waiting = impacted; deadline_s = t.extraction_timeout_s };
-          Awaiting_extraction { impacted }
-      in
-      Telemetry.span_end t.tel (* control.table_update *);
-      Telemetry.incr t.tel "control.provisions";
-      Timeseries.add t.series "control.provisions";
-      let stats = Activermt.Table.update_stats t.tables in
-      (* In interactive mode the table work happens at commit time, but we
-         still charge it to this provisioning event: estimate entries from
-         the reallocated set when deferred. *)
-      let entries =
-        match phase with
-        | Committed ->
-          stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed
-        | Awaiting_extraction _ ->
           let n = (Rmt.Device.params t.device).Rmt.Params.logical_stages in
-          2 * (n + 3) * (List.length realloc_fids + 1)
+          let entries = 2 * (n + 3) * (List.length impacted + 1) in
+          (words, entries, Awaiting_extraction { impacted })
+        | (`Auto | `Interactive), _ ->
+          let words, entries = commit t ~reallocated:realloc_fids ~admitted:[ fid ] in
+          (words, entries, Committed)
       in
+      count t "control.provisions";
       let timing =
         Cost_model.breakdown t.cost ~allocation_s:adm.Allocator.compute_time_s
           ~entries_updated:entries
@@ -345,6 +372,10 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
       (match tctx with
       | None -> ()
       | Some c ->
+        ignore
+          (Trace.instant t.tracer c
+             ~attrs:[ ("words", string_of_int words) ]
+             "control.snapshot");
         ignore
           (Trace.instant t.tracer c
              ~attrs:
@@ -390,41 +421,13 @@ let enqueue_request ?trace t (pkt : Activermt.Packet.t) =
 
 let queue_depth t = Queue.length t.queue
 
-let dup_provision t ~fid ~flags =
-  Telemetry.incr t.tel "control.dup_requests";
-  {
-    fid;
-    response = response_packet t ~fid ~flags ~granted:true;
-    reallocated = [];
-    phase = Committed;
-    timing =
-      Cost_model.breakdown t.cost ~allocation_s:0.0 ~entries_updated:0
-        ~apps_touched:0 ~words_snapshotted:0 ~notifications:1;
-  }
-
-let add_breakdown (a : Cost_model.breakdown) (b : Cost_model.breakdown) =
-  {
-    Cost_model.allocation_s = a.Cost_model.allocation_s +. b.Cost_model.allocation_s;
-    table_update_s = a.Cost_model.table_update_s +. b.Cost_model.table_update_s;
-    snapshot_s = a.Cost_model.snapshot_s +. b.Cost_model.snapshot_s;
-    notify_s = a.Cost_model.notify_s +. b.Cost_model.notify_s;
-  }
-
-let zero_breakdown =
-  {
-    Cost_model.allocation_s = 0.0;
-    table_update_s = 0.0;
-    snapshot_s = 0.0;
-    notify_s = 0.0;
-  }
-
-(* One admission epoch over up to [max_batch] queued requests (Auto mode):
-   classify slots, score fresh arrivals together through
-   [Allocator.admit_batch], then commit the whole epoch through a single
-   batched table-write session — each touched app's tables are
-   (re)installed exactly once, so [Table.epoch] bumps once per app per
-   epoch and the JIT invalidates once, not k times. *)
-let drain_epoch_auto t slots =
+(* One admission epoch over up to [max_batch] queued requests: score the
+   fresh arrivals together through [Allocator.admit_batch], then commit
+   the whole epoch through a single batched table-write session — each
+   touched app's tables are (re)installed exactly once, so [Table.epoch]
+   bumps once per app per epoch and the JIT invalidates once, not k
+   times. *)
+let drain_epoch t slots =
   let epoch_index = t.epoch_counter in
   t.epoch_counter <- epoch_index + 1;
   Telemetry.incr t.tel "control.epochs";
@@ -439,100 +442,58 @@ let drain_epoch_auto t slots =
       "control.epoch"
   in
   let t_epoch_start = Trace.now t.tracer in
-  (* Classify each slot in enqueue order.  Requests for FIDs already
-     resident are network duplicates / client retries; a second request
-     for the same FID within the epoch is an intra-epoch echo resolved
-     from its primary's outcome.  Neither reaches the allocator. *)
+  (* A second arrival for the same FID within the epoch is an intra-epoch
+     echo, resolved from its primary's outcome: the allocator sees each
+     FID at most once. *)
   let seen = Hashtbl.create 16 in
   let arrivals_rev = ref [] in
-  let n_arrivals = ref 0 in
-  let classify (pkt, _tr) =
-    match pkt.Activermt.Packet.payload with
-    | Activermt.Packet.Response _ | Activermt.Packet.Exec _ | Activermt.Packet.Bare
-      ->
-      `Bad "not an allocation request"
-    | Activermt.Packet.Request req -> (
-      let fid = pkt.Activermt.Packet.fid in
-      if Allocator.is_resident t.allocator ~fid then `Dup
-      else
-        match Hashtbl.find_opt seen fid with
-        | Some i -> `Echo i
-        | None ->
-          let flags = pkt.Activermt.Packet.flags in
-          let arrival =
-            {
-              Allocator.fid;
-              spec = Spec.of_request req;
-              elastic = flags.Activermt.Packet.elastic;
-              demand_blocks =
-                Array.of_list
-                  (List.map
-                     (fun a -> max 1 a.Activermt.Packet.demand_blocks)
-                     req.Activermt.Packet.accesses);
-            }
-          in
-          let i = !n_arrivals in
-          Hashtbl.replace seen fid i;
-          incr n_arrivals;
-          arrivals_rev := arrival :: !arrivals_rev;
-          `Fresh i)
+  let classes =
+    List.map
+      (fun ((pkt, _) as slot) ->
+        match classify t pkt with
+        | `Arrival a -> (
+          match Hashtbl.find_opt seen a.Allocator.fid with
+          | Some i -> (slot, `Echo i)
+          | None ->
+            let i = Hashtbl.length seen in
+            Hashtbl.replace seen a.Allocator.fid i;
+            arrivals_rev := a :: !arrivals_rev;
+            (slot, `Fresh i))
+        | (`Bad _ | `Resident) as cls -> (slot, cls))
+      slots
   in
-  let classes = List.map (fun s -> (s, classify s)) slots in
-  let arrivals = List.rev !arrivals_rev in
   let batch =
     Telemetry.with_span t.tel "control.allocation" (fun () ->
-        Allocator.admit_batch ?trace:ectx t.allocator arrivals)
+        Allocator.admit_batch ?trace:ectx t.allocator (List.rev !arrivals_rev))
   in
   let outcomes = Array.of_list batch.Allocator.outcomes in
   (* Record the virtual-addressing choice of every admitted arrival before
      any table install reads it. *)
-  List.iter
-    (fun ((pkt, _), cls) ->
-      match cls with
-      | `Fresh i -> (
-        match outcomes.(i) with
-        | Allocator.Admitted _ ->
-          Hashtbl.replace t.virtual_flags pkt.Activermt.Packet.fid
-            pkt.Activermt.Packet.flags.Activermt.Packet.virtual_addressing
-        | Allocator.Rejected _ -> ())
-      | `Bad _ | `Dup | `Echo _ -> ())
-    classes;
-  let realloc_fids = List.map fst batch.Allocator.batch_reallocated in
   let admitted_fids =
     List.filter_map
-      (function
-        | Allocator.Admitted adm -> Some adm.Allocator.fid
-        | Allocator.Rejected _ -> None)
-      batch.Allocator.outcomes
+      (fun ((pkt, _), cls) ->
+        match cls with
+        | `Fresh i -> (
+          match outcomes.(i) with
+          | Allocator.Admitted _ ->
+            let fid = pkt.Activermt.Packet.fid in
+            Hashtbl.replace t.virtual_flags fid
+              pkt.Activermt.Packet.flags.Activermt.Packet.virtual_addressing;
+            Some fid
+          | Allocator.Rejected _ -> None)
+        | `Bad _ | `Resident | `Echo _ -> None)
+      classes
   in
-  let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t realloc_fids)
-  in
-  Activermt.Table.reset_update_stats t.tables;
-  Telemetry.span_begin t.tel "control.table_update";
-  List.iter (fun f -> commit_app t ~fid:f) realloc_fids;
-  List.iter (fun f -> commit_new_app t ~fid:f) admitted_fids;
-  Telemetry.span_end t.tel (* control.table_update *);
-  let stats = Activermt.Table.update_stats t.tables in
-  let entries =
-    stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed
-  in
+  let realloc_fids = List.map fst batch.Allocator.batch_reallocated in
+  let words, entries = commit t ~reallocated:realloc_fids ~admitted:admitted_fids in
   let installs = List.length realloc_fids + List.length admitted_fids in
   let epoch_timing =
     Cost_model.breakdown_batched t.cost
       ~allocation_s:batch.Allocator.stats.Allocator.batch_compute_time_s
       ~entries_updated:entries ~words_snapshotted:words ~notifications:installs
   in
-  Telemetry.incr t.tel ~by:(List.length admitted_fids) "control.provisions";
-  Telemetry.incr t.tel
-    ~by:batch.Allocator.stats.Allocator.batch_rejected
-    "control.rejections";
-  Timeseries.add t.series
-    ~by:(float_of_int (List.length admitted_fids))
-    "control.provisions";
-  Timeseries.add t.series
-    ~by:(float_of_int batch.Allocator.stats.Allocator.batch_rejected)
-    "control.rejections";
+  count t ~by:(List.length admitted_fids) "control.provisions";
+  count t ~by:batch.Allocator.stats.Allocator.batch_rejected "control.rejections";
   (match ectx with
   | None -> ()
   | Some c ->
@@ -548,33 +509,23 @@ let drain_epoch_auto t slots =
   let results =
     List.map
       (fun ((pkt, tr), cls) ->
-        let fid = pkt.Activermt.Packet.fid in
-        let flags = pkt.Activermt.Packet.flags in
         match cls with
         | `Bad msg -> Error (`Bad_packet msg)
-        | `Dup ->
-          (match tr with
-          | None -> ()
-          | Some c ->
-            ignore
-              (Trace.instant t.tracer c
-                 ~attrs:[ ("fid", string_of_int fid) ]
-                 "control.dup_request"));
-          Ok (dup_provision t ~fid ~flags)
+        | `Resident -> Ok (duplicate ?trace:tr t pkt)
         | `Echo i -> (
-          (* Intra-epoch duplicate: answer from the primary's outcome,
-             never allocate twice. *)
           match outcomes.(i) with
           | Allocator.Rejected r -> Error (`Rejected r)
-          | Allocator.Admitted _ -> Ok (dup_provision t ~fid ~flags))
+          | Allocator.Admitted _ -> Ok (duplicate t pkt))
         | `Fresh i -> (
           match outcomes.(i) with
           | Allocator.Rejected r -> Error (`Rejected r)
           | Allocator.Admitted adm ->
+            let fid = pkt.Activermt.Packet.fid in
             Ok
               {
                 fid;
-                response = response_packet t ~fid ~flags ~granted:true;
+                response =
+                  response_packet t ~fid ~flags:pkt.Activermt.Packet.flags ~granted:true;
                 reallocated = List.map fst adm.Allocator.reallocated;
                 phase = Committed;
                 timing = epoch_timing;
@@ -584,37 +535,11 @@ let drain_epoch_auto t slots =
   Telemetry.span_end t.tel (* control.epoch *);
   { epoch_index; results; epoch_timing; installs; batch = Some batch.Allocator.stats }
 
-(* Interactive mode defers commits behind client-side extraction, which is
-   inherently per-admission — fall back to the sequential digest path. *)
-let drain_epoch_interactive t slots =
-  let epoch_index = t.epoch_counter in
-  t.epoch_counter <- epoch_index + 1;
-  Telemetry.incr t.tel "control.epochs";
-  let results = List.map (fun (pkt, tr) -> handle_request ?trace:tr t pkt) slots in
-  let epoch_timing =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Ok p -> add_breakdown acc p.timing
-        | Error (`Rejected (r : Allocator.rejected)) ->
-          add_breakdown acc
-            (Cost_model.breakdown t.cost ~allocation_s:r.Allocator.compute_time_s
-               ~entries_updated:0 ~apps_touched:0 ~words_snapshotted:0
-               ~notifications:1)
-        | Error (`Bad_packet _) -> acc)
-      zero_breakdown results
-  in
-  let installs =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Ok p -> acc + 1 + List.length p.reallocated
-        | Error _ -> acc)
-      0 results
-  in
-  { epoch_index; results; epoch_timing; installs; batch = None }
-
 let drain ?(max_batch = 64) t =
+  (match t.mode with
+  | `Auto -> ()
+  | `Interactive ->
+    invalid_arg "Controller.drain: the provision queue needs an `Auto controller");
   if max_batch <= 0 then invalid_arg "Controller.drain: max_batch must be positive";
   Timeseries.observe t.series "control.queue_depth" (float_of_int (Queue.length t.queue));
   let epochs = ref [] in
@@ -625,22 +550,9 @@ let drain ?(max_batch = 64) t =
       slots := Queue.pop t.queue :: !slots;
       incr n
     done;
-    let slots = List.rev !slots in
-    let epoch =
-      match t.mode with
-      | `Auto -> drain_epoch_auto t slots
-      | `Interactive -> drain_epoch_interactive t slots
-    in
-    epochs := epoch :: !epochs
+    epochs := drain_epoch t (List.rev !slots) :: !epochs
   done;
   List.rev !epochs
-
-let finish_pending_if_done t =
-  match t.pending with
-  | Some p when p.waiting = [] ->
-    commit_new_app t ~fid:p.new_fid;
-    t.pending <- None
-  | Some _ | None -> ()
 
 let handle_departure ?trace t ~fid =
   Trace.with_span t.tracer trace
@@ -683,6 +595,7 @@ let handle_departure ?trace t ~fid =
   in
   (timing, expanded_fids)
 
+
 let complete_extraction t ~fid =
   match t.pending with
   | None -> ()
@@ -701,11 +614,7 @@ let expire t ~elapsed_s =
   | None -> ()
   | Some p ->
     p.deadline_s <- p.deadline_s -. elapsed_s;
-    if p.deadline_s <= 0.0 then begin
-      List.iter (fun f -> commit_app t ~fid:f) p.waiting;
-      p.waiting <- [];
-      finish_pending_if_done t
-    end
+    if p.deadline_s <= 0.0 then force_pending t
 
 let read_region t ~fid ~stage =
   match Activermt.Table.regions_of t.tables ~fid with

@@ -21,7 +21,11 @@ open Import
       {!read_region}, which reads the quiesced old region);
       [complete_extraction] (or a timeout via [expire]) then applies the
       new tables and reactivates.  Used by the end-to-end case study
-      (Figures 9, 10). *)
+      (Figures 9, 10).
+
+    The provision queue ({!enqueue_request} / {!drain}) is [`Auto]-only:
+    an interactive admission waits on its clients, so it cannot share a
+    batched table-write session. *)
 
 type commit_mode = [ `Auto | `Interactive ]
 
@@ -77,6 +81,12 @@ val handle_request :
     (its region zeroed) and, depending on mode, reallocated apps are
     either migrated immediately or left awaiting extraction.
 
+    Because admission is serialized, a fresh request in [`Interactive]
+    mode first completes any admission still awaiting extraction, as
+    {!expire} does at its deadline: impacted apps that have not acked
+    are committed to their new placement and lose the state they had not
+    extracted.
+
     Idempotent per FID: a request for an already-resident FID (a network
     duplicate, or a client retry after its response was lost) is answered
     from the existing allocation — [reallocated = []], zero-work timing,
@@ -108,8 +118,8 @@ type epoch_result = {
           exactly once, so each FID's [Table.epoch] advances once per
           epoch and the JIT invalidates once, not once per arrival *)
   batch : Allocator.batch_stats option;
-      (** the allocator's epoch statistics ([None] in [`Interactive]
-          mode, which falls back to sequential {!handle_request}) *)
+      (** the allocator's epoch statistics.  Always [Some]; it stays an
+          option because [perfbench/] matches on it. *)
 }
 
 val enqueue_request : ?trace:Trace.ctx -> t -> Activermt.Packet.t -> unit
@@ -136,7 +146,8 @@ val drain : ?max_batch:int -> t -> epoch_result list
     child span per admitted FID (registered in {!admit_trace}), plus
     [control.epochs] / [control.provisions] / [control.rejections]
     counters.
-    @raise Invalid_argument if [max_batch <= 0]. *)
+    @raise Invalid_argument if [max_batch <= 0], or if the controller is
+    in [`Interactive] mode. *)
 
 val handle_departure :
   ?trace:Trace.ctx ->

@@ -55,6 +55,11 @@ type t = {
 
 let sw_counter i name = Printf.sprintf "fleet.sw.%d.%s" i name
 
+(* Bump a run total and its windowed series together. *)
+let count t name =
+  Telemetry.incr t.tel name;
+  Timeseries.add t.series name
+
 (* Refresh one switch's cached load after its pool changed, and the
    fleet-wide occupancy gauge from the running aggregates. *)
 let touch_switch t sw =
@@ -312,6 +317,33 @@ let candidate_seq ?loads:l t ~home ~fid ~demand : Topology.switch_id Seq.t =
     let l = match l with Some l -> l | None -> loads t in
     List.to_seq (Placement.order ?pods:(pods_arg t) t.policy ~home l)
 
+(* Bookkeeping for a service the controller at [sw] just admitted. *)
+let commit_admission t pa ~sw =
+  Hashtbl.replace t.apps pa.pa_fid pa.pa_app;
+  (match pa.pa_client with
+  | Some c -> Hashtbl.replace t.clients pa.pa_fid c
+  | None -> ());
+  let shim = Shim.create ~fid:pa.pa_fid in
+  ignore (Shim.transition shim Shim.Request_sent);
+  ignore (Shim.transition shim Shim.Response_granted);
+  Hashtbl.replace t.shims pa.pa_fid shim;
+  bind_placement t ~fid:pa.pa_fid ~sw;
+  (match (pa.pa_tenant, t.tenants) with
+  | Some _, Some reg ->
+    let stages =
+      match
+        Allocator.regions_of (Controller.allocator t.nodes.(sw).controller)
+          ~fid:pa.pa_fid
+      with
+      | Some regions -> List.map (fun sr -> sr.Allocator.stage) regions
+      | None -> []
+    in
+    Tenant.charge reg ~fid:pa.pa_fid ~blocks:(app_charge pa.pa_app) ~stages
+  | _ -> ());
+  count t "fleet.admitted";
+  count t (sw_counter sw "admitted");
+  if pa.pa_tried <> [] then count t "fleet.spillover"
+
 let admit t ?client ~fid app =
   if Hashtbl.mem t.residency fid then
     invalid_arg (Printf.sprintf "Fleet.admit: fid %d already placed" fid);
@@ -320,18 +352,21 @@ let admit t ?client ~fid app =
     Trace.start_trace t.tracer ~attrs:[ ("fid", string_of_int fid) ]
       "fleet.admit"
   in
+  let pa =
+    { pa_fid = fid; pa_app = app; pa_client = client; pa_tenant = None;
+      pa_tried = [] }
+  in
   let home = Option.bind client (fun c -> Topology.home_of t.topo ~client:c) in
   let candidates = candidate_seq t ~home ~fid ~demand:(app_charge app) in
-  let rec go tried seq =
+  let rec go seq =
     match Seq.uncons seq with
     | None ->
-      Telemetry.incr t.tel "fleet.rejected";
-      Timeseries.add t.series "fleet.rejected";
+      count t "fleet.rejected";
       (match root with
       | Some ctx ->
         ignore
           (Trace.instant t.tracer ctx
-             ~attrs:[ ("tried", string_of_int tried) ]
+             ~attrs:[ ("tried", string_of_int (List.length pa.pa_tried)) ]
              "fleet.rejected")
       | None -> ());
       Error `No_capacity
@@ -345,23 +380,7 @@ let admit t ?client ~fid app =
           root
       in
       if admit_at ?trace t ~sw ~fid app then begin
-        Hashtbl.replace t.apps fid app;
-        (match client with
-        | Some c -> Hashtbl.replace t.clients fid c
-        | None -> ());
-        let shim = Shim.create ~fid in
-        ignore (Shim.transition shim Shim.Request_sent);
-        ignore (Shim.transition shim Shim.Response_granted);
-        Hashtbl.replace t.shims fid shim;
-        bind_placement t ~fid ~sw;
-        Telemetry.incr t.tel "fleet.admitted";
-        Telemetry.incr t.tel (sw_counter sw "admitted");
-        Timeseries.add t.series "fleet.admitted";
-        Timeseries.add t.series (sw_counter sw "admitted");
-        if tried > 0 then begin
-          Telemetry.incr t.tel "fleet.spillover";
-          Timeseries.add t.series "fleet.spillover"
-        end;
+        commit_admission t pa ~sw;
         (match trace with
         | Some ctx ->
           ignore
@@ -369,15 +388,18 @@ let admit t ?client ~fid app =
                ~attrs:
                  [
                    ("switch", string_of_int sw);
-                   ("spillover", string_of_bool (tried > 0));
+                   ("spillover", string_of_bool (pa.pa_tried <> []));
                  ]
                "fleet.placed")
         | None -> ());
         Ok sw
       end
-      else go (tried + 1) rest
+      else begin
+        pa.pa_tried <- sw :: pa.pa_tried;
+        go rest
+      end
   in
-  go 0 candidates
+  go candidates
 
 let forget t ~fid =
   Hashtbl.remove t.residency fid;
@@ -401,8 +423,6 @@ let forget t ~fid =
 
 let tenant_registry t = t.tenants
 
-let pa_charge pa = Array.fold_left ( + ) 0 pa.pa_app.App.demand_blocks
-
 let enqueue_admission t ?client ?tenant ~fid app =
   if Hashtbl.mem t.residency fid then
     invalid_arg
@@ -420,37 +440,6 @@ let enqueue_admission t ?client ?tenant ~fid app =
 
 let admission_queue_depth t = Queue.length t.admissions
 
-let commit_admission t pa ~sw =
-  Hashtbl.replace t.apps pa.pa_fid pa.pa_app;
-  (match pa.pa_client with
-  | Some c -> Hashtbl.replace t.clients pa.pa_fid c
-  | None -> ());
-  let shim = Shim.create ~fid:pa.pa_fid in
-  ignore (Shim.transition shim Shim.Request_sent);
-  ignore (Shim.transition shim Shim.Response_granted);
-  Hashtbl.replace t.shims pa.pa_fid shim;
-  bind_placement t ~fid:pa.pa_fid ~sw;
-  (match (pa.pa_tenant, t.tenants) with
-  | Some _, Some reg ->
-    let stages =
-      match
-        Allocator.regions_of (Controller.allocator t.nodes.(sw).controller)
-          ~fid:pa.pa_fid
-      with
-      | Some regions -> List.map (fun sr -> sr.Allocator.stage) regions
-      | None -> []
-    in
-    Tenant.charge reg ~fid:pa.pa_fid ~blocks:(pa_charge pa) ~stages
-  | _ -> ());
-  Telemetry.incr t.tel "fleet.admitted";
-  Telemetry.incr t.tel (sw_counter sw "admitted");
-  Timeseries.add t.series "fleet.admitted";
-  Timeseries.add t.series (sw_counter sw "admitted");
-  if pa.pa_tried <> [] then begin
-    Telemetry.incr t.tel "fleet.spillover";
-    Timeseries.add t.series "fleet.spillover"
-  end
-
 let drain_admissions ?(max_batch = 64) t =
   if max_batch <= 0 then
     invalid_arg "Fleet.drain_admissions: max_batch must be positive";
@@ -458,8 +447,7 @@ let drain_admissions ?(max_batch = 64) t =
   let settle pa result =
     (match result with
     | Error _ -> (
-      Telemetry.incr t.tel "fleet.rejected";
-      Timeseries.add t.series "fleet.rejected";
+      count t "fleet.rejected";
       match t.tenants with
       | Some reg -> Tenant.unbind reg ~fid:pa.pa_fid
       | None -> ())
@@ -489,7 +477,7 @@ let drain_admissions ?(max_batch = 64) t =
             in
             if
               Tenant.would_exceed reg ~tenant:tn
-                ~blocks:(pa_charge pa + ahead)
+                ~blocks:(app_charge pa.pa_app + ahead)
                 ~stages:(Array.length pa.pa_app.App.demand_blocks)
             then begin
               settle pa (Error `Over_quota);
@@ -497,7 +485,7 @@ let drain_admissions ?(max_batch = 64) t =
               false
             end
             else begin
-              Hashtbl.replace pending tn (ahead + pa_charge pa);
+              Hashtbl.replace pending tn (ahead + app_charge pa.pa_app);
               true
             end
           | _ -> true)
@@ -514,7 +502,7 @@ let drain_admissions ?(max_batch = 64) t =
           Option.bind pa.pa_client (fun c -> Topology.home_of t.topo ~client:c)
         in
         let next =
-          candidate_seq t ~home ~fid:pa.pa_fid ~demand:(pa_charge pa)
+          candidate_seq t ~home ~fid:pa.pa_fid ~demand:(app_charge pa.pa_app)
             ?loads:
               (match t.policy with
               | Placement.Hierarchical -> None
@@ -743,6 +731,20 @@ let write_state t ~fid state =
   | None -> ()
   | Some sw -> inject_state t t.nodes.(sw) ~fid state
 
+(* Bookkeeping once a service's state is repopulated at [dst]. *)
+let moved t ~fid ~src ~dst =
+  bind_placement t ~fid ~sw:dst;
+  shim_step t ~fid Shim.Extraction_done;
+  count t "fleet.migrated";
+  Telemetry.incr t.tel (sw_counter src "out");
+  Telemetry.incr t.tel (sw_counter dst "in")
+
+(* A service no switch took back: it is gone. *)
+let lose t ~fid trace =
+  forget t ~fid;
+  count t "fleet.lost";
+  Option.iter (fun ctx -> ignore (Trace.instant t.tracer ctx "fleet.lost")) trace
+
 let migrate t ~fid ~dst =
   match Hashtbl.find_opt t.residency fid with
   | None -> Error `Unknown_fid
@@ -789,12 +791,7 @@ let migrate t ~fid ~dst =
           ~attrs:[ ("switch", string_of_int dst) ]
           "fleet.repopulate"
         (fun _ -> inject_state t t.nodes.(dst) ~fid state);
-        bind_placement t ~fid ~sw:dst;
-        shim_step t ~fid Shim.Extraction_done;
-        Telemetry.incr t.tel "fleet.migrated";
-        Timeseries.add t.series "fleet.migrated";
-        Telemetry.incr t.tel (sw_counter src "out");
-        Telemetry.incr t.tel (sw_counter dst "in");
+        moved t ~fid ~src ~dst;
         outcome "fleet.migrated" [ ("switch", string_of_int dst) ];
         Ok ()
       end
@@ -809,10 +806,7 @@ let migrate t ~fid ~dst =
         Error `Refused
       end
       else begin
-        forget t ~fid;
-        Telemetry.incr t.tel "fleet.lost";
-            Timeseries.add t.series "fleet.lost";
-        outcome "fleet.lost" [];
+        lose t ~fid root;
         Error `Lost
       end
 
@@ -843,8 +837,7 @@ let fail_switch t ~sw =
        only the affected destinations of already-built tables recompute. *)
     ignore (Topology.isolate t.topo ~sw);
     Telemetry.set_gauge t.tel (sw_counter sw "up") 0.0;
-    Telemetry.incr t.tel "fleet.failures";
-    Timeseries.add t.series "fleet.failures";
+    count t "fleet.failures";
     let evacuees = residents_of t ~sw in
     let root =
       Trace.start_trace t.tracer
@@ -891,23 +884,13 @@ let fail_switch t ~sw =
         let rec go seq =
           match Seq.uncons seq with
           | None ->
-            forget t ~fid;
-            Telemetry.incr t.tel "fleet.lost";
-            Timeseries.add t.series "fleet.lost";
-            (match trace with
-            | Some ctx -> ignore (Trace.instant t.tracer ctx "fleet.lost")
-            | None -> ());
+            lose t ~fid trace;
             lost := fid :: !lost
           | Some (dst, rest) ->
             if admit_at ?trace t ~sw:dst ~fid app then begin
               inject_state t t.nodes.(dst) ~fid state;
-              bind_placement t ~fid ~sw:dst;
               shim_step t ~fid Shim.Realloc_notified;
-              shim_step t ~fid Shim.Extraction_done;
-              Telemetry.incr t.tel "fleet.migrated";
-        Timeseries.add t.series "fleet.migrated";
-              Telemetry.incr t.tel (sw_counter sw "out");
-              Telemetry.incr t.tel (sw_counter dst "in");
+              moved t ~fid ~src:sw ~dst;
               (match trace with
               | Some ctx ->
                 ignore

@@ -27,7 +27,10 @@ open Import
 
     With a single registered tenant every mechanism degenerates to the
     identity: decisions are identical to driving the controller's drain
-    directly (the differential smoke in [test/test_tenant.ml]). *)
+    directly (the differential smoke in [test/test_tenant.ml]).
+
+    The controller must be in [`Auto] mode, since {!Controller.drain}
+    rejects an [`Interactive] one. *)
 
 type config = {
   max_batch : int;  (** WRR picks per admission epoch *)

@@ -6,6 +6,8 @@ module Controller = Activermt_control.Controller
 module Cost_model = Activermt_control.Cost_model
 module Negotiate = Activermt_client.Negotiate
 module Pkt = Activermt.Packet
+module Allocator = Activermt_alloc.Allocator
+module Telemetry = Activermt_telemetry.Telemetry
 
 let params = Rmt.Params.default
 
@@ -294,6 +296,86 @@ let test_departure_unblocks_pending () =
   Alcotest.(check bool) "app 2 committed" true
     (Activermt.Table.installed (Controller.tables ctl) ~fid:2)
 
+(* Every allocator resident has active tables, and no other FID in
+   [fids] has tables. *)
+let tables_match_residents ctl ~fids =
+  let tables = Controller.tables ctl in
+  List.for_all
+    (fun fid ->
+      Activermt.Table.installed tables ~fid
+      = Allocator.is_resident (Controller.allocator ctl) ~fid
+      && not (Activermt.Table.is_quiesced tables ~fid))
+    fids
+
+let test_overlapping_interactive_admissions () =
+  (* FIDs 2 and 3 both reallocate FID 1.  FID 3 arrives before FID 1 has
+     acked FID 2's extraction: FID 2 must commit first rather than be
+     left resident without tables. *)
+  let ctl = Controller.create ~mode:`Interactive (Rmt.Device.create params) in
+  let impacted fid app =
+    match (admit_exn ctl fid app).Controller.phase with
+    | Controller.Awaiting_extraction { impacted } -> impacted
+    | Controller.Committed -> []
+  in
+  ignore (admit_exn ctl 1 Activermt_apps.Bloom.service);
+  Alcotest.(check (list int)) "fid 2 awaits fid 1" [ 1 ] (impacted 2 hh);
+  Alcotest.(check bool) "fid 3 reallocates" true (impacted 3 hh <> []);
+  Alcotest.(check bool) "fid 2 committed before fid 3 was allocated" true
+    (Activermt.Table.installed (Controller.tables ctl) ~fid:2);
+  Controller.complete_extraction ctl ~fid:1;
+  Controller.expire ctl ~elapsed_s:10.;
+  Alcotest.(check bool) "every resident installed and active" true
+    (tables_match_residents ctl ~fids:[ 1; 2; 3 ])
+
+(* Random interleavings of interactive admissions, extraction acks and
+   departures.  Once every pending app has acked and the rest timed out,
+   the tables hold exactly the allocator's residents, all active. *)
+let prop_interactive_interleavings =
+  let apps =
+    [|
+      cache;
+      hh;
+      Activermt_apps.Cheetah_lb.service;
+      Activermt_apps.Counter.service;
+      Activermt_apps.Bloom.service;
+    |]
+  in
+  let schemes =
+    Allocator.[| Worst_fit; Best_fit; First_fit; Min_realloc |]
+  in
+  let pick l k = List.nth l (k mod List.length l) in
+  QCheck.Test.make ~count:100
+    ~name:"interactive interleavings leave residents installed"
+    QCheck.(
+      pair (int_bound 3)
+        (list_of_size Gen.(int_range 1 24) (pair (int_bound 2) small_nat)))
+    (fun (scheme, ops) ->
+      let ctl =
+        Controller.create ~mode:`Interactive ~scheme:schemes.(scheme)
+          (Rmt.Device.create params)
+      in
+      let next = ref 1 in
+      List.iter
+        (fun (op, k) ->
+          match (op, Controller.pending_extraction ctl,
+                 Allocator.resident (Controller.allocator ctl)) with
+          | 0, _, _ ->
+            ignore
+              (Controller.handle_request ctl
+                 (request !next apps.(k mod Array.length apps)));
+            incr next
+          | 1, (_ :: _ as waiting), _ ->
+            Controller.complete_extraction ctl ~fid:(pick waiting k)
+          | _, _, (_ :: _ as residents) ->
+            ignore (Controller.handle_departure ctl ~fid:(pick residents k))
+          | _ -> ())
+        ops;
+      List.iter
+        (fun fid -> Controller.complete_extraction ctl ~fid)
+        (Controller.pending_extraction ctl);
+      Controller.expire ctl ~elapsed_s:10.;
+      tables_match_residents ctl ~fids:(List.init !next Fun.id))
+
 let test_regions_packet () =
   let _, ctl = fresh () in
   ignore (admit_exn ctl 1 cache);
@@ -349,38 +431,80 @@ let test_recirculation_limit_lifecycle () =
 
 (* -- Async provision queue (batched epoch admission) --------------------- *)
 
+(* One answer as a line: its kind, granted regions per stage and the
+   FIDs it reallocated. *)
+let describe_answer = function
+  | Error (`Rejected _) -> "rejected"
+  | Error (`Bad_packet _) -> "bad packet"
+  | Ok p ->
+    let region = function
+      | None -> "-"
+      | Some { Pkt.start_word; n_words } -> Printf.sprintf "%d+%d" start_word n_words
+    in
+    Printf.sprintf "fid %d granted [%s] reallocated [%s]" p.Controller.fid
+      (match Negotiate.granted_regions p.Controller.response with
+      | Some regions -> String.concat " " (Array.to_list (Array.map region regions))
+      | None -> "none")
+      (String.concat ";" (List.map string_of_int p.Controller.reallocated))
+
 let test_drain_matches_sequential_decisions () =
   (* An over-capacity stream of pinned heavy hitters interleaved with
-     elastic caches, replayed through handle_request on one controller
-     and through enqueue/drain with single-request epochs on a twin: the
-     admit/reject pattern must match exactly. *)
-  let _, ctl_seq = fresh () in
-  let _, ctl_bat = fresh () in
+     elastic caches, retries of earlier FIDs and a non-request packet,
+     replayed through handle_request on one controller and through
+     enqueue/drain with single-request epochs on a twin: every answer
+     must match exactly. *)
+  let tel_seq = Telemetry.create () and tel_bat = Telemetry.create () in
+  let ctl_seq = Controller.create ~telemetry:tel_seq (Rmt.Device.create params) in
+  let ctl_bat = Controller.create ~telemetry:tel_bat (Rmt.Device.create params) in
+  let app fid = if fid mod 2 = 1 then hh else cache in
   let reqs =
-    List.init 40 (fun i ->
-        let fid = i + 1 in
-        if i mod 2 = 0 then request fid hh else request fid cache)
+    List.concat
+      (List.init 40 (fun i ->
+           let fid = i + 1 in
+           let retry = if i mod 5 = 4 then [ request (fid - 2) (app (fid - 2)) ] else [] in
+           let bad =
+             if i = 20 then
+               [ Pkt.exec ~fid ~seq:0 ~args:[||] Activermt_apps.Cache.query_program ]
+             else []
+           in
+           (request fid (app fid) :: retry) @ bad))
   in
-  let seq_decisions =
-    List.map (fun p -> Result.is_ok (Controller.handle_request ctl_seq p)) reqs
-  in
+  let seq_results = List.map (Controller.handle_request ctl_seq) reqs in
   Alcotest.(check bool) "stream over-subscribes the switch" true
-    (List.exists not seq_decisions);
+    (List.exists (function Error (`Rejected _) -> true | _ -> false) seq_results);
+  Alcotest.(check bool) "some admission reallocates" true
+    (List.exists
+       (function Ok p -> p.Controller.reallocated <> [] | Error _ -> false)
+       seq_results);
+  Alcotest.(check bool) "some retry is a duplicate" true
+    (Telemetry.counter_value tel_seq "control.dup_requests" > 0);
   List.iter (Controller.enqueue_request ctl_bat) reqs;
-  Alcotest.(check int) "queue holds the backlog" 40 (Controller.queue_depth ctl_bat);
+  Alcotest.(check int) "queue holds the backlog" (List.length reqs)
+    (Controller.queue_depth ctl_bat);
   let epochs = Controller.drain ~max_batch:1 ctl_bat in
-  Alcotest.(check int) "one epoch per request" 40 (List.length epochs);
-  let bat_decisions =
-    List.concat_map
-      (fun e -> List.map Result.is_ok e.Controller.results)
-      epochs
+  Alcotest.(check int) "one epoch per request" (List.length reqs) (List.length epochs);
+  let bat_answers =
+    List.concat_map (fun e -> List.map describe_answer e.Controller.results) epochs
   in
-  Alcotest.(check (list bool)) "identical admit/reject pattern" seq_decisions
-    bat_decisions;
+  Alcotest.(check (list string)) "identical answers"
+    (List.map describe_answer seq_results)
+    bat_answers;
+  Alcotest.(check int) "identical duplicate counts"
+    (Telemetry.counter_value tel_seq "control.dup_requests")
+    (Telemetry.counter_value tel_bat "control.dup_requests");
   Alcotest.(check int) "queue drained" 0 (Controller.queue_depth ctl_bat);
   Alcotest.(check (list int)) "identical resident sets"
-    (List.sort compare (Activermt_alloc.Allocator.resident (Controller.allocator ctl_seq)))
-    (List.sort compare (Activermt_alloc.Allocator.resident (Controller.allocator ctl_bat)))
+    (List.sort compare (Allocator.resident (Controller.allocator ctl_seq)))
+    (List.sort compare (Allocator.resident (Controller.allocator ctl_bat)))
+
+let test_drain_needs_auto_mode () =
+  let _, ctl = fresh ~mode:`Interactive () in
+  Controller.enqueue_request ctl (request 1 cache);
+  Alcotest.(check bool) "drain raises Invalid_argument" true
+    (try
+       ignore (Controller.drain ctl);
+       false
+     with Invalid_argument _ -> true)
 
 let test_drain_duplicate_fids_idempotent () =
   let tel = Activermt_telemetry.Telemetry.create () in
@@ -511,6 +635,9 @@ let () =
           Alcotest.test_case "departure unblocks pending" `Quick
             test_departure_unblocks_pending;
           Alcotest.test_case "regions packet" `Quick test_regions_packet;
+          Alcotest.test_case "overlapping interactive admissions" `Quick
+            test_overlapping_interactive_admissions;
+          QCheck_alcotest.to_alcotest prop_interactive_interleavings;
         ] );
       ( "provision queue",
         [
@@ -522,6 +649,8 @@ let () =
             test_drain_epoch_bumps_table_epoch_once;
           Alcotest.test_case "epoch indices monotonic" `Quick
             test_drain_epoch_indices_monotonic;
+          Alcotest.test_case "drain needs an auto controller" `Quick
+            test_drain_needs_auto_mode;
         ] );
       ( "cost model",
         [

@@ -271,6 +271,45 @@ let test_fleet_beats_single_switch () =
     (Printf.sprintf "4 switches (%d) admit more than 1 (%d)" four one)
     true (four > one)
 
+(* The serial path (Fleet.admit) and the queued path, drained one
+   service at a time, place alike: same residency, same outcome counts,
+   across placement policies and a podded topology. *)
+let test_admit_matches_drain_of_one () =
+  let run ~policy ~topo ~queued =
+    let tel = Telemetry.create () in
+    let fleet = Fleet.create ~policy ~params:small_params ~telemetry:tel (topo ()) in
+    List.iter
+      (fun (fid, kind) ->
+        let app = Harness.app_of_kind kind in
+        if queued then begin
+          Fleet.enqueue_admission fleet ~fid app;
+          ignore (Fleet.drain_admissions ~max_batch:1 fleet)
+        end
+        else ignore (Fleet.admit fleet ~fid app))
+      (mixed_kinds ~n:80 ~seed:42);
+    ( Fleet.residents fleet,
+      List.map (Telemetry.counter_value tel)
+        [ "fleet.admitted"; "fleet.spillover"; "fleet.rejected" ] )
+  in
+  let mesh () = Topology.full_mesh ~switches:4 ~latency_s:1e-5 in
+  let outcomes =
+    List.map
+      (fun (name, policy, topo) ->
+        let residents, counts = run ~policy ~topo ~queued:false in
+        let residents', counts' = run ~policy ~topo ~queued:true in
+        Alcotest.(check (list (pair int int))) (name ^ ": residents") residents residents';
+        Alcotest.(check (list int)) (name ^ ": admitted, spillover, rejected") counts
+          counts';
+        counts)
+      [
+        ("least-loaded mesh", Placement.Least_loaded, mesh);
+        ("first-fit mesh", Placement.First_fit_switch, mesh);
+        ("hierarchical fat-tree", Placement.Hierarchical, fun () -> Topology.fat_tree ~pods:2 ~k:4 ());
+      ]
+  in
+  Alcotest.(check bool) "every fleet spills and rejects" true
+    (List.for_all (fun c -> List.nth c 1 > 0 && List.nth c 2 > 0) outcomes)
+
 (* Hierarchical placement on a fat-tree: services land in the client's
    home pod while it has room, and never on a failed switch — even when
    the stream is pushed through the batched admission queue. *)
@@ -523,6 +562,8 @@ let () =
             test_hierarchical_fleet_placement;
           Alcotest.test_case "hierarchical pod spill" `Quick
             test_hierarchical_spills_across_pods;
+          Alcotest.test_case "admit = drain of one" `Quick
+            test_admit_matches_drain_of_one;
         ] );
       ( "migration",
         [
