@@ -1,25 +1,24 @@
 (* Health-plane overhead benchmark (the BENCH_alloc.json "health"
-   section): the mixed Zipf churn workload runs twice — once with the
-   series registry disabled (Timeseries.noop, the production default)
-   and once with the full health plane live (windowed series, watchdog
-   monitor, SLO evaluation) — and the section records the wall-clock
-   overhead recording imposes.
+   section): the mixed Zipf churn workload runs into a registry that
+   keeps run totals only (the production default) and into one with the
+   full health plane live (windows, watchdog monitor, SLO evaluation),
+   and the section records the wall-clock overhead the windows impose.
 
    Gates (see [section]): enabling the health plane must not change a
    single admission outcome (admitted/rejected/epoch counts equal, and
-   the modeled clock agrees bit for bit), its best-of-[trials] wall-time
-   overhead stays under [max_overhead], and the standing SLOs over the
-   recorded series do not page on the healthy workload. *)
+   the modeled clock agrees bit for bit, in every pair), the median
+   per-pair overhead stays under [max_overhead], and the standing SLOs
+   over the recorded windows do not page on the healthy workload. *)
 
 module Churn = Workload.Churn
 module Churn_pipeline = Experiments.Churn_pipeline
-module Timeseries = Activermt_telemetry.Timeseries
+module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
 module Slo = Activermt_health.Slo
 module Monitor = Activermt_health.Monitor
 
 let max_overhead = 0.05
-let trials = 5
+let pairs = 15
 
 let zcfg ~quick =
   {
@@ -36,8 +35,7 @@ let seed = 4242
    (generous) watchdog plus an admission-ratio SLO.  The registry clock
    is rewired by the pipeline to its modeled epoch clock. *)
 let make_plane () =
-  let series = Timeseries.create ~bucket_s:1.0 ~capacity:256 () in
-  let mon = Monitor.create ~series () in
+  let mon = Monitor.create ~telemetry:(Telemetry.create ~windows:256 ()) () in
   Monitor.add_watchdog mon
     {
       Monitor.wd_name = "churn.rejection_spike";
@@ -46,7 +44,7 @@ let make_plane () =
       wd_trigger = Monitor.Series_sum { series = "churn.rejected"; max = 1e9 };
       wd_severity = Slo.Warn;
     };
-  (series, mon)
+  mon
 
 let slos =
   [
@@ -55,73 +53,86 @@ let slos =
       ~good:"churn.admitted" ~total:"churn.offered" ~target:0.01 ();
   ]
 
-(* One timed run of the workload; [series] is noop for the disabled
-   side.  Sys.time would under-count the sharded recording path, so the
-   bench uses wall time like the fastpath records. *)
-let timed ~series zcfg =
+(* One timed run of the workload into [telemetry].  Sys.time would
+   under-count the sharded recording path, so the bench uses wall time
+   like the fastpath records. *)
+let timed ~telemetry zcfg =
   let t0 = Unix.gettimeofday () in
-  let r = Churn_pipeline.run ~params ~series ~seed zcfg in
+  let r = Churn_pipeline.run ~params ~telemetry ~seed zcfg in
   (Unix.gettimeofday () -. t0, r)
 
 let run ~quick =
   let zcfg = zcfg ~quick in
   Printf.printf
-    "== Health-plane overhead: mixed churn, recording on vs off (%d clients, best of %d) ==\n"
-    zcfg.Churn.clients trials;
-  (* One untimed warmup, then interleaved disabled/enabled pairs.  The
-     naive all-disabled-then-all-enabled ordering measured a phantom
-     ~6-12% "overhead" at full scale: the disabled trials all ran on a
-     small young heap and the enabled trials inherited the major heap
-     the earlier runs had grown, a systematic drift best-of-N cannot
-     cancel.  Alternating sides puts both on the same heap trajectory.
-     A fresh registry per enabled trial keeps each run recording the
-     same series (no cross-trial accumulation); the fastest enabled
-     trial's plane is the one the SLOs evaluate. *)
-  ignore (timed ~series:Timeseries.noop zcfg);
-  let off_trial () = timed ~series:Timeseries.noop zcfg in
-  let on_trial () =
-    let series, mon = make_plane () in
-    let t, r = timed ~series zcfg in
-    (t, r, series, mon)
+    "== Health-plane overhead: mixed churn, recording on vs off (%d clients, \
+     median of %d pairs) ==\n"
+    zcfg.Churn.clients pairs;
+  (* One untimed warmup, then [pairs] interleaved off/on pairs, the side
+     that runs first alternating between pairs so neither side always
+     inherits the heap the other grew.  Each pair yields one on/off
+     ratio; the section reports the median ratio and its quartiles,
+     which one noisy run cannot move the way it moves a best-of-N.
+     Every run records into a fresh registry (no cross-trial
+     accumulation); the last pair's plane is the one the SLOs
+     evaluate. *)
+  ignore (timed ~telemetry:(Telemetry.create ()) zcfg);
+  let off () = timed ~telemetry:(Telemetry.create ()) zcfg in
+  let on () =
+    let mon = make_plane () in
+    let t, r = timed ~telemetry:(Monitor.telemetry mon) zcfg in
+    (t, r, mon)
   in
-  let best_off = ref (off_trial ()) in
-  let best_on = ref (on_trial ()) in
-  for _ = 2 to trials do
-    let off = off_trial () in
-    if fst off < fst !best_off then best_off := off;
-    let ((t, _, _, _) as on) = on_trial () in
-    let bt, _, _, _ = !best_on in
-    if t < bt then best_on := on
-  done;
-  let t_off, r_off = !best_off in
-  let t_on, r_on, series, mon = !best_on in
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let o = off () in
+          (o, on ())
+        else
+          let n = on () in
+          (off (), n))
+  in
+  let identical =
+    List.for_all
+      (fun ((_, (r_off : Churn_pipeline.result)), (_, r_on, _)) ->
+        r_off.Churn_pipeline.admitted = r_on.Churn_pipeline.admitted
+        && r_off.Churn_pipeline.rejected = r_on.Churn_pipeline.rejected
+        && r_off.Churn_pipeline.epochs = r_on.Churn_pipeline.epochs
+        && r_off.Churn_pipeline.modeled_span_s = r_on.Churn_pipeline.modeled_span_s)
+      runs
+  in
+  let percentile p xs = Stdx.Stats.percentile xs p in
+  let excess =
+    List.map (fun ((t_off, _), (t_on, _, _)) -> (t_on /. t_off) -. 1.0) runs
+  in
+  let overhead = Float.max 0.0 (percentile 50.0 excess) in
+  let t_off = percentile 50.0 (List.map (fun ((t, _), _) -> t) runs) in
+  let t_on = percentile 50.0 (List.map (fun (_, (t, _, _)) -> t) runs) in
+  let _, (_, r_on, mon) = List.nth runs (pairs - 1) in
   let evals = Monitor.evaluate mon slos in
   let pages = Monitor.page_count mon in
-  let identical =
-    r_off.Churn_pipeline.admitted = r_on.Churn_pipeline.admitted
-    && r_off.Churn_pipeline.rejected = r_on.Churn_pipeline.rejected
-    && r_off.Churn_pipeline.epochs = r_on.Churn_pipeline.epochs
-    && r_off.Churn_pipeline.modeled_span_s = r_on.Churn_pipeline.modeled_span_s
-  in
-  let overhead = Float.max 0.0 ((t_on /. t_off) -. 1.0) in
+  let series_count = List.length (Telemetry.windowed (Monitor.telemetry mon)) in
   Printf.printf
-    "disabled %.4f s  enabled %.4f s  overhead %+.2f%%  (%d admitted, %d \
-     rejected, %d series, %d SLOs, %d pages)%s\n"
-    t_off t_on (100.0 *. overhead) r_on.Churn_pipeline.admitted
-    r_on.Churn_pipeline.rejected
-    (List.length (Timeseries.names series))
+    "disabled %.4f s  enabled %.4f s  overhead %+.2f%% (q1 %+.2f%%, q3 \
+     %+.2f%%)  (%d admitted, %d rejected, %d series, %d SLOs, %d pages)%s\n"
+    t_off t_on (100.0 *. overhead)
+    (100.0 *. percentile 25.0 excess)
+    (100.0 *. percentile 75.0 excess)
+    r_on.Churn_pipeline.admitted r_on.Churn_pipeline.rejected series_count
     (List.length evals) pages
     (if identical then "" else "  DECISIONS DIVERGED");
+  let round4 x = Json.Num (Float.round (1e4 *. x) /. 1e4) in
   [
     Json.Obj
       [
         ("max_overhead", Json.Num max_overhead);
         ("clients", Json.Num (float_of_int zcfg.Churn.clients));
-        ("trials", Json.Num (float_of_int trials));
+        ("pairs", Json.Num (float_of_int pairs));
         ("disabled_wall_s", Json.Num (Float.round (1e6 *. t_off) /. 1e6));
         ("enabled_wall_s", Json.Num (Float.round (1e6 *. t_on) /. 1e6));
-        ("overhead_frac", Json.Num (Float.round (1e4 *. overhead) /. 1e4));
-        ("series_count", Json.Num (float_of_int (List.length (Timeseries.names series))));
+        ("overhead_frac", round4 overhead);
+        ("overhead_q1", round4 (percentile 25.0 excess));
+        ("overhead_q3", round4 (percentile 75.0 excess));
+        ("series_count", Json.Num (float_of_int series_count));
         ("decisions_identical", Json.Num (if identical then 1.0 else 0.0));
         ("pages", Json.Num (float_of_int pages));
       ];
@@ -132,7 +143,7 @@ let run ~quick =
 let section =
   {
     Section.name = "health";
-    info = "health-plane overhead: series recording on vs off (BENCH_alloc.json)";
+    info = "health-plane overhead: windows on vs off (BENCH_alloc.json)";
     keys = [ "health" ];
     run;
     metrics =

@@ -3,7 +3,6 @@ module Mutant = Activermt_compiler.Mutant
 module Allocator = Activermt_alloc.Allocator
 module App = Activermt_apps.App
 module Telemetry = Activermt_telemetry.Telemetry
-module Timeseries = Activermt_telemetry.Timeseries
 module Trace = Activermt_telemetry.Trace
 module Json = Activermt_telemetry.Json
 
@@ -39,46 +38,44 @@ let rec chunks n = function
     let chunk, rest = take n [] l in
     chunk :: chunks n rest
 
-let write_metrics = function
+let write_metrics telemetry = function
   | None -> ()
   | Some path ->
-    Telemetry.write_json Telemetry.default ~path;
+    Telemetry.write_json telemetry ~path;
     Printf.printf "wrote telemetry to %s\n" path
 
-let write_series series = function
+let write_series telemetry = function
   | None -> ()
   | Some path ->
-    Timeseries.write_json series ~path;
+    Telemetry.write_series telemetry ~path;
     Printf.printf "wrote %d series to %s\n"
-      (List.length (Timeseries.names series))
+      (List.length (Telemetry.windowed telemetry))
       path
 
 (* What --metrics-out, --series-out, --trace-out and --trace-sample ask of
-   a simulation: a head-sampled flight recorder, a windowed time-series
-   registry on the sim's virtual clock, and one step that dumps them with
-   the default telemetry registry when the run finishes.  Without
-   --trace-out / --series-out they are [Trace.noop] / [Timeseries.noop],
-   and the run is bit-identical to a recording-free build. *)
+   a simulation: one metrics registry, which with --series-out also keeps
+   128 windows on the sim's virtual clock; a head-sampled flight recorder;
+   and one step that dumps them when the run finishes.  Without
+   --trace-out the tracer is [Trace.noop], and the run is bit-identical
+   to a recording-free build. *)
 type recorder = {
+  telemetry : Telemetry.t;
   tracer : Trace.t;
-  series : Timeseries.t;
   finish : unit -> unit;
 }
 
 let recorder metrics_out series_out trace_out trace_sample =
+  let telemetry =
+    Telemetry.create ~windows:(if series_out = None then 0 else 128) ()
+  in
   let tracer =
     match trace_out with
     | None -> Trace.noop
     | Some _ -> Trace.create ~sample:trace_sample ()
   in
-  let series =
-    match series_out with
-    | None -> Timeseries.noop
-    | Some _ -> Timeseries.create ()
-  in
   let finish () =
-    write_metrics metrics_out;
-    write_series series series_out;
+    write_metrics telemetry metrics_out;
+    write_series telemetry series_out;
     Option.iter
       (fun path ->
         Trace.write_chrome tracer path;
@@ -87,19 +84,18 @@ let recorder metrics_out series_out trace_out trace_sample =
           path)
       trace_out
   in
-  { tracer; series; finish }
+  { telemetry; tracer; finish }
 
 (* Every simulation dump carries the jit.* stats lines — even commands
    (or runs) that never execute a capsule — so metric files from runs
    with and without --no-jit stay line-comparable.  Commands that build a
    fabric get the seeding from [Jit.create]; allocsim (control plane
    only) seeds here. *)
-let seed_jit_metrics ~enabled =
+let seed_jit_metrics telemetry ~enabled =
   List.iter
-    (fun c -> Telemetry.incr Telemetry.default ~by:0 c)
+    (fun c -> Telemetry.incr telemetry ~by:0 c)
     [ "jit.compile"; "jit.hit"; "jit.miss"; "jit.invalidate" ];
-  Telemetry.set_gauge Telemetry.default "jit.enabled"
-    (if enabled then 1.0 else 0.0)
+  Telemetry.set_gauge telemetry "jit.enabled" (if enabled then 1.0 else 0.0)
 
 let params = Rmt.Params.default
 
@@ -170,16 +166,16 @@ and cmd_mutants path policy =
   if List.length mutants > 50 then print_endline "  ..."
 
 and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
-    { tracer; series; finish } =
+    { telemetry; tracer; finish } =
   (* allocsim exercises only the control plane; the flag is accepted for
      symmetry with the other sim commands and recorded in the metrics. *)
-  seed_jit_metrics ~enabled:(not no_jit);
-  (* The series clock ticks one bucket per admission epoch (per arrival
+  seed_jit_metrics telemetry ~enabled:(not no_jit);
+  (* The registry clock ticks one window per admission epoch (per arrival
      on the sequential path), so the dump shows admission outcomes over
-     epochs rather than one flat bucket. *)
+     epochs rather than one flat window. *)
   let vclock = ref 0.0 in
-  Timeseries.set_clock series (fun () -> !vclock);
-  let alloc = Allocator.create ~scheme ~policy ~domains ~series ~tracer params in
+  Telemetry.set_clock telemetry (fun () -> !vclock);
+  let alloc = Allocator.create ~scheme ~policy ~domains ~telemetry ~tracer params in
   let next_fid = ref 0 in
   let service_of = function
     | "cache" -> Some Activermt_apps.Cache.service
@@ -300,15 +296,15 @@ and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
   Printf.printf "final utilization: %.3f\n" (Allocator.utilization alloc);
   finish ()
 
-and cmd_churnsim clients batch resident seed summary_out { tracer; series; finish } =
-  seed_jit_metrics ~enabled:true;
+and cmd_churnsim clients batch resident seed summary_out { telemetry; tracer; finish } =
+  seed_jit_metrics telemetry ~enabled:true;
   let module Churn = Workload.Churn in
   let module Churn_pipeline = Experiments.Churn_pipeline in
   let zcfg =
     { Churn.default_zipf_config with Churn.clients; batch; resident_target = resident }
   in
   (* The pipeline rewires the registry clock to its modeled epoch clock. *)
-  let r = Churn_pipeline.run ~tracer ~series ~params ~seed zcfg in
+  let r = Churn_pipeline.run ~telemetry ~tracer ~params ~seed zcfg in
   (* Deterministic stdout: counts and the modeled virtual clock only — no
      wall-clock numbers — so same-seed runs print (and with --summary-out
      / --trace-out, dump) byte-identical artifacts, which the goldens in
@@ -359,7 +355,7 @@ and cmd_churnsim clients batch resident seed summary_out { tracer; series; finis
   finish ()
 
 and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
-    batch seed fail_sw pod_fail flap summary_out no_jit { tracer; series; finish } =
+    batch seed fail_sw pod_fail flap summary_out no_jit { telemetry; tracer; finish } =
   let module Topology = Activermt_fleet.Topology in
   let module Placement = Activermt_fleet.Placement in
   let module Fleet = Activermt_fleet.Fleet in
@@ -387,10 +383,10 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
   | Some p when p < 0 || p >= Topology.n_pods topo ->
     die "--pod-fail %d out of range for %d pods" p (Topology.n_pods topo)
   | _ -> ());
-  (* One series bucket per admission epoch (per arrival when --batch 1). *)
+  (* One window per admission epoch (per arrival when --batch 1). *)
   let vclock = ref 0.0 in
-  Timeseries.set_clock series (fun () -> !vclock);
-  let fleet = Fleet.create ~policy ~jit:(not no_jit) ~series ~tracer topo in
+  Telemetry.set_clock telemetry (fun () -> !vclock);
+  let fleet = Fleet.create ~policy ~jit:(not no_jit) ~telemetry ~tracer topo in
   let events =
     List.concat_map
       (fun (e : Churn.epoch) ->
@@ -537,7 +533,6 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
     Netsim.Engine.run (Fleet.engine fleet);
     Printf.printf "trace: probed %d services cross-switch\n" !probed
   end;
-  let tel = Telemetry.default in
   if switches <= 64 then begin
     Printf.printf "%-8s %-5s %-10s %-12s\n" "switch" "up" "residents"
       "utilization";
@@ -550,22 +545,22 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
   end
   else Printf.printf "(%d switches; per-switch load table suppressed)\n" switches;
   let occupancy =
-    match Telemetry.gauge_value tel "fleet.occupancy" with
+    match Telemetry.gauge_value telemetry "fleet.occupancy" with
     | Some v -> v
     | None -> 0.0
   in
   Printf.printf
     "admitted %d  rejected %d  spillover %d  migrated %d  lost %d  occupancy %.3f\n"
-    (Telemetry.counter_value tel "fleet.admitted")
-    (Telemetry.counter_value tel "fleet.rejected")
-    (Telemetry.counter_value tel "fleet.spillover")
-    (Telemetry.counter_value tel "fleet.migrated")
-    (Telemetry.counter_value tel "fleet.lost")
+    (Telemetry.counter_value telemetry "fleet.admitted")
+    (Telemetry.counter_value telemetry "fleet.rejected")
+    (Telemetry.counter_value telemetry "fleet.spillover")
+    (Telemetry.counter_value telemetry "fleet.migrated")
+    (Telemetry.counter_value telemetry "fleet.lost")
     occupancy;
   (* Deterministic summary: counts and modeled occupancy only — no wall
      times — so same-seed runs dump byte-identical files. *)
   let int v = Json.Num (float_of_int v) in
-  let counter c = int (Telemetry.counter_value tel c) in
+  let counter c = int (Telemetry.counter_value telemetry c) in
   Option.iter
     (write_json "fleet summary"
        (Json.Obj
@@ -612,7 +607,7 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
   finish ()
 
 and cmd_faultsim services words loss dup corrupt jitter slow_ctl ctl_fail seed
-    no_retries no_jit trace { tracer; series; finish } =
+    no_retries no_jit trace { telemetry; tracer; finish } =
   let module Chaos = Experiments.Chaos in
   let module Faults = Netsim.Faults in
   let profile =
@@ -645,8 +640,8 @@ and cmd_faultsim services words loss dup corrupt jitter slow_ctl ctl_fail seed
     (if no_retries then "off" else "on")
     (if no_jit then "off" else "on")
     loss dup corrupt jitter slow_ctl ctl_fail;
-  (* Chaos records on the simulation engine's clock (explicit ~t). *)
-  let r = Chaos.run ~series ~tracer cfg in
+  (* Chaos records on the simulation engine's clock (explicit ~at). *)
+  let r = Chaos.run ~telemetry ~tracer cfg in
   List.iter
     (fun (fid, o) ->
       Printf.printf "  fid %-3d %s\n" fid (Chaos.outcome_to_string o))
@@ -673,21 +668,29 @@ and cmd_tracequery path trace_id fid switch name_filter assert_cross =
   in
   (* Reconstruct events from the Chrome dump: "X" slices carry the span
      triple (numbers) and the attributes (strings) in [args]; "M"
-     metadata records are skipped. *)
-  let num field obj = Option.bind (Json.member field obj) Json.to_num in
+     metadata records are skipped.  The writer gives every slice its
+     [ts], [dur] and span triple, so a slice missing one is an error. *)
   let events =
     List.filter_map
-      (fun ev ->
+      (fun (i, ev) ->
         match Json.member "ph" ev with
         | Some (Json.Str "X") ->
+          let name =
+            match Json.member "name" ev with Some (Json.Str s) -> s | _ -> ""
+          in
           let args =
             Option.value (Json.member "args" ev) ~default:(Json.Obj [])
           in
-          let iget f =
-            match num f args with Some v -> int_of_float v | None -> 0
+          let num field obj =
+            match Option.bind (Json.member field obj) Json.to_num with
+            | Some v -> v
+            | None ->
+              die "%s: trace event %d (%S): %S is missing or not a number" path
+                i name field
           in
-          let ts = Option.value (num "ts" ev) ~default:0.0 in
-          let dur = Option.value (num "dur" ev) ~default:0.0 in
+          let iget f = int_of_float (num f args) in
+          let ts = num "ts" ev in
+          let dur = num "dur" ev in
           let attrs =
             match Json.to_obj args with
             | Some kvs ->
@@ -704,14 +707,11 @@ and cmd_tracequery path trace_id fid switch name_filter assert_cross =
               parent_span_id = iget "parent_span_id";
               t_start = ts /. 1e6;
               t_end = (ts +. dur) /. 1e6;
-              name =
-                (match Json.member "name" ev with
-                | Some (Json.Str s) -> s
-                | _ -> "");
+              name;
               attrs;
             }
         | _ -> None)
-      raw
+      (List.mapi (fun i ev -> (i, ev)) raw)
   in
   (* Group into whole traces (first-appearance order); each filter keeps
      a trace when *some* event of it satisfies the filter, so the output
@@ -817,7 +817,7 @@ and cmd_trace path args_str privileged metrics_out =
   Printf.printf "args out: [%s]\n"
     (String.concat "; "
        (List.map string_of_int (Array.to_list r.Activermt.Runtime.args_out)));
-  write_metrics metrics_out
+  write_metrics Telemetry.default metrics_out
 
 and cmd_p4gen () =
   print_string (Activermt_p4gen.Emit.emit Activermt_p4gen.Emit.default_config)
@@ -982,12 +982,12 @@ let scheme_arg =
     (Arg.opt sconv Allocator.Worst_fit
        (Arg.info [ "scheme" ] ~docv:"wf|ff|bf|realloc"))
 
-let cmd_tenantsim tenants hostile_factor seed summary_out { series; finish; _ } =
-  seed_jit_metrics ~enabled:true;
+let cmd_tenantsim tenants hostile_factor seed summary_out { telemetry; finish; _ } =
+  seed_jit_metrics telemetry ~enabled:true;
   let module Tenants = Experiments.Tenants in
   let cfg = { (Tenants.preset ~tenants ()) with Tenants.hostile_factor; seed } in
-  (* The vswitch records on its modeled clock (explicit ~t). *)
-  let r = Tenants.run ~telemetry:Telemetry.default ~series cfg in
+  (* The vswitch records on its modeled clock (explicit ~at). *)
+  let r = Tenants.run ~telemetry cfg in
   (* Deterministic stdout: the whole summary derives from the modeled
      clock and the seeded shuffle (no wall times), so same-config runs
      print — and with --summary-out, dump — byte-identical artifacts. *)
@@ -1053,7 +1053,7 @@ let cmd_healthcheck quick inject_flap_storm report_out series_out =
   let r = H.run ~log:print_endline cfg in
   List.iter print_endline (H.summary_lines r);
   Option.iter (write_json "health report" r.H.report) report_out;
-  write_series (Monitor.series r.H.monitor) series_out;
+  write_series (Monitor.telemetry r.H.monitor) series_out;
   if not r.H.healthy then exit 1
 
 (* fleettop: render a static text dashboard from a --series-out dump (or
@@ -1069,20 +1069,20 @@ let cmd_fleettop path last filter =
       | Some (Json.Obj _ as s) when Json.member "bucket_s" s <> None -> s
       | _ -> json
     in
-    match Timeseries.dump_of_json json with
+    match Telemetry.dump_of_json json with
     | Ok d -> d
     | Error e -> die "%s: %s" path e
   in
   let series =
     match filter with
-    | None -> dump.Timeseries.d_series
+    | None -> dump.Telemetry.d_series
     | Some f ->
       List.filter
         (fun (name, _, _) ->
           let fl = String.length f and nl = String.length name in
           let rec at i = i + fl <= nl && (String.sub name i fl = f || at (i + 1)) in
           fl = 0 || at 0)
-        dump.Timeseries.d_series
+        dump.Telemetry.d_series
   in
   if series = [] then
     die "no series%s in %s"
@@ -1091,8 +1091,7 @@ let cmd_fleettop path last filter =
   (* Align every row on the registry-wide newest bucket. *)
   let newest =
     List.fold_left
-      (fun acc (_, _, ws) ->
-        List.fold_left (fun a (w : Timeseries.window) -> max a w.Timeseries.w_index) acc ws)
+      (fun acc (_, _, ws) -> List.fold_left (fun a (i, _) -> max a i) acc ws)
       0 series
   in
   let levels = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |] in
@@ -1114,41 +1113,36 @@ let cmd_fleettop path last filter =
   in
   let row_values ws value_of =
     let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (w : Timeseries.window) ->
-        Hashtbl.replace tbl w.Timeseries.w_index (value_of w))
-      ws;
+    List.iter (fun (i, w) -> Hashtbl.replace tbl i (value_of w)) ws;
     Array.init last (fun i ->
         let idx = newest - last + 1 + i in
         match Hashtbl.find_opt tbl idx with Some v -> v | None -> 0.0)
   in
   Printf.printf "fleettop: %s — bucket %gs, capacity %d, %d series, newest bucket %d\n"
-    path dump.Timeseries.d_bucket_s dump.Timeseries.d_capacity
+    path dump.Telemetry.d_bucket_s dump.Telemetry.d_capacity
     (List.length series) newest;
   Printf.printf "%-34s %-7s %12s %12s  %s\n" "series" "kind" "total" "last"
     (Printf.sprintf "window[-%d..0]" (last - 1));
   let total_of ws value_of =
-    List.fold_left (fun a w -> a +. value_of w) 0.0 ws
+    List.fold_left (fun a (_, w) -> a +. value_of w) 0.0 ws
   in
   let render_section title rows =
     if rows <> [] then begin
       Printf.printf "-- %s --\n" title;
       List.iter
         (fun (name, kind, ws) ->
-          let value_of (w : Timeseries.window) =
+          let value_of (w : Telemetry.hist_summary) =
             match kind with
-            | `Counter -> w.Timeseries.w_sum
-            | `Dist -> w.Timeseries.w_max
+            | `Counter -> w.Telemetry.sum
+            | `Dist -> w.Telemetry.max
           in
           let values = row_values ws value_of in
           let lastv = values.(last - 1) in
           let total =
             match kind with
-            | `Counter -> total_of ws (fun w -> w.Timeseries.w_sum)
+            | `Counter -> total_of ws (fun w -> w.Telemetry.sum)
             | `Dist ->
-              List.fold_left
-                (fun a (w : Timeseries.window) -> Float.max a w.Timeseries.w_max)
-                0.0 ws
+              List.fold_left (fun a (_, w) -> Float.max a w.Telemetry.max) 0.0 ws
           in
           Printf.printf "%-34s %-7s %12.6g %12.6g |%s|\n" name
             (match kind with `Counter -> "counter" | `Dist -> "dist")

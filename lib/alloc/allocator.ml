@@ -85,13 +85,12 @@ type t = {
          instead of rebuilding them per scored mutant *)
   dpool : Stdx.Domain_pool.t;  (* fan-out width for mutant scoring *)
   tel : Telemetry.t;
-  series : Timeseries.t;
   tracer : Trace.t;
 }
 
 let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
     ?(mutant_limit = 4096) ?(domains = 1) ?(telemetry = Telemetry.default)
-    ?(series = Timeseries.noop) ?(tracer = Trace.noop) params =
+    ?(tracer = Trace.noop) params =
   {
     params;
     scheme;
@@ -105,7 +104,6 @@ let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
     demand_arrays_cache = Hashtbl.create 32;
     dpool = Stdx.Domain_pool.create ~size:domains ();
     tel = telemetry;
-    series;
     tracer;
   }
 
@@ -412,8 +410,7 @@ let admit ?trace t (a : arrival) =
          "alloc.score"));
   match !best with
   | -1 ->
-    Telemetry.incr t.tel "alloc.rejected";
-    Timeseries.add t.series "alloc.rejected";
+    Telemetry.add t.tel "alloc.rejected";
     Telemetry.span_end t.tel (* alloc.admit *);
     (match tctx with
     | None -> ()
@@ -460,8 +457,7 @@ let admit ?trace t (a : arrival) =
       |> List.sort (fun x y -> compare x.stage y.stage)
     in
     Telemetry.span_end t.tel (* alloc.fill *);
-    Telemetry.incr t.tel "alloc.admitted";
-    Timeseries.add t.series "alloc.admitted";
+    Telemetry.add t.tel "alloc.admitted";
     Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length reallocated);
     Telemetry.span_end t.tel (* alloc.admit *);
     (match tctx with
@@ -761,10 +757,8 @@ let admit_batch ?trace t arrivals =
     in
     Telemetry.incr t.tel "alloc.mutants.considered" ~by:!c_considered;
     Telemetry.incr t.tel "alloc.mutants.feasible" ~by:!c_feasible;
-    Telemetry.incr t.tel "alloc.admitted" ~by:!c_admitted;
-    Telemetry.incr t.tel "alloc.rejected" ~by:!c_rejected;
-    Timeseries.add t.series ~by:(float_of_int !c_admitted) "alloc.admitted";
-    Timeseries.add t.series ~by:(float_of_int !c_rejected) "alloc.rejected";
+    Telemetry.add t.tel "alloc.admitted" ~by:!c_admitted;
+    Telemetry.add t.tel "alloc.rejected" ~by:!c_rejected;
     Telemetry.incr t.tel "alloc.batch.count";
     Telemetry.incr t.tel "alloc.batch.arrivals" ~by:batch_size;
     Telemetry.incr t.tel "alloc.batch.memo_hits" ~by:!memo_hits;

@@ -81,7 +81,6 @@ val create :
   ?mutant_limit:int ->
   ?domains:int ->
   ?telemetry:Telemetry.t ->
-  ?series:Timeseries.t ->
   ?tracer:Trace.t ->
   Rmt.Params.t ->
   t
@@ -95,7 +94,8 @@ val create :
     for allocation latency only.
 
     [telemetry] (default {!Telemetry.default}) receives the allocator's
-    counters ([alloc.admitted], [alloc.rejected], [alloc.departed],
+    counters ([alloc.admitted] and [alloc.rejected], also windowed when
+    the registry keeps windows; [alloc.departed],
     [alloc.reallocated], [alloc.mutants.considered/feasible],
     [alloc.enumerate.hit/miss]) and per-phase spans ([alloc.admit] with
     nested [alloc.enumerate], [alloc.snapshot], [alloc.score],

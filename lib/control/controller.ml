@@ -34,7 +34,6 @@ type t = {
   queue : (Activermt.Packet.t * Trace.ctx option) Queue.t;
   mutable epoch_counter : int;
   tel : Telemetry.t;
-  series : Timeseries.t;
   tracer : Trace.t;
   admit_traces : (Activermt.Packet.fid, Trace.ctx) Hashtbl.t;
       (* the control.provision span that admitted each resident FID, so
@@ -43,18 +42,17 @@ type t = {
 
 let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
     ?(extraction_timeout_s = 1.0) ?(telemetry = Telemetry.default)
-    ?(series = Timeseries.noop) ?(tracer = Trace.noop) device =
+    ?(tracer = Trace.noop) device =
   {
     device;
     tables = Activermt.Table.create device;
     allocator =
-      Allocator.create ?scheme ?policy ~telemetry ~series ~tracer
+      Allocator.create ?scheme ?policy ~telemetry ~tracer
         (Rmt.Device.params device);
     cost;
     mode;
     extraction_timeout_s;
     tel = telemetry;
-    series;
     tracer;
     admit_traces = Hashtbl.create 32;
     virtual_flags = Hashtbl.create 32;
@@ -229,11 +227,6 @@ let regions_packet t ~fid =
          ~granted:true)
   else None
 
-(* Bump a run total and its windowed series together. *)
-let count t ?(by = 1) name =
-  Telemetry.incr t.tel ~by name;
-  Timeseries.add t.series ~by:(float_of_int by) name
-
 (* What a request asks of the allocator: nothing (malformed, or a retry
    for a FID already resident), or one arrival. *)
 let classify t (pkt : Activermt.Packet.t) =
@@ -333,7 +326,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
            Allocator.admit ?trace:tctx t.allocator arrival)
      with
     | Allocator.Rejected r ->
-      count t "control.rejections";
+      Telemetry.add t.tel "control.rejections";
       Telemetry.span_end t.tel (* control.provision *);
       Error (`Rejected r)
     | Allocator.Admitted adm ->
@@ -360,7 +353,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
           let words, entries = commit t ~reallocated:realloc_fids ~admitted:[ fid ] in
           (words, entries, Committed)
       in
-      count t "control.provisions";
+      Telemetry.add t.tel "control.provisions";
       let timing =
         Cost_model.breakdown t.cost ~allocation_s:adm.Allocator.compute_time_s
           ~entries_updated:entries
@@ -492,8 +485,9 @@ let drain_epoch t slots =
       ~allocation_s:batch.Allocator.stats.Allocator.batch_compute_time_s
       ~entries_updated:entries ~words_snapshotted:words ~notifications:installs
   in
-  count t ~by:(List.length admitted_fids) "control.provisions";
-  count t ~by:batch.Allocator.stats.Allocator.batch_rejected "control.rejections";
+  Telemetry.add t.tel ~by:(List.length admitted_fids) "control.provisions";
+  Telemetry.add t.tel ~by:batch.Allocator.stats.Allocator.batch_rejected
+    "control.rejections";
   (match ectx with
   | None -> ()
   | Some c ->
@@ -541,7 +535,7 @@ let drain ?(max_batch = 64) t =
   | `Interactive ->
     invalid_arg "Controller.drain: the provision queue needs an `Auto controller");
   if max_batch <= 0 then invalid_arg "Controller.drain: max_batch must be positive";
-  Timeseries.observe t.series "control.queue_depth" (float_of_int (Queue.length t.queue));
+  Telemetry.sample t.tel "control.queue_depth" (float_of_int (Queue.length t.queue));
   let epochs = ref [] in
   while not (Queue.is_empty t.queue) do
     let slots = ref [] in

@@ -51,7 +51,6 @@ val create :
   ?mode:commit_mode ->
   ?extraction_timeout_s:float ->
   ?telemetry:Telemetry.t ->
-  ?series:Timeseries.t ->
   ?tracer:Trace.t ->
   Rmt.Device.t ->
   t
@@ -61,7 +60,10 @@ val create :
     [control.allocation], [control.snapshot] (the state move) and
     [control.table_update] spans (Fig. 8a's breakdown from real timers,
     next to the modeled {!Cost_model.breakdown}) — plus [control.provisions],
-    [control.rejections] and [control.departures] counters.
+    [control.rejections] and [control.departures] counters and, at each
+    {!drain}, a [control.queue_depth] sample.  The provision and
+    rejection counts and the queue depth are windowed when the registry
+    keeps windows.
 
     [tracer] (default {!Trace.noop}) is shared with the embedded
     allocator; when a request arrives with a trace context the

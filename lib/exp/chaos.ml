@@ -77,8 +77,7 @@ let kind_of i =
 
 let expected_word ~fid index = (fid * 1000) + index
 
-let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
-    ?(tracer = Trace.noop) cfg =
+let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) cfg =
   if cfg.services <= 0 then invalid_arg "Chaos.run: services must be positive";
   if cfg.words <= 0 then invalid_arg "Chaos.run: words must be positive";
   if cfg.horizon_s <= 0.0 then invalid_arg "Chaos.run: horizon must be positive";
@@ -93,7 +92,7 @@ let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
              ~slowdown:cfg.profile.Faults.table_update_slowdown)
       else None
     in
-    Controller.create ?cost ~mode:`Auto ~telemetry ~series ~tracer device
+    Controller.create ?cost ~mode:`Auto ~telemetry ~tracer device
   in
   let faults = Faults.create ~seed:cfg.seed ~telemetry cfg.profile in
   let fabric = Fabric.create ~faults ~jit:cfg.jit ~telemetry ~tracer ~engine ~controller () in
@@ -137,15 +136,15 @@ let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
     Telemetry.incr telemetry "chaos.fallback_words"
       ~by:(List.length survivors);
     svc.state <- St_fell_back;
-    Timeseries.add series ~t:(Engine.now engine) "chaos.completed";
-    Timeseries.add series ~t:(Engine.now engine) "chaos.fallbacks"
+    Telemetry.add telemetry ~at:(Engine.now engine) "chaos.completed";
+    Telemetry.add telemetry ~at:(Engine.now engine) "chaos.fallbacks"
   in
   let rec pump_sync svc () =
     match (svc.state, svc.driver) with
     | Syncing, Some driver ->
       if Memsync_driver.is_done driver then begin
         svc.state <- St_synced;
-        Timeseries.add series ~t:(Engine.now engine) "chaos.completed"
+        Telemetry.add telemetry ~at:(Engine.now engine) "chaos.completed"
       end
       else if
         Memsync_driver.exhausted driver = Memsync_driver.outstanding driver
@@ -246,7 +245,7 @@ let run ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
       Engine.schedule engine
         ~delay:(0.05 *. float_of_int (svc.fid - 1))
         (fun () ->
-          Timeseries.add series ~t:(Engine.now engine) "chaos.services";
+          Telemetry.add telemetry ~at:(Engine.now engine) "chaos.services";
           Negotiate.start svc.session ~now:(Engine.now engine)
             ~send:(nego_send svc);
           pump_nego svc ()))

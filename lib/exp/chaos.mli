@@ -54,12 +54,13 @@ type result = {
 
 val run :
   ?telemetry:Activermt_telemetry.Telemetry.t ->
-  ?series:Activermt_telemetry.Timeseries.t ->
   ?tracer:Activermt_telemetry.Trace.t ->
   config ->
   result
 (** Also sets the [chaos.completion] gauge and [chaos.fallback_words] /
-    [chaos.negotiation_timeouts] counters on [telemetry].
+    [chaos.negotiation_timeouts] counters on [telemetry], and adds
+    [chaos.services], [chaos.completed] and [chaos.fallbacks] on the
+    engine's clock (windowed when the registry keeps windows).
 
     [tracer] (default [Trace.noop]) records causal traces: each service's
     [negotiate.session] and [memsync.sync] roots, with every capsule's

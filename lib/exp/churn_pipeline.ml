@@ -40,10 +40,10 @@ let modeled_epoch_s cost ~logical_stages ~apps_touched ~words =
          ~words_snapshotted:words ~notifications:apps_touched)
 
 let run ?scheme ?policy ?(cost = Cost_model.default)
-    ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
-    ?(tracer = Trace.noop) ?(clock = Sys.time) ~params ~seed
+    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ?(clock = Sys.time)
+    ~params ~seed
     (zcfg : Churn.zipf_config) =
-  let alloc = Allocator.create ?scheme ?policy ~telemetry ~series ~tracer params in
+  let alloc = Allocator.create ?scheme ?policy ~telemetry ~tracer params in
   let block_bytes = Rmt.Params.bytes_per_block params in
   let wpb = Rmt.Params.words_per_block params in
   let n_stages = params.Rmt.Params.logical_stages in
@@ -68,9 +68,9 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
      of the first few epochs.  Still a pure function of modeled values:
      bit-identical across machines and reruns. *)
   let now = ref 0.0 in
-  (* Allocator-level series (alloc.admitted/rejected) record through the
-     registry clock; wire it to the modeled epoch clock. *)
-  Timeseries.set_clock series (fun () -> !now);
+  (* The allocator's windowed counts (alloc.admitted/rejected) record
+     through the registry clock; wire it to the modeled epoch clock. *)
+  Telemetry.set_clock telemetry (fun () -> !now);
   let arrival_clock = ref 0.0 in
   let arrivals_offered = ref 0 in
   let inter_arrival = ref 0.0 in
@@ -156,13 +156,9 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
       arrival_clock := !arrival_clock +. (float_of_int k *. !inter_arrival);
     arrivals_offered := !arrivals_offered + k;
     now := epoch_end;
-    Timeseries.add series ~t:!now ~by:(float_of_int k) "churn.offered";
-    Timeseries.add series ~t:!now
-      ~by:(float_of_int s.Allocator.batch_admitted)
-      "churn.admitted";
-    Timeseries.add series ~t:!now
-      ~by:(float_of_int s.Allocator.batch_rejected)
-      "churn.rejected";
+    Telemetry.add telemetry ~at:!now ~by:k "churn.offered";
+    Telemetry.add telemetry ~at:!now ~by:s.Allocator.batch_admitted "churn.admitted";
+    Telemetry.add telemetry ~at:!now ~by:s.Allocator.batch_rejected "churn.rejected";
     (* Departures drain sequentially after the admission commit; their
        (coalesced) table work advances the clock but does not delay the
        epoch's admissions.  Touched fids are deduplicated across the

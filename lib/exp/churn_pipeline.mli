@@ -50,13 +50,15 @@ val run :
   ?policy:Mutant.policy ->
   ?cost:Cost_model.t ->
   ?telemetry:Telemetry.t ->
-  ?series:Timeseries.t ->
   ?tracer:Trace.t ->
   ?clock:(unit -> float) ->
   params:Rmt.Params.t ->
   seed:int ->
   Churn.zipf_config ->
   result
-(** [clock] (default [Sys.time]) feeds only the measured fields.  Pass a
-    [tracer] to record per-epoch [churn.epoch] spans (head-sampled) with
-    the allocator's batch spans beneath them. *)
+(** [clock] (default [Sys.time]) feeds only the measured fields.
+    [telemetry] (default {!Telemetry.default}) receives the allocator's
+    metrics and each epoch's [churn.offered/admitted/rejected] on the
+    modeled clock; when it keeps windows, its clock is rewired to that
+    modeled clock.  Pass a [tracer] to record per-epoch [churn.epoch]
+    spans (head-sampled) with the allocator's batch spans beneath them. *)

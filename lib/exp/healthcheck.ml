@@ -97,15 +97,14 @@ type result = {
 }
 
 let run ?(log = ignore) cfg =
-  (* One virtual clock drives every fleet-phase series bucket: it ticks
-     one bucket per admission drain round / drill step.  Chaos and
-     tenants record through their own modeled clocks (explicit [~t]), so
-     nothing here ever reads wall time. *)
+  (* One registry records all three phases.  One virtual clock places
+     every fleet-phase window: it ticks one window per admission drain
+     round / drill step.  Chaos and tenants record through their own
+     modeled clocks (explicit [~at]), so nothing here ever reads wall
+     time. *)
   let vclock = ref 0.0 in
-  let series =
-    Timeseries.create ~bucket_s:1.0 ~capacity:256 ~now:(fun () -> !vclock) ()
-  in
-  let mon = Monitor.create ~series () in
+  let telemetry = Telemetry.create ~windows:256 ~clock:(fun () -> !vclock) () in
+  let mon = Monitor.create ~telemetry () in
   List.iter (Monitor.add_watchdog mon) watchdogs;
   let tracer = Trace.create ~sample:1.0 ~seed:cfg.seed () in
   (* Phase A: mini fleetscale — fat-tree admission, link-flap drill
@@ -113,8 +112,7 @@ let run ?(log = ignore) cfg =
   let topo = Topology.fat_tree ~pods:cfg.fleet_pods ~k:cfg.fleet_k () in
   let fleet =
     Fleet.create ~policy:Placement.Hierarchical
-      ~params:Fleet_scale.scenario_params ~telemetry:(Telemetry.create ())
-      ~series ~tracer topo
+      ~params:Fleet_scale.scenario_params ~telemetry ~tracer topo
   in
   log
     (Printf.sprintf "healthcheck: fat-tree k=%d pods=%d (%d switches), %d services"
@@ -134,7 +132,7 @@ let run ?(log = ignore) cfg =
         (fun (fid, kind) ->
           Fleet.enqueue_admission fleet ~fid (Harness.app_of_kind kind))
         chunk;
-      Timeseries.add series ~by:(float_of_int (List.length chunk)) "fleet.offered";
+      Telemetry.add telemetry ~by:(List.length chunk) "fleet.offered";
       ignore (Fleet.drain_admissions fleet);
       vclock := !vclock +. 1.0;
       Monitor.check ~at:!vclock mon;
@@ -152,7 +150,7 @@ let run ?(log = ignore) cfg =
     ignore (Topology.set_link topo ~a:edge0 ~b:agg0 ~up);
     let touched = (Topology.stats topo).Topology.pairs_touched - s0 in
     let frac = float_of_int touched /. float_of_int (max 1 routed) in
-    Timeseries.observe series ~t:!vclock "route.flap_frac" frac;
+    Telemetry.sample telemetry ~at:!vclock "route.flap_frac" frac;
     let trace_id =
       match
         Trace.start_trace tracer
@@ -212,7 +210,7 @@ let run ?(log = ignore) cfg =
       seed = cfg.seed;
     }
   in
-  let chaos = Chaos.run ~series chaos_cfg in
+  let chaos = Chaos.run ~telemetry chaos_cfg in
   log
     (Printf.sprintf "chaos: %d/%d completed (%.1f%%)" chaos.Chaos.completed
        cfg.chaos_services
@@ -222,7 +220,7 @@ let run ?(log = ignore) cfg =
   let tenants_cfg =
     { (Tenants.preset ~tenants:cfg.tenants ()) with Tenants.seed = cfg.seed }
   in
-  let tn = Tenants.run ~series tenants_cfg in
+  let tn = Tenants.run ~telemetry tenants_cfg in
   log
     (Printf.sprintf "tenants: jain %.3f, admit p99 %.3f s (modeled), %d evictions"
        tn.Tenants.jain_wb tn.Tenants.p99_admit_s tn.Tenants.evictions);

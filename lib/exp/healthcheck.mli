@@ -1,5 +1,5 @@
 (** The fleet health-plane scenario: drive the quick fleetscale,
-    chaos and tenants workloads with windowed series enabled, evaluate
+    chaos and tenants workloads into one registry that keeps windows, evaluate
     the standing SLOs and watchdogs, and emit a deterministic health
     report.
 
@@ -46,7 +46,7 @@ type result = {
   evaluations : Slo.evaluation list;
   incidents : Monitor.incident list;
   healthy : bool;  (** no [Page] incident *)
-  monitor : Monitor.t;  (** series registry reachable via {!Monitor.series} *)
+  monitor : Monitor.t;  (** the registry is {!Monitor.telemetry} *)
   report : Activermt_telemetry.Json.t;  (** deterministic full report *)
 }
 

@@ -110,8 +110,8 @@ let probe_capacity params app =
   Allocator.shutdown alloc;
   blocks
 
-let run ?(params = scenario_params) ?telemetry ?(series = Timeseries.noop)
-    ?tracer ?(clock = Sys.time) config =
+let run ?(params = scenario_params) ?telemetry ?tracer ?(clock = Sys.time)
+    config =
   if config.tenants < 2 then invalid_arg "Tenants.run: need at least 2 tenants";
   if config.hostile_factor < 1 then
     invalid_arg "Tenants.run: hostile_factor < 1";
@@ -122,7 +122,7 @@ let run ?(params = scenario_params) ?telemetry ?(series = Timeseries.noop)
   in
   let tracer = match tracer with Some t -> t | None -> Trace.noop in
   let device = Rmt.Device.create params in
-  let ctrl = Controller.create ~telemetry ~series ~tracer device in
+  let ctrl = Controller.create ~telemetry ~tracer device in
   let registry = Tenant.create ~telemetry () in
   for id = 0 to config.tenants - 1 do
     let name = if id = hostile_tenant then "hostile" else Printf.sprintf "t%d" id in
@@ -131,7 +131,7 @@ let run ?(params = scenario_params) ?telemetry ?(series = Timeseries.noop)
   let app = service_app config.demand_blocks in
   let effective_capacity = probe_capacity params app in
   let vs =
-    Vswitch.create ~series
+    Vswitch.create
       ~config:
         {
           Vswitch.default_config with
@@ -203,7 +203,7 @@ let run ?(params = scenario_params) ?telemetry ?(series = Timeseries.noop)
   in
   let wb = List.filter (fun o -> not o.hostile) per_tenant in
   let jain_wb = Stats.jain_fairness (List.map (fun o -> o.retained) wb) in
-  Timeseries.observe series ~t:(Vswitch.modeled_clock vs) "tenant.jain" jain_wb;
+  Telemetry.sample telemetry ~at:(Vswitch.modeled_clock vs) "tenant.jain" jain_wb;
   let min_retained_wb =
     List.fold_left (fun acc o -> Float.min acc o.retained) infinity wb
   in

@@ -88,7 +88,6 @@ type result = {
 val run :
   ?params:Rmt.Params.t ->
   ?telemetry:Telemetry.t ->
-  ?series:Timeseries.t ->
   ?tracer:Trace.t ->
   ?clock:(unit -> float) ->
   config ->

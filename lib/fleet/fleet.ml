@@ -49,16 +49,10 @@ type t = {
   mutable up_count : int;
   tel : Telemetry.t;
   bridged : Telemetry.counter;
-  series : Timeseries.t;
   tracer : Trace.t;
 }
 
 let sw_counter i name = Printf.sprintf "fleet.sw.%d.%s" i name
-
-(* Bump a run total and its windowed series together. *)
-let count t name =
-  Telemetry.incr t.tel name;
-  Timeseries.add t.series name
 
 (* Refresh one switch's cached load after its pool changed, and the
    fleet-wide occupancy gauge from the running aggregates. *)
@@ -128,7 +122,7 @@ let route t ~from msg =
 let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.default)
     ?wire_latency_s ?(memsync_word_budget = 4096) ?faults
     ?(faults_seed = 0xF1EE7) ?jit ?tenants ?(telemetry = Telemetry.default)
-    ?(series = Timeseries.noop) ?(tracer = Trace.noop) topo =
+    ?(tracer = Trace.noop) topo =
   if memsync_word_budget < 0 then
     invalid_arg "Fleet.create: memsync_word_budget must be non-negative";
   let faults =
@@ -159,8 +153,7 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
               else None)
         in
         let controller =
-          Controller.create ?scheme ?cost ~mode:`Auto ~telemetry:telemetry
-            ~series ~tracer device
+          Controller.create ?scheme ?cost ~mode:`Auto ~telemetry ~tracer device
         in
         let fabric =
           Fabric.create ~address:sw ?wire_latency_s ?faults:node_faults
@@ -191,7 +184,6 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
       up_count = n;
       tel = telemetry;
       bridged = Telemetry.counter telemetry "fleet.bridged";
-      series;
       tracer;
     }
   in
@@ -340,9 +332,9 @@ let commit_admission t pa ~sw =
     in
     Tenant.charge reg ~fid:pa.pa_fid ~blocks:(app_charge pa.pa_app) ~stages
   | _ -> ());
-  count t "fleet.admitted";
-  count t (sw_counter sw "admitted");
-  if pa.pa_tried <> [] then count t "fleet.spillover"
+  Telemetry.add t.tel "fleet.admitted";
+  Telemetry.add t.tel (sw_counter sw "admitted");
+  if pa.pa_tried <> [] then Telemetry.add t.tel "fleet.spillover"
 
 let admit t ?client ~fid app =
   if Hashtbl.mem t.residency fid then
@@ -361,7 +353,7 @@ let admit t ?client ~fid app =
   let rec go seq =
     match Seq.uncons seq with
     | None ->
-      count t "fleet.rejected";
+      Telemetry.add t.tel "fleet.rejected";
       (match root with
       | Some ctx ->
         ignore
@@ -447,7 +439,7 @@ let drain_admissions ?(max_batch = 64) t =
   let settle pa result =
     (match result with
     | Error _ -> (
-      count t "fleet.rejected";
+      Telemetry.add t.tel "fleet.rejected";
       match t.tenants with
       | Some reg -> Tenant.unbind reg ~fid:pa.pa_fid
       | None -> ())
@@ -735,14 +727,14 @@ let write_state t ~fid state =
 let moved t ~fid ~src ~dst =
   bind_placement t ~fid ~sw:dst;
   shim_step t ~fid Shim.Extraction_done;
-  count t "fleet.migrated";
+  Telemetry.add t.tel "fleet.migrated";
   Telemetry.incr t.tel (sw_counter src "out");
   Telemetry.incr t.tel (sw_counter dst "in")
 
 (* A service no switch took back: it is gone. *)
 let lose t ~fid trace =
   forget t ~fid;
-  count t "fleet.lost";
+  Telemetry.add t.tel "fleet.lost";
   Option.iter (fun ctx -> ignore (Trace.instant t.tracer ctx "fleet.lost")) trace
 
 let migrate t ~fid ~dst =
@@ -779,7 +771,7 @@ let migrate t ~fid ~dst =
       (* The program no longer lives on [src]; drop its compiled closures
          there (the departure's epoch bump already made them stale). *)
       Jit.invalidate (Fabric.jit t.nodes.(src).fabric) ~fid;
-      Timeseries.add t.series "fleet.jit.invalidations";
+      Telemetry.add t.tel "fleet.jit.invalidations";
       unbind_placement t ~fid ~sw:src;
       let outcome oc attrs =
         match root with
@@ -837,7 +829,7 @@ let fail_switch t ~sw =
        only the affected destinations of already-built tables recompute. *)
     ignore (Topology.isolate t.topo ~sw);
     Telemetry.set_gauge t.tel (sw_counter sw "up") 0.0;
-    count t "fleet.failures";
+    Telemetry.add t.tel "fleet.failures";
     let evacuees = residents_of t ~sw in
     let root =
       Trace.start_trace t.tracer

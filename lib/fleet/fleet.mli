@@ -39,7 +39,6 @@ val create :
   ?jit:bool ->
   ?tenants:Tenant.t ->
   ?telemetry:Telemetry.t ->
-  ?series:Timeseries.t ->
   ?tracer:Trace.t ->
   Topology.t ->
   t
@@ -73,20 +72,18 @@ val create :
     [telemetry] (default {!Telemetry.default}) receives fleet counters
     ([fleet.admitted], [fleet.rejected], [fleet.spillover],
     [fleet.migrated], [fleet.lost], [fleet.failures], [fleet.bridged],
-    [fleet.unroutable], per-switch [fleet.sw.<i>.admitted/in/out]),
+    [fleet.unroutable], [fleet.jit.invalidations], per-switch [fleet.sw.<i>.admitted/in/out]),
     spans ([fleet.place], [fleet.migrate]) and occupancy gauges
     ([fleet.occupancy], [fleet.sw.<i>.utilization],
-    [fleet.sw.<i>.up]).
-
-    [series] (default {!Timeseries.noop}) receives the same admission
-    outcomes as windowed time series bucketed on the registry's virtual
-    clock — [fleet.admitted], [fleet.rejected], [fleet.spillover],
-    [fleet.migrated], [fleet.lost], [fleet.failures],
-    [fleet.jit.invalidations] and per-switch [fleet.sw.<i>.admitted] —
-    and is shared with every switch's controller and allocator
-    ([control.provisions/rejections], [control.queue_depth],
-    [alloc.admitted/rejected]).  The health plane ({!Activermt_health})
-    evaluates SLOs and watchdogs over these series.
+    [fleet.sw.<i>.up]).  It is shared with every switch's controller and
+    allocator.  When it keeps windows, the admission outcomes are also
+    windowed on its virtual clock: [fleet.admitted], [fleet.rejected],
+    [fleet.spillover], [fleet.migrated], [fleet.lost], [fleet.failures],
+    [fleet.jit.invalidations] and per-switch [fleet.sw.<i>.admitted],
+    with the controllers' and allocators' [control.provisions/rejections],
+    [control.queue_depth] and [alloc.admitted/rejected].  The health
+    plane ({!Activermt_health}) evaluates SLOs and watchdogs over these
+    windows.
 
     [tracer] (default {!Trace.noop}) is shared with every switch's
     controller and fabric, and its clock is wired to the fleet engine so

@@ -1,4 +1,4 @@
-module Ts = Activermt_telemetry.Timeseries
+module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
 
 type recorded_event = { re_at : float; re_trace_id : int option }
@@ -50,7 +50,7 @@ type incident = {
 }
 
 type t = {
-  ts : Ts.t;
+  tel : Telemetry.t;
   event_capacity : int;
   events : (string, ring) Hashtbl.t;
   mutable watchdogs : watchdog list; (* insertion order *)
@@ -61,10 +61,10 @@ type t = {
   mutable warns : int;
 }
 
-let create ?(event_capacity = 4096) ~series () =
+let create ?(event_capacity = 4096) ~telemetry () =
   if event_capacity < 1 then invalid_arg "Monitor.create: event_capacity < 1";
   {
-    ts = series;
+    tel = telemetry;
     event_capacity;
     events = Hashtbl.create 32;
     watchdogs = [];
@@ -75,12 +75,11 @@ let create ?(event_capacity = 4096) ~series () =
     warns = 0;
   }
 
-let series t = t.ts
+let telemetry t = t.tel
 
-let event t ?t:tm ?trace_id ?attrs name =
-  ignore attrs;
-  let at = match tm with Some x -> x | None -> Ts.now t.ts in
-  Ts.add t.ts ~t:at name;
+let event t ?t:tm ?trace_id name =
+  let at = match tm with Some x -> x | None -> Telemetry.clock t.tel in
+  Telemetry.add t.tel ~at name;
   let r =
     match Hashtbl.find_opt t.events name with
     | Some r -> r
@@ -135,10 +134,9 @@ let transition t ~at ~source ~status ~measured ~threshold ~detail ~trace_ids =
         ~trace_ids
 
 let check_watchdog t ~at wd =
-  let bucket = Ts.bucket_s t.ts in
   match wd.wd_trigger with
   | Event_count { event; max } ->
-    let horizon = at -. (float_of_int wd.wd_window *. bucket) in
+    let horizon = at -. (float_of_int wd.wd_window *. Telemetry.window_s) in
     let recent =
       match Hashtbl.find_opt t.events event with
       | None -> []
@@ -154,8 +152,7 @@ let check_watchdog t ~at wd =
     transition t ~at ~source:wd.wd_name ~status ~measured:(float_of_int n)
       ~threshold:(float_of_int max) ~detail ~trace_ids
   | Series_sum { series; max } ->
-    let a = Ts.aggregate ~last:wd.wd_window t.ts series in
-    let v = a.Ts.a_sum in
+    let v = (Telemetry.aggregate ~last:wd.wd_window t.tel series).Telemetry.sum in
     let status = if v > max then wd.wd_severity else Slo.Ok in
     let detail =
       Printf.sprintf "%s: sum(%s)=%g over %dw (max %g)" wd.wd_description series v
@@ -167,15 +164,15 @@ let check_watchdog t ~at wd =
 (* [at] defaults to the registry clock, matching [event] — a monitor
    checked without an explicit instant evaluates "now", not t=0. *)
 let check ?at t =
-  let at = match at with Some x -> x | None -> Ts.now t.ts in
+  let at = match at with Some x -> x | None -> Telemetry.clock t.tel in
   List.iter (check_watchdog t ~at) t.watchdogs
 
 let evaluate ?at t slos =
-  let at = match at with Some x -> x | None -> Ts.now t.ts in
+  let at = match at with Some x -> x | None -> Telemetry.clock t.tel in
   check ~at t;
   List.map
     (fun slo ->
-      let ev = Slo.evaluate t.ts slo in
+      let ev = Slo.evaluate t.tel slo in
       transition t ~at ~source:slo.Slo.slo_name ~status:ev.Slo.ev_status
         ~measured:ev.Slo.ev_measured ~threshold:(Slo.threshold_of slo)
         ~detail:ev.Slo.ev_detail ~trace_ids:[];
@@ -209,5 +206,5 @@ let json_report ?(slos = []) t =
       ("warns", Json.Num (float_of_int t.warns));
       ("slos", Json.Arr (List.map Slo.json_of_evaluation slos));
       ("incidents", Json.Arr (List.map json_of_incident (incidents t)));
-      ("series", Ts.json_of t.ts);
+      ("series", Telemetry.series_json t.tel);
     ]

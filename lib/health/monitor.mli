@@ -1,16 +1,16 @@
 (** Runtime health monitor: discrete-event intake, rule-based watchdogs,
     and an append-only deterministic incident log.
 
-    A monitor wraps a {!Activermt_telemetry.Timeseries} registry.
-    Components report discrete events ({!event}) — link flaps,
-    preemptions, rejections, JIT invalidations — which land both in the
-    series (as a counter under the event name) and in a bounded
+    A monitor wraps a {!Activermt_telemetry.Telemetry} registry that
+    keeps windows.  Components report discrete events ({!event}) — link
+    flaps, preemptions, rejections, JIT invalidations — which land both
+    in the registry (a windowed counter under the event name) and in a bounded
     per-name recent-event ring that remembers each event's virtual time
     and, when the caller passes one, the flight-recorder [trace_id]
     responsible.
 
     Watchdogs are rules over those signals: "more than [max] events of
-    this kind inside the window" or "series sum above [max] inside the
+    this kind inside the window" or "windowed sum above [max] inside the
     window".  {!check} evaluates every watchdog at a virtual instant;
     {!evaluate} additionally runs a set of {!Slo} definitions.  Both
     append to the incident log on {e transitions only} (a rule firing
@@ -21,16 +21,16 @@
 type t
 
 val create :
-  ?event_capacity:int -> series:Activermt_telemetry.Timeseries.t -> unit -> t
+  ?event_capacity:int -> telemetry:Activermt_telemetry.Telemetry.t -> unit -> t
 (** [event_capacity] (default 4096) bounds each event ring (oldest
     dropped first). *)
 
-val series : t -> Activermt_telemetry.Timeseries.t
+val telemetry : t -> Activermt_telemetry.Telemetry.t
 
-val event :
-  t -> ?t:float -> ?trace_id:int -> ?attrs:(string * string) list -> string -> unit
-(** Report one discrete event at virtual time [t] (default: the series
-    registry clock).  Also bumps the counter series of the same name. *)
+val event : t -> ?t:float -> ?trace_id:int -> string -> unit
+(** Report one discrete event at virtual time [t] (default: the
+    registry clock).  Also {!Activermt_telemetry.Telemetry.add}s the
+    counter of the same name at [t]. *)
 
 (** {1 Watchdogs} *)
 
@@ -38,13 +38,13 @@ type trigger =
   | Event_count of { event : string; max : int }
       (** fires when more than [max] events landed inside the window *)
   | Series_sum of { series : string; max : float }
-      (** fires when the series sums to more than [max] over the
-          newest window buckets *)
+      (** fires when the windowed metric [series] sums to more than
+          [max] over the newest windows *)
 
 type watchdog = {
   wd_name : string;
   wd_description : string;
-  wd_window : int;  (** in series buckets *)
+  wd_window : int;  (** in registry windows *)
   wd_trigger : trigger;
   wd_severity : Slo.status;  (** [Warn] or [Page] *)
 }
@@ -70,7 +70,7 @@ val check : ?at:float -> t -> unit
     no longer hold. *)
 
 val evaluate : ?at:float -> t -> Slo.t list -> Slo.evaluation list
-(** {!check}, then evaluate the SLOs against the series registry.  SLO
+(** {!check}, then evaluate the SLOs against the registry's windows.  SLO
     status transitions (to [Warn]/[Page], or escalations) append
     incidents the same way. *)
 
@@ -89,5 +89,6 @@ val json_report :
   ?slos:Slo.evaluation list -> t -> Activermt_telemetry.Json.t
 (** Deterministic health report:
     [{ "healthy": bool, "pages": n, "warns": n, "slos": [...],
-       "incidents": [...], "series": {...} }] — same-seed runs produce
-    byte-identical output. *)
+       "incidents": [...], "series": {...} }], where "series" is the
+    registry's {!Activermt_telemetry.Telemetry.series_json} — same-seed
+    runs produce byte-identical output. *)

@@ -1,4 +1,4 @@
-module Ts = Activermt_telemetry.Timeseries
+module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
 
 type status = Ok | Warn | Page
@@ -87,12 +87,12 @@ let threshold_burn ~cmp ~bound measured =
 (* For `Ge the result is <= 0 when healthy and > 1 when breached, so the
    same page/warn thresholds apply. *)
 
-(* (measured, burn) of the SLO's quantity over the newest [last] buckets. *)
-let measure ts slo ~last =
+(* (measured, burn) of the SLO's quantity over the newest [last] windows. *)
+let measure tel slo ~last =
   match slo.slo_kind with
   | Ratio { good; total; target } ->
-    let g = (Ts.aggregate ~last ts good).Ts.a_sum in
-    let tot = (Ts.aggregate ~last ts total).Ts.a_sum in
+    let g = (Telemetry.aggregate ~last tel good).Telemetry.sum in
+    let tot = (Telemetry.aggregate ~last tel total).Telemetry.sum in
     let ratio = if tot <= 0.0 then 1.0 else Float.min 1.0 (g /. tot) in
     let error = 1.0 -. ratio in
     let budget = 1.0 -. target in
@@ -101,32 +101,28 @@ let measure ts slo ~last =
     in
     (ratio, burn)
   | Quantile { series; q; bound } ->
-    let v = Ts.quantile ~last ts series q in
+    let v = Telemetry.quantile ~last tel series q in
     (v, threshold_burn ~cmp:`Le ~bound v)
   | Stat { series; stat; cmp; bound } ->
-    let a = Ts.aggregate ~last ts series in
-    let counter = Ts.kind_of ts series <> Some `Dist in
-    let per_window_sums () =
-      let ws = Ts.windows ts series in
-      let n = List.length ws in
-      let ws = if n > last then List.filteri (fun i _ -> i >= n - last) ws else ws in
-      List.map (fun w -> w.Ts.w_sum) ws
-    in
+    let a = Telemetry.aggregate ~last tel series in
     let v =
-      if a.Ts.a_count = 0 then (match cmp with `Le -> 0.0 | `Ge -> bound)
-      else if counter then begin
-        (* counter series carry no samples: the statistic ranges over
-           per-window sums *)
+      if a.Telemetry.count = 0 then (match cmp with `Le -> 0.0 | `Ge -> bound)
+      else if List.assoc_opt series (Telemetry.windowed tel) = Some `Dist then begin
         match stat with
-        | Mean -> a.Ts.a_sum /. float_of_int (max 1 a.Ts.a_windows)
-        | Min -> List.fold_left Float.min infinity (per_window_sums ())
-        | Max -> List.fold_left Float.max neg_infinity (per_window_sums ())
+        | Mean -> a.Telemetry.mean
+        | Min -> a.Telemetry.min
+        | Max -> a.Telemetry.max
       end
       else begin
+        (* counter windows carry no samples: the statistic ranges over
+           per-window sums *)
+        let sums =
+          List.map (fun (_, w) -> w.Telemetry.sum) (Telemetry.windows ~last tel series)
+        in
         match stat with
-        | Mean -> a.Ts.a_sum /. float_of_int a.Ts.a_count
-        | Min -> a.Ts.a_min
-        | Max -> a.Ts.a_max
+        | Mean -> a.Telemetry.sum /. float_of_int (List.length sums)
+        | Min -> List.fold_left Float.min infinity sums
+        | Max -> List.fold_left Float.max neg_infinity sums
       end
     in
     (v, threshold_burn ~cmp ~bound v)
@@ -150,9 +146,9 @@ let kind_detail slo =
       (match cmp with `Le -> "<=" | `Ge -> ">=")
       bound
 
-let evaluate ts slo =
-  let slow_measured, burn_slow = measure ts slo ~last:slo.slo_window in
-  let fast_measured, burn_fast = measure ts slo ~last:(fast_window slo) in
+let evaluate tel slo =
+  let slow_measured, burn_slow = measure tel slo ~last:slo.slo_window in
+  let fast_measured, burn_fast = measure tel slo ~last:(fast_window slo) in
   let status =
     if burn_slow >= slo.slo_page_burn && burn_fast >= slo.slo_page_burn then Page
     else if burn_slow >= slo.slo_warn_burn then Warn

@@ -1,9 +1,10 @@
-(** Declarative service-level objectives over {!Activermt_telemetry.Timeseries}.
+(** Declarative service-level objectives over the windowed metrics of an
+    {!Activermt_telemetry.Telemetry} registry.
 
-    An SLO names a target over a window of series buckets and is
-    evaluated Google-SRE style with two windows: the full ("slow")
+    An SLO names a target over its newest [window] registry windows and
+    is evaluated Google-SRE style with two windows: the full ("slow")
     window and a fast window of [fast_fraction] of it (default 5%,
-    minimum one bucket).  For ratio SLOs the measured quantity is a
+    minimum one registry window).  For ratio SLOs the measured quantity is a
     {e burn rate} — the error rate divided by the error budget
     [1 - target], so burn 1.0 consumes the budget exactly at the end of
     the window.  A page fires only when {e both} windows burn at
@@ -24,23 +25,23 @@ type stat = Mean | Min | Max
 
 type kind =
   | Ratio of { good : string; total : string; target : float }
-      (** [good]/[total] are counter series; healthy when the window
+      (** [good]/[total] are windowed counters; healthy when the window
           ratio of sums is >= [target].  An empty window (total sum 0)
           counts as healthy — no traffic burns no budget. *)
   | Quantile of { series : string; q : float; bound : float }
-      (** dist series; healthy when the [q]-quantile over the window is
-          <= [bound]. *)
+      (** a sampled metric; healthy when its [q]-quantile over the
+          window is <= [bound]. *)
   | Stat of { series : string; stat : stat; cmp : [ `Le | `Ge ]; bound : float }
       (** healthy when [stat] over the window compares to [bound]
-          ([Mean]/[Min]/[Max] of observed values for dist series; for
-          counter series [Mean] is the mean per-window sum and
+          ([Mean]/[Min]/[Max] of observed values for a sampled metric;
+          for a counter [Mean] is the mean per-window sum and
           [Min]/[Max] range over per-window sums). *)
 
 type t = {
   slo_name : string;
   slo_description : string;
   slo_kind : kind;
-  slo_window : int;  (** slow window, in series buckets *)
+  slo_window : int;  (** slow window, in registry windows *)
   slo_fast_fraction : float;
   slo_page_burn : float;
   slo_warn_burn : float;
@@ -102,7 +103,7 @@ type evaluation = {
   ev_detail : string;
 }
 
-val evaluate : Activermt_telemetry.Timeseries.t -> t -> evaluation
+val evaluate : Activermt_telemetry.Telemetry.t -> t -> evaluation
 
 val threshold_of : t -> float
 (** The target / bound the SLO compares against (for reports). *)

@@ -3,25 +3,31 @@
    merge every shard, so recording stays allocation-cheap and race-free
    under Stdx.Domain_pool fan-out. *)
 
-(* Log-bucketed histogram: bucket i covers [2^((i-origin)/sub),
-   2^((i-origin+1)/sub)), i.e. [sub] buckets per octave.  Percentiles are
-   read back as the bucket's geometric midpoint (relative error at most
-   2^(1/(2*sub)) - 1 ~= 4.4%) clamped to the exact observed min/max, so no
-   samples are ever stored. *)
-let sub_buckets = 8
-let n_buckets = 256
-let origin = 192 (* bucket index of value 1.0; floor covers ~6e-8 .. ~2e2 *)
+(* Log-bucketed sketch of [n] bins: bin i covers [2^((i-o)/s),
+   2^((i-o+1)/s)) with s = n/32 bins per octave and origin o = 3n/4 (the
+   bin of 1.0), so both sizes used here cover 2^-24 .. 2^8.  Run totals
+   keep 256 bins, windows 128.  Percentiles are read back as the bin's
+   geometric midpoint (relative error at most 2^(16/n) - 1: ~4.4% and
+   ~9.1%) clamped to the exact observed min/max, so no samples are ever
+   stored. *)
+let total_bins = 256
+let window_bins = 128
 
-let bucket_of v =
+let bucket_of n v =
   if v <= 0.0 then 0
   else begin
-    let i = origin + int_of_float (Float.floor (Float.log2 v *. float_of_int sub_buckets)) in
-    if i < 0 then 0 else if i >= n_buckets then n_buckets - 1 else i
+    let i =
+      (3 * n / 4) + int_of_float (Float.floor (Float.log2 v *. float_of_int (n / 32)))
+    in
+    if i < 0 then 0 else if i >= n then n - 1 else i
   end
 
-let bucket_mid i =
-  Float.pow 2.0 ((float_of_int (i - origin) +. 0.5) /. float_of_int sub_buckets)
+let bucket_mid n i =
+  Float.pow 2.0 ((float_of_int (i - (3 * n / 4)) +. 0.5) /. float_of_int (n / 32))
 
+(* Observations, or a counter window's calls: [count] and [sum] always,
+   [min]/[max] and the bins only for observations (a counter window keeps
+   no bins). *)
 type hist = {
   mutable h_count : int;
   mutable h_sum : float;
@@ -30,14 +36,21 @@ type hist = {
   h_buckets : int array;
 }
 
-let hist_make () =
+let hist_make n =
   {
     h_count = 0;
     h_sum = 0.0;
     h_min = Float.infinity;
     h_max = Float.neg_infinity;
-    h_buckets = Array.make n_buckets 0;
+    h_buckets = Array.make n 0;
   }
+
+let hist_clear h =
+  h.h_count <- 0;
+  h.h_sum <- 0.0;
+  h.h_min <- Float.infinity;
+  h.h_max <- Float.neg_infinity;
+  Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0
 
 let hist_record h v =
   h.h_count <- h.h_count + 1;
@@ -45,7 +58,7 @@ let hist_record h v =
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v;
   let b = h.h_buckets in
-  let i = bucket_of v in
+  let i = bucket_of (Array.length b) v in
   b.(i) <- b.(i) + 1
 
 let hist_merge_into dst src =
@@ -53,26 +66,25 @@ let hist_merge_into dst src =
   dst.h_sum <- dst.h_sum +. src.h_sum;
   if src.h_min < dst.h_min then dst.h_min <- src.h_min;
   if src.h_max > dst.h_max then dst.h_max <- src.h_max;
-  for i = 0 to n_buckets - 1 do
+  for i = 0 to Array.length src.h_buckets - 1 do
     dst.h_buckets.(i) <- dst.h_buckets.(i) + src.h_buckets.(i)
   done
 
-let hist_percentile_of h p =
-  (* NaN would sail through both range tests below and silently return
-     the top bucket; reject it instead of guessing. *)
-  if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
-  if h.h_count = 0 then 0.0
-  else if p <= 0.0 then h.h_min
-  else if p >= 100.0 then h.h_max
+(* The [q]-quantile: exact min/max at the ends, else the midpoint of the
+   bin holding the ceil(q * count)-th observation.  0 when there is
+   nothing to rank. *)
+let hist_quantile h q =
+  let n = Array.length h.h_buckets in
+  if h.h_count = 0 || n = 0 then 0.0
+  else if q <= 0.0 then h.h_min
+  else if q >= 1.0 then h.h_max
   else begin
-    let target =
-      Float.max 1.0 (Float.ceil (p /. 100.0 *. float_of_int h.h_count))
-    in
+    let target = Float.max 1.0 (Float.ceil (q *. float_of_int h.h_count)) in
     let cum = ref 0 in
-    let found = ref (n_buckets - 1) in
+    let found = ref (n - 1) in
     let i = ref 0 in
     let continue = ref true in
-    while !continue && !i < n_buckets do
+    while !continue && !i < n do
       cum := !cum + h.h_buckets.(!i);
       if float_of_int !cum >= target then begin
         found := !i;
@@ -80,7 +92,7 @@ let hist_percentile_of h p =
       end;
       i := !i + 1
     done;
-    Float.min h.h_max (Float.max h.h_min (bucket_mid !found))
+    Float.min h.h_max (Float.max h.h_min (bucket_mid n !found))
   end
 
 (* The value sits in a float-only record, which is stored flat, so
@@ -89,8 +101,13 @@ type gauge_value = { mutable v : float }
 type gauge_cell = { mutable g_seq : int; g_val : gauge_value }
 type cell = Counter of int ref | Gauge of gauge_cell | Hist of hist
 
+(* Slot [i mod windows] of a windowed metric's ring holds virtual window
+   [i]; [index] is -1 until the slot is first used. *)
+type window = { mutable index : int; w : hist }
+
 type shard = {
   cells : (string, cell) Hashtbl.t;
+  rings : (string, window array) Hashtbl.t; (* empty without windows *)
   mutable stack : (string * float) list; (* open spans: name, start time *)
   mutable generation : int; (* bumped by [reset], which drops every cell *)
 }
@@ -99,17 +116,22 @@ type t = {
   shards : shard Stdx.Sharded.t;
   seq : int Atomic.t; (* global write order for gauge last-write-wins *)
   now : unit -> float;
+  windows : int; (* per windowed metric; 0 = keep run totals only *)
+  mutable clock : unit -> float; (* virtual time that places a window *)
 }
 
-let create ?now () =
+let new_shard () =
+  { cells = Hashtbl.create 64; rings = Hashtbl.create 16; stack = []; generation = 0 }
+
+let create ?now ?(windows = 0) ?(clock = fun () -> 0.0) () =
+  if windows < 0 then invalid_arg "Telemetry.create: windows < 0";
   let now = match now with Some f -> f | None -> Unix.gettimeofday in
   {
-    shards =
-      Stdx.Sharded.create
-        ~init:(fun () -> { cells = Hashtbl.create 64; stack = []; generation = 0 })
-        ();
+    shards = Stdx.Sharded.create ~init:new_shard ();
     seq = Atomic.make 0;
     now;
+    windows;
+    clock;
   }
 
 let default = create ()
@@ -165,7 +187,7 @@ type counter = int ref handle
 type gauge = gauge_cell handle
 
 (* No domain's shard, so a fresh handle resolves on its first record. *)
-let unresolved = { cells = Hashtbl.create 1; stack = []; generation = 0 }
+let unresolved = new_shard ()
 
 let handle reg name cell =
   { reg; name; cached = { shard = unresolved; generation = 0; cell } }
@@ -198,16 +220,59 @@ let stamp h =
 let set h v = (stamp h).v <- v
 let set_int h n = (stamp h).v <- float_of_int n
 
-let observe t name v =
-  let s = my_shard t in
+let observe_in s name v =
   match Hashtbl.find_opt s.cells name with
   | Some (Hist h) -> hist_record h v
   | Some (Counter _) -> kind_error name "counter"
   | Some (Gauge _) -> kind_error name "gauge"
   | None ->
-    let h = hist_make () in
+    let h = hist_make total_bins in
     hist_record h v;
     Hashtbl.add s.cells name (Hist h)
+
+let observe t name v = observe_in (my_shard t) name v
+
+(* -- Windows ---------------------------------------------------------------- *)
+
+let window_s = 1.0
+let set_clock t f = if t.windows > 0 then t.clock <- f
+let clock t = t.clock ()
+
+(* The calling domain's window of [name] covering virtual time [at]
+   (default: the registry clock), cleared first if its ring slot held an
+   older window.  A counter's windows keep no bins. *)
+let window_at t s ~bins ?at name =
+  let at = match at with Some x -> x | None -> t.clock () in
+  let ring =
+    match Hashtbl.find_opt s.rings name with
+    | Some r -> r
+    | None ->
+      let r = Array.init t.windows (fun _ -> { index = -1; w = hist_make bins }) in
+      Hashtbl.add s.rings name r;
+      r
+  in
+  let index = max 0 (int_of_float (Float.floor (at /. window_s))) in
+  let slot = ring.(index mod t.windows) in
+  if slot.index <> index then begin
+    slot.index <- index;
+    hist_clear slot.w
+  end;
+  slot.w
+
+let add t ?at ?(by = 1) name =
+  let s = my_shard t in
+  let r = counter_cell s name in
+  r := !r + by;
+  if t.windows > 0 then begin
+    let h = window_at t s ~bins:0 ?at name in
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum +. float_of_int by
+  end
+
+let sample t ?at name v =
+  let s = my_shard t in
+  observe_in s name v;
+  if t.windows > 0 then hist_record (window_at t s ~bins:window_bins ?at name) v
 
 (* -- Spans ---------------------------------------------------------------- *)
 
@@ -221,7 +286,7 @@ let span_end t =
   | [] -> invalid_arg "Telemetry.span_end: no open span"
   | (name, t0) :: rest ->
     s.stack <- rest;
-    observe t name (t.now () -. t0)
+    observe_in s name (t.now () -. t0)
 
 let with_span t name f =
   span_begin t name;
@@ -249,7 +314,7 @@ let merged_hist t name =
   Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
       match Hashtbl.find_opt s.cells name with
       | Some (Hist h) ->
-        let dst = match acc with Some d -> d | None -> hist_make () in
+        let dst = match acc with Some d -> d | None -> hist_make total_bins in
         hist_merge_into dst h;
         Some dst
       | _ -> acc)
@@ -265,16 +330,20 @@ type hist_summary = {
   p99 : float;
 }
 
+(* A counter window has a count and a sum but no observed values, so its
+   min, max and percentiles read 0, as do an empty histogram's. *)
 let summary_of_hist h =
+  let observed = h.h_count > 0 && Array.length h.h_buckets > 0 in
+  let value v = if observed then v else 0.0 in
   {
     count = h.h_count;
     sum = h.h_sum;
     mean = (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count);
-    min = (if h.h_count = 0 then 0.0 else h.h_min);
-    max = (if h.h_count = 0 then 0.0 else h.h_max);
-    p50 = hist_percentile_of h 50.0;
-    p90 = hist_percentile_of h 90.0;
-    p99 = hist_percentile_of h 99.0;
+    min = value h.h_min;
+    max = value h.h_max;
+    p50 = hist_quantile h 0.5;
+    p90 = hist_quantile h 0.9;
+    p99 = hist_quantile h 0.99;
   }
 
 let hist_summary t name = Option.map summary_of_hist (merged_hist t name)
@@ -282,7 +351,11 @@ let hist_summary t name = Option.map summary_of_hist (merged_hist t name)
 let hist_percentile t name p =
   match merged_hist t name with
   | None -> 0.0
-  | Some h -> hist_percentile_of h p
+  | Some h ->
+    (* NaN would sail through both range tests and silently return the
+       top bucket; reject it instead of guessing. *)
+    if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
+    hist_quantile h (p /. 100.0)
 
 let names_of_kind t ~keep =
   let seen = Hashtbl.create 64 in
@@ -310,8 +383,67 @@ let histograms t =
 let reset t =
   Stdx.Sharded.iter t.shards ~f:(fun s ->
       Hashtbl.reset s.cells;
+      Hashtbl.reset s.rings;
       s.stack <- [];
       s.generation <- s.generation + 1)
+
+(* -- Window reads ------------------------------------------------------------ *)
+
+let windowed t =
+  let seen = Hashtbl.create 64 in
+  Stdx.Sharded.iter t.shards ~f:(fun s ->
+      Hashtbl.iter
+        (fun name ring ->
+          Hashtbl.replace seen name
+            (if Array.length ring.(0).w.h_buckets = 0 then `Counter else `Dist))
+        s.rings);
+  Hashtbl.fold (fun name kind acc -> (name, kind) :: acc) seen []
+  |> List.sort compare
+
+(* [name]'s windows merged across shards by index, ascending: the newest
+   [windows] indices, or the newest [last] of those. *)
+let merged_windows ?last t name =
+  let by_index = Hashtbl.create 64 in
+  Stdx.Sharded.iter t.shards ~f:(fun s ->
+      match Hashtbl.find_opt s.rings name with
+      | None -> ()
+      | Some ring ->
+        Array.iter
+          (fun slot ->
+            if slot.index >= 0 then begin
+              let m =
+                match Hashtbl.find_opt by_index slot.index with
+                | Some m -> m
+                | None ->
+                  let m = hist_make (Array.length slot.w.h_buckets) in
+                  Hashtbl.add by_index slot.index m;
+                  m
+              in
+              hist_merge_into m slot.w
+            end)
+          ring);
+  let indices = List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) by_index []) in
+  let keep = match last with Some k -> Int.min k t.windows | None -> t.windows in
+  let skip = List.length indices - keep in
+  List.filteri (fun i _ -> i >= skip) indices
+  |> List.map (fun i -> (i, Hashtbl.find by_index i))
+
+let windows ?last t name =
+  List.map (fun (i, h) -> (i, summary_of_hist h)) (merged_windows ?last t name)
+
+let merged_last ?last t name =
+  let ws = merged_windows ?last t name in
+  let bins = match ws with (_, h) :: _ -> Array.length h.h_buckets | [] -> 0 in
+  let m = hist_make bins in
+  List.iter (fun (_, h) -> hist_merge_into m h) ws;
+  m
+
+let aggregate ?last t name = summary_of_hist (merged_last ?last t name)
+
+let quantile ?last t name q =
+  if Float.is_nan q || q < 0.0 || q > 1.0 then
+    invalid_arg "Telemetry.quantile: q outside [0, 1]";
+  hist_quantile (merged_last ?last t name) q
 
 (* -- Dumps ---------------------------------------------------------------- *)
 
@@ -405,3 +537,127 @@ let dump_prometheus t =
       Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count))
     (histograms t);
   Buffer.contents buf
+
+(* -- Series dumps ----------------------------------------------------------- *)
+
+(* Sorted by name, windows ascending, no wall-clock field: same-seed
+   replays dump byte-identical series. *)
+let series_json t =
+  let num_int i = Json.Num (float_of_int i) in
+  let window_json dist (i, s) =
+    Json.Obj
+      ([ ("index", num_int i); ("count", num_int s.count); ("sum", Json.Num s.sum) ]
+      @
+      if dist then
+        [
+          ("min", Json.Num s.min);
+          ("max", Json.Num s.max);
+          ("p50", Json.Num s.p50);
+          ("p90", Json.Num s.p90);
+          ("p99", Json.Num s.p99);
+        ]
+      else [])
+  in
+  let series (name, kind) =
+    let dist = kind = `Dist in
+    ( name,
+      Json.Obj
+        [
+          ("kind", Json.Str (if dist then "dist" else "counter"));
+          ("windows", Json.Arr (List.map (window_json dist) (windows t name)));
+        ] )
+  in
+  Json.Obj
+    [
+      ("bucket_s", Json.Num window_s);
+      ("capacity", num_int t.windows);
+      ("series", Json.Obj (List.map series (windowed t)));
+    ]
+
+let write_series t ~path =
+  let oc = open_out path in
+  output_string oc (Json.to_string (series_json t));
+  output_char oc '\n';
+  close_out oc
+
+type dump = {
+  d_bucket_s : float;
+  d_capacity : int;
+  d_series : (string * [ `Counter | `Dist ] * (int * hist_summary) list) list;
+}
+
+(* Every integer up to 2^53 is exact as a float and fits an int. *)
+let exact_int lo f = Float.is_integer f && f >= lo && f <= 0x1p53
+
+let dump_of_json json =
+  let ( let* ) = Result.bind in
+  (* Numeric field [key] of [obj], which must pass [ok]; [default] when
+     it is missing. *)
+  let field ?default ~what ok obj key =
+    match (Json.member key obj, default) with
+    | Some (Json.Num f), _ when ok f -> Ok f
+    | None, Some d -> Ok d
+    | None, None -> Error (Printf.sprintf "missing field %S" key)
+    | Some _, _ -> Error (Printf.sprintf "field %S is not %s" key what)
+  in
+  let number ?default = field ?default ~what:"a number" (fun _ -> true) in
+  let index = field ~what:"an integer in [0, 2^53]" (exact_int 0.0) in
+  let window_of obj =
+    let* i = index obj "index" in
+    let* count = index obj "count" in
+    let* sum = number obj "sum" in
+    let* min = number ~default:0.0 obj "min" in
+    let* max = number ~default:0.0 obj "max" in
+    let* p50 = number ~default:0.0 obj "p50" in
+    let* p90 = number ~default:0.0 obj "p90" in
+    let* p99 = number ~default:0.0 obj "p99" in
+    let count = int_of_float count in
+    let mean = if count = 0 then 0.0 else sum /. float_of_int count in
+    Ok (int_of_float i, { count; sum; mean; min; max; p50; p90; p99 })
+  in
+  let rec map_result f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+  in
+  let series_of (name, j) =
+    let parsed =
+      let* kind =
+        match (j, Json.member "kind" j) with
+        | Json.Obj _, Some (Json.Str "dist") -> Ok `Dist
+        | Json.Obj _, (Some (Json.Str "counter") | None) -> Ok `Counter
+        | Json.Obj _, Some _ -> Error "bad kind"
+        | _ -> Error "not an object"
+      in
+      let* ws =
+        match Json.member "windows" j with
+        | Some (Json.Arr items) -> map_result window_of items
+        | _ -> Error "missing windows"
+      in
+      Ok (name, kind, ws)
+    in
+    Result.map_error (Printf.sprintf "series %S: %s" name) parsed
+  in
+  match json with
+  | Json.Obj _ ->
+    let* bucket_s =
+      field ~default:1.0 ~what:"a finite number > 0"
+        (fun f -> Float.is_finite f && f > 0.0)
+        json "bucket_s"
+    in
+    let* capacity =
+      field ~default:128.0 ~what:"an integer in [1, 2^53]" (exact_int 1.0) json
+        "capacity"
+    in
+    let* series =
+      match Json.member "series" json with
+      | Some (Json.Obj fields) -> map_result series_of fields
+      | None -> Ok []
+      | Some _ -> Error "field \"series\" is not an object"
+    in
+    Ok { d_bucket_s = bucket_s; d_capacity = int_of_float capacity; d_series = series }
+  | _ -> Error "series dump is not a JSON object"
+
+let dump_of_string s = Result.bind (Json.of_string s) dump_of_json

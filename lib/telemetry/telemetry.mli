@@ -16,6 +16,15 @@
     min/max.  Suitable for latencies in seconds; the exact [sum], [min],
     [max] and [count] are tracked alongside.
 
+    A registry created with [~windows] also keeps, for each metric
+    recorded through {!add} or {!sample}, a ring of that many windows of
+    {!window_s} virtual seconds: what happened {e when}, beside the run
+    total.  A window holds the count and sum of its records and, for a
+    sampled metric, min/max and the same sketch at 4 buckets per octave.
+    The virtual clock is injected (simulations pass their engine or
+    modeled clock, never wall time), so same-seed replays dump
+    byte-identical series.
+
     Spans are sugar over histograms: [with_span t "alloc.score" f] times
     [f] and observes the elapsed seconds into histogram "alloc.score".
     Spans nest per domain (a stack), and [with_span] records even when
@@ -27,9 +36,14 @@
 
 type t
 
-val create : ?now:(unit -> float) -> unit -> t
+val create : ?now:(unit -> float) -> ?windows:int -> ?clock:(unit -> float) -> unit -> t
 (** A fresh registry.  [now] (default [Unix.gettimeofday]) is the span
-    clock, injectable for deterministic tests. *)
+    clock, injectable for deterministic tests.  [windows] (default 0:
+    run totals only) is how many windows each windowed metric keeps;
+    older windows are overwritten in ring order.  [clock] (default
+    [fun () -> 0.0]) is the virtual clock that places a windowed record
+    made without [~at]; it must not run backwards.
+    @raise Invalid_argument if [windows] is negative. *)
 
 val default : t
 (** The process-wide registry that instrumented components record into
@@ -71,6 +85,33 @@ val set_int : gauge -> int -> unit
 (** [set h (float_of_int n)] without boxing the float, for gauges set on
     every event (such as [sim.queue_depth]).
     @raise Invalid_argument if the name is registered as another kind. *)
+
+(** {2 Windowed recording (cold paths)}
+
+    Each bumps the run total exactly as {!incr} / {!observe} do; when the
+    registry keeps windows it also records into the window covering
+    virtual time [at] (default: the registry clock). *)
+
+val window_s : float
+(** The width of one window: 1.0 virtual seconds. *)
+
+val add : t -> ?at:float -> ?by:int -> string -> unit
+(** [incr t ?by name], and one call of [by] in the window.  A counter
+    window counts calls and sums [by]; a call with [~by:0] still counts. *)
+
+val sample : t -> ?at:float -> string -> float -> unit
+(** [observe t name v], and [v] in the window. *)
+
+val set_clock : t -> (unit -> float) -> unit
+(** Re-wire the virtual clock, as when a scenario moves to another
+    modeled clock.  Ignored by a registry that keeps no windows, so
+    pointing a shared registry such as {!default} at a run's clock is
+    harmless. *)
+
+val clock : t -> float
+(** The virtual clock's current reading. *)
+
+(** {2 Spans} *)
 
 val span_begin : t -> string -> unit
 
@@ -122,8 +163,35 @@ val gauges : t -> (string * float) list
 val histograms : t -> (string * hist_summary) list
 
 val reset : t -> unit
-(** Clear every shard; handles re-register on their next record.  Only
-    call while no other domain is recording. *)
+(** Clear every shard, windows included; handles re-register on their
+    next record.  Only call while no other domain is recording. *)
+
+(** {2 Window reads}
+
+    Merged across shards like the totals.  A window reads as a
+    {!hist_summary} of its records; a counter window reports its calls
+    as [count], the sum of their [by] as [sum], and zeros for [min],
+    [max] and the percentiles. *)
+
+val windowed : t -> (string * [ `Counter | `Dist ]) list
+(** Every metric recorded through {!add} ([`Counter]) or {!sample}
+    ([`Dist]) into a registry that keeps windows, sorted by name. *)
+
+val windows : ?last:int -> t -> string -> (int * hist_summary) list
+(** The kept windows of a metric as [(index, summary)], ascending by
+    index ([floor (at / window_s)]): the newest [windows] indices, or
+    the newest [last] of them.  [[]] for an unknown name. *)
+
+val aggregate : ?last:int -> t -> string -> hist_summary
+(** The newest [last] windows (default: every kept one) merged into one
+    summary; all zeros when there are none. *)
+
+val quantile : ?last:int -> t -> string -> float -> float
+(** [quantile t name q] is the [q]-quantile ([0.0 <= q <= 1.0]) of a
+    sampled metric over the newest [last] windows, clamped to the
+    observed min/max as in {!hist_percentile}; [0.0] when empty or for
+    a counter.
+    @raise Invalid_argument if [q] is NaN or outside [0, 1]. *)
 
 (** {2 Dumps} *)
 
@@ -151,3 +219,31 @@ val prom_escape_label : string -> string
     becomes the two characters backslash-n). *)
 
 val write_json : t -> path:string -> unit
+
+(** {2 Series dumps} *)
+
+val series_json : t -> Json.t
+(** Every windowed metric with its kind and kept windows:
+    [{"bucket_s": 1, "capacity": windows, "series": {name: {"kind",
+    "windows": [{"index", "count", "sum"} + "min"/"max"/"p50"/"p90"/
+    "p99" for a sampled metric]}}}], sorted by name, with no wall-clock
+    field. *)
+
+val write_series : t -> path:string -> unit
+
+type dump = {
+  d_bucket_s : float;
+  d_capacity : int;
+  d_series : (string * [ `Counter | `Dist ] * (int * hist_summary) list) list;
+}
+(** A parsed {!series_json}; a window's [mean] is derived from its
+    [count] and [sum]. *)
+
+val dump_of_json : Json.t -> (dump, string) result
+(** [Error] naming the series and field for a window [index] or [count]
+    that is not an integer in [0, 2^53], a [capacity] that is not an
+    integer in [1, 2^53], or a [bucket_s] that is not a finite number
+    > 0.  Missing top-level fields default ([bucket_s] 1, [capacity]
+    128, no series), as do a window's [min], [max] and percentiles. *)
+
+val dump_of_string : string -> (dump, string) result

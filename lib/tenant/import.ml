@@ -1,6 +1,5 @@
 (* Short aliases for sibling libraries used by the tenant layer. *)
 module Telemetry = Activermt_telemetry.Telemetry
-module Timeseries = Activermt_telemetry.Timeseries
 module Trace = Activermt_telemetry.Trace
 module Allocator = Activermt_alloc.Allocator
 module Pool = Activermt_alloc.Pool

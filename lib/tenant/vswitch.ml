@@ -74,15 +74,13 @@ type t = {
          defer so reclaimed capacity reaches the entitled *)
   latencies : (int, int * float) Hashtbl.t;  (* fid -> (tenant, latency) *)
   tel : Telemetry.t;
-  series : Timeseries.t;
   tracer : Trace.t;
   mutable epoch : int;
   mutable clock : float;
 }
 
 let create ?(config = default_config) ?(cost = Cost_model.default)
-    ?(telemetry = Telemetry.default) ?(series = Timeseries.noop)
-    ?(tracer = Trace.noop) ~registry ctrl =
+    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~registry ctrl =
   if config.max_batch <= 0 then invalid_arg "Vswitch.create: max_batch <= 0";
   {
     cfg = config;
@@ -97,7 +95,6 @@ let create ?(config = default_config) ?(cost = Cost_model.default)
     waiting_entitled = Hashtbl.create 16;
     latencies = Hashtbl.create 256;
     tel = telemetry;
-    series;
     tracer;
     epoch = 0;
     clock = 0.0;
@@ -302,8 +299,7 @@ let evict_fid t ~tenant:vt ~epoch_evicted ~modeled =
       !modeled
       +. Cost_model.modeled bd
       +. (float_of_int (state_words state) *. t.cost.Cost_model.snapshot_word_s);
-    Telemetry.incr t.tel "tenant.evictions";
-    Timeseries.add t.series ~t:t.clock "tenant.evictions";
+    Telemetry.add t.tel ~at:t.clock "tenant.evictions";
     ignore
       (Trace.start_trace t.tracer "tenant.evict"
          ~attrs:[ ("tenant", string_of_int vt); ("fid", string_of_int vf) ]);
@@ -363,7 +359,7 @@ let reclaim t =
 let deny t ~denied r (reason : denial) =
   settle t ~fid:r.r_fid (Denied reason);
   denied := (r.r_tenant, r.r_fid, reason) :: !denied;
-  Timeseries.add t.series ~t:t.clock "tenant.denied";
+  Telemetry.add t.tel ~at:t.clock "tenant.denied";
   Telemetry.incr t.tel
     (match reason with
     | `Quota -> "tenant.denied.quota"
@@ -379,8 +375,7 @@ let defer_or_deny t ~denied r (reason : denial) =
   end
   else begin
     r.r_defers <- r.r_defers + 1;
-    Telemetry.incr t.tel "tenant.deferrals";
-    Timeseries.add t.series ~t:t.clock "tenant.deferrals";
+    Telemetry.add t.tel ~at:t.clock "tenant.deferrals";
     `Defer
   end
 
@@ -547,9 +542,8 @@ let run_epoch t =
           | Some r ->
             let lat = t.clock -. r.r_submitted_s in
             Hashtbl.replace t.latencies fid (tenant, lat);
-            Timeseries.observe t.series ~t:t.clock "tenant.admit_latency_s" lat;
-            Timeseries.add t.series ~t:t.clock
-              (Printf.sprintf "tenant.%d.granted" tenant)
+            Telemetry.sample t.tel ~at:t.clock "tenant.admit_latency_s" lat;
+            Telemetry.add t.tel ~at:t.clock (Printf.sprintf "tenant.%d.granted" tenant)
           | None -> ())
       granted;
     let summary =

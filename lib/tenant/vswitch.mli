@@ -88,7 +88,6 @@ val create :
   ?config:config ->
   ?cost:Cost_model.t ->
   ?telemetry:Telemetry.t ->
-  ?series:Timeseries.t ->
   ?tracer:Trace.t ->
   registry:Tenant.t ->
   Controller.t ->
@@ -97,7 +96,11 @@ val create :
     eviction work.  [telemetry] receives [tenant.submitted/granted/
     denied.quota/denied.capacity/deferrals/evictions/epochs] counters,
     [tenant.memsync.words_moved], and per-tenant [tenant.<id>.blocks]
-    gauges refreshed every epoch. *)
+    gauges refreshed every epoch.  On the modeled clock it also records
+    [tenant.denied], [tenant.deferrals], [tenant.evictions] and
+    per-tenant [tenant.<id>.granted] through {!Telemetry.add}, and each
+    first grant's [tenant.admit_latency_s] through {!Telemetry.sample},
+    so a registry that keeps windows holds them over time. *)
 
 val controller : t -> Controller.t
 val registry : t -> Tenant.t

@@ -514,25 +514,43 @@ let prop_json_fuzz_no_crash =
 
 (* Integer-valued floats keep every partial sum exact, so the merged
    totals must equal the sequential ones bit-for-bit no matter how the
-   work was split across shards. *)
+   work was split across shards.  The windowed records land in 64
+   virtual windows, so a registry keeping 64 never wraps its rings. *)
 let record reg i =
   Telemetry.incr reg "c" ~by:(1 + (i mod 5));
-  Telemetry.observe reg "h" (float_of_int ((i * 7919 mod 997) + 1))
+  Telemetry.observe reg "h" (float_of_int ((i * 7919 mod 997) + 1));
+  let at = float_of_int (i mod 64) +. 0.5 in
+  Telemetry.add reg ~at ~by:(i mod 3) "wc";
+  Telemetry.sample reg ~at "wh" (float_of_int ((i * 31 mod 101) + 1))
+
+(* Each run total equals the sum of its windows. *)
+let totals_match_windows reg =
+  let windows name = List.map snd (Telemetry.windows reg name) in
+  let count name = List.fold_left (fun acc w -> acc + w.Telemetry.count) 0 (windows name) in
+  let sum name = List.fold_left (fun acc w -> acc +. w.Telemetry.sum) 0.0 (windows name) in
+  float_of_int (Telemetry.counter_value reg "wc") = sum "wc"
+  &&
+  match Telemetry.hist_summary reg "wh" with
+  | None -> windows "wh" = []
+  | Some h -> h.Telemetry.count = count "wh" && h.Telemetry.sum = sum "wh"
 
 let prop_sharded_merge =
   QCheck.Test.make ~name:"sharded recording merges to sequential totals"
     ~count:20
     QCheck.(pair (int_range 1 6) (int_range 0 3000))
     (fun (size, n) ->
-      let seq = Telemetry.create () in
+      let seq = Telemetry.create ~windows:64 () in
       for i = 0 to n - 1 do
         record seq i
       done;
-      let par = Telemetry.create () in
+      let par = Telemetry.create ~windows:64 () in
       let pool = Stdx.Domain_pool.create ~size () in
       Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
       Telemetry.counter_value par "c" = Telemetry.counter_value seq "c"
-      && Telemetry.hist_summary par "h" = Telemetry.hist_summary seq "h")
+      && Telemetry.hist_summary par "h" = Telemetry.hist_summary seq "h"
+      && Json.to_string (Telemetry.series_json par)
+         = Json.to_string (Telemetry.series_json seq)
+      && totals_match_windows seq && totals_match_windows par)
 
 let test_sharded_fanout_exact () =
   let n = 4096 in
