@@ -22,7 +22,10 @@
      key-to-hashdata load prefix) are peephole-fused into single closures
      with the mask/offset constants baked in, eliding the dead
      intermediate MAR values; memory accesses poke the register file's
-     exposed representation directly once the index is proven in range.
+     exposed representation (packed 32-bit words) directly once the
+     index is proven in range, through [Register_array]'s primitive
+     [external]s, which compile inline even across an [-opaque] module
+     boundary.
 
    Closures are cached per FID and keyed by the allocation epoch
    ([Table.epoch]), which the table bumps on every install, remove and
@@ -117,6 +120,15 @@ type t = {
 }
 
 let mask32 v = v land 0xFFFFFFFF
+
+(* Register words by index through [Register_array]'s unchecked
+   primitives, for indices already proven in range: [load] zero-extends,
+   [store] keeps the low 32 bits, so values stored need no mask. *)
+let[@inline] load data i =
+  Int32.to_int (Rmt.Register_array.unsafe_get32 data (i lsl 2)) land 0xFFFFFFFF
+
+let[@inline] store data i v =
+  Rmt.Register_array.unsafe_set32 data (i lsl 2) (Int32.of_int v)
 
 (* A FID typically runs a small program family (e.g. cache query +
    populate) concurrently; keep a handful of compiled variants per FID. *)
@@ -263,7 +275,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            Array.unsafe_set data (lo + mm) (st.mbr land 0xFFFFFFFF)
+            store data (lo + mm) st.mbr
           end
           else Register_array.write_counted r (lo + mm) st.mbr
       | Instr.Mem_read ->
@@ -271,7 +283,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            st.mbr <- Array.unsafe_get data (lo + mm)
+            st.mbr <- load data (lo + mm)
           end
           else st.mbr <- Register_array.read_counted r (lo + mm)
       | Instr.Mem_increment ->
@@ -279,8 +291,8 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            let nv = (Array.unsafe_get data (lo + mm) + 1) land 0xFFFFFFFF in
-            Array.unsafe_set data (lo + mm) nv;
+            let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
+            store data (lo + mm) nv;
             st.mbr <- nv
           end
           else st.mbr <- Register_array.add_read_counted r (lo + mm) 1
@@ -289,7 +301,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            st.mbr <- min (Array.unsafe_get data (lo + mm)) (st.mbr land 0xFFFFFFFF)
+            st.mbr <- min (load data (lo + mm)) (st.mbr land 0xFFFFFFFF)
           end
           else st.mbr <- Register_array.min_read_counted r (lo + mm) st.mbr
       | Instr.Mem_minreadinc ->
@@ -297,8 +309,8 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            let nv = (Array.unsafe_get data (lo + mm) + 1) land 0xFFFFFFFF in
-            Array.unsafe_set data (lo + mm) nv;
+            let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
+            store data (lo + mm) nv;
             st.mbr <- nv
           end
           else st.mbr <- Register_array.add_read_counted r (lo + mm) 1;
@@ -315,7 +327,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let a = st.mar in
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            Array.unsafe_set data a (st.mbr land 0xFFFFFFFF)
+            store data a st.mbr
           end
           else drop_with device st (Runtime.Protection_violation { stage; mar = a })
       | Instr.Mem_read ->
@@ -323,7 +335,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let a = st.mar in
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            st.mbr <- Array.unsafe_get data a
+            st.mbr <- load data a
           end
           else drop_with device st (Runtime.Protection_violation { stage; mar = a })
       | Instr.Mem_increment ->
@@ -331,8 +343,8 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let a = st.mar in
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            let nv = (Array.unsafe_get data a + 1) land 0xFFFFFFFF in
-            Array.unsafe_set data a nv;
+            let nv = (load data a + 1) land 0xFFFFFFFF in
+            store data a nv;
             st.mbr <- nv
           end
           else drop_with device st (Runtime.Protection_violation { stage; mar = a })
@@ -341,7 +353,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let a = st.mar in
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            st.mbr <- min (Array.unsafe_get data a) (st.mbr land 0xFFFFFFFF)
+            st.mbr <- min (load data a) (st.mbr land 0xFFFFFFFF)
           end
           else drop_with device st (Runtime.Protection_violation { stage; mar = a })
       | Instr.Mem_minreadinc ->
@@ -349,8 +361,8 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           let a = st.mar in
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            let nv = (Array.unsafe_get data a + 1) land 0xFFFFFFFF in
-            Array.unsafe_set data a nv;
+            let nv = (load data a + 1) land 0xFFFFFFFF in
+            store data a nv;
             st.mbr <- nv;
             st.mbr2 <- min st.mbr st.mbr2
           end
@@ -524,8 +536,8 @@ let compile tables ~fid (program : Program.t) =
           st.mar <- a;
           r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
           let ix = lo + (a mod n) in
-          let nv = (Array.unsafe_get data ix + 1) land 0xFFFFFFFF in
-          Array.unsafe_set data ix nv;
+          let nv = (load data ix + 1) land 0xFFFFFFFF in
+          store data ix nv;
           st.mbr <- nv;
           st.mbr2 <- min nv st.mbr2)
         :: peep rest
@@ -544,7 +556,7 @@ let compile tables ~fid (program : Program.t) =
           let adr = ((st.args.(i) land m) + o) land 0xFFFFFFFF in
           st.mar <- adr;
           r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-          st.mbr <- Array.unsafe_get data (lo + (adr mod n)))
+          st.mbr <- load data (lo + (adr mod n)))
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: p3 :: p4 :: rest))
     (* threshold test: MAR_LOAD / MEM_READ / MIN / MBR_EQUALS_MBR2 / CRETI *)
@@ -565,7 +577,7 @@ let compile tables ~fid (program : Program.t) =
             if mm >= 0 then begin
               r.Rmt.Register_array.accesses <-
                 r.Rmt.Register_array.accesses + 1;
-              Array.unsafe_get data (lo + mm)
+              load data (lo + mm)
             end
             else Rmt.Register_array.read_counted r (lo + mm)
           in
@@ -629,7 +641,7 @@ let compile tables ~fid (program : Program.t) =
             if mm >= 0 then begin
               r.Rmt.Register_array.accesses <-
                 r.Rmt.Register_array.accesses + 1;
-              Array.unsafe_get data (lo + mm)
+              load data (lo + mm)
             end
             else Rmt.Register_array.read_counted r (lo + mm)
           in
@@ -654,7 +666,7 @@ let compile tables ~fid (program : Program.t) =
             if mm >= 0 then begin
               r.Rmt.Register_array.accesses <-
                 r.Rmt.Register_array.accesses + 1;
-              Array.unsafe_get data (lo + mm)
+              load data (lo + mm)
             end
             else Rmt.Register_array.read_counted r (lo + mm)
           in
@@ -676,7 +688,7 @@ let compile tables ~fid (program : Program.t) =
           let adr = mask32 (st.mbr + st.mbr2) in
           st.mar <- adr;
           r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-          let v = Array.unsafe_get data (lo + (adr mod n)) in
+          let v = load data (lo + (adr mod n)) in
           st.mbr <- v;
           st.dst <- v)
         :: peep rest
@@ -704,7 +716,7 @@ let compile tables ~fid (program : Program.t) =
             if mm >= 0 then begin
               r.Rmt.Register_array.accesses <-
                 r.Rmt.Register_array.accesses + 1;
-              Array.unsafe_get data (lo + mm)
+              load data (lo + mm)
             end
             else Rmt.Register_array.read_counted r (lo + mm)
           in
@@ -731,7 +743,7 @@ let compile tables ~fid (program : Program.t) =
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            Array.unsafe_set data (lo + mm) (st.mbr land 0xFFFFFFFF)
+            store data (lo + mm) st.mbr
           end
           else Rmt.Register_array.write_counted r (lo + mm) st.mbr;
           st.complete <- true)
@@ -812,8 +824,8 @@ let compile tables ~fid (program : Program.t) =
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            let nv = (Array.unsafe_get data (lo + mm) + 1) land 0xFFFFFFFF in
-            Array.unsafe_set data (lo + mm) nv;
+            let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
+            store data (lo + mm) nv;
             st.mbr <- nv
           end
           else st.mbr <- Rmt.Register_array.add_read_counted r (lo + mm) 1)
@@ -833,7 +845,7 @@ let compile tables ~fid (program : Program.t) =
           let mm = adr mod n in
           if mm >= 0 then begin
             r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            Array.unsafe_set data (lo + mm) (st.mbr land 0xFFFFFFFF)
+            store data (lo + mm) st.mbr
           end
           else Rmt.Register_array.write_counted r (lo + mm) st.mbr)
         :: peep rest
@@ -852,7 +864,7 @@ let compile tables ~fid (program : Program.t) =
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            Array.unsafe_set data (lo + mm) (v land 0xFFFFFFFF)
+            store data (lo + mm) v
           end
           else Rmt.Register_array.write_counted r (lo + mm) v)
         :: peep rest
@@ -863,7 +875,7 @@ let compile tables ~fid (program : Program.t) =
           let mm = st.mar mod n in
           if mm >= 0 then begin
             r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            Array.unsafe_set data (lo + mm) (st.mbr land 0xFFFFFFFF)
+            store data (lo + mm) st.mbr
           end
           else Rmt.Register_array.write_counted r (lo + mm) st.mbr)
         :: peep rest

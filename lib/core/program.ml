@@ -104,6 +104,7 @@ let parse_line lineno raw =
   let s = String.trim (strip_comment raw) in
   if s = "" then Ok None
   else begin
+    (* [Some None]: a label whose digits overflow an int. *)
     let label, body =
       match String.index_opt s ':' with
       | Some i
@@ -112,13 +113,14 @@ let parse_line lineno raw =
              && String.for_all
                   (fun c -> c >= '0' && c <= '9')
                   (String.sub s 1 (i - 1)) ->
-        ( Some (int_of_string (String.sub s 1 (i - 1))),
+        ( Some (int_of_string_opt (String.sub s 1 (i - 1))),
           String.sub s (i + 1) (String.length s - i - 1) )
       | _ -> (None, s)
     in
-    match Instr.of_mnemonic body with
-    | Ok instr -> Ok (Some { instr; label })
-    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+    match (label, Instr.of_mnemonic body) with
+    | Some None, _ -> Error (Printf.sprintf "line %d: label out of range" lineno)
+    | _, Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+    | label, Ok instr -> Ok (Some { instr; label = Option.join label })
   end
 
 let parse ?(name = "anon") text =

@@ -286,7 +286,7 @@ let unframe framed =
 let decode_program ?(name = "wire") b ~off =
   let len = Bytes.length b in
   let rec go off acc =
-    if off + 2 > len then Error "truncated program: missing EOF"
+    if off > len - 2 then Error "truncated program: missing EOF"
     else begin
       let opcode = Bytes.get_uint8 b off and flag = Bytes.get_uint8 b (off + 1) in
       match decode ~opcode ~flag with
@@ -301,4 +301,5 @@ let decode_program ?(name = "wire") b ~off =
         else go (off + 2) ((line, executed) :: acc)
     end
   in
-  go off []
+  if off < 0 then Error (Printf.sprintf "negative program offset %d" off)
+  else go off []

@@ -21,7 +21,7 @@ val decode_program :
   ?name:string -> Bytes.t -> off:int -> (Program.t * bool array * int, string) result
 (** Decode headers starting at [off] up to and including EOF.  Returns the
     program (EOF stripped), the per-line executed marks, and the offset
-    one past the EOF header. *)
+    one past the EOF header.  Any [off] outside the bytes is an [Error]. *)
 
 (** {2 Capsule framing}
 

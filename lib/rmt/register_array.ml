@@ -1,4 +1,7 @@
-type t = { data : int array; mutable accesses : int }
+type t = { data : Bytes.t; mutable accesses : int }
+
+external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 type op =
   | Read
@@ -11,36 +14,42 @@ type access_result = { value : int }
 
 let mask32 v = v land 0xFFFFFFFF
 
-let create ~words =
-  if words <= 0 then invalid_arg "Register_array.create: words must be positive";
-  { data = Array.make words 0; accesses = 0 }
+(* Word [i] lives at byte offset [4 * i]: loads zero-extend, stores keep
+   the low 32 bits.  Callers check [i] first. *)
+let[@inline] load d i = Int32.to_int (unsafe_get32 d (i lsl 2)) land 0xFFFFFFFF
+let[@inline] store d i v = unsafe_set32 d (i lsl 2) (Int32.of_int v)
 
-let words t = Array.length t.data
+let create ~words =
+  if words <= 0 || words > Sys.max_string_length / 4 then
+    invalid_arg "Register_array.create: words out of range";
+  { data = Bytes.make (words * 4) '\000'; accesses = 0 }
+
+let words t = Bytes.length t.data lsr 2
 
 let check t index =
-  if index < 0 || index >= Array.length t.data then
+  if index < 0 || index >= words t then
     invalid_arg
       (Printf.sprintf "Register_array.access: index %d out of bounds [0,%d)"
-         index (Array.length t.data))
+         index (words t))
 
 let access t ~index op =
   check t index;
   t.accesses <- t.accesses + 1;
+  let d = t.data in
   let value =
     match op with
-    | Read -> t.data.(index)
+    | Read -> load d index
     | Write v ->
-      let v = mask32 v in
-      t.data.(index) <- v;
-      v
+      store d index v;
+      mask32 v
     | Add_read v ->
-      let nv = mask32 (t.data.(index) + v) in
-      t.data.(index) <- nv;
+      let nv = mask32 (load d index + v) in
+      store d index nv;
       nv
-    | Min_read v -> min t.data.(index) (mask32 v)
+    | Min_read v -> min (load d index) (mask32 v)
     | Max_write v ->
-      let old = t.data.(index) in
-      t.data.(index) <- max old (mask32 v);
+      let old = load d index in
+      store d index (max old (mask32 v));
       old
   in
   { value }
@@ -51,61 +60,52 @@ let access t ~index op =
 let read_counted t index =
   check t index;
   t.accesses <- t.accesses + 1;
-  t.data.(index)
+  load t.data index
 
 let write_counted t index v =
   check t index;
   t.accesses <- t.accesses + 1;
-  t.data.(index) <- mask32 v
+  store t.data index v
 
 let add_read_counted t index v =
   check t index;
   t.accesses <- t.accesses + 1;
-  let nv = mask32 (t.data.(index) + v) in
-  t.data.(index) <- nv;
+  let nv = mask32 (load t.data index + v) in
+  store t.data index nv;
   nv
 
 let min_read_counted t index v =
   check t index;
   t.accesses <- t.accesses + 1;
-  min t.data.(index) (mask32 v)
+  min (load t.data index) (mask32 v)
 
 let get t index =
   check t index;
-  t.data.(index)
+  load t.data index
 
 let set t index v =
   check t index;
-  t.data.(index) <- mask32 v
+  store t.data index v
 
 let zero_range t ~lo ~hi =
   check t lo;
   check t hi;
-  Array.fill t.data lo (hi - lo + 1) 0
+  Bytes.fill t.data (lo * 4) ((hi - lo + 1) * 4) '\000'
 
 let access_count t = t.accesses
 
 let snapshot_range t ~lo ~hi =
   check t lo;
   check t hi;
-  Array.sub t.data lo (hi - lo + 1)
+  let d = t.data in
+  Array.init (hi - lo + 1) (fun i -> load d (lo + i))
 
-(* A plain loop rather than [Array.blit]: the array lives in the major
-   heap, where a blit pays a write barrier per word, while typed int
-   stores need none.  The range check up front covers every index the
-   loops touch. *)
+(* The range check up front is overflow-safe and covers every byte the
+   blit touches; [Bytes.blit] is a memmove, so overlap is fine. *)
 let move t ~src ~dst ~len =
-  let n = Array.length t.data in
+  let n = words t in
   if len < 0 || src < 0 || dst < 0 || src > n - len || dst > n - len then
     invalid_arg
       (Printf.sprintf "Register_array.move: src %d dst %d len %d outside [0,%d)"
          src dst len n);
-  let d = t.data in
-  if dst < src then
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (dst + i) (Array.unsafe_get d (src + i))
-    done
-  else if dst > src then
-    for i = len - 1 downto 0 do
-      Array.unsafe_set d (dst + i) (Array.unsafe_get d (src + i))
-    done
+  Bytes.blit t.data (src * 4) t.data (dst * 4) (len * 4)

@@ -6,19 +6,36 @@
     (Section 3.2 defines four memory semantics; together with plain reads
     and writes they back the Appendix A.4 instructions).
 
-    Values are 32-bit, stored as masked OCaml ints.  Each access is
-    counted so tests can assert the one-access-per-stage-per-packet
-    invariant end to end. *)
+    Values are packed 32-bit words: stores truncate, loads zero-extend.
+    Each access is counted so tests can assert the
+    one-access-per-stage-per-packet invariant end to end. *)
 
 type t = {
-  data : int array;
-      (** Live backing store.  Exposed (with [accesses]) so compiled
-          per-packet code ({!Jit}) can inline accesses it has proven in
-          bounds; everything else should go through {!access} or the
-          [*_counted] entry points.  Stored values are 32-bit masked —
-          writers must mask. *)
+  data : Bytes.t;
+      (** Live backing store: word [i] occupies bytes [4i .. 4i+3] in
+          native byte order (it is never serialised).  Exposed (with
+          [accesses]) so compiled per-packet code ({!Jit}) can inline
+          accesses it has proven in bounds through {!unsafe_get32} and
+          {!unsafe_set32}; everything else should go through {!access}
+          or the [*_counted] entry points. *)
   mutable accesses : int;
 }
+
+(** {2 Unchecked word access}
+
+    The compiler's own primitives, declared here as [external]s so every
+    caller compiles them inline: a function exported from this module
+    would be an out-of-line call wherever cross-module inlining is off
+    (dune's dev profile compiles with [-opaque]).  Both take a {e byte}
+    offset ([4 * index]) and do no bounds check. *)
+
+external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+(** The word at the byte offset, as a signed [int32]: zero-extend with
+    [Int32.to_int w land 0xFFFFFFFF]. *)
+
+external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+(** Store a word at the byte offset; [Int32.of_int v] keeps the low 32
+    bits of [v]. *)
 
 (** The stateful-ALU micro-programs exposed to the data plane. *)
 type op =
@@ -57,8 +74,8 @@ val set : t -> int -> int -> unit
 (** Control-plane write. *)
 
 val zero_range : t -> lo:int -> hi:int -> unit
-(** Control-plane bulk clear of the inclusive range, used when recycling a
-    freed allocation. *)
+(** Control-plane bulk clear of the inclusive range (one memset), used
+    when recycling a freed allocation. *)
 
 val access_count : t -> int
 (** Total data-plane accesses since creation. *)
@@ -68,7 +85,7 @@ val snapshot_range : t -> lo:int -> hi:int -> int array
 
 val move : t -> src:int -> dst:int -> len:int -> unit
 (** Control-plane copy of the [len] words at [src] to [dst] within the
-    array, correct when the two ranges overlap — how the controller
-    relocates a reallocated app's state (Section 4.3).
+    array, correct when the two ranges overlap (one memmove) — how the
+    controller relocates a reallocated app's state (Section 4.3).
     @raise Invalid_argument if either range leaves the array or
     [len < 0]. *)

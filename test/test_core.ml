@@ -108,11 +108,19 @@ let test_wire_program_roundtrip () =
     Alcotest.(check int) "marks per line" 5 (Array.length marks)
   | Error e -> Alcotest.fail e
 
+(* No complete program at [off]: the bytes end first, or [off] lies
+   outside them — a negative offset used to index before the start, and
+   [max_int + 2] wrapped past the length check. *)
 let test_wire_truncated () =
-  let b = Bytes.make 3 '\001' in
-  match W.decode_program b ~off:0 with
-  | Ok _ -> Alcotest.fail "decoded truncated program"
-  | Error _ -> ()
+  let prog = W.encode_program (P.v (P.plain [ I.Nop; I.Return ])) in
+  let n = Bytes.length prog in
+  List.iter
+    (fun (b, off) ->
+      match W.decode_program b ~off with
+      | Ok _ -> Alcotest.failf "decoded at offset %d of %d bytes" off (Bytes.length b)
+      | Error _ -> ())
+    ((Bytes.make 3 '\001', 0)
+    :: List.map (fun off -> (prog, off)) [ -1; -2; min_int; n - 1; n; max_int - 1; max_int ])
 
 (* -- Program ------------------------------------------------------------- *)
 
@@ -132,6 +140,12 @@ let test_parse_backward_jump () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "backward jump should not validate"
+
+(* Label digits that overflow an int are a parse error, not a raise. *)
+let test_parse_huge_label () =
+  match P.parse "L99999999999999999999: NOP\nRETURN\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted an out-of-range label"
 
 let test_parse_forward_label () =
   match P.parse "MBR_LOAD 0\nCJUMP L1\nNOP\nL1: RETURN\n" with
@@ -307,6 +321,100 @@ let prop_packet_decode_never_raises =
     QCheck.(string_of_size Gen.(int_range 0 120))
     (fun s ->
       match Pkt.decode (Bytes.of_string s) with Ok _ | Error _ -> true)
+
+(* Mutations of a valid input: overwrite, delete or insert bytes, with
+   insertions drawn from fragments the parsers branch on (label and
+   comment syntax, digit runs past [max_int], operands). *)
+let mutate_gen base =
+  let open QCheck.Gen in
+  let fragment =
+    oneof
+      [
+        string_size ~gen:char (int_range 0 4);
+        oneofl
+          [
+            "L"; ":"; "L1:"; "L99999999999999999999:"; "99999999999999999999";
+            "-1"; " 0"; " 7"; "//"; ";"; "\n"; "\000"; "\255"; "CJUMP L3";
+            "MBR_LOAD"; "EOF";
+          ];
+      ]
+  in
+  let edit s =
+    let n = String.length s in
+    int_range 0 (max 0 n) >>= fun i ->
+    int_range 0 (min 4 (n - i)) >>= fun k ->
+    oneof
+      [
+        map (fun f -> String.sub s 0 i ^ f ^ String.sub s i (n - i)) fragment;
+        return (String.sub s 0 i ^ String.sub s (i + k) (n - i - k));
+        map
+          (fun c ->
+            if i = n then s
+            else String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1))
+          char;
+      ]
+  in
+  int_range 1 4 >>= fun edits ->
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  go edits base
+
+let never_raises f x = match f x with Ok _ | Error _ -> true
+
+(* Arbitrary bytes at arbitrary offsets, in and out of range. *)
+let prop_decode_program_never_raises =
+  QCheck.Test.make ~name:"decode_program never raises" ~count:1000
+    (QCheck.make
+       ~print:(fun (s, off) -> Printf.sprintf "%S ~off:%d" s off)
+       QCheck.Gen.(
+         string_size ~gen:char (int_range 0 40) >>= fun s ->
+         let n = String.length s in
+         pair (return s)
+           (frequency
+              [ (9, int_range (-3) (n + 3)); (1, oneofl [ max_int; max_int - 1; min_int ]) ])))
+    (fun (s, off) ->
+      never_raises (fun off -> W.decode_program (Bytes.of_string s) ~off) off)
+
+let frame_gen =
+  QCheck.Gen.(
+    pair (string_size ~gen:char (int_range 0 24)) (option (pair int int))
+    >>= fun (payload, trace) ->
+    let trace =
+      Option.map (fun (trace_id, span_id) -> { W.trace_id; span_id }) trace
+    in
+    let framed = Bytes.to_string (W.frame ?trace (Bytes.of_string payload)) in
+    frequency
+      [ (1, string_size ~gen:char (int_range 0 40)); (1, return framed); (3, mutate_gen framed) ])
+
+let prop_unframe_never_raises =
+  QCheck.Test.make ~name:"unframe_traced never raises" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") frame_gen)
+    (fun s -> never_raises W.unframe_traced (Bytes.of_string s))
+
+(* Arbitrary text, and valid listings mutated or given a label of up to
+   25 digits on one line. *)
+let assembly_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 12) instr_gen >>= fun instrs ->
+    let text = P.to_assembly (P.v (P.plain instrs)) in
+    let lines = String.split_on_char '\n' text in
+    let labelled =
+      int_range 0 (List.length lines - 1) >>= fun k ->
+      string_size ~gen:(char_range '0' '9') (int_range 1 25) >|= fun digits ->
+      String.concat "\n"
+        (List.mapi (fun i l -> if i = k then "L" ^ digits ^ ": " ^ l else l) lines)
+    in
+    frequency
+      [
+        (1, string_size ~gen:printable (int_range 0 60));
+        (1, return "MBR_LOAD 0\nCJUMP L1\nNOP\nL1: RETURN\n");
+        (2, labelled);
+        (4, mutate_gen text);
+      ])
+
+let prop_parse_never_raises =
+  QCheck.Test.make ~name:"parse never raises" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") assembly_gen)
+    (fun s -> never_raises P.parse s)
 
 let prop_packet_roundtrip_requests =
   QCheck.Test.make ~name:"random requests roundtrip" ~count:300
@@ -913,18 +1021,22 @@ let () =
           Alcotest.test_case "program roundtrip" `Quick test_wire_program_roundtrip;
           Alcotest.test_case "truncated" `Quick test_wire_truncated;
           QCheck_alcotest.to_alcotest prop_program_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decode_program_never_raises;
+          QCheck_alcotest.to_alcotest prop_unframe_never_raises;
         ] );
       ( "program",
         [
           Alcotest.test_case "listing 1 structure" `Quick test_listing1_structure;
           Alcotest.test_case "backward jump rejected" `Quick test_parse_backward_jump;
           Alcotest.test_case "forward label ok" `Quick test_parse_forward_label;
+          Alcotest.test_case "huge label" `Quick test_parse_huge_label;
           Alcotest.test_case "duplicate label" `Quick test_validate_duplicate_label;
           Alcotest.test_case "embedded EOF" `Quick test_validate_embedded_eof;
           Alcotest.test_case "unreachable code" `Quick test_validate_unreachable;
           Alcotest.test_case "trailing padding" `Quick test_validate_trailing_padding_ok;
           Alcotest.test_case "assembly roundtrip" `Quick test_assembly_roundtrip;
           QCheck_alcotest.to_alcotest prop_assembly_roundtrip;
+          QCheck_alcotest.to_alcotest prop_parse_never_raises;
         ] );
       ( "packet",
         [

@@ -309,6 +309,52 @@ let test_fault_drops_identical () =
   | RT.Dropped RT.Explicit_drop -> ()
   | _ -> Alcotest.fail "expected explicit drop"
 
+(* -- Directed: 32-bit register words --------------------------------------- *)
+
+(* Register words at the 32-bit boundaries, through every memory op the
+   JIT inlines: stores of a value >= 2^31 and of one >= 2^32 (which
+   truncates), an increment that wraps at 2^32, and reads back through
+   MEM_READ, MEM_MINREAD and MEM_MINREADINC.  Each read feeds a signed
+   comparison (MAX, or the min inside MEM_MINREAD), so a load that
+   sign-extends changes the output args and not just MBR.  Random
+   programs draw args below 2^16 and rarely store such words.  Every
+   access sits at stage 2, so each capsule sees the word the last one
+   left; [expect] is the arg 2 each capsule returns. *)
+let test_boundary_words ~virtual_addressing ~region ~addr () =
+  let w = twin ~virtual_addressing ~stages:[ region ] () in
+  let store_mbr = [ I.Mar_load I.A0; I.Mbr_load I.A1; I.Mem_write; I.Return ] in
+  let store_mar = [ I.Mbr_load I.A1; I.Mar_load I.A0; I.Mem_write; I.Return ] in
+  let read_max =
+    [ I.Mar_load I.A0; I.Mbr2_load I.A3; I.Mem_read; I.Max; I.Mbr_store I.A2; I.Return ]
+  in
+  let minread =
+    [ I.Mar_load I.A0; I.Mbr_load I.A3; I.Mem_minread; I.Mbr_store I.A2; I.Return ]
+  in
+  let incr = [ I.Mar_load I.A0; I.Nop; I.Mem_increment; I.Mbr_store I.A2; I.Return ] in
+  let minreadinc =
+    [
+      I.Mar_load I.A0; I.Mbr2_load I.A3; I.Mem_minreadinc; I.Copy_mbr_mbr2;
+      I.Mbr_store I.A2; I.Return;
+    ]
+  in
+  let steps =
+    [
+      ("store 2^32-1", store_mbr, 0xFFFF_FFFF, 0, 0);
+      ("read 2^32-1", read_max, 0, 1, 0xFFFF_FFFF);
+      ("minread 2^32-1", minread, 0, (1 lsl 32) + 5, 5);
+      ("increment wraps", incr, 0, 0, 0);
+      ("store above 2^32", store_mar, (1 lsl 32) + (1 lsl 31) + 5, 0, 0);
+      ("read 2^31+5", read_max, 0, 1, (1 lsl 31) + 5);
+      ("minreadinc 2^31+5", minreadinc, 0, 0xFFFF_FFFF, (1 lsl 31) + 6);
+      ("minread 2^31+6", minread, 0, (1 lsl 31) - 1, (1 lsl 31) - 1);
+    ]
+  in
+  List.iteri
+    (fun seq (msg, instrs, a1, a3, expect) ->
+      let r = check_identical msg w (exec_pkt ~seq ~args:[| addr; a1; 0; a3 |] instrs) in
+      Alcotest.(check int) (msg ^ ": arg 2") expect r.RT.args_out.(2))
+    steps
+
 (* -- Directed: quiescence and invalidation -------------------------------- *)
 
 let test_quiescence_identical () =
@@ -496,6 +542,12 @@ let () =
           Alcotest.test_case "device recirc limit" `Quick
             test_device_recirc_limit_identical;
           Alcotest.test_case "fault drops" `Quick test_fault_drops_identical;
+          Alcotest.test_case "32-bit words, virtual" `Quick
+            (test_boundary_words ~virtual_addressing:true ~region:(2, 256, 256)
+               ~addr:(256 + 7));
+          Alcotest.test_case "32-bit words, physical" `Quick
+            (test_boundary_words ~virtual_addressing:false ~region:(2, 512, 256)
+               ~addr:600);
         ] );
       ( "lifecycle",
         [

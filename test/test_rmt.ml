@@ -139,38 +139,182 @@ let test_regs_snapshot () =
   done;
   Alcotest.(check (array int)) "snapshot" [| 20; 30; 40 |] (R.snapshot_range r ~lo:2 ~hi:4)
 
-(* [move] against a model that copies the source out first: overlap in
-   either direction must read every source word before it is
-   overwritten, and an out-of-range move — [max_int] included, where a
-   naive end check overflows — must raise without writing.  On 16 words,
-   about a fifth of the cases are in range, many of them overlapping,
-   and [len = 0] is among them. *)
-let prop_regs_move =
-  let n = 16 in
-  let arg =
-    QCheck.Gen.(frequency [ (19, int_range (-1) (n + 1)); (1, oneofl [ max_int; min_int ]) ])
+(* Every entry point against an [int array] model with 32-bit masking
+   semantics, over random op sequences on one 16-word array.  After each
+   op the returned value (or [Invalid_argument], which must leave the
+   array untouched), the access count and every word must match the
+   model.  Indices are drawn around the bounds, with [max_int] and
+   [min_int] (where a naive end check overflows); operands uniformly plus
+   the 32-bit boundaries, negatives and the int extremes, so a load that
+   sign-extends or a store that fails to truncate shows up as a word or a
+   result the model does not have.  [move] is checked against a copy-out
+   model: overlap in either direction must read every source word before
+   it is overwritten. *)
+type reg_op =
+  | Access of int * R.op
+  | Read_counted of int
+  | Write_counted of int * int
+  | Add_read_counted of int * int
+  | Min_read_counted of int * int
+  | Get of int
+  | Set of int * int
+  | Zero_range of int * int
+  | Move of int * int * int
+  | Snapshot_range of int * int
+
+type reg_outcome = Unit | Value of int | Values of int array | Invalid
+
+let show_reg_op =
+  let p = Printf.sprintf in
+  function
+  | Access (i, R.Read) -> p "access %d Read" i
+  | Access (i, R.Write v) -> p "access %d (Write %d)" i v
+  | Access (i, R.Add_read v) -> p "access %d (Add_read %d)" i v
+  | Access (i, R.Min_read v) -> p "access %d (Min_read %d)" i v
+  | Access (i, R.Max_write v) -> p "access %d (Max_write %d)" i v
+  | Read_counted i -> p "read_counted %d" i
+  | Write_counted (i, v) -> p "write_counted %d %d" i v
+  | Add_read_counted (i, v) -> p "add_read_counted %d %d" i v
+  | Min_read_counted (i, v) -> p "min_read_counted %d %d" i v
+  | Get i -> p "get %d" i
+  | Set (i, v) -> p "set %d %d" i v
+  | Zero_range (lo, hi) -> p "zero_range %d %d" lo hi
+  | Move (src, dst, len) -> p "move %d %d %d" src dst len
+  | Snapshot_range (lo, hi) -> p "snapshot_range %d %d" lo hi
+
+let apply_reg_op r = function
+  | Access (index, op) -> Value (R.access r ~index op).R.value
+  | Read_counted i -> Value (R.read_counted r i)
+  | Write_counted (i, v) ->
+    R.write_counted r i v;
+    Unit
+  | Add_read_counted (i, v) -> Value (R.add_read_counted r i v)
+  | Min_read_counted (i, v) -> Value (R.min_read_counted r i v)
+  | Get i -> Value (R.get r i)
+  | Set (i, v) ->
+    R.set r i v;
+    Unit
+  | Zero_range (lo, hi) ->
+    R.zero_range r ~lo ~hi;
+    Unit
+  | Move (src, dst, len) ->
+    R.move r ~src ~dst ~len;
+    Unit
+  | Snapshot_range (lo, hi) -> Values (R.snapshot_range r ~lo ~hi)
+
+(* The model's result, applying the op to [m] and bumping [count] for a
+   data-plane access that is in range. *)
+let model_reg_op m count op =
+  let n = Array.length m in
+  let mask v = v land 0xFFFFFFFF in
+  let ok i = i >= 0 && i < n in
+  (* Inclusive ranges: [hi = lo - 1] is empty, anything shorter invalid. *)
+  let range lo hi = ok lo && ok hi && hi >= lo - 1 in
+  let counted i f =
+    if ok i then begin
+      incr count;
+      f ()
+    end
+    else Invalid
   in
-  QCheck.Test.make ~name:"move = copy-out model" ~count:2000
-    (QCheck.make ~print:QCheck.Print.(triple int int int) (QCheck.Gen.triple arg arg arg))
-    (fun (src, dst, len) ->
+  let write i v result =
+    m.(i) <- mask v;
+    result
+  in
+  match op with
+  | Access (i, R.Read) | Read_counted i -> counted i (fun () -> Value m.(i))
+  | Access (i, R.Write v) -> counted i (fun () -> write i v (Value (mask v)))
+  | Write_counted (i, v) -> counted i (fun () -> write i v Unit)
+  | Access (i, R.Add_read v) | Add_read_counted (i, v) ->
+    counted i (fun () -> write i (m.(i) + v) (Value (mask (m.(i) + v))))
+  | Access (i, R.Min_read v) | Min_read_counted (i, v) ->
+    counted i (fun () -> Value (min m.(i) (mask v)))
+  | Access (i, R.Max_write v) ->
+    counted i (fun () ->
+        let old = m.(i) in
+        m.(i) <- max old (mask v);
+        Value old)
+  | Get i -> if ok i then Value m.(i) else Invalid
+  | Set (i, v) -> if ok i then write i v Unit else Invalid
+  | Zero_range (lo, hi) ->
+    if range lo hi then begin
+      Array.fill m lo (hi - lo + 1) 0;
+      Unit
+    end
+    else Invalid
+  | Snapshot_range (lo, hi) ->
+    if range lo hi then Values (Array.sub m lo (hi - lo + 1)) else Invalid
+  | Move (src, dst, len) ->
+    if len >= 0 && src >= 0 && dst >= 0 && src <= n - len && dst <= n - len
+    then begin
+      let before = Array.copy m in
+      Array.blit before src m dst len;
+      Unit
+    end
+    else Invalid
+
+let reg_op_gen n =
+  let open QCheck.Gen in
+  let ix =
+    frequency [ (19, int_range (-1) (n + 1)); (1, oneofl [ max_int; min_int ]) ]
+  in
+  let v =
+    frequency
+      [
+        (1, int);
+        ( 1,
+          oneofl
+            [ 0; 1; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 32) - 1; 1 lsl 32; -1;
+              -(1 lsl 31); -(1 lsl 32); max_int; min_int ] );
+      ]
+  in
+  let data_op =
+    oneof
+      [
+        return R.Read;
+        map (fun v -> R.Write v) v;
+        map (fun v -> R.Add_read v) v;
+        map (fun v -> R.Min_read v) v;
+        map (fun v -> R.Max_write v) v;
+      ]
+  in
+  oneof
+    [
+      map2 (fun i op -> Access (i, op)) ix data_op;
+      map (fun i -> Read_counted i) ix;
+      map2 (fun i v -> Write_counted (i, v)) ix v;
+      map2 (fun i v -> Add_read_counted (i, v)) ix v;
+      map2 (fun i v -> Min_read_counted (i, v)) ix v;
+      map (fun i -> Get i) ix;
+      map2 (fun i v -> Set (i, v)) ix v;
+      map2 (fun lo hi -> Zero_range (lo, hi)) ix ix;
+      map3 (fun src dst len -> Move (src, dst, len)) ix ix ix;
+      map2 (fun lo hi -> Snapshot_range (lo, hi)) ix ix;
+    ]
+
+let prop_regs_model =
+  let n = 16 in
+  QCheck.Test.make ~name:"op sequences = int array model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_reg_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) (reg_op_gen n)))
+    (fun ops ->
       let r = R.create ~words:n in
-      for i = 0 to n - 1 do
-        R.set r i (i + 1)
-      done;
-      let before = R.snapshot_range r ~lo:0 ~hi:(n - 1) in
-      let in_range = len >= 0 && src >= 0 && dst >= 0 && src <= n - len && dst <= n - len in
-      let raised =
-        match R.move r ~src ~dst ~len with
-        | () -> false
-        | exception Invalid_argument _ -> true
-      in
-      let expected =
-        if not in_range then before
-        else
-          Array.init n (fun i ->
-              if i >= dst && i < dst + len then before.(src + i - dst) else before.(i))
-      in
-      raised = not in_range && R.snapshot_range r ~lo:0 ~hi:(n - 1) = expected)
+      let m = Array.make n 0 in
+      let count = ref 0 in
+      List.for_all
+        (fun op ->
+          let got =
+            match apply_reg_op r op with
+            | o -> o
+            | exception Invalid_argument _ -> Invalid
+          in
+          let want = model_reg_op m count op in
+          got = want
+          && R.access_count r = !count
+          && List.init n (R.get r) = Array.to_list m)
+        ops)
 
 (* -- Tcam ---------------------------------------------------------------- *)
 
@@ -335,7 +479,7 @@ let () =
           Alcotest.test_case "access count" `Quick test_regs_access_count;
           Alcotest.test_case "zero range" `Quick test_regs_zero_range;
           Alcotest.test_case "snapshot" `Quick test_regs_snapshot;
-          QCheck_alcotest.to_alcotest prop_regs_move;
+          QCheck_alcotest.to_alcotest prop_regs_model;
         ] );
       ( "tcam",
         [
