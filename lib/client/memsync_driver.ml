@@ -129,20 +129,6 @@ let transmit t ~now ~send index =
   slot.tries <- slot.tries + 1;
   t.sent <- t.sent + 1;
   Hashtbl.replace t.seq_to_index seq index;
-  (* Per-index transmit events only at Stages verbosity — a big sync
-     would otherwise dominate the store. *)
-  (match t.trace with
-  | Some ctx when Trace.stage_detail t.tracer ->
-    ignore
-      (Trace.span t.tracer ctx ~t_start:now ~t_end:now
-         ~attrs:
-           [
-             ("index", string_of_int index);
-             ("seq", string_of_int seq);
-             ("try", string_of_int slot.tries);
-           ]
-         "memsync.xmit")
-  | Some _ | None -> ());
   send ~seq (packet_for t ~seq ~index)
 
 let op_string = function Read -> "read" | Write _ -> "write"

@@ -46,9 +46,8 @@ val create :
     [tracer] (default [Trace.noop]) records the sync as a trace:
     {!start} opens a head-sampled [memsync.sync] root (fid, op, count,
     stages), each {!tick} that retransmits emits one batch
-    [memsync.retry] event (resent/outstanding counts), per-packet
-    [memsync.xmit] events appear only at [Stages] verbosity, and the
-    reply completing the sync emits [memsync.done].
+    [memsync.retry] event (resent/outstanding counts), and the reply
+    completing the sync emits [memsync.done].
     @raise Invalid_argument on out-of-range parameters. *)
 
 val outstanding : t -> int

@@ -71,7 +71,6 @@ type compiled = {
       (* one bare closure per pc: the operation only, no accounting *)
   blocks : block array;  (* fused straight-line run starting at each pc *)
   labels : int array;  (* line label, or [no_label] *)
-  instrs : Instr.t array;  (* for trace-event emission *)
   len : int;
   single_pass : bool;  (* len <= n_stages: no recirculation bookkeeping *)
   straight : (state -> unit) option;
@@ -953,7 +952,6 @@ let compile tables ~fid (program : Program.t) =
     ops;
     blocks;
     labels;
-    instrs;
     len;
     single_pass = len <= n_stages;
     straight;
@@ -1026,58 +1024,6 @@ let drive c st =
   st.f_pc <- !pc;
   st.f_passes <- (if !passes > 1 then !passes else 1)
 
-(* The tracing driver: steps one slot at a time and emits the same
-   [trace_event] stream the interpreter would. *)
-let drive_with_events c st f =
-  let pc = ref 0 in
-  let passes = ref 0 in
-  let limit_hit = ref false in
-  while (not st.complete) && !pc < c.len && not !limit_hit do
-    if !passes > 0 then begin
-      if !passes > c.pass_allowance then begin
-        limit_hit := true;
-        drop_with c.c_device st Runtime.Recirculation_limit
-      end
-      else Rmt.Device.count_recirculation c.c_device
-    end;
-    if not !limit_hit then begin
-      let stop =
-        let h = !pc + c.c_n_stages in
-        if h < c.len then h else c.len
-      in
-      while !pc < stop && not st.complete do
-        let skipped =
-          if st.disabled < 0 then begin
-            c.ops.(!pc) st;
-            st.executed <- st.executed + 1;
-            st.last_stage <- !pc mod c.c_n_stages;
-            false
-          end
-          else if c.labels.(!pc) = st.disabled then begin
-            exec_labelled c st !pc;
-            false
-          end
-          else true
-        in
-        f
-          {
-            Runtime.tr_pass = !passes;
-            tr_stage = !pc mod c.c_n_stages;
-            tr_pc = !pc;
-            tr_instr = c.instrs.(!pc);
-            tr_skipped = skipped;
-            tr_mar = st.mar;
-            tr_mbr = st.mbr;
-            tr_mbr2 = st.mbr2;
-          };
-        incr pc
-      done;
-      incr passes
-    end
-  done;
-  st.f_pc <- !pc;
-  st.f_passes <- (if !passes > 1 then !passes else 1)
-
 (* Load a capsule into the scratch state.  The args are copied: the copy
    is the working argument store and then the capsule's output args, the
    only per-packet allocation of a compiled execution.  The wire format
@@ -1125,12 +1071,10 @@ let pipelines c st =
   let within_ingress = st.last_stage < c.c_ingress in
   ((st.f_passes - 1) * 2) + (if within_ingress then 1 else 2) + (2 * st.port_recircs)
 
-let exec_compiled ?on_event c ~(meta : Runtime.meta) ~args ~st =
+let exec_compiled c ~(meta : Runtime.meta) ~args ~st =
   load st ~src:meta.Runtime.src ~dst:meta.Runtime.dst
     ~flow_key:meta.Runtime.flow_key args;
-  (match on_event with
-  | None -> drive_fast c st
-  | Some f -> drive_with_events c st f);
+  drive_fast c st;
   let decision =
     match st.dropped with
     | Some r -> Runtime.Dropped r
@@ -1320,37 +1264,37 @@ let[@inline] valid ce = !(ce.ce_cell) = ce.ce_version
 (* Miss path: the FID has no valid cached closure for this program.
    Uninstalled or quiesced FIDs execute in the interpreter (which handles
    pass-through); otherwise compile against the current allocation. *)
-let run_slow ?on_event t ~meta ~fid ~args ~program ~entry pkt =
+let run_slow t ~meta ~fid ~args ~program ~entry pkt =
   let stale = entry != no_entry && not (valid entry) in
   if stale then invalidate t ~fid;
   if Table.is_quiesced t.tables ~fid || not (Table.installed t.tables ~fid) then begin
     t.last_mode <- Interpreted;
-    Runtime.run ?on_event t.tables ~meta pkt
+    Runtime.run t.tables ~meta pkt
   end
   else begin
     let entry = if stale || entry == no_entry then None else Some entry in
     let c = compile_into t ~fid ~program entry in
     t.last_mode <- Compiled_fresh;
-    exec_compiled ?on_event c ~meta ~args ~st:t.scratch
+    exec_compiled c ~meta ~args ~st:t.scratch
   end
 
-let run ?on_event t ?(meta = default_meta) (pkt : Packet.t) =
+let run t ?(meta = default_meta) (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Exec { args; program } when t.enabled -> (
     let fid = pkt.Packet.fid in
     let ce = entry t fid in
-    if not (valid ce) then run_slow ?on_event t ~meta ~fid ~args ~program ~entry:ce pkt
+    if not (valid ce) then run_slow t ~meta ~fid ~args ~program ~entry:ce pkt
     else
       match find_prog ce.ce_progs program with
       | c ->
         t.s_hits <- t.s_hits + 1;
         t.last_mode <- Compiled;
-        exec_compiled ?on_event c ~meta ~args ~st:t.scratch
+        exec_compiled c ~meta ~args ~st:t.scratch
       | exception Not_found ->
-        run_slow ?on_event t ~meta ~fid ~args ~program ~entry:ce pkt)
+        run_slow t ~meta ~fid ~args ~program ~entry:ce pkt)
   | _ ->
     t.last_mode <- Interpreted;
-    Runtime.run ?on_event t.tables ~meta pkt
+    Runtime.run t.tables ~meta pkt
 
 (* Anything but a hit on a compiled variant under a valid epoch goes
    through [run]: it compiles, interprets and counts exactly as a [run]
@@ -1385,8 +1329,8 @@ let run_into t o ~src ~dst (pkt : Packet.t) =
   | Packet.Exec _ | Packet.Request _ | Packet.Response _ | Packet.Bare ->
     run_copy t o ~src ~dst pkt
 
-let run_info ?on_event t ?meta pkt =
-  let r = run ?on_event t ?meta pkt in
+let run_info t ?meta pkt =
+  let r = run t ?meta pkt in
   (r, t.last_mode)
 
 let would_specialize t (pkt : Packet.t) =

@@ -7,8 +7,8 @@
     privilege, the recirculation allowance, stage register arrays — and
     keeps branches only at the data-dependent points (complete/disabled
     flags, recirculation checks).  Execution is bit-identical to
-    {!Runtime.run}: the same [result], the same [trace_event] stream, the
-    same register-array and device-counter side effects.
+    {!Runtime.run}: the same [result] and the same register-array and
+    device-counter side effects.
 
     Invalidation is automatic: {!Table.epoch} is bumped by every install
     and remove, so reallocation, migration, departure, and privilege or
@@ -32,14 +32,10 @@ val create : ?enabled:bool -> ?telemetry:Activermt_telemetry.Telemetry.t -> Tabl
     [jit.enabled] gauge and the [jit.compile] span land in [telemetry]
     (default {!Activermt_telemetry.Telemetry.default}). *)
 
-val run :
-  ?on_event:(Runtime.trace_event -> unit) -> t -> ?meta:Runtime.meta -> Packet.t ->
-  Runtime.result
+val run : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result
 (** Drop-in replacement for {!Runtime.run}. *)
 
-val run_info :
-  ?on_event:(Runtime.trace_event -> unit) -> t -> ?meta:Runtime.meta -> Packet.t ->
-  Runtime.result * mode
+val run_info : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result * mode
 (** [run] plus how the packet was executed, for span attributes. *)
 
 (** What a switch needs of an execution to act on it, in a record the

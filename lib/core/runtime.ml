@@ -318,7 +318,7 @@ let exec ?on_event tables ~(meta : meta) ~fid ~args ~program =
     forks = !forks;
   }
 
-let run ?on_event tables ?(meta = default_meta) (pkt : Packet.t) =
+let dispatch ?on_event tables ~meta (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Request _ | Packet.Response _ | Packet.Bare ->
     pass_through ~quiesced:false meta
@@ -327,9 +327,11 @@ let run ?on_event tables ?(meta = default_meta) (pkt : Packet.t) =
       pass_through ~args ~quiesced:true meta
     else exec ?on_event tables ~meta ~fid:pkt.Packet.fid ~args ~program
 
-let trace tables ?meta pkt =
+let run tables ?(meta = default_meta) pkt = dispatch tables ~meta pkt
+
+let trace tables ?(meta = default_meta) pkt =
   let events = ref [] in
-  let r = run ~on_event:(fun e -> events := e :: !events) tables ?meta pkt in
+  let r = dispatch ~on_event:(fun e -> events := e :: !events) tables ~meta pkt in
   (r, List.rev !events)
 
 let latency_us params r =

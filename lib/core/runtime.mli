@@ -63,7 +63,7 @@ type trace_event = {
 
 val pp_trace_event : Format.formatter -> trace_event -> unit
 
-val run : ?on_event:(trace_event -> unit) -> Table.t -> ?meta:meta -> Packet.t -> result
+val run : Table.t -> ?meta:meta -> Packet.t -> result
 (** Execute an [Exec] packet's program.  Non-program packets (requests,
     responses, bare) and quiesced FIDs pass through to [meta.dst]
     untouched.  MAR, MBR and MBR2 are preloaded from argument fields 0-2

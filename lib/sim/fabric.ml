@@ -97,11 +97,11 @@ let tr_fault t m ?(attrs = []) name =
       (Trace.instant t.tracer c ~attrs:(sw_attr t :: link_attr m :: attrs) name)
 
 (* Chain a hop event: the message continues under the new child span. *)
-let tr_hop t m ?(attrs = []) name =
+let tr_hop t m name =
   match tr_on t m with
   | None -> m
   | Some c ->
-    let attrs = sw_attr t :: ("dst", string_of_int m.dst) :: attrs in
+    let attrs = [ sw_attr t; ("dst", string_of_int m.dst) ] in
     { m with trace = Some (Trace.instant t.tracer c ~attrs name) }
 
 let wire_ctx (c : Trace.ctx) : Activermt.Wire.trace_ctx =
@@ -165,13 +165,6 @@ let cause_attr = function
    with its trace advanced by an [event] child), emitting fault events
    under the message's trace as verdicts land. *)
 let traced_or_faulty_hop t m ~delay ~event handler =
-  let m =
-    if Trace.stage_detail t.tracer then
-      tr_hop t m
-        ~attrs:[ ("delay_us", Printf.sprintf "%.3f" (delay *. 1e6)) ]
-        "sim.enqueue"
-    else m
-  in
   let thunk () = handler (tr_hop t m event) in
   match t.faults with
   | None -> Engine.schedule t.engine ~delay thunk
@@ -245,9 +238,8 @@ let decision_string r =
     in
     "dropped:" ^ why
 
-(* Execute a traced capsule under a device.exec span: per-stage events
-   (gated behind the Stages verbosity) and the result hang off it, and
-   admit.* attrs link the data plane back to the control-plane provision
+(* Execute a traced capsule under a device.exec span: the result hangs
+   off it, and admit.* attrs link the data plane back to the control-plane provision
    span that placed this program. *)
 let exec_traced t pkt ~meta c =
   let fid = pkt.Activermt.Packet.fid in
@@ -270,30 +262,7 @@ let exec_traced t pkt ~meta c =
   let r, exec_ctx =
     Trace.with_span t.tracer (Some c) ~attrs:exec_attrs "device.exec"
     @@ fun ec ->
-    let on_event =
-      match ec with
-      | Some c when Trace.stage_detail t.tracer ->
-        Some
-          (fun (e : Activermt.Runtime.trace_event) ->
-            let attrs =
-              [
-                sw_attr t;
-                ("pass", string_of_int e.Activermt.Runtime.tr_pass);
-                ("stage", string_of_int e.Activermt.Runtime.tr_stage);
-                ("pc", string_of_int e.Activermt.Runtime.tr_pc);
-                ( "instr",
-                  Format.asprintf "%a" Activermt.Instr.pp
-                    e.Activermt.Runtime.tr_instr );
-                ("skipped", if e.Activermt.Runtime.tr_skipped then "1" else "0");
-                ("mar", string_of_int e.Activermt.Runtime.tr_mar);
-                ("mbr", string_of_int e.Activermt.Runtime.tr_mbr);
-                ("mbr2", string_of_int e.Activermt.Runtime.tr_mbr2);
-              ]
-            in
-            ignore (Trace.instant t.tracer c ~attrs "device.stage"))
-      | _ -> None
-    in
-    let r, mode = Activermt.Jit.run_info ?on_event t.jit ~meta pkt in
+    let r, mode = Activermt.Jit.run_info t.jit ~meta pkt in
     (match (mode, ec) with
     | Activermt.Jit.Compiled_fresh, Some c ->
       ignore

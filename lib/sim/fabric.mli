@@ -97,13 +97,13 @@ val create :
     hashes no metric name.
 
     [tracer] (default [Trace.noop]) records per-capsule causal events:
-    [capsule.inject], [sim.hop]/[sim.deliver] ([sim.enqueue] at Stages
-    verbosity), [fault.drop]/[fault.corrupt]/[fault.duplicate] with the
-    firing knob as [cause] and the [link] named, [device.exec] spans (carrying a
+    [capsule.inject], [sim.hop]/[sim.deliver],
+    [fault.drop]/[fault.corrupt]/[fault.duplicate] with the firing knob
+    as [cause] and the [link] named, [device.exec] spans (carrying a
     [jit=true/false] attr for whether the specialization tier ran the
     capsule, plus a [jit.compile] instant on first compilation) with
-    [device.stage]/[device.result]/[device.drop] children linked to the
-    admitting [control.provision] span via [admit.*] attrs.  Share one
+    [device.result]/[device.drop] children linked to the admitting
+    [control.provision] span via [admit.*] attrs.  Share one
     tracer (and its clock, wired to [Engine.now]) across every fabric of
     a fleet so traces follow capsules between switches.  An untraced
     capsule (no context, or a disabled tracer) skips all of this: it runs

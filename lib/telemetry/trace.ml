@@ -10,8 +10,6 @@ type event = {
   attrs : (string * string) list;
 }
 
-type verbosity = Spans | Stages
-
 (* Each writing domain appends to its own shard (no contention); a global
    atomic sequence number gives the merged view a total emission order. *)
 type shard = { mutable items : (int * event) array; mutable len : int }
@@ -22,7 +20,6 @@ type t = {
   sample : float;
   rng : Stdx.Prng.t;
   rng_lock : Mutex.t;
-  verb : verbosity;
   mutable clock : unit -> float;
   shards : shard Stdx.Sharded.t;
   next_trace : int Atomic.t;
@@ -31,7 +28,7 @@ type t = {
   n_evicted : int Atomic.t;
 }
 
-let mk ~on ~capacity ~sample ~seed ~verb =
+let mk ~on ~capacity ~sample ~seed =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
   {
     on;
@@ -39,7 +36,6 @@ let mk ~on ~capacity ~sample ~seed ~verb =
     sample;
     rng = Stdx.Prng.create ~seed;
     rng_lock = Mutex.create ();
-    verb;
     clock = (fun () -> 0.0);
     shards = Stdx.Sharded.create ~init:(fun () -> { items = [||]; len = 0 }) ();
     next_trace = Atomic.make 1;
@@ -48,14 +44,11 @@ let mk ~on ~capacity ~sample ~seed ~verb =
     n_evicted = Atomic.make 0;
   }
 
-let create ?(capacity = 65536) ?(sample = 1.0) ?(seed = 0x7ace)
-    ?(verbosity = Spans) () =
-  mk ~on:true ~capacity ~sample ~seed ~verb:verbosity
+let create ?(capacity = 65536) ?(sample = 1.0) ?(seed = 0x7ace) () =
+  mk ~on:true ~capacity ~sample ~seed
 
-let noop = mk ~on:false ~capacity:1 ~sample:0.0 ~seed:0 ~verb:Spans
+let noop = mk ~on:false ~capacity:1 ~sample:0.0 ~seed:0
 let enabled t = t.on
-let verbosity t = t.verb
-let stage_detail t = t.on && t.verb = Stages
 let set_clock t f = t.clock <- f
 let now t = t.clock ()
 

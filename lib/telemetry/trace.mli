@@ -3,7 +3,7 @@
     Where {!Telemetry} aggregates (counters, histograms, span timers),
     [Trace] records *individual* causally-linked events so one capsule can
     be followed end to end: injection, fabric hops, fault verdicts,
-    per-stage execution, controller provisioning, fleet bridging and
+    device execution, controller provisioning, fleet bridging and
     migration.  Each event carries a [(trace_id, span_id, parent_span_id)]
     triple; the context travels in-band with the capsule (see
     [Core.Wire.frame]'s trace extension and [Sim.Fabric]'s message trace
@@ -43,36 +43,20 @@ type event = {
   attrs : (string * string) list;
 }
 
-type verbosity =
-  | Spans  (** Lifecycle events only: inject/deliver/fault/exec/control. *)
-  | Stages
-      (** Also per-stage device execution events (instruction, MAR/MBR)
-          and per-word client retransmission events — much larger dumps. *)
-
 type t
 
-val create :
-  ?capacity:int ->
-  ?sample:float ->
-  ?seed:int ->
-  ?verbosity:verbosity ->
-  unit ->
-  t
+val create : ?capacity:int -> ?sample:float -> ?seed:int -> unit -> t
 (** [capacity] (default 65536) bounds the per-shard and merged event
     count.  [sample] (default 1.0) is the head-sampling probability in
     [0, 1]; values [>= 1.0] keep everything without consuming PRNG state,
     [<= 0.0] keeps nothing.  [seed] (default 0x7ace) seeds the sampling
-    stream.  [verbosity] defaults to [Spans]. *)
+    stream. *)
 
 val noop : t
 (** A permanently disabled tracer: {!start_trace} always returns [None]
     and emission is a no-op.  Components default to this. *)
 
 val enabled : t -> bool
-val verbosity : t -> verbosity
-
-val stage_detail : t -> bool
-(** [enabled t && verbosity t = Stages] — gate for hot-path stage events. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Replace the clock used for event timestamps.  Simulations wire this to

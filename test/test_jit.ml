@@ -2,19 +2,24 @@
 
    The contract under test (jit.mli): execution through compiled closures
    is *bit-identical* to the interpreter — the same result record, the
-   same trace_event stream, the same register-array contents and access
-   counts, the same device drop/recirculation counters — across faults
-   (protection, privilege, recirculation limits, explicit drops),
-   quiescence, and invalidation (reinstall, migration, departure).
+   same register-array contents and access counts, the same device
+   drop/recirculation counters — across faults (protection, privilege,
+   recirculation limits, explicit drops), quiescence, and invalidation
+   (reinstall, migration, departure).
 
    Every check runs a "twin world": two identical device+table pairs, one
-   driven by Runtime.run, the other by Jit.run, fed the same packet
-   sequence.  Comparing full post-run device state (not just results)
-   catches a specialized closure that computes the right answer with the
-   wrong side effects.  A second pair checks Jit.run_into, the entry
-   point the fabric executes untraced capsules through, against
-   Runtime.run under the fabric's meta (which has no flow key): the same
-   decision, destination, pipeline count, output args and device state. *)
+   driven by Runtime.run, the other by Jit.run/Jit.run_info, fed the same
+   packet sequence under a meta with a flow key.  Those are the entry
+   points traced capsules take, and they run the same fused drivers
+   (straight chain, single-pass or general) as production, so the whole
+   result record — executed-instruction count, passes, consumed prefix,
+   final registers — is checked against the interpreter's.  Comparing full
+   post-run device state (not just results) catches a specialized closure
+   that computes the right answer with the wrong side effects.  A second
+   pair checks Jit.run_into, the entry point the fabric executes untraced
+   capsules through, against Runtime.run under the fabric's meta (which
+   has no flow key): the same decision, destination, pipeline count,
+   output args and device state. *)
 
 module I = Activermt.Instr
 module P = Activermt.Program
@@ -112,24 +117,19 @@ let into_identical w pkt =
   outcome_matches ~src:fabric_meta.RT.src r o && same_state w.ft w.ot
 
 let exec_both w pkt =
-  let iev = ref [] in
-  let jev = ref [] in
-  let ri = RT.run ~on_event:(fun e -> iev := e :: !iev) w.it ~meta pkt in
-  let rj, mode =
-    Jit.run_info ~on_event:(fun e -> jev := e :: !jev) w.jit ~meta pkt
-  in
-  (ri, List.rev !iev, rj, List.rev !jev, mode)
+  let ri = RT.run w.it ~meta pkt in
+  let rj, mode = Jit.run_info w.jit ~meta pkt in
+  (ri, rj, mode)
 
 (* Structural comparison covers the whole result record (args_out arrays,
-   drop reasons) and the whole trace-event stream. *)
+   drop reasons, counts). *)
 let identical w pkt =
-  let ri, iev, rj, jev, _ = exec_both w pkt in
-  ri = rj && iev = jev && same_state w.it w.jt && into_identical w pkt
+  let ri, rj, _ = exec_both w pkt in
+  ri = rj && same_state w.it w.jt && into_identical w pkt
 
 let check_identical msg w pkt =
-  let ri, iev, rj, jev, _ = exec_both w pkt in
+  let ri, rj, _ = exec_both w pkt in
   Alcotest.(check bool) (msg ^ ": result") true (ri = rj);
-  Alcotest.(check bool) (msg ^ ": trace stream") true (iev = jev);
   Alcotest.(check bool) (msg ^ ": device state") true (same_state w.it w.jt);
   let r, o = exec_into w pkt in
   Alcotest.(check bool)
@@ -207,13 +207,9 @@ let test_real_apps_identical () =
   for round = 1 to 3 do
     Array.iteri
       (fun k ipkt ->
-        let iev = ref [] in
-        let jev = ref [] in
-        let ri = RT.run ~on_event:(fun e -> iev := e :: !iev) ti.tables ~meta ipkt in
-        let rj =
-          Jit.run ~on_event:(fun e -> jev := e :: !jev) jit ~meta jpool.(k)
-        in
-        if not (ri = rj && !iev = !jev) then
+        let ri = RT.run ti.tables ~meta ipkt in
+        let rj = Jit.run jit ~meta jpool.(k) in
+        if not (ri = rj) then
           Alcotest.failf "round %d packet %d diverged" round k;
         let rf = RT.run tf.tables ~meta:fabric_meta fpool.(k) in
         Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst opool.(k);
@@ -368,7 +364,7 @@ let test_quiescence_identical () =
     (Jit.would_specialize w.jit incr);
   Tbl.quiesce w.ft ~fid:1;
   Tbl.quiesce w.ot ~fid:1;
-  let _, _, rj, _, mode = exec_both w incr in
+  let _, rj, mode = exec_both w incr in
   Alcotest.(check bool) "passes through unprocessed" true rj.RT.quiesced;
   Alcotest.(check bool) "interpreter fallback while quiesced" true
     (mode = Jit.Interpreted);
@@ -466,7 +462,7 @@ let instr_gen =
 
 (* The core property: on arbitrary label-free programs — which freely hit
    protection faults, privilege drops, recirculation and hash/memory ops —
-   the JIT's result, trace stream and device side effects equal the
+   the JIT's result and device side effects equal the
    interpreter's, on both the fresh-compile and the cached path. *)
 let prop_jit_matches_interpreter =
   QCheck.Test.make ~name:"jit = interpreter on random programs" ~count:300
