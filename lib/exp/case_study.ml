@@ -14,7 +14,6 @@ type config = {
   extract_compute_s : float;
   hh_window_s : float;
   refresh_base_s : float;
-  loss_rate : float;
   seed : int;
 }
 
@@ -27,7 +26,6 @@ let default_config =
     extract_compute_s = 0.15;
     hh_window_s = 2.0;
     refresh_base_s = 0.1;
-    loss_rate = 0.0;
     seed = 99;
   }
 
@@ -101,10 +99,7 @@ let make_world ?(policy = Mutant.Most_constrained) cfg params ~duration =
     Controller.create ~mode:`Interactive ~policy
       ~extraction_timeout_s:2.0 device
   in
-  let fabric =
-    Fabric.create ~loss_rate:cfg.loss_rate ~loss_seed:(cfg.seed + 1) ~engine
-      ~controller ()
-  in
+  let fabric = Fabric.create ~engine ~controller () in
   let server = 1 in
   let extractors = Hashtbl.create 8 in
   let w = { cfg; params; engine; fabric; controller; server; extractors; duration } in

@@ -19,9 +19,6 @@ type config = {
       (** client-side recompute time during a reallocation *)
   hh_window_s : float;  (** monitoring window before the context switch *)
   refresh_base_s : float;  (** first multiplicative populate interval *)
-  loss_rate : float;
-      (** data-plane loss probability; the memsync driver's retransmission
-          keeps extraction exact regardless *)
   seed : int;
 }
 

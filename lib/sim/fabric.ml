@@ -26,15 +26,12 @@ type t = {
   controller : Controller.t;
   address : address;
   wire_latency_s : float;
-  loss_rate : float;
-  loss_rng : Stdx.Prng.t;
   faults : Faults.t option;
   nodes : node Addr_tbl.t;
   mutable default_node : (msg -> unit) option;
   owners : (Activermt.Packet.fid, address) Hashtbl.t;
   jit : Activermt.Jit.t;
   mutable drops : int;
-  mutable lost : int;
   tel : Telemetry.t;
   (* Per-packet counters, resolved once: sim.packets.* and, per source
      address, sim.node.<addr>.tx. *)
@@ -107,17 +104,6 @@ let tr_hop t m name =
 let wire_ctx (c : Trace.ctx) : Activermt.Wire.trace_ctx =
   { Activermt.Wire.trace_id = c.Trace.trace_id; span_id = c.Trace.span_id }
 
-let lossy t m =
-  (* Only program packets and their replies ride the lossy data plane. *)
-  match m.payload with
-  | Active { Activermt.Packet.payload = Activermt.Packet.Exec _; _ } ->
-    t.loss_rate > 0.0 && Stdx.Prng.float t.loss_rng 1.0 < t.loss_rate
-  | Active _ | Kv_request _ | Kv_reply _ | Alloc_failed | Notify_realloc -> false
-
-let count_lost t =
-  t.lost <- t.lost + 1;
-  Telemetry.bump t.lost_c
-
 (* Corruption damages the capsule's on-the-wire bytes; the receiving
    parser verifies the frame checksum and discards on mismatch.  A
    single-byte flip is always caught (see Wire.checksum), so the effect
@@ -177,12 +163,12 @@ let traced_or_faulty_hop t m ~delay ~event handler =
           "fault.duplicate"
     | `Lost cause ->
       tr_fault t m ~attrs:(cause_attr cause) "fault.drop";
-      count_lost t
+      Telemetry.bump t.lost_c
     | `Corrupted ->
       tr_fault t m "fault.corrupt";
       if corruption_rejected t f m then begin
         tr_fault t m ~attrs:[ ("cause", "corrupt") ] "fault.drop";
-        count_lost t
+        Telemetry.bump t.lost_c
       end)
 
 (* Without a trace context or faults [tr_hop] is the identity, so the
@@ -205,12 +191,7 @@ let arrive t m =
       handler m
     | None -> ())
 
-let deliver t m ~delay =
-  if lossy t m then begin
-    tr_fault t m ~attrs:[ ("cause", "loss_rate") ] "fault.drop";
-    count_lost t
-  end
-  else hop t m ~delay ~event:"sim.deliver" t.to_node
+let deliver t m ~delay = hop t m ~delay ~event:"sim.deliver" t.to_node
 
 let notify_impacted ?trace t fids =
   List.iter
@@ -439,11 +420,8 @@ let at_switch t m =
       end)
 
 let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
-    ?(loss_rate = 0.0) ?(loss_seed = 4_059) ?faults ?(jit = true)
-    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~engine ~controller
-    () =
-  if loss_rate < 0.0 || loss_rate >= 1.0 then
-    invalid_arg "Fabric.create: loss_rate must be in [0, 1)";
+    ?faults ?(jit = true) ?(telemetry = Telemetry.default)
+    ?(tracer = Trace.noop) ~engine ~controller () =
   (* A faults handle with an all-off profile is the same as no handle:
      take the legacy (zero-cost, bit-identical) paths. *)
   let faults =
@@ -457,8 +435,6 @@ let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
       controller;
       address;
       wire_latency_s;
-      loss_rate;
-      loss_rng = Stdx.Prng.create ~seed:loss_seed;
       faults;
       nodes = Addr_tbl.create 16;
       default_node = None;
@@ -467,7 +443,6 @@ let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
         Activermt.Jit.create ~enabled:jit ~telemetry
           (Controller.tables controller);
       drops = 0;
-      lost = 0;
       tel = telemetry;
       sent_c = Telemetry.counter telemetry "sim.packets.sent";
       delivered_c = Telemetry.counter telemetry "sim.packets.delivered";
@@ -483,15 +458,9 @@ let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
   t
 
 let send t m =
-  if lossy t m then begin
-    tr_fault t m ~attrs:[ ("cause", "loss_rate") ] "fault.drop";
-    count_lost t
-  end
-  else begin
-    Telemetry.bump t.sent_c;
-    Telemetry.bump (tx_counter t m.src);
-    hop t m ~delay:t.wire_latency_s ~event:"sim.hop" t.to_switch
-  end
+  Telemetry.bump t.sent_c;
+  Telemetry.bump (tx_counter t m.src);
+  hop t m ~delay:t.wire_latency_s ~event:"sim.hop" t.to_switch
 
 (* Head-based sampling happens exactly once, here, when a capsule enters
    the network — bridged or forwarded messages go through [send] and keep
@@ -525,4 +494,3 @@ let inject ?(name = "capsule.inject") t m =
   send t m
 
 let stats_drops t = t.drops
-let stats_lost t = t.lost

@@ -52,8 +52,6 @@ type t
 val create :
   ?address:address ->
   ?wire_latency_s:float ->
-  ?loss_rate:float ->
-  ?loss_seed:int ->
   ?faults:Faults.t ->
   ?jit:bool ->
   ?telemetry:Activermt_telemetry.Telemetry.t ->
@@ -65,11 +63,6 @@ val create :
 (** [address] (default [switch_address]) is the address this instance's
     switch answers on, so several fabrics — one per switch — can share an
     engine and bridge traffic between each other's nodes.
-
-    [loss_rate] (default 0) drops that fraction of data-plane deliveries
-    (program packets and their replies), deterministically under
-    [loss_seed]; control traffic is unaffected.  Exercises the memsync
-    retransmission loop.
 
     [faults] (default none) attaches a seeded {!Faults} model to every
     hop through this fabric — client-to-switch and switch-to-node alike,
@@ -157,5 +150,3 @@ val inject : ?name:string -> t -> msg -> unit
 val stats_drops : t -> int
 (** Packets the runtime dropped (protection, recirculation limit, DROP). *)
 
-val stats_lost : t -> int
-(** Data-plane packets lost to the configured loss rate. *)

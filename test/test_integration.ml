@@ -175,26 +175,6 @@ let test_case_study_multi () =
           t.CS.disruptions)
     r.CS.tenants
 
-let test_case_study_under_loss () =
-  (* 5% data-plane loss: lost queries simply never reply, but extraction
-     retransmits and the cache still converges. *)
-  let config =
-    {
-      CS.default_config with
-      CS.request_rate_pps = 4000.0;
-      hh_window_s = 1.0;
-      loss_rate = 0.05;
-    }
-  in
-  let r = CS.run_single ~config params in
-  let t = List.hd r.CS.tenants in
-  let final =
-    CS.hit_rate_window t
-      ~lo_ms:(int_of_float ((r.CS.duration_s -. 2.0) *. 1000.0))
-      ~hi_ms:(int_of_float (r.CS.duration_s *. 1000.0))
-  in
-  Alcotest.(check bool) "still serves hits under loss" true (final > 0.3)
-
 let test_case_study_deterministic () =
   let config = { CS.default_config with CS.request_rate_pps = 2000.0 } in
   let r1 = CS.run_single ~config params in
@@ -219,7 +199,6 @@ let () =
         [
           Alcotest.test_case "single tenant" `Slow test_case_study_single;
           Alcotest.test_case "multi tenant" `Slow test_case_study_multi;
-          Alcotest.test_case "under loss" `Slow test_case_study_under_loss;
           Alcotest.test_case "deterministic" `Slow test_case_study_deterministic;
         ] );
     ]

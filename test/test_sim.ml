@@ -2,6 +2,7 @@
 
 module Engine = Netsim.Engine
 module Fabric = Netsim.Fabric
+module Faults = Netsim.Faults
 module Controller = Activermt_control.Controller
 module Negotiate = Activermt_client.Negotiate
 module Pkt = Activermt.Packet
@@ -379,15 +380,16 @@ let test_fabric_release () =
 module Memsync_driver = Activermt_client.Memsync_driver
 
 let test_memsync_driver_over_lossy_fabric () =
-  (* 30% data-plane loss: the retransmission loop still completes a
-     200-index write and a subsequent read returns every value. *)
+  (* The allocation is negotiated over a fault-free fabric.  The 200-index
+     write and the read that follows run over a second fabric on the same
+     engine and controller that drops 30% of deliveries, capsules and
+     replies alike: the retransmission loop still completes both, and the
+     read returns every value. *)
   let engine = Engine.create () in
   let controller = Controller.create (Rmt.Device.create params) in
-  let fabric =
-    Fabric.create ~loss_rate:0.3 ~loss_seed:77 ~engine ~controller ()
-  in
-  Fabric.attach fabric 10 (fun _ -> ());
-  Fabric.send fabric
+  let control = Fabric.create ~engine ~controller () in
+  Fabric.attach control 10 (fun _ -> ());
+  Fabric.send control
     { Fabric.src = 10;
       dst = Fabric.switch_address;
       payload =
@@ -405,6 +407,8 @@ let test_memsync_driver_over_lossy_fabric () =
                   (fun s r -> match r with Some _ -> [ s ] | None -> [])
                   (Array.to_list regions)))))
   in
+  let faults = Faults.create ~seed:77 (Faults.lossy ~drop:0.3 ()) in
+  let fabric = Fabric.create ~faults ~engine ~controller () in
   let count = 200 in
   let run_driver driver =
     let send ~seq:_ pkt =
@@ -449,7 +453,7 @@ let test_memsync_driver_over_lossy_fabric () =
           values.(k).(index)
       done)
     stages;
-  Alcotest.(check bool) "loss actually occurred" true (Fabric.stats_lost fabric > 0)
+  Alcotest.(check bool) "loss actually occurred" true (Faults.injected faults > 0)
 
 let () =
   Alcotest.run "sim"
