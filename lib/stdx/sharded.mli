@@ -30,7 +30,4 @@ val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 
 val iter : 'a t -> f:('a -> unit) -> unit
 
-val all : 'a t -> 'a list
-(** Snapshot of all registered shards, newest first. *)
-
 val n_shards : 'a t -> int

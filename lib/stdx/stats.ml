@@ -39,8 +39,6 @@ let percentile xs p =
     a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
   end
 
-let median xs = percentile xs 50.0
-
 let jain_fairness xs =
   let n = List.length xs in
   if n = 0 then 1.0

@@ -20,8 +20,6 @@ val percentile : float list -> float -> float
 (** [percentile xs p] with p in [0, 100], linear interpolation between
     order statistics.  @raise Invalid_argument on an empty list. *)
 
-val median : float list -> float
-
 val jain_fairness : float list -> float
 (** Jain's fairness index (sum x)^2 / (n * sum x^2) over the allocations,
     as plotted in Figures 7d and 11.  Equals 1.0 for equal shares; 1/n for
