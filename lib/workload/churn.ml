@@ -28,9 +28,6 @@ let default_config =
 
 let extended_config = { default_config with kinds = extended_kinds }
 
-let pure kind = { arrival_mean = 1.0; departure_mean = 0.0; kinds = [| kind |] }
-let arrivals_only c = { c with departure_mean = 0.0 }
-
 let generate config ~epochs rng =
   let next_fid = ref 1 in
   let alive = ref [] in

@@ -36,12 +36,6 @@ val default_config : config
 val extended_config : config
 (** [default_config] over [extended_kinds]. *)
 
-val pure : kind -> config
-(** Arrivals of a single kind only, no departures — the Figure 5a / 6
-    pure-workload sequences. *)
-
-val arrivals_only : config -> config
-
 val generate :
   config -> epochs:int -> Stdx.Prng.t -> epoch list
 (** Deterministic sequence given the PRNG.  FIDs are unique and increase;

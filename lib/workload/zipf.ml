@@ -31,9 +31,6 @@ let sample t =
   in
   bs 0 (t.n - 1)
 
-let n t = t.n
-let exponent t = t.exponent
-
 let pmf t i =
   if i < 0 || i >= t.n then 0.0
   else if i = 0 then t.cdf.(0)

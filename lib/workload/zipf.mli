@@ -11,9 +11,6 @@ val create : ?exponent:float -> n:int -> Stdx.Prng.t -> t
 val sample : t -> int
 (** Draw a 0-based rank. *)
 
-val n : t -> int
-val exponent : t -> float
-
 val pmf : t -> int -> float
 (** Probability of the 0-based rank. *)
 
