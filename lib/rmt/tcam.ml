@@ -42,7 +42,6 @@ let create ~width ~capacity =
   if capacity < 0 then invalid_arg "Tcam.create: negative capacity";
   { width; capacity; used = 0; entries = [] }
 
-let capacity t = t.capacity
 let used t = t.used
 let free t = t.capacity - t.used
 

@@ -26,7 +26,6 @@ type t
 type handle
 
 val create : width:int -> capacity:int -> t
-val capacity : t -> int
 val used : t -> int
 val free : t -> int
 
