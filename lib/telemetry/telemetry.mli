@@ -156,11 +156,9 @@ val hist_percentile : t -> string -> float -> float
     @raise Invalid_argument if [p] is NaN. *)
 
 val counters : t -> (string * int) list
-(** All counters, merged, sorted by name.  Likewise [gauges] and
-    [histograms]. *)
+(** All counters, merged, sorted by name.  Likewise [gauges]. *)
 
 val gauges : t -> (string * float) list
-val histograms : t -> (string * hist_summary) list
 
 val reset : t -> unit
 (** Clear every shard, windows included; handles re-register on their
@@ -195,23 +193,17 @@ val quantile : ?last:int -> t -> string -> float -> float
 
 (** {2 Dumps} *)
 
-val json_of : t -> Json.t
-val json_of_summary : hist_summary -> Json.t
-
 val dump_json : t -> string
-(** Pretty-printed {!json_of}: counters, gauges, histogram summaries. *)
+(** Pretty-printed JSON: counters, gauges, histogram summaries. *)
 
 val dump_prometheus : t -> string
 (** Prometheus text exposition: counters, gauges, summaries with
     p50/p90/p99 quantiles.  Names are sanitized to the exposition
     format's charset ([[a-zA-Z_:][a-zA-Z0-9_:]*]) and label values have
     backslash, double-quote and newline escaped, so the output is
-    well-formed promtext for any registry key. *)
-
-val prom_name : string -> string
-(** The metric-name sanitizer {!dump_prometheus} uses: every character
-    outside [[a-zA-Z0-9_:]] collapses to ['_'] and a leading digit gets a
-    ['_'] prefix. *)
+    well-formed promtext for any registry key: every character outside
+    [[a-zA-Z0-9_:]] collapses to ['_'] and a leading digit gets a ['_']
+    prefix. *)
 
 val prom_escape_label : string -> string
 (** The label-value escaper {!dump_prometheus} uses: backslash,

@@ -113,16 +113,13 @@ val reset : t -> unit
 
 (** {2 Exporters} *)
 
-val chrome_json : t -> Json.t
-(** Chrome trace-event JSON (the ["traceEvents"] array format), loadable
-    in Perfetto / [chrome://tracing].  Events map to complete ("ph":"X")
-    slices with [ts]/[dur] in microseconds; [pid] is the event's
-    ["switch"] attribute (0 when absent, with process-name metadata
-    records naming each), [tid] is the trace id, and [args] carries the
-    span triple plus every attribute. *)
-
 val dump_chrome : t -> string
-(** [chrome_json] pretty-printed to a string. *)
+(** Chrome trace-event JSON (the ["traceEvents"] array format),
+    pretty-printed, loadable in Perfetto / [chrome://tracing].  Events
+    map to complete ("ph":"X") slices with [ts]/[dur] in microseconds;
+    [pid] is the event's ["switch"] attribute (0 when absent, with
+    process-name metadata records naming each), [tid] is the trace id,
+    and [args] carries the span triple plus every attribute. *)
 
 val write_chrome : t -> string -> unit
 (** Write {!dump_chrome} to a file (trailing newline included). *)
