@@ -77,8 +77,6 @@ let needs_ingress = function
   | Rts | Crts -> true
   | _ -> false
 
-let clones_packet = function Fork -> true | _ -> false
-
 let branch_target = function
   | Cjump l | Cjumpi l | Ujump l -> Some l
   | _ -> None
@@ -227,8 +225,6 @@ let of_mnemonic line =
     | "ADDR_OFFSET" -> bare Addr_offset
     | "HASH" -> bare Hash
     | other -> Error ("unknown mnemonic " ^ other))
-
-let pp fmt t = Format.pp_print_string fmt (mnemonic t)
 
 let all_opcodes =
   let args = [ A0; A1; A2; A3 ] in

@@ -87,9 +87,6 @@ val needs_ingress : t -> bool
 (** Must execute in the ingress pipeline to avoid an extra recirculation
     (RTS/CRTS; port changes are ingress-only on Tofino). *)
 
-val clones_packet : t -> bool
-(** FORK requires recirculation (Section 3.1). *)
-
 val branch_target : t -> label option
 
 val mnemonic : t -> string
@@ -98,8 +95,6 @@ val mnemonic : t -> string
 val of_mnemonic : string -> (t, string) result
 (** Parse one assembly line (mnemonic plus optional operand); inverse of
     [mnemonic]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val all_opcodes : t list
 (** One representative of every instruction (arg/label families included

@@ -1168,8 +1168,6 @@ let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
     last_mode = Interpreted;
   }
 
-let enabled t = t.enabled
-let tables t = t.tables
 let cache_size t = Hashtbl.length t.cache
 
 let flush_stats t =
@@ -1196,16 +1194,6 @@ let invalidate t ~fid =
       t.dm_entry.(slot) <- no_entry
     end;
     t.s_invalidates <- t.s_invalidates + 1;
-    flush_stats t
-  end
-
-let invalidate_all t =
-  let n = Hashtbl.length t.cache in
-  if n > 0 then begin
-    Hashtbl.reset t.cache;
-    Array.fill t.dm_fid 0 dm_slots (-1);
-    Array.fill t.dm_entry 0 dm_slots no_entry;
-    t.s_invalidates <- t.s_invalidates + n;
     flush_stats t
   end
 

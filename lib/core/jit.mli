@@ -75,10 +75,6 @@ val invalidate : t -> fid:Packet.fid -> unit
     it, because stale closures are already unreachable once the
     allocation epoch moves. *)
 
-val invalidate_all : t -> unit
-
-val enabled : t -> bool
-val tables : t -> Table.t
 val cache_size : t -> int
 
 val flush_stats : t -> unit

@@ -234,14 +234,3 @@ let decode ?(stages = 20) b =
       end
     | _ -> finish Bare
   end
-
-let pp fmt t =
-  let kind =
-    match t.payload with
-    | Request _ -> "request"
-    | Response _ -> "response"
-    | Exec _ -> "exec"
-    | Bare -> "bare"
-  in
-  Format.fprintf fmt "@[<h>packet{fid=%d seq=%d %s%s}@]" t.fid t.seq kind
-    (if t.flags.elastic then " elastic" else "")

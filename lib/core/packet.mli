@@ -64,18 +64,6 @@ val exec : ?flags:flags -> fid:fid -> seq:int -> args:int array -> Program.t -> 
     from here, so the caller must not write it afterwards.
     @raise Invalid_argument on more than four args. *)
 
-val initial_header_bytes : int
-(** 10 *)
-
-val args_header_bytes : int
-(** 16 *)
-
-val request_header_bytes : int
-(** 24 *)
-
-val response_header_bytes : stages:int -> int
-(** 8 bytes per stage + status byte; 161 with 20 stages (paper: 160). *)
-
 val wire_size : stages:int -> t -> int
 (** Size in bytes of [encode t] (header overhead a service adds to each
     packet; Section 3.3 discusses this cost). *)
@@ -89,5 +77,3 @@ val strip_executed : t -> upto:int -> t
 val encode : t -> Bytes.t
 val decode : ?stages:int -> Bytes.t -> (t, string) result
 (** [stages] (default 20) sets the expected response-header geometry. *)
-
-val pp : Format.formatter -> t -> unit

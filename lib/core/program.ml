@@ -152,10 +152,6 @@ let to_assembly t =
     t.lines;
   Buffer.contents buf
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>program %s (%d instructions)@,%s@]" t.name
-    (length t) (to_assembly t)
-
 let equal a b =
   Array.length a.lines = Array.length b.lines
   && Array.for_all2

@@ -47,5 +47,4 @@ val parse : ?name:string -> string -> (t, string) result
     Validates before returning. *)
 
 val to_assembly : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

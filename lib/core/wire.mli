@@ -40,9 +40,6 @@ type trace_ctx = { trace_id : int; span_id : int }
     a capsule across hops.  Both ids are truncated to 32 bits on the
     wire. *)
 
-val checksum : Bytes.t -> int
-(** RFC 1071-style 16-bit one's-complement sum of the bytes. *)
-
 val frame : ?trace:trace_ctx -> Bytes.t -> Bytes.t
 (** Append the trailer: optional 8-byte trace extension, flags byte, and
     2-byte checksum (3 bytes without a trace, 11 with one). *)
