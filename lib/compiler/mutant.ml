@@ -18,6 +18,9 @@ let base_passes params (spec : Spec.t) =
   let n = params.Rmt.Params.logical_stages in
   max 1 ((spec.Spec.length + n - 1) / n)
 
+(* Most-constrained allows exactly the base passes (no additional
+   recirculation); least-constrained allows one extra pass, bounded by
+   the device recirculation limit. *)
 let max_passes_of_policy params spec = function
   | Most_constrained -> base_passes params spec
   | Least_constrained ->

@@ -26,11 +26,6 @@ type t = {
 val base_passes : Rmt.Params.t -> Spec.t -> int
 (** Passes the compact (unshifted) program needs. *)
 
-val max_passes_of_policy : Rmt.Params.t -> Spec.t -> policy -> int
-(** Most-constrained allows exactly the base passes (no *additional*
-    recirculation); least-constrained allows one extra pass, bounded by
-    the device recirculation limit. *)
-
 val enumerate : ?limit:int -> Rmt.Params.t -> policy -> Spec.t -> t list
 (** Mutants under the policy, in systematic (lexicographic shift) order —
     the order "first fit" picks from.  When the feasibility region exceeds
