@@ -636,5 +636,4 @@ let write_region_word t ~fid ~stage ~index ~value =
         true
       end)
 
-let tracer t = t.tracer
 let admit_trace t ~fid = Hashtbl.find_opt t.admit_traces fid

@@ -198,9 +198,6 @@ val write_region_word :
   t -> fid:Activermt.Packet.fid -> stage:int -> index:int -> value:int -> bool
 (** Control-plane write of one word, region-relative; false if no region. *)
 
-val tracer : t -> Trace.t
-(** The tracer passed at {!create} ({!Trace.noop} by default). *)
-
 val admit_trace : t -> fid:Activermt.Packet.fid -> Trace.ctx option
 (** The [control.provision] span that admitted the FID, while it stays
     resident — lets data-plane execution events link back to the
