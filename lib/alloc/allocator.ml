@@ -145,10 +145,7 @@ let demand_arrays_of t key ~demand_blocks (mutants : Mutant.t array) =
     Hashtbl.replace t.demand_arrays_cache (key, Array.copy demand_blocks) arrs;
     arrs
 
-let params t = t.params
-let scheme t = t.scheme
 let policy t = t.policy
-let domains t = Stdx.Domain_pool.size t.dpool
 let shutdown t = Stdx.Domain_pool.shutdown t.dpool
 let resident t = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.apps []
 let is_resident t ~fid = Hashtbl.mem t.apps fid
@@ -187,9 +184,6 @@ let resident_blocks t =
       (fid, blocks) :: acc)
     t.apps []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let elastic_fids t =
-  Hashtbl.fold (fun fid app acc -> if app.app_elastic then fid :: acc else acc) t.apps []
 
 (* A conservative per-stage cap on resident apps derived from TCAM
    capacity: a protection range of width w bits expands to at most 2w - 2

@@ -101,12 +101,7 @@ val create :
     nested [alloc.enumerate], [alloc.snapshot], [alloc.score],
     [alloc.fill]; [alloc.depart]). *)
 
-val params : t -> Rmt.Params.t
-val scheme : t -> scheme
 val policy : t -> Mutant.policy
-
-val domains : t -> int
-(** The scoring fan-out width [create] was given (>= 1). *)
 
 val shutdown : t -> unit
 (** Join the scoring worker domains ([create ~domains] spawns them once
@@ -174,8 +169,6 @@ val resident_blocks : t -> (int * int) list
 (** [(fid, blocks currently held)] for every resident app, sorted by FID —
     the bulk form of {!app_blocks}, used by the tenant layer to refresh
     per-tenant accounting after elastic residents were resized. *)
-
-val elastic_fids : t -> int list
 
 val regions_response :
   t -> fid:int -> Activermt.Packet.region option array option

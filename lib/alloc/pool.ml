@@ -76,9 +76,6 @@ let slots t =
       (fun s -> { fid = s.efid; range = s.erange; min_blocks = s.emin; elastic = true })
       t.elastic
 
-let slot_of t ~fid =
-  List.find_opt (fun s -> s.fid = fid) (slots t)
-
 let fungible_blocks t = t.total - t.c_hw - t.c_emin
 
 (* Holes inside the pinned zone, found by scanning the block map up to the

@@ -29,7 +29,6 @@ val slots : t -> slot list
 (** All resident slots, inelastic first (by address), then elastic (by
     arrival). *)
 
-val slot_of : t -> fid:int -> slot option
 val n_elastic : t -> int
 val n_slots : t -> int
 (** Total resident slots, inelastic plus elastic. *)
