@@ -1,9 +1,5 @@
 module Spec = Activermt_compiler.Spec
 
-let arg_key0 = 0
-let arg_key1 = 1
-let arg_one = 2
-
 (* Both programs share the access/hash skeleton: HASH at positions 4, 8,
    12 (three distinct per-stage hash functions), memory at 7, 11, 15. *)
 let insert_program =

@@ -18,11 +18,6 @@ val query_program : Activermt.Program.t
 
 val service : App.t
 
-val arg_key0 : int
-val arg_key1 : int
-val arg_one : int
-(** The insert program stores the constant 1 carried in this argument. *)
-
 val insert_args : key0:int -> key1:int -> int array
 val query_args : key0:int -> key1:int -> int array
 

@@ -1,8 +1,5 @@
 module Spec = Activermt_compiler.Spec
 
-let arg_bucket = 0
-let arg_key0 = 1
-let arg_key1 = 2
 let arg_value = 3
 
 let query_program =

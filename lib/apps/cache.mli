@@ -19,9 +19,6 @@ val populate_program : Activermt.Program.t
 
 val service : App.t
 
-val arg_bucket : int
-val arg_key0 : int
-val arg_key1 : int
 val arg_value : int
 
 val query_args : bucket:int -> key0:int -> key1:int -> int array

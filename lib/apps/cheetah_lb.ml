@@ -1,8 +1,5 @@
 module Spec = Activermt_compiler.Spec
 
-let arg_pool_addr = 0
-let arg_pagetable_addr = 1
-let arg_salt = 2
 let arg_cookie = 3
 
 let syn_program =

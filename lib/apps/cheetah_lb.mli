@@ -31,9 +31,6 @@ val flow_program_for : hash_stage:int -> Activermt.Program.t
 val service : App.t
 (** The stateful SYN side, which is what requests an allocation. *)
 
-val arg_pool_addr : int
-val arg_pagetable_addr : int
-val arg_salt : int
 val arg_cookie : int
 
 val syn_args : salt:int -> int array

@@ -1,6 +1,5 @@
 module Spec = Activermt_compiler.Spec
 
-let arg_slot = 0
 let arg_count = 1
 
 let program =
@@ -24,14 +23,6 @@ let service =
   match App.validate t with Ok t -> t | Error e -> invalid_arg e
 
 let args ~slot = [| slot; 0; 0; 0 |]
-
-let count_of_reply (pkt : Activermt.Packet.t) =
-  match pkt.Activermt.Packet.payload with
-  | Activermt.Packet.Exec { args; _ } when Array.length args = 4 ->
-    Some args.(arg_count)
-  | Activermt.Packet.Exec _ | Activermt.Packet.Request _
-  | Activermt.Packet.Response _ | Activermt.Packet.Bare ->
-    None
 
 let slot_of_flow ~slots key =
   if slots <= 0 then 0 else Rmt.Crc.crc32 (Array.to_list key) mod slots

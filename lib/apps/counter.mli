@@ -12,13 +12,9 @@ val program : Activermt.Program.t
 val service : App.t
 (** Inelastic, 4 blocks (1024 flow slots). *)
 
-val arg_slot : int
 val arg_count : int
 
 val args : slot:int -> int array
-
-val count_of_reply : Activermt.Packet.t -> int option
-(** The updated counter carried back in argument 1. *)
 
 val slot_of_flow : slots:int -> int array -> int
 (** Client-side slot hashing over the flow key words. *)

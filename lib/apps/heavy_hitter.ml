@@ -1,9 +1,5 @@
 module Spec = Activermt_compiler.Spec
 
-let arg_key0 = 0
-let arg_key1 = 1
-let arg_slot = 2
-
 let listing2_program =
   App.program_of_assembly ~name:"heavy-hitter-listing2"
     {|

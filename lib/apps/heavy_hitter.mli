@@ -28,10 +28,6 @@ val program : Activermt.Program.t
 
 val service : App.t
 
-val arg_key0 : int
-val arg_key1 : int
-val arg_slot : int
-
 val args : key0:int -> key1:int -> slot:int -> int array
 
 val threshold_access : int

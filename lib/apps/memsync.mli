@@ -11,9 +11,6 @@
     reallocation is applied and to (re)populate state afterwards — e.g.
     the cache-population traffic in the Section 6.3 case study. *)
 
-val max_stages_per_packet : int
-(** 3: argument fields 1-3 carry the data; argument 0 is the index. *)
-
 val read_program : stages:int list -> Activermt.Program.t
 (** Read the word at index [arg0] of each listed stage into argument
     fields 1, 2, 3 respectively and return to sender.
