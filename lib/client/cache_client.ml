@@ -27,11 +27,8 @@ let create params ~policy ~fid ~regions =
         }
     | _ -> Error "cache service must have exactly two programs")
 
-let fid t = t.fid
 let granted t = t.granted
 let n_buckets t = t.n_buckets
-let query_program t = t.query_program
-let populate_program t = t.populate_program
 
 let bucket_of_key t (k : Kv.key) =
   Cache.bucket_of_key ~capacity:t.n_buckets ~key0:k.Kv.k0 ~key1:k.Kv.k1

@@ -16,11 +16,8 @@ val create :
   (t, string) result
 (** Build from an allocation response's regions. *)
 
-val fid : t -> Activermt.Packet.fid
 val granted : t -> Synthesis.granted
 val n_buckets : t -> int
-val query_program : t -> Activermt.Program.t
-val populate_program : t -> Activermt.Program.t
 
 val bucket_of_key : t -> Workload.Kv.key -> int
 

@@ -24,9 +24,7 @@ let create params ~policy ~fid ~regions =
       Ok { fid; granted; program; n_slots }
     | _ -> Error "heavy-hitter service must have exactly one program")
 
-let fid t = t.fid
 let granted t = t.granted
-let program t = t.program
 let n_slots t = t.n_slots
 
 let slot_of_key t (k : Kv.key) =

@@ -14,13 +14,10 @@ val create :
   regions:Activermt.Packet.region option array ->
   (t, string) result
 
-val fid : t -> Activermt.Packet.fid
 val granted : t -> Synthesis.granted
-val program : t -> Activermt.Program.t
 val n_slots : t -> int
 (** Threshold/key slots available (words of the threshold region). *)
 
-val slot_of_key : t -> Workload.Kv.key -> int
 val monitor_packet : t -> seq:int -> Workload.Kv.key -> Activermt.Packet.t
 
 val threshold_stage : t -> int

@@ -34,10 +34,7 @@ let create params ~policy ~fid ~regions =
         }
     | _ -> Error "load-balancer service must have exactly one program")
 
-let fid t = t.fid
 let granted t = t.granted
-let syn_program t = t.syn_program
-let flow_program t = t.flow_program
 let access_stages t = t.granted.Synthesis.mutant.Mutant.stages
 
 let pool_write_packets t ~ports =
@@ -59,14 +56,6 @@ let pool_write_packets t ~ports =
 let syn_packet t ~seq ~salt =
   Activermt.Packet.exec ~flags:vflags ~fid:t.fid ~seq ~args:(Lb.syn_args ~salt)
     t.syn_program
-
-let cookie_of_reply (pkt : Activermt.Packet.t) =
-  match pkt.Activermt.Packet.payload with
-  | Activermt.Packet.Exec { args; _ } when Array.length args = 4 ->
-    Some args.(Lb.arg_cookie)
-  | Activermt.Packet.Exec _ | Activermt.Packet.Request _
-  | Activermt.Packet.Response _ | Activermt.Packet.Bare ->
-    None
 
 let flow_packet t ~seq ~salt ~cookie =
   Activermt.Packet.exec ~fid:t.fid ~seq ~args:(Lb.flow_args ~salt ~cookie)

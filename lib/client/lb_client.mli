@@ -15,12 +15,7 @@ val create :
   regions:Activermt.Packet.region option array ->
   (t, string) result
 
-val fid : t -> Activermt.Packet.fid
 val granted : t -> Synthesis.granted
-
-val syn_program : t -> Activermt.Program.t
-val flow_program : t -> Activermt.Program.t
-(** Aligned to the synthesized SYN program's hash stage. *)
 
 val access_stages : t -> int array
 (** The four access stages of the granted mutant (pool size, counter,
@@ -33,8 +28,5 @@ val pool_write_packets :
     matched. *)
 
 val syn_packet : t -> seq:int -> salt:int -> Activermt.Packet.t
-
-val cookie_of_reply : Activermt.Packet.t -> int option
-(** The cookie the switch wrote into a SYN's argument field. *)
 
 val flow_packet : t -> seq:int -> salt:int -> cookie:int -> Activermt.Packet.t

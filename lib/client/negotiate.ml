@@ -106,7 +106,6 @@ let session ?(backoff = default_backoff) ?(seed = 0x5e55)
     outcome = None;
   }
 
-let session_fid s = s.s_fid
 let attempts s = s.attempts
 let outcome s = s.outcome
 let trace s = s.trace

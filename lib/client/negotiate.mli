@@ -107,8 +107,6 @@ val outcome : session -> outcome option
 val attempts : session -> int
 (** Requests transmitted so far. *)
 
-val session_fid : session -> Activermt.Packet.fid
-
 val trace : session -> Activermt_telemetry.Trace.ctx option
 (** The session's trace context once started (and head-sampled) — attach
     it to outgoing fabric messages so capsule hops chain under the

@@ -13,7 +13,6 @@ type t = {
 }
 
 let create ~fid = { fid; state = Idle; seq = 0 }
-let fid t = t.fid
 let state t = t.state
 let seq t = t.seq
 

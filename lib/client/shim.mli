@@ -8,12 +8,9 @@
 
 type state = Idle | Negotiating | Operational | Memory_management
 
-val state_to_string : state -> string
-
 type t
 
 val create : fid:Activermt.Packet.fid -> t
-val fid : t -> Activermt.Packet.fid
 val state : t -> state
 
 val seq : t -> int
