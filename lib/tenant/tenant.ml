@@ -61,8 +61,6 @@ let tenants t =
   Hashtbl.fold (fun _ s acc -> s.t_info :: acc) t.tenants []
   |> List.sort (fun a b -> compare a.id b.id)
 
-let n_tenants t = Hashtbl.length t.tenants
-
 let total_weight t =
   Hashtbl.fold (fun _ s acc -> acc + s.t_info.weight) t.tenants 0
 
@@ -118,22 +116,6 @@ let charge t ~fid ~blocks ~stages =
       s.t_blocks <- s.t_blocks + blocks;
       s.t_fids <- s.t_fids + 1;
       Hashtbl.replace s.fids fid ())
-
-let refresh_blocks t resident =
-  List.iter
-    (fun (fid, blocks) ->
-      match Hashtbl.find_opt t.footprints fid with
-      | None -> ()
-      | Some fp ->
-        if fp.f_blocks <> blocks then begin
-          Hashtbl.replace t.footprints fid { fp with f_blocks = blocks };
-          match state t fp.f_tenant with
-          | None -> ()
-          | Some s ->
-            s.t_blocks <- s.t_blocks + blocks - fp.f_blocks;
-            assert (s.t_blocks >= 0)
-        end)
-    resident
 
 let usage t id =
   match state t id with

@@ -35,8 +35,6 @@ type usage = {
   stages : int;  (** distinct stages occupied *)
 }
 
-val no_usage : usage
-
 type t
 
 val create : ?telemetry:Telemetry.t -> unit -> t
@@ -58,7 +56,6 @@ val info : t -> int -> info option
 val tenants : t -> info list
 (** All registered tenants, ascending id. *)
 
-val n_tenants : t -> int
 val total_weight : t -> int
 
 (** {2 FID binding and charging} *)
@@ -86,13 +83,6 @@ val discharge : t -> fid:int -> unit
 (** Remove the FID's footprint (departure or eviction) but keep the
     tenant binding, so a parked evictee still belongs to its tenant.
     Unknown or uncharged FIDs are a no-op. *)
-
-val refresh_blocks : t -> (int * int) list -> unit
-(** Bulk-update the block charge of already-charged FIDs from the
-    allocator's live residency ({!Allocator.resident_blocks}) — the
-    post-epoch sync that accounts for elastic resizing.  FIDs the
-    registry does not know are ignored (single-tenant setups that bypass
-    the registry). *)
 
 val usage : t -> int -> usage
 (** Current footprint of a tenant; {!no_usage} for unknown tenants. *)

@@ -100,8 +100,6 @@ let create ?(config = default_config) ?(cost = Cost_model.default)
     clock = 0.0;
   }
 
-let controller t = t.ctrl
-let registry t = t.reg
 let pending t = Wrr.depth t.queue
 let modeled_clock t = t.clock
 let decision_of t ~fid = Hashtbl.find_opt t.decisions fid

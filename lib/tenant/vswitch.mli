@@ -102,9 +102,6 @@ val create :
     first grant's [tenant.admit_latency_s] through {!Telemetry.sample},
     so a registry that keeps windows holds them over time. *)
 
-val controller : t -> Controller.t
-val registry : t -> Tenant.t
-
 val submit : t -> tenant:int -> fid:int -> App.t -> unit
 (** Queue an allocation request for [fid] on behalf of [tenant] (binds
     the FID to the tenant).  Constant-time; admission happens in

@@ -27,8 +27,6 @@ val depth : 'a t -> int
 (** Total queued items across tenants. *)
 
 val tenant_depth : 'a t -> tenant:int -> int
-val queued_tenants : 'a t -> int list
-(** Tenants with non-empty queues, ascending. *)
 
 type 'a batch = {
   taken : (int * 'a) list;  (** (tenant, item) in pick order *)
