@@ -197,11 +197,7 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
     nodes;
   t
 
-let n_switches t = Array.length t.nodes
-let topology t = t.topo
-let policy t = t.policy
 let engine t = t.engine
-let tracer t = t.tracer
 
 let node t ~sw =
   if sw < 0 || sw >= Array.length t.nodes then
@@ -412,8 +408,6 @@ let forget t ~fid =
    epoch — rather than one synchronous [handle_request] per service.
    Rejected services spill over to the next candidate switch on the
    following round. *)
-
-let tenant_registry t = t.tenants
 
 let enqueue_admission t ?client ?tenant ~fid app =
   if Hashtbl.mem t.residency fid then

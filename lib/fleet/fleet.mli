@@ -100,13 +100,7 @@ val create :
 
 (** {1 Structure} *)
 
-val n_switches : t -> int
-val topology : t -> Topology.t
-val policy : t -> Placement.policy
 val engine : t -> Engine.t
-
-val tracer : t -> Trace.t
-(** The tracer passed at {!create} ({!Trace.noop} by default). *)
 
 val controller : t -> sw:Topology.switch_id -> Controller.t
 val fabric : t -> sw:Topology.switch_id -> Fabric.t
@@ -163,9 +157,6 @@ val depart : t -> fid:int -> bool
     switches, so usage aggregates fleet-wide), admissions submitted with
     a tenant id are charged against it and gated by its {e global}
     quota. *)
-
-val tenant_registry : t -> Tenant.t option
-(** The registry passed at {!create}, if any. *)
 
 val enqueue_admission :
   t -> ?client:Fabric.address -> ?tenant:int -> fid:int -> App.t -> unit

@@ -566,7 +566,3 @@ let home t ~client sw =
   Hashtbl.replace t.homes client sw
 
 let home_of t ~client = Hashtbl.find_opt t.homes client
-
-let clients t =
-  Hashtbl.fold (fun c sw acc -> (c, sw) :: acc) t.homes []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

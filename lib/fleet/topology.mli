@@ -172,6 +172,3 @@ val home : t -> client:int -> switch_id -> unit
     @raise Invalid_argument if the switch is out of range. *)
 
 val home_of : t -> client:int -> switch_id option
-
-val clients : t -> (int * switch_id) list
-(** All homed clients, sorted by client address. *)
