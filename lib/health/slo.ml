@@ -5,12 +5,6 @@ type status = Ok | Warn | Page
 
 let status_name = function Ok -> "ok" | Warn -> "warn" | Page -> "page"
 
-let status_of_name = function
-  | "ok" -> Some Ok
-  | "warn" -> Some Warn
-  | "page" -> Some Page
-  | _ -> None
-
 type stat = Mean | Min | Max
 
 type kind =

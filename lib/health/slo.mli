@@ -19,7 +19,6 @@
 type status = Ok | Warn | Page
 
 val status_name : status -> string
-val status_of_name : string -> status option
 
 type stat = Mean | Min | Max
 
