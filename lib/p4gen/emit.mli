@@ -25,19 +25,11 @@ type config = {
 val default_config : config
 
 val emit : config -> string
-(** The complete P4 program text.  Deterministic for a given config. *)
-
-val emit_headers : config -> string
-val emit_parser : config -> string
-val emit_registers : config -> string
-(** One register extern + stateful actions per logical stage. *)
-
-val emit_instruction_actions : config -> string
-(** One P4 action per opcode of the instruction set (generated from
-    [Instr.all_opcodes], so adding an instruction updates the runtime). *)
-
-val emit_stage_tables : config -> string
-val emit_pipeline : config -> string
+(** The complete P4 program text: headers, parser, one register extern +
+    stateful actions per logical stage, one P4 action per opcode of the
+    instruction set (generated from [Instr.all_opcodes], so adding an
+    instruction updates the runtime), the per-stage tables and the
+    pipelines.  Deterministic for a given config. *)
 
 val opcode_action_name : Activermt.Instr.t -> string
 (** The generated action's name for an instruction (stable API for
