@@ -43,8 +43,6 @@ type result = {
   arrivals_per_sec : float;  (** measured: clients / [admit_wall_s] *)
 }
 
-val calibration_epochs : int
-
 val run :
   ?scheme:Allocator.scheme ->
   ?policy:Mutant.policy ->

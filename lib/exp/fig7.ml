@@ -9,9 +9,6 @@ type outputs = {
 
 let all = { utilization = true; residents = true; reallocation = true; fairness = true }
 
-let only_utilization =
-  { utilization = true; residents = false; reallocation = false; fairness = false }
-
 type epoch_agg = {
   mutable util : float list;
   mutable res : float list;

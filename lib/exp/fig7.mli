@@ -14,7 +14,6 @@ type outputs = {
 }
 
 val all : outputs
-val only_utilization : outputs
 
 val run :
   ?epochs:int -> ?trials:int -> ?every:int -> outputs -> Rmt.Params.t -> unit

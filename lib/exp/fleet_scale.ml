@@ -198,28 +198,3 @@ let run_scenario ?(log = ignore) cfg =
     lost;
     orphans;
   }
-
-let run ?(quick = false) () =
-  let cfg = if quick then quick_config else default_config in
-  Report.figure ~id:"fleetscale"
-    ~title:
-      "Planet-scale fleet: fat-tree admission, link-flap repair and rolling pod failure";
-  let r = run_scenario ~log:print_endline cfg in
-  let p50 = Stats.percentile r.place_us 50.0 in
-  let p99 = Stats.percentile r.place_us 99.0 in
-  Report.summary
-    [
-      ("switches", string_of_int r.switches);
-      ("links", string_of_int r.links);
-      ("concurrent services", string_of_int r.concurrent);
-      ("occupancy", Printf.sprintf "%.3f" r.occupancy);
-      ("placement cost p50/p99", Printf.sprintf "%.1f / %.1f us/service" p50 p99);
-      ( "flap pairs touched",
-        Printf.sprintf "%d of %d (%.4f%%)"
-          (max r.flap_down_touched r.flap_up_touched)
-          r.routed_pairs (100.0 *. r.flap_frac) );
-      ( "pod failure",
-        Printf.sprintf "%d switches -> %d relocated, %d lost" r.failed_switches
-          r.relocated r.lost );
-    ];
-  Report.blank ()

@@ -66,7 +66,3 @@ val run_scenario : ?log:(string -> unit) -> config -> result
 (** Execute the scenario: batched admission (one placement-cost sample
     per batch), a down+up flap of pod 0's first edge uplink against
     fully built route tables, then the rolling pod failure. *)
-
-val run : ?quick:bool -> unit -> unit
-(** Textual report wrapper around {!run_scenario} for the evaluation
-    harness. *)

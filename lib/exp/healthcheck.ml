@@ -36,7 +36,7 @@ let default_config =
    numbers (flap locality ~3.5%, a ~240-eviction designed reclamation
    burst, ~5 s modeled admission p99 dominated by eviction drains) so a
    clean run never pages while genuine regressions still trip. *)
-let standing_slos _cfg =
+let standing_slos =
   [
     Slo.ratio ~name:"fleet.admission"
       ~description:"fleet admits >= 95% of offered services" ~window:64
@@ -225,7 +225,7 @@ let run ?(log = ignore) cfg =
     (Printf.sprintf "tenants: jain %.3f, admit p99 %.3f s (modeled), %d evictions"
        tn.Tenants.jain_wb tn.Tenants.p99_admit_s tn.Tenants.evictions);
   (* Final verdict at the last fleet-phase instant. *)
-  let slos = standing_slos cfg in
+  let slos = standing_slos in
   let evaluations = Monitor.evaluate ~at:!vclock mon slos in
   let incidents = Monitor.incidents mon in
   let healthy = Monitor.healthy mon in

@@ -37,11 +37,6 @@ val default_config : config
 (** The quick fleetscale shape (5000 services); otherwise as
     {!quick_config}. *)
 
-val standing_slos : config -> Slo.t list
-(** The SLO set the scenario evaluates: admission p99, chaos
-    completion, tenant Jain fairness, route-repair locality, fleet
-    rejection rate. *)
-
 type result = {
   evaluations : Slo.evaluation list;
   incidents : Monitor.incident list;

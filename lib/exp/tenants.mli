@@ -34,9 +34,6 @@ val scenario_params : Rmt.Params.t
     so evicting a service drains a few dozen memsync words, not
     thousands. *)
 
-val capacity_of : Rmt.Params.t -> int
-(** Total pool blocks: [logical_stages * blocks_per_stage]. *)
-
 val preset : ?params:Rmt.Params.t -> tenants:int -> unit -> config
 (** A saturating configuration for [tenants] equal tenants: per-service
     demand scaled so each well-behaved tenant offers its whole fair
