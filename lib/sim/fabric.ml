@@ -48,11 +48,7 @@ type t = {
   outcome : Activermt.Jit.outcome;
 }
 
-let engine t = t.engine
-let controller t = t.controller
-let address t = t.address
 let faults t = t.faults
-let tracer t = t.tracer
 let jit t = t.jit
 
 let attach t addr handler =

@@ -105,12 +105,6 @@ val create :
     one of the fabric's two prebuilt handlers with the message
     ({!Engine.schedule_call}), not a closure. *)
 
-val engine : t -> Engine.t
-val controller : t -> Activermt_control.Controller.t
-
-val tracer : t -> Activermt_telemetry.Trace.t
-(** The tracer passed at creation ([Trace.noop] by default). *)
-
 val faults : t -> Faults.t option
 (** The fault model attached at creation, if any (and not all-off). *)
 
@@ -118,9 +112,6 @@ val jit : t -> Activermt.Jit.t
 (** The switch's JIT handle (disabled when created with [~jit:false]) —
     for stats flushing before metric dumps and invalidation on
     migration. *)
-
-val address : t -> address
-(** The address this instance's switch answers on. *)
 
 val attach : t -> address -> (msg -> unit) -> unit
 (** Register a node's receive handler.  This fabric's own switch address

@@ -92,9 +92,6 @@ type verdict = {
   cause : kind option;  (** Which knob fired, for trace attribution. *)
 }
 
-val pass : verdict
-(** Deliver one intact copy. *)
-
 val plan : t -> now:float -> verdict
 (** Decide one delivery's fate.  Exactly one PRNG draw per probabilistic
     knob regardless of outcome, so the stream position depends only on
