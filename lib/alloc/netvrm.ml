@@ -3,21 +3,21 @@ type app = { demand : int; pages : int; page_blocks : int }
 type t = {
   params : Rmt.Params.t;
   usable_blocks : int;  (* per stage, after virtualization overhead *)
-  page_sizes : int list;  (* ascending, blocks *)
-  registered : string list;
   apps : (int, app) Hashtbl.t;
 }
 
-let create ?(availability = Rmt.Resource.netvrm_availability)
-    ?(page_blocks = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ])
-    ?(registered = [ "cache"; "heavy-hitter"; "load-balancer" ]) params =
-  if page_blocks = [] then invalid_arg "Netvrm.create: empty page-size set";
+(* The compile-time page-size set in blocks, ascending, and the
+   pre-compiled app-type set. *)
+let page_sizes = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
+let registered = [ "cache"; "heavy-hitter"; "load-balancer" ]
+
+let create params =
   {
     params;
     usable_blocks =
-      int_of_float (availability *. float_of_int params.Rmt.Params.blocks_per_stage);
-    page_sizes = List.sort compare page_blocks;
-    registered;
+      int_of_float
+        (Rmt.Resource.netvrm_availability
+        *. float_of_int params.Rmt.Params.blocks_per_stage);
     apps = Hashtbl.create 64;
   }
 
@@ -30,15 +30,15 @@ let reserved_blocks t =
   Hashtbl.fold (fun _ a acc -> acc + (a.pages * a.page_blocks)) t.apps 0
 
 let admit t ~fid ~app_type ~demand_blocks =
-  if not (List.mem app_type t.registered) then Rejected_unregistered
+  if not (List.mem app_type registered) then Rejected_unregistered
   else if demand_blocks <= 0 then invalid_arg "Netvrm.admit: demand must be positive"
   else begin
     (* Smallest page size (possibly several pages of it) covering the
        demand; NetVRM pages are uniform per allocation. *)
     let page_blocks =
-      match List.find_opt (fun p -> p >= demand_blocks) t.page_sizes with
+      match List.find_opt (fun p -> p >= demand_blocks) page_sizes with
       | Some p -> p
-      | None -> List.fold_left max 1 t.page_sizes
+      | None -> List.fold_left max 1 page_sizes
     in
     let pages = (demand_blocks + page_blocks - 1) / page_blocks in
     let total = pages * page_blocks in

@@ -20,16 +20,10 @@
 
 type t
 
-val create :
-  ?availability:float ->
-  ?page_blocks:int list ->
-  ?registered:string list ->
-  Rmt.Params.t ->
-  t
-(** [availability] defaults to [Rmt.Resource.netvrm_availability] (0.45);
-    [page_blocks] is the compile-time page-size set in blocks (default
-    powers of two 1..256); [registered] is the pre-compiled app-type set
-    (default: the paper's three services). *)
+val create : Rmt.Params.t -> t
+(** [Rmt.Resource.netvrm_availability] (0.45) of each stage is usable;
+    the compile-time page sizes are the powers of two 1..256 blocks; the
+    pre-compiled app types are the paper's three services. *)
 
 type outcome =
   | Granted of { pages : int; page_blocks : int; waste_blocks : int }

@@ -195,8 +195,7 @@ let enumerate ?(limit = 4096) params policy (spec : Spec.t) =
       end
   end
 
-let count ?limit params policy spec =
-  List.length (enumerate ?limit params policy spec)
+let count params policy spec = List.length (enumerate params policy spec)
 
 let synthesize (spec : Spec.t) t =
   let m = Array.length t.shifts in

@@ -44,7 +44,7 @@ val enumerate_reference : ?limit:int -> Rmt.Params.t -> policy -> Spec.t -> t li
 (** The seed's two-pass (count, then materialize) enumeration, kept as the
     oracle for property tests; [enumerate] must return exactly this list. *)
 
-val count : ?limit:int -> Rmt.Params.t -> policy -> Spec.t -> int
+val count : Rmt.Params.t -> policy -> Spec.t -> int
 
 val identity : Spec.t -> t
 (** The compact, unshifted placement. *)

@@ -31,7 +31,7 @@ type t = {
   privileged : (Activermt.Packet.fid, unit) Hashtbl.t;
   pass_limits : (Activermt.Packet.fid, int) Hashtbl.t;
   mutable pending : pending option;
-  queue : (Activermt.Packet.t * Trace.ctx option) Queue.t;
+  queue : Activermt.Packet.t Queue.t;
   mutable epoch_counter : int;
   tel : Telemetry.t;
   tracer : Trace.t;
@@ -399,18 +399,9 @@ type epoch_result = {
   batch : Allocator.batch_stats option;
 }
 
-let enqueue_request ?trace t (pkt : Activermt.Packet.t) =
+let enqueue_request t pkt =
   Telemetry.incr t.tel "control.enqueued";
-  let trace =
-    match trace with
-    | None -> None
-    | Some c ->
-      Some
-        (Trace.instant t.tracer c
-           ~attrs:[ ("fid", string_of_int pkt.Activermt.Packet.fid) ]
-           "control.enqueue")
-  in
-  Queue.add (pkt, trace) t.queue
+  Queue.add pkt t.queue
 
 let queue_depth t = Queue.length t.queue
 
@@ -442,17 +433,17 @@ let drain_epoch t slots =
   let arrivals_rev = ref [] in
   let classes =
     List.map
-      (fun ((pkt, _) as slot) ->
+      (fun pkt ->
         match classify t pkt with
         | `Arrival a -> (
           match Hashtbl.find_opt seen a.Allocator.fid with
-          | Some i -> (slot, `Echo i)
+          | Some i -> (pkt, `Echo i)
           | None ->
             let i = Hashtbl.length seen in
             Hashtbl.replace seen a.Allocator.fid i;
             arrivals_rev := a :: !arrivals_rev;
-            (slot, `Fresh i))
-        | (`Bad _ | `Resident) as cls -> (slot, cls))
+            (pkt, `Fresh i))
+        | (`Bad _ | `Resident) as cls -> (pkt, cls))
       slots
   in
   let batch =
@@ -464,7 +455,7 @@ let drain_epoch t slots =
      any table install reads it. *)
   let admitted_fids =
     List.filter_map
-      (fun ((pkt, _), cls) ->
+      (fun (pkt, cls) ->
         match cls with
         | `Fresh i -> (
           match outcomes.(i) with
@@ -502,10 +493,10 @@ let drain_epoch t slots =
       admitted_fids);
   let results =
     List.map
-      (fun ((pkt, tr), cls) ->
+      (fun (pkt, cls) ->
         match cls with
         | `Bad msg -> Error (`Bad_packet msg)
-        | `Resident -> Ok (duplicate ?trace:tr t pkt)
+        | `Resident -> Ok (duplicate t pkt)
         | `Echo i -> (
           match outcomes.(i) with
           | Allocator.Rejected r -> Error (`Rejected r)

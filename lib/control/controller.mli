@@ -124,12 +124,10 @@ type epoch_result = {
           option because [perfbench/] matches on it. *)
 }
 
-val enqueue_request : ?trace:Trace.ctx -> t -> Activermt.Packet.t -> unit
+val enqueue_request : t -> Activermt.Packet.t -> unit
 (** Queue an allocation request for the next [drain].  Constant-time; no
     allocator or table work happens here.  Counted under
-    [control.enqueued]; with a trace context, emits a [control.enqueue]
-    instant and the stored context chains the eventual provision back to
-    the request's trace. *)
+    [control.enqueued]. *)
 
 val queue_depth : t -> int
 

@@ -170,7 +170,10 @@ let encode t =
       (Bytes.length prog_bytes);
     b
 
-let decode ?(stages = 20) b =
+(* Stages in a decoded allocation response. *)
+let response_stages = 20
+
+let decode b =
   if Bytes.length b < initial_header_bytes then Error "short packet"
   else begin
     let fid = get_u16 b 0 in
@@ -208,7 +211,9 @@ let decode ?(stages = 20) b =
         end
       end
     | 1 ->
-      if Bytes.length b < initial_header_bytes + response_header_bytes ~stages
+      if
+        Bytes.length b
+        < initial_header_bytes + response_header_bytes ~stages:response_stages
       then Error "short allocation response"
       else begin
         let status =
@@ -219,7 +224,7 @@ let decode ?(stages = 20) b =
           if Bytes.get_uint8 b (off + 6) = 0 then None
           else Some { start_word = get_u24 b off; n_words = get_u24 b (off + 3) }
         in
-        finish (Response { status; regions = Array.init stages region })
+        finish (Response { status; regions = Array.init response_stages region })
       end
     | 2 ->
       if Bytes.length b < initial_header_bytes + args_header_bytes then

@@ -75,5 +75,5 @@ val strip_executed : t -> upto:int -> t
     the wire.  Other payloads are returned unchanged. *)
 
 val encode : t -> Bytes.t
-val decode : ?stages:int -> Bytes.t -> (t, string) result
-(** [stages] (default 20) sets the expected response-header geometry. *)
+val decode : Bytes.t -> (t, string) result
+(** An allocation response decodes as 20 stages of regions. *)

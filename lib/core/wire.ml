@@ -283,7 +283,7 @@ let unframe framed =
   | Ok (payload, _) -> Ok payload
   | Error _ as e -> e
 
-let decode_program ?(name = "wire") b ~off =
+let decode_program b ~off =
   let len = Bytes.length b in
   let rec go off acc =
     if off > len - 2 then Error "truncated program: missing EOF"
@@ -294,7 +294,7 @@ let decode_program ?(name = "wire") b ~off =
       | Ok { line; executed } ->
         if line.Program.instr = Eof then begin
           let lines = List.rev acc in
-          let prog = Program.v ~name (List.map fst lines) in
+          let prog = Program.v ~name:"wire" (List.map fst lines) in
           let marks = Array.of_list (List.map snd lines) in
           Ok (prog, marks, off + 2)
         end

@@ -1,6 +1,6 @@
 open Import
 
-let run_mutant_limit ?(n = 150) ?(limits = [ 64; 256; 1024; 4096 ]) params =
+let run_mutant_limit ?(n = 150) params =
   Report.figure ~id:"Ablation A1"
     ~title:"mutant-enumeration budget: time vs. placement quality (lb + hh, lc)";
   Report.columns
@@ -36,7 +36,7 @@ let run_mutant_limit ?(n = 150) ?(limits = [ 64; 256; 1024; 4096 ]) params =
           Report.int_cell hh_adm;
           Report.float_cell hh_ms;
         ])
-    limits;
+    [ 64; 256; 1024; 4096 ];
   Report.summary
     [
       ( "takeaway",
@@ -44,7 +44,7 @@ let run_mutant_limit ?(n = 150) ?(limits = [ 64; 256; 1024; 4096 ]) params =
          allocation-time cost; the default (4096) sits past the knee" );
     ]
 
-let run_tcam ?(n = 600) ?(capacities = [ 1536; 3072; 6144; 12288 ]) params =
+let run_tcam ?(n = 600) params =
   Report.figure ~id:"Ablation A2"
     ~title:"per-stage TCAM capacity vs. concurrent cache instances (mc)";
   Report.columns [ "tcam_entries"; "caches_admitted"; "utilization" ];
@@ -70,7 +70,7 @@ let run_tcam ?(n = 600) ?(capacities = [ 1536; 3072; 6144; 12288 ]) params =
           Report.int_cell !admitted;
           Report.float_cell (Allocator.utilization alloc);
         ])
-    capacities;
+    [ 1536; 3072; 6144; 12288 ];
   Report.summary
     [
       ( "takeaway",

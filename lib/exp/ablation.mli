@@ -9,8 +9,11 @@
     - allocation-granularity interaction with the heavy hitter's fixed
       byte demand (complements Figure 12). *)
 
-val run_mutant_limit : ?n:int -> ?limits:int list -> Rmt.Params.t -> unit
-val run_tcam : ?n:int -> ?capacities:int list -> Rmt.Params.t -> unit
+val run_mutant_limit : ?n:int -> Rmt.Params.t -> unit
+(** A1 over mutant budgets of 64, 256, 1024 and 4096 candidates. *)
+
+val run_tcam : ?n:int -> Rmt.Params.t -> unit
+(** A2 over 1536, 3072, 6144 and 12288 TCAM entries per stage. *)
 
 val run_bandwidth : ?n:int -> Rmt.Params.t -> unit
 (** A3: the bandwidth price of least-constrained placement — mean pipeline

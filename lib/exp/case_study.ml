@@ -462,10 +462,10 @@ let print_timeline ?(window_ms = 100) ts ~duration =
     ~columns:("ms" :: List.map (fun s -> Printf.sprintf "hit_rate_fid%d" s.fid) ts)
     (List.rev !rows)
 
-let print_9a ?(config = default_config) params =
+let print_9a params =
   Report.figure ~id:"Figure 9a"
     ~title:"case study: HH monitor -> context switch -> cache (hit rate over time)";
-  let r = run_single ~config params in
+  let r = run_single params in
   print_timeline r.tenants ~duration:r.duration_s;
   let t = List.hd r.tenants in
   Report.summary
@@ -480,10 +480,10 @@ let print_9a ?(config = default_config) params =
              ~hi_ms:(int_of_float (r.duration_s *. 1000.0))) );
     ]
 
-let print_9b ?(config = default_config) params =
+let print_9b params =
   Report.figure ~id:"Figure 9b"
     ~title:"case study: four staggered cache tenants (hit rate over time)";
-  let r = run_multi ~config params in
+  let r = run_multi params in
   print_timeline ~window_ms:250 r.tenants ~duration:r.duration_s;
   Report.summary
     (List.map
@@ -495,10 +495,10 @@ let print_9b ?(config = default_config) params =
                 ~hi_ms:(int_of_float (r.duration_s *. 1000.0))) ))
        r.tenants)
 
-let print_10 ?(config = default_config) params =
+let print_10 params =
   Report.figure ~id:"Figure 10"
     ~title:"per-arrival zoom: provisioning gaps and the reallocation disruption";
-  let r = run_multi ~config params in
+  let r = run_multi params in
   List.iter
     (fun t ->
       Printf.printf "\n- tenant fid %d (arrival %.1fs)\n" t.fid t.arrival_s;

@@ -49,6 +49,7 @@ val run_multi :
 (** Figures 9b/10: [n_tenants] (default 4) cache tenants staggered by
     [stagger_s] (default 5 s), populating from known request patterns. *)
 
-val print_9a : ?config:config -> Rmt.Params.t -> unit
-val print_9b : ?config:config -> Rmt.Params.t -> unit
-val print_10 : ?config:config -> Rmt.Params.t -> unit
+val print_9a : Rmt.Params.t -> unit
+val print_9b : Rmt.Params.t -> unit
+val print_10 : Rmt.Params.t -> unit
+(** Print Figures 9a, 9b and 10 under {!default_config}. *)

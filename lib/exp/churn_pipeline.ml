@@ -31,19 +31,17 @@ let offered_fraction = 0.9
    Allocation compute time is deliberately excluded so the modeled clock —
    and everything derived from it, including the p99 time-to-service CI
    artifacts — is bit-identical across machines and reruns. *)
-let modeled_epoch_s cost ~logical_stages ~apps_touched ~words =
+let modeled_epoch_s ~logical_stages ~apps_touched ~words =
   if apps_touched = 0 then 0.0
   else
     Cost_model.total
-      (Cost_model.breakdown_batched cost ~allocation_s:0.0
+      (Cost_model.breakdown_batched Cost_model.default ~allocation_s:0.0
          ~entries_updated:(2 * (logical_stages + 3) * apps_touched)
          ~words_snapshotted:words ~notifications:apps_touched)
 
-let run ?scheme ?policy ?(cost = Cost_model.default)
-    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ?(clock = Sys.time)
-    ~params ~seed
-    (zcfg : Churn.zipf_config) =
-  let alloc = Allocator.create ?scheme ?policy ~telemetry ~tracer params in
+let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop)
+    ?(clock = Sys.time) ~params ~seed (zcfg : Churn.zipf_config) =
+  let alloc = Allocator.create ~telemetry ~tracer params in
   let block_bytes = Rmt.Params.bytes_per_block params in
   let wpb = Rmt.Params.words_per_block params in
   let n_stages = params.Rmt.Params.logical_stages in
@@ -115,7 +113,7 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
       s.Allocator.batch_admitted + List.length batch.Allocator.batch_reallocated
     in
     let d_admit =
-      modeled_epoch_s cost ~logical_stages:n_stages ~apps_touched
+      modeled_epoch_s ~logical_stages:n_stages ~apps_touched
         ~words:(words_of_realloc batch.Allocator.batch_reallocated)
     in
     (* Arrival times and time-to-service.  During calibration the offered
@@ -190,7 +188,7 @@ let run ?scheme ?policy ?(cost = Cost_model.default)
       in
       now :=
         !now
-        +. modeled_epoch_s cost ~logical_stages:n_stages
+        +. modeled_epoch_s ~logical_stages:n_stages
              ~apps_touched:(Hashtbl.length dep_touched) ~words:dep_words
     end
   in

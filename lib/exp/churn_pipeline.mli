@@ -44,9 +44,6 @@ type result = {
 }
 
 val run :
-  ?scheme:Allocator.scheme ->
-  ?policy:Mutant.policy ->
-  ?cost:Cost_model.t ->
   ?telemetry:Telemetry.t ->
   ?tracer:Trace.t ->
   ?clock:(unit -> float) ->
@@ -54,7 +51,9 @@ val run :
   seed:int ->
   Churn.zipf_config ->
   result
-(** [clock] (default [Sys.time]) feeds only the measured fields.
+(** The allocator runs its default scheme and policy, and the modeled
+    clock prices each epoch with {!Cost_model.default}.  [clock]
+    (default [Sys.time]) feeds only the measured fields.
     [telemetry] (default {!Telemetry.default}) receives the allocator's
     metrics and each epoch's [churn.offered/admitted/rejected] on the
     modeled clock; when it keeps windows, its clock is rewired to that

@@ -10,7 +10,9 @@ let mixes =
     (Mixed, "mixed");
   ]
 
-let run ?(n = 100) ?(block_counts = [ 128; 256; 512; 1024 ]) params =
+let block_counts = [ 128; 256; 512; 1024 ]
+
+let run ?(n = 100) params =
   Report.figure ~id:"Figure 12"
     ~title:"total allocation time (ms) for 100 arrivals vs. block granularity (mc)";
   Report.columns

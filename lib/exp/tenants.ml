@@ -23,9 +23,9 @@ let capacity_of (params : Rmt.Params.t) =
    large shares get chunky 16-block services, tiny shares (hundreds of
    tenants) get 2-block ones — which also keeps the resident service
    count under the per-stage TCAM ceiling. *)
-let preset ?(params = scenario_params) ~tenants () =
+let preset ~tenants () =
   if tenants < 2 then invalid_arg "Tenants.preset: need at least 2 tenants";
-  let fair = capacity_of params / tenants in
+  let fair = capacity_of scenario_params / tenants in
   let demand = max 2 (min 16 (fair / 40)) in
   {
     tenants;
@@ -110,8 +110,8 @@ let probe_capacity params app =
   Allocator.shutdown alloc;
   blocks
 
-let run ?(params = scenario_params) ?telemetry ?tracer ?(clock = Sys.time)
-    config =
+let run ?telemetry ?(clock = Sys.time) config =
+  let params = scenario_params in
   if config.tenants < 2 then invalid_arg "Tenants.run: need at least 2 tenants";
   if config.hostile_factor < 1 then
     invalid_arg "Tenants.run: hostile_factor < 1";
@@ -120,9 +120,8 @@ let run ?(params = scenario_params) ?telemetry ?tracer ?(clock = Sys.time)
   let telemetry =
     match telemetry with Some t -> t | None -> Telemetry.create ()
   in
-  let tracer = match tracer with Some t -> t | None -> Trace.noop in
   let device = Rmt.Device.create params in
-  let ctrl = Controller.create ~telemetry ~tracer device in
+  let ctrl = Controller.create ~telemetry device in
   let registry = Tenant.create ~telemetry () in
   for id = 0 to config.tenants - 1 do
     let name = if id = hostile_tenant then "hostile" else Printf.sprintf "t%d" id in
@@ -138,7 +137,7 @@ let run ?(params = scenario_params) ?telemetry ?tracer ?(clock = Sys.time)
           Vswitch.max_batch = config.max_batch;
           entitlement_capacity = Some effective_capacity;
         }
-      ~telemetry ~tracer ~registry ctrl
+      ~telemetry ~registry ctrl
   in
   let next_fid = ref 1 in
   let submit tenant =

@@ -34,7 +34,7 @@ val scenario_params : Rmt.Params.t
     so evicting a service drains a few dozen memsync words, not
     thousands. *)
 
-val preset : ?params:Rmt.Params.t -> tenants:int -> unit -> config
+val preset : tenants:int -> unit -> config
 (** A saturating configuration for [tenants] equal tenants: per-service
     demand scaled so each well-behaved tenant offers its whole fair
     share in a handful of services (total well-behaved demand ~= the
@@ -82,17 +82,10 @@ type result = {
   admit_wall_s : float;  (** measured wall time of both drains *)
 }
 
-val run :
-  ?params:Rmt.Params.t ->
-  ?telemetry:Telemetry.t ->
-  ?tracer:Trace.t ->
-  ?clock:(unit -> float) ->
-  config ->
-  result
-(** Run the two-phase scenario.  [params] defaults to
-    {!scenario_params}; [telemetry] defaults to a {e fresh} registry so
-    counters are scenario-local; [clock] (default [Sys.time]) only feeds
-    [admit_wall_s]. *)
+val run : ?telemetry:Telemetry.t -> ?clock:(unit -> float) -> config -> result
+(** Run the two-phase scenario on {!scenario_params}.  [telemetry]
+    defaults to a {e fresh} registry so counters are scenario-local;
+    [clock] (default [Sys.time]) only feeds [admit_wall_s]. *)
 
 val summary_lines : result -> string
 (** Deterministic multi-line summary (modeled quantities only — no wall

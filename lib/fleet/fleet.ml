@@ -33,7 +33,6 @@ type t = {
   shims : (int, Shim.t) Hashtbl.t;
   admissions : pending_admission Queue.t;
   tenants : Tenant.t option;
-  memsync_word_budget : int;
   (* Incrementally maintained per-switch load caches — admission at
      planet scale must not rescan every allocator per decision.  Only
      the switch a bind/depart touches is refreshed ([touch_switch]);
@@ -119,12 +118,13 @@ let route t ~from msg =
           (fun () -> Fabric.send t.nodes.(hop).fabric msg)
       end)
 
-let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.default)
-    ?wire_latency_s ?(memsync_word_budget = 4096) ?faults
-    ?(faults_seed = 0xF1EE7) ?jit ?tenants ?(telemetry = Telemetry.default)
-    ?(tracer = Trace.noop) topo =
-  if memsync_word_budget < 0 then
-    invalid_arg "Fleet.create: memsync_word_budget must be non-negative";
+(* Words per stage a migration drains through data-plane memsync;
+   larger regions go through control-plane reads and writes. *)
+let memsync_word_budget = 4096
+
+let create ?(policy = Placement.Least_loaded) ?(params = Rmt.Params.default)
+    ?faults ?(faults_seed = 0xF1EE7) ?jit ?tenants
+    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) topo =
   let faults =
     match faults with
     | Some p when not (Faults.is_none p) -> Some p
@@ -153,11 +153,11 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
               else None)
         in
         let controller =
-          Controller.create ?scheme ?cost ~mode:`Auto ~telemetry ~tracer device
+          Controller.create ?cost ~mode:`Auto ~telemetry ~tracer device
         in
         let fabric =
-          Fabric.create ~address:sw ?wire_latency_s ?faults:node_faults
-            ?jit ~telemetry ~tracer ~engine ~controller ()
+          Fabric.create ~address:sw ?faults:node_faults ?jit ~telemetry ~tracer
+            ~engine ~controller ()
         in
         { sw; controller; fabric; faults = node_faults })
   in
@@ -174,7 +174,6 @@ let create ?(policy = Placement.Least_loaded) ?scheme ?(params = Rmt.Params.defa
       shims = Hashtbl.create 64;
       admissions = Queue.create ();
       tenants;
-      memsync_word_budget;
       util = Array.make n 0.0;
       nres = Array.make n 0;
       committed = Array.make n 0;
@@ -409,7 +408,7 @@ let forget t ~fid =
    Rejected services spill over to the next candidate switch on the
    following round. *)
 
-let enqueue_admission t ?client ?tenant ~fid app =
+let enqueue_admission t ?tenant ~fid app =
   if Hashtbl.mem t.residency fid then
     invalid_arg
       (Printf.sprintf "Fleet.enqueue_admission: fid %d already placed" fid);
@@ -419,7 +418,7 @@ let enqueue_admission t ?client ?tenant ~fid app =
     invalid_arg "Fleet.enqueue_admission: no tenant registry configured"
   | None, _ -> ());
   Queue.add
-    { pa_fid = fid; pa_app = app; pa_client = client; pa_tenant = tenant;
+    { pa_fid = fid; pa_app = app; pa_client = None; pa_tenant = tenant;
       pa_tried = [] }
     t.admissions;
   Telemetry.incr t.tel "fleet.adm.enqueued"
@@ -484,11 +483,8 @@ let drain_admissions ?(max_batch = 64) t =
     let grouped = Hashtbl.create 8 in
     List.iter
       (fun pa ->
-        let home =
-          Option.bind pa.pa_client (fun c -> Topology.home_of t.topo ~client:c)
-        in
         let next =
-          candidate_seq t ~home ~fid:pa.pa_fid ~demand:(app_charge pa.pa_app)
+          candidate_seq t ~home:None ~fid:pa.pa_fid ~demand:(app_charge pa.pa_app)
             ?loads:
               (match t.policy with
               | Placement.Hierarchical -> None
@@ -630,7 +626,7 @@ let extract_state t node ~fid ~data_plane =
           | None -> Array.make n_words 0
         in
         let words =
-          if data_plane && n_words <= t.memsync_word_budget then begin
+          if data_plane && n_words <= memsync_word_budget then begin
             let driver =
               make_driver node ~fid ~stages:[ stage ] ~count:n_words
                 Memsync_driver.Read
@@ -676,7 +672,7 @@ let inject_state t node ~fid state =
           let n_words = range.Pool.n_blocks * wpb in
           let count = min n_words (Array.length words) in
           if count > 0 then
-            if count <= t.memsync_word_budget then begin
+            if count <= memsync_word_budget then begin
               let driver =
                 make_driver node ~fid ~stages:[ stage ] ~count
                   (Memsync_driver.Write (fun i -> [ words.(i) ]))

@@ -30,10 +30,7 @@ type t
 
 val create :
   ?policy:Placement.policy ->
-  ?scheme:Allocator.scheme ->
   ?params:Rmt.Params.t ->
-  ?wire_latency_s:float ->
-  ?memsync_word_budget:int ->
   ?faults:Netsim.Faults.profile ->
   ?faults_seed:int ->
   ?jit:bool ->
@@ -42,11 +39,11 @@ val create :
   ?tracer:Trace.t ->
   Topology.t ->
   t
-(** Defaults: [Least_loaded] placement, the allocator's default scheme,
-    [Rmt.Params.default] per switch.
+(** Defaults: [Least_loaded] placement and [Rmt.Params.default] per
+    switch.  Every switch runs the allocator's default scheme.
 
-    [memsync_word_budget] (default 4096) bounds how many words per stage
-    migration drains through data-plane memsync packets; larger regions
+    Migration drains at most 4096 words per stage through data-plane
+    memsync packets; larger regions
     fall back to control-plane (BFRT-style) reads/writes, mirroring how
     an operator would bulk-transfer via the management network.
 
@@ -158,8 +155,7 @@ val depart : t -> fid:int -> bool
     a tenant id are charged against it and gated by its {e global}
     quota. *)
 
-val enqueue_admission :
-  t -> ?client:Fabric.address -> ?tenant:int -> fid:int -> App.t -> unit
+val enqueue_admission : t -> ?tenant:int -> fid:int -> App.t -> unit
 (** Queue a service for the next {!drain_admissions}.  Constant-time.
     With [tenant], the FID is bound in the fleet's registry (and later
     charged on admission).
@@ -179,8 +175,8 @@ val drain_admissions :
     Returns one outcome per enqueued FID, ascending: the placed switch,
     [`No_capacity] once every up switch rejected it, or [`Over_quota]
     when the tenant's fleet-global quota blocked it.  Successful
-    placements get the same bookkeeping as {!admit} (shim, client
-    homing, occupancy, [fleet.admitted]); counters
+    placements get the same bookkeeping as {!admit} (shim, occupancy,
+    [fleet.admitted]); counters
     [fleet.adm.enqueued]/[fleet.adm.epochs] cover the queue itself. *)
 
 val migrate :

@@ -124,8 +124,13 @@ let star ~switches ~latency_s =
   create ~switches
     ~links:(List.init (max 0 (switches - 1)) (fun i -> (0, i + 1, latency_s)))
 
-let fat_tree ?pods ?(latency_s = 5.0e-6) ?(edge_capacity_bps = 10.0e9)
-    ?(core_capacity_bps = 40.0e9) ~k () =
+(* The datacenter fabrics' per-hop latency and link capacities: 10G at
+   the edge, 40G above it. *)
+let hop_latency_s = 5.0e-6
+let edge_capacity_bps = 10.0e9
+let core_capacity_bps = 40.0e9
+
+let fat_tree ?pods ~k () =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg "Topology.fat_tree: k must be even and >= 2";
   let p = match pods with Some p -> p | None -> k in
@@ -139,20 +144,21 @@ let fat_tree ?pods ?(latency_s = 5.0e-6) ?(edge_capacity_bps = 10.0e9)
   for i = 0 to p - 1 do
     for j = 0 to half - 1 do
       for m = 0 to half - 1 do
-        links := (edge i j, agg i m, latency_s, Some edge_capacity_bps) :: !links
+        links :=
+          (edge i j, agg i m, hop_latency_s, Some edge_capacity_bps) :: !links
       done
     done;
     for m = 0 to half - 1 do
       for c = 0 to half - 1 do
-        links := (agg i m, core m c, latency_s, Some core_capacity_bps) :: !links
+        links :=
+          (agg i m, core m c, hop_latency_s, Some core_capacity_bps) :: !links
       done
     done
   done;
   let pod_ids = Array.init n (fun sw -> if sw < p * k then sw / k else p) in
   build ~switches:n ~pod_ids ~pods:(p + 1) !links
 
-let leaf_spine ?(pod_size = 16) ?(latency_s = 5.0e-6) ?(capacity_bps = 40.0e9)
-    ~leaves ~spines () =
+let leaf_spine ?(pod_size = 16) ~leaves ~spines () =
   if leaves < 1 then invalid_arg "Topology.leaf_spine: leaves must be positive";
   if spines < 1 then invalid_arg "Topology.leaf_spine: spines must be positive";
   if pod_size < 1 then invalid_arg "Topology.leaf_spine: pod_size must be positive";
@@ -160,7 +166,7 @@ let leaf_spine ?(pod_size = 16) ?(latency_s = 5.0e-6) ?(capacity_bps = 40.0e9)
   let links = ref [] in
   for l = 0 to leaves - 1 do
     for s = 0 to spines - 1 do
-      links := (l, leaves + s, latency_s, Some capacity_bps) :: !links
+      links := (l, leaves + s, hop_latency_s, Some core_capacity_bps) :: !links
     done
   done;
   let leaf_pods = (leaves + pod_size - 1) / pod_size in

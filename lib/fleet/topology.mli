@@ -36,14 +36,7 @@ val line : switches:int -> latency_s:float -> t
 val star : switches:int -> latency_s:float -> t
 (** Switch 0 as hub, every other switch a spoke at [latency_s]. *)
 
-val fat_tree :
-  ?pods:int ->
-  ?latency_s:float ->
-  ?edge_capacity_bps:float ->
-  ?core_capacity_bps:float ->
-  k:int ->
-  unit ->
-  t
+val fat_tree : ?pods:int -> k:int -> unit -> t
 (** A [k]-ary fat-tree (k even, >= 2): [pods] pods (default [k], may be
     fewer for a partially built fabric) of [k/2] edge and [k/2]
     aggregation switches each, plus [(k/2)^2] core switches.  Pod [i]'s
@@ -52,26 +45,17 @@ val fat_tree :
     Aggregation switch [j] of every pod uplinks to cores
     [j*(k/2) .. (j+1)*(k/2) - 1], giving [(k/2)^2] equal-cost paths
     between edge switches of different pods.  Edge-aggregation links
-    carry [edge_capacity_bps] (default 10e9), aggregation-core links
-    [core_capacity_bps] (default 40e9); every hop costs [latency_s]
-    (default 5e-6).  Pod ids: [0 .. pods - 1] for the server pods, pod
+    carry 10e9 bps, aggregation-core links 40e9 bps; every hop costs
+    5e-6 s.  Pod ids: [0 .. pods - 1] for the server pods, pod
     [pods] for the core layer.
     @raise Invalid_argument on odd or non-positive [k], or [pods]
     outside [1, k]. *)
 
-val leaf_spine :
-  ?pod_size:int ->
-  ?latency_s:float ->
-  ?capacity_bps:float ->
-  leaves:int ->
-  spines:int ->
-  unit ->
-  t
+val leaf_spine : ?pod_size:int -> leaves:int -> spines:int -> unit -> t
 (** A 2-tier leaf–spine fabric: leaves [0 .. leaves - 1], spines
     [leaves .. leaves + spines - 1], every leaf linked to every spine at
-    [latency_s] (default 5e-6) and [capacity_bps] (default 40e9) — so
-    leaf-to-leaf traffic has [spines] equal-cost 2-hop paths.  Leaves
-    are grouped into placement pods of [pod_size] (default 16)
+    5e-6 s and 40e9 bps — so leaf-to-leaf traffic has [spines]
+    equal-cost 2-hop paths.  Leaves are grouped into placement pods of [pod_size] (default 16)
     consecutive ids; the spine layer is the final pod.
     @raise Invalid_argument on non-positive [leaves], [spines], or
     [pod_size]. *)

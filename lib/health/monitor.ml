@@ -49,9 +49,11 @@ type incident = {
   i_trace_ids : int list;
 }
 
+(* Bound on each event ring; the oldest event is dropped first. *)
+let event_capacity = 4096
+
 type t = {
   tel : Telemetry.t;
-  event_capacity : int;
   events : (string, ring) Hashtbl.t;
   mutable watchdogs : watchdog list; (* insertion order *)
   open_sources : (string, Slo.status) Hashtbl.t; (* currently-tripped rules *)
@@ -61,11 +63,9 @@ type t = {
   mutable warns : int;
 }
 
-let create ?(event_capacity = 4096) ~telemetry () =
-  if event_capacity < 1 then invalid_arg "Monitor.create: event_capacity < 1";
+let create ~telemetry () =
   {
     tel = telemetry;
-    event_capacity;
     events = Hashtbl.create 32;
     watchdogs = [];
     open_sources = Hashtbl.create 16;
@@ -84,7 +84,7 @@ let event t ?t:tm ?trace_id name =
     match Hashtbl.find_opt t.events name with
     | Some r -> r
     | None ->
-      let r = ring_make t.event_capacity in
+      let r = ring_make event_capacity in
       Hashtbl.add t.events name r;
       r
   in

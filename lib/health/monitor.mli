@@ -20,10 +20,8 @@
 
 type t
 
-val create :
-  ?event_capacity:int -> telemetry:Activermt_telemetry.Telemetry.t -> unit -> t
-(** [event_capacity] (default 4096) bounds each event ring (oldest
-    dropped first). *)
+val create : telemetry:Activermt_telemetry.Telemetry.t -> unit -> t
+(** Each event ring holds the newest 4096 events. *)
 
 val telemetry : t -> Activermt_telemetry.Telemetry.t
 

@@ -42,17 +42,18 @@ let ratio ~name ?(description = "") ?(window = 40) ?(fast_fraction = 0.05)
   make ~name ~description ~window ~fast_fraction ~page_burn ~warn_burn
     (Ratio { good; total; target })
 
-let quantile ~name ?(description = "") ?(window = 40) ?(fast_fraction = 0.05)
-    ?(page_burn = 1.0) ?(warn_burn = 0.8) ~series ~q ~bound () =
+(* Bound SLOs page at any budget burn and warn at 80% of it. *)
+let bound_slo ~name ~description ~window kind =
+  make ~name ~description ~window ~fast_fraction:0.05 ~page_burn:1.0
+    ~warn_burn:0.8 kind
+
+let quantile ~name ?(description = "") ?(window = 40) ~series ~q ~bound () =
   if Float.is_nan q || q < 0.0 || q > 1.0 then
     invalid_arg "Slo.quantile: q outside [0, 1]";
-  make ~name ~description ~window ~fast_fraction ~page_burn ~warn_burn
-    (Quantile { series; q; bound })
+  bound_slo ~name ~description ~window (Quantile { series; q; bound })
 
-let stat ~name ?(description = "") ?(window = 40) ?(fast_fraction = 0.05)
-    ?(page_burn = 1.0) ?(warn_burn = 0.8) ~series ~stat ~cmp ~bound () =
-  make ~name ~description ~window ~fast_fraction ~page_burn ~warn_burn
-    (Stat { series; stat; cmp; bound })
+let stat ~name ?(description = "") ?(window = 40) ~series ~stat ~cmp ~bound () =
+  bound_slo ~name ~description ~window (Stat { series; stat; cmp; bound })
 
 type evaluation = {
   ev_slo : t;

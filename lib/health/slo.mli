@@ -65,24 +65,19 @@ val quantile :
   name:string ->
   ?description:string ->
   ?window:int ->
-  ?fast_fraction:float ->
-  ?page_burn:float ->
-  ?warn_burn:float ->
   series:string ->
   q:float ->
   bound:float ->
   unit ->
   t
-(** Upper-bound a quantile (e.g. admission p99 <= 1 ms).  Defaults:
-    window 40, fast_fraction 0.05, page_burn 1.0, warn_burn 0.8. *)
+(** Upper-bound a quantile (e.g. admission p99 <= 1 ms).  [window]
+    defaults to 40; fast_fraction is 0.05, page_burn 1.0 and warn_burn
+    0.8. *)
 
 val stat :
   name:string ->
   ?description:string ->
   ?window:int ->
-  ?fast_fraction:float ->
-  ?page_burn:float ->
-  ?warn_burn:float ->
   series:string ->
   stat:stat ->
   cmp:[ `Le | `Ge ] ->

@@ -11,7 +11,7 @@ val crc32 : ?seed:int -> int list -> int
 (** CRC-32 over the 32-bit words of the input (little-endian byte order),
     truncated to a non-negative OCaml [int]. *)
 
-val crc32c : ?seed:int -> int list -> int
+val crc32c : int list -> int
 (** Castagnoli variant; an independent function for second sketch rows. *)
 
 val crc32_2 : int -> int -> int

@@ -50,6 +50,6 @@ let monolithic_p4_capacity b ~stages_per_app =
 
 let activermt_theoretical_instances params = params.Params.words_per_stage
 
-let phv_state_variables ?(budget_bits = 768) word_bits =
+let phv_state_variables word_bits =
   if word_bits <= 0 then invalid_arg "phv_state_variables";
-  (budget_bits - 16) / word_bits
+  (768 - 16) / word_bits

@@ -40,10 +40,10 @@ val activermt_theoretical_instances : Params.t -> int
     to a single word: the per-stage word count (94K on the paper's
     hardware; 64K with our default parameters). *)
 
-val phv_state_variables : ?budget_bits:int -> int -> int
+val phv_state_variables : int -> int
 (** [phv_state_variables word_bits] — Section 7.1's trade-off: the shared
     internal state (MAR, MBR, MBR2, hash data, program arguments, control
     flags) lives in PHV containers of limited total size, so wider memory
-    words mean fewer state variables.  [budget_bits] defaults to 768 (the
-    share of a Tofino PHV the runtime can bridge through the pipeline);
-    16 bits are reserved for control flags. *)
+    words mean fewer state variables.  The budget is 768 bits (the share
+    of a Tofino PHV the runtime can bridge through the pipeline), of which
+    16 are reserved for control flags. *)

@@ -15,7 +15,10 @@ type payload =
 
 type msg = { src : address; dst : address; payload : payload; trace : Trace.ctx option }
 
-let msg ?trace ~src ~dst payload = { src; dst; payload; trace }
+let msg ~src ~dst payload = { src; dst; payload; trace = None }
+
+(* One-way latency of every hop. *)
+let wire_latency_s = 5.0e-6
 
 module Addr_tbl = Hashtbl.Make (Int)
 
@@ -25,7 +28,6 @@ type t = {
   engine : Engine.t;
   controller : Controller.t;
   address : address;
-  wire_latency_s : float;
   faults : Faults.t option;
   nodes : node Addr_tbl.t;
   mutable default_node : (msg -> unit) option;
@@ -197,7 +199,7 @@ let notify_impacted ?trace t fids =
       | Some owner ->
         deliver t
           { src = t.address; dst = owner; payload = Notify_realloc; trace }
-          ~delay:t.wire_latency_s)
+          ~delay:wire_latency_s)
     fids
 
 let decision_string r =
@@ -282,7 +284,7 @@ let send_on t m payload ~trace ~rts ~fwd ~pipelines =
   let params = Rmt.Device.params (Controller.device t.controller) in
   let delay =
     (1.0e-6 *. params.Rmt.Params.pass_latency_us *. float_of_int pipelines)
-    +. t.wire_latency_s
+    +. wire_latency_s
   in
   if rts then deliver t { src = m.dst; dst = m.src; payload; trace } ~delay
   else begin
@@ -328,7 +330,7 @@ let at_switch t m =
   match m.payload with
   | Kv_request _ | Kv_reply _ | Alloc_failed | Notify_realloc ->
     (* Transit traffic: forward to the destination. *)
-    deliver t m ~delay:t.wire_latency_s
+    deliver t m ~delay:wire_latency_s
   | Active pkt -> (
     match pkt.Activermt.Packet.payload with
     | Activermt.Packet.Request _ -> (
@@ -365,11 +367,11 @@ let at_switch t m =
               payload = Active provision.Controller.response;
               trace = m.trace;
             }
-            ~delay:(dt +. t.wire_latency_s)
+            ~delay:(dt +. wire_latency_s)
       | Error (`Rejected _) ->
         deliver t
           { src = t.address; dst = m.src; payload = Alloc_failed; trace = m.trace }
-          ~delay:(0.01 +. t.wire_latency_s)
+          ~delay:(0.01 +. wire_latency_s)
       | Error (`Bad_packet _) -> ())
     | Activermt.Packet.Bare ->
       let fid = pkt.Activermt.Packet.fid in
@@ -381,7 +383,7 @@ let at_switch t m =
         | Some response ->
           deliver t
             { src = t.address; dst = m.src; payload = Active response; trace = m.trace }
-            ~delay:t.wire_latency_s
+            ~delay:wire_latency_s
         | None -> ()
       end
       else begin
@@ -396,14 +398,14 @@ let at_switch t m =
         Hashtbl.remove t.owners fid;
         notify_impacted ?trace:m.trace t expanded
       end
-    | Activermt.Packet.Response _ -> deliver t m ~delay:t.wire_latency_s
+    | Activermt.Packet.Response _ -> deliver t m ~delay:wire_latency_s
     | Activermt.Packet.Exec { program; _ } ->
       let tables = Controller.tables t.controller in
       let fid = pkt.Activermt.Packet.fid in
       if not (Activermt.Table.installed tables ~fid) then
         (* Unknown FID: no table entries match, the packet forwards as
            plain traffic. *)
-        deliver t m ~delay:t.wire_latency_s
+        deliver t m ~delay:wire_latency_s
       else begin
         match tr_on t m with
         | None ->
@@ -415,9 +417,9 @@ let at_switch t m =
           forward_result t m pkt program r ~exec_ctx
       end)
 
-let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
-    ?faults ?(jit = true) ?(telemetry = Telemetry.default)
-    ?(tracer = Trace.noop) ~engine ~controller () =
+let create ?(address = switch_address) ?faults ?(jit = true)
+    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~engine ~controller
+    () =
   (* A faults handle with an all-off profile is the same as no handle:
      take the legacy (zero-cost, bit-identical) paths. *)
   let faults =
@@ -430,7 +432,6 @@ let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
       engine;
       controller;
       address;
-      wire_latency_s;
       faults;
       nodes = Addr_tbl.create 16;
       default_node = None;
@@ -456,12 +457,12 @@ let create ?(address = switch_address) ?(wire_latency_s = 5.0e-6)
 let send t m =
   Telemetry.bump t.sent_c;
   Telemetry.bump (tx_counter t m.src);
-  hop t m ~delay:t.wire_latency_s ~event:"sim.hop" t.to_switch
+  hop t m ~delay:wire_latency_s ~event:"sim.hop" t.to_switch
 
 (* Head-based sampling happens exactly once, here, when a capsule enters
    the network — bridged or forwarded messages go through [send] and keep
    whatever decision was made at injection. *)
-let inject ?(name = "capsule.inject") t m =
+let inject t m =
   let m =
     match (m.trace, m.payload) with
     | None, Active pkt when Trace.enabled t.tracer ->
@@ -482,7 +483,7 @@ let inject ?(name = "capsule.inject") t m =
           ("dst", string_of_int m.dst);
         ]
       in
-      (match Trace.start_trace t.tracer ~attrs name with
+      (match Trace.start_trace t.tracer ~attrs "capsule.inject" with
       | None -> m
       | Some c -> { m with trace = Some c })
     | _ -> m

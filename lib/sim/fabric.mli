@@ -39,19 +39,13 @@ type msg = {
           advanced hop by hop so the trace follows the capsule *)
 }
 
-val msg :
-  ?trace:Activermt_telemetry.Trace.ctx ->
-  src:address ->
-  dst:address ->
-  payload ->
-  msg
-(** Convenience constructor; [trace] defaults to [None]. *)
+val msg : src:address -> dst:address -> payload -> msg
+(** Convenience constructor for an untraced message. *)
 
 type t
 
 val create :
   ?address:address ->
-  ?wire_latency_s:float ->
   ?faults:Faults.t ->
   ?jit:bool ->
   ?telemetry:Activermt_telemetry.Telemetry.t ->
@@ -62,7 +56,8 @@ val create :
   t
 (** [address] (default [switch_address]) is the address this instance's
     switch answers on, so several fabrics — one per switch — can share an
-    engine and bridge traffic between each other's nodes.
+    engine and bridge traffic between each other's nodes.  Every hop
+    takes 5 µs.
 
     [faults] (default none) attaches a seeded {!Faults} model to every
     hop through this fabric — client-to-switch and switch-to-node alike,
@@ -132,11 +127,11 @@ val send : t -> msg -> unit
     message's trace context as-is — use {!inject} at the point a capsule
     first enters the network so head sampling runs exactly once. *)
 
-val inject : ?name:string -> t -> msg -> unit
+val inject : t -> msg -> unit
 (** {!send}, but first make the head-sampling decision for an untraced
-    [Active] message: when the tracer keeps it, a root [name] event
-    (default ["capsule.inject"]) starts the capsule's trace.  Bridged or
-    re-sent messages keep their existing decision. *)
+    [Active] message: when the tracer keeps it, a root [capsule.inject]
+    event starts the capsule's trace.  Bridged or re-sent messages keep
+    their existing decision. *)
 
 val stats_drops : t -> int
 (** Packets the runtime dropped (protection, recirculation limit, DROP). *)

@@ -66,24 +66,24 @@ type event = { time : float; kind : kind }
 let pp_event fmt e =
   Format.fprintf fmt "@[<h>t=%.6f %s@]" e.time (kind_to_string e.kind)
 
+(* Bound on the in-memory fault-event trace. *)
+let trace_limit = 10_000
+
 type t = {
   profile : profile;
   rng : Stdx.Prng.t;
   tel : Telemetry.t;
-  trace_limit : int;
   mutable trace : event list; (* newest first *)
   mutable traced : int;
   mutable injected : int;
 }
 
-let create ?(seed = 0xFA0175) ?(telemetry = Telemetry.default)
-    ?(trace_limit = 10_000) profile =
+let create ?(seed = 0xFA0175) ?(telemetry = Telemetry.default) profile =
   validate profile;
   {
     profile;
     rng = Stdx.Prng.create ~seed;
     tel = telemetry;
-    trace_limit;
     trace = [];
     traced = 0;
     injected = 0;
@@ -95,7 +95,7 @@ let injected t = t.injected
 let record t ~now kind =
   t.injected <- t.injected + 1;
   Telemetry.incr t.tel ("faults.injected." ^ kind_to_string kind);
-  if t.traced < t.trace_limit then begin
+  if t.traced < trace_limit then begin
     t.trace <- { time = now; kind } :: t.trace;
     t.traced <- t.traced + 1
   end

@@ -65,10 +65,8 @@ val pp_event : Format.formatter -> event -> unit
 type t
 
 val create :
-  ?seed:int -> ?telemetry:Activermt_telemetry.Telemetry.t -> ?trace_limit:int ->
-  profile -> t
-(** [trace_limit] (default 10k) bounds the in-memory fault-event trace.
-    [telemetry] receives [faults.injected.<kind>] counters and the
+  ?seed:int -> ?telemetry:Activermt_telemetry.Telemetry.t -> profile -> t
+(** [telemetry] receives [faults.injected.<kind>] counters and the
     [faults.jitter_s] histogram.
     @raise Invalid_argument on an ill-formed profile (a probability
     outside [0, 1], a negative or non-finite time, a slowdown that is not
@@ -81,7 +79,7 @@ val injected : t -> int
 (** Total faults injected so far (all kinds). *)
 
 val events : t -> event list
-(** The fault-event trace, oldest first, capped at [trace_limit]. *)
+(** The fault-event trace, oldest first, capped at its first 10k events. *)
 
 (** {2 Decisions (called by the fabric per delivery)} *)
 

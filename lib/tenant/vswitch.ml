@@ -60,7 +60,6 @@ type req = {
 
 type t = {
   cfg : config;
-  cost : Cost_model.t;
   reg : Tenant.t;
   ctrl : Controller.t;
   jit : Jit.t;
@@ -74,17 +73,15 @@ type t = {
          defer so reclaimed capacity reaches the entitled *)
   latencies : (int, int * float) Hashtbl.t;  (* fid -> (tenant, latency) *)
   tel : Telemetry.t;
-  tracer : Trace.t;
   mutable epoch : int;
   mutable clock : float;
 }
 
-let create ?(config = default_config) ?(cost = Cost_model.default)
-    ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~registry ctrl =
+let create ?(config = default_config) ?(telemetry = Telemetry.default) ~registry
+    ctrl =
   if config.max_batch <= 0 then invalid_arg "Vswitch.create: max_batch <= 0";
   {
     cfg = config;
-    cost;
     reg = registry;
     ctrl;
     jit = Jit.create ~telemetry (Controller.tables ctrl);
@@ -95,7 +92,6 @@ let create ?(config = default_config) ?(cost = Cost_model.default)
     waiting_entitled = Hashtbl.create 16;
     latencies = Hashtbl.create 256;
     tel = telemetry;
-    tracer;
     epoch = 0;
     clock = 0.0;
   }
@@ -296,11 +292,9 @@ let evict_fid t ~tenant:vt ~epoch_evicted ~modeled =
     modeled :=
       !modeled
       +. Cost_model.modeled bd
-      +. (float_of_int (state_words state) *. t.cost.Cost_model.snapshot_word_s);
+      +. (float_of_int (state_words state)
+         *. Cost_model.default.Cost_model.snapshot_word_s);
     Telemetry.add t.tel ~at:t.clock "tenant.evictions";
-    ignore
-      (Trace.start_trace t.tracer "tenant.evict"
-         ~attrs:[ ("tenant", string_of_int vt); ("fid", string_of_int vf) ]);
     freed
 
 (* Evict one service from the tenant holding the largest guaranteed
@@ -473,7 +467,7 @@ let run_epoch t =
             modeled :=
               !modeled
               +. (float_of_int (state_words state)
-                 *. t.cost.Cost_model.snapshot_word_s);
+                 *. Cost_model.default.Cost_model.snapshot_word_s);
             Telemetry.incr t.tel "tenant.relocations"
           | None -> ());
           Hashtbl.replace t.decisions fid Granted;
@@ -558,17 +552,6 @@ let run_epoch t =
     in
     t.epoch <- t.epoch + 1;
     Telemetry.incr t.tel "tenant.epochs";
-    (match
-       Trace.start_trace t.tracer "tenant.epoch"
-         ~attrs:
-           [
-             ("epoch", string_of_int summary.epoch_index);
-             ("scheduled", string_of_int summary.scheduled);
-             ("granted", string_of_int (List.length summary.granted));
-             ("evicted", string_of_int (List.length summary.evicted));
-           ]
-     with
-    | Some _ | None -> ());
     Some summary
   end
 

@@ -86,14 +86,12 @@ type t
 
 val create :
   ?config:config ->
-  ?cost:Cost_model.t ->
   ?telemetry:Telemetry.t ->
-  ?tracer:Trace.t ->
   registry:Tenant.t ->
   Controller.t ->
   t
-(** [cost] (default {!Cost_model.default}) prices the modeled clock's
-    eviction work.  [telemetry] receives [tenant.submitted/granted/
+(** {!Cost_model.default} prices the modeled clock's eviction work.
+    [telemetry] receives [tenant.submitted/granted/
     denied.quota/denied.capacity/deferrals/evictions/epochs] counters,
     [tenant.memsync.words_moved], and per-tenant [tenant.<id>.blocks]
     gauges refreshed every epoch.  On the modeled clock it also records
