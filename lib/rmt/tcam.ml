@@ -28,46 +28,27 @@ let prefixes_of_range ~width ~lo ~hi =
 
 let entries_for_range ~width ~lo ~hi = List.length (prefixes_of_range ~width ~lo ~hi)
 
-type entry = { prefixes : prefix list; mutable live : bool }
-type handle = entry
-
-type t = {
-  width : int;
-  capacity : int;
-  mutable used : int;
-  mutable entries : entry list;
-}
+(* A handle keeps only what removal needs: the entries to give back. *)
+type handle = { cost : int; mutable live : bool }
+type t = { width : int; capacity : int; mutable used : int }
 
 let create ~width ~capacity =
   if capacity < 0 then invalid_arg "Tcam.create: negative capacity";
-  { width; capacity; used = 0; entries = [] }
+  { width; capacity; used = 0 }
 
 let used t = t.used
 let free t = t.capacity - t.used
 
 let install_range t ~lo ~hi =
-  let prefixes = prefixes_of_range ~width:t.width ~lo ~hi in
-  let cost = List.length prefixes in
+  let cost = entries_for_range ~width:t.width ~lo ~hi in
   if t.used + cost > t.capacity then Error `Capacity
   else begin
-    let e = { prefixes; live = true } in
     t.used <- t.used + cost;
-    t.entries <- e :: t.entries;
-    Ok e
+    Ok { cost; live = true }
   end
 
-let remove t handle =
-  if handle.live then begin
-    handle.live <- false;
-    t.used <- t.used - List.length handle.prefixes;
-    t.entries <- List.filter (fun e -> e != handle) t.entries
+let remove t h =
+  if h.live then begin
+    h.live <- false;
+    t.used <- t.used - h.cost
   end
-
-let prefix_matches width p v =
-  let shift = width - p.prefix_len in
-  v lsr shift = p.value lsr shift
-
-let matches t v =
-  List.exists
-    (fun e -> e.live && List.exists (fun p -> prefix_matches t.width p v) e.prefixes)
-    t.entries

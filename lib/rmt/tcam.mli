@@ -21,7 +21,8 @@ val entries_for_range : width:int -> lo:int -> hi:int -> int
 (** Number of TCAM entries the range costs. *)
 
 type t
-(** A per-stage TCAM with bounded capacity tracking installed ranges. *)
+(** A per-stage TCAM's entry accounting: how many of its bounded
+    capacity the installed ranges' prefix covers take. *)
 
 type handle
 
@@ -30,11 +31,8 @@ val used : t -> int
 val free : t -> int
 
 val install_range : t -> lo:int -> hi:int -> (handle, [ `Capacity ]) result
-(** Install the prefix cover of a range; fails without side effects if it
-    does not fit. *)
+(** Charge a range's prefix cover against the capacity; fails without
+    side effects if it does not fit. *)
 
 val remove : t -> handle -> unit
 (** Remove a previously installed range.  Idempotent. *)
-
-val matches : t -> int -> bool
-(** Would any installed entry match this MAR value?  (Diagnostic.) *)

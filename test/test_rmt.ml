@@ -381,11 +381,9 @@ let test_tcam_remove_idempotent () =
   match T.install_range t ~lo:4 ~hi:7 with
   | Error `Capacity -> Alcotest.fail "fit"
   | Ok h ->
-    Alcotest.(check bool) "matches inside" true (T.matches t 5);
     T.remove t h;
     T.remove t h;
-    Alcotest.(check int) "freed once" 0 (T.used t);
-    Alcotest.(check bool) "no match" false (T.matches t 5)
+    Alcotest.(check int) "freed once" 0 (T.used t)
 
 let prop_tcam_install_remove_balance =
   QCheck.Test.make ~name:"tcam install/remove leaves no residue" ~count:100
