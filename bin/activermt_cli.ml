@@ -1283,11 +1283,12 @@ let allocsim_cmd =
   in
   let mixed_arg =
     Arg.value
-      (Arg.opt (Arg.some positive_int) None
+      (Arg.opt (Arg.some (int_between 1 100_000)) None
          (Arg.info [ "mixed" ] ~docv:"N"
-            ~doc:"Append $(docv) seeded uniform-mix arrivals (--seed) after \
-                  the named apps, enough load to drive the pool to \
-                  rejection — the batch-decision-identity smoke's workload."))
+            ~doc:"Append $(docv) seeded uniform-mix arrivals (--seed; 1 to \
+                  100000) after the named apps, enough load to drive the \
+                  pool to rejection — the batch-decision-identity smoke's \
+                  workload."))
   in
   let batch_arg =
     Arg.value
@@ -1306,9 +1307,10 @@ let allocsim_cmd =
 let churnsim_cmd =
   let clients_arg =
     Arg.value
-      (Arg.opt positive_int 50_000
+      (Arg.opt (int_between 1 1_000_000) 50_000
          (Arg.info [ "clients" ] ~docv:"N"
-            ~doc:"Total simulated clients arriving over the run."))
+            ~doc:"Total simulated clients arriving over the run (1 to \
+                  1000000)."))
   in
   let batch_arg =
     Arg.value
@@ -1338,10 +1340,10 @@ let churnsim_cmd =
 let tenantsim_cmd =
   let tenants_arg =
     Arg.value
-      (Arg.opt positive_int 8
+      (Arg.opt (int_between 2 4096) 8
          (Arg.info [ "tenants" ] ~docv:"N"
-            ~doc:"Equal-weight tenants sharing the switch (tenant 0 is \
-                  the noisy neighbor)."))
+            ~doc:"Equal-weight tenants sharing the switch, 2 to 4096 \
+                  (tenant 0 is the noisy neighbor)."))
   in
   let hostile_arg =
     Arg.value
@@ -1373,10 +1375,10 @@ let fleetsim_cmd =
   let module Placement = Activermt_fleet.Placement in
   let switches_arg =
     Arg.value
-      (Arg.opt positive_int 4
+      (Arg.opt (int_between 1 128) 4
          (Arg.info [ "switches" ] ~docv:"N"
-            ~doc:"Number of switches (mesh/line/star topologies; fat-tree \
-                  and leaf-spine derive their own count)."))
+            ~doc:"Number of switches, 1 to 128 (mesh/line/star topologies; \
+                  fat-tree and leaf-spine derive their own count)."))
   in
   let topo_arg =
     Arg.value
@@ -1431,8 +1433,9 @@ let fleetsim_cmd =
   in
   let arrivals_arg =
     Arg.value
-      (Arg.opt positive_int 100
-         (Arg.info [ "arrivals" ] ~docv:"N" ~doc:"Seeded mixed arrivals to offer."))
+      (Arg.opt (int_between 1 100_000) 100
+         (Arg.info [ "arrivals" ] ~docv:"N"
+            ~doc:"Seeded mixed arrivals to offer (1 to 100000)."))
   in
   let batch_arg =
     Arg.value
@@ -1493,13 +1496,15 @@ let faultsim_cmd =
   in
   let services_arg =
     Arg.value
-      (Arg.opt positive_int 16
-         (Arg.info [ "services" ] ~docv:"N" ~doc:"Concurrent service clients."))
+      (Arg.opt (int_between 1 1024) 16
+         (Arg.info [ "services" ] ~docv:"N"
+            ~doc:"Concurrent service clients (1 to 1024)."))
   in
   let words_arg =
     Arg.value
-      (Arg.opt positive_int 48
-         (Arg.info [ "words" ] ~docv:"N" ~doc:"State words each service writes."))
+      (Arg.opt (int_between 1 4096) 48
+         (Arg.info [ "words" ] ~docv:"N"
+            ~doc:"State words each service writes (1 to 4096)."))
   in
   let loss_arg = prob ~default:0.01 "loss" "Per-hop packet drop probability." in
   let dup_arg = prob "dup" "Packet duplication probability." in
