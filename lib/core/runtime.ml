@@ -331,7 +331,8 @@ let run tables ?(meta = default_meta) pkt = dispatch tables ~meta pkt
 
 let trace tables ?(meta = default_meta) pkt =
   let events = ref [] in
-  let r = dispatch ~on_event:(fun e -> events := e :: !events) tables ~meta pkt in
+  let on_event e = events := e :: !events in
+  let r = dispatch ~on_event tables ~meta pkt in
   (r, List.rev !events)
 
 let latency_us params r =

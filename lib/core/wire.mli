@@ -17,10 +17,12 @@ val decode : opcode:int -> flag:int -> (decoded, string) result
 val encode_program : Program.t -> Bytes.t
 (** Instruction headers for every line plus a terminating EOF header. *)
 
-val decode_program : Bytes.t -> off:int -> (Program.t * bool array * int, string) result
+val decode_program :
+  Bytes.t -> off:int -> (Program.t * bool array * int, string) result
 (** Decode headers starting at [off] up to and including EOF.  Returns the
     program (EOF stripped, named ["wire"]), the per-line executed marks,
-    and the offset one past the EOF header.  Any [off] outside the bytes is an [Error]. *)
+    and the offset one past the EOF header.  Any [off] outside the bytes
+    is an [Error]. *)
 
 (** {2 Capsule framing}
 

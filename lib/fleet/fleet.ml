@@ -484,7 +484,8 @@ let drain_admissions ?(max_batch = 64) t =
     List.iter
       (fun pa ->
         let next =
-          candidate_seq t ~home:None ~fid:pa.pa_fid ~demand:(app_charge pa.pa_app)
+          candidate_seq t ~home:None ~fid:pa.pa_fid
+            ~demand:(app_charge pa.pa_app)
             ?loads:
               (match t.policy with
               | Placement.Hierarchical -> None

@@ -55,8 +55,9 @@ val leaf_spine : ?pod_size:int -> leaves:int -> spines:int -> unit -> t
 (** A 2-tier leaf–spine fabric: leaves [0 .. leaves - 1], spines
     [leaves .. leaves + spines - 1], every leaf linked to every spine at
     5e-6 s and 40e9 bps — so leaf-to-leaf traffic has [spines]
-    equal-cost 2-hop paths.  Leaves are grouped into placement pods of [pod_size] (default 16)
-    consecutive ids; the spine layer is the final pod.
+    equal-cost 2-hop paths.  Leaves are grouped into placement pods of
+    [pod_size] (default 16) consecutive ids; the spine layer is the final
+    pod.
     @raise Invalid_argument on non-positive [leaves], [spines], or
     [pod_size]. *)
 

@@ -218,8 +218,8 @@ let decision_string r =
     "dropped:" ^ why
 
 (* Execute a traced capsule under a device.exec span: the result hangs
-   off it, and admit.* attrs link the data plane back to the control-plane provision
-   span that placed this program. *)
+   off it, and admit.* attrs link the data plane back to the
+   control-plane provision span that placed this program. *)
 let exec_traced t pkt ~meta c =
   let fid = pkt.Activermt.Packet.fid in
   let exec_attrs =
