@@ -47,7 +47,7 @@ type t = {
   mutable up_sum : float;
   mutable up_count : int;
   tel : Telemetry.t;
-  bridged : Telemetry.counter;
+  bridged : int ref; (* read by the registry's source, which holds no fleet *)
   tracer : Trace.t;
 }
 
@@ -97,7 +97,7 @@ let route t ~from msg =
     | Some hop ->
       if t.down.(hop) then unroutable ()
       else begin
-        Telemetry.bump t.bridged;
+        incr t.bridged;
         let msg =
           match msg.Fabric.trace with
           | Some ctx when Trace.enabled t.tracer ->
@@ -161,6 +161,11 @@ let create ?(policy = Placement.Least_loaded) ?(params = Rmt.Params.default)
         in
         { sw; controller; fabric; faults = node_faults })
   in
+  let bridged = ref 0 in
+  Telemetry.source telemetry
+    ~read:(fun ~counter ~gauge:_ ->
+      if !bridged > 0 then counter "fleet.bridged" !bridged)
+    ~zero:(fun () -> bridged := 0);
   let t =
     {
       topo;
@@ -182,7 +187,7 @@ let create ?(policy = Placement.Least_loaded) ?(params = Rmt.Params.default)
       up_sum = 0.0;
       up_count = n;
       tel = telemetry;
-      bridged = Telemetry.counter telemetry "fleet.bridged";
+      bridged;
       tracer;
     }
   in

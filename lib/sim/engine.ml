@@ -38,6 +38,12 @@ type ring = {
 (* A float-only record is stored flat: setting the clock allocates nothing. *)
 type clock = { mutable now : float }
 
+(* What the registry reads through the engine's source.  The source
+   closes over this record alone, so the registry keeps no engine (nor
+   the events it queues) alive.  [depth] is the queue's length after the
+   last fired event's pop, before its handler ran: -1 until one fires. *)
+type counts = { mutable scheduled : int; mutable processed : int; mutable depth : int }
+
 type t = {
   mutable times : float array;
   mutable seqs : int array;
@@ -52,9 +58,7 @@ type t = {
   mutable queued : int;  (* heap and rings *)
   clock : clock;
   mutable next_seq : int;
-  scheduled : Telemetry.counter;
-  processed : Telemetry.counter;
-  depth : Telemetry.gauge;
+  counts : counts;
 }
 
 let ring_cap = 16
@@ -68,8 +72,21 @@ let make_ring () =
     count = 0;
   }
 
+let source telemetry c =
+  Telemetry.source telemetry
+    ~read:(fun ~counter ~gauge ->
+      if c.scheduled > 0 then counter "sim.events.scheduled" c.scheduled;
+      if c.processed > 0 then counter "sim.events.processed" c.processed;
+      if c.depth >= 0 then gauge "sim.queue_depth" (float_of_int c.depth))
+    ~zero:(fun () ->
+      c.scheduled <- 0;
+      c.processed <- 0;
+      c.depth <- -1)
+
 let create ?(telemetry = Telemetry.default) () =
   let cap = 16 in
+  let counts = { scheduled = 0; processed = 0; depth = -1 } in
+  source telemetry counts;
   {
     times = Array.make cap 0.0;
     seqs = Array.make cap 0;
@@ -82,9 +99,7 @@ let create ?(telemetry = Telemetry.default) () =
     queued = 0;
     clock = { now = 0.0 };
     next_seq = 0;
-    scheduled = Telemetry.counter telemetry "sim.events.scheduled";
-    processed = Telemetry.counter telemetry "sim.events.processed";
-    depth = Telemetry.gauge telemetry "sim.queue_depth";
+    counts;
   }
 
 let now t = t.clock.now
@@ -125,7 +140,7 @@ let[@inline] take_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.queued <- t.queued + 1;
-  Telemetry.bump t.scheduled;
+  t.counts.scheduled <- t.counts.scheduled + 1;
   seq
 
 let heap_push t ~time ev =
@@ -288,8 +303,9 @@ let earliest t =
 let fire t s =
   let ev = if s = heap then heap_pop t else ring_pop t t.rings.(s) in
   t.queued <- t.queued - 1;
-  Telemetry.bump t.processed;
-  Telemetry.set_int t.depth t.queued;
+  let c = t.counts in
+  c.processed <- c.processed + 1;
+  c.depth <- t.queued;
   match ev with Call (f, x) -> f x
 
 let step t =

@@ -30,10 +30,13 @@
 type t
 
 val create : ?telemetry:Activermt_telemetry.Telemetry.t -> unit -> t
-(** [telemetry] (default [Telemetry.default]) counts
-    [sim.events.scheduled] / [sim.events.processed] and tracks the
-    [sim.queue_depth] gauge as events fire, through handles resolved at
-    creation; the metrics appear on the first event. *)
+(** [telemetry] (default [Telemetry.default]) reads the engine's
+    [sim.events.scheduled] / [sim.events.processed] counters and its
+    [sim.queue_depth] gauge (the events queued after the pop of the last
+    fired event, before its handler ran) through a source registered
+    here.  The engine counts into plain ints of a record apart from
+    itself, so the registry never keeps an engine alive.  Each counter
+    appears once it is nonzero, and the gauge once an event has fired. *)
 
 val now : t -> float
 (** Current simulated time in seconds. *)

@@ -22,7 +22,22 @@ let wire_latency_s = 5.0e-6
 
 module Addr_tbl = Hashtbl.Make (Int)
 
-type node = { handler : msg -> unit; rx : Telemetry.counter }
+(* One node's tx or rx count, under its metric name, formatted once. *)
+type node_count = { name : string; mutable n : int }
+
+(* What the registry reads through the fabric's source.  The source
+   closes over this record alone, so the registry keeps no fabric (nor
+   its controller's device) alive. *)
+type counts = {
+  mutable sent : int;
+  mutable delivered : int;
+  mutable lost : int;
+  mutable dropped : int;
+  tx : node_count Addr_tbl.t; (* by source address *)
+  rx : node_count Addr_tbl.t; (* by attached address *)
+}
+
+type node = { handler : msg -> unit; rx : node_count }
 
 type t = {
   engine : Engine.t;
@@ -33,15 +48,8 @@ type t = {
   mutable default_node : (msg -> unit) option;
   owners : (Activermt.Packet.fid, address) Hashtbl.t;
   jit : Activermt.Jit.t;
-  mutable drops : int;
   tel : Telemetry.t;
-  (* Per-packet counters, resolved once: sim.packets.* and, per source
-     address, sim.node.<addr>.tx. *)
-  sent_c : Telemetry.counter;
-  delivered_c : Telemetry.counter;
-  lost_c : Telemetry.counter;
-  dropped_c : Telemetry.counter;
-  tx : Telemetry.counter Addr_tbl.t;
+  counts : counts;
   tracer : Trace.t;
   (* Built once per fabric: the events of a hop are these handlers and
      the message, and untraced capsules execute into [outcome]. *)
@@ -53,18 +61,19 @@ type t = {
 let faults t = t.faults
 let jit t = t.jit
 
-let attach t addr handler =
-  if addr = t.address then invalid_arg "Fabric.attach: switch address reserved";
-  let rx = Telemetry.counter t.tel (Printf.sprintf "sim.node.%d.rx" addr) in
-  Addr_tbl.replace t.nodes addr { handler; rx }
-
-let tx_counter t addr =
-  match Addr_tbl.find t.tx addr with
+(* [addr]'s count in [tbl], the [dir] count of its node, created at zero
+   on first use. *)
+let node_count tbl addr dir =
+  match Addr_tbl.find tbl addr with
   | c -> c
   | exception Not_found ->
-    let c = Telemetry.counter t.tel (Printf.sprintf "sim.node.%d.tx" addr) in
-    Addr_tbl.add t.tx addr c;
+    let c = { name = Printf.sprintf "sim.node.%d.%s" addr dir; n = 0 } in
+    Addr_tbl.add tbl addr c;
     c
+
+let attach t addr handler =
+  if addr = t.address then invalid_arg "Fabric.attach: switch address reserved";
+  Addr_tbl.replace t.nodes addr { handler; rx = node_count t.counts.rx addr "rx" }
 
 let attach_default t handler = t.default_node <- Some handler
 
@@ -161,12 +170,12 @@ let traced_or_faulty_hop t m ~delay ~event handler =
           "fault.duplicate"
     | `Lost cause ->
       tr_fault t m ~attrs:(cause_attr cause) "fault.drop";
-      Telemetry.bump t.lost_c
+      t.counts.lost <- t.counts.lost + 1
     | `Corrupted ->
       tr_fault t m "fault.corrupt";
       if corruption_rejected t f m then begin
         tr_fault t m ~attrs:[ ("cause", "corrupt") ] "fault.drop";
-        Telemetry.bump t.lost_c
+        t.counts.lost <- t.counts.lost + 1
       end)
 
 (* Without a trace context or faults [tr_hop] is the identity, so the
@@ -179,13 +188,13 @@ let hop t m ~delay ~event handler =
 let arrive t m =
   match Addr_tbl.find t.nodes m.dst with
   | node ->
-    Telemetry.bump t.delivered_c;
-    Telemetry.bump node.rx;
+    t.counts.delivered <- t.counts.delivered + 1;
+    node.rx.n <- node.rx.n + 1;
     node.handler m
   | exception Not_found -> (
     match t.default_node with
     | Some handler ->
-      Telemetry.bump t.delivered_c;
+      t.counts.delivered <- t.counts.delivered + 1;
       handler m
     | None -> ())
 
@@ -267,9 +276,7 @@ let exec_traced t pkt ~meta c =
          "device.result"));
   (r, exec_ctx)
 
-let count_drop t =
-  t.drops <- t.drops + 1;
-  Telemetry.bump t.dropped_c
+let count_drop t = t.counts.dropped <- t.counts.dropped + 1
 
 (* The executed capsule as it leaves the switch: the results of
    execution (MBR_STORE) travel in its args. *)
@@ -417,6 +424,26 @@ let at_switch t m =
           forward_result t m pkt program r ~exec_ctx
       end)
 
+let source telemetry c =
+  Telemetry.source telemetry
+    ~read:(fun ~counter ~gauge:_ ->
+      let emit name n = if n > 0 then counter name n in
+      emit "sim.packets.sent" c.sent;
+      emit "sim.packets.delivered" c.delivered;
+      emit "sim.packets.lost" c.lost;
+      emit "sim.packets.dropped" c.dropped;
+      let each _ nc = emit nc.name nc.n in
+      Addr_tbl.iter each c.tx;
+      Addr_tbl.iter each c.rx)
+    ~zero:(fun () ->
+      c.sent <- 0;
+      c.delivered <- 0;
+      c.lost <- 0;
+      c.dropped <- 0;
+      let clear _ nc = nc.n <- 0 in
+      Addr_tbl.iter clear c.tx;
+      Addr_tbl.iter clear c.rx)
+
 let create ?(address = switch_address) ?faults ?(jit = true)
     ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~engine ~controller
     () =
@@ -427,6 +454,17 @@ let create ?(address = switch_address) ?faults ?(jit = true)
     | Some f when Faults.is_none (Faults.profile f) -> None
     | other -> other
   in
+  let counts =
+    {
+      sent = 0;
+      delivered = 0;
+      lost = 0;
+      dropped = 0;
+      tx = Addr_tbl.create 16;
+      rx = Addr_tbl.create 16;
+    }
+  in
+  source telemetry counts;
   let rec t =
     {
       engine;
@@ -439,13 +477,8 @@ let create ?(address = switch_address) ?faults ?(jit = true)
       jit =
         Activermt.Jit.create ~enabled:jit ~telemetry
           (Controller.tables controller);
-      drops = 0;
       tel = telemetry;
-      sent_c = Telemetry.counter telemetry "sim.packets.sent";
-      delivered_c = Telemetry.counter telemetry "sim.packets.delivered";
-      lost_c = Telemetry.counter telemetry "sim.packets.lost";
-      dropped_c = Telemetry.counter telemetry "sim.packets.dropped";
-      tx = Addr_tbl.create 16;
+      counts;
       tracer;
       to_switch = (fun m -> at_switch t m);
       to_node = (fun m -> arrive t m);
@@ -455,8 +488,10 @@ let create ?(address = switch_address) ?faults ?(jit = true)
   t
 
 let send t m =
-  Telemetry.bump t.sent_c;
-  Telemetry.bump (tx_counter t m.src);
+  let c = t.counts in
+  c.sent <- c.sent + 1;
+  let tx = node_count c.tx m.src "tx" in
+  tx.n <- tx.n + 1;
   hop t m ~delay:wire_latency_s ~event:"sim.hop" t.to_switch
 
 (* Head-based sampling happens exactly once, here, when a capsule enters
@@ -490,4 +525,4 @@ let inject t m =
   in
   send t m
 
-let stats_drops t = t.drops
+let stats_drops t = t.counts.dropped

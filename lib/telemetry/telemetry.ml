@@ -1,7 +1,9 @@
 (* Metric cells live in per-domain shards (Stdx.Sharded): the hot path
    writes the calling domain's cells without synchronization and readers
    merge every shard, so recording stays allocation-cheap and race-free
-   under Stdx.Domain_pool fan-out. *)
+   under Stdx.Domain_pool fan-out.  A component that runs on one domain
+   keeps its hot counters in plain ints instead, and readers merge them in
+   through the source it registered. *)
 
 (* Log-bucketed sketch of [n] bins: bin i covers [2^((i-o)/s),
    2^((i-o+1)/s)) with s = n/32 bins per octave and origin o = 3n/4 (the
@@ -109,7 +111,13 @@ type shard = {
   cells : (string, cell) Hashtbl.t;
   rings : (string, window array) Hashtbl.t; (* empty without windows *)
   mutable stack : (string * float) list; (* open spans: name, start time *)
-  mutable generation : int; (* bumped by [reset], which drops every cell *)
+}
+
+(* A component's own counters and gauges, read out by name whenever the
+   registry is read. *)
+type source = {
+  read : counter:(string -> int -> unit) -> gauge:(string -> float -> unit) -> unit;
+  zero : unit -> unit;
 }
 
 type t = {
@@ -118,10 +126,10 @@ type t = {
   now : unit -> float;
   windows : int; (* per windowed metric; 0 = keep run totals only *)
   mutable clock : unit -> float; (* virtual time that places a window *)
+  sources : source list Atomic.t; (* newest first *)
 }
 
-let new_shard () =
-  { cells = Hashtbl.create 64; rings = Hashtbl.create 16; stack = []; generation = 0 }
+let new_shard () = { cells = Hashtbl.create 64; rings = Hashtbl.create 16; stack = [] }
 
 let create ?now ?(windows = 0) ?(clock = fun () -> 0.0) () =
   if windows < 0 then invalid_arg "Telemetry.create: windows < 0";
@@ -132,6 +140,7 @@ let create ?now ?(windows = 0) ?(clock = fun () -> 0.0) () =
     now;
     windows;
     clock;
+    sources = Atomic.make [];
   }
 
 let default = create ()
@@ -174,51 +183,15 @@ let set_gauge t name v =
   g.g_seq <- seq;
   g.g_val.v <- v
 
-(* -- Handles --------------------------------------------------------------
-   A handle caches the cell it last resolved with the shard and generation
-   it came from.  The cache is one immutable record behind one mutable
-   field, so a handle shared across domains always reads a consistent
-   (shard, cell) pair: a domain whose shard does not match re-resolves
-   its own cell, and no domain ever writes another's. *)
-
-type 'a cached = { shard : shard; generation : int; cell : 'a }
-type 'a handle = { reg : t; name : string; mutable cached : 'a cached }
-type counter = int ref handle
-type gauge = gauge_cell handle
-
-(* No domain's shard, so a fresh handle resolves on its first record. *)
-let unresolved = new_shard ()
-
-let handle reg name cell =
-  { reg; name; cached = { shard = unresolved; generation = 0; cell } }
-
-let counter t name = handle t name (ref 0)
-let gauge t name = handle t name { g_seq = 0; g_val = { v = 0.0 } }
-
-let[@inline] resolve h s find =
-  let c = h.cached in
-  if c.shard == s && c.generation = s.generation then c.cell
-  else begin
-    let cell = find s h.name in
-    h.cached <- { shard = s; generation = s.generation; cell };
-    cell
-  end
-
-let bump ?(by = 1) h =
-  let r = resolve h (my_shard h.reg) counter_cell in
-  r := !r + by
-
-(* The calling domain's value cell for [h], stamped with the next write
-   order: across shards the last write wins. *)
-let stamp h =
-  let s = my_shard h.reg in
-  let seq = Atomic.fetch_and_add h.reg.seq 1 in
-  let g = resolve h s gauge_cell in
-  g.g_seq <- seq;
-  g.g_val
-
-let set h v = (stamp h).v <- v
-let set_int h n = (stamp h).v <- float_of_int n
+(* Registration may race with another domain's, so it retries on a lost
+   compare-and-set rather than dropping either source. *)
+let source t ~read ~zero =
+  let s = { read; zero } in
+  let rec push () =
+    let old = Atomic.get t.sources in
+    if not (Atomic.compare_and_set t.sources old (s :: old)) then push ()
+  in
+  push ()
 
 let observe_in s name v =
   match Hashtbl.find_opt s.cells name with
@@ -294,21 +267,60 @@ let with_span t name f =
 
 (* -- Merged reads --------------------------------------------------------- *)
 
-let counter_value t name =
-  Stdx.Sharded.fold t.shards ~init:0 ~f:(fun acc s ->
+let kind_name = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Hist _ -> "histogram"
+
+(* Every source's reading: counters summed, and each gauge as the newest
+   source that holds it reads it.  A name read as a counter and as a
+   gauge, or as another kind than a cell of it, raises. *)
+let read_sources t =
+  let counters = Hashtbl.create 64 and gauges = Hashtbl.create 16 in
+  let claim name kind =
+    if kind <> "counter" && Hashtbl.mem counters name then kind_error name "counter";
+    if kind <> "gauge" && Hashtbl.mem gauges name then kind_error name "gauge";
+    Stdx.Sharded.iter t.shards ~f:(fun s ->
+        match Hashtbl.find_opt s.cells name with
+        | Some c when kind_name c <> kind -> kind_error name (kind_name c)
+        | Some _ | None -> ())
+  in
+  let counter name v =
+    claim name "counter";
+    let sum = Option.value ~default:0 (Hashtbl.find_opt counters name) in
+    Hashtbl.replace counters name (sum + v)
+  in
+  let gauge name v =
+    claim name "gauge";
+    if not (Hashtbl.mem gauges name) then Hashtbl.add gauges name v
+  in
+  List.iter (fun s -> s.read ~counter ~gauge) (Atomic.get t.sources);
+  (counters, gauges)
+
+(* A counter sums its cells and its sources' readings ([sourced]). *)
+let merged_counter t sourced name =
+  let init = Option.value ~default:0 (Hashtbl.find_opt sourced name) in
+  Stdx.Sharded.fold t.shards ~init ~f:(fun acc s ->
       match Hashtbl.find_opt s.cells name with
       | Some (Counter r) -> acc + !r
       | _ -> acc)
 
-let gauge_value t name =
-  Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
-      match Hashtbl.find_opt s.cells name with
-      | Some (Gauge g) -> (
-        match acc with
-        | Some (seq, _) when seq >= g.g_seq -> acc
-        | _ -> Some (g.g_seq, g.g_val.v))
-      | _ -> acc)
-  |> Option.map snd
+(* A source's reading of a gauge wins over its cells' last write. *)
+let merged_gauge t sourced name =
+  match Hashtbl.find_opt sourced name with
+  | Some v -> Some v
+  | None ->
+    Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
+        match Hashtbl.find_opt s.cells name with
+        | Some (Gauge g) -> (
+          match acc with
+          | Some (seq, _) when seq >= g.g_seq -> acc
+          | _ -> Some (g.g_seq, g.g_val.v))
+        | _ -> acc)
+    |> Option.map snd
+
+let counter_value t name = merged_counter t (fst (read_sources t)) name
+let gauge_value t name = merged_gauge t (snd (read_sources t)) name
 
 let merged_hist t name =
   Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
@@ -357,8 +369,11 @@ let hist_percentile t name p =
     if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
     hist_quantile h (p /. 100.0)
 
-let names_of_kind t ~keep =
+(* The names of every cell [keep] accepts and of every key of [sourced],
+   sorted. *)
+let names_of_kind t ~keep sourced =
   let seen = Hashtbl.create 64 in
+  Hashtbl.iter (fun name _ -> Hashtbl.replace seen name ()) sourced;
   Stdx.Sharded.iter t.shards ~f:(fun s ->
       Hashtbl.iter
         (fun name cell -> if keep cell then Hashtbl.replace seen name ())
@@ -367,16 +382,18 @@ let names_of_kind t ~keep =
   |> List.sort compare
 
 let counters t =
-  names_of_kind t ~keep:(function Counter _ -> true | _ -> false)
-  |> List.map (fun name -> (name, counter_value t name))
+  let sourced, _ = read_sources t in
+  names_of_kind t ~keep:(function Counter _ -> true | _ -> false) sourced
+  |> List.map (fun name -> (name, merged_counter t sourced name))
 
 let gauges t =
-  names_of_kind t ~keep:(function Gauge _ -> true | _ -> false)
+  let _, sourced = read_sources t in
+  names_of_kind t ~keep:(function Gauge _ -> true | _ -> false) sourced
   |> List.filter_map (fun name ->
-         Option.map (fun v -> (name, v)) (gauge_value t name))
+         Option.map (fun v -> (name, v)) (merged_gauge t sourced name))
 
 let histograms t =
-  names_of_kind t ~keep:(function Hist _ -> true | _ -> false)
+  names_of_kind t ~keep:(function Hist _ -> true | _ -> false) (Hashtbl.create 0)
   |> List.filter_map (fun name ->
          Option.map (fun s -> (name, s)) (hist_summary t name))
 
@@ -384,8 +401,8 @@ let reset t =
   Stdx.Sharded.iter t.shards ~f:(fun s ->
       Hashtbl.reset s.cells;
       Hashtbl.reset s.rings;
-      s.stack <- [];
-      s.generation <- s.generation + 1)
+      s.stack <- []);
+  List.iter (fun s -> s.zero ()) (Atomic.get t.sources)
 
 (* -- Window reads ------------------------------------------------------------ *)
 

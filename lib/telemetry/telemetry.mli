@@ -2,10 +2,11 @@
     latency histograms, and span timers.
 
     Recording is allocation-cheap (a domain-local lookup plus an in-place
-    cell update; no lookup at all through a {!counter} or {!gauge}
-    handle) and safe under [Stdx.Domain_pool] fan-out: every writing
+    cell update) and safe under [Stdx.Domain_pool] fan-out: every writing
     domain gets its own shard and readers merge all shards, so no write
-    ever contends.  Merged totals are exact once the writing domains have
+    ever contends.  A component that runs on one domain can skip the
+    registry on its hot path altogether: it counts into its own plain
+    ints and registers a {!source} that reads them out.  Merged totals are exact once the writing domains have
     synchronized — [Domain_pool.parallel_for] returns only after every
     worker signals completion under the pool's mutex, so recording inside
     a fan-out and reading after it returns is exact.
@@ -57,34 +58,39 @@ val set_gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
 (** Record one observation into the named histogram. *)
 
-(** {2 Handles (per-packet and per-event paths)}
+(** {2 Sources (per-packet and per-event paths)}
 
-    A handle names one counter or gauge and records into it without
-    hashing the name: it caches the calling domain's cell and checks the
-    cache against that domain's shard and a generation bumped by
-    {!reset}, so it stays exact under [Stdx.Domain_pool] fan-out and
-    after a reset.  Creating a handle registers nothing; the metric
-    appears on its first record, exactly as with {!incr} and
-    {!set_gauge}, which stay for cold paths. *)
+    A component that runs on one domain, such as a simulation engine or
+    fabric, owns its hot counters as plain mutable ints: counting is one
+    store, with no lookup and no synchronization.  It registers one
+    source at creation, and the registry reads the source whenever it is
+    read: {!counter_value}, {!gauge_value}, {!counters}, {!gauges} and
+    the dumps.  A counter sums its cells and every source's reading of
+    it, so components that share names (a fleet's fabrics) add up.
+    Sources feed run totals only, never windows. *)
 
-type counter
-type gauge
+val source :
+  t ->
+  read:(counter:(string -> int -> unit) -> gauge:(string -> float -> unit) -> unit) ->
+  zero:(unit -> unit) ->
+  unit
+(** [source t ~read ~zero] registers a source.  [read ~counter ~gauge]
+    emits the component's current counters and gauges by name; a metric
+    it does not emit is absent from its reading, so a component that
+    emits a counter only once it is nonzero makes it appear just as a
+    first {!incr} would.  [zero] clears them; {!reset} calls it.
 
-val counter : t -> string -> counter
-val gauge : t -> string -> gauge
+    The registry keeps the source, so it grows by one per component ever
+    created on it, and keeps alive whatever [read] and [zero] close over:
+    they should close over a small record of counts, never over the
+    component itself.  Registration is safe while other domains register
+    or record.
 
-val bump : ?by:int -> counter -> unit
-(** [incr t ?by name] through the handle.
-    @raise Invalid_argument if the name is registered as another kind. *)
-
-val set : gauge -> float -> unit
-(** [set_gauge t name v] through the handle.
-    @raise Invalid_argument if the name is registered as another kind. *)
-
-val set_int : gauge -> int -> unit
-(** [set h (float_of_int n)] without boxing the float, for gauges set on
-    every event (such as [sim.queue_depth]).
-    @raise Invalid_argument if the name is registered as another kind. *)
+    A name denotes one kind across cells and sources too: a source that
+    emits a name some cell or another source holds as another kind makes
+    the read raise [Invalid_argument], as recording it would.  The check
+    runs at read, not at record.  When a gauge has both cells and source
+    readings, the newest source that emits it gives its value. *)
 
 (** {2 Windowed recording (cold paths)}
 
@@ -137,10 +143,14 @@ type hist_summary = {
 }
 
 val counter_value : t -> string -> int
-(** Sum over all shards; 0 if the counter was never incremented. *)
+(** Sum over all shards and sources; 0 if the counter was never
+    incremented.
+    @raise Invalid_argument on a kind clash with a source (see {!source}). *)
 
 val gauge_value : t -> string -> float option
-(** Most recently set value across shards (global write order). *)
+(** The newest source's reading, else the most recently set value across
+    shards (global write order).
+    @raise Invalid_argument on a kind clash with a source. *)
 
 val hist_summary : t -> string -> hist_summary option
 (** [None] for an unknown name.  A single-observation histogram reports
@@ -156,13 +166,15 @@ val hist_percentile : t -> string -> float -> float
     @raise Invalid_argument if [p] is NaN. *)
 
 val counters : t -> (string * int) list
-(** All counters, merged, sorted by name.  Likewise [gauges]. *)
+(** All counters, merged as {!counter_value} merges one, sorted by name.
+    Likewise [gauges].
+    @raise Invalid_argument on a kind clash with a source. *)
 
 val gauges : t -> (string * float) list
 
 val reset : t -> unit
-(** Clear every shard, windows included; handles re-register on their
-    next record.  Only call while no other domain is recording. *)
+(** Clear every shard, windows included, and zero every source.  Only
+    call while no other domain is recording. *)
 
 (** {2 Window reads}
 

@@ -2,6 +2,7 @@
 
 module Engine = Netsim.Engine
 module Fabric = Netsim.Fabric
+module Telemetry = Activermt_telemetry.Telemetry
 module Faults = Netsim.Faults
 module Controller = Activermt_control.Controller
 module Negotiate = Activermt_client.Negotiate
@@ -455,6 +456,47 @@ let test_memsync_driver_over_lossy_fabric () =
     stages;
   Alcotest.(check bool) "loss actually occurred" true (Faults.injected faults > 0)
 
+(* The registry reads an engine's and a fabric's counts through sources
+   that hold neither: both are collected once dropped, and their counts
+   still read back.  A transit request takes two events, one hop to the
+   switch and one on to its node. *)
+let[@inline never] run_and_drop tel =
+  let engine = Engine.create ~telemetry:tel () in
+  let controller =
+    Controller.create ~mode:`Interactive ~telemetry:tel (Rmt.Device.create params)
+  in
+  let fabric = Fabric.create ~telemetry:tel ~engine ~controller () in
+  Fabric.attach fabric 30 ignore;
+  Fabric.send fabric
+    (Fabric.msg ~src:10 ~dst:30 (Fabric.Kv_request { key = Workload.Kv.key_of_rank 1 }));
+  Engine.run engine;
+  let engine_w = Weak.create 1 and fabric_w = Weak.create 1 in
+  Weak.set engine_w 0 (Some engine);
+  Weak.set fabric_w 0 (Some fabric);
+  (engine_w, fabric_w)
+
+let test_sources_release_components () =
+  let tel = Telemetry.create () in
+  let engine_w, fabric_w = run_and_drop tel in
+  Gc.full_major ();
+  Alcotest.(check bool) "engine collected" false (Weak.check engine_w 0);
+  Alcotest.(check bool) "fabric collected" false (Weak.check fabric_w 0);
+  Alcotest.(check (list (pair string int)))
+    "counts read back"
+    [
+      ("sim.events.processed", 2);
+      ("sim.events.scheduled", 2);
+      ("sim.node.10.tx", 1);
+      ("sim.node.30.rx", 1);
+      ("sim.packets.delivered", 1);
+      ("sim.packets.sent", 1);
+    ]
+    (List.filter
+       (fun (name, _) -> String.starts_with ~prefix:"sim." name)
+       (Telemetry.counters tel));
+  Alcotest.(check (option (float 0.0))) "queue depth" (Some 0.0)
+    (Telemetry.gauge_value tel "sim.queue_depth")
+
 let () =
   Alcotest.run "sim"
     [
@@ -480,5 +522,7 @@ let () =
           Alcotest.test_case "drop accounting" `Quick test_fabric_drop_accounting;
           Alcotest.test_case "memsync over loss" `Quick test_memsync_driver_over_lossy_fabric;
           Alcotest.test_case "release" `Quick test_fabric_release;
+          Alcotest.test_case "sources hold no component" `Quick
+            test_sources_release_components;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* Unit and property tests for the telemetry subsystem: counters, gauges
-   and their handles, log-bucketed histograms (accuracy vs a
-   sorted-sample oracle), span timers, JSON round-trips, and the qcheck
-   property that sharded recording under N domains merges to the same
-   totals as sequential recording. *)
+   and the sources that read them out of components, log-bucketed
+   histograms (accuracy vs a sorted-sample oracle), span timers, JSON
+   round-trips, and the qcheck property that sharded recording under N
+   domains merges to the same totals as sequential recording. *)
 
 module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
@@ -47,125 +47,114 @@ let test_reset () =
   Alcotest.(check bool) "histogram cleared" true
     (Telemetry.hist_summary t "h" = None)
 
-(* -- Handles --------------------------------------------------------------- *)
+(* -- Sources ---------------------------------------------------------------- *)
 
-let test_handle_records () =
+(* A component's counts as a source registers them: counters "a", "b" and
+   "c" appear once nonzero, gauges "g" and "h" once set. *)
+type counts = { c : int array; g : float option array }
+
+let counter_names = [| "a"; "b"; "c" |]
+let gauge_names = [| "g"; "h" |]
+
+let counts_source reg =
+  let k = { c = Array.make 3 0; g = Array.make 2 None } in
+  Telemetry.source reg
+    ~read:(fun ~counter ~gauge ->
+      Array.iteri (fun i n -> if n > 0 then counter counter_names.(i) n) k.c;
+      Array.iteri (fun i v -> Option.iter (gauge gauge_names.(i)) v) k.g)
+    ~zero:(fun () ->
+      Array.fill k.c 0 3 0;
+      Array.fill k.g 0 2 None);
+  k
+
+(* Each op is a reset (0), an increment of counter [i] by [n] + 1 (1) or
+   a set of gauge [i] to [n] (2); the source and the names must read
+   alike. *)
+let prop_sources_match_names =
+  QCheck.Test.make ~name:"source readings match records by name" ~count:200
+    QCheck.(list (triple (int_range 0 2) (int_range 0 2) (int_range (-5) 20)))
+    (fun ops ->
+      let sourced = Telemetry.create () and by_name = Telemetry.create () in
+      let k = counts_source sourced in
+      List.iter
+        (fun (op, i, n) ->
+          match op with
+          | 0 ->
+            Telemetry.reset sourced;
+            Telemetry.reset by_name
+          | 1 ->
+            k.c.(i) <- k.c.(i) + n + 6;
+            Telemetry.incr by_name counter_names.(i) ~by:(n + 6)
+          | _ ->
+            let i = i mod 2 and v = float_of_int n /. 4.0 in
+            k.g.(i) <- Some v;
+            Telemetry.set_gauge by_name gauge_names.(i) v)
+        ops;
+      Telemetry.counters sourced = Telemetry.counters by_name
+      && Telemetry.gauges sourced = Telemetry.gauges by_name
+      && Telemetry.dump_json sourced = Telemetry.dump_json by_name
+      && Telemetry.dump_prometheus sourced = Telemetry.dump_prometheus by_name)
+
+let test_reset_zeroes_sources () =
   let t = Telemetry.create () in
-  let c = Telemetry.counter t "c" and g = Telemetry.gauge t "g" in
-  Telemetry.bump c;
-  Telemetry.bump c ~by:4;
-  Telemetry.incr t "c";
-  Telemetry.set g 2.5;
-  Alcotest.(check int) "counter_value" 6 (Telemetry.counter_value t "c");
-  Alcotest.(check (option (float 0.0))) "gauge_value" (Some 2.5)
-    (Telemetry.gauge_value t "g");
-  let by_name = Telemetry.create () in
-  Telemetry.incr by_name "c" ~by:6;
-  Telemetry.set_gauge by_name "g" 2.5;
-  Alcotest.(check string) "same dump as by name" (Telemetry.dump_json by_name)
-    (Telemetry.dump_json t)
-
-(* [set_int] is [set] of the same value as a float: the same gauge
-   reading, the same JSON and Prometheus dumps, and the same last-write
-   order against [set_gauge]. *)
-let test_handle_set_int () =
-  let by_int = Telemetry.create () and by_float = Telemetry.create () in
-  let gi = Telemetry.gauge by_int "sim.queue_depth" in
-  let gf = Telemetry.gauge by_float "sim.queue_depth" in
-  List.iter
-    (fun n ->
-      Telemetry.set_int gi n;
-      Telemetry.set gf (float_of_int n);
-      Alcotest.(check (list (pair string (float 0.0))))
-        (Printf.sprintf "gauges after %d" n)
-        (Telemetry.gauges by_float) (Telemetry.gauges by_int))
-    [ 0; 7; -3; 4096; max_int ];
-  Alcotest.(check string) "json dump" (Telemetry.dump_json by_float)
-    (Telemetry.dump_json by_int);
-  Alcotest.(check string) "prometheus dump" (Telemetry.dump_prometheus by_float)
-    (Telemetry.dump_prometheus by_int);
-  Telemetry.set_gauge by_int "sim.queue_depth" 0.5;
-  Telemetry.set_int gi 2;
-  Alcotest.(check (option (float 0.0))) "last write wins" (Some 2.0)
-    (Telemetry.gauge_value by_int "sim.queue_depth");
-  Telemetry.incr by_int "n";
-  Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Telemetry: metric \"n\" already registered as a counter")
-    (fun () -> Telemetry.set_int (Telemetry.gauge by_int "n") 1)
-
-let test_handle_registers_on_record () =
-  let t = Telemetry.create () in
-  let c = Telemetry.counter t "c" and _g = Telemetry.gauge t "g" in
-  Alcotest.(check (list (pair string int))) "no counter yet" [] (Telemetry.counters t);
-  Alcotest.(check (list (pair string (float 0.0)))) "no gauge yet" []
-    (Telemetry.gauges t);
-  Telemetry.bump c ~by:0;
-  Alcotest.(check (list (pair string int))) "registered at zero" [ ("c", 0) ]
-    (Telemetry.counters t)
-
-let test_handle_after_reset () =
-  let t = Telemetry.create () in
-  let c = Telemetry.counter t "c" and g = Telemetry.gauge t "g" in
-  Telemetry.bump c ~by:5;
-  Telemetry.set g 1.0;
+  let k = counts_source t in
+  k.c.(0) <- 5;
+  k.g.(0) <- Some 1.5;
   Telemetry.reset t;
-  Alcotest.(check (list (pair string int))) "reset drops the key" []
+  Alcotest.(check (array int)) "counts zeroed" [| 0; 0; 0 |] k.c;
+  Alcotest.(check (list (pair string int))) "no counter" [] (Telemetry.counters t);
+  Alcotest.(check (option (float 0.0))) "no gauge" None (Telemetry.gauge_value t "g");
+  k.c.(0) <- k.c.(0) + 1;
+  Alcotest.(check int) "counts from zero" 1 (Telemetry.counter_value t "a")
+
+let test_sources_and_cell_sum () =
+  let t = Telemetry.create () in
+  let k1 = counts_source t and k2 = counts_source t in
+  k1.c.(2) <- 2;
+  k2.c.(2) <- 3;
+  Telemetry.incr t "c" ~by:4;
+  Alcotest.(check int) "counter_value" 9 (Telemetry.counter_value t "c");
+  Alcotest.(check (list (pair string int))) "counters" [ ("c", 9) ]
     (Telemetry.counters t);
-  Telemetry.bump c;
-  Alcotest.(check int) "counts from zero" 1 (Telemetry.counter_value t "c");
-  Alcotest.(check (option (float 0.0))) "gauge gone" None (Telemetry.gauge_value t "g");
-  Telemetry.set g 3.0;
-  Alcotest.(check (option (float 0.0))) "gauge set again" (Some 3.0)
+  let by_name = Telemetry.create () in
+  Telemetry.incr by_name "c" ~by:9;
+  Alcotest.(check string) "json dump" (Telemetry.dump_json by_name)
+    (Telemetry.dump_json t);
+  (* A gauge reads as the newest source that holds it, over any cell. *)
+  Telemetry.set_gauge t "g" 7.0;
+  k1.g.(0) <- Some 1.0;
+  k2.g.(0) <- Some 2.0;
+  Alcotest.(check (option (float 0.0))) "newest source wins" (Some 2.0)
     (Telemetry.gauge_value t "g")
 
-let test_handle_kind_mismatch () =
-  let t = Telemetry.create () in
-  Telemetry.set_gauge t "m" 1.0;
-  let err = Invalid_argument "Telemetry: metric \"m\" already registered as a gauge" in
-  Alcotest.check_raises "incr" err (fun () -> Telemetry.incr t "m");
-  Alcotest.check_raises "bump" err (fun () -> Telemetry.bump (Telemetry.counter t "m"));
-  Telemetry.incr t "n";
-  Alcotest.check_raises "set"
-    (Invalid_argument "Telemetry: metric \"n\" already registered as a counter")
-    (fun () -> Telemetry.set (Telemetry.gauge t "n") 1.0)
-
-(* One handle shared by every worker: each domain re-resolves its own
-   shard's cell, so the merged total is exact. *)
-let test_handle_fanout_exact () =
-  let n = 4096 in
-  let t = Telemetry.create () in
-  let c = Telemetry.counter t "c" in
-  let pool = Stdx.Domain_pool.create ~size:4 () in
-  Stdx.Domain_pool.parallel_for pool ~n ~f:(fun i ->
-      Telemetry.bump c ~by:(1 + (i mod 5)));
-  Stdx.Domain_pool.shutdown pool;
-  Alcotest.(check int) "counter total"
-    (List.init n Fun.id |> List.fold_left (fun acc i -> acc + 1 + (i mod 5)) 0)
-    (Telemetry.counter_value t "c")
-
-(* Each op is (metric, by, through a handle?); a reset may fall between
-   ops.  Handles and names must land on the same cells. *)
-let prop_handles_match_names =
-  QCheck.Test.make ~name:"handle bumps and incr by name give the same totals"
-    ~count:200
-    QCheck.(list (triple (int_range 0 2) (int_range 0 9) (int_range 0 20)))
-    (fun ops ->
-      let names = [| "a"; "b"; "c" |] in
-      let mixed = Telemetry.create () and by_name = Telemetry.create () in
-      let handles = Array.map (Telemetry.counter mixed) names in
-      List.iter
-        (fun (k, by, how) ->
-          if how = 0 then begin
-            Telemetry.reset mixed;
-            Telemetry.reset by_name
-          end
-          else begin
-            if how land 1 = 0 then Telemetry.bump handles.(k) ~by
-            else Telemetry.incr mixed names.(k) ~by;
-            Telemetry.incr by_name names.(k) ~by
-          end)
-        ops;
-      Telemetry.counters mixed = Telemetry.counters by_name)
+(* A source name that a cell or another source holds as another kind
+   raises when the registry is read. *)
+let test_source_kind_clash () =
+  let err name kind =
+    Invalid_argument
+      (Printf.sprintf "Telemetry: metric %S already registered as a %s" name kind)
+  in
+  let clash ~cells ~name ~counter =
+    let t = Telemetry.create () in
+    cells t;
+    Telemetry.source t
+      ~read:(fun ~counter:c ~gauge:g -> if counter then c name 1 else g name 1.0)
+      ~zero:ignore;
+    t
+  in
+  let t = clash ~cells:(fun t -> Telemetry.set_gauge t "m" 1.0) ~name:"m" ~counter:true in
+  Alcotest.check_raises "counter over gauge cell" (err "m" "gauge") (fun () ->
+      ignore (Telemetry.counter_value t "m"));
+  let t = clash ~cells:(fun t -> Telemetry.incr t "n") ~name:"n" ~counter:false in
+  Alcotest.check_raises "gauge over counter cell" (err "n" "counter") (fun () ->
+      ignore (Telemetry.gauges t));
+  let t = clash ~cells:(fun t -> Telemetry.observe t "h" 0.5) ~name:"h" ~counter:true in
+  Alcotest.check_raises "counter over histogram" (err "h" "histogram") (fun () ->
+      ignore (Telemetry.dump_json t));
+  let t = clash ~cells:ignore ~name:"x" ~counter:true in
+  Telemetry.source t ~read:(fun ~counter:_ ~gauge -> gauge "x" 2.0) ~zero:ignore;
+  Alcotest.check_raises "two sources" (err "x" "gauge") (fun () ->
+      ignore (Telemetry.dump_prometheus t))
 
 (* -- Histogram accuracy vs a sorted-sample oracle ------------------------- *)
 
@@ -515,8 +504,14 @@ let prop_json_fuzz_no_crash =
 (* Integer-valued floats keep every partial sum exact, so the merged
    totals must equal the sequential ones bit-for-bit no matter how the
    work was split across shards.  The windowed records land in 64
-   virtual windows, so a registry keeping 64 never wraps its rings. *)
+   virtual windows, so a registry keeping 64 never wraps its rings.  Some
+   records register a source that adds to counter "c" as well, so under
+   fan-out domains register concurrently. *)
 let record reg i =
+  if i mod 211 = 0 then
+    Telemetry.source reg
+      ~read:(fun ~counter ~gauge:_ -> counter "c" (i + 1))
+      ~zero:ignore;
   Telemetry.incr reg "c" ~by:(1 + (i mod 5));
   Telemetry.observe reg "h" (float_of_int ((i * 7919 mod 997) + 1));
   let at = float_of_int (i mod 64) +. 0.5 in
@@ -547,6 +542,7 @@ let prop_sharded_merge =
       let pool = Stdx.Domain_pool.create ~size () in
       Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
       Telemetry.counter_value par "c" = Telemetry.counter_value seq "c"
+      && Telemetry.counters par = Telemetry.counters seq
       && Telemetry.hist_summary par "h" = Telemetry.hist_summary seq "h"
       && Json.to_string (Telemetry.series_json par)
          = Json.to_string (Telemetry.series_json seq)
@@ -557,8 +553,10 @@ let test_sharded_fanout_exact () =
   let par = Telemetry.create () in
   let pool = Stdx.Domain_pool.create ~size:4 () in
   Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
+  let sourced i = if i mod 211 = 0 then i + 1 else 0 in
   Alcotest.(check int) "counter total"
-    (List.init n Fun.id |> List.fold_left (fun acc i -> acc + 1 + (i mod 5)) 0)
+    (List.init n Fun.id
+    |> List.fold_left (fun acc i -> acc + 1 + (i mod 5) + sourced i) 0)
     (Telemetry.counter_value par "c");
   Alcotest.(check int) "histogram count" n
     (Option.get (Telemetry.hist_summary par "h")).Telemetry.count
@@ -573,16 +571,12 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
-      ( "handles",
+      ( "sources",
         [
-          Alcotest.test_case "records like incr" `Quick test_handle_records;
-          Alcotest.test_case "set_int reads back like set" `Quick test_handle_set_int;
-          Alcotest.test_case "registers on first record" `Quick
-            test_handle_registers_on_record;
-          Alcotest.test_case "after reset" `Quick test_handle_after_reset;
-          Alcotest.test_case "kind mismatch" `Quick test_handle_kind_mismatch;
-          Alcotest.test_case "fan-out totals exact" `Quick test_handle_fanout_exact;
-          QCheck_alcotest.to_alcotest prop_handles_match_names;
+          QCheck_alcotest.to_alcotest prop_sources_match_names;
+          Alcotest.test_case "reset zeroes sources" `Quick test_reset_zeroes_sources;
+          Alcotest.test_case "sources and a cell sum" `Quick test_sources_and_cell_sum;
+          Alcotest.test_case "kind clash raises at read" `Quick test_source_kind_clash;
         ] );
       ( "histograms",
         [
