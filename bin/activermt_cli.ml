@@ -89,8 +89,8 @@ let recorder metrics_out series_out trace_out trace_sample =
 (* Every simulation dump carries the jit.* stats lines — even commands
    (or runs) that never execute a capsule — so metric files from runs
    with and without --no-jit stay line-comparable.  Commands that build a
-   fabric get the seeding from [Jit.create]; allocsim (control plane
-   only) seeds here. *)
+   fabric or a vswitch get the lines from the JIT's source; allocsim and
+   churnsim (control plane only) seed them here. *)
 let seed_jit_metrics telemetry ~enabled =
   List.iter
     (fun c -> Telemetry.incr telemetry ~by:0 c)
@@ -601,9 +601,6 @@ and cmd_fleetsim switches topo_kind k ft_pods leaves spines policy arrivals
               ("pod_lost", int lost);
             ])))
     summary_out;
-  for sw = 0 to switches - 1 do
-    Activermt.Jit.flush_stats (Netsim.Fabric.jit (Fleet.fabric fleet ~sw))
-  done;
   finish ()
 
 and cmd_faultsim services words loss dup corrupt jitter slow_ctl ctl_fail seed
@@ -983,7 +980,6 @@ let scheme_arg =
        (Arg.info [ "scheme" ] ~docv:"wf|ff|bf|realloc"))
 
 let cmd_tenantsim tenants hostile_factor seed summary_out { telemetry; finish; _ } =
-  seed_jit_metrics telemetry ~enabled:true;
   let module Tenants = Experiments.Tenants in
   let cfg = { (Tenants.preset ~tenants ()) with Tenants.hostile_factor; seed } in
   (* The vswitch records on its modeled clock (explicit ~at). *)

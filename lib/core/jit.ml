@@ -96,6 +96,18 @@ let no_entry = { ce_cell = ref (-1); ce_version = 0; ce_progs = [] }
 
 let dm_slots = 64
 
+(* Stats are plain ints, since a registry increment costs more than a
+   whole compiled execution; the registry reads them through the JIT's
+   source.  They sit in a record apart from [t] because compiled closures
+   point into the register file: a source over [t] would keep the whole
+   device alive. *)
+type counts = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable compiles : int;
+  mutable invalidates : int;
+}
+
 type t = {
   tables : Table.t;
   enabled : bool;
@@ -104,17 +116,7 @@ type t = {
   dm_fid : int array;  (* direct-mapped dispatch cache: fid per slot, -1 empty *)
   dm_entry : cache_entry array;
   scratch : state;
-  (* Stats are plain fields — a registry increment costs more than a whole
-     compiled execution — published to [telemetry] by [flush_stats], which
-     runs on every (rare) compile/invalidate and before metric dumps. *)
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_compiles : int;
-  mutable s_invalidates : int;
-  mutable p_hits : int;  (* already-published portions *)
-  mutable p_misses : int;
-  mutable p_compiles : int;
-  mutable p_invalidates : int;
+  counts : counts;
   mutable last_mode : mode;
 }
 
@@ -1142,12 +1144,25 @@ let fresh_state () =
     flow_key = [||];
   }
 
+(* Every counter is read, zero included, so a metrics dump always
+   carries the jit stats lines, even for runs that never execute a
+   capsule. *)
+let source telemetry c =
+  Telemetry.source telemetry
+    ~read:(fun ~counter ~gauge:_ ->
+      counter "jit.compile" c.compiles;
+      counter "jit.hit" c.hits;
+      counter "jit.miss" c.misses;
+      counter "jit.invalidate" c.invalidates)
+    ~zero:(fun () ->
+      c.hits <- 0;
+      c.misses <- 0;
+      c.compiles <- 0;
+      c.invalidates <- 0)
+
 let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
-  (* Seed the counters so a metrics dump always carries the jit stats
-     lines, even for runs that never execute a capsule. *)
-  List.iter
-    (fun c -> Telemetry.incr telemetry ~by:0 c)
-    [ "jit.compile"; "jit.hit"; "jit.miss"; "jit.invalidate" ];
+  let counts = { hits = 0; misses = 0; compiles = 0; invalidates = 0 } in
+  source telemetry counts;
   Telemetry.set_gauge telemetry "jit.enabled" (if enabled then 1.0 else 0.0);
   {
     tables;
@@ -1157,33 +1172,15 @@ let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
     dm_fid = Array.make dm_slots (-1);
     dm_entry = Array.make dm_slots no_entry;
     scratch = fresh_state ();
-    s_hits = 0;
-    s_misses = 0;
-    s_compiles = 0;
-    s_invalidates = 0;
-    p_hits = 0;
-    p_misses = 0;
-    p_compiles = 0;
-    p_invalidates = 0;
+    counts;
     last_mode = Interpreted;
   }
 
 let cache_size t = Hashtbl.length t.cache
 
-let flush_stats t =
-  let pub got published name =
-    if got > published then Telemetry.incr t.telemetry ~by:(got - published) name
-  in
-  pub t.s_hits t.p_hits "jit.hit";
-  pub t.s_misses t.p_misses "jit.miss";
-  pub t.s_compiles t.p_compiles "jit.compile";
-  pub t.s_invalidates t.p_invalidates "jit.invalidate";
-  t.p_hits <- t.s_hits;
-  t.p_misses <- t.s_misses;
-  t.p_compiles <- t.s_compiles;
-  t.p_invalidates <- t.s_invalidates
-
-let stats t = (t.s_hits, t.s_misses, t.s_compiles, t.s_invalidates)
+let stats t =
+  let c = t.counts in
+  (c.hits, c.misses, c.compiles, c.invalidates)
 
 let invalidate t ~fid =
   if Hashtbl.mem t.cache fid then begin
@@ -1193,8 +1190,7 @@ let invalidate t ~fid =
       t.dm_fid.(slot) <- -1;
       t.dm_entry.(slot) <- no_entry
     end;
-    t.s_invalidates <- t.s_invalidates + 1;
-    flush_stats t
+    t.counts.invalidates <- t.counts.invalidates + 1
   end
 
 (* The FID's compiled variant of [program]; raises [Not_found] rather
@@ -1210,8 +1206,8 @@ let compile_into t ~fid ~program entry =
     Telemetry.with_span t.telemetry "jit.compile_s" (fun () ->
         compile t.tables ~fid program)
   in
-  t.s_compiles <- t.s_compiles + 1;
-  t.s_misses <- t.s_misses + 1;
+  t.counts.compiles <- t.counts.compiles + 1;
+  t.counts.misses <- t.counts.misses + 1;
   (match entry with
   | Some ce ->
     let kept =
@@ -1227,7 +1223,6 @@ let compile_into t ~fid ~program entry =
     let slot = fid land (dm_slots - 1) in
     t.dm_fid.(slot) <- fid;
     t.dm_entry.(slot) <- ce);
-  flush_stats t;
   c
 
 let default_meta = Runtime.meta ~src:0 ~dst:0 ()
@@ -1275,7 +1270,7 @@ let run t ?(meta = default_meta) (pkt : Packet.t) =
     else
       match find_prog ce.ce_progs program with
       | c ->
-        t.s_hits <- t.s_hits + 1;
+        t.counts.hits <- t.counts.hits + 1;
         t.last_mode <- Compiled;
         exec_compiled c ~meta ~args ~st:t.scratch
       | exception Not_found ->
@@ -1310,7 +1305,7 @@ let run_into t o ~src ~dst (pkt : Packet.t) =
     else
       match find_prog ce.ce_progs program with
       | c ->
-        t.s_hits <- t.s_hits + 1;
+        t.counts.hits <- t.counts.hits + 1;
         t.last_mode <- Compiled;
         exec_compiled_into c o ~src ~dst ~args ~st:t.scratch
       | exception Not_found -> run_copy t o ~src ~dst pkt)

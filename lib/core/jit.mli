@@ -27,10 +27,14 @@ type mode =
 
 val create : ?enabled:bool -> ?telemetry:Activermt_telemetry.Telemetry.t -> Table.t -> t
 (** A JIT over a switch's match tables.  [enabled] (default true) false
-    turns every execution into an interpreter fallback.  Counters
-    [jit.compile]/[jit.hit]/[jit.miss]/[jit.invalidate], the
+    turns every execution into an interpreter fallback.  The
     [jit.enabled] gauge and the [jit.compile] span land in [telemetry]
-    (default {!Activermt_telemetry.Telemetry.default}). *)
+    (default {!Activermt_telemetry.Telemetry.default}).  The JIT counts
+    hits, misses, compiles and invalidations in plain ints, which
+    [telemetry] reads through a source as
+    [jit.hit]/[jit.miss]/[jit.compile]/[jit.invalidate], always current
+    and present even at zero.  The source holds the counts alone, never
+    the JIT or the tables it compiled against. *)
 
 val run : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result
 (** Drop-in replacement for {!Runtime.run}. *)
@@ -77,13 +81,6 @@ val invalidate : t -> fid:Packet.fid -> unit
 
 val cache_size : t -> int
 
-val flush_stats : t -> unit
-(** Publish accumulated hit/miss/compile/invalidate counts to the
-    telemetry registry.  The hot path only bumps plain fields (a registry
-    increment costs more than a compiled execution); compiles and
-    invalidations flush automatically, so only the hit count can lag —
-    call this before reading or dumping metrics. *)
-
 val stats : t -> int * int * int * int
-(** [(hits, misses, compiles, invalidates)] since creation, read from the
-    local fields (no flush needed). *)
+(** [(hits, misses, compiles, invalidates)] since creation, or since the
+    last [Telemetry.reset] of the JIT's registry, which zeroes them. *)

@@ -300,8 +300,6 @@ let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) cfg =
   in
   Telemetry.set_gauge telemetry "chaos.completion"
     (float_of_int !completed /. float_of_int cfg.services);
-  (* Publish the switch's jit.hit/miss counters before any metrics dump. *)
-  Activermt.Jit.flush_stats (Fabric.jit fabric);
   {
     outcomes;
     completed = !completed;
