@@ -497,6 +497,79 @@ let test_sources_release_components () =
   Alcotest.(check (option (float 0.0))) "queue depth" (Some 0.0)
     (Telemetry.gauge_value tel "sim.queue_depth")
 
+(* -- Allocation budget ----------------------------------------------------- *)
+
+(* Minor-heap words per reply of a closed loop of cache capsules: one
+   cache tenant keeps 16 capsules in flight over 256 hot keys, one in ten
+   a populate; a query that misses goes on to a server node, which
+   answers through the switch.  The count depends on the binary and the
+   work, not on the host, so it is exact from run to run. *)
+let cache_words_per_reply ~warmup ~measured =
+  let tel = Telemetry.create () in
+  let engine = Engine.create ~telemetry:tel () in
+  let controller =
+    Controller.create ~mode:`Interactive ~telemetry:tel (Rmt.Device.create params)
+  in
+  let fabric = Fabric.create ~telemetry:tel ~engine ~controller () in
+  let client = 10 and server = 20 in
+  let regions = ref None in
+  Fabric.attach fabric client (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active pkt -> regions := Negotiate.granted_regions pkt
+      | _ -> ());
+  Fabric.send fabric
+    (Fabric.msg ~src:client ~dst:Fabric.switch_address
+       (Fabric.Active (Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service)));
+  Engine.run engine;
+  let cc =
+    match
+      Activermt_client.Cache_client.create params
+        ~policy:Activermt_compiler.Mutant.Most_constrained ~fid:1
+        ~regions:(Option.get !regions)
+    with
+    | Ok cc -> cc
+    | Error e -> Alcotest.fail e
+  in
+  let keys = Array.init 256 Workload.Kv.key_of_rank in
+  let reply_key = Workload.Kv.key_of_rank 0 in
+  let in_flight = ref 0 and replies = ref 0 and next = ref 0 in
+  Fabric.attach fabric client (fun _ ->
+      decr in_flight;
+      incr replies);
+  Fabric.attach fabric server (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active pkt ->
+        Fabric.send fabric
+          (Fabric.msg ~src:server ~dst:msg.Fabric.src
+             (Fabric.Kv_reply { key = reply_key; value = pkt.Pkt.seq }))
+      | _ -> ());
+  let run n =
+    let target = !replies + n in
+    while !replies < target do
+      while !in_flight < 16 do
+        let i = !next in
+        next := i + 1;
+        let key = keys.((i * 37) land 255) in
+        let pkt =
+          if i mod 10 = 0 then
+            Activermt_client.Cache_client.populate_packet cc ~seq:i key ~value:i
+          else Activermt_client.Cache_client.query_packet cc ~seq:i key
+        in
+        incr in_flight;
+        Fabric.inject fabric (Fabric.msg ~src:client ~dst:server (Fabric.Active pkt))
+      done;
+      ignore (Engine.step engine)
+    done
+  in
+  run warmup;
+  let w0 = Gc.minor_words () in
+  run measured;
+  (Gc.minor_words () -. w0) /. float_of_int measured
+
+let test_cache_capsule_budget () =
+  let words = cache_words_per_reply ~warmup:10_000 ~measured:20_000 in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words <= 58" words) true (words <= 58.0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -525,4 +598,6 @@ let () =
           Alcotest.test_case "sources hold no component" `Quick
             test_sources_release_components;
         ] );
+      ( "budget",
+        [ Alcotest.test_case "words per cache reply" `Quick test_cache_capsule_budget ] );
     ]
