@@ -96,11 +96,10 @@ let no_entry = { ce_cell = ref (-1); ce_version = 0; ce_progs = [] }
 
 let dm_slots = 64
 
-(* Stats are plain ints, since a registry increment costs more than a
-   whole compiled execution; the registry reads them through the JIT's
-   source.  They sit in a record apart from [t] because compiled closures
-   point into the register file: a source over [t] would keep the whole
-   device alive. *)
+(* Stats are plain ints, as a registry increment costs more than a whole
+   compiled execution.  The JIT's source reads them from a record apart
+   from [t]: compiled closures point into the register file, which a
+   source over [t] would keep alive. *)
 type counts = {
   mutable hits : int;
   mutable misses : int;
@@ -1144,10 +1143,11 @@ let fresh_state () =
     flow_key = [||];
   }
 
-(* Every counter is read, zero included, so a metrics dump always
-   carries the jit stats lines, even for runs that never execute a
-   capsule. *)
-let source telemetry c =
+let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
+  let c = { hits = 0; misses = 0; compiles = 0; invalidates = 0 } in
+  (* Every counter is read, zero included, so a metrics dump always
+     carries the jit stats lines, even for runs that never execute a
+     capsule. *)
   Telemetry.source telemetry
     ~read:(fun ~counter ~gauge:_ ->
       counter "jit.compile" c.compiles;
@@ -1158,11 +1158,7 @@ let source telemetry c =
       c.hits <- 0;
       c.misses <- 0;
       c.compiles <- 0;
-      c.invalidates <- 0)
-
-let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
-  let counts = { hits = 0; misses = 0; compiles = 0; invalidates = 0 } in
-  source telemetry counts;
+      c.invalidates <- 0);
   Telemetry.set_gauge telemetry "jit.enabled" (if enabled then 1.0 else 0.0);
   {
     tables;
@@ -1172,7 +1168,7 @@ let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
     dm_fid = Array.make dm_slots (-1);
     dm_entry = Array.make dm_slots no_entry;
     scratch = fresh_state ();
-    counts;
+    counts = c;
     last_mode = Interpreted;
   }
 

@@ -38,10 +38,9 @@ type ring = {
 (* A float-only record is stored flat: setting the clock allocates nothing. *)
 type clock = { mutable now : float }
 
-(* What the registry reads through the engine's source.  The source
-   closes over this record alone, so the registry keeps no engine (nor
-   the events it queues) alive.  [depth] is the queue's length after the
-   last fired event's pop, before its handler ran: -1 until one fires. *)
+(* What the engine's source reads, apart from the engine so the registry
+   keeps no engine alive.  [depth] is the queue's length after the last
+   fired event's pop, before its handler ran: -1 until one fires. *)
 type counts = { mutable scheduled : int; mutable processed : int; mutable depth : int }
 
 type t = {
@@ -72,7 +71,9 @@ let make_ring () =
     count = 0;
   }
 
-let source telemetry c =
+let create ?(telemetry = Telemetry.default) () =
+  let cap = 16 in
+  let c = { scheduled = 0; processed = 0; depth = -1 } in
   Telemetry.source telemetry
     ~read:(fun ~counter ~gauge ->
       if c.scheduled > 0 then counter "sim.events.scheduled" c.scheduled;
@@ -81,12 +82,7 @@ let source telemetry c =
     ~zero:(fun () ->
       c.scheduled <- 0;
       c.processed <- 0;
-      c.depth <- -1)
-
-let create ?(telemetry = Telemetry.default) () =
-  let cap = 16 in
-  let counts = { scheduled = 0; processed = 0; depth = -1 } in
-  source telemetry counts;
+      c.depth <- -1);
   {
     times = Array.make cap 0.0;
     seqs = Array.make cap 0;
@@ -99,7 +95,7 @@ let create ?(telemetry = Telemetry.default) () =
     queued = 0;
     clock = { now = 0.0 };
     next_seq = 0;
-    counts;
+    counts = c;
   }
 
 let now t = t.clock.now
@@ -303,9 +299,8 @@ let earliest t =
 let fire t s =
   let ev = if s = heap then heap_pop t else ring_pop t t.rings.(s) in
   t.queued <- t.queued - 1;
-  let c = t.counts in
-  c.processed <- c.processed + 1;
-  c.depth <- t.queued;
+  t.counts.processed <- t.counts.processed + 1;
+  t.counts.depth <- t.queued;
   match ev with Call (f, x) -> f x
 
 let step t =

@@ -22,22 +22,14 @@ let wire_latency_s = 5.0e-6
 
 module Addr_tbl = Hashtbl.Make (Int)
 
-(* One node's tx or rx count, under its metric name, formatted once. *)
-type node_count = { name : string; mutable n : int }
+(* A count under its metric name, formatted once.  The fabric's source
+   closes over its counts, never the fabric, so the registry keeps no
+   fabric (nor its controller's device) alive. *)
+type count = { name : string; mutable n : int }
 
-(* What the registry reads through the fabric's source.  The source
-   closes over this record alone, so the registry keeps no fabric (nor
-   its controller's device) alive. *)
-type counts = {
-  mutable sent : int;
-  mutable delivered : int;
-  mutable lost : int;
-  mutable dropped : int;
-  tx : node_count Addr_tbl.t; (* by source address *)
-  rx : node_count Addr_tbl.t; (* by attached address *)
-}
+let[@inline] bump c = c.n <- c.n + 1
 
-type node = { handler : msg -> unit; rx : node_count }
+type node = { handler : msg -> unit; rx : count }
 
 type t = {
   engine : Engine.t;
@@ -49,7 +41,12 @@ type t = {
   owners : (Activermt.Packet.fid, address) Hashtbl.t;
   jit : Activermt.Jit.t;
   tel : Telemetry.t;
-  counts : counts;
+  sent : count;
+  delivered : count;
+  lost : count;
+  dropped : count;
+  tx : count Addr_tbl.t; (* by source address *)
+  rx : count Addr_tbl.t; (* by attached address *)
   tracer : Trace.t;
   (* Built once per fabric: the events of a hop are these handlers and
      the message, and untraced capsules execute into [outcome]. *)
@@ -61,8 +58,7 @@ type t = {
 let faults t = t.faults
 let jit t = t.jit
 
-(* [addr]'s count in [tbl], the [dir] count of its node, created at zero
-   on first use. *)
+(* [addr]'s count in [tbl], its node's [dir] count, made on first use. *)
 let node_count tbl addr dir =
   match Addr_tbl.find tbl addr with
   | c -> c
@@ -73,7 +69,7 @@ let node_count tbl addr dir =
 
 let attach t addr handler =
   if addr = t.address then invalid_arg "Fabric.attach: switch address reserved";
-  Addr_tbl.replace t.nodes addr { handler; rx = node_count t.counts.rx addr "rx" }
+  Addr_tbl.replace t.nodes addr { handler; rx = node_count t.rx addr "rx" }
 
 let attach_default t handler = t.default_node <- Some handler
 
@@ -170,12 +166,12 @@ let traced_or_faulty_hop t m ~delay ~event handler =
           "fault.duplicate"
     | `Lost cause ->
       tr_fault t m ~attrs:(cause_attr cause) "fault.drop";
-      t.counts.lost <- t.counts.lost + 1
+      bump t.lost
     | `Corrupted ->
       tr_fault t m "fault.corrupt";
       if corruption_rejected t f m then begin
         tr_fault t m ~attrs:[ ("cause", "corrupt") ] "fault.drop";
-        t.counts.lost <- t.counts.lost + 1
+        bump t.lost
       end)
 
 (* Without a trace context or faults [tr_hop] is the identity, so the
@@ -188,13 +184,13 @@ let hop t m ~delay ~event handler =
 let arrive t m =
   match Addr_tbl.find t.nodes m.dst with
   | node ->
-    t.counts.delivered <- t.counts.delivered + 1;
-    node.rx.n <- node.rx.n + 1;
+    bump t.delivered;
+    bump node.rx;
     node.handler m
   | exception Not_found -> (
     match t.default_node with
     | Some handler ->
-      t.counts.delivered <- t.counts.delivered + 1;
+      bump t.delivered;
       handler m
     | None -> ())
 
@@ -276,8 +272,6 @@ let exec_traced t pkt ~meta c =
          "device.result"));
   (r, exec_ctx)
 
-let count_drop t = t.counts.dropped <- t.counts.dropped + 1
-
 (* The executed capsule as it leaves the switch: the results of
    execution (MBR_STORE) travel in its args. *)
 let executed pkt program args =
@@ -306,7 +300,7 @@ let forward_result t m pkt program r ~exec_ctx =
   let pipelines = r.Activermt.Runtime.pipelines in
   match r.Activermt.Runtime.decision with
   | Activermt.Runtime.Dropped _ -> (
-    count_drop t;
+    bump t.dropped;
     match exec_ctx with
     | None -> ()
     | Some c ->
@@ -326,7 +320,7 @@ let forward_result t m pkt program r ~exec_ctx =
    only the capsule sent on is allocated. *)
 let forward_outcome t m pkt program (o : Activermt.Jit.outcome) =
   match o.Activermt.Jit.dropped with
-  | Some _ -> count_drop t
+  | Some _ -> bump t.dropped
   | None ->
     send_on t m
       (executed pkt program o.Activermt.Jit.args_out)
@@ -424,25 +418,15 @@ let at_switch t m =
           forward_result t m pkt program r ~exec_ctx
       end)
 
-let source telemetry c =
+let source telemetry fixed tx rx =
+  let each f =
+    List.iter f fixed;
+    Addr_tbl.iter (fun _ k -> f k) tx;
+    Addr_tbl.iter (fun _ k -> f k) rx
+  in
   Telemetry.source telemetry
-    ~read:(fun ~counter ~gauge:_ ->
-      let emit name n = if n > 0 then counter name n in
-      emit "sim.packets.sent" c.sent;
-      emit "sim.packets.delivered" c.delivered;
-      emit "sim.packets.lost" c.lost;
-      emit "sim.packets.dropped" c.dropped;
-      let each _ nc = emit nc.name nc.n in
-      Addr_tbl.iter each c.tx;
-      Addr_tbl.iter each c.rx)
-    ~zero:(fun () ->
-      c.sent <- 0;
-      c.delivered <- 0;
-      c.lost <- 0;
-      c.dropped <- 0;
-      let clear _ nc = nc.n <- 0 in
-      Addr_tbl.iter clear c.tx;
-      Addr_tbl.iter clear c.rx)
+    ~read:(fun ~counter ~gauge:_ -> each (fun k -> if k.n > 0 then counter k.name k.n))
+    ~zero:(fun () -> each (fun k -> k.n <- 0))
 
 let create ?(address = switch_address) ?faults ?(jit = true)
     ?(telemetry = Telemetry.default) ?(tracer = Trace.noop) ~engine ~controller
@@ -454,17 +438,11 @@ let create ?(address = switch_address) ?faults ?(jit = true)
     | Some f when Faults.is_none (Faults.profile f) -> None
     | other -> other
   in
-  let counts =
-    {
-      sent = 0;
-      delivered = 0;
-      lost = 0;
-      dropped = 0;
-      tx = Addr_tbl.create 16;
-      rx = Addr_tbl.create 16;
-    }
-  in
-  source telemetry counts;
+  let count what = { name = "sim.packets." ^ what; n = 0 } in
+  let sent = count "sent" and delivered = count "delivered" in
+  let lost = count "lost" and dropped = count "dropped" in
+  let tx = Addr_tbl.create 16 and rx = Addr_tbl.create 16 in
+  source telemetry [ sent; delivered; lost; dropped ] tx rx;
   let rec t =
     {
       engine;
@@ -478,7 +456,12 @@ let create ?(address = switch_address) ?faults ?(jit = true)
         Activermt.Jit.create ~enabled:jit ~telemetry
           (Controller.tables controller);
       tel = telemetry;
-      counts;
+      sent;
+      delivered;
+      lost;
+      dropped;
+      tx;
+      rx;
       tracer;
       to_switch = (fun m -> at_switch t m);
       to_node = (fun m -> arrive t m);
@@ -488,10 +471,8 @@ let create ?(address = switch_address) ?faults ?(jit = true)
   t
 
 let send t m =
-  let c = t.counts in
-  c.sent <- c.sent + 1;
-  let tx = node_count c.tx m.src "tx" in
-  tx.n <- tx.n + 1;
+  bump t.sent;
+  bump (node_count t.tx m.src "tx");
   hop t m ~delay:wire_latency_s ~event:"sim.hop" t.to_switch
 
 (* Head-based sampling happens exactly once, here, when a capsule enters
@@ -525,4 +506,4 @@ let inject t m =
   in
   send t m
 
-let stats_drops t = t.counts.dropped
+let stats_drops t = t.dropped.n

@@ -78,11 +78,14 @@ val create :
     closures; reallocation and quiescence invalidate through the
     allocation epoch.
 
-    [telemetry] (default [Telemetry.default]) counts fabric traffic:
+    [telemetry] (default [Telemetry.default]) reads the fabric's traffic
+    counts through a source registered here:
     [sim.packets.sent/delivered/lost/dropped] plus per-node
-    [sim.node.<addr>.tx]/[sim.node.<addr>.rx].  The counters are
-    handles, the per-node ones resolved once per address, so a packet
-    hashes no metric name.
+    [sim.node.<addr>.tx]/[sim.node.<addr>.rx], each once it is nonzero.
+    The fabric counts into plain ints, each per-node name formatted once,
+    when that node's count is created, so a packet hashes no metric
+    name; the source holds the counts but not the fabric, so the registry
+    never keeps a fabric (or its controller's device) alive.
 
     [tracer] (default [Trace.noop]) records per-capsule causal events:
     [capsule.inject], [sim.hop]/[sim.deliver],
@@ -104,9 +107,8 @@ val faults : t -> Faults.t option
 (** The fault model attached at creation, if any (and not all-off). *)
 
 val jit : t -> Activermt.Jit.t
-(** The switch's JIT handle (disabled when created with [~jit:false]) —
-    for stats flushing before metric dumps and invalidation on
-    migration. *)
+(** The switch's JIT (disabled when created with [~jit:false]), for its
+    stats and for invalidation on migration. *)
 
 val attach : t -> address -> (msg -> unit) -> unit
 (** Register a node's receive handler.  This fabric's own switch address
@@ -134,5 +136,7 @@ val inject : t -> msg -> unit
     their existing decision. *)
 
 val stats_drops : t -> int
-(** Packets the runtime dropped (protection, recirculation limit, DROP). *)
+(** Packets the runtime dropped (protection, recirculation limit, DROP):
+    the [sim.packets.dropped] count, which [Telemetry.reset] of the
+    fabric's registry zeroes. *)
 

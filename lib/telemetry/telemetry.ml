@@ -183,8 +183,10 @@ let set_gauge t name v =
   g.g_seq <- seq;
   g.g_val.v <- v
 
-(* Registration may race with another domain's, so it retries on a lost
+(* -- Sources ----------------------------------------------------------------
+   Registration may race with another domain's, so it retries on a lost
    compare-and-set rather than dropping either source. *)
+
 let source t ~read ~zero =
   let s = { read; zero } in
   let rec push () =
@@ -267,60 +269,56 @@ let with_span t name f =
 
 (* -- Merged reads --------------------------------------------------------- *)
 
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Hist _ -> "histogram"
-
-(* Every source's reading: counters summed, and each gauge as the newest
-   source that holds it reads it.  A name read as a counter and as a
-   gauge, or as another kind than a cell of it, raises. *)
+(* The sources' readings as one more shard: each counter summed over the
+   sources that emit it, each gauge as the newest source that emits it
+   has it, stamped to win over every cell's write.  Each name is looked up
+   as its kind in every shard that holds it, which raises on a clash. *)
 let read_sources t =
-  let counters = Hashtbl.create 64 and gauges = Hashtbl.create 16 in
-  let claim name kind =
-    if kind <> "counter" && Hashtbl.mem counters name then kind_error name "counter";
-    if kind <> "gauge" && Hashtbl.mem gauges name then kind_error name "gauge";
-    Stdx.Sharded.iter t.shards ~f:(fun s ->
-        match Hashtbl.find_opt s.cells name with
-        | Some c when kind_name c <> kind -> kind_error name (kind_name c)
-        | Some _ | None -> ())
+  let s = new_shard () in
+  let claim find name =
+    Stdx.Sharded.iter t.shards ~f:(fun d ->
+        if Hashtbl.mem d.cells name then ignore (find d name));
+    find s name
   in
   let counter name v =
-    claim name "counter";
-    let sum = Option.value ~default:0 (Hashtbl.find_opt counters name) in
-    Hashtbl.replace counters name (sum + v)
+    let r = claim counter_cell name in
+    r := !r + v
   in
   let gauge name v =
-    claim name "gauge";
-    if not (Hashtbl.mem gauges name) then Hashtbl.add gauges name v
+    let g = claim gauge_cell name in
+    if g.g_seq < max_int then begin
+      g.g_seq <- max_int;
+      g.g_val.v <- v
+    end
   in
-  List.iter (fun s -> s.read ~counter ~gauge) (Atomic.get t.sources);
-  (counters, gauges)
+  List.iter (fun src -> src.read ~counter ~gauge) (Atomic.get t.sources);
+  s
 
-(* A counter sums its cells and its sources' readings ([sourced]). *)
-let merged_counter t sourced name =
-  let init = Option.value ~default:0 (Hashtbl.find_opt sourced name) in
-  Stdx.Sharded.fold t.shards ~init ~f:(fun acc s ->
+let domain_shards t = Stdx.Sharded.fold t.shards ~init:[] ~f:(fun acc s -> s :: acc)
+let all_shards t = read_sources t :: domain_shards t
+
+let counter_in shards name =
+  List.fold_left
+    (fun acc s ->
       match Hashtbl.find_opt s.cells name with
       | Some (Counter r) -> acc + !r
       | _ -> acc)
+    0 shards
 
-(* A source's reading of a gauge wins over its cells' last write. *)
-let merged_gauge t sourced name =
-  match Hashtbl.find_opt sourced name with
-  | Some v -> Some v
-  | None ->
-    Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
-        match Hashtbl.find_opt s.cells name with
-        | Some (Gauge g) -> (
-          match acc with
-          | Some (seq, _) when seq >= g.g_seq -> acc
-          | _ -> Some (g.g_seq, g.g_val.v))
-        | _ -> acc)
-    |> Option.map snd
+let gauge_in shards name =
+  List.fold_left
+    (fun acc s ->
+      match Hashtbl.find_opt s.cells name with
+      | Some (Gauge g) -> (
+        match acc with
+        | Some (seq, _) when seq >= g.g_seq -> acc
+        | _ -> Some (g.g_seq, g.g_val.v))
+      | _ -> acc)
+    None shards
+  |> Option.map snd
 
-let counter_value t name = merged_counter t (fst (read_sources t)) name
-let gauge_value t name = merged_gauge t (snd (read_sources t)) name
+let counter_value t name = counter_in (all_shards t) name
+let gauge_value t name = gauge_in (all_shards t) name
 
 let merged_hist t name =
   Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
@@ -369,31 +367,30 @@ let hist_percentile t name p =
     if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
     hist_quantile h (p /. 100.0)
 
-(* The names of every cell [keep] accepts and of every key of [sourced],
-   sorted. *)
-let names_of_kind t ~keep sourced =
+let names_of_kind shards ~keep =
   let seen = Hashtbl.create 64 in
-  Hashtbl.iter (fun name _ -> Hashtbl.replace seen name ()) sourced;
-  Stdx.Sharded.iter t.shards ~f:(fun s ->
+  List.iter
+    (fun s ->
       Hashtbl.iter
         (fun name cell -> if keep cell then Hashtbl.replace seen name ())
-        s.cells);
+        s.cells)
+    shards;
   Hashtbl.fold (fun name () acc -> name :: acc) seen []
   |> List.sort compare
 
 let counters t =
-  let sourced, _ = read_sources t in
-  names_of_kind t ~keep:(function Counter _ -> true | _ -> false) sourced
-  |> List.map (fun name -> (name, merged_counter t sourced name))
+  let shards = all_shards t in
+  names_of_kind shards ~keep:(function Counter _ -> true | _ -> false)
+  |> List.map (fun name -> (name, counter_in shards name))
 
 let gauges t =
-  let _, sourced = read_sources t in
-  names_of_kind t ~keep:(function Gauge _ -> true | _ -> false) sourced
+  let shards = all_shards t in
+  names_of_kind shards ~keep:(function Gauge _ -> true | _ -> false)
   |> List.filter_map (fun name ->
-         Option.map (fun v -> (name, v)) (merged_gauge t sourced name))
+         Option.map (fun v -> (name, v)) (gauge_in shards name))
 
 let histograms t =
-  names_of_kind t ~keep:(function Hist _ -> true | _ -> false) (Hashtbl.create 0)
+  names_of_kind (domain_shards t) ~keep:(function Hist _ -> true | _ -> false)
   |> List.filter_map (fun name ->
          Option.map (fun s -> (name, s)) (hist_summary t name))
 

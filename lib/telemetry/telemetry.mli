@@ -4,9 +4,7 @@
     Recording is allocation-cheap (a domain-local lookup plus an in-place
     cell update) and safe under [Stdx.Domain_pool] fan-out: every writing
     domain gets its own shard and readers merge all shards, so no write
-    ever contends.  A component that runs on one domain can skip the
-    registry on its hot path altogether: it counts into its own plain
-    ints and registers a {!source} that reads them out.  Merged totals are exact once the writing domains have
+    ever contends.  Merged totals are exact once the writing domains have
     synchronized — [Domain_pool.parallel_for] returns only after every
     worker signals completion under the pool's mutex, so recording inside
     a fan-out and reading after it returns is exact.
@@ -58,39 +56,26 @@ val set_gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
 (** Record one observation into the named histogram. *)
 
-(** {2 Sources (per-packet and per-event paths)}
-
-    A component that runs on one domain, such as a simulation engine or
-    fabric, owns its hot counters as plain mutable ints: counting is one
-    store, with no lookup and no synchronization.  It registers one
-    source at creation, and the registry reads the source whenever it is
-    read: {!counter_value}, {!gauge_value}, {!counters}, {!gauges} and
-    the dumps.  A counter sums its cells and every source's reading of
-    it, so components that share names (a fleet's fabrics) add up.
-    Sources feed run totals only, never windows. *)
+(** {2 Sources (per-packet and per-event paths)} *)
 
 val source :
   t ->
   read:(counter:(string -> int -> unit) -> gauge:(string -> float -> unit) -> unit) ->
   zero:(unit -> unit) ->
   unit
-(** [source t ~read ~zero] registers a source.  [read ~counter ~gauge]
-    emits the component's current counters and gauges by name; a metric
-    it does not emit is absent from its reading, so a component that
-    emits a counter only once it is nonzero makes it appear just as a
-    first {!incr} would.  [zero] clears them; {!reset} calls it.
+(** A component that runs on one domain owns its hot counters as plain
+    ints and registers one source over them at creation.  Every merged
+    read ({!counter_value}, {!gauge_value}, {!counters}, {!gauges}, the
+    dumps) calls [read ~counter ~gauge], which emits the current values
+    by name, and {!reset} calls [zero].  A counter sums its cells and
+    every source's reading; a gauge reads as the newest source that emits
+    it has it, over any cell.  Sources feed run totals, never windows.
 
-    The registry keeps the source, so it grows by one per component ever
-    created on it, and keeps alive whatever [read] and [zero] close over:
-    they should close over a small record of counts, never over the
-    component itself.  Registration is safe while other domains register
-    or record.
-
-    A name denotes one kind across cells and sources too: a source that
-    emits a name some cell or another source holds as another kind makes
-    the read raise [Invalid_argument], as recording it would.  The check
-    runs at read, not at record.  When a gauge has both cells and source
-    readings, the newest source that emits it gives its value. *)
+    The registry grows by one source per component ever created on it,
+    and keeps alive what [read] and [zero] close over: a small record of
+    counts, never the component.  Registering is safe from any domain.
+    A name a source emits as another kind than a cell or another source
+    holds raises [Invalid_argument] at read, not at record. *)
 
 (** {2 Windowed recording (cold paths)}
 
@@ -143,14 +128,11 @@ type hist_summary = {
 }
 
 val counter_value : t -> string -> int
-(** Sum over all shards and sources; 0 if the counter was never
-    incremented.
-    @raise Invalid_argument on a kind clash with a source (see {!source}). *)
+(** Sum over all shards and sources; 0 if never incremented. *)
 
 val gauge_value : t -> string -> float option
 (** The newest source's reading, else the most recently set value across
-    shards (global write order).
-    @raise Invalid_argument on a kind clash with a source. *)
+    shards (global write order). *)
 
 val hist_summary : t -> string -> hist_summary option
 (** [None] for an unknown name.  A single-observation histogram reports
@@ -166,9 +148,7 @@ val hist_percentile : t -> string -> float -> float
     @raise Invalid_argument if [p] is NaN. *)
 
 val counters : t -> (string * int) list
-(** All counters, merged as {!counter_value} merges one, sorted by name.
-    Likewise [gauges].
-    @raise Invalid_argument on a kind clash with a source. *)
+(** All counters, merged, sorted by name.  Likewise [gauges]. *)
 
 val gauges : t -> (string * float) list
 
