@@ -67,9 +67,9 @@ let counts_source reg =
       Array.fill k.g 0 2 None);
   k
 
-(* Each op is a reset (0), an increment of counter [i] by [n] + 1 (1) or
-   a set of gauge [i] to [n] (2); the source and the names must read
-   alike. *)
+(* Each op is a reset (0), an increment of counter [i] by [n] + 6, at
+   least 1 (1), or a set of gauge [i mod 2] to [n / 4] (2); the source
+   and the names must read alike. *)
 let prop_sources_match_names =
   QCheck.Test.make ~name:"source readings match records by name" ~count:200
     QCheck.(list (triple (int_range 0 2) (int_range 0 2) (int_range (-5) 20)))
