@@ -26,7 +26,22 @@ let prefixes_of_range ~width ~lo ~hi =
   in
   cover lo hi []
 
-let entries_for_range ~width ~lo ~hi = List.length (prefixes_of_range ~width ~lo ~hi)
+(* The same greedy cover, counted without building it: from [x] the block
+   is [x]'s lowest set bit (the whole space at 0), halved until it fits in
+   what is left of the range.  Block sizes rise and then fall, so the
+   halvings total O(width).  Top-level, so counting allocates nothing. *)
+let rec fit b room = if b > room then fit (b lsr 1) room else b
+
+let rec count_cover ~limit ~hi x n =
+  if x > hi then n
+  else
+    count_cover ~limit ~hi (x + fit (if x = 0 then limit else x land -x) (hi - x + 1)) (n + 1)
+
+let entries_for_range ~width ~lo ~hi =
+  if width <= 0 || width > 30 then invalid_arg "Tcam: unsupported width";
+  let limit = 1 lsl width in
+  if lo < 0 || hi >= limit then invalid_arg "Tcam: bounds exceed width";
+  count_cover ~limit ~hi lo 0
 
 (* A handle keeps only what removal needs: the entries to give back. *)
 type handle = { cost : int; mutable live : bool }

@@ -18,7 +18,9 @@ val prefixes_of_range : width:int -> lo:int -> hi:int -> prefix list
     @raise Invalid_argument if the bounds exceed [width] bits. *)
 
 val entries_for_range : width:int -> lo:int -> hi:int -> int
-(** Number of TCAM entries the range costs. *)
+(** Number of TCAM entries the range costs: the length of
+    [prefixes_of_range] on the same arguments, counted in O(width) time
+    without building the cover.  Raises as [prefixes_of_range] does. *)
 
 type t
 (** A per-stage TCAM's entry accounting: how many of its bounded

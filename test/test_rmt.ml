@@ -361,6 +361,35 @@ let prop_tcam_cover =
       done;
       !ok)
 
+(* [entries_for_range] counts the cover without building it; the cover's
+   length is the oracle, on every range at small widths (empty ranges,
+   lo > hi, included) and on random ranges up to the widest width. *)
+let test_tcam_count_exhaustive () =
+  for width = 1 to 8 do
+    let limit = 1 lsl width in
+    for lo = 0 to limit - 1 do
+      for hi = 0 to limit - 1 do
+        let want = List.length (T.prefixes_of_range ~width ~lo ~hi) in
+        let got = T.entries_for_range ~width ~lo ~hi in
+        if got <> want then
+          Alcotest.failf "width %d [%d,%d]: counted %d, cover has %d" width lo hi got want
+      done
+    done
+  done
+
+let prop_tcam_count =
+  QCheck.Test.make ~name:"entry count = cover length, widths 1-30" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (w, lo, hi) -> Printf.sprintf "width %d [%d,%d]" w lo hi)
+        Gen.(
+          int_range 1 30 >>= fun w ->
+          let top = (1 lsl w) - 1 in
+          map2 (fun lo hi -> (w, lo, hi)) (int_range 0 top) (int_range 0 top)))
+    (fun (width, lo, hi) ->
+      T.entries_for_range ~width ~lo ~hi
+      = List.length (T.prefixes_of_range ~width ~lo ~hi))
+
 let test_tcam_capacity () =
   let t = T.create ~width:8 ~capacity:3 in
   (match T.install_range t ~lo:0 ~hi:255 with
@@ -485,6 +514,9 @@ let () =
           Alcotest.test_case "cover bound" `Quick test_tcam_cover_bound;
           Alcotest.test_case "full range" `Quick test_tcam_full_range_one_entry;
           QCheck_alcotest.to_alcotest prop_tcam_cover;
+          Alcotest.test_case "count = cover length, widths 1-8" `Quick
+            test_tcam_count_exhaustive;
+          QCheck_alcotest.to_alcotest prop_tcam_count;
           Alcotest.test_case "capacity" `Quick test_tcam_capacity;
           Alcotest.test_case "remove idempotent" `Quick test_tcam_remove_idempotent;
           QCheck_alcotest.to_alcotest prop_tcam_install_remove_balance;
