@@ -54,12 +54,15 @@ type batch = {
   stats : batch_stats;
 }
 
+(* One stage of an app's layout; a refill repoints [p_range] in place. *)
+type placed = { p_stage : int; mutable p_range : Pool.range }
+
 type app = {
   app_fid : int;
   app_elastic : bool;
   app_mutant : Mutant.t;
   app_demand : (int * int) list;  (* merged (stage, blocks) *)
-  mutable app_layout : (int * Pool.range) list;
+  mutable app_layout : placed list;
 }
 
 type spec_key = {
@@ -150,18 +153,17 @@ let shutdown t = Stdx.Domain_pool.shutdown t.dpool
 let resident t = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.apps []
 let is_resident t ~fid = Hashtbl.mem t.apps fid
 
-let regions_of t ~fid =
-  Option.map
-    (fun app ->
-      List.map (fun (stage, range) -> { stage; range }) app.app_layout
-      |> List.sort (fun a b -> compare a.stage b.stage))
-    (Hashtbl.find_opt t.apps fid)
+let layout_regions app =
+  List.map (fun p -> { stage = p.p_stage; range = p.p_range }) app.app_layout
+  |> List.sort (fun a b -> compare a.stage b.stage)
+
+let regions_of t ~fid = Option.map layout_regions (Hashtbl.find_opt t.apps fid)
+
+let layout_blocks app =
+  List.fold_left (fun acc p -> acc + p.p_range.Pool.n_blocks) 0 app.app_layout
 
 let app_blocks t ~fid =
-  match Hashtbl.find_opt t.apps fid with
-  | None -> 0
-  | Some app ->
-    List.fold_left (fun acc (_, r) -> acc + r.Pool.n_blocks) 0 app.app_layout
+  match Hashtbl.find_opt t.apps fid with None -> 0 | Some app -> layout_blocks app
 
 let utilization t =
   let used = Array.fold_left (fun acc p -> acc + Pool.used_blocks p) 0 t.pools in
@@ -176,13 +178,7 @@ let total_blocks t =
   Array.length t.pools * t.params.Rmt.Params.blocks_per_stage
 
 let resident_blocks t =
-  Hashtbl.fold
-    (fun fid app acc ->
-      let blocks =
-        List.fold_left (fun n (_, r) -> n + r.Pool.n_blocks) 0 app.app_layout
-      in
-      (fid, blocks) :: acc)
-    t.apps []
+  Hashtbl.fold (fun fid app acc -> (fid, layout_blocks app) :: acc) t.apps []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* A conservative per-stage cap on resident apps derived from TCAM
@@ -281,52 +277,53 @@ let cost_snap snap ~scheme ~total_blocks stages =
 let merged_demand (a : arrival) mutant =
   Mutant.demand_by_stage mutant ~demand_blocks:a.demand_blocks
 
-(* Snapshot the layouts of every app resident in [stages], used to diff
-   out the set of reallocated apps after placement. *)
-let snapshot_layouts t stages =
-  Hashtbl.fold
-    (fun fid app acc ->
-      if List.exists (fun (s, _) -> List.mem s stages) app.app_layout then
-        (fid, app.app_layout) :: acc
-      else acc)
-    t.apps []
+(* Point [app]'s layout on stage [s] at [range], searching [layout] (the
+   app's layout, passed in so the walk allocates no closure); true if the
+   range moved or the stage is new to the layout. *)
+let rec relayout app s (range : Pool.range) = function
+  | [] ->
+    app.app_layout <- { p_stage = s; p_range = range } :: app.app_layout;
+    true
+  | p :: rest ->
+    if p.p_stage <> s then relayout app s range rest
+    else if
+      p.p_range.Pool.first_block = range.Pool.first_block
+      && p.p_range.Pool.n_blocks = range.Pool.n_blocks
+    then false
+    else begin
+      p.p_range <- range;
+      true
+    end
 
+(* Refill the elastic zone of each of [stages] and repoint the residents'
+   layouts.  Returns the set of apps whose range on a refilled stage
+   moved or appeared: only a refill moves an existing app, so these are
+   exactly the apps whose placement changed. *)
 let refresh_layouts t stages =
+  let moved = Hashtbl.create 16 in
   List.iter
     (fun s ->
-      let new_elastic = Pool.refill_elastic t.pools.(s) in
       List.iter
         (fun (fid, range) ->
           match Hashtbl.find_opt t.apps fid with
           | None -> ()
           | Some app ->
-            app.app_layout <-
-              (s, range) :: List.remove_assoc s app.app_layout)
-        new_elastic)
-    stages
+            if relayout app s range app.app_layout then Hashtbl.replace moved fid ())
+        (Pool.refill_elastic t.pools.(s)))
+    stages;
+  moved
 
-let diff_reallocated t before =
-  List.filter_map
-    (fun (fid, old_layout) ->
-      match Hashtbl.find_opt t.apps fid with
-      | None -> None
-      | Some app ->
-        let changed =
-          List.exists
-            (fun (s, r) ->
-              match List.assoc_opt s old_layout with
-              | None -> true
-              | Some r' -> r <> r')
-            app.app_layout
-          || List.length app.app_layout <> List.length old_layout
-        in
-        if changed then
-          Some
-            ( fid,
-              List.map (fun (stage, range) -> { stage; range }) app.app_layout
-              |> List.sort (fun a b -> compare a.stage b.stage) )
+(* The apps of [fids] (a pre-commit [resident] capture, which excludes
+   the apps being admitted) that [moved] names, with their new layouts,
+   in [fids]' order. *)
+let reallocated_of t moved fids =
+  if Hashtbl.length moved = 0 then []
+  else
+    List.filter_map
+      (fun fid ->
+        if Hashtbl.mem moved fid then Some (fid, layout_regions (Hashtbl.find t.apps fid))
         else None)
-    before
+      fids
 
 (* Score every mutant against the immutable snapshot; each index writes
    only its own cells, so the fan-out is race-free and the reduce is
@@ -416,7 +413,9 @@ let admit ?trace t (a : arrival) =
     let demand = merged_demand a mutant in
     let stages = List.map fst demand in
     Telemetry.span_begin t.tel "alloc.fill";
-    let before = snapshot_layouts t stages in
+    (* Captured before the insert, which can resize the table and with it
+       the fold order. *)
+    let before = resident t in
     let own_layout = ref [] in
     List.iter
       (fun (s, d) ->
@@ -428,7 +427,7 @@ let admit ?trace t (a : arrival) =
         end
         else begin
           match Pool.add_inelastic pool ~fid:a.fid ~blocks:d with
-          | Ok range -> own_layout := (s, range) :: !own_layout
+          | Ok range -> own_layout := { p_stage = s; p_range = range } :: !own_layout
           | Error `No_space -> assert false
         end)
       demand;
@@ -442,14 +441,8 @@ let admit ?trace t (a : arrival) =
       }
     in
     Hashtbl.replace t.apps a.fid app;
-    refresh_layouts t stages;
-    let reallocated =
-      diff_reallocated t (List.filter (fun (fid, _) -> fid <> a.fid) before)
-    in
-    let regions =
-      List.map (fun (stage, range) -> { stage; range }) app.app_layout
-      |> List.sort (fun x y -> compare x.stage y.stage)
-    in
+    let reallocated = reallocated_of t (refresh_layouts t stages) before in
+    let regions = layout_regions app in
     Telemetry.span_end t.tel (* alloc.fill *);
     Telemetry.add t.tel "alloc.admitted";
     Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length reallocated);
@@ -475,14 +468,6 @@ let admit ?trace t (a : arrival) =
         feasible_mutants = feasible_count;
         compute_time_s = Unix.gettimeofday () -. t0;
       }
-
-(* Layouts of every resident app, captured before an epoch's commits so
-   the whole batch can be diffed with one pass at the end.  Existing apps'
-   layouts only move on [refresh_layouts], which epoch admission defers to
-   the batch tail, so this pre-commit capture is exactly the "before"
-   state of the coalesced refill. *)
-let snapshot_all_layouts t =
-  Hashtbl.fold (fun fid app acc -> (fid, app.app_layout) :: acc) t.apps []
 
 let empty_batch_stats =
   {
@@ -514,11 +499,11 @@ let empty_batch_stats =
      arrival (keeping the live re-checks exact), but the elastic-layout
      rematerialization ([Pool.refill_elastic]) runs once per touched stage
      at the batch tail instead of once per (arrival, stage), and the
-     reallocation diff is computed once for the whole epoch.
+     reallocation report is collected once for the whole epoch.
 
    At batch size 1 nothing above diverges from [admit]: the snapshot is
    fresh, the memo is empty, the live re-check is vacuous, and the
-   coalesced tail degenerates to the per-admit refill + diff — decisions,
+   coalesced tail degenerates to the per-admit refill + report — decisions,
    placements and reallocation reports are bit-identical (the qcheck
    differential suite in test/test_alloc.ml holds this invariant). *)
 let admit_batch ?trace t arrivals =
@@ -591,7 +576,10 @@ let admit_batch ?trace t arrivals =
         Hashtbl.replace memo key r;
         r
     in
-    let before_all = snapshot_all_layouts t in
+    (* Existing apps' layouts only move on [refresh_layouts], which the
+       epoch defers to the batch tail; the pre-commit residents, in fold
+       order, are the candidates for the coalesced report. *)
+    let before_all = resident t in
     let n_stages = Array.length t.pools in
     let touched = Array.make n_stages false in
     let naive_refills = ref 0 in
@@ -662,7 +650,8 @@ let admit_batch ?trace t arrivals =
                    | Error `No_space -> assert false (* guarded by [feasible_live] *)
                  else
                    match Pool.add_inelastic pool ~fid:a.fid ~blocks:d with
-                   | Ok range -> own_layout := (s, range) :: !own_layout
+                   | Ok range ->
+                     own_layout := { p_stage = s; p_range = range } :: !own_layout
                    | Error `No_space -> assert false);
                 touched.(s) <- true;
                 incr naive_refills)
@@ -682,8 +671,8 @@ let admit_batch ?trace t arrivals =
           end)
         arrivals
     in
-    (* Coalesced tail: one elastic refill per touched stage, one layout
-       diff for the whole epoch. *)
+    (* Coalesced tail: one elastic refill per touched stage, one
+       reallocation report for the whole epoch. *)
     let touched_stages = ref [] in
     for s = n_stages - 1 downto 0 do
       if touched.(s) then touched_stages := s :: !touched_stages
@@ -692,8 +681,9 @@ let admit_batch ?trace t arrivals =
     let stage_refills = List.length touched_stages in
     let refills_saved = !naive_refills - stage_refills in
     Telemetry.span_begin t.tel "alloc.fill";
-    refresh_layouts t touched_stages;
-    let batch_reallocated = diff_reallocated t before_all in
+    let batch_reallocated =
+      reallocated_of t (refresh_layouts t touched_stages) before_all
+    in
     Telemetry.span_end t.tel (* alloc.fill *);
     let t_tail = Unix.gettimeofday () in
     let outcomes =
@@ -701,15 +691,11 @@ let admit_batch ?trace t arrivals =
         (function
           | `Rejected r -> Rejected r
           | `Admitted ((a : arrival), mutant, demand, considered, feasible, ta) ->
-            let app = Hashtbl.find t.apps a.fid in
-            let regions =
-              List.map (fun (stage, range) -> { stage; range }) app.app_layout
-              |> List.sort (fun x y -> compare x.stage y.stage)
-            in
+            let regions = layout_regions (Hashtbl.find t.apps a.fid) in
             let demand_mask = Array.make n_stages false in
             List.iter (fun (s, _) -> demand_mask.(s) <- true) demand;
             (* Attribute the epoch's reallocations to the arrivals whose
-               stages they share.  At batch size 1 every diff entry lies on
+               stages they share.  At batch size 1 every reported app lies on
                the lone arrival's stages, so this is exactly [admit]'s
                reallocated list; at larger sizes an app resized by several
                arrivals is reported to each (the controller installs the
@@ -789,13 +775,19 @@ let depart ?trace t ~fid =
     Telemetry.with_span t.tel "alloc.depart" (fun () ->
         Telemetry.incr t.tel "alloc.departed";
         let stages = List.map fst app.app_demand in
-        let before = snapshot_layouts t stages in
         (* The app only ever holds blocks on its demand stages. *)
         List.iter (fun s -> ignore (Pool.remove t.pools.(s) ~fid)) stages;
         Hashtbl.remove t.apps fid;
-        refresh_layouts t stages;
+        let moved = refresh_layouts t stages in
+        (* A removal never reorders the table, so this fold visits the
+           remaining apps in their pre-departure [resident] order. *)
         let expanded =
-          diff_reallocated t (List.filter (fun (f, _) -> f <> fid) before)
+          if Hashtbl.length moved = 0 then []
+          else
+            Hashtbl.fold
+              (fun f app acc ->
+                if Hashtbl.mem moved f then (f, layout_regions app) :: acc else acc)
+              t.apps []
         in
         Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length expanded);
         expanded)
@@ -808,12 +800,12 @@ let regions_response t ~fid =
     let wpb = Rmt.Params.words_per_block t.params in
     let out = Array.make n None in
     List.iter
-      (fun (s, r) ->
-        out.(s) <-
+      (fun p ->
+        out.(p.p_stage) <-
           Some
             {
-              Activermt.Packet.start_word = r.Pool.first_block * wpb;
-              n_words = r.Pool.n_blocks * wpb;
+              Activermt.Packet.start_word = p.p_range.Pool.first_block * wpb;
+              n_words = p.p_range.Pool.n_blocks * wpb;
             })
       app.app_layout;
     Some out

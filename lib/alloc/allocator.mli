@@ -35,7 +35,8 @@ type admitted = {
   regions : stage_range list;  (** the new app's placement *)
   reallocated : (int * stage_range list) list;
       (** existing apps whose placement changed, with their full new
-          layout *)
+          layout, in the order {!resident} listed them before the
+          admission *)
   considered_mutants : int;
   feasible_mutants : int;
   compute_time_s : float;
@@ -68,8 +69,9 @@ type batch = {
   outcomes : outcome list;  (** 1:1 with the arrivals, in order *)
   batch_reallocated : (int * stage_range list) list;
       (** deduplicated union of pre-existing apps whose placement changed
-          anywhere in the epoch, with their full new layouts — what the
-          controller must snapshot and reinstall, once per epoch *)
+          anywhere in the epoch, with their full new layouts, in the order
+          {!resident} listed them before the epoch — what the controller
+          must snapshot and reinstall, once per epoch *)
   stats : batch_stats;
 }
 
@@ -129,7 +131,7 @@ val admit_batch : ?trace:Trace.ctx -> t -> arrival list -> batch
     snapshot (counted in [stats.rescored]), which the rest of the epoch
     then shares.  Elastic-layout refills are coalesced to one
     [Pool.refill_elastic] per touched stage at the batch tail, and the
-    reallocation diff is computed once per epoch.
+    reallocation report is collected once per epoch.
 
     [admit_batch t [a]] makes bit-identical decisions, placements and
     reallocation reports to [admit t a] (modulo measured
@@ -148,8 +150,11 @@ val admit_batch : ?trace:Trace.ctx -> t -> arrival list -> batch
     does not match its spec. *)
 
 val depart : ?trace:Trace.ctx -> t -> fid:int -> (int * stage_range list) list
-(** Remove the app; returns the apps reallocated (expanded) as a result.
-    Unknown FIDs return []. *)
+(** Remove the app; returns the apps reallocated (expanded) as a result,
+    each with its full new layout, in the order {!resident} listed them
+    before the departure.  Only the refill of the departed app's stages
+    moves anyone, so the work is in proportion to those stages and the
+    residents it moved.  Unknown FIDs return []. *)
 
 val resident : t -> int list
 val is_resident : t -> fid:int -> bool

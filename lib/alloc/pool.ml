@@ -180,7 +180,11 @@ let remove t ~fid =
   !had
 
 (* Max-min fair shares with minimums over [budget] blocks: water-fill,
-   then hand out integer remainders in arrival order. *)
+   then hand out integer remainders in arrival order.  Each round levels
+   the apps not yet pinned at their minimum and pins every one whose
+   minimum exceeds the level; shares become region offsets, so the level
+   is computed with exactly the float operations of the original list
+   version (test_alloc keeps that version as the oracle). *)
 let progressive_fill mins budget =
   let k = Array.length mins in
   if k = 0 then [||]
@@ -188,27 +192,26 @@ let progressive_fill mins budget =
     let shares = Array.map float_of_int mins in
     let fixed = Array.make k false in
     let rec fill () =
-      let flexible = ref [] in
-      Array.iteri (fun i f -> if not f then flexible := i :: !flexible) fixed;
-      match !flexible with
-      | [] -> ()
-      | flex ->
-        let reserved =
-          Array.to_list shares
-          |> List.mapi (fun i s -> if fixed.(i) then s else 0.0)
-          |> List.fold_left ( +. ) 0.0
-        in
-        let level = (float_of_int budget -. reserved) /. float_of_int (List.length flex) in
-        let violators = List.filter (fun i -> float_of_int mins.(i) > level) flex in
-        if violators = [] then List.iter (fun i -> shares.(i) <- level) flex
-        else begin
-          List.iter
-            (fun i ->
-              shares.(i) <- float_of_int mins.(i);
-              fixed.(i) <- true)
-            violators;
-          fill ()
-        end
+      let reserved = ref 0.0 and n_flex = ref 0 in
+      for i = 0 to k - 1 do
+        if fixed.(i) then reserved := !reserved +. shares.(i) else incr n_flex
+      done;
+      if !n_flex > 0 then begin
+        let level = (float_of_int budget -. !reserved) /. float_of_int !n_flex in
+        let violated = ref false in
+        for i = 0 to k - 1 do
+          if (not fixed.(i)) && float_of_int mins.(i) > level then begin
+            shares.(i) <- float_of_int mins.(i);
+            fixed.(i) <- true;
+            violated := true
+          end
+        done;
+        if !violated then fill ()
+        else
+          for i = 0 to k - 1 do
+            if not fixed.(i) then shares.(i) <- level
+          done
+      end
     in
     fill ();
     (* Integer rounding: floors first, then the remainder one block at a
@@ -216,20 +219,19 @@ let progressive_fill mins budget =
        (giving a remainder block to an app pinned at its minimum would
        push it above flexible apps and break max-min fairness). *)
     let out = Array.map (fun s -> int_of_float (floor s)) shares in
-    let spent = Array.fold_left ( + ) 0 out in
-    let leftover = ref (budget - spent) in
-    let give eligible =
-      let i = ref 0 in
-      while !leftover > 0 && !i < k do
-        if eligible !i then begin
-          out.(!i) <- out.(!i) + 1;
-          decr leftover
-        end;
-        incr i
-      done
-    in
-    give (fun i -> not fixed.(i));
-    give (fun _ -> true);
+    let leftover = ref (budget - Array.fold_left ( + ) 0 out) in
+    for i = 0 to k - 1 do
+      if !leftover > 0 && not fixed.(i) then begin
+        out.(i) <- out.(i) + 1;
+        decr leftover
+      end
+    done;
+    for i = 0 to k - 1 do
+      if !leftover > 0 then begin
+        out.(i) <- out.(i) + 1;
+        decr leftover
+      end
+    done;
     out
   end
 

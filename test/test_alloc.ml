@@ -220,6 +220,100 @@ let prop_pool_progressive_fill =
       List.fold_left ( + ) 0 sizes = total
       && List.for_all2 (fun s m -> s >= m) sizes mins)
 
+(* The list-building water-fill [Pool] used before its fill moved to
+   arrays, kept verbatim as the oracle: shares become region offsets, so
+   the array version must agree bit for bit. *)
+let progressive_fill_oracle mins budget =
+  let k = Array.length mins in
+  if k = 0 then [||]
+  else begin
+    let shares = Array.map float_of_int mins in
+    let fixed = Array.make k false in
+    let rec fill () =
+      let flexible = ref [] in
+      Array.iteri (fun i f -> if not f then flexible := i :: !flexible) fixed;
+      match !flexible with
+      | [] -> ()
+      | flex ->
+        let reserved =
+          Array.to_list shares
+          |> List.mapi (fun i s -> if fixed.(i) then s else 0.0)
+          |> List.fold_left ( +. ) 0.0
+        in
+        let level = (float_of_int budget -. reserved) /. float_of_int (List.length flex) in
+        let violators = List.filter (fun i -> float_of_int mins.(i) > level) flex in
+        if violators = [] then List.iter (fun i -> shares.(i) <- level) flex
+        else begin
+          List.iter
+            (fun i ->
+              shares.(i) <- float_of_int mins.(i);
+              fixed.(i) <- true)
+            violators;
+          fill ()
+        end
+    in
+    fill ();
+    let out = Array.map (fun s -> int_of_float (floor s)) shares in
+    let spent = Array.fold_left ( + ) 0 out in
+    let leftover = ref (budget - spent) in
+    let give eligible =
+      let i = ref 0 in
+      while !leftover > 0 && !i < k do
+        if eligible !i then begin
+          out.(!i) <- out.(!i) + 1;
+          decr leftover
+        end;
+        incr i
+      done
+    in
+    give (fun i -> not fixed.(i));
+    give (fun _ -> true);
+    out
+  end
+
+(* Through the pool: random pins, elastic arrivals and departures, then a
+   refill; the shares, in arrival order, must be the oracle's over the
+   blocks above the high-water mark. *)
+let prop_pool_fill_matches_oracle =
+  QCheck.Test.make ~name:"refill shares = list water-fill oracle" ~count:300
+    QCheck.(
+      pair (int_range 8 300)
+        (make Gen.(list_size (int_range 1 30) (pair (int_range 0 3) (int_range 1 12)))))
+    (fun (total, ops) ->
+      let p = Pool.create ~total_blocks:total in
+      let next = ref 0 in
+      let live = ref [] in
+      let elastic = ref [] in
+      List.for_all
+        (fun (op, blocks) ->
+          (match op with
+          | 0 ->
+            incr next;
+            (match Pool.add_inelastic p ~fid:!next ~blocks with
+            | Ok _ -> live := !next :: !live
+            | Error `No_space -> ())
+          | 1 | 2 ->
+            incr next;
+            (match Pool.add_elastic p ~fid:!next ~min_blocks:blocks with
+            | Ok () ->
+              live := !next :: !live;
+              elastic := !elastic @ [ (!next, blocks) ]
+            | Error `No_space -> ())
+          | _ -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let fid = List.nth l (blocks mod List.length l) in
+              live := List.filter (( <> ) fid) l;
+              elastic := List.filter (fun (f, _) -> f <> fid) !elastic;
+              ignore (Pool.remove p ~fid)));
+          let layout = Pool.refill_elastic p in
+          let mins = Array.of_list (List.map snd !elastic) in
+          List.map fst layout = List.map fst !elastic
+          && List.map (fun (_, r) -> r.Pool.n_blocks) layout
+             = Array.to_list (progressive_fill_oracle mins (total - Pool.high_water p)))
+        ops)
+
 let prop_pool_max_min_characterization =
   (* Max-min with minimums: every share equals max(min_i, water) for a
      single water level, up to the one-block integer remainder. *)
@@ -750,6 +844,67 @@ let test_batch_mixed_decision_identity () =
   Alcotest.(check (list int)) "same admitted FIDs" seq_admitted batch_admitted;
   Alcotest.(check (list int)) "same rejected FIDs" seq_rejected batch_rejected
 
+(* Every reallocation report — [admit]'s [reallocated], [admit_batch]'s
+   [batch_reallocated], [depart]'s expanded list — names exactly the
+   pre-existing residents whose [regions_of] changed, each with its new
+   regions, in their pre-operation [resident] order.  Small pools keep
+   reallocations frequent. *)
+let prop_reallocation_reports =
+  let small = { params with Rmt.Params.blocks_per_stage = 16 } in
+  let small_hh fid =
+    { (hh_arrival fid) with Allocator.demand_blocks = [| 3; 2; 2; 2; 2; 3 |] }
+  in
+  QCheck.Test.make ~name:"reallocation reports = changed residents, resident order"
+    ~count:40
+    QCheck.(
+      make Gen.(list_size (int_range 5 40) (pair (int_range 0 5) (int_range 0 1000))))
+    (fun ops ->
+      let alloc = Allocator.create small in
+      let next = ref 0 in
+      let arrival pick =
+        incr next;
+        match pick mod 3 with
+        | 0 -> cache_arrival !next
+        | 1 -> lb_arrival !next
+        | _ -> small_hh !next
+      in
+      let changed before =
+        List.filter_map
+          (fun (fid, old) ->
+            match Allocator.regions_of alloc ~fid with
+            | Some now when now <> old -> Some (fid, now)
+            | Some _ | None -> None)
+          before
+      in
+      let ok =
+        List.for_all
+          (fun (op, pick) ->
+            let before =
+              List.map
+                (fun fid -> (fid, Option.get (Allocator.regions_of alloc ~fid)))
+                (Allocator.resident alloc)
+            in
+            match op with
+            | 0 | 1 -> (
+              match Allocator.admit alloc (arrival pick) with
+              | Allocator.Admitted a -> a.Allocator.reallocated = changed before
+              | Allocator.Rejected _ -> changed before = [])
+            | 2 | 3 ->
+              let arrivals = List.init (1 + (pick mod 4)) (fun i -> arrival (pick + i)) in
+              let b = Allocator.admit_batch alloc arrivals in
+              b.Allocator.batch_reallocated = changed before
+            | _ -> (
+              match Allocator.resident alloc with
+              | [] -> true
+              | residents ->
+                let fid = List.nth residents (pick mod List.length residents) in
+                let expanded = Allocator.depart alloc ~fid in
+                expanded = changed before))
+          ops
+      in
+      Allocator.shutdown alloc;
+      ok)
+
 (* Random churn keeps the allocator's central invariants. *)
 let prop_churn_invariants =
   QCheck.Test.make ~name:"random churn: no overlap, utilization bounded"
@@ -803,6 +958,7 @@ let () =
           Alcotest.test_case "max hole" `Quick test_pool_max_hole;
           QCheck_alcotest.to_alcotest prop_pool_progressive_fill;
           QCheck_alcotest.to_alcotest prop_pool_max_min_characterization;
+          QCheck_alcotest.to_alcotest prop_pool_fill_matches_oracle;
           QCheck_alcotest.to_alcotest prop_pool_counters;
         ] );
       ( "allocator",
@@ -826,6 +982,7 @@ let () =
           Alcotest.test_case "depart touches only demand stages" `Quick
             test_depart_only_touches_demand_stages;
           QCheck_alcotest.to_alcotest prop_churn_invariants;
+          QCheck_alcotest.to_alcotest prop_reallocation_reports;
           QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
         ] );
       ( "batch",
