@@ -81,14 +81,13 @@ let zero_regions t ~fid =
             ~hi:(start_word + n_words - 1))
       regions
 
-(* Install (or re-install) an app's tables from the allocator's current
-   placement.  The allocator's TCAM headroom estimate is conservative, so
-   installation cannot fail; an error here is an internal invariant
-   violation. *)
+(* Install (or re-install in place) an app's tables from the allocator's
+   current placement.  The allocator's TCAM headroom estimate is
+   conservative, so installation cannot fail; an error here is an internal
+   invariant violation. *)
 let install_current t ~fid ~virtual_addressing =
-  Activermt.Table.remove t.tables ~fid;
   match Allocator.regions_response t.allocator ~fid with
-  | None -> ()
+  | None -> Activermt.Table.remove t.tables ~fid
   | Some regions -> (
     match
       Activermt.Table.install t.tables ~fid ~virtual_addressing
@@ -98,8 +97,7 @@ let install_current t ~fid ~virtual_addressing =
     with
     | Ok () -> ()
     | Error (`Tcam_capacity s) ->
-      failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s)
-    | Error `Already_installed -> assert false)
+      failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s))
 
 (* Apply one stage's moves, each [(src, dst, len)] in words.  Regions
    within a stage are disjoint before and after a reallocation and keep

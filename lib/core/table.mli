@@ -38,17 +38,31 @@ val install :
   fid:Packet.fid ->
   virtual_addressing:bool ->
   regions:Packet.region option array ->
-  (unit, [ `Tcam_capacity of int | `Already_installed ]) result
+  (unit, [ `Tcam_capacity of int ]) result
 (** Install an app's allocation ([regions] indexed by logical stage).
     Entries are written for every stage so ADDR_* instructions can execute
     anywhere before the access.  On TCAM exhaustion at some stage the whole
     installation is rolled back.
 
+    On a FID that is already installed, [install] reinstalls: the result
+    is what [remove] followed by a fresh install would leave, but only the
+    stages whose region changed release their protection range and
+    install the new one, and only translation entries that differ are
+    rewritten.  It still counts as that pair does — every old entry in
+    [entries_removed], every new one in [entries_added] — and bumps
+    [epoch] twice, clearing quiescence.  If a stage's TCAM cannot hold the
+    new range, every range of the app is released and the FID is dropped
+    (the state [remove] and a failed install leave: the removal counted,
+    [epoch] bumped once) and the first such stage is returned; TCAM is per
+    stage, so it is the stage the pair would have failed at.
+
     [privileged] (default false) gates the forwarding-affecting
     instructions FORK and SET_DST (the privilege levels Section 7.2
     explores); [max_passes] caps the FID's pipeline passes below the
     device recirculation limit (the bandwidth-inflation rate limiting
-    Section 7.2 contemplates). *)
+    Section 7.2 contemplates).
+    @raise Invalid_argument, before any change, if [regions] does not
+    have one slot per stage. *)
 
 val is_privileged : t -> fid:Packet.fid -> bool
 val max_passes_of : t -> fid:Packet.fid -> int option

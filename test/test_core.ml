@@ -520,13 +520,6 @@ let test_table_remove () =
   Alcotest.(check bool) "gone" false (Tbl.installed t ~fid:1);
   Alcotest.(check bool) "no lookup" true (Tbl.lookup t ~fid:1 ~stage:0 = None)
 
-let test_table_double_install () =
-  let t = fresh_table () in
-  ignore (Tbl.install t ~fid:1 ~virtual_addressing:true ~regions:(regions_with []));
-  match Tbl.install t ~fid:1 ~virtual_addressing:true ~regions:(regions_with []) with
-  | Error `Already_installed -> ()
-  | _ -> Alcotest.fail "double install accepted"
-
 let test_table_quiesce () =
   let t = fresh_table () in
   Tbl.quiesce t ~fid:5;
@@ -562,6 +555,134 @@ let test_table_tcam_rollback () =
       (Rmt.Tcam.used (Rmt.Device.stage device 0).Rmt.Device.protection)
   | Ok () -> Alcotest.fail "should exceed capacity"
   | Error _ -> Alcotest.fail "wrong error"
+
+(* Reinstalling an installed FID rewrites in place only what changed; it
+   must leave every observable exactly as [remove] followed by a fresh
+   install does.  A twin table does the pair; random installs, removes and
+   quiescence transitions over four FIDs run on both, on a device whose
+   TCAM is small enough that some reinstalls run out of entries. *)
+type table_op =
+  | Install of {
+      fid : int;
+      regions : (int * int) option array;  (* (start_word, n_words) *)
+      virtual_addressing : bool;
+      privileged : bool;
+      max_passes : int option;
+    }
+  | Remove of int
+  | Quiesce of int
+  | Unquiesce of int
+
+let small_params =
+  {
+    params with
+    Rmt.Params.logical_stages = 4;
+    ingress_stages = 2;
+    words_per_stage = 256;
+    blocks_per_stage = 16;
+    tcam_entries_per_stage = 16;
+    mar_bits = 8;
+  }
+
+let show_table_op = function
+  | Install { fid; regions; virtual_addressing; privileged; max_passes } ->
+    Printf.sprintf "install %d [%s]%s%s%s" fid
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (function None -> "-" | Some (lo, n) -> Printf.sprintf "%d+%d" lo n)
+               regions)))
+      (if virtual_addressing then " virtual" else "")
+      (if privileged then " privileged" else "")
+      (match max_passes with Some p -> Printf.sprintf " passes=%d" p | None -> "")
+  | Remove f -> Printf.sprintf "remove %d" f
+  | Quiesce f -> Printf.sprintf "quiesce %d" f
+  | Unquiesce f -> Printf.sprintf "unquiesce %d" f
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let fid = int_range 0 3 in
+  let words = small_params.Rmt.Params.words_per_stage in
+  let region =
+    frequency
+      [
+        (1, return None);
+        ( 2,
+          int_range 0 (words - 1) >>= fun lo ->
+          map (fun n -> Some (lo, n)) (int_range 1 (words - lo)) );
+      ]
+  in
+  frequency
+    [
+      ( 5,
+        map
+          (fun (fid, regions, (virtual_addressing, privileged, max_passes)) ->
+            Install { fid; regions; virtual_addressing; privileged; max_passes })
+          (triple fid
+             (array_size (return small_params.Rmt.Params.logical_stages) region)
+             (triple bool bool (opt (int_range 1 4)))) );
+      (2, map (fun f -> Remove f) fid);
+      (1, map (fun f -> Quiesce f) fid);
+      (1, map (fun f -> Unquiesce f) fid);
+    ]
+
+let prop_table_reinstall =
+  QCheck.Test.make ~name:"reinstall = remove + install" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "\n" (List.map show_table_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 40) table_op_gen))
+    (fun ops ->
+      let dev_a = Rmt.Device.create small_params and dev_b = Rmt.Device.create small_params in
+      let a = Tbl.create dev_a and b = Tbl.create dev_b in
+      let n = small_params.Rmt.Params.logical_stages in
+      let apply t ~twin op =
+        match op with
+        | Install { fid; regions; virtual_addressing; privileged; max_passes } ->
+          if twin then Tbl.remove t ~fid;
+          let regions =
+            Array.map
+              (Option.map (fun (start_word, n_words) -> { Pkt.start_word; n_words }))
+              regions
+          in
+          Some (Tbl.install ~privileged ?max_passes t ~fid ~virtual_addressing ~regions)
+        | Remove fid ->
+          Tbl.remove t ~fid;
+          None
+        | Quiesce fid ->
+          Tbl.quiesce t ~fid;
+          None
+        | Unquiesce fid ->
+          Tbl.unquiesce t ~fid;
+          None
+      in
+      let same_state () =
+        Tbl.update_stats a = Tbl.update_stats b
+        && List.for_all
+             (fun s ->
+               Rmt.Tcam.used (Rmt.Device.stage dev_a s).Rmt.Device.protection
+               = Rmt.Tcam.used (Rmt.Device.stage dev_b s).Rmt.Device.protection)
+             (List.init n Fun.id)
+        && List.for_all
+             (fun fid ->
+               Tbl.installed a ~fid = Tbl.installed b ~fid
+               && Tbl.regions_of a ~fid = Tbl.regions_of b ~fid
+               && Tbl.is_quiesced a ~fid = Tbl.is_quiesced b ~fid
+               && Tbl.is_privileged a ~fid = Tbl.is_privileged b ~fid
+               && Tbl.max_passes_of a ~fid = Tbl.max_passes_of b ~fid
+               && Tbl.epoch a ~fid = Tbl.epoch b ~fid
+               && List.for_all
+                    (fun stage -> Tbl.lookup a ~fid ~stage = Tbl.lookup b ~fid ~stage)
+                    (List.init n Fun.id))
+             [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun op ->
+          let ra = apply a ~twin:false op in
+          let rb = apply b ~twin:true op in
+          ra = rb && same_state ())
+        ops)
 
 (* -- Runtime ------------------------------------------------------------- *)
 
@@ -1058,10 +1179,10 @@ let () =
           Alcotest.test_case "install/lookup" `Quick test_table_install_lookup;
           Alcotest.test_case "physical offsets" `Quick test_table_physical_offsets;
           Alcotest.test_case "remove" `Quick test_table_remove;
-          Alcotest.test_case "double install" `Quick test_table_double_install;
           Alcotest.test_case "quiesce" `Quick test_table_quiesce;
           Alcotest.test_case "update stats" `Quick test_table_update_stats;
           Alcotest.test_case "tcam rollback" `Quick test_table_tcam_rollback;
+          QCheck_alcotest.to_alcotest prop_table_reinstall;
         ] );
       ( "runtime",
         [
