@@ -610,6 +610,73 @@ let test_cost_model_breakdown () =
   Alcotest.(check bool) "p4 compile dwarfs provisioning" true
     (Cost_model.p4_compile_s > 20.0 *. Cost_model.total b)
 
+(* -- Allocation budget ----------------------------------------------------- *)
+
+(* Minor-heap words per arrival of arrival-churn's shape: seed-1 Zipf
+   churn in epochs of 64 through [enqueue_request], one [drain] and the
+   epoch's [handle_departure]s, after 8 warm-up epochs.  Returns words
+   per arrival in total, in the drain and in the departures.  The counts
+   depend on the binary and the work, not on the host. *)
+let arrival_words ~warmup ~measured =
+  let module Churn = Workload.Churn in
+  let app_of_kind = function
+    | Churn.Cache -> Activermt_apps.Cache.service
+    | Churn.Heavy_hitter -> Activermt_apps.Heavy_hitter.service
+    | Churn.Load_balancer -> Activermt_apps.Cheetah_lb.service
+    | Churn.Flow_counter -> Activermt_apps.Counter.service
+    | Churn.Bloom_filter -> Activermt_apps.Bloom.service
+  in
+  let epochs =
+    Churn.zipf_churn Churn.default_zipf_config (Stdx.Prng.create ~seed:1)
+    |> Seq.take (warmup + measured)
+    |> Seq.map (fun (e : Churn.epoch) ->
+           List.fold_right
+             (fun ev (reqs, deps) ->
+               match ev with
+               | Churn.Arrive { fid; kind; _ } -> (request fid (app_of_kind kind) :: reqs, deps)
+               | Churn.Depart { fid } -> (reqs, fid :: deps))
+             e.Churn.events ([], []))
+    |> Array.of_seq
+  in
+  let ctl =
+    Controller.create ~telemetry:(Telemetry.create ()) (Rmt.Device.create params)
+  in
+  let drain_w = ref 0.0 and depart_w = ref 0.0 and arrivals = ref 0 in
+  let run_epoch (reqs, deps) =
+    List.iter (Controller.enqueue_request ctl) reqs;
+    let w0 = Gc.minor_words () in
+    ignore (Controller.drain ctl);
+    let w1 = Gc.minor_words () in
+    List.iter (fun fid -> ignore (Controller.handle_departure ctl ~fid)) deps;
+    let w2 = Gc.minor_words () in
+    drain_w := !drain_w +. (w1 -. w0);
+    depart_w := !depart_w +. (w2 -. w1);
+    arrivals := !arrivals + List.length reqs
+  in
+  Array.iteri (fun i e -> if i < warmup then run_epoch e) epochs;
+  drain_w := 0.0;
+  depart_w := 0.0;
+  arrivals := 0;
+  let w0 = Gc.minor_words () in
+  Array.iteri (fun i e -> if i >= warmup then run_epoch e) epochs;
+  let total = Gc.minor_words () -. w0 in
+  let per x = x /. float_of_int !arrivals in
+  (per total, per !drain_w, per !depart_w)
+
+let test_arrival_budget () =
+  let ((total, drain, depart) as first) = arrival_words ~warmup:8 ~measured:64 in
+  let check name words budget =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words per arrival <= %d" name words budget)
+      true
+      (words <= float_of_int budget)
+  in
+  check "total" total 6100;
+  check "drain" drain 1800;
+  check "departure" depart 4400;
+  Alcotest.(check bool) "a fresh controller reads the same" true
+    (arrival_words ~warmup:8 ~measured:64 = first)
+
 let () =
   Alcotest.run "control"
     [
@@ -659,4 +726,5 @@ let () =
           Alcotest.test_case "recirculation limit" `Quick test_recirculation_limit_lifecycle;
           Alcotest.test_case "breakdown" `Quick test_cost_model_breakdown;
         ] );
+      ("budget", [ Alcotest.test_case "words per arrival" `Quick test_arrival_budget ]);
     ]
