@@ -47,14 +47,17 @@ val install :
     On a FID that is already installed, [install] reinstalls: the result
     is what [remove] followed by a fresh install would leave, but only the
     stages whose region changed release their protection range and
-    install the new one, and only translation entries that differ are
-    rewritten.  It still counts as that pair does — every old entry in
-    [entries_removed], every new one in [entries_added] — and bumps
-    [epoch] twice, clearing quiescence.  If a stage's TCAM cannot hold the
-    new range, every range of the app is released and the FID is dropped
-    (the state [remove] and a failed install leave: the removal counted,
-    [epoch] bumped once) and the first such stage is returned; TCAM is per
-    stage, so it is the stage the pair would have failed at.
+    install the new one, and only the translation entries that describe a
+    changed stage are rewritten.  A caller that passes the same array
+    again, changing only the moved stages' cells, has the unchanged
+    stages found by physical equality.  It still counts as that pair
+    does — every old entry in [entries_removed], every new one in
+    [entries_added] — and bumps [epoch] twice, clearing quiescence.  If a
+    stage's TCAM cannot hold the new range, every range of the app is
+    released and the FID is dropped (the state [remove] and a failed
+    install leave: the removal counted, [epoch] bumped once) and the first
+    such stage is returned; TCAM is per stage, so it is the stage the pair
+    would have failed at.
 
     [privileged] (default false) gates the forwarding-affecting
     instructions FORK and SET_DST (the privilege levels Section 7.2
@@ -89,6 +92,11 @@ val epoch_ref : t -> fid:Packet.fid -> int ref
     than a table probe.  Callers must treat it as read-only. *)
 
 val regions_of : t -> fid:Packet.fid -> Packet.region option array option
+(** A copy of the FID's installed regions, by stage. *)
+
+val installed_words : t -> fid:Packet.fid -> int
+(** Words across the FID's installed regions (0 if not installed),
+    maintained as stages change rather than summed per call. *)
 
 val quiesce : t -> fid:Packet.fid -> unit
 val unquiesce : t -> fid:Packet.fid -> unit

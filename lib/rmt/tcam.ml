@@ -26,22 +26,23 @@ let prefixes_of_range ~width ~lo ~hi =
   in
   cover lo hi []
 
-(* The same greedy cover, counted without building it: from [x] the block
-   is [x]'s lowest set bit (the whole space at 0), halved until it fits in
-   what is left of the range.  Block sizes rise and then fall, so the
-   halvings total O(width).  Top-level, so counting allocates nothing. *)
-let rec fit b room = if b > room then fit (b lsr 1) room else b
+let rec popcount n c = if n = 0 then c else popcount (n land (n - 1)) (c + 1)
+let rec top_bit n = if n land (n - 1) = 0 then n else top_bit (n land (n - 1))
 
-let rec count_cover ~limit ~hi x n =
-  if x > hi then n
-  else
-    count_cover ~limit ~hi (x + fit (if x = 0 then limit else x land -x) (hi - x + 1)) (n + 1)
-
+(* The same greedy cover, counted without building it.  With [b = hi + 1]
+   and [m] the multiple of the highest power of two where [lo] and [b]
+   differ, the blocks rise from [lo] to [m], one per set bit of [m - lo],
+   then fall from [m] to [b], one per set bit of [b - m]. *)
 let entries_for_range ~width ~lo ~hi =
   if width <= 0 || width > 30 then invalid_arg "Tcam: unsupported width";
   let limit = 1 lsl width in
   if lo < 0 || hi >= limit then invalid_arg "Tcam: bounds exceed width";
-  count_cover ~limit ~hi lo 0
+  if lo > hi then 0
+  else begin
+    let b = hi + 1 in
+    let m = b land lnot (top_bit (lo lxor b) - 1) in
+    popcount (m - lo) 0 + popcount (b - m) 0
+  end
 
 (* A handle keeps only what removal needs: the entries to give back. *)
 type handle = { cost : int; mutable live : bool }

@@ -19,7 +19,7 @@ val prefixes_of_range : width:int -> lo:int -> hi:int -> prefix list
 
 val entries_for_range : width:int -> lo:int -> hi:int -> int
 (** Number of TCAM entries the range costs: the length of
-    [prefixes_of_range] on the same arguments, counted in O(width) time
+    [prefixes_of_range] on the same arguments, counted from two popcounts
     without building the cover.  Raises as [prefixes_of_range] does. *)
 
 type t
