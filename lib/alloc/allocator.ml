@@ -23,12 +23,17 @@ type arrival = {
 }
 
 type stage_range = { stage : int; range : Pool.range }
+type move = {
+  on_stage : int;
+  before : Activermt.Packet.region;
+  after : Activermt.Packet.region;
+}
 
 type admitted = {
   fid : int;
   mutant : Mutant.t;
   regions : stage_range list;
-  reallocated : (int * stage_range list) list;
+  reallocated : (int * move list) list;
   considered_mutants : int;
   feasible_mutants : int;
   compute_time_s : float;
@@ -50,19 +55,20 @@ type batch_stats = {
 
 type batch = {
   outcomes : outcome list;
-  batch_reallocated : (int * stage_range list) list;
+  batch_reallocated : (int * move list) list;
   stats : batch_stats;
 }
 
-(* One stage of an app's layout; a refill repoints [p_range] in place. *)
-type placed = { p_stage : int; mutable p_range : Pool.range }
-
+(* A resident's placement is kept per stage, in words (block-aligned), and
+   a refill repoints only the stages it moved. *)
 type app = {
   app_fid : int;
-  app_elastic : bool;
   app_mutant : Mutant.t;
   app_demand : (int * int) list;  (* merged (stage, blocks) *)
-  mutable app_layout : placed list;
+  app_regions : Activermt.Packet.region option array;
+  mutable rank : int;  (* position in [t.apps]' iteration order *)
+  mutable listed : int;  (* the last report that listed the app *)
+  mutable moves : move list;  (* that report's moves, latest first *)
 }
 
 type spec_key = {
@@ -89,6 +95,10 @@ type t = {
   dpool : Stdx.Domain_pool.t;  (* fan-out width for mutant scoring *)
   tel : Telemetry.t;
   tracer : Trace.t;
+  wpb : int;  (* words per block *)
+  mutable ranked : bool;  (* every app's [rank] is current *)
+  mutable report : int;  (* the report being collected *)
+  mutable moved : app list;  (* the apps it lists so far *)
 }
 
 let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
@@ -108,6 +118,10 @@ let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
     dpool = Stdx.Domain_pool.create ~size:domains ();
     tel = telemetry;
     tracer;
+    wpb = Rmt.Params.words_per_block params;
+    ranked = false;
+    report = 0;
+    moved = [];
   }
 
 let mutants_of t (spec : Spec.t) =
@@ -153,17 +167,36 @@ let shutdown t = Stdx.Domain_pool.shutdown t.dpool
 let resident t = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.apps []
 let is_resident t ~fid = Hashtbl.mem t.apps fid
 
-let layout_regions app =
-  List.map (fun p -> { stage = p.p_stage; range = p.p_range }) app.app_layout
-  |> List.sort (fun a b -> compare a.stage b.stage)
+let layout_regions t app =
+  let out = ref [] in
+  for s = Array.length app.app_regions - 1 downto 0 do
+    match app.app_regions.(s) with
+    | None -> ()
+    | Some r ->
+      let range =
+        {
+          Pool.first_block = r.Activermt.Packet.start_word / t.wpb;
+          n_blocks = r.Activermt.Packet.n_words / t.wpb;
+        }
+      in
+      out := { stage = s; range } :: !out
+  done;
+  !out
 
-let regions_of t ~fid = Option.map layout_regions (Hashtbl.find_opt t.apps fid)
+let regions_of t ~fid = Option.map (layout_regions t) (Hashtbl.find_opt t.apps fid)
 
-let layout_blocks app =
-  List.fold_left (fun acc p -> acc + p.p_range.Pool.n_blocks) 0 app.app_layout
+let placement t ~fid =
+  match Hashtbl.find_opt t.apps fid with
+  | None -> None
+  | Some app -> Some app.app_regions
+
+let layout_blocks t app =
+  Array.fold_left
+    (fun acc -> function Some r -> acc + (r.Activermt.Packet.n_words / t.wpb) | None -> acc)
+    0 app.app_regions
 
 let app_blocks t ~fid =
-  match Hashtbl.find_opt t.apps fid with None -> 0 | Some app -> layout_blocks app
+  match Hashtbl.find_opt t.apps fid with None -> 0 | Some app -> layout_blocks t app
 
 let utilization t =
   let used = Array.fold_left (fun acc p -> acc + Pool.used_blocks p) 0 t.pools in
@@ -178,7 +211,7 @@ let total_blocks t =
   Array.length t.pools * t.params.Rmt.Params.blocks_per_stage
 
 let resident_blocks t =
-  Hashtbl.fold (fun fid app acc -> (fid, layout_blocks app) :: acc) t.apps []
+  Hashtbl.fold (fun fid app acc -> (fid, layout_blocks t app) :: acc) t.apps []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* A conservative per-stage cap on resident apps derived from TCAM
@@ -277,53 +310,86 @@ let cost_snap snap ~scheme ~total_blocks stages =
 let merged_demand (a : arrival) mutant =
   Mutant.demand_by_stage mutant ~demand_blocks:a.demand_blocks
 
-(* Point [app]'s layout on stage [s] at [range], searching [layout] (the
-   app's layout, passed in so the walk allocates no closure); true if the
-   range moved or the stage is new to the layout. *)
-let rec relayout app s (range : Pool.range) = function
-  | [] ->
-    app.app_layout <- { p_stage = s; p_range = range } :: app.app_layout;
-    true
-  | p :: rest ->
-    if p.p_stage <> s then relayout app s range rest
-    else if
-      p.p_range.Pool.first_block = range.Pool.first_block
-      && p.p_range.Pool.n_blocks = range.Pool.n_blocks
-    then false
-    else begin
-      p.p_range <- range;
-      true
-    end
+let new_app t (a : arrival) mutant demand =
+  let n = Array.length t.pools in
+  {
+    app_fid = a.fid;
+    app_mutant = mutant;
+    app_demand = demand;
+    app_regions = Array.make n None;
+    rank = 0;
+    listed = -1;
+    moves = [];
+  }
 
-(* Refill the elastic zone of each of [stages] and repoint the residents'
-   layouts.  Returns the set of apps whose range on a refilled stage
-   moved or appeared: only a refill moves an existing app, so these are
-   exactly the apps whose placement changed. *)
-let refresh_layouts t stages =
-  let moved = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (fid, range) ->
-          match Hashtbl.find_opt t.apps fid with
-          | None -> ()
-          | Some app ->
-            if relayout app s range app.app_layout then Hashtbl.replace moved fid ())
-        (Pool.refill_elastic t.pools.(s)))
-    stages;
-  moved
+let place t app s (range : Pool.range) =
+  let region =
+    {
+      Activermt.Packet.start_word = range.Pool.first_block * t.wpb;
+      n_words = range.Pool.n_blocks * t.wpb;
+    }
+  in
+  app.app_regions.(s) <- Some region;
+  region
 
-(* The apps of [fids] (a pre-commit [resident] capture, which excludes
-   the apps being admitted) that [moved] names, with their new layouts,
-   in [fids]' order. *)
-let reallocated_of t moved fids =
-  if Hashtbl.length moved = 0 then []
-  else
-    List.filter_map
-      (fun fid ->
-        if Hashtbl.mem moved fid then Some (fid, layout_regions (Hashtbl.find t.apps fid))
-        else None)
-      fids
+(* Start collecting the apps an admission or departure moves.  Reports
+   list them in the order {!resident} gave before the operation, which
+   is the reverse of [t.apps]' iteration order: an insert can reorder the
+   table, so ranks are re-read after one, while a removal never
+   reorders it. *)
+let begin_report t =
+  if not t.ranked then begin
+    let i = ref 0 in
+    Hashtbl.iter
+      (fun _ app ->
+        app.rank <- !i;
+        incr i)
+      t.apps;
+    t.ranked <- true
+  end;
+  t.report <- t.report + 1;
+  t.moved <- []
+
+let insert t app =
+  Hashtbl.replace t.apps app.app_fid app;
+  t.ranked <- false
+
+(* The refill of stage [s] moved [fid] to [range].  A stage the app held
+   before is a move for the report; a first range (an app being
+   admitted) is not. *)
+let repoint t s fid (range : Pool.range) =
+  match Hashtbl.find_opt t.apps fid with
+  | None -> ()
+  | Some app -> (
+    match app.app_regions.(s) with
+    | None -> ignore (place t app s range)
+    | Some before ->
+      if
+        before.Activermt.Packet.start_word <> range.Pool.first_block * t.wpb
+        || before.Activermt.Packet.n_words <> range.Pool.n_blocks * t.wpb
+      then begin
+        let after = place t app s range in
+        if app.listed <> t.report then begin
+          app.listed <- t.report;
+          app.moves <- [];
+          t.moved <- app :: t.moved
+        end;
+        app.moves <- { on_stage = s; before; after } :: app.moves
+      end)
+
+let refill t s = Pool.refill_elastic t.pools.(s) (repoint t s)
+
+(* The apps moved since [begin_report], in report order, each with its
+   moves in stage order. *)
+let end_report t =
+  let apps = List.sort (fun a b -> Int.compare b.rank a.rank) t.moved in
+  t.moved <- [];
+  List.map
+    (fun app ->
+      let moves = List.rev app.moves in
+      app.moves <- [];
+      (app, (app.app_fid, moves)))
+    apps
 
 (* Score every mutant against the immutable snapshot; each index writes
    only its own cells, so the fan-out is race-free and the reduce is
@@ -411,12 +477,9 @@ let admit ?trace t (a : arrival) =
   | best ->
     let mutant = mutants.(best) in
     let demand = merged_demand a mutant in
-    let stages = List.map fst demand in
     Telemetry.span_begin t.tel "alloc.fill";
-    (* Captured before the insert, which can resize the table and with it
-       the fold order. *)
-    let before = resident t in
-    let own_layout = ref [] in
+    begin_report t;
+    let app = new_app t a mutant demand in
     List.iter
       (fun (s, d) ->
         let pool = t.pools.(s) in
@@ -427,22 +490,14 @@ let admit ?trace t (a : arrival) =
         end
         else begin
           match Pool.add_inelastic pool ~fid:a.fid ~blocks:d with
-          | Ok range -> own_layout := { p_stage = s; p_range = range } :: !own_layout
+          | Ok range -> ignore (place t app s range)
           | Error `No_space -> assert false
         end)
       demand;
-    let app =
-      {
-        app_fid = a.fid;
-        app_elastic = a.elastic;
-        app_mutant = mutant;
-        app_demand = demand;
-        app_layout = !own_layout;
-      }
-    in
-    Hashtbl.replace t.apps a.fid app;
-    let reallocated = reallocated_of t (refresh_layouts t stages) before in
-    let regions = layout_regions app in
+    insert t app;
+    List.iter (fun (s, _) -> refill t s) demand;
+    let reallocated = List.map snd (end_report t) in
+    let regions = layout_regions t app in
     Telemetry.span_end t.tel (* alloc.fill *);
     Telemetry.add t.tel "alloc.admitted";
     Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length reallocated);
@@ -576,10 +631,9 @@ let admit_batch ?trace t arrivals =
         Hashtbl.replace memo key r;
         r
     in
-    (* Existing apps' layouts only move on [refresh_layouts], which the
-       epoch defers to the batch tail; the pre-commit residents, in fold
-       order, are the candidates for the coalesced report. *)
-    let before_all = resident t in
+    (* Existing apps only move on the refills, which the epoch defers to
+       the batch tail; the report follows the pre-commit order. *)
+    begin_report t;
     let n_stages = Array.length t.pools in
     let touched = Array.make n_stages false in
     let naive_refills = ref 0 in
@@ -634,7 +688,7 @@ let admit_batch ?trace t arrivals =
               let bstages, bdemands = arrs.(best) in
               Array.to_list (Array.mapi (fun i s -> (s, bdemands.(i))) bstages)
             in
-            let own_layout = ref [] in
+            let app = new_app t a mutant demand in
             List.iter
               (fun (s, d) ->
                 let pool = t.pools.(s) in
@@ -650,24 +704,14 @@ let admit_batch ?trace t arrivals =
                    | Error `No_space -> assert false (* guarded by [feasible_live] *)
                  else
                    match Pool.add_inelastic pool ~fid:a.fid ~blocks:d with
-                   | Ok range ->
-                     own_layout := { p_stage = s; p_range = range } :: !own_layout
+                   | Ok range -> ignore (place t app s range)
                    | Error `No_space -> assert false);
                 touched.(s) <- true;
                 incr naive_refills)
               demand;
-            let app =
-              {
-                app_fid = a.fid;
-                app_elastic = a.elastic;
-                app_mutant = mutant;
-                app_demand = demand;
-                app_layout = !own_layout;
-              }
-            in
-            Hashtbl.replace t.apps a.fid app;
+            insert t app;
             incr c_admitted;
-            `Admitted (a, mutant, demand, considered, feasible, ta)
+            `Admitted (app, demand, considered, feasible, ta)
           end)
         arrivals
     in
@@ -681,19 +725,16 @@ let admit_batch ?trace t arrivals =
     let stage_refills = List.length touched_stages in
     let refills_saved = !naive_refills - stage_refills in
     Telemetry.span_begin t.tel "alloc.fill";
-    let batch_reallocated =
-      reallocated_of t (refresh_layouts t touched_stages) before_all
-    in
+    List.iter (refill t) touched_stages;
+    let moved = end_report t in
+    let batch_reallocated = List.map snd moved in
     Telemetry.span_end t.tel (* alloc.fill *);
     let t_tail = Unix.gettimeofday () in
     let outcomes =
       List.map
         (function
           | `Rejected r -> Rejected r
-          | `Admitted ((a : arrival), mutant, demand, considered, feasible, ta) ->
-            let regions = layout_regions (Hashtbl.find t.apps a.fid) in
-            let demand_mask = Array.make n_stages false in
-            List.iter (fun (s, _) -> demand_mask.(s) <- true) demand;
+          | `Admitted (app, demand, considered, feasible, ta) ->
             (* Attribute the epoch's reallocations to the arrivals whose
                stages they share.  At batch size 1 every reported app lies on
                the lone arrival's stages, so this is exactly [admit]'s
@@ -701,16 +742,21 @@ let admit_batch ?trace t arrivals =
                arrivals is reported to each (the controller installs the
                deduplicated union once per epoch). *)
             let reallocated =
-              List.filter
-                (fun (_, layout) ->
-                  List.exists (fun sr -> demand_mask.(sr.stage)) layout)
-                batch_reallocated
+              List.filter_map
+                (fun (moved_app, entry) ->
+                  if
+                    List.exists
+                      (fun (s, _) -> Option.is_some moved_app.app_regions.(s))
+                      demand
+                  then Some entry
+                  else None)
+                moved
             in
             Admitted
               {
-                fid = a.fid;
-                mutant;
-                regions;
+                fid = app.app_fid;
+                mutant = app.app_mutant;
+                regions = layout_regions t app;
                 reallocated;
                 considered_mutants = considered;
                 feasible_mutants = feasible;
@@ -774,38 +820,11 @@ let depart ?trace t ~fid =
     @@ fun _tctx ->
     Telemetry.with_span t.tel "alloc.depart" (fun () ->
         Telemetry.incr t.tel "alloc.departed";
-        let stages = List.map fst app.app_demand in
+        begin_report t;
         (* The app only ever holds blocks on its demand stages. *)
-        List.iter (fun s -> ignore (Pool.remove t.pools.(s) ~fid)) stages;
+        List.iter (fun (s, _) -> ignore (Pool.remove t.pools.(s) ~fid)) app.app_demand;
         Hashtbl.remove t.apps fid;
-        let moved = refresh_layouts t stages in
-        (* A removal never reorders the table, so this fold visits the
-           remaining apps in their pre-departure [resident] order. *)
-        let expanded =
-          if Hashtbl.length moved = 0 then []
-          else
-            Hashtbl.fold
-              (fun f app acc ->
-                if Hashtbl.mem moved f then (f, layout_regions app) :: acc else acc)
-              t.apps []
-        in
+        List.iter (fun (s, _) -> refill t s) app.app_demand;
+        let expanded = List.map snd (end_report t) in
         Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length expanded);
         expanded)
-
-let regions_response t ~fid =
-  match Hashtbl.find_opt t.apps fid with
-  | None -> None
-  | Some app ->
-    let n = t.params.Rmt.Params.logical_stages in
-    let wpb = Rmt.Params.words_per_block t.params in
-    let out = Array.make n None in
-    List.iter
-      (fun p ->
-        out.(p.p_stage) <-
-          Some
-            {
-              Activermt.Packet.start_word = p.p_range.Pool.first_block * wpb;
-              n_words = p.p_range.Pool.n_blocks * wpb;
-            })
-      app.app_layout;
-    Some out

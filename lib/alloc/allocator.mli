@@ -8,7 +8,8 @@ open Import
     over per-stage fungible memory, and computes the resulting within-stage
     placements.  Elastic residents of the touched stages are resized by
     progressive filling; any resident whose region changed is reported as
-    reallocated (it must snapshot and migrate its state, Section 4.3).
+    reallocated, with the stages it moved on (it must snapshot and migrate
+    its state, Section 4.3).
 
     Departures free the region and expand the remaining elastic residents
     of the affected stages. *)
@@ -29,14 +30,22 @@ type arrival = {
 
 type stage_range = { stage : int; range : Pool.range }
 
+type move = {
+  on_stage : int;
+  before : Activermt.Packet.region;
+  after : Activermt.Packet.region;
+}
+(** A resident's region on one stage changed from [before] to [after], in
+    words as {!placement} holds them. *)
+
 type admitted = {
   fid : int;
   mutant : Mutant.t;
   regions : stage_range list;  (** the new app's placement *)
-  reallocated : (int * stage_range list) list;
-      (** existing apps whose placement changed, with their full new
-          layout, in the order {!resident} listed them before the
-          admission *)
+  reallocated : (int * move list) list;
+      (** existing apps whose placement changed, each with the stages it
+          moved on in ascending order, in the order {!resident} listed
+          them before the admission *)
   considered_mutants : int;
   feasible_mutants : int;
   compute_time_s : float;
@@ -67,11 +76,11 @@ type batch_stats = {
 
 type batch = {
   outcomes : outcome list;  (** 1:1 with the arrivals, in order *)
-  batch_reallocated : (int * stage_range list) list;
+  batch_reallocated : (int * move list) list;
       (** deduplicated union of pre-existing apps whose placement changed
-          anywhere in the epoch, with their full new layouts, in the order
-          {!resident} listed them before the epoch — what the controller
-          must snapshot and reinstall, once per epoch *)
+          anywhere in the epoch, each with the stages it moved on, in the
+          order {!resident} listed them before the epoch — what the
+          controller must snapshot and reinstall, once per epoch *)
   stats : batch_stats;
 }
 
@@ -149,12 +158,13 @@ val admit_batch : ?trace:Trace.ctx -> t -> arrival list -> batch
     already resident or duplicated within the batch, or a demand array
     does not match its spec. *)
 
-val depart : ?trace:Trace.ctx -> t -> fid:int -> (int * stage_range list) list
+val depart : ?trace:Trace.ctx -> t -> fid:int -> (int * move list) list
 (** Remove the app; returns the apps reallocated (expanded) as a result,
-    each with its full new layout, in the order {!resident} listed them
-    before the departure.  Only the refill of the departed app's stages
-    moves anyone, so the work is in proportion to those stages and the
-    residents it moved.  Unknown FIDs return []. *)
+    each with the stages it moved on, in the order {!resident} listed
+    them before the departure.  Only the refill of the departed app's
+    stages moves anyone, and it names the residents it moved, so the work
+    is in proportion to those stages and moves.  Unknown FIDs return
+    []. *)
 
 val resident : t -> int list
 val is_resident : t -> fid:int -> bool
@@ -175,7 +185,8 @@ val resident_blocks : t -> (int * int) list
     the bulk form of {!app_blocks}, used by the tenant layer to refresh
     per-tenant accounting after elastic residents were resized. *)
 
-val regions_response :
-  t -> fid:int -> Activermt.Packet.region option array option
-(** Word-granular regions per logical stage, as carried by allocation
-    response packets. *)
+val placement : t -> fid:int -> Activermt.Packet.region option array option
+(** The resident's word-granular region per logical stage, as allocation
+    responses carry it.  This is the allocator's own array, updated in
+    place on the stages a reallocation moves: callers must treat it as
+    read-only and copy what they keep, as a response packet does. *)

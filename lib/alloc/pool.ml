@@ -4,16 +4,31 @@ let range_end r = r.first_block + r.n_blocks
 
 type slot = { fid : int; range : range; min_blocks : int; elastic : bool }
 
-type islot = { ifid : int; mutable irange : range }
-type eslot = { efid : int; emin : int; mutable erange : range }
+type islot = { ifid : int; irange : range }
+(* [fixed] and [moved] are a refill's per-slot scratch. *)
+type eslot = {
+  efid : int;
+  emin : int;
+  mutable erange : range;
+  mutable fixed : bool;
+  mutable moved : bool;
+}
 
-(* [c_*] counters mirror folds over the slot lists so the admission fast
-   path reads occupancy in O(1); they are maintained on every mutation and
-   the tests re-derive them from [slots] as oracles. *)
+let no_range = { first_block = 0; n_blocks = 0 }
+let no_islot = { ifid = -1; irange = no_range }
+let no_eslot = { efid = -1; emin = 0; erange = no_range; fixed = false; moved = false }
+
+(* Slots live in the first [n_*] cells of growable arrays, so adding,
+   removing and refilling shift cells in place instead of rebuilding
+   lists.  [c_*] counters mirror folds over the slots so the admission
+   fast path reads occupancy in O(1); they are maintained on every
+   mutation and the tests re-derive them from [slots] as oracles. *)
 type t = {
   total : int;
-  mutable inelastic : islot list;  (* sorted by first_block *)
-  mutable elastic : eslot list;  (* arrival order *)
+  mutable inelastic : islot array;  (* sorted by first_block *)
+  mutable n_inelastic : int;
+  mutable elastic : eslot array;  (* arrival order *)
+  mutable n_elastic : int;
   map : int array;  (* block -> owning fid, or -1: the block-granular
                        bookkeeping a real controller maintains *)
   mutable dirty : bool;
@@ -21,25 +36,31 @@ type t = {
   mutable c_eblocks : int;  (* sum of elastic n_blocks (current shares) *)
   mutable c_hw : int;  (* max range_end over inelastic *)
   mutable c_emin : int;  (* sum of elastic minimums *)
-  mutable c_n_inelastic : int;
-  mutable c_n_elastic : int;
 }
 
 let create ~total_blocks =
   if total_blocks <= 0 then invalid_arg "Pool.create: total_blocks must be positive";
   {
     total = total_blocks;
-    inelastic = [];
-    elastic = [];
+    inelastic = [||];
+    n_inelastic = 0;
+    elastic = [||];
+    n_elastic = 0;
     map = Array.make total_blocks (-1);
     dirty = false;
     c_pinned = 0;
     c_eblocks = 0;
     c_hw = 0;
     c_emin = 0;
-    c_n_inelastic = 0;
-    c_n_elastic = 0;
   }
+
+let grow cells n blank =
+  if n < Array.length cells then cells
+  else begin
+    let bigger = Array.make (max 4 (2 * Array.length cells)) blank in
+    Array.blit cells 0 bigger 0 n;
+    bigger
+  end
 
 let rebuild_map t =
   Array.fill t.map 0 t.total (-1);
@@ -52,8 +73,14 @@ let rebuild_map t =
       t.map.(b) <- fid
     done
   in
-  List.iter (fun s -> paint s.ifid s.irange) t.inelastic;
-  List.iter (fun s -> if s.erange.n_blocks > 0 then paint s.efid s.erange) t.elastic;
+  for i = 0 to t.n_inelastic - 1 do
+    let s = t.inelastic.(i) in
+    paint s.ifid s.irange
+  done;
+  for i = 0 to t.n_elastic - 1 do
+    let s = t.elastic.(i) in
+    if s.erange.n_blocks > 0 then paint s.efid s.erange
+  done;
   t.dirty <- false
 
 let map t =
@@ -63,18 +90,17 @@ let map t =
 let total_blocks t = t.total
 let high_water t = t.c_hw
 let elastic_min_total t = t.c_emin
-let n_elastic t = t.c_n_elastic
-let n_slots t = t.c_n_inelastic + t.c_n_elastic
+let n_elastic t = t.n_elastic
+let n_slots t = t.n_inelastic + t.n_elastic
 let used_blocks t = t.c_pinned + t.c_eblocks
 
 let slots t =
-  List.map
-    (fun s ->
+  List.init t.n_inelastic (fun i ->
+      let s = t.inelastic.(i) in
       { fid = s.ifid; range = s.irange; min_blocks = s.irange.n_blocks; elastic = false })
-    t.inelastic
-  @ List.map
-      (fun s -> { fid = s.efid; range = s.erange; min_blocks = s.emin; elastic = true })
-      t.elastic
+  @ List.init t.n_elastic (fun i ->
+        let s = t.elastic.(i) in
+        { fid = s.efid; range = s.erange; min_blocks = s.emin; elastic = true })
 
 let fungible_blocks t = t.total - t.c_hw - t.c_emin
 
@@ -111,23 +137,21 @@ let can_fit_inelastic t ~blocks =
 let can_fit_elastic t ~min_blocks =
   min_blocks > 0 && fungible_blocks t >= min_blocks
 
-let insert_sorted slot slots =
-  let rec go = function
-    | [] -> [ slot ]
-    | s :: rest ->
-      if slot.irange.first_block < s.irange.first_block then slot :: s :: rest
-      else s :: go rest
-  in
-  go slots
-
 let add_inelastic t ~fid ~blocks =
   if blocks <= 0 then invalid_arg "Pool.add_inelastic: blocks must be positive";
   let place first_block =
     let r = { first_block; n_blocks = blocks } in
-    t.inelastic <- insert_sorted { ifid = fid; irange = r } t.inelastic;
+    t.inelastic <- grow t.inelastic t.n_inelastic no_islot;
+    (* Shift the slots above [first_block] up one cell. *)
+    let i = ref t.n_inelastic in
+    while !i > 0 && t.inelastic.(!i - 1).irange.first_block > first_block do
+      t.inelastic.(!i) <- t.inelastic.(!i - 1);
+      decr i
+    done;
+    t.inelastic.(!i) <- { ifid = fid; irange = r };
+    t.n_inelastic <- t.n_inelastic + 1;
     t.c_pinned <- t.c_pinned + blocks;
     t.c_hw <- max t.c_hw (range_end r);
-    t.c_n_inelastic <- t.c_n_inelastic + 1;
     t.dirty <- true;
     Ok r
   in
@@ -139,101 +163,91 @@ let add_inelastic t ~fid ~blocks =
 let add_elastic t ~fid ~min_blocks =
   if min_blocks <= 0 then invalid_arg "Pool.add_elastic: min_blocks must be positive";
   if fungible_blocks t >= min_blocks then begin
-    t.elastic <-
-      t.elastic @ [ { efid = fid; emin = min_blocks; erange = { first_block = 0; n_blocks = 0 } } ];
+    t.elastic <- grow t.elastic t.n_elastic no_eslot;
+    t.elastic.(t.n_elastic) <-
+      { efid = fid; emin = min_blocks; erange = no_range; fixed = false; moved = false };
+    t.n_elastic <- t.n_elastic + 1;
     t.c_emin <- t.c_emin + min_blocks;
-    t.c_n_elastic <- t.c_n_elastic + 1;
     t.dirty <- true;
     Ok ()
   end
   else Error `No_space
 
+(* Compact both slot arrays in place, dropping [fid]'s slots and
+   clearing the vacated cells so they hold nothing alive. *)
 let remove t ~fid =
   let had = ref false in
-  t.inelastic <-
-    List.filter
-      (fun s ->
-        if s.ifid = fid then begin
-          had := true;
-          t.c_pinned <- t.c_pinned - s.irange.n_blocks;
-          t.c_n_inelastic <- t.c_n_inelastic - 1;
-          false
-        end
-        else true)
-      t.inelastic;
-  t.elastic <-
-    List.filter
-      (fun s ->
-        if s.efid = fid then begin
-          had := true;
-          t.c_eblocks <- t.c_eblocks - s.erange.n_blocks;
-          t.c_emin <- t.c_emin - s.emin;
-          t.c_n_elastic <- t.c_n_elastic - 1;
-          false
-        end
-        else true)
-      t.elastic;
-  (* The high-water mark can drop when a pinned resident leaves; departures
-     are rare relative to O(1) reads, so re-fold it here. *)
-  t.c_hw <- List.fold_left (fun acc s -> max acc (range_end s.irange)) 0 t.inelastic;
+  let j = ref 0 in
+  for i = 0 to t.n_inelastic - 1 do
+    let s = t.inelastic.(i) in
+    if s.ifid = fid then begin
+      had := true;
+      t.c_pinned <- t.c_pinned - s.irange.n_blocks
+    end
+    else begin
+      t.inelastic.(!j) <- s;
+      incr j
+    end
+  done;
+  Array.fill t.inelastic !j (t.n_inelastic - !j) no_islot;
+  t.n_inelastic <- !j;
+  (* Pinned slots are disjoint and sorted by address, so the last one
+     ends highest. *)
+  t.c_hw <- (if !j = 0 then 0 else range_end t.inelastic.(!j - 1).irange);
+  j := 0;
+  for i = 0 to t.n_elastic - 1 do
+    let s = t.elastic.(i) in
+    if s.efid = fid then begin
+      had := true;
+      t.c_eblocks <- t.c_eblocks - s.erange.n_blocks;
+      t.c_emin <- t.c_emin - s.emin
+    end
+    else begin
+      t.elastic.(!j) <- s;
+      incr j
+    end
+  done;
+  Array.fill t.elastic !j (t.n_elastic - !j) no_eslot;
+  t.n_elastic <- !j;
   t.dirty <- true;
   !had
 
-(* Max-min fair shares with minimums over [budget] blocks: water-fill,
-   then hand out integer remainders in arrival order.  Each round levels
-   the apps not yet pinned at their minimum and pins every one whose
-   minimum exceeds the level; shares become region offsets, so the level
-   is computed with exactly the float operations of the original list
-   version (test_alloc keeps that version as the oracle). *)
-let progressive_fill mins budget =
-  let k = Array.length mins in
-  if k = 0 then [||]
-  else begin
-    let shares = Array.map float_of_int mins in
-    let fixed = Array.make k false in
-    let rec fill () =
-      let reserved = ref 0.0 and n_flex = ref 0 in
+(* Max-min fair shares with minimums over [budget] blocks by
+   water-filling.  Each round levels the apps not yet pinned at their
+   minimum and pins every one whose minimum exceeds the level.  Leaves
+   each slot's [fixed] flag (a pinned app's share is its minimum, the
+   others' the level) and returns the level's floor, unused when every
+   app is pinned.  Shares become region offsets, so the level is computed
+   with exactly the float operations of the original list version
+   (test_alloc keeps that version as the oracle). *)
+let water_level t budget =
+  let k = t.n_elastic in
+  for i = 0 to k - 1 do
+    t.elastic.(i).fixed <- false
+  done;
+  let level = ref 0.0 and settled = ref false in
+  while not !settled do
+    let reserved = ref 0.0 and n_flex = ref 0 in
+    for i = 0 to k - 1 do
+      let s = t.elastic.(i) in
+      if s.fixed then reserved := !reserved +. float_of_int s.emin else incr n_flex
+    done;
+    if !n_flex = 0 then settled := true
+    else begin
+      level := (float_of_int budget -. !reserved) /. float_of_int !n_flex;
+      settled := true;
       for i = 0 to k - 1 do
-        if fixed.(i) then reserved := !reserved +. shares.(i) else incr n_flex
-      done;
-      if !n_flex > 0 then begin
-        let level = (float_of_int budget -. !reserved) /. float_of_int !n_flex in
-        let violated = ref false in
-        for i = 0 to k - 1 do
-          if (not fixed.(i)) && float_of_int mins.(i) > level then begin
-            shares.(i) <- float_of_int mins.(i);
-            fixed.(i) <- true;
-            violated := true
-          end
-        done;
-        if !violated then fill ()
-        else
-          for i = 0 to k - 1 do
-            if not fixed.(i) then shares.(i) <- level
-          done
-      end
-    in
-    fill ();
-    (* Integer rounding: floors first, then the remainder one block at a
-       time in arrival order — but only to apps at the water level
-       (giving a remainder block to an app pinned at its minimum would
-       push it above flexible apps and break max-min fairness). *)
-    let out = Array.map (fun s -> int_of_float (floor s)) shares in
-    let leftover = ref (budget - Array.fold_left ( + ) 0 out) in
-    for i = 0 to k - 1 do
-      if !leftover > 0 && not fixed.(i) then begin
-        out.(i) <- out.(i) + 1;
-        decr leftover
-      end
-    done;
-    for i = 0 to k - 1 do
-      if !leftover > 0 then begin
-        out.(i) <- out.(i) + 1;
-        decr leftover
-      end
-    done;
-    out
-  end
+        let s = t.elastic.(i) in
+        if (not s.fixed) && float_of_int s.emin > !level then begin
+          s.fixed <- true;
+          settled := false
+        end
+      done
+    end
+  done;
+  int_of_float (floor !level)
+
+let share s ~floor_level = if s.fixed then s.emin else floor_level
 
 (* Batched admission commits several arrivals before re-packing elastic
    layouts: a commit that raises the high-water mark would make the block
@@ -244,22 +258,50 @@ let progressive_fill mins budget =
    never hold blocks.  The next [refill_elastic] recomputes every share
    from scratch. *)
 let unfill_elastic t =
-  List.iter (fun s -> s.erange <- { first_block = 0; n_blocks = 0 }) t.elastic;
+  for i = 0 to t.n_elastic - 1 do
+    t.elastic.(i).erange <- no_range
+  done;
   t.c_eblocks <- 0;
   t.dirty <- true
 
-let refill_elastic t =
-  let apps = Array.of_list t.elastic in
-  let mins = Array.map (fun s -> s.emin) apps in
-  let budget = t.total - high_water t in
-  let shares = progressive_fill mins budget in
-  let cursor = ref (high_water t) in
-  Array.iteri
-    (fun i s ->
-      s.erange <- { first_block = !cursor; n_blocks = shares.(i) };
-      cursor := !cursor + shares.(i))
-    apps;
-  t.c_eblocks <- Array.fold_left ( + ) 0 shares;
+(* Repack the elastic shares above the high-water mark, allocating a
+   range only for a slot whose range changed, and report those slots once
+   the block map has checked the new layout.  Integer rounding: floors
+   first, then the remainder one block at a time in arrival order, first
+   only to apps at the water level (giving one to an app pinned at its
+   minimum would push it above flexible apps and break max-min
+   fairness), then to any. *)
+let refill_elastic t moved =
+  let k = t.n_elastic and hw = t.c_hw in
+  let budget = t.total - hw in
+  let floor_level = water_level t budget in
+  let leftover = ref budget and n_flex = ref 0 in
+  for i = 0 to k - 1 do
+    let s = t.elastic.(i) in
+    leftover := !leftover - share s ~floor_level;
+    if not s.fixed then incr n_flex
+  done;
+  let to_flex = max 0 (min !leftover !n_flex) in
+  let to_any = max 0 (!leftover - to_flex) in
+  let cursor = ref hw and flex_seen = ref 0 in
+  for i = 0 to k - 1 do
+    let s = t.elastic.(i) in
+    let n = share s ~floor_level + if i < to_any then 1 else 0 in
+    let n =
+      if s.fixed then n
+      else begin
+        incr flex_seen;
+        if !flex_seen <= to_flex then n + 1 else n
+      end
+    in
+    s.moved <- s.erange.first_block <> !cursor || s.erange.n_blocks <> n;
+    if s.moved then s.erange <- { first_block = !cursor; n_blocks = n };
+    cursor := !cursor + n
+  done;
+  t.c_eblocks <- !cursor - hw;
   t.dirty <- true;
   ignore (map t);
-  Array.to_list (Array.map (fun s -> (s.efid, s.erange)) apps)
+  for i = 0 to k - 1 do
+    let s = t.elastic.(i) in
+    if s.moved then moved s.efid s.erange
+  done

@@ -70,10 +70,12 @@ val unfill_elastic : t -> unit
     feasibility reads counters and hole scans stop at the high-water
     mark. *)
 
-val refill_elastic : t -> (int * range) list
+val refill_elastic : t -> (int -> range -> unit) -> unit
 (** Recompute elastic shares by progressive filling and repack them above
-    the high-water mark.  Returns the new (fid, range) layout of all
-    elastic residents. *)
+    the high-water mark, then call [moved fid range] for each elastic
+    resident whose range changed (or first materialized), in arrival
+    order: the refill's delta.  Residents it does not name kept their
+    range.  {!slots} lists the whole layout. *)
 
 val map : t -> int array
 (** The per-block ownership map (block index -> fid, -1 when free),

@@ -67,8 +67,10 @@ let tables t = t.tables
 let allocator t = t.allocator
 let device t = t.device
 
+(* A new app's regions read as zero: it runs on what it was just
+   allocated, which is what its tables now hold. *)
 let zero_regions t ~fid =
-  match Activermt.Table.regions_of t.tables ~fid with
+  match Allocator.placement t.allocator ~fid with
   | None -> ()
   | Some regions ->
     Array.iteri
@@ -82,17 +84,20 @@ let zero_regions t ~fid =
       regions
 
 (* Install (or re-install in place) an app's tables from the allocator's
-   current placement.  The allocator's TCAM headroom estimate is
-   conservative, so installation cannot fail; an error here is an internal
-   invariant violation. *)
+   current placement.  The table keeps its own copy of the regions, and
+   finds the stages a reallocation moved as the cells that changed.  The
+   allocator's TCAM headroom estimate is conservative, so installation
+   cannot fail; an error here is an internal invariant violation. *)
 let install_current t ~fid ~virtual_addressing =
-  match Allocator.regions_response t.allocator ~fid with
+  match Allocator.placement t.allocator ~fid with
   | None -> Activermt.Table.remove t.tables ~fid
   | Some regions -> (
     match
       Activermt.Table.install t.tables ~fid ~virtual_addressing
-        ~privileged:(Hashtbl.mem t.privileged fid)
-        ?max_passes:(Hashtbl.find_opt t.pass_limits fid)
+        ~privileged:(Hashtbl.length t.privileged > 0 && Hashtbl.mem t.privileged fid)
+        ?max_passes:
+          (if Hashtbl.length t.pass_limits = 0 then None
+           else Hashtbl.find_opt t.pass_limits fid)
         ~regions
     with
     | Ok () -> ()
@@ -123,42 +128,32 @@ let move_stage t ~stage moves =
   List.iter move (List.rev right)
 
 (* Relocate the register state of apps the allocator just moved
-   (Section 4.3).  In [`Auto] mode each app's first [min old new] words
-   per stage move in place from its installed (old) region to its
-   allocated (new) one; destinations are disjoint, so the result is what
-   copying every old region out and back would leave.  Must run before
-   the apps' tables are reinstalled, since the old regions are read from
-   them, and before new apps' regions are zeroed.  Returns the old
-   regions' words, which the cost model charges as the snapshot. *)
-let relocate t fids =
+   (Section 4.3), given each app's moves.  In [`Auto] mode, on each stage
+   an app moved on, its first [min old new] words move in place from its
+   installed (old) region to its allocated (new) one; destinations are
+   disjoint, so the result is what copying every old region out and back
+   would leave.  Must run before the apps' tables are reinstalled, since
+   the old regions are read from them, and before new apps' regions are
+   zeroed.  Returns the old regions' words, which the cost model charges
+   as the snapshot. *)
+let relocate t moved =
   let moves = Array.make (Rmt.Device.params t.device).Rmt.Params.logical_stages [] in
   let words = ref 0 in
   List.iter
-    (fun fid ->
-      match Activermt.Table.regions_of t.tables ~fid with
-      | None -> ()
-      | Some old_regions ->
-        let new_regions =
-          match t.mode with
-          | `Auto -> Allocator.regions_response t.allocator ~fid
-          | `Interactive -> None
-        in
-        Array.iteri
-          (fun stage reg ->
-            match reg with
-            | None -> ()
-            | Some { Activermt.Packet.start_word = src; n_words } -> (
-              words := !words + n_words;
-              match new_regions with
-              | None -> ()
-              | Some nr -> (
-                match nr.(stage) with
-                | Some { Activermt.Packet.start_word = dst; n_words = n_new }
-                  when dst <> src ->
-                  moves.(stage) <- (src, dst, min n_words n_new) :: moves.(stage)
-                | Some _ | None -> ())))
-          old_regions)
-    fids;
+    (fun (fid, stage_moves) ->
+      words := !words + Activermt.Table.installed_words t.tables ~fid;
+      match t.mode with
+      | `Interactive -> ()
+      | `Auto ->
+        List.iter
+          (fun { Allocator.on_stage = stage; after = { start_word = dst; n_words = n_new }; _ } ->
+            match Activermt.Table.lookup t.tables ~fid ~stage with
+            | Some { Activermt.Table.region = Some { start_word = src; n_words }; _ }
+              when dst <> src ->
+              moves.(stage) <- (src, dst, min n_words n_new) :: moves.(stage)
+            | Some _ | None -> ())
+          stage_moves)
+    moved;
   Array.iteri (fun stage ms -> if ms <> [] then move_stage t ~stage ms) moves;
   !words
 
@@ -174,14 +169,13 @@ let commit_new_app t ~fid =
   zero_regions t ~fid;
   Activermt.Table.unquiesce t.tables ~fid
 
+(* Clients keep the response's regions, so it gets its own copy. *)
 let response_packet t ~fid ~flags ~granted =
-  let n = (Rmt.Device.params t.device).Rmt.Params.logical_stages in
   let regions =
-    if granted then
-      Option.value
-        ~default:(Array.make n None)
-        (Allocator.regions_response t.allocator ~fid)
-    else Array.make n None
+    match Allocator.placement t.allocator ~fid with
+    | Some placement when granted -> Array.copy placement
+    | Some _ | None ->
+      Array.make (Rmt.Device.params t.device).Rmt.Params.logical_stages None
   in
   {
     Activermt.Packet.fid;
@@ -195,23 +189,35 @@ let response_packet t ~fid ~flags ~granted =
         };
   }
 
+(* Whether the FID's tables follow the allocator.  An admission awaiting
+   extraction is not committed: its impacted apps stay on their old,
+   quiesced tables, where their clients extract from, and its new app
+   stays without tables, until the acks or the timeout commit them on
+   the allocator's placement of that time. *)
+let committed t fid =
+  match t.pending with
+  | Some p -> fid <> p.new_fid && not (List.mem fid p.waiting)
+  | None -> true
+
 (* Operator-facing policy knobs (Section 7.2): privilege is never taken
-   from the packet, only from switch-side configuration. *)
+   from the packet, only from switch-side configuration.  A change
+   reaches an uncommitted app's tables when they commit. *)
+let reinstall_configured t ~fid =
+  if Activermt.Table.installed t.tables ~fid && committed t fid then
+    install_current t ~fid ~virtual_addressing:(virtual_of t fid)
+
 let grant_privilege t ~fid =
   Hashtbl.replace t.privileged fid ();
-  if Activermt.Table.installed t.tables ~fid then
-    install_current t ~fid ~virtual_addressing:(virtual_of t fid)
+  reinstall_configured t ~fid
 
 let revoke_privilege t ~fid =
   Hashtbl.remove t.privileged fid;
-  if Activermt.Table.installed t.tables ~fid then
-    install_current t ~fid ~virtual_addressing:(virtual_of t fid)
+  reinstall_configured t ~fid
 
 let limit_recirculation t ~fid ~max_passes =
   if max_passes <= 0 then invalid_arg "Controller.limit_recirculation";
   Hashtbl.replace t.pass_limits fid max_passes;
-  if Activermt.Table.installed t.tables ~fid then
-    install_current t ~fid ~virtual_addressing:(virtual_of t fid)
+  reinstall_configured t ~fid
 
 let regions_packet t ~fid =
   if Allocator.is_resident t.allocator ~fid then
@@ -226,11 +232,15 @@ let regions_packet t ~fid =
   else None
 
 (* What a request asks of the allocator: nothing (malformed, or a retry
-   for a FID already resident), or one arrival. *)
+   for a FID already resident), or one arrival.  A request no wire header
+   can carry is malformed: its fields would index out of the program or
+   enumerate mutants without bound. *)
 let classify t (pkt : Activermt.Packet.t) =
   match pkt.Activermt.Packet.payload with
   | Activermt.Packet.Response _ | Activermt.Packet.Exec _ | Activermt.Packet.Bare ->
     `Bad "not an allocation request"
+  | Activermt.Packet.Request req when not (Activermt.Packet.decodable_request req) ->
+    `Bad "request fields exceed the wire header"
   | Activermt.Packet.Request req ->
     let fid = pkt.Activermt.Packet.fid in
     if Allocator.is_resident t.allocator ~fid then `Resident
@@ -281,7 +291,7 @@ let commit t ~reallocated ~admitted =
   in
   Activermt.Table.reset_update_stats t.tables;
   Telemetry.with_span t.tel "control.table_update" (fun () ->
-      List.iter (fun fid -> commit_app t ~fid) reallocated;
+      List.iter (fun (fid, _) -> commit_app t ~fid) reallocated;
       List.iter (fun fid -> commit_new_app t ~fid) admitted);
   let stats = Activermt.Table.update_stats t.tables in
   (words, stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed)
@@ -337,7 +347,8 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
              the table work happens at commit time but is charged to this
              event, estimated from the impacted set. *)
           let words =
-            Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t impacted)
+            Telemetry.with_span t.tel "control.snapshot" (fun () ->
+                relocate t adm.Allocator.reallocated)
           in
           Telemetry.with_span t.tel "control.table_update" (fun () ->
               List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
@@ -348,7 +359,9 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
           let entries = 2 * (n + 3) * (List.length impacted + 1) in
           (words, entries, Awaiting_extraction { impacted })
         | (`Auto | `Interactive), _ ->
-          let words, entries = commit t ~reallocated:realloc_fids ~admitted:[ fid ] in
+          let words, entries =
+            commit t ~reallocated:adm.Allocator.reallocated ~admitted:[ fid ]
+          in
           (words, entries, Committed)
       in
       Telemetry.add t.tel "control.provisions";
@@ -466,9 +479,9 @@ let drain_epoch t slots =
         | `Bad _ | `Resident | `Echo _ -> None)
       classes
   in
-  let realloc_fids = List.map fst batch.Allocator.batch_reallocated in
-  let words, entries = commit t ~reallocated:realloc_fids ~admitted:admitted_fids in
-  let installs = List.length realloc_fids + List.length admitted_fids in
+  let reallocated = batch.Allocator.batch_reallocated in
+  let words, entries = commit t ~reallocated ~admitted:admitted_fids in
+  let installs = List.length reallocated + List.length admitted_fids in
   let epoch_timing =
     Cost_model.breakdown_batched t.cost
       ~allocation_s:batch.Allocator.stats.Allocator.batch_compute_time_s
@@ -562,11 +575,12 @@ let handle_departure ?trace t ~fid =
   let alloc_s = Unix.gettimeofday () -. t0 in
   let expanded_fids = List.map fst expanded in
   let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t expanded_fids)
+    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t expanded)
   in
   Telemetry.with_span t.tel "control.table_update" (fun () ->
       List.iter
-        (fun f -> install_current t ~fid:f ~virtual_addressing:(virtual_of t f))
+        (fun f ->
+          if committed t f then install_current t ~fid:f ~virtual_addressing:(virtual_of t f))
         expanded_fids);
   let stats = Activermt.Table.update_stats t.tables in
   let timing =
@@ -600,29 +614,23 @@ let expire t ~elapsed_s =
     if p.deadline_s <= 0.0 then force_pending t
 
 let read_region t ~fid ~stage =
-  match Activermt.Table.regions_of t.tables ~fid with
-  | None -> None
-  | Some regions -> (
-    match regions.(stage) with
-    | None -> None
-    | Some { Activermt.Packet.start_word; n_words } ->
-      let st = Rmt.Device.stage t.device stage in
-      Some
-        (Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
-           ~hi:(start_word + n_words - 1)))
+  match Activermt.Table.lookup t.tables ~fid ~stage with
+  | Some { Activermt.Table.region = Some { start_word; n_words }; _ } ->
+    let st = Rmt.Device.stage t.device stage in
+    Some
+      (Rmt.Register_array.snapshot_range st.Rmt.Device.regs ~lo:start_word
+         ~hi:(start_word + n_words - 1))
+  | Some _ | None -> None
 
 let write_region_word t ~fid ~stage ~index ~value =
-  match Activermt.Table.regions_of t.tables ~fid with
-  | None -> false
-  | Some regions -> (
-    match regions.(stage) with
-    | None -> false
-    | Some { Activermt.Packet.start_word; n_words } ->
-      if index < 0 || index >= n_words then false
-      else begin
-        let st = Rmt.Device.stage t.device stage in
-        Rmt.Register_array.set st.Rmt.Device.regs (start_word + index) value;
-        true
-      end)
+  match Activermt.Table.lookup t.tables ~fid ~stage with
+  | Some { Activermt.Table.region = Some { start_word; n_words }; _ } ->
+    if index < 0 || index >= n_words then false
+    else begin
+      let st = Rmt.Device.stage t.device stage in
+      Rmt.Register_array.set st.Rmt.Device.regs (start_word + index) value;
+      true
+    end
+  | Some _ | None -> false
 
 let admit_trace t ~fid = Hashtbl.find_opt t.admit_traces fid

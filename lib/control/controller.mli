@@ -155,7 +155,10 @@ val handle_departure :
   fid:Activermt.Packet.fid ->
   Cost_model.breakdown * Activermt.Packet.fid list
 (** Release a service's allocation; returns timing and the apps expanded
-    (reallocated) into the freed space. *)
+    (reallocated) into the freed space.  Each expanded app is moved and
+    reinstalled on its new regions, except the apps of an admission
+    still awaiting extraction, which keep their old, quiesced tables (its
+    new app, none) until its acks or timeout commit them. *)
 
 val complete_extraction : t -> fid:Activermt.Packet.fid -> unit
 (** Client signals (bare active packet with ack) that it finished
@@ -173,7 +176,8 @@ val grant_privilege : t -> fid:Activermt.Packet.fid -> unit
 (** Mark the FID as a curated, privileged service (Section 7.2): its
     programs may execute FORK and SET_DST.  Privilege is switch-side
     configuration, never taken from packets.  Takes effect immediately,
-    re-installing tables if the FID is resident. *)
+    re-installing tables if the FID is resident, except for an app of an
+    admission awaiting extraction: its tables take it when they commit. *)
 
 val revoke_privilege : t -> fid:Activermt.Packet.fid -> unit
 

@@ -57,6 +57,19 @@ let response_header_bytes ~stages = 1 + (8 * stages)
 
 let max_request_accesses = 8
 
+let decodable_request r =
+  let byte v = v >= 0 && v <= 0xff in
+  let rec accesses n = function
+    | [] -> true
+    | a :: rest ->
+      n < max_request_accesses && byte a.position && byte a.min_gap
+      && byte a.demand_blocks
+      && accesses (n + 1) rest
+  in
+  byte r.prog_length
+  && (match r.rts_position with None -> true | Some p -> p >= 0 && p < 0xff)
+  && accesses 0 r.accesses
+
 let ptype_code = function
   | Request _ -> 0
   | Response _ -> 1

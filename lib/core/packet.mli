@@ -38,6 +38,14 @@ type request = {
   accesses : access_constraint list;  (** at most 8 entries fit the header *)
 }
 
+val max_request_accesses : int
+(** Access constraints an allocation request's header holds: 8. *)
+
+val decodable_request : request -> bool
+(** Whether {!decode} can return the request: its length, RTS position
+    and every access's position, gap and demand fit their 8-bit header
+    fields, and it has at most {!max_request_accesses} accesses. *)
+
 type region = { start_word : int; n_words : int }
 
 type response_status = Granted | Rejected

@@ -42,6 +42,16 @@ let admit_exn alloc arrival =
 
 (* -- Pool ---------------------------------------------------------------- *)
 
+(* The elastic layout, (fid, range) in arrival order. *)
+let elastic_layout p =
+  List.filter_map
+    (fun s -> if s.Pool.elastic then Some (s.Pool.fid, s.Pool.range) else None)
+    (Pool.slots p)
+
+let refill p =
+  Pool.refill_elastic p (fun _ _ -> ());
+  elastic_layout p
+
 let test_pool_inelastic_pinned_at_bottom () =
   let p = Pool.create ~total_blocks:16 in
   (match Pool.add_inelastic p ~fid:1 ~blocks:4 with
@@ -80,7 +90,7 @@ let test_pool_elastic_fills_everything () =
   (match Pool.add_elastic p ~fid:2 ~min_blocks:1 with
   | Ok () -> ()
   | Error `No_space -> Alcotest.fail "fits");
-  (match Pool.refill_elastic p with
+  (match refill p with
   | [ (2, r) ] ->
     Alcotest.(check int) "starts above pinned zone" 14 r.Pool.first_block;
     Alcotest.(check int) "consumes all free blocks" 50 r.Pool.n_blocks
@@ -92,7 +102,7 @@ let test_pool_elastic_equal_split () =
   ignore (Pool.add_elastic p ~fid:1 ~min_blocks:1);
   ignore (Pool.add_elastic p ~fid:2 ~min_blocks:1);
   ignore (Pool.add_elastic p ~fid:3 ~min_blocks:1);
-  let layout = Pool.refill_elastic p in
+  let layout = refill p in
   List.iter
     (fun (_, r) -> Alcotest.(check int) "equal share" 10 r.Pool.n_blocks)
     layout
@@ -102,7 +112,7 @@ let test_pool_elastic_remainder () =
   ignore (Pool.add_elastic p ~fid:1 ~min_blocks:1);
   ignore (Pool.add_elastic p ~fid:2 ~min_blocks:1);
   ignore (Pool.add_elastic p ~fid:3 ~min_blocks:1);
-  let layout = Pool.refill_elastic p in
+  let layout = refill p in
   let sizes = List.map (fun (_, r) -> r.Pool.n_blocks) layout in
   Alcotest.(check int) "all blocks used" 32 (List.fold_left ( + ) 0 sizes);
   Alcotest.(check bool) "max-min spread <= 1" true
@@ -114,7 +124,7 @@ let test_pool_progressive_fill_respects_minimums () =
   ignore (Pool.add_elastic p ~fid:1 ~min_blocks:20);
   ignore (Pool.add_elastic p ~fid:2 ~min_blocks:1);
   ignore (Pool.add_elastic p ~fid:3 ~min_blocks:1);
-  let layout = Pool.refill_elastic p in
+  let layout = refill p in
   let size fid = (List.assoc fid layout).Pool.n_blocks in
   Alcotest.(check int) "minimum honoured" 20 (size 1);
   Alcotest.(check int) "fair remainder" 6 (size 2);
@@ -131,7 +141,7 @@ let test_pool_map_no_overlap () =
   ignore (Pool.add_inelastic p ~fid:1 ~blocks:5);
   ignore (Pool.add_elastic p ~fid:2 ~min_blocks:1);
   ignore (Pool.add_elastic p ~fid:3 ~min_blocks:1);
-  ignore (Pool.refill_elastic p);
+  ignore (refill p);
   let m = Pool.map p in
   let owned = Array.to_list m |> List.filter (fun f -> f >= 0) in
   Alcotest.(check int) "used = owned blocks" (Pool.used_blocks p) (List.length owned)
@@ -141,7 +151,7 @@ let test_pool_unfill_roundtrip () =
   ignore (Pool.add_inelastic p ~fid:1 ~blocks:8);
   ignore (Pool.add_elastic p ~fid:2 ~min_blocks:2);
   ignore (Pool.add_elastic p ~fid:3 ~min_blocks:2);
-  let layout1 = Pool.refill_elastic p in
+  let layout1 = refill p in
   Alcotest.(check int) "filled" 32 (Pool.used_blocks p);
   Pool.unfill_elastic p;
   (* Shares are withdrawn, but no decision input changes: residency,
@@ -154,7 +164,7 @@ let test_pool_unfill_roundtrip () =
   Array.iter
     (fun f -> Alcotest.(check bool) "no elastic blocks mapped" true (f <> 2 && f <> 3))
     (Pool.map p);
-  let layout2 = Pool.refill_elastic p in
+  let layout2 = refill p in
   Alcotest.(check int) "refilled" 32 (Pool.used_blocks p);
   List.iter2
     (fun (f1, r1) (f2, r2) ->
@@ -165,12 +175,12 @@ let test_pool_unfill_roundtrip () =
 let test_pool_unfill_idempotent () =
   let p = Pool.create ~total_blocks:16 in
   ignore (Pool.add_elastic p ~fid:1 ~min_blocks:1);
-  ignore (Pool.refill_elastic p);
+  ignore (refill p);
   Pool.unfill_elastic p;
   Pool.unfill_elastic p;
   (* Double withdrawal must not go negative or double-subtract. *)
   Alcotest.(check int) "used stays zero" 0 (Pool.used_blocks p);
-  (match Pool.refill_elastic p with
+  (match refill p with
   | [ (1, r) ] -> Alcotest.(check int) "full share back" 16 r.Pool.n_blocks
   | _ -> Alcotest.fail "one elastic resident");
   (* Unfill on a pool with no elastic residents is a no-op. *)
@@ -179,7 +189,7 @@ let test_pool_unfill_idempotent () =
   Pool.unfill_elastic q;
   Alcotest.(check int) "pinned untouched" 3 (Pool.used_blocks q);
   Alcotest.(check (list (pair int (of_pp (fun _ _ -> ()))))) "empty refill" []
-    (Pool.refill_elastic q)
+    (refill q)
 
 let test_pool_unfill_then_pin_into_zone () =
   (* The batched-admission sequence unfill_elastic exists for: a pin that
@@ -187,12 +197,12 @@ let test_pool_unfill_then_pin_into_zone () =
      must not read as an overlap. *)
   let p = Pool.create ~total_blocks:32 in
   ignore (Pool.add_elastic p ~fid:1 ~min_blocks:1);
-  ignore (Pool.refill_elastic p);
+  ignore (refill p);
   Pool.unfill_elastic p;
   (match Pool.add_inelastic p ~fid:2 ~blocks:10 with
   | Ok r -> Alcotest.(check int) "pins at bottom" 0 r.Pool.first_block
   | Error `No_space -> Alcotest.fail "fits");
-  (match Pool.refill_elastic p with
+  (match refill p with
   | [ (1, r) ] ->
     Alcotest.(check int) "repacked above new mark" 10 r.Pool.first_block;
     Alcotest.(check int) "rest of the pool" 22 r.Pool.n_blocks
@@ -215,7 +225,7 @@ let prop_pool_progressive_fill =
           | Ok () -> ()
           | Error `No_space -> QCheck.assume_fail ())
         mins;
-      let layout = Pool.refill_elastic p in
+      let layout = refill p in
       let sizes = List.map (fun (_, r) -> r.Pool.n_blocks) layout in
       List.fold_left ( + ) 0 sizes = total
       && List.for_all2 (fun s m -> s >= m) sizes mins)
@@ -307,11 +317,54 @@ let prop_pool_fill_matches_oracle =
               live := List.filter (( <> ) fid) l;
               elastic := List.filter (fun (f, _) -> f <> fid) !elastic;
               ignore (Pool.remove p ~fid)));
-          let layout = Pool.refill_elastic p in
+          let layout = refill p in
           let mins = Array.of_list (List.map snd !elastic) in
           List.map fst layout = List.map fst !elastic
           && List.map (fun (_, r) -> r.Pool.n_blocks) layout
              = Array.to_list (progressive_fill_oracle mins (total - Pool.high_water p)))
+        ops)
+
+(* The refill's delta names exactly the elastic residents whose range
+   changed, a first range included, with their new ranges, in arrival
+   order: every resident it leaves out kept its range.  Random pins,
+   elastic arrivals, departures and withdrawals between refills. *)
+let prop_pool_refill_delta =
+  QCheck.Test.make ~name:"refill delta = the ranges that changed" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 30) (pair (int_range 0 4) (int_range 1 12))))
+    (fun ops ->
+      let p = Pool.create ~total_blocks:64 in
+      let next = ref 0 in
+      let live = ref [] in
+      List.for_all
+        (fun (op, blocks) ->
+          (match op with
+          | 0 -> (
+            incr next;
+            match Pool.add_inelastic p ~fid:!next ~blocks with
+            | Ok _ -> live := !next :: !live
+            | Error `No_space -> ())
+          | 1 | 2 -> (
+            incr next;
+            match Pool.add_elastic p ~fid:!next ~min_blocks:blocks with
+            | Ok () -> live := !next :: !live
+            | Error `No_space -> ())
+          | 3 -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let fid = List.nth l (blocks mod List.length l) in
+              live := List.filter (( <> ) fid) l;
+              ignore (Pool.remove p ~fid))
+          | _ -> Pool.unfill_elastic p);
+          let before = elastic_layout p in
+          let reported = ref [] in
+          Pool.refill_elastic p (fun fid r -> reported := (fid, r) :: !reported);
+          let after = elastic_layout p in
+          List.map fst before = List.map fst after
+          && List.rev !reported
+             = List.filter_map
+                 (fun ((_, r0), (fid, r1)) -> if r0 <> r1 then Some (fid, r1) else None)
+                 (List.combine before after))
         ops)
 
 let prop_pool_max_min_characterization =
@@ -329,7 +382,7 @@ let prop_pool_max_min_characterization =
           | Ok () -> ()
           | Error `No_space -> QCheck.assume_fail ())
         mins;
-      let layout = Pool.refill_elastic p in
+      let layout = refill p in
       let shares = List.map (fun (_, r) -> r.Pool.n_blocks) layout in
       (* Water level = the largest share among apps not pinned at their
          minimum; all flexible apps sit within one block of it. *)
@@ -378,14 +431,14 @@ let prop_pool_counters =
             (match Pool.add_inelastic p ~fid:!next ~blocks with
             | Ok _ ->
               live := !next :: !live;
-              ignore (Pool.refill_elastic p)
+              ignore (refill p)
             | Error `No_space -> ())
           | 1 ->
             incr next;
             (match Pool.add_elastic p ~fid:!next ~min_blocks:blocks with
             | Ok () ->
               live := !next :: !live;
-              ignore (Pool.refill_elastic p)
+              ignore (refill p)
             | Error `No_space -> ())
           | 2 -> (
             match !live with
@@ -393,8 +446,8 @@ let prop_pool_counters =
             | fid :: rest ->
               live := rest;
               ignore (Pool.remove p ~fid);
-              ignore (Pool.refill_elastic p))
-          | _ -> ignore (Pool.refill_elastic p));
+              ignore (refill p))
+          | _ -> ignore (refill p));
           counters_match_slot_folds p)
         ops)
 
@@ -523,7 +576,7 @@ let test_utilization_monotone_pure_cache () =
 let test_regions_response_words () =
   let alloc = Allocator.create params in
   ignore (admit_exn alloc (cache_arrival 1));
-  match Allocator.regions_response alloc ~fid:1 with
+  match Allocator.placement alloc ~fid:1 with
   | None -> Alcotest.fail "resident"
   | Some regions ->
     (match regions.(1) with
@@ -846,9 +899,10 @@ let test_batch_mixed_decision_identity () =
 
 (* Every reallocation report — [admit]'s [reallocated], [admit_batch]'s
    [batch_reallocated], [depart]'s expanded list — names exactly the
-   pre-existing residents whose [regions_of] changed, each with its new
-   regions, in their pre-operation [resident] order.  Small pools keep
-   reallocations frequent. *)
+   pre-existing residents whose [regions_of] changed, in their
+   pre-operation [resident] order, each with exactly the stages whose
+   range changed, from the old range to the new one, in stage order.
+   Small pools keep reallocations frequent. *)
 let prop_reallocation_reports =
   let small = { params with Rmt.Params.blocks_per_stage = 16 } in
   let small_hh fid =
@@ -868,11 +922,36 @@ let prop_reallocation_reports =
         | 1 -> lb_arrival !next
         | _ -> small_hh !next
       in
+      let wpb = Rmt.Params.words_per_block small in
+      let words (r : Pool.range) =
+        {
+          Activermt.Packet.start_word = r.Pool.first_block * wpb;
+          n_words = r.Pool.n_blocks * wpb;
+        }
+      in
+      (* A resident keeps its stages, so old and new layouts pair up. *)
       let changed before =
         List.filter_map
           (fun (fid, old) ->
             match Allocator.regions_of alloc ~fid with
-            | Some now when now <> old -> Some (fid, now)
+            | Some now when now <> old ->
+              Some
+                ( fid,
+                  List.concat
+                    (List.map2
+                       (fun (o : Allocator.stage_range) (n : Allocator.stage_range) ->
+                         if o.Allocator.stage <> n.Allocator.stage then
+                           QCheck.Test.fail_report "a resident changed stages";
+                         if o.Allocator.range = n.Allocator.range then []
+                         else
+                           [
+                             {
+                               Allocator.on_stage = o.Allocator.stage;
+                               before = words o.Allocator.range;
+                               after = words n.Allocator.range;
+                             };
+                           ])
+                       old now) )
             | Some _ | None -> None)
           before
       in
@@ -959,6 +1038,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_pool_progressive_fill;
           QCheck_alcotest.to_alcotest prop_pool_max_min_characterization;
           QCheck_alcotest.to_alcotest prop_pool_fill_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_pool_refill_delta;
           QCheck_alcotest.to_alcotest prop_pool_counters;
         ] );
       ( "allocator",

@@ -327,9 +327,48 @@ let test_overlapping_interactive_admissions () =
   Alcotest.(check bool) "every resident installed and active" true
     (tables_match_residents ctl ~fids:[ 1; 2; 3 ])
 
-(* Random interleavings of interactive admissions, extraction acks and
-   departures.  Once every pending app has acked and the rest timed out,
-   the tables hold exactly the allocator's residents, all active. *)
+let test_departure_keeps_extraction_pending () =
+  (* Caches 1 and 2 await extraction for cache 3, which departs before
+     either acks: both stay on their old tables, quiesced, until their
+     acks commit them. *)
+  let ctl =
+    Controller.create ~mode:`Interactive
+      ~scheme:Activermt_alloc.Allocator.Best_fit (Rmt.Device.create params)
+  in
+  let tables = Controller.tables ctl in
+  ignore (admit_exn ctl 1 cache);
+  ignore (admit_exn ctl 2 cache);
+  ignore (admit_exn ctl 3 cache);
+  Alcotest.(check (list int)) "1 and 2 wait" [ 1; 2 ]
+    (List.sort compare (Controller.pending_extraction ctl));
+  let old = List.map (fun fid -> Activermt.Table.regions_of tables ~fid) [ 1; 2 ] in
+  let _, expanded = Controller.handle_departure ctl ~fid:3 in
+  Alcotest.(check bool) "the departure expands them" true
+    (List.mem 1 expanded && List.mem 2 expanded);
+  Alcotest.(check (list int)) "still waiting" [ 1; 2 ]
+    (List.sort compare (Controller.pending_extraction ctl));
+  List.iter2
+    (fun fid regions ->
+      Alcotest.(check bool) "still quiesced" true (Activermt.Table.is_quiesced tables ~fid);
+      Alcotest.(check bool) "on the tables it had" true
+        (Activermt.Table.regions_of tables ~fid = regions))
+    [ 1; 2 ] old;
+  Controller.complete_extraction ctl ~fid:1;
+  Controller.complete_extraction ctl ~fid:2;
+  Alcotest.(check bool) "acks commit them on their expanded regions" true
+    (tables_match_residents ctl ~fids:[ 1; 2; 3 ]
+    && List.for_all
+         (fun fid ->
+           Activermt.Table.regions_of tables ~fid
+           = Allocator.placement (Controller.allocator ctl) ~fid)
+         [ 1; 2 ])
+
+(* Random interleavings of interactive admissions, extraction acks,
+   departures and privilege changes.  After every operation each app
+   awaiting extraction is installed, quiesced and on the regions it had
+   when its admission impacted it: its client is still extracting from
+   them.  Once every pending app has acked and the rest timed out, the
+   tables hold exactly the allocator's residents, all active. *)
 let prop_interactive_interleavings =
   let apps =
     [|
@@ -348,33 +387,162 @@ let prop_interactive_interleavings =
     ~name:"interactive interleavings leave residents installed"
     QCheck.(
       pair (int_bound 3)
-        (list_of_size Gen.(int_range 1 24) (pair (int_bound 2) small_nat)))
+        (list_of_size Gen.(int_range 1 24) (pair (int_bound 3) small_nat)))
     (fun (scheme, ops) ->
       let ctl =
         Controller.create ~mode:`Interactive ~scheme:schemes.(scheme)
           (Rmt.Device.create params)
       in
+      let tables = Controller.tables ctl in
+      let impacted_on = Hashtbl.create 16 in
+      let extracting () =
+        List.for_all
+          (fun fid ->
+            Activermt.Table.installed tables ~fid
+            && Activermt.Table.is_quiesced tables ~fid
+            && Activermt.Table.regions_of tables ~fid = Hashtbl.find impacted_on fid)
+          (Controller.pending_extraction ctl)
+      in
       let next = ref 1 in
-      List.iter
+      List.for_all
         (fun (op, k) ->
-          match (op, Controller.pending_extraction ctl,
-                 Allocator.resident (Controller.allocator ctl)) with
+          (match (op, Controller.pending_extraction ctl,
+                  Allocator.resident (Controller.allocator ctl)) with
           | 0, _, _ ->
-            ignore
-              (Controller.handle_request ctl
-                 (request !next apps.(k mod Array.length apps)));
+            (match
+               Controller.handle_request ctl
+                 (request !next apps.(k mod Array.length apps))
+             with
+            | Ok { Controller.phase = Controller.Awaiting_extraction { impacted }; _ } ->
+              List.iter
+                (fun fid ->
+                  Hashtbl.replace impacted_on fid (Activermt.Table.regions_of tables ~fid))
+                impacted
+            | Ok _ | Error _ -> ());
             incr next
           | 1, (_ :: _ as waiting), _ ->
             Controller.complete_extraction ctl ~fid:(pick waiting k)
+          | 3, _, (_ :: _ as residents) ->
+            let fid = pick residents k in
+            if k mod 2 = 0 then Controller.grant_privilege ctl ~fid
+            else Controller.revoke_privilege ctl ~fid
           | _, _, (_ :: _ as residents) ->
             ignore (Controller.handle_departure ctl ~fid:(pick residents k))
-          | _ -> ())
-        ops;
-      List.iter
-        (fun fid -> Controller.complete_extraction ctl ~fid)
-        (Controller.pending_extraction ctl);
-      Controller.expire ctl ~elapsed_s:10.;
-      tables_match_residents ctl ~fids:(List.init !next Fun.id))
+          | _ -> ());
+          extracting ())
+        ops
+      && begin
+        List.iter
+          (fun fid -> Controller.complete_extraction ctl ~fid)
+          (Controller.pending_extraction ctl);
+        Controller.expire ctl ~elapsed_s:10.;
+        tables_match_residents ctl ~fids:(List.init !next Fun.id)
+      end)
+
+(* Requests from outside: well-typed but arbitrary, with every field
+   over the whole int range and up to 64 accesses, decodable ones with
+   one field pushed anywhere, random decodable ones and the services'
+   own.  Through [handle_request], and through [enqueue_request] +
+   [drain], none raises, every request is answered, it is a bad packet
+   exactly when no wire header decodes to it, and the tables hold
+   exactly the residents. *)
+let prop_arbitrary_requests =
+  let open QCheck.Gen in
+  let byte = int_range 0 255 in
+  let access field =
+    map3
+      (fun position min_gap demand_blocks -> { Pkt.position; min_gap; demand_blocks })
+      field field field
+  in
+  let request_gen field ~rts ~max_accesses =
+    map2
+      (fun (prog_length, rts_position, accesses) elastic ->
+        ({ Pkt.prog_length; rts_position; accesses }, elastic))
+      (triple field (opt rts) (list_size (int_range 0 max_accesses) (access field)))
+      bool
+  in
+  let decodable =
+    request_gen byte ~rts:(int_range 0 254) ~max_accesses:Pkt.max_request_accesses
+  in
+  let arbitrary = request_gen int ~rts:int ~max_accesses:64 in
+  (* A decodable request with one field anywhere in the int range. *)
+  let perturbed =
+    decodable >>= fun ((r, elastic) as d) ->
+    int >>= fun v ->
+    let on_access f =
+      match r.Pkt.accesses with
+      | [] -> d
+      | a :: rest -> ({ r with Pkt.accesses = f a :: rest }, elastic)
+    in
+    oneofl
+      [
+        ({ r with Pkt.prog_length = v }, elastic);
+        ({ r with Pkt.rts_position = Some v }, elastic);
+        on_access (fun a -> { a with Pkt.position = v });
+        on_access (fun a -> { a with Pkt.min_gap = v });
+        on_access (fun a -> { a with Pkt.demand_blocks = v });
+        ( {
+            r with
+            Pkt.accesses =
+              r.Pkt.accesses
+              @ List.init (abs v mod 57) (fun _ ->
+                    { Pkt.position = 0; min_gap = 0; demand_blocks = 1 });
+          },
+          elastic );
+      ]
+  in
+  let services =
+    [| cache; hh; Activermt_apps.Cheetah_lb.service; Activermt_apps.Counter.service;
+       Activermt_apps.Bloom.service |]
+  in
+  let gen =
+    list_size (int_range 1 12)
+      (pair (int_range 1 8)
+         (frequency
+            [
+              (2, map (fun i -> `Service i) (int_bound (Array.length services - 1)));
+              (1, map (fun r -> `Raw r) decodable);
+              (2, map (fun r -> `Raw r) perturbed);
+              (1, map (fun r -> `Raw r) arbitrary);
+            ]))
+  in
+  let packet (fid, r) =
+    match r with
+    | `Service i -> request fid services.(i)
+    | `Raw (req, elastic) ->
+      {
+        Pkt.fid;
+        seq = 0;
+        flags = { Pkt.no_flags with Pkt.elastic; virtual_addressing = true };
+        payload = Pkt.Request req;
+      }
+  in
+  let on_wire pkt =
+    match Pkt.encode pkt with
+    | b -> Pkt.decode b = Ok pkt
+    | exception Invalid_argument _ -> false
+  in
+  QCheck.Test.make ~count:60 ~name:"arbitrary requests never raise, all answered"
+    (QCheck.make gen)
+    (fun reqs ->
+      let pkts = List.map packet reqs in
+      let fids = List.sort_uniq compare (List.map fst reqs) in
+      let bad_iff_off_wire pkt = function
+        | Error (`Bad_packet _) -> not (on_wire pkt)
+        | Ok _ | Error (`Rejected _) -> on_wire pkt
+      in
+      let _, seq = fresh () in
+      let answers = List.map (Controller.handle_request seq) pkts in
+      let _, bat = fresh () in
+      List.iter (Controller.enqueue_request bat) pkts;
+      let drained =
+        List.concat_map (fun e -> e.Controller.results) (Controller.drain ~max_batch:4 bat)
+      in
+      List.for_all2 bad_iff_off_wire pkts answers
+      && List.length drained = List.length pkts
+      && List.for_all2 bad_iff_off_wire pkts drained
+      && tables_match_residents seq ~fids
+      && tables_match_residents bat ~fids)
 
 let test_regions_packet () =
   let _, ctl = fresh () in
@@ -671,9 +839,9 @@ let test_arrival_budget () =
       true
       (words <= float_of_int budget)
   in
-  check "total" total 6100;
-  check "drain" drain 1800;
-  check "departure" depart 4400;
+  check "total" total 3700;
+  check "drain" drain 1500;
+  check "departure" depart 2300;
   Alcotest.(check bool) "a fresh controller reads the same" true
     (arrival_words ~warmup:8 ~measured:64 = first)
 
@@ -687,6 +855,7 @@ let () =
           Alcotest.test_case "rejection" `Quick test_rejection;
           Alcotest.test_case "new region zeroed" `Quick test_new_region_zeroed;
           Alcotest.test_case "control-plane rw" `Quick test_control_plane_write_read;
+          QCheck_alcotest.to_alcotest prop_arbitrary_requests;
         ] );
       ( "reallocation",
         [
@@ -704,6 +873,8 @@ let () =
           Alcotest.test_case "regions packet" `Quick test_regions_packet;
           Alcotest.test_case "overlapping interactive admissions" `Quick
             test_overlapping_interactive_admissions;
+          Alcotest.test_case "departure keeps extraction pending" `Quick
+            test_departure_keeps_extraction_pending;
           QCheck_alcotest.to_alcotest prop_interactive_interleavings;
         ] );
       ( "provision queue",
