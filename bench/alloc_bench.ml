@@ -1,17 +1,15 @@
 (* Admit-throughput benchmark behind the allocation fast path
    (BENCH_alloc.json): replay pure and mixed arrival workloads against a
-   fresh allocator at 1 and N scoring domains and report arrivals/sec plus
-   p50/p99 per-admit compute time.  The [baseline] block holds the numbers
-   measured on the pre-fast-path sequential implementation (same machine,
-   same seeded workloads, commit 2da735c) so the JSON always carries the
-   before/after comparison the trajectory is judged on.
+   fresh allocator and report arrivals/sec plus p50/p99 per-admit compute
+   time.  The [baseline] block holds the numbers measured on the
+   pre-fast-path sequential implementation (same machine, same seeded
+   workloads, commit 2da735c) so the JSON always carries the before/after
+   comparison the trajectory is judged on.
 
-   Each configuration runs against its own telemetry registry, so the
+   Each workload runs against its own telemetry registry, so the
    JSON also carries the per-phase span breakdown (alloc.snapshot /
    alloc.enumerate / alloc.score / alloc.fill) that attributes where the
-   admit time goes — in particular why multi-domain fan-out *hurts* the
-   mixed workload (Domain.spawn overhead on chunks too small to amortize
-   it; see docs/TELEMETRY.md). *)
+   admit time goes. *)
 
 module Allocator = Activermt_alloc.Allocator
 module App = Activermt_apps.App
@@ -42,9 +40,7 @@ let arrivals_of_trace trace =
     trace
 
 type run_stats = {
-  label : string;
   workload : string;
-  domains : int;
   arrivals : int;
   admitted : int;
   wall_s : float;
@@ -55,9 +51,9 @@ type run_stats = {
 
 let throughput s = float_of_int s.arrivals /. s.wall_s
 
-let measure ~label ~workload ~domains arrivals =
+let measure ~workload arrivals =
   let tel = Telemetry.create () in
-  let alloc = Allocator.create ~domains ~telemetry:tel params in
+  let alloc = Allocator.create ~telemetry:tel params in
   let times = ref [] in
   let admitted = ref 0 in
   let t0 = Unix.gettimeofday () in
@@ -70,12 +66,9 @@ let measure ~label ~workload ~domains arrivals =
       | Allocator.Rejected r -> times := r.Allocator.compute_time_s :: !times)
     arrivals;
   let wall_s = Unix.gettimeofday () -. t0 in
-  Allocator.shutdown alloc;
   let ms p = 1000.0 *. Stats.percentile !times p in
   {
-    label;
     workload;
-    domains;
     arrivals = List.length arrivals;
     admitted = !admitted;
     wall_s;
@@ -128,7 +121,6 @@ let json_of_stats s =
   Json.Obj
     [
       ("workload", Json.Str s.workload);
-      ("domains", Json.Num (float_of_int s.domains));
       ("arrivals", Json.Num (float_of_int s.arrivals));
       ("admitted", Json.Num (float_of_int s.admitted));
       ("arrivals_per_sec", Json.Num (Float.round (10.0 *. throughput s) /. 10.0));
@@ -144,9 +136,7 @@ let json_of_stats s =
    must stay within noise of the untraced runs above; the sampled figures
    quantify what --trace-out costs.  No gate reads it. *)
 let measure_traced ~tracer arrivals =
-  let alloc =
-    Allocator.create ~domains:1 ~telemetry:(Telemetry.create ()) ~tracer params
-  in
+  let alloc = Allocator.create ~telemetry:(Telemetry.create ()) ~tracer params in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (a : Allocator.arrival) ->
@@ -157,9 +147,7 @@ let measure_traced ~tracer arrivals =
       in
       ignore (Allocator.admit ?trace alloc a))
     arrivals;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Allocator.shutdown alloc;
-  wall_s
+  Unix.gettimeofday () -. t0
 
 (* A single 500-arrival replay finishes in tens of milliseconds, so one
    sample is dominated by scheduler noise; best-of-N isolates the real
@@ -190,7 +178,7 @@ let trace_section mixed =
   let tput t = Float.round (10.0 *. (float_of_int n /. t)) /. 10.0 in
   let overhead t = Float.round (1000.0 *. ((t -. t_off) /. t_off)) /. 10.0 in
   Printf.printf
-    "trace overhead (mixed/d1):  off %9.1f arrivals/s   1%% sampled %9.1f \
+    "trace overhead (mixed):  off %9.1f arrivals/s   1%% sampled %9.1f \
      (%+.1f%%)   full %9.1f (%+.1f%%)\n"
     (tput t_off) (tput t_sampled) (overhead t_sampled) (tput t_full)
     (overhead t_full);
@@ -205,7 +193,6 @@ let trace_section mixed =
   Json.Obj
     [
       ("workload", Json.Str "mixed");
-      ("domains", Json.Num 1.0);
       ("arrivals", Json.Num (float_of_int n));
       ("off_arrivals_per_sec", Json.Num (tput t_off));
       ("sampled_1pct", cfg t_sampled sampled);
@@ -237,7 +224,6 @@ let json_of_baseline (w, tput, p50, p99) =
   Json.Obj
     [
       ("workload", Json.Str w);
-      ("domains", Json.Num 1.0);
       ("arrivals_per_sec", Json.Num tput);
       ("p50_ms", Json.Num p50);
       ("p99_ms", Json.Num p99);
@@ -246,7 +232,7 @@ let json_of_baseline (w, tput, p50, p99) =
 let print_stats s =
   Printf.printf
     "%-24s %5d arrivals (%d admitted)  %9.1f arrivals/s  p50 %.3f ms  p99 %.3f ms\n"
-    s.label s.arrivals s.admitted (throughput s) s.p50_ms s.p99_ms;
+    s.workload s.arrivals s.admitted (throughput s) s.p50_ms s.p99_ms;
   List.iter
     (fun name ->
       match Telemetry.hist_summary s.tel name with
@@ -260,37 +246,20 @@ let print_stats s =
 
 let run ~quick =
   let n = if quick then 150 else 500 in
-  let n_domains = Stdx.Domain_pool.default_size () in
-  Printf.printf "== Allocation fast path: admit throughput (n=%d, N=%d domains) ==\n"
-    n n_domains;
+  Printf.printf "== Allocation fast path: admit throughput (n=%d) ==\n" n;
   let pure = arrivals_of_trace (pure_trace ~n) in
   let mixed = arrivals_of_trace (mixed_trace ~n) in
-  (* On a single-core box the recommended width is 1; still exercise the
-     fan-out path at width 2 so the JSON records its overhead honestly. *)
-  let fanout = if n_domains > 1 then n_domains else 2 in
-  let configs = [ (1, "d1"); (fanout, Printf.sprintf "d%d" fanout) ] in
-  let stats =
-    List.concat_map
-      (fun (domains, tag) ->
-        [
-          measure ~label:("pure/" ^ tag) ~workload:"pure" ~domains pure;
-          measure ~label:("mixed/" ^ tag) ~workload:"mixed" ~domains mixed;
-        ])
-      configs
-  in
+  let stats = [ measure ~workload:"pure" pure; measure ~workload:"mixed" mixed ] in
   List.iter print_stats stats;
   List.iter
     (fun (w, tput, p50, p99) ->
       Printf.printf "%-24s (seed implementation)  %9.1f arrivals/s  p50 %.3f ms  p99 %.3f ms\n"
         (w ^ "/baseline") tput p50 p99)
     baseline;
-  (match
-     List.find_opt (fun s -> s.workload = "mixed" && s.domains = 1) stats
-   with
+  (match List.find_opt (fun s -> s.workload = "mixed") stats with
   | Some s ->
     let base = List.assoc "mixed" (List.map (fun (w, t, _, _) -> (w, t)) baseline) in
-    Printf.printf "mixed speedup vs seed baseline (1 domain): %.1fx\n"
-      (throughput s /. base)
+    Printf.printf "mixed speedup vs seed baseline: %.1fx\n" (throughput s /. base)
   | None -> ());
   let trace = trace_section mixed in
   [
@@ -300,8 +269,7 @@ let run ~quick =
     Json.Arr (List.map json_of_stats stats);
   ]
 
-(* Records match per workload at one domain and at whatever fan-out width
-   the run used ("dN"): the width differs across machines. *)
+(* Records match per workload. *)
 let section =
   {
     Section.name = "alloc";
@@ -311,10 +279,7 @@ let section =
     metrics =
       (fun file ->
         List.map
-          (fun r ->
-            let width = if Section.num "domains" r > Some 1.0 then "dN" else "d1" in
-            ( Section.str "workload" r ^ "/" ^ width,
-              Section.nums [ "arrivals_per_sec"; "p99_ms" ] r ))
+          (fun r -> (Section.str "workload" r, Section.nums [ "arrivals_per_sec"; "p99_ms" ] r))
           (Section.items "fastpath" file));
     gates =
       [
