@@ -58,7 +58,6 @@ let measure_sequential ~prefix_arrivals zcfg =
     | Seq.Cons (e, rest) -> if step e then loop rest
   in
   loop trace;
-  Allocator.shutdown alloc;
   if !admit_wall > 0.0 then float_of_int !done_ /. !admit_wall else 0.0
 
 let json_section ~clients ~(r : Churn_pipeline.result) ~sequential_aps ~speedup =

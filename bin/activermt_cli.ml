@@ -165,7 +165,7 @@ and cmd_mutants path policy =
     mutants;
   if List.length mutants > 50 then print_endline "  ..."
 
-and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
+and cmd_allocsim spec_str mixed seed batch scheme policy no_jit
     { telemetry; tracer; finish } =
   (* allocsim exercises only the control plane; the flag is accepted for
      symmetry with the other sim commands and recorded in the metrics. *)
@@ -175,7 +175,7 @@ and cmd_allocsim spec_str mixed seed batch scheme policy domains no_jit
      epochs rather than one flat window. *)
   let vclock = ref 0.0 in
   Telemetry.set_clock telemetry (fun () -> !vclock);
-  let alloc = Allocator.create ~scheme ~policy ~domains ~telemetry ~tracer params in
+  let alloc = Allocator.create ~scheme ~policy ~telemetry ~tracer params in
   let next_fid = ref 0 in
   let service_of = function
     | "cache" -> Some Activermt_apps.Cache.service
@@ -1255,15 +1255,6 @@ let recorder_arg =
 let seed_arg default =
   Arg.value (Arg.opt Arg.int default (Arg.info [ "seed" ] ~docv:"SEED"))
 
-(* The OCaml 5 runtime caps a process at 128 domains. *)
-let domains_arg =
-  Arg.value
-    (Arg.opt (int_between 1 128) 1
-       (Arg.info [ "domains" ] ~docv:"N"
-          ~doc:"Scoring fan-out width (>= 1): mutants are scored on $(docv) \
-                domains against a per-arrival occupancy snapshot; decisions \
-                are identical at any width."))
-
 let no_jit_arg =
   Arg.value
     (Arg.flag
@@ -1298,7 +1289,7 @@ let allocsim_cmd =
   Cmd.v (Cmd.info "allocsim" ~doc:"replay arrivals against the allocator")
     Term.(
       const cmd_allocsim $ spec $ mixed_arg $ seed_arg 3001 $ batch_arg
-      $ scheme_arg $ policy_arg $ domains_arg $ no_jit_arg $ recorder_arg)
+      $ scheme_arg $ policy_arg $ no_jit_arg $ recorder_arg)
 
 let churnsim_cmd =
   let clients_arg =

@@ -92,7 +92,6 @@ type t = {
       (* per-mutant merged (stages, demands) arrays are pure in (shape,
          demand) — batched admission reuses them across every epoch
          instead of rebuilding them per scored mutant *)
-  dpool : Stdx.Domain_pool.t;  (* fan-out width for mutant scoring *)
   tel : Telemetry.t;
   tracer : Trace.t;
   wpb : int;  (* words per block *)
@@ -102,8 +101,8 @@ type t = {
 }
 
 let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
-    ?(mutant_limit = 4096) ?(domains = 1) ?(telemetry = Telemetry.default)
-    ?(tracer = Trace.noop) params =
+    ?(mutant_limit = 4096) ?(telemetry = Telemetry.default) ?(tracer = Trace.noop)
+    params =
   {
     params;
     scheme;
@@ -115,7 +114,6 @@ let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
     apps = Hashtbl.create 256;
     mutants_cache = Hashtbl.create 16;
     demand_arrays_cache = Hashtbl.create 32;
-    dpool = Stdx.Domain_pool.create ~size:domains ();
     tel = telemetry;
     tracer;
     wpb = Rmt.Params.words_per_block params;
@@ -163,7 +161,7 @@ let demand_arrays_of t key ~demand_blocks (mutants : Mutant.t array) =
     arrs
 
 let policy t = t.policy
-let shutdown t = Stdx.Domain_pool.shutdown t.dpool
+let shutdown (_ : t) = ()
 let resident t = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.apps []
 let is_resident t ~fid = Hashtbl.mem t.apps fid
 
@@ -225,8 +223,7 @@ let max_apps_per_stage t =
 (* Per-admit snapshot of every pool's occupancy as flat int arrays
    (struct-of-arrays): O(stages) to build from the pools' O(1) counters,
    after which per-mutant feasibility and cost are pure array lookups with
-   zero allocation — safe to score from any number of domains because the
-   snapshot is never written during scoring. *)
+   zero allocation; the snapshot is never written during scoring. *)
 type snapshot = {
   snap_fungible : int array;
   snap_slots : int array;  (* resident count per stage *)
@@ -391,9 +388,7 @@ let end_report t =
       (app, (app.app_fid, moves)))
     apps
 
-(* Score every mutant against the immutable snapshot; each index writes
-   only its own cells, so the fan-out is race-free and the reduce is
-   bit-identical at any pool size.  The reduce is deterministic: first-fit
+(* Score every mutant against the immutable snapshot, then reduce: first-fit
    takes the lowest feasible index; the cost schemes take the minimum cost
    with ties to the lowest index — exactly the sequential fold over the
    former scored list.  Pure in the snapshot, which is what makes results
@@ -405,16 +400,17 @@ let score_mutants ?arrs t snap ~elastic ~demand_blocks (mutants : Mutant.t array
   let total_blocks = t.params.Rmt.Params.blocks_per_stage in
   let feas = Array.make (max considered 1) false in
   let costs = Array.make (max considered 1) infinity in
-  Stdx.Domain_pool.parallel_for t.dpool ~n:considered ~f:(fun i ->
-      let stages, demands =
-        match arrs with
-        | Some a -> a.(i)
-        | None -> Mutant.demand_by_stage_arrays mutants.(i) ~demand_blocks
-      in
-      if feasible_snap snap ~max_apps ~elastic stages demands then begin
-        feas.(i) <- true;
-        costs.(i) <- cost_snap snap ~scheme ~total_blocks stages
-      end);
+  for i = 0 to considered - 1 do
+    let stages, demands =
+      match arrs with
+      | Some a -> a.(i)
+      | None -> Mutant.demand_by_stage_arrays mutants.(i) ~demand_blocks
+    in
+    if feasible_snap snap ~max_apps ~elastic stages demands then begin
+      feas.(i) <- true;
+      costs.(i) <- cost_snap snap ~scheme ~total_blocks stages
+    end
+  done;
   let feasible_count = ref 0 in
   let best = ref (-1) in
   for i = 0 to considered - 1 do

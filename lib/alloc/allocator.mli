@@ -90,19 +90,13 @@ val create :
   ?scheme:scheme ->
   ?policy:Mutant.policy ->
   ?mutant_limit:int ->
-  ?domains:int ->
   ?telemetry:Telemetry.t ->
   ?tracer:Trace.t ->
   Rmt.Params.t ->
   t
 (** Defaults: worst-fit (the prototype's choice) and most-constrained.
-
-    [domains] (default 1) is the fan-out width for mutant scoring: each
-    admission snapshots per-stage occupancy once and scores candidates
-    against it on that many domains.  Outcomes are bit-identical at any
-    width — scoring is read-only over the snapshot and the reduce is a
-    deterministic min-cost/lowest-index fold — so the knob trades cores
-    for allocation latency only.
+    Each admission snapshots per-stage occupancy once and scores every
+    candidate against it on the calling domain.
 
     [telemetry] (default {!Telemetry.default}) receives the allocator's
     counters ([alloc.admitted] and [alloc.rejected], also windowed when
@@ -115,11 +109,9 @@ val create :
 val policy : t -> Mutant.policy
 
 val shutdown : t -> unit
-(** Join the scoring worker domains ([create ~domains] spawns them once
-    and parks them between admissions).  Idempotent; afterwards scoring
-    runs sequentially.  Pools left running are reaped at process exit,
-    but each holds [domains - 1] live domains until then — shut down
-    allocators you create in a loop. *)
+(** Does nothing.  Kept only because [perfbench/arrival.ml] calls it, and
+    the benchmark under [perfbench/] changes only together with its
+    definition. *)
 
 val admit : ?trace:Trace.ctx -> t -> arrival -> outcome
 (** [trace] hangs an [alloc.admit] span (with score/fill/outcome children)

@@ -193,7 +193,6 @@ let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop)
     end
   in
   Seq.iter process_epoch trace;
-  Allocator.shutdown alloc;
   let tts_ms = List.rev_map (fun s -> s *. 1000.0) !tts in
   let p50, p99, mx =
     match tts_ms with

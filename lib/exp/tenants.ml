@@ -106,9 +106,7 @@ let probe_capacity params app =
     | Allocator.Admitted _ -> go (fid + 1) (acc + demand)
     | Allocator.Rejected _ -> acc
   in
-  let blocks = go 1 0 in
-  Allocator.shutdown alloc;
-  blocks
+  go 1 0
 
 let run ?telemetry ?(clock = Sys.time) config =
   let params = scenario_params in

@@ -597,11 +597,8 @@ let test_rejected_considered_mutants () =
       r.Allocator.considered_mutants
   | Allocator.Admitted _ -> Alcotest.fail "should be full"
 
-(* The multicore scoring fan-out must not change a single decision:
-   replay random arrival/departure sequences against a sequential and a
-   3-domain allocator and require bit-identical outcomes (mutant, regions,
-   reallocations, counts) — compute_time_s excepted.  LB arrivals carry
-   1800+ mutants, enough to cross the pool's spawn threshold. *)
+(* Bit-identical outcomes (mutant, regions, reallocations, counts) —
+   compute_time_s excepted. *)
 let same_outcome o1 o2 =
   match (o1, o2) with
   | Allocator.Admitted a, Allocator.Admitted b ->
@@ -620,46 +617,6 @@ let same_outcome o1 o2 =
 
 let schemes =
   [ Allocator.Worst_fit; Allocator.Best_fit; Allocator.First_fit; Allocator.Min_realloc ]
-
-let prop_parallel_matches_sequential =
-  QCheck.Test.make ~name:"parallel admit = sequential admit, all schemes" ~count:12
-    QCheck.(
-      pair (int_range 0 3) (make Gen.(list_size (int_range 5 40) (int_range 0 3))))
-    (fun (scheme_i, ops) ->
-      let scheme = List.nth schemes scheme_i in
-      let seq = Allocator.create ~scheme ~domains:1 params in
-      let par = Allocator.create ~scheme ~domains:3 params in
-      let next = ref 0 in
-      let live = ref [] in
-      List.for_all
-        (fun op ->
-          if op = 3 && !live <> [] then begin
-            let fid = List.hd !live in
-            live := List.tl !live;
-            Allocator.depart seq ~fid = Allocator.depart par ~fid
-          end
-          else begin
-            incr next;
-            let arrival =
-              match op with
-              | 0 -> cache_arrival !next
-              | 1 -> lb_arrival !next
-              | _ -> hh_arrival !next
-            in
-            let o_seq = Allocator.admit seq arrival in
-            let o_par = Allocator.admit par arrival in
-            (match o_seq with
-            | Allocator.Admitted _ -> live := !live @ [ !next ]
-            | Allocator.Rejected _ -> ());
-            same_outcome o_seq o_par
-          end)
-        ops
-      |> fun ok ->
-      (* Workers are persistent now; reap them so repeated trials do not
-         accumulate parked domains against the runtime limit. *)
-      Allocator.shutdown par;
-      Allocator.shutdown seq;
-      ok)
 
 let test_depart_only_touches_demand_stages () =
   (* A pinned app's departure must leave other stages' pools untouched
@@ -955,34 +912,30 @@ let prop_reallocation_reports =
             | Some _ | None -> None)
           before
       in
-      let ok =
-        List.for_all
-          (fun (op, pick) ->
-            let before =
-              List.map
-                (fun fid -> (fid, Option.get (Allocator.regions_of alloc ~fid)))
-                (Allocator.resident alloc)
-            in
-            match op with
-            | 0 | 1 -> (
-              match Allocator.admit alloc (arrival pick) with
-              | Allocator.Admitted a -> a.Allocator.reallocated = changed before
-              | Allocator.Rejected _ -> changed before = [])
-            | 2 | 3 ->
-              let arrivals = List.init (1 + (pick mod 4)) (fun i -> arrival (pick + i)) in
-              let b = Allocator.admit_batch alloc arrivals in
-              b.Allocator.batch_reallocated = changed before
-            | _ -> (
-              match Allocator.resident alloc with
-              | [] -> true
-              | residents ->
-                let fid = List.nth residents (pick mod List.length residents) in
-                let expanded = Allocator.depart alloc ~fid in
-                expanded = changed before))
-          ops
-      in
-      Allocator.shutdown alloc;
-      ok)
+      List.for_all
+        (fun (op, pick) ->
+          let before =
+            List.map
+              (fun fid -> (fid, Option.get (Allocator.regions_of alloc ~fid)))
+              (Allocator.resident alloc)
+          in
+          match op with
+          | 0 | 1 -> (
+            match Allocator.admit alloc (arrival pick) with
+            | Allocator.Admitted a -> a.Allocator.reallocated = changed before
+            | Allocator.Rejected _ -> changed before = [])
+          | 2 | 3 ->
+            let arrivals = List.init (1 + (pick mod 4)) (fun i -> arrival (pick + i)) in
+            let b = Allocator.admit_batch alloc arrivals in
+            b.Allocator.batch_reallocated = changed before
+          | _ -> (
+            match Allocator.resident alloc with
+            | [] -> true
+            | residents ->
+              let fid = List.nth residents (pick mod List.length residents) in
+              let expanded = Allocator.depart alloc ~fid in
+              expanded = changed before))
+        ops)
 
 (* Random churn keeps the allocator's central invariants. *)
 let prop_churn_invariants =
@@ -1063,7 +1016,6 @@ let () =
             test_depart_only_touches_demand_stages;
           QCheck_alcotest.to_alcotest prop_churn_invariants;
           QCheck_alcotest.to_alcotest prop_reallocation_reports;
-          QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
         ] );
       ( "batch",
         [

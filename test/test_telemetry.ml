@@ -1,8 +1,8 @@
 (* Unit and property tests for the telemetry subsystem: counters, gauges
    and the sources that read them out of components, log-bucketed
    histograms (accuracy vs a sorted-sample oracle), span timers, JSON
-   round-trips, and the qcheck property that sharded recording under N
-   domains merges to the same totals as sequential recording. *)
+   round-trips, and the qcheck property that run totals equal the sum of
+   their windows. *)
 
 module Telemetry = Activermt_telemetry.Telemetry
 module Json = Activermt_telemetry.Json
@@ -499,14 +499,12 @@ let prop_json_fuzz_no_crash =
         QCheck.Test.fail_reportf "of_string %S raised %s" s
           (Printexc.to_string e))
 
-(* -- Sharded recording under domains -------------------------------------- *)
+(* -- Run totals ------------------------------------------------------------ *)
 
-(* Integer-valued floats keep every partial sum exact, so the merged
-   totals must equal the sequential ones bit-for-bit no matter how the
-   work was split across shards.  The windowed records land in 64
-   virtual windows, so a registry keeping 64 never wraps its rings.  Some
-   records register a source that adds to counter "c" as well, so under
-   fan-out domains register concurrently. *)
+(* Integer-valued floats keep every partial sum exact.  The windowed
+   records land in 64 virtual windows, so a registry keeping 64 never
+   wraps its rings.  Every 211th record also registers a source that adds
+   to counter "c". *)
 let record reg i =
   if i mod 211 = 0 then
     Telemetry.source reg
@@ -529,37 +527,29 @@ let totals_match_windows reg =
   | None -> windows "wh" = []
   | Some h -> h.Telemetry.count = count "wh" && h.Telemetry.sum = sum "wh"
 
-let prop_sharded_merge =
-  QCheck.Test.make ~name:"sharded recording merges to sequential totals"
-    ~count:20
-    QCheck.(pair (int_range 1 6) (int_range 0 3000))
-    (fun (size, n) ->
-      let seq = Telemetry.create ~windows:64 () in
+let prop_totals_match_windows =
+  QCheck.Test.make ~name:"run totals equal the sum of their windows" ~count:20
+    QCheck.(int_range 0 3000)
+    (fun n ->
+      let reg = Telemetry.create ~windows:64 () in
       for i = 0 to n - 1 do
-        record seq i
+        record reg i
       done;
-      let par = Telemetry.create ~windows:64 () in
-      let pool = Stdx.Domain_pool.create ~size () in
-      Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
-      Telemetry.counter_value par "c" = Telemetry.counter_value seq "c"
-      && Telemetry.counters par = Telemetry.counters seq
-      && Telemetry.hist_summary par "h" = Telemetry.hist_summary seq "h"
-      && Json.to_string (Telemetry.series_json par)
-         = Json.to_string (Telemetry.series_json seq)
-      && totals_match_windows seq && totals_match_windows par)
+      totals_match_windows reg)
 
-let test_sharded_fanout_exact () =
+let test_sources_add_to_counters () =
   let n = 4096 in
-  let par = Telemetry.create () in
-  let pool = Stdx.Domain_pool.create ~size:4 () in
-  Stdx.Domain_pool.parallel_for pool ~n ~f:(record par);
+  let reg = Telemetry.create () in
+  for i = 0 to n - 1 do
+    record reg i
+  done;
   let sourced i = if i mod 211 = 0 then i + 1 else 0 in
   Alcotest.(check int) "counter total"
     (List.init n Fun.id
     |> List.fold_left (fun acc i -> acc + 1 + (i mod 5) + sourced i) 0)
-    (Telemetry.counter_value par "c");
+    (Telemetry.counter_value reg "c");
   Alcotest.(check int) "histogram count" n
-    (Option.get (Telemetry.hist_summary par "h")).Telemetry.count
+    (Option.get (Telemetry.hist_summary reg "h")).Telemetry.count
 
 let () =
   Alcotest.run "telemetry"
@@ -613,9 +603,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_fuzz_no_crash;
         ] );
-      ( "sharding",
+      ( "totals",
         [
-          QCheck_alcotest.to_alcotest prop_sharded_merge;
-          Alcotest.test_case "fan-out totals exact" `Quick test_sharded_fanout_exact;
+          QCheck_alcotest.to_alcotest prop_totals_match_windows;
+          Alcotest.test_case "sources add to counters" `Quick test_sources_add_to_counters;
         ] );
     ]
