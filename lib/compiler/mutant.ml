@@ -129,18 +129,10 @@ let enumerate_reference ?(limit = 4096) params policy (spec : Spec.t) =
 (* The DFS tree — and so the feasible-space count — depends only on the
    per-access shift headroom [ub - lb], so counts are memoized on that
    shape across allocator instances (the evaluation harness builds a fresh
-   allocator per trial but replays the same programs).  Guarded by a mutex
-   because allocators may score mutants from several domains. *)
+   allocator per trial but replays the same programs). *)
 let count_memo : (int array, int) Hashtbl.t = Hashtbl.create 64
-let count_memo_mutex = Mutex.create ()
 
 let shape_of ~ub ~lb ~m = Array.init m (fun i -> ub.(i) - lb.(i))
-
-let memo_find shape =
-  Mutex.protect count_memo_mutex (fun () -> Hashtbl.find_opt count_memo shape)
-
-let memo_add shape total =
-  Mutex.protect count_memo_mutex (fun () -> Hashtbl.replace count_memo shape total)
 
 (* Cold enumerations buffer candidates while counting so spaces up to
    [keep_cap] need no second DFS walk; bigger spaces fall back to a
@@ -154,7 +146,7 @@ let enumerate ?(limit = 4096) params policy (spec : Spec.t) =
   else begin
     let ub, lb = bounds params policy spec in
     let shape = shape_of ~ub ~lb ~m in
-    match memo_find shape with
+    match Hashtbl.find_opt count_memo shape with
     | Some total ->
       let stride = if total <= limit then 1 else (total + limit - 1) / limit in
       materialize ~stride ~limit params spec ~ub ~lb ~m
@@ -178,7 +170,7 @@ let enumerate ?(limit = 4096) params policy (spec : Spec.t) =
           incr total;
           !total < hard_cap);
       let total = !total in
-      memo_add shape total;
+      Hashtbl.replace count_memo shape total;
       let stride = if total <= limit then 1 else (total + limit - 1) / limit in
       if !overflow then materialize ~stride ~limit params spec ~ub ~lb ~m
       else begin

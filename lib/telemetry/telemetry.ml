@@ -1,9 +1,7 @@
-(* Metric cells live in per-domain shards (Stdx.Sharded): the hot path
-   writes the calling domain's cells without synchronization and readers
-   merge every shard, so recording stays allocation-cheap and race-free
-   under Stdx.Domain_pool fan-out.  A component that runs on one domain
-   keeps its hot counters in plain ints instead, and readers merge them in
-   through the source it registered. *)
+(* A registry belongs to one domain: its cells and window rings are plain
+   hashtables that recording updates in place.  A component keeps its hot
+   counters in plain ints instead, and readers merge them in through the
+   source it registered. *)
 
 (* Log-bucketed sketch of [n] bins: bin i covers [2^((i-o)/s),
    2^((i-o+1)/s)) with s = n/32 bins per octave and origin o = 3n/4 (the
@@ -99,19 +97,12 @@ let hist_quantile h q =
 
 (* The value sits in a float-only record, which is stored flat, so
    setting a gauge boxes no float. *)
-type gauge_value = { mutable v : float }
-type gauge_cell = { mutable g_seq : int; g_val : gauge_value }
-type cell = Counter of int ref | Gauge of gauge_cell | Hist of hist
+type gauge = { mutable v : float }
+type cell = Counter of int ref | Gauge of gauge | Hist of hist
 
 (* Slot [i mod windows] of a windowed metric's ring holds virtual window
    [i]; [index] is -1 until the slot is first used. *)
 type window = { mutable index : int; w : hist }
-
-type shard = {
-  cells : (string, cell) Hashtbl.t;
-  rings : (string, window array) Hashtbl.t; (* empty without windows *)
-  mutable stack : (string * float) list; (* open spans: name, start time *)
-}
 
 (* A component's own counters and gauges, read out by name whenever the
    registry is read. *)
@@ -121,26 +112,26 @@ type source = {
 }
 
 type t = {
-  shards : shard Stdx.Sharded.t;
-  seq : int Atomic.t; (* global write order for gauge last-write-wins *)
+  cells : (string, cell) Hashtbl.t;
+  rings : (string, window array) Hashtbl.t; (* empty without windows *)
+  mutable stack : (string * float) list; (* open spans: name, start time *)
   now : unit -> float;
   windows : int; (* per windowed metric; 0 = keep run totals only *)
   mutable clock : unit -> float; (* virtual time that places a window *)
-  sources : source list Atomic.t; (* newest first *)
+  mutable sources : source list; (* newest first *)
 }
-
-let new_shard () = { cells = Hashtbl.create 64; rings = Hashtbl.create 16; stack = [] }
 
 let create ?now ?(windows = 0) ?(clock = fun () -> 0.0) () =
   if windows < 0 then invalid_arg "Telemetry.create: windows < 0";
   let now = match now with Some f -> f | None -> Unix.gettimeofday in
   {
-    shards = Stdx.Sharded.create ~init:new_shard ();
-    seq = Atomic.make 0;
+    cells = Hashtbl.create 64;
+    rings = Hashtbl.create 16;
+    stack = [];
     now;
     windows;
     clock;
-    sources = Atomic.make [];
+    sources = [];
   }
 
 let default = create ()
@@ -149,63 +140,43 @@ let kind_error name got =
   invalid_arg
     (Printf.sprintf "Telemetry: metric %S already registered as a %s" name got)
 
-let my_shard t = Stdx.Sharded.get t.shards
-
-(* The shard's cell for [name], registered on first use. *)
-let counter_cell s name =
-  match Hashtbl.find_opt s.cells name with
+(* The cell for [name] in [cells], registered on first use. *)
+let counter_cell cells name =
+  match Hashtbl.find_opt cells name with
   | Some (Counter r) -> r
   | Some (Gauge _) -> kind_error name "gauge"
   | Some (Hist _) -> kind_error name "histogram"
   | None ->
     let r = ref 0 in
-    Hashtbl.add s.cells name (Counter r);
+    Hashtbl.add cells name (Counter r);
     r
 
-let gauge_cell s name =
-  match Hashtbl.find_opt s.cells name with
+let gauge_cell cells name =
+  match Hashtbl.find_opt cells name with
   | Some (Gauge g) -> g
   | Some (Counter _) -> kind_error name "counter"
   | Some (Hist _) -> kind_error name "histogram"
   | None ->
-    let g = { g_seq = 0; g_val = { v = 0.0 } } in
-    Hashtbl.add s.cells name (Gauge g);
+    let g = { v = 0.0 } in
+    Hashtbl.add cells name (Gauge g);
     g
 
 let incr t ?(by = 1) name =
-  let r = counter_cell (my_shard t) name in
+  let r = counter_cell t.cells name in
   r := !r + by
 
-let set_gauge t name v =
-  let s = my_shard t in
-  let seq = Atomic.fetch_and_add t.seq 1 in
-  let g = gauge_cell s name in
-  g.g_seq <- seq;
-  g.g_val.v <- v
+let set_gauge t name v = (gauge_cell t.cells name).v <- v
+let source t ~read ~zero = t.sources <- { read; zero } :: t.sources
 
-(* -- Sources ----------------------------------------------------------------
-   Registration may race with another domain's, so it retries on a lost
-   compare-and-set rather than dropping either source. *)
-
-let source t ~read ~zero =
-  let s = { read; zero } in
-  let rec push () =
-    let old = Atomic.get t.sources in
-    if not (Atomic.compare_and_set t.sources old (s :: old)) then push ()
-  in
-  push ()
-
-let observe_in s name v =
-  match Hashtbl.find_opt s.cells name with
+let observe t name v =
+  match Hashtbl.find_opt t.cells name with
   | Some (Hist h) -> hist_record h v
   | Some (Counter _) -> kind_error name "counter"
   | Some (Gauge _) -> kind_error name "gauge"
   | None ->
     let h = hist_make total_bins in
     hist_record h v;
-    Hashtbl.add s.cells name (Hist h)
-
-let observe t name v = observe_in (my_shard t) name v
+    Hashtbl.add t.cells name (Hist h)
 
 (* -- Windows ---------------------------------------------------------------- *)
 
@@ -213,17 +184,17 @@ let window_s = 1.0
 let set_clock t f = if t.windows > 0 then t.clock <- f
 let clock t = t.clock ()
 
-(* The calling domain's window of [name] covering virtual time [at]
-   (default: the registry clock), cleared first if its ring slot held an
-   older window.  A counter's windows keep no bins. *)
-let window_at t s ~bins ?at name =
+(* The window of [name] covering virtual time [at] (default: the registry
+   clock), cleared first if its ring slot held an older window.  A
+   counter's windows keep no bins. *)
+let window_at t ~bins ?at name =
   let at = match at with Some x -> x | None -> t.clock () in
   let ring =
-    match Hashtbl.find_opt s.rings name with
+    match Hashtbl.find_opt t.rings name with
     | Some r -> r
     | None ->
       let r = Array.init t.windows (fun _ -> { index = -1; w = hist_make bins }) in
-      Hashtbl.add s.rings name r;
+      Hashtbl.add t.rings name r;
       r
   in
   let index = max 0 (int_of_float (Float.floor (at /. window_s))) in
@@ -235,49 +206,42 @@ let window_at t s ~bins ?at name =
   slot.w
 
 let add t ?at ?(by = 1) name =
-  let s = my_shard t in
-  let r = counter_cell s name in
-  r := !r + by;
+  incr t ~by name;
   if t.windows > 0 then begin
-    let h = window_at t s ~bins:0 ?at name in
+    let h = window_at t ~bins:0 ?at name in
     h.h_count <- h.h_count + 1;
     h.h_sum <- h.h_sum +. float_of_int by
   end
 
 let sample t ?at name v =
-  let s = my_shard t in
-  observe_in s name v;
-  if t.windows > 0 then hist_record (window_at t s ~bins:window_bins ?at name) v
+  observe t name v;
+  if t.windows > 0 then hist_record (window_at t ~bins:window_bins ?at name) v
 
 (* -- Spans ---------------------------------------------------------------- *)
 
-let span_begin t name =
-  let s = my_shard t in
-  s.stack <- (name, t.now ()) :: s.stack
+let span_begin t name = t.stack <- (name, t.now ()) :: t.stack
 
 let span_end t =
-  let s = my_shard t in
-  match s.stack with
+  match t.stack with
   | [] -> invalid_arg "Telemetry.span_end: no open span"
   | (name, t0) :: rest ->
-    s.stack <- rest;
-    observe_in s name (t.now () -. t0)
+    t.stack <- rest;
+    observe t name (t.now () -. t0)
 
 let with_span t name f =
   span_begin t name;
   Fun.protect ~finally:(fun () -> span_end t) f
 
-(* -- Merged reads --------------------------------------------------------- *)
+(* -- Reads ----------------------------------------------------------------- *)
 
-(* The sources' readings as one more shard: each counter summed over the
-   sources that emit it, each gauge as the newest source that emits it
-   has it, stamped to win over every cell's write.  Each name is looked up
-   as its kind in every shard that holds it, which raises on a clash. *)
+(* The sources' readings, as cells: each counter summed over the sources
+   that emit it, each gauge as the newest source that emits it has it.
+   Each name is also looked up as its kind in the registry's own cells,
+   which raises on a clash. *)
 let read_sources t =
-  let s = new_shard () in
+  let s = Hashtbl.create 64 in
   let claim find name =
-    Stdx.Sharded.iter t.shards ~f:(fun d ->
-        if Hashtbl.mem d.cells name then ignore (find d name));
+    if Hashtbl.mem t.cells name then ignore (find t.cells name);
     find s name
   in
   let counter name v =
@@ -285,49 +249,36 @@ let read_sources t =
     r := !r + v
   in
   let gauge name v =
+    let fresh = not (Hashtbl.mem s name) in
     let g = claim gauge_cell name in
-    if g.g_seq < max_int then begin
-      g.g_seq <- max_int;
-      g.g_val.v <- v
-    end
+    if fresh then g.v <- v
   in
-  List.iter (fun src -> src.read ~counter ~gauge) (Atomic.get t.sources);
+  List.iter (fun src -> src.read ~counter ~gauge) t.sources;
   s
 
-let domain_shards t = Stdx.Sharded.fold t.shards ~init:[] ~f:(fun acc s -> s :: acc)
-let all_shards t = read_sources t :: domain_shards t
+(* The sources' cells, then the registry's: a counter sums both, and a
+   gauge a source emits wins over the cell. *)
+let all_cells t = [ read_sources t; t.cells ]
 
-let counter_in shards name =
+let counter_in tables name =
   List.fold_left
-    (fun acc s ->
-      match Hashtbl.find_opt s.cells name with
+    (fun acc cells ->
+      match Hashtbl.find_opt cells name with
       | Some (Counter r) -> acc + !r
       | _ -> acc)
-    0 shards
+    0 tables
 
-let gauge_in shards name =
-  List.fold_left
-    (fun acc s ->
-      match Hashtbl.find_opt s.cells name with
-      | Some (Gauge g) -> (
-        match acc with
-        | Some (seq, _) when seq >= g.g_seq -> acc
-        | _ -> Some (g.g_seq, g.g_val.v))
-      | _ -> acc)
-    None shards
-  |> Option.map snd
+let gauge_in tables name =
+  List.find_map
+    (fun cells ->
+      match Hashtbl.find_opt cells name with Some (Gauge g) -> Some g.v | _ -> None)
+    tables
 
-let counter_value t name = counter_in (all_shards t) name
-let gauge_value t name = gauge_in (all_shards t) name
+let counter_value t name = counter_in (all_cells t) name
+let gauge_value t name = gauge_in (all_cells t) name
 
-let merged_hist t name =
-  Stdx.Sharded.fold t.shards ~init:None ~f:(fun acc s ->
-      match Hashtbl.find_opt s.cells name with
-      | Some (Hist h) ->
-        let dst = match acc with Some d -> d | None -> hist_make total_bins in
-        hist_merge_into dst h;
-        Some dst
-      | _ -> acc)
+let hist_of t name =
+  match Hashtbl.find_opt t.cells name with Some (Hist h) -> Some h | _ -> None
 
 type hist_summary = {
   count : int;
@@ -356,10 +307,10 @@ let summary_of_hist h =
     p99 = hist_quantile h 0.99;
   }
 
-let hist_summary t name = Option.map summary_of_hist (merged_hist t name)
+let hist_summary t name = Option.map summary_of_hist (hist_of t name)
 
 let hist_percentile t name p =
-  match merged_hist t name with
+  match hist_of t name with
   | None -> 0.0
   | Some h ->
     (* NaN would sail through both range tests and silently return the
@@ -367,86 +318,67 @@ let hist_percentile t name p =
     if Float.is_nan p then invalid_arg "Telemetry.hist_percentile: NaN percentile";
     hist_quantile h (p /. 100.0)
 
-let names_of_kind shards ~keep =
+let names_of_kind tables ~keep =
   let seen = Hashtbl.create 64 in
   List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun name cell -> if keep cell then Hashtbl.replace seen name ())
-        s.cells)
-    shards;
+    (fun cells ->
+      Hashtbl.iter (fun name cell -> if keep cell then Hashtbl.replace seen name ()) cells)
+    tables;
   Hashtbl.fold (fun name () acc -> name :: acc) seen []
   |> List.sort compare
 
 let counters t =
-  let shards = all_shards t in
-  names_of_kind shards ~keep:(function Counter _ -> true | _ -> false)
-  |> List.map (fun name -> (name, counter_in shards name))
+  let tables = all_cells t in
+  names_of_kind tables ~keep:(function Counter _ -> true | _ -> false)
+  |> List.map (fun name -> (name, counter_in tables name))
 
 let gauges t =
-  let shards = all_shards t in
-  names_of_kind shards ~keep:(function Gauge _ -> true | _ -> false)
+  let tables = all_cells t in
+  names_of_kind tables ~keep:(function Gauge _ -> true | _ -> false)
   |> List.filter_map (fun name ->
-         Option.map (fun v -> (name, v)) (gauge_in shards name))
+         Option.map (fun v -> (name, v)) (gauge_in tables name))
 
 let histograms t =
-  names_of_kind (domain_shards t) ~keep:(function Hist _ -> true | _ -> false)
+  names_of_kind [ t.cells ] ~keep:(function Hist _ -> true | _ -> false)
   |> List.filter_map (fun name ->
          Option.map (fun s -> (name, s)) (hist_summary t name))
 
 let reset t =
-  Stdx.Sharded.iter t.shards ~f:(fun s ->
-      Hashtbl.reset s.cells;
-      Hashtbl.reset s.rings;
-      s.stack <- []);
-  List.iter (fun s -> s.zero ()) (Atomic.get t.sources)
+  Hashtbl.reset t.cells;
+  Hashtbl.reset t.rings;
+  t.stack <- [];
+  List.iter (fun s -> s.zero ()) t.sources
 
 (* -- Window reads ------------------------------------------------------------ *)
 
 let windowed t =
-  let seen = Hashtbl.create 64 in
-  Stdx.Sharded.iter t.shards ~f:(fun s ->
-      Hashtbl.iter
-        (fun name ring ->
-          Hashtbl.replace seen name
-            (if Array.length ring.(0).w.h_buckets = 0 then `Counter else `Dist))
-        s.rings);
-  Hashtbl.fold (fun name kind acc -> (name, kind) :: acc) seen []
+  Hashtbl.fold
+    (fun name ring acc ->
+      (name, if Array.length ring.(0).w.h_buckets = 0 then `Counter else `Dist) :: acc)
+    t.rings []
   |> List.sort compare
 
-(* [name]'s windows merged across shards by index, ascending: the newest
-   [windows] indices, or the newest [last] of those. *)
-let merged_windows ?last t name =
-  let by_index = Hashtbl.create 64 in
-  Stdx.Sharded.iter t.shards ~f:(fun s ->
-      match Hashtbl.find_opt s.rings name with
-      | None -> ()
-      | Some ring ->
-        Array.iter
-          (fun slot ->
-            if slot.index >= 0 then begin
-              let m =
-                match Hashtbl.find_opt by_index slot.index with
-                | Some m -> m
-                | None ->
-                  let m = hist_make (Array.length slot.w.h_buckets) in
-                  Hashtbl.add by_index slot.index m;
-                  m
-              in
-              hist_merge_into m slot.w
-            end)
-          ring);
-  let indices = List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) by_index []) in
+(* [name]'s used windows by index, ascending: the newest [last] of them,
+   or all.  A ring holds at most [windows] indices, one per slot. *)
+let kept_windows ?last t name =
+  let used =
+    match Hashtbl.find_opt t.rings name with
+    | None -> []
+    | Some ring ->
+      Array.fold_left
+        (fun acc slot -> if slot.index >= 0 then (slot.index, slot.w) :: acc else acc)
+        [] ring
+      |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+  in
   let keep = match last with Some k -> Int.min k t.windows | None -> t.windows in
-  let skip = List.length indices - keep in
-  List.filteri (fun i _ -> i >= skip) indices
-  |> List.map (fun i -> (i, Hashtbl.find by_index i))
+  let skip = List.length used - keep in
+  List.filteri (fun i _ -> i >= skip) used
 
 let windows ?last t name =
-  List.map (fun (i, h) -> (i, summary_of_hist h)) (merged_windows ?last t name)
+  List.map (fun (i, h) -> (i, summary_of_hist h)) (kept_windows ?last t name)
 
 let merged_last ?last t name =
-  let ws = merged_windows ?last t name in
+  let ws = kept_windows ?last t name in
   let bins = match ws with (_, h) :: _ -> Array.length h.h_buckets | [] -> 0 in
   let m = hist_make bins in
   List.iter (fun (_, h) -> hist_merge_into m h) ws;

@@ -1,13 +1,13 @@
 (** Dependency-light metrics registry: counters, gauges, log-bucketed
     latency histograms, and span timers.
 
-    Recording is allocation-cheap (a domain-local lookup plus an in-place
-    cell update) and safe under [Stdx.Domain_pool] fan-out: every writing
-    domain gets its own shard and readers merge all shards, so no write
-    ever contends.  Merged totals are exact once the writing domains have
-    synchronized — [Domain_pool.parallel_for] returns only after every
-    worker signals completion under the pool's mutex, so recording inside
-    a fan-out and reading after it returns is exact.
+    Recording is allocation-cheap: a hashtable lookup plus an in-place
+    cell update.
+
+    A registry belongs to one domain.  It keeps one store and takes no
+    lock, so recording into it from, or reading it on, any domain other
+    than the one that records into it is a data race.  The program runs
+    on one domain; nothing in it spawns another.
 
     Histograms store no samples: observations land in logarithmic
     buckets (8 per octave) covering ~6e-8 .. ~2e2, so percentiles carry
@@ -26,8 +26,7 @@
 
     Spans are sugar over histograms: [with_span t "alloc.score" f] times
     [f] and observes the elapsed seconds into histogram "alloc.score".
-    Spans nest per domain (a stack), and [with_span] records even when
-    [f] raises.
+    Spans nest (a stack), and [with_span] records even when [f] raises.
 
     Metric names are flat dot-separated strings (see docs/TELEMETRY.md
     for the taxonomy).  A name denotes one kind forever; re-using it as
@@ -63,19 +62,19 @@ val source :
   read:(counter:(string -> int -> unit) -> gauge:(string -> float -> unit) -> unit) ->
   zero:(unit -> unit) ->
   unit
-(** A component that runs on one domain owns its hot counters as plain
-    ints and registers one source over them at creation.  Every merged
-    read ({!counter_value}, {!gauge_value}, {!counters}, {!gauges}, the
-    dumps) calls [read ~counter ~gauge], which emits the current values
-    by name, and {!reset} calls [zero].  A counter sums its cells and
-    every source's reading; a gauge reads as the newest source that emits
-    it has it, over any cell.  Sources feed run totals, never windows.
+(** A component owns its hot counters as plain ints and registers one
+    source over them at creation.  Every read ({!counter_value},
+    {!gauge_value}, {!counters}, {!gauges}, the dumps) calls
+    [read ~counter ~gauge], which emits the current values by name, and
+    {!reset} calls [zero].  A counter sums its cell and every source's
+    reading; a gauge reads as the newest source that emits it has it,
+    over any cell.  Sources feed run totals, never windows.
 
     The registry grows by one source per component ever created on it,
     and keeps alive what [read] and [zero] close over: a small record of
-    counts, never the component.  Registering is safe from any domain.
-    A name a source emits as another kind than a cell or another source
-    holds raises [Invalid_argument] at read, not at record. *)
+    counts, never the component.  A name a source emits as another kind
+    than a cell or another source holds raises [Invalid_argument] at
+    read, not at record. *)
 
 (** {2 Windowed recording (cold paths)}
 
@@ -107,14 +106,14 @@ val clock : t -> float
 val span_begin : t -> string -> unit
 
 val span_end : t -> unit
-(** Close the innermost open span of the calling domain and observe its
-    elapsed seconds under the span's name.
+(** Close the innermost open span and observe its elapsed seconds under
+    the span's name.
     @raise Invalid_argument if no span is open. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [span_begin]/[span_end] around [f], exception-safe. *)
 
-(** {2 Merged reads} *)
+(** {2 Reads} *)
 
 type hist_summary = {
   count : int;
@@ -128,11 +127,10 @@ type hist_summary = {
 }
 
 val counter_value : t -> string -> int
-(** Sum over all shards and sources; 0 if never incremented. *)
+(** The cell plus every source's reading; 0 if never incremented. *)
 
 val gauge_value : t -> string -> float option
-(** The newest source's reading, else the most recently set value across
-    shards (global write order). *)
+(** The newest source's reading, else the most recently set value. *)
 
 val hist_summary : t -> string -> hist_summary option
 (** [None] for an unknown name.  A single-observation histogram reports
@@ -148,20 +146,19 @@ val hist_percentile : t -> string -> float -> float
     @raise Invalid_argument if [p] is NaN. *)
 
 val counters : t -> (string * int) list
-(** All counters, merged, sorted by name.  Likewise [gauges]. *)
+(** All counters, sources included, sorted by name.  Likewise
+    [gauges]. *)
 
 val gauges : t -> (string * float) list
 
 val reset : t -> unit
-(** Clear every shard, windows included, and zero every source.  Only
-    call while no other domain is recording. *)
+(** Clear every cell, windows included, and zero every source. *)
 
 (** {2 Window reads}
 
-    Merged across shards like the totals.  A window reads as a
-    {!hist_summary} of its records; a counter window reports its calls
-    as [count], the sum of their [by] as [sum], and zeros for [min],
-    [max] and the percentiles. *)
+    A window reads as a {!hist_summary} of its records; a counter window
+    reports its calls as [count], the sum of their [by] as [sum], and
+    zeros for [min], [max] and the percentiles. *)
 
 val windowed : t -> (string * [ `Counter | `Dist ]) list
 (** Every metric recorded through {!add} ([`Counter]) or {!sample}

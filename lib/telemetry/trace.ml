@@ -10,22 +10,19 @@ type event = {
   attrs : (string * string) list;
 }
 
-(* Each writing domain appends to its own shard (no contention); a global
-   atomic sequence number gives the merged view a total emission order. *)
-type shard = { mutable items : (int * event) array; mutable len : int }
-
+(* A tracer belongs to one domain: events are appended to one array, in
+   emission order. *)
 type t = {
   on : bool;
   capacity : int;
   sample : float;
   rng : Stdx.Prng.t;
-  rng_lock : Mutex.t;
   mutable clock : unit -> float;
-  shards : shard Stdx.Sharded.t;
-  next_trace : int Atomic.t;
-  next_span : int Atomic.t;
-  next_seq : int Atomic.t;
-  n_evicted : int Atomic.t;
+  mutable items : event array;
+  mutable len : int;
+  mutable next_trace : int;
+  mutable next_span : int;
+  mutable n_evicted : int;
 }
 
 let mk ~on ~capacity ~sample ~seed =
@@ -35,13 +32,12 @@ let mk ~on ~capacity ~sample ~seed =
     capacity;
     sample;
     rng = Stdx.Prng.create ~seed;
-    rng_lock = Mutex.create ();
     clock = (fun () -> 0.0);
-    shards = Stdx.Sharded.create ~init:(fun () -> { items = [||]; len = 0 }) ();
-    next_trace = Atomic.make 1;
-    next_span = Atomic.make 1;
-    next_seq = Atomic.make 0;
-    n_evicted = Atomic.make 0;
+    items = [||];
+    len = 0;
+    next_trace = 1;
+    next_span = 1;
+    n_evicted = 0;
   }
 
 let create ?(capacity = 65536) ?(sample = 1.0) ?(seed = 0x7ace) () =
@@ -53,44 +49,44 @@ let set_clock t f = t.clock <- f
 let now t = t.clock ()
 
 (* Oldest-trace eviction: drop every event of the smallest trace id until
-   at least 1/8 of the shard is free again, so eviction work amortizes.
+   at least 1/8 of the store is free again, so eviction work amortizes.
    Trace ids grow monotonically, so the smallest id is the oldest trace. *)
-let evict t sh =
+let evict t =
   let target = t.capacity - max 1 (t.capacity / 8) in
-  while sh.len > target do
+  while t.len > target do
     let oldest = ref max_int in
-    for i = 0 to sh.len - 1 do
-      let _, ev = sh.items.(i) in
-      if ev.trace_id < !oldest then oldest := ev.trace_id
+    for i = 0 to t.len - 1 do
+      if t.items.(i).trace_id < !oldest then oldest := t.items.(i).trace_id
     done;
     let j = ref 0 in
-    for i = 0 to sh.len - 1 do
-      let (_, ev) as it = sh.items.(i) in
+    for i = 0 to t.len - 1 do
+      let ev = t.items.(i) in
       if ev.trace_id <> !oldest then begin
-        sh.items.(!j) <- it;
+        t.items.(!j) <- ev;
         incr j
       end
     done;
-    ignore (Atomic.fetch_and_add t.n_evicted (sh.len - !j));
-    sh.len <- !j
+    t.n_evicted <- t.n_evicted + (t.len - !j);
+    t.len <- !j
   done
 
 let emit t ev =
   if t.on then begin
-    let seq = Atomic.fetch_and_add t.next_seq 1 in
-    let sh = Stdx.Sharded.get t.shards in
-    if sh.len >= t.capacity then evict t sh;
-    if sh.len = Array.length sh.items then begin
-      let cap = max 64 (2 * Array.length sh.items) in
-      let items = Array.make (min cap t.capacity) (seq, ev) in
-      Array.blit sh.items 0 items 0 sh.len;
-      sh.items <- items
+    if t.len >= t.capacity then evict t;
+    if t.len = Array.length t.items then begin
+      let cap = max 64 (2 * Array.length t.items) in
+      let items = Array.make (min cap t.capacity) ev in
+      Array.blit t.items 0 items 0 t.len;
+      t.items <- items
     end;
-    sh.items.(sh.len) <- (seq, ev);
-    sh.len <- sh.len + 1
+    t.items.(t.len) <- ev;
+    t.len <- t.len + 1
   end
 
-let fresh_span t = Atomic.fetch_and_add t.next_span 1
+let fresh_span t =
+  let id = t.next_span in
+  t.next_span <- id + 1;
+  id
 
 let start_trace t ?(attrs = []) name =
   if not t.on then None
@@ -98,16 +94,12 @@ let start_trace t ?(attrs = []) name =
     let keep =
       if t.sample >= 1.0 then true
       else if t.sample <= 0.0 then false
-      else begin
-        Mutex.lock t.rng_lock;
-        let u = Stdx.Prng.float t.rng 1.0 in
-        Mutex.unlock t.rng_lock;
-        u < t.sample
-      end
+      else Stdx.Prng.float t.rng 1.0 < t.sample
     in
     if not keep then None
     else begin
-      let trace_id = Atomic.fetch_and_add t.next_trace 1 in
+      let trace_id = t.next_trace in
+      t.next_trace <- trace_id + 1;
       let span_id = fresh_span t in
       let now = t.clock () in
       emit t
@@ -146,60 +138,15 @@ let with_span t (ctx : ctx option) ?attrs name f =
             t_start = t0; t_end = t.clock (); name; attrs })
       (fun () -> f (Some ({ trace_id = c.trace_id; span_id } : ctx)))
 
-let length t =
-  Stdx.Sharded.fold t.shards ~init:0 ~f:(fun acc sh -> acc + sh.len)
-
-let evicted t = Atomic.get t.n_evicted
+let length t = t.len
+let evicted t = t.n_evicted
 
 let reset t =
-  Stdx.Sharded.iter t.shards ~f:(fun sh ->
-      sh.items <- [||];
-      sh.len <- 0);
-  Atomic.set t.n_evicted 0
+  t.items <- [||];
+  t.len <- 0;
+  t.n_evicted <- 0
 
-(* Merged view: total order by sequence number, then the same oldest-trace
-   eviction applied globally so the export is capped at [capacity] no
-   matter how many shards wrote. *)
-let events t =
-  let all =
-    Stdx.Sharded.fold t.shards ~init:[] ~f:(fun acc sh ->
-        let rec take i acc =
-          if i < 0 then acc else take (i - 1) (sh.items.(i) :: acc)
-        in
-        take (sh.len - 1) acc)
-  in
-  let all = List.sort (fun (a, _) (b, _) -> compare a b) all in
-  let n = List.length all in
-  if n <= t.capacity then List.map snd all
-  else begin
-    let per_trace = Hashtbl.create 64 in
-    List.iter
-      (fun (_, ev) ->
-        let c =
-          match Hashtbl.find_opt per_trace ev.trace_id with
-          | Some c -> c
-          | None -> 0
-        in
-        Hashtbl.replace per_trace ev.trace_id (c + 1))
-      all;
-    let ids =
-      Hashtbl.fold (fun id c acc -> (id, c) :: acc) per_trace []
-      |> List.sort compare
-    in
-    let drop = Hashtbl.create 16 in
-    let excess = ref (n - t.capacity) in
-    List.iter
-      (fun (id, c) ->
-        if !excess > 0 then begin
-          Hashtbl.replace drop id ();
-          excess := !excess - c
-        end)
-      ids;
-    List.filter_map
-      (fun (_, ev) ->
-        if Hashtbl.mem drop ev.trace_id then None else Some ev)
-      all
-  end
+let events t = List.init t.len (Array.get t.items)
 
 (* ---- Exporters ---- *)
 

@@ -13,19 +13,21 @@
     - {b Head-based, seeded sampling.}  The keep/drop decision is made
       once, at {!start_trace}, from a [Stdx.Prng] stream seeded at
       {!create} — the same run with the same seed yields the same traces.
-    - {b Hard-bounded.}  Each writing domain's shard holds at most
-      [capacity] events (default 64k); when full, the oldest traces in the
-      shard are evicted wholesale.  The merged view in {!events} applies
-      the same oldest-trace eviction globally, so exports never exceed
-      [capacity] events regardless of how many domains wrote.
-    - {b Deterministic output.}  Events order by a global sequence number
-      and timestamps come from an injectable clock (wire it to
+    - {b Hard-bounded.}  A tracer holds at most [capacity] events (default
+      64k); when full, the oldest traces are evicted wholesale.
+    - {b Deterministic output.}  Events keep their emission order and
+      timestamps come from an injectable clock (wire it to
       [Sim.Engine.now]; the default clock returns 0), so same-seed runs
       export byte-identical dumps.  Never wire the clock to wall time if
       dumps must be reproducible.
     - {b Cheap when off.}  {!noop} never samples and every operation on it
       returns immediately; instrumented call sites guard on the returned
-      [ctx option], so a disabled tracer costs a pointer test. *)
+      [ctx option], so a disabled tracer costs a pointer test.
+
+    A tracer belongs to one domain.  It keeps one store and takes no lock,
+    so emitting into it from, or reading it on, any domain other than the
+    one that emits into it is a data race.  The program runs on one
+    domain; nothing in it spawns another. *)
 
 type ctx = { trace_id : int; span_id : int }
 (** A position in a trace: which trace, and which span new children should
@@ -46,11 +48,10 @@ type event = {
 type t
 
 val create : ?capacity:int -> ?sample:float -> ?seed:int -> unit -> t
-(** [capacity] (default 65536) bounds the per-shard and merged event
-    count.  [sample] (default 1.0) is the head-sampling probability in
-    [0, 1]; values [>= 1.0] keep everything without consuming PRNG state,
-    [<= 0.0] keeps nothing.  [seed] (default 0x7ace) seeds the sampling
-    stream. *)
+(** [capacity] (default 65536) bounds the stored event count.  [sample]
+    (default 1.0) is the head-sampling probability in [0, 1]; values
+    [>= 1.0] keep everything without consuming PRNG state, [<= 0.0] keeps
+    nothing.  [seed] (default 0x7ace) seeds the sampling stream. *)
 
 val noop : t
 (** A permanently disabled tracer: {!start_trace} always returns [None]
@@ -98,14 +99,14 @@ val with_span :
     [with_span t None name f] is just [f None]. *)
 
 val length : t -> int
-(** Events currently stored (before merged-view eviction). *)
+(** Events currently stored. *)
 
 val evicted : t -> int
 (** Events discarded by oldest-trace eviction since creation/reset. *)
 
 val events : t -> event list
-(** Merged view of all shards in global emission order, capped at
-    [capacity] events by evicting oldest traces first. *)
+(** The stored events in emission order: at most [capacity], the oldest
+    traces evicted first. *)
 
 val reset : t -> unit
 (** Drop all stored events and zero {!evicted}.  Id counters keep

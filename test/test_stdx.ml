@@ -183,16 +183,6 @@ let test_boxplot () =
     && b.Stdx.Stats.q2 <= b.Stdx.Stats.q3
     && b.Stdx.Stats.q3 <= b.Stdx.Stats.whisker_hi)
 
-(* -- Sharded ------------------------------------------------------------- *)
-
-let test_sharded_same_shard_within_domain () =
-  let s = Stdx.Sharded.create ~init:(fun () -> ref 0) () in
-  let a = Stdx.Sharded.get s in
-  incr a;
-  let b = Stdx.Sharded.get s in
-  Alcotest.(check bool) "same shard" true (a == b);
-  Alcotest.(check int) "one shard registered" 1 (Stdx.Sharded.n_shards s)
-
 let () =
   Alcotest.run "stdx"
     [
@@ -217,11 +207,6 @@ let () =
           Alcotest.test_case "formula" `Quick test_ewma_formula;
           Alcotest.test_case "invalid alpha" `Quick test_ewma_invalid_alpha;
           Alcotest.test_case "smooth length" `Quick test_ewma_smooth_length;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "stable shard per domain" `Quick
-            test_sharded_same_shard_within_domain;
         ] );
       ( "stats",
         [
