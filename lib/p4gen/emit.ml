@@ -1,13 +1,11 @@
 module I = Activermt.Instr
 
-type config = {
-  params : Rmt.Params.t;
-  max_program_length : int;
-  recirculation_port : int;
-}
+type config = { params : Rmt.Params.t; max_program_length : int }
 
-let default_config =
-  { params = Rmt.Params.default; max_program_length = 48; recirculation_port = 68 }
+let default_config = { params = Rmt.Params.default; max_program_length = 48 }
+
+(* The port an unfinished program recirculates through. *)
+let recirculation_port = 68
 
 let line b s =
   Buffer.add_string b s;
@@ -357,7 +355,7 @@ let emit_pipeline cfg =
   line b "            if (meta.complete == 0) {";
   line b (Printf.sprintf
             "                /* program continues: recirculate via port %d */"
-            cfg.recirculation_port);
+            recirculation_port);
   line b "            }";
   line b "        }";
   line b "    }";

@@ -19,7 +19,6 @@
 type config = {
   params : Rmt.Params.t;
   max_program_length : int;  (** instruction headers the parser unrolls *)
-  recirculation_port : int;
 }
 
 val default_config : config

@@ -3,21 +3,21 @@ open Import
 type config = {
   max_batch : int;
   defer_limit : int;
-  retry_limit : int;
-  max_evictions_per_epoch : int;
-  memsync_word_budget : int;
   entitlement_capacity : int option;
 }
 
-let default_config =
-  {
-    max_batch = 64;
-    defer_limit = 64;
-    retry_limit = 16;
-    max_evictions_per_epoch = 32;
-    memsync_word_budget = 65536;
-    entitlement_capacity = None;
-  }
+let default_config = { max_batch = 64; defer_limit = 64; entitlement_capacity = None }
+
+(* Capacity rejections (each possibly triggering preemption) before a
+   request is denied; this also caps how often one victim can be evicted
+   and readmitted. *)
+let retry_limit = 16
+
+let max_evictions_per_epoch = 32
+
+(* Regions above this many words move by control-plane reads and writes
+   instead of memsync capsules, as in Fleet migration. *)
+let memsync_word_budget = 65536
 
 type denial = [ `Quota | `Capacity | `Bad of string ]
 
@@ -188,7 +188,7 @@ let extract_state t ~fid =
           | None -> Array.make n_words 0
         in
         let words =
-          if n_words <= t.cfg.memsync_word_budget then begin
+          if n_words <= memsync_word_budget then begin
             let driver =
               Memsync_driver.create ~max_attempts:0 ~fid ~stages:[ stage ]
                 ~count:n_words ~timeout_s:1.0 Memsync_driver.Read
@@ -224,7 +224,7 @@ let inject_state t ~fid state =
             done
           in
           if count > 0 then
-            if count <= t.cfg.memsync_word_budget then begin
+            if count <= memsync_word_budget then begin
               let driver =
                 Memsync_driver.create ~max_attempts:0 ~fid ~stages:[ stage ]
                   ~count ~timeout_s:1.0
@@ -476,7 +476,7 @@ let run_epoch t =
         | Error (`Bad_packet msg) -> deny t ~denied r (`Bad msg)
         | Error (`Rejected (_ : Allocator.rejected)) ->
           r.r_retries <- r.r_retries + 1;
-          if r.r_retries > t.cfg.retry_limit then deny t ~denied r `Capacity
+          if r.r_retries > retry_limit then deny t ~denied r `Capacity
           else begin
             if under_entitlement t ~tenant:r.r_tenant ~extra:r.r_charge then begin
               Hashtbl.replace t.waiting_entitled r.r_fid ();
@@ -491,7 +491,7 @@ let run_epoch t =
     let freed = ref 0 and evictions = ref 0 in
     while
       !needed > !freed
-      && !evictions < t.cfg.max_evictions_per_epoch
+      && !evictions < max_evictions_per_epoch
       &&
       let f = evict_one t ~epoch_evicted ~modeled in
       freed := !freed + f;

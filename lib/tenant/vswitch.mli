@@ -36,14 +36,6 @@ type config = {
   max_batch : int;  (** WRR picks per admission epoch *)
   defer_limit : int;
       (** epochs a quota-blocked request may defer before denial *)
-  retry_limit : int;
-      (** capacity rejections (each possibly triggering preemption)
-          before a request is denied; also caps how often one victim can
-          be evicted-and-readmitted *)
-  max_evictions_per_epoch : int;
-  memsync_word_budget : int;
-      (** regions above this many words use control-plane reads/writes
-          instead of memsync capsules, as in {!Fleet} migration *)
   entitlement_capacity : int option;
       (** the block capacity weighted fair shares are computed against.
           [None] (the default) uses the raw pool size
@@ -55,8 +47,10 @@ type config = {
 }
 
 val default_config : config
-(** 64-request epochs, defer limit 64, retry limit 16, at most 32
-    evictions per epoch, 64 Ki-word memsync budget. *)
+(** 64-request epochs, defer limit 64.  A request is denied after 16
+    capacity rejections, an epoch evicts at most 32 victims, and regions
+    over 64 Ki words move by control-plane reads and writes instead of
+    memsync capsules. *)
 
 type denial = [ `Quota | `Capacity | `Bad of string ]
 

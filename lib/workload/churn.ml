@@ -17,31 +17,22 @@ type event =
   | Depart of { fid : int }
 type epoch = { index : int; events : event list }
 
-type config = {
-  arrival_mean : float;
-  departure_mean : float;
-  kinds : kind array;
-}
+type config = { kinds : kind array }
 
-let default_config =
-  { arrival_mean = 2.0; departure_mean = 1.0; kinds = all_kinds }
+let default_config = { kinds = all_kinds }
 
-let extended_config = { default_config with kinds = extended_kinds }
+let extended_config = { kinds = extended_kinds }
+
+(* Poisson means of the arrivals and departures per epoch. *)
+let arrival_mean = 2.0
+let departure_mean = 1.0
 
 let generate config ~epochs rng =
   let next_fid = ref 1 in
   let alive = ref [] in
   let epoch index =
-    let n_arr =
-      if config.arrival_mean > 0.0 then
-        Stdx.Prng.poisson rng ~mean:config.arrival_mean
-      else 0
-    in
-    let n_dep =
-      if config.departure_mean > 0.0 then
-        Stdx.Prng.poisson rng ~mean:config.departure_mean
-      else 0
-    in
+    let n_arr = Stdx.Prng.poisson rng ~mean:arrival_mean in
+    let n_dep = Stdx.Prng.poisson rng ~mean:departure_mean in
     let arrivals =
       List.init n_arr (fun _ ->
           let fid = !next_fid in

@@ -25,11 +25,7 @@ type event =
 
 type epoch = { index : int; events : event list }
 
-type config = {
-  arrival_mean : float;  (** Poisson mean arrivals per epoch (2.0) *)
-  departure_mean : float;  (** Poisson mean departures per epoch (1.0) *)
-  kinds : kind array;  (** arrival mix, sampled uniformly *)
-}
+type config = { kinds : kind array  (** arrival mix, sampled uniformly *) }
 
 val default_config : config
 
@@ -38,9 +34,11 @@ val extended_config : config
 
 val generate :
   config -> epochs:int -> Stdx.Prng.t -> epoch list
-(** Deterministic sequence given the PRNG.  FIDs are unique and increase;
-    departures pick among instances currently alive in the generated
-    sequence (so the trace is self-consistent without an allocator). *)
+(** Deterministic sequence given the PRNG.  Each epoch draws Poisson
+    arrivals (mean 2.0) and departures (mean 1.0).  FIDs are unique and
+    increase; departures pick among instances currently alive in the
+    generated sequence (so the trace is self-consistent without an
+    allocator). *)
 
 val arrivals_sequence : kind -> n:int -> epoch list
 (** [n] single-arrival epochs of one kind: the Figure 5a shape. *)

@@ -69,7 +69,6 @@ let test_protection_key () =
 let test_scales_with_params () =
   let small =
     {
-      cfg with
       Emit.params = { cfg.Emit.params with Rmt.Params.logical_stages = 4;
                       Rmt.Params.ingress_stages = 2 };
       max_program_length = 8;
