@@ -1,5 +1,5 @@
 (* Regenerate every figure of the paper's evaluation (Section 6) plus the
-   Section 5 resource comparison, and run the Bechamel micro-benchmarks.
+   Section 5 resource comparison.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig5a fig9b  # a subset
@@ -136,9 +136,6 @@ let experiments =
   @ List.map
       (fun (s : Section.t) -> { name = s.name; info = s.info; run = Section.bench s })
       Activermt_bench.Sections.all
-  @ [
-      { name = "micro"; info = "Bechamel microbenchmarks"; run = (fun ~quick:_ -> Micro.run ()) };
-    ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
