@@ -355,8 +355,11 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
               Activermt.Table.quiesce t.tables ~fid);
           t.pending <-
             Some { new_fid = fid; waiting = impacted; deadline_s = t.extraction_timeout_s };
-          let n = (Rmt.Device.params t.device).Rmt.Params.logical_stages in
-          let entries = 2 * (n + 3) * (List.length impacted + 1) in
+          let entries =
+            Cost_model.estimated_entries
+              ~logical_stages:(Rmt.Device.params t.device).Rmt.Params.logical_stages
+              ~apps:(List.length impacted + 1)
+          in
           (words, entries, Awaiting_extraction { impacted })
         | (`Auto | `Interactive), _ ->
           let words, entries =

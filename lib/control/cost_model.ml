@@ -45,6 +45,8 @@ type breakdown = {
 let total b = b.allocation_s +. b.table_update_s +. b.snapshot_s +. b.notify_s
 let modeled b = b.table_update_s +. b.snapshot_s +. b.notify_s
 
+let estimated_entries ~logical_stages ~apps = 2 * (logical_stages + 3) * apps
+
 let breakdown t ~allocation_s ~entries_updated ~apps_touched ~words_snapshotted ~notifications =
   {
     allocation_s;

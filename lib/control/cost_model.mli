@@ -58,6 +58,12 @@ val modeled : breakdown -> float
     rather than subtracted from [total], whose rounding would carry the
     measurement's low bits. *)
 
+val estimated_entries : logical_stages:int -> apps:int -> int
+(** The table entries charged for installing [apps] apps when they are
+    estimated rather than counted: [2 * (logical_stages + 3)] per app.
+    [Interactive] admissions charge their deferred table work this way,
+    and so does the churn pipeline's modeled epoch. *)
+
 val breakdown :
   t ->
   allocation_s:float ->

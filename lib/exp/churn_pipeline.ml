@@ -25,8 +25,8 @@ type result = {
 let calibration_epochs = 20
 let offered_fraction = 0.9
 
-(* Modeled control-plane duration of one committed epoch: the estimate the
-   Interactive commit path uses for entries (2*(n+3) per touched app), one
+(* Modeled control-plane duration of one committed epoch: the estimated
+   entries of every touched app (Cost_model.estimated_entries), one
    batched write session, snapshot words for the reallocated residents.
    Allocation compute time is deliberately excluded so the modeled clock —
    and everything derived from it, including the p99 time-to-service CI
@@ -36,7 +36,8 @@ let modeled_epoch_s ~logical_stages ~apps_touched ~words =
   else
     Cost_model.total
       (Cost_model.breakdown_batched Cost_model.default ~allocation_s:0.0
-         ~entries_updated:(2 * (logical_stages + 3) * apps_touched)
+         ~entries_updated:
+           (Cost_model.estimated_entries ~logical_stages ~apps:apps_touched)
          ~words_snapshotted:words ~notifications:apps_touched)
 
 let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop)
