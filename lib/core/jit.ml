@@ -1,4 +1,4 @@
-(* Specialization tier for the data plane (ROADMAP open item #1).
+(* Specialization tier for the data plane.
 
    When a FID's program is admitted, its 20-stage trace is compiled into a
    chain of OCaml closures: one specialized closure per instruction slot,
@@ -17,15 +17,20 @@
      entered, so the interpreter's per-slot accounting
      ([executed]/[last_stage]) collapses to one block-level update — the
      intermediate stores are dead, only the final values are observable.
-   - The canonical address chains the synthesizer emits (HASH /
-     ADDR_MASK / ADDR_OFFSET, MAR_LOAD / ADDR_MASK / ADDR_OFFSET, the
-     key-to-hashdata load prefix) are peephole-fused into single closures
-     with the mask/offset constants baked in, eliding the dead
-     intermediate MAR values; memory accesses poke the register file's
-     exposed representation (packed 32-bit words) directly once the
-     index is proven in range, through [Register_array]'s primitive
-     [external]s, which compile inline even across an [-opaque] module
-     boundary.
+   - A peephole ([peep]) fuses the idioms of the cache, heavy-hitter and
+     load-balancer programs — sketch row, indexed read, threshold test,
+     probe-and-compare, round-robin pool index, RTS reply tails,
+     key-to-hashdata prefix, register-save bump, loaded-operand stores —
+     into single closures with the constants baked in, eliding dead
+     intermediate MAR/MBR values.  Memory accesses poke the register
+     file's packed 32-bit words directly once a mask or the sign test of
+     [vread]/[vwrite]/[vincr] proves the index in range, through
+     [Register_array]'s primitive [external]s, which compile inline even
+     across an [-opaque] module boundary.
+
+   Two drivers run the blocks: a jump-free program (every workload's
+   program is one) runs one [straight] chain with its pass boundaries
+   baked in, and a program with jumps runs [drive].
 
    Closures are cached per FID and keyed by the allocation epoch
    ([Table.epoch]), which the table bumps on every install, remove and
@@ -72,11 +77,8 @@ type compiled = {
   blocks : block array;  (* fused straight-line run starting at each pc *)
   labels : int array;  (* line label, or [no_label] *)
   len : int;
-  single_pass : bool;  (* len <= n_stages: no recirculation bookkeeping *)
   straight : (state -> unit) option;
-      (* whole-program chain for jump-free programs: blocks linked by
-         complete-flag checks, recirculation checks baked in at pass
-         boundaries — no driver loop at all *)
+      (* a jump-free program's whole chain, no driver loop; [None]: [drive] *)
   c_n_stages : int;
   c_ingress : int;
   pass_allowance : int;
@@ -130,6 +132,39 @@ let[@inline] load data i =
 let[@inline] store data i v =
   Rmt.Register_array.unsafe_set32 data (i lsl 2) (Int32.of_int v)
 
+(* Virtually addressed accesses to word [a mod n] of the region at [lo]
+   of [r], whose packed words are [data]; [vincr] returns the new word.
+   The index is in range by construction when the remainder is
+   non-negative (the granted region lies within the stage's array); a
+   negative MAR — possible only from unmasked packet args — falls back to
+   the checked entry point, which reproduces the interpreter's behaviour
+   exactly. *)
+let[@inline] vread r data lo n a =
+  let mm = a mod n in
+  if mm >= 0 then begin
+    r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
+    load data (lo + mm)
+  end
+  else Rmt.Register_array.read_counted r (lo + mm)
+
+let[@inline] vwrite r data lo n a v =
+  let mm = a mod n in
+  if mm >= 0 then begin
+    r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
+    store data (lo + mm) v
+  end
+  else Rmt.Register_array.write_counted r (lo + mm) v
+
+let[@inline] vincr r data lo n a =
+  let mm = a mod n in
+  if mm >= 0 then begin
+    r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
+    let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
+    store data (lo + mm) nv;
+    nv
+  end
+  else Rmt.Register_array.add_read_counted r (lo + mm) 1
+
 (* A FID typically runs a small program family (e.g. cache query +
    populate) concurrently; keep a handful of compiled variants per FID. *)
 let max_progs_per_fid = 8
@@ -143,8 +178,8 @@ let drop_with device st reason =
    table-derived constant baked in.  [stage] is the logical stage the slot
    occupies (pc mod n_stages — the mapping is static because skipped slots
    still consume a stage).  The closures do no [executed]/[last_stage]
-   accounting: the drivers account per fused block (fast path) or per slot
-   (event path). *)
+   accounting: the drivers account per fused block, and per slot for a
+   labelled slot that re-enables execution ([exec_labelled]). *)
 let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
     (instr : Instr.t) : state -> unit =
   let open Rmt in
@@ -265,37 +300,10 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
       let lo = rg.Packet.start_word and n = rg.Packet.n_words in
       let r = (Device.stage device stage).Device.regs in
       let data = r.Register_array.data in
-      (* In-range by construction when [mar >= 0] (the granted region lies
-         within the stage's array); a negative MAR — possible only from
-         unmasked packet args — falls back to the checked entry point,
-         which reproduces the interpreter's behaviour exactly. *)
       match m with
-      | Instr.Mem_write ->
-        fun st ->
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Register_array.accesses <- r.Register_array.accesses + 1;
-            store data (lo + mm) st.mbr
-          end
-          else Register_array.write_counted r (lo + mm) st.mbr
-      | Instr.Mem_read ->
-        fun st ->
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Register_array.accesses <- r.Register_array.accesses + 1;
-            st.mbr <- load data (lo + mm)
-          end
-          else st.mbr <- Register_array.read_counted r (lo + mm)
-      | Instr.Mem_increment ->
-        fun st ->
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Register_array.accesses <- r.Register_array.accesses + 1;
-            let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
-            store data (lo + mm) nv;
-            st.mbr <- nv
-          end
-          else st.mbr <- Register_array.add_read_counted r (lo + mm) 1
+      | Instr.Mem_write -> fun st -> vwrite r data lo n st.mar st.mbr
+      | Instr.Mem_read -> fun st -> st.mbr <- vread r data lo n st.mar
+      | Instr.Mem_increment -> fun st -> st.mbr <- vincr r data lo n st.mar
       | Instr.Mem_minread ->
         fun st ->
           let mm = st.mar mod n in
@@ -306,14 +314,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           else st.mbr <- Register_array.min_read_counted r (lo + mm) st.mbr
       | Instr.Mem_minreadinc ->
         fun st ->
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Register_array.accesses <- r.Register_array.accesses + 1;
-            let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
-            store data (lo + mm) nv;
-            st.mbr <- nv
-          end
-          else st.mbr <- Register_array.add_read_counted r (lo + mm) 1;
+          st.mbr <- vincr r data lo n st.mar;
           st.mbr2 <- min st.mbr st.mbr2
       | _ -> assert false)
     | Some { Table.region = Some rg; virtual_addressing = false; _ } -> (
@@ -508,14 +509,12 @@ let compile tables ~fid (program : Program.t) =
       Some (rg.Packet.start_word, rg.Packet.n_words, r, r.Rmt.Register_array.data)
     | _ -> None
   in
-  (* Peephole over a block's (non-NOP) slot sequence: the synthesizer's
-     canonical idioms — address chains, sketch rows, probe/compare/return
-     triples, round-robin pool indexing, reply tails — become single
-     closures with all constants baked in, skipping dead intermediate
-     MAR/MBR stores.  When a chain computes the address, the value is
-     32-bit masked and hence non-negative, so the fused access can skip
-     the negative-remainder guard the standalone closures need.  Anything
-     unmatched falls back to the per-slot closure. *)
+  (* Peephole over a block's (non-NOP) slot sequence: each idiom below
+     becomes one closure with its constants baked in, skipping dead
+     intermediate MAR/MBR stores.  When a chain computes the address, the
+     value is 32-bit masked and hence non-negative, so the fused access
+     skips the guard of [vread]/[vwrite]/[vincr].  Anything unmatched
+     falls back to the per-slot closure. *)
   let rec peep pcs =
     match pcs with
     (* sketch row: HASH / ADDR_MASK / ADDR_OFFSET / MEM_MINREADINC *)
@@ -572,41 +571,11 @@ let compile tables ~fid (program : Program.t) =
         (fun st ->
           let adr = st.args.(i) in
           st.mar <- adr;
-          let mm = adr mod n in
-          let v =
-            if mm >= 0 then begin
-              r.Rmt.Register_array.accesses <-
-                r.Rmt.Register_array.accesses + 1;
-              load data (lo + mm)
-            end
-            else Rmt.Register_array.read_counted r (lo + mm)
-          in
-          let x = min v st.mbr2 lxor st.mbr2 in
+          let x = min (vread r data lo n adr) st.mbr2 lxor st.mbr2 in
           st.mbr <- x;
           if x = 0 then st.complete <- true)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: p3 :: p4 :: p5 :: rest))
-    (* hash cookie tail: HASH / COPY_MBR_MAR / MBR_EQUALS_MBR2 /
-       MBR_STORE / RETURN *)
-    | p1 :: p2 :: p3 :: p4 :: p5 :: rest
-      when instrs.(p1) = Instr.Hash
-           && instrs.(p2) = Instr.Copy_mbr_mar
-           && instrs.(p3) = Instr.Mbr_equals_mbr2
-           && (match instrs.(p4) with Instr.Mbr_store _ -> true | _ -> false)
-           && instrs.(p5) = Instr.Return -> (
-      match instrs.(p4) with
-      | Instr.Mbr_store b ->
-        let row = (Rmt.Device.stage device (stage_of p1)).Rmt.Device.hash_row in
-        let ib = Instr.arg_index b in
-        (fun st ->
-          let h = mask32 (Rmt.Crc.hash_words2 ~row st.hd0 st.hd1) in
-          st.mar <- h;
-          let x = h lxor st.mbr2 in
-          st.mbr <- x;
-          st.args.(ib) <- mask32 x;
-          st.complete <- true)
-        :: peep rest
-      | _ -> assert false)
     (* round-robin pool index (power-of-two modulo): COPY_MAR_MBR /
        COPY_MBR_MBR2 / BIT_AND_MAR_MBR / COPY_MBR_MAR / COPY_MBR2_MBR
        leaves counter land (pool-1) in all three registers *)
@@ -636,15 +605,7 @@ let compile tables ~fid (program : Program.t) =
         (fun st ->
           let adr = st.args.(ia) in
           st.mar <- adr;
-          let mm = adr mod n in
-          let v =
-            if mm >= 0 then begin
-              r.Rmt.Register_array.accesses <-
-                r.Rmt.Register_array.accesses + 1;
-              load data (lo + mm)
-            end
-            else Rmt.Register_array.read_counted r (lo + mm)
-          in
+          let v = vread r data lo n adr in
           let x = v lxor st.args.(ib) in
           st.mbr <- x;
           if x <> 0 then st.complete <- true)
@@ -661,38 +622,12 @@ let compile tables ~fid (program : Program.t) =
       | Instr.Mbr_equals_data b, Some (lo, n, r, data) ->
         let ib = Instr.arg_index b in
         (fun st ->
-          let mm = st.mar mod n in
-          let v =
-            if mm >= 0 then begin
-              r.Rmt.Register_array.accesses <-
-                r.Rmt.Register_array.accesses + 1;
-              load data (lo + mm)
-            end
-            else Rmt.Register_array.read_counted r (lo + mm)
-          in
+          let v = vread r data lo n st.mar in
           let x = v lxor st.args.(ib) in
           st.mbr <- x;
           if x <> 0 then st.complete <- true)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    (* pointer chase into a granted pool: MAR_MBR_ADD_MBR2 / MEM_READ /
-       SET_DST (the computed address is masked, hence non-negative) *)
-    | p1 :: p2 :: p3 :: rest
-      when privileged
-           && instrs.(p1) = Instr.Mar_mbr_add_mbr2
-           && instrs.(p2) = Instr.Mem_read
-           && instrs.(p3) = Instr.Set_dst -> (
-      match virt_mem p2 with
-      | Some (lo, n, r, data) ->
-        (fun st ->
-          let adr = mask32 (st.mbr + st.mbr2) in
-          st.mar <- adr;
-          r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-          let v = load data (lo + (adr mod n)) in
-          st.mbr <- v;
-          st.dst <- v)
-        :: peep rest
-      | None -> ops.(p1) :: peep (p2 :: p3 :: rest))
     (* RTS reply carrying a read value: RTS / MEM_READ / MBR_STORE /
        RETURN *)
     | p1 :: p2 :: p3 :: p4 :: rest
@@ -711,15 +646,7 @@ let compile tables ~fid (program : Program.t) =
             st.port_recircs <- st.port_recircs + 1;
             Rmt.Device.count_recirculation device
           end;
-          let mm = st.mar mod n in
-          let v =
-            if mm >= 0 then begin
-              r.Rmt.Register_array.accesses <-
-                r.Rmt.Register_array.accesses + 1;
-              load data (lo + mm)
-            end
-            else Rmt.Register_array.read_counted r (lo + mm)
-          in
+          let v = vread r data lo n st.mar in
           st.mbr <- v;
           st.args.(ib) <- mask32 v;
           st.complete <- true)
@@ -740,48 +667,10 @@ let compile tables ~fid (program : Program.t) =
             st.port_recircs <- st.port_recircs + 1;
             Rmt.Device.count_recirculation device
           end;
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            store data (lo + mm) st.mbr
-          end
-          else Rmt.Register_array.write_counted r (lo + mm) st.mbr;
+          vwrite r data lo n st.mar st.mbr;
           st.complete <- true)
         :: peep rest
       | None -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    (* plain address chains (no fusable access follows) *)
-    | p1 :: p2 :: p3 :: rest
-      when instrs.(p1) = Instr.Hash
-           && instrs.(p2) = Instr.Addr_mask
-           && instrs.(p3) = Instr.Addr_offset -> (
-      match (entry_at p2, entry_at p3) with
-      | Some e2, Some e3 ->
-        let row = (Rmt.Device.stage device (stage_of p1)).Rmt.Device.hash_row in
-        let m = e2.Table.xmask and o = e3.Table.xoffset in
-        (fun st ->
-          st.mar <-
-            ((mask32 (Rmt.Crc.hash_words2 ~row st.hd0 st.hd1) land m) + o)
-            land 0xFFFFFFFF)
-        :: peep rest
-      | _ -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    | p1 :: p2 :: p3 :: rest
-      when (match instrs.(p1) with Instr.Mar_load _ -> true | _ -> false)
-           && instrs.(p2) = Instr.Addr_mask
-           && instrs.(p3) = Instr.Addr_offset -> (
-      match (instrs.(p1), entry_at p2, entry_at p3) with
-      | Instr.Mar_load a, Some e2, Some e3 ->
-        let i = Instr.arg_index a in
-        let m = e2.Table.xmask and o = e3.Table.xoffset in
-        (fun st -> st.mar <- ((st.args.(i) land m) + o) land 0xFFFFFFFF)
-        :: peep rest
-      | _ -> ops.(p1) :: peep (p2 :: p3 :: rest))
-    | p2 :: p3 :: rest
-      when instrs.(p2) = Instr.Addr_mask && instrs.(p3) = Instr.Addr_offset -> (
-      match (entry_at p2, entry_at p3) with
-      | Some e2, Some e3 ->
-        let m = e2.Table.xmask and o = e3.Table.xoffset in
-        (fun st -> st.mar <- ((st.mar land m) + o) land 0xFFFFFFFF) :: peep rest
-      | _ -> ops.(p2) :: peep (p3 :: rest))
     (* key-to-hashdata load prefix *)
     | p1 :: p2 :: p3 :: p4 :: rest
       when (match (instrs.(p1), instrs.(p2)) with
@@ -801,18 +690,6 @@ let compile tables ~fid (program : Program.t) =
           st.hd1 <- v2)
         :: peep rest
       | _ -> assert false)
-    | p1 :: p2 :: rest
-      when (match instrs.(p1) with Instr.Mbr_load _ -> true | _ -> false)
-           && instrs.(p2) = Instr.Copy_hashdata_mbr -> (
-      match instrs.(p1) with
-      | Instr.Mbr_load a ->
-        let i = Instr.arg_index a in
-        (fun st ->
-          let v = st.args.(i) in
-          st.mbr <- v;
-          st.hd0 <- v)
-        :: peep rest
-      | _ -> assert false)
     (* register-save then bump: COPY_MBR2_MBR / MEM_INCREMENT *)
     | p1 :: p2 :: rest
       when instrs.(p1) = Instr.Copy_mbr2_mbr
@@ -821,14 +698,7 @@ let compile tables ~fid (program : Program.t) =
       | Some (lo, n, r, data) ->
         (fun st ->
           st.mbr2 <- st.mbr;
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
-            store data (lo + mm) nv;
-            st.mbr <- nv
-          end
-          else st.mbr <- Rmt.Register_array.add_read_counted r (lo + mm) 1)
+          st.mbr <- vincr r data lo n st.mar)
         :: peep rest
       | None -> ops.(p1) :: peep (p2 :: rest))
     (* loaded-operand stores: MAR_LOAD or MBR(2)_LOAD straight into a
@@ -842,12 +712,7 @@ let compile tables ~fid (program : Program.t) =
         (fun st ->
           let adr = st.args.(i) in
           st.mar <- adr;
-          let mm = adr mod n in
-          if mm >= 0 then begin
-            r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            store data (lo + mm) st.mbr
-          end
-          else Rmt.Register_array.write_counted r (lo + mm) st.mbr)
+          vwrite r data lo n adr st.mbr)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: rest))
     | p1 :: p2 :: rest
@@ -861,23 +726,13 @@ let compile tables ~fid (program : Program.t) =
         (fun st ->
           let v = st.args.(i) in
           st.mbr <- v;
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            store data (lo + mm) v
-          end
-          else Rmt.Register_array.write_counted r (lo + mm) v)
+          vwrite r data lo n st.mar v)
         :: peep rest
       | Instr.Mbr2_load a, Some (lo, n, r, data) ->
         let i = Instr.arg_index a in
         (fun st ->
           st.mbr2 <- st.args.(i);
-          let mm = st.mar mod n in
-          if mm >= 0 then begin
-            r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-            store data (lo + mm) st.mbr
-          end
-          else Rmt.Register_array.write_counted r (lo + mm) st.mbr)
+          vwrite r data lo n st.mar st.mbr)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: rest))
     | p :: rest -> ops.(p) :: peep rest
@@ -954,7 +809,6 @@ let compile tables ~fid (program : Program.t) =
     blocks;
     labels;
     len;
-    single_pass = len <= n_stages;
     straight;
     c_n_stages = n_stages;
     c_ingress = ingress;
@@ -971,25 +825,8 @@ let exec_labelled c st pc =
   st.executed <- st.executed + 1;
   st.last_stage <- pc mod c.c_n_stages
 
-(* The fast single-pass driver: most synthesized programs fit in one
-   traversal, which needs no recirculation bookkeeping at all. *)
-let drive_single c st =
-  let pc = ref 0 in
-  while !pc < c.len && not st.complete do
-    if st.disabled < 0 then begin
-      let b = Array.unsafe_get c.blocks !pc in
-      b.b_fn st;
-      pc := !pc + b.b_n
-    end
-    else begin
-      if c.labels.(!pc) = st.disabled then exec_labelled c st !pc;
-      incr pc
-    end
-  done;
-  st.f_pc <- !pc;
-  st.f_passes <- 1
-
-(* The general driver: fused blocks, no event emission.  Mirrors the
+(* The driver for programs with jumps: fused blocks while no label is
+   pending, one slot at a time while skipping to one.  Mirrors the
    interpreter's pass/disabled/recirculation accounting exactly. *)
 let drive c st =
   let pc = ref 0 in
@@ -1066,7 +903,7 @@ let load st ~src ~dst ~flow_key args =
 let drive_fast c st =
   match c.straight with
   | Some f -> f st
-  | None -> if c.single_pass then drive_single c st else drive c st
+  | None -> drive c st
 
 let pipelines c st =
   let within_ingress = st.last_stage < c.c_ingress in
