@@ -10,16 +10,17 @@
    Every check runs a "twin world": two identical device+table pairs, one
    driven by Runtime.run, the other by Jit.run/Jit.run_info, fed the same
    packet sequence under a meta with a flow key.  Those are the entry
-   points traced capsules take, and they run the same fused drivers
-   (straight chain, single-pass or general) as production, so the whole
-   result record — executed-instruction count, passes, consumed prefix,
-   final registers — is checked against the interpreter's.  Comparing full
-   post-run device state (not just results) catches a specialized closure
-   that computes the right answer with the wrong side effects.  A second
-   pair checks Jit.run_into, the entry point the fabric executes untraced
-   capsules through, against Runtime.run under the fabric's meta (which
-   has no flow key): the same decision, destination, pipeline count,
-   output args and device state. *)
+   points traced capsules take, and they run the same fused drivers as
+   production (the straight chain of a jump-free program, the block loop
+   of one with jumps), so the whole result record — executed-instruction
+   count, passes, consumed prefix, final registers — is checked against
+   the interpreter's.  Comparing full post-run device state (not just
+   results) catches a specialized closure that computes the right answer
+   with the wrong side effects.  A second pair checks Jit.run_into, the
+   entry point the fabric executes untraced capsules through, against
+   Runtime.run under the fabric's meta (which has no flow key): the same
+   decision, destination, pipeline count, output args and device
+   state. *)
 
 module I = Activermt.Instr
 module P = Activermt.Program
@@ -145,10 +146,12 @@ let exec_pkt ?(seq = 0) ?(args = [| 0; 0; 0; 0 |]) instrs =
 (* -- Directed: real applications ------------------------------------------ *)
 
 (* The synthesized cache / heavy-hitter / Cheetah-LB programs are what the
-   JIT's fused superinstructions actually target, so running the bench's
-   packet mix through both engines exercises every peephole pattern
-   against its real producer.  Admission goes through the controller so
-   the JIT specializes against a real granted allocation. *)
+   JIT's fused superinstructions actually target, so their packets run
+   through both engines: cache queries and populates, heavy-hitter
+   monitoring, and LB SYNs and flow packets.  The LB is privileged, as
+   an operator deploys it, so its programs run past SET_DST to the end.
+   Admission goes through the controller so the JIT specializes against
+   a real granted allocation. *)
 type tenants = {
   tables : Tbl.t;
   cache : Cache_client.t;
@@ -170,6 +173,7 @@ let setup_tenants () =
   let policy = Mutant.Most_constrained in
   let cache_regions = admit ~fid:1 Activermt_apps.Cache.service in
   let hh_regions = admit ~fid:2 Activermt_apps.Heavy_hitter.service in
+  Controller.grant_privilege controller ~fid:3;
   let lb_regions = admit ~fid:3 Activermt_apps.Cheetah_lb.service in
   {
     tables = Controller.tables controller;
@@ -188,7 +192,9 @@ let app_pool t =
           Cache_client.populate_packet t.cache ~seq:i key ~value:(i * 7)
         else Cache_client.query_packet t.cache ~seq:i key
       | 1 | 2 -> Hh_client.monitor_packet t.hh ~seq:i (Kv.key_of_rank (i mod 64))
-      | _ -> Lb_client.syn_packet t.lb ~seq:i ~salt:i)
+      | _ ->
+        if i land 4 = 0 then Lb_client.syn_packet t.lb ~seq:i ~salt:i
+        else Lb_client.flow_packet t.lb ~seq:i ~salt:i ~cookie:(i * 40503))
 
 let test_real_apps_identical () =
   let ti = setup_tenants () in
@@ -202,6 +208,7 @@ let test_real_apps_identical () =
   let jpool = app_pool tj in
   let fpool = app_pool tf in
   let opool = app_pool tout in
+  let lb_delivered = ref 0 in
   (* Three rounds: round 1 compiles (cache misses, cold sketches), later
      rounds serve from the closure cache with warm register state. *)
   for round = 1 to 3 do
@@ -211,6 +218,9 @@ let test_real_apps_identical () =
         let rj = Jit.run jit ~meta jpool.(k) in
         if not (ri = rj) then
           Alcotest.failf "round %d packet %d diverged" round k;
+        (match ri.RT.decision with
+        | RT.Dropped _ -> ()
+        | _ -> if k mod 4 = 3 then incr lb_delivered);
         let rf = RT.run tf.tables ~meta:fabric_meta fpool.(k) in
         Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst opool.(k);
         if not (outcome_matches ~src:fabric_meta.RT.src rf o) then
@@ -225,6 +235,8 @@ let test_real_apps_identical () =
       true
       (same_state tf.tables tout.tables)
   done;
+  Alcotest.(check bool) "the privileged LB's capsules are not dropped" true
+    (!lb_delivered > 0);
   let hits, misses, compiles, _ = Jit.stats jit in
   Alcotest.(check bool) "specialized at least once" true (compiles > 0);
   Alcotest.(check bool) "misses only on first sight" true (misses = compiles);
@@ -236,19 +248,27 @@ let test_real_apps_identical () =
 
 let test_branches_identical () =
   let w = twin () in
-  let program =
-    match P.parse "MBR_LOAD 1\nCJUMP L1\nMBR_LOAD 3\nL1: RETURN\n" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  let run args seq =
-    ignore
-      (check_identical "branchy program" w (Pkt.exec ~fid:1 ~seq ~args program))
-  in
-  (* Taken and not-taken, through both the fresh-compile and cached path. *)
-  run [| 0; 1; 0; 0 |] 0;
-  run [| 0; 0; 0; 0 |] 1;
-  run [| 0; 1; 0; 0 |] 2
+  let nops = String.concat "" (List.init 24 (fun _ -> "NOP\n")) in
+  (* One pass, and a jump across the pass boundary. *)
+  List.iter
+    (fun src ->
+      let program =
+        match P.parse src with Ok p -> p | Error e -> Alcotest.fail e
+      in
+      let run args seq =
+        ignore
+          (check_identical "branchy program" w
+             (Pkt.exec ~fid:1 ~seq ~args program))
+      in
+      (* Taken and not-taken, through both the fresh-compile and cached
+         path. *)
+      run [| 0; 1; 0; 0 |] 0;
+      run [| 0; 0; 0; 0 |] 1;
+      run [| 0; 1; 0; 0 |] 2)
+    [
+      "MBR_LOAD 1\nCJUMP L1\nMBR_LOAD 3\nL1: RETURN\n";
+      "MBR_LOAD 1\nCJUMP L1\n" ^ nops ^ "L1: RETURN\n";
+    ]
 
 let test_recirculation_identical () =
   let w = twin () in
