@@ -30,7 +30,6 @@ type t = {
   residency : (int, Topology.switch_id) Hashtbl.t;
   apps : (int, App.t) Hashtbl.t;
   clients : (int, Fabric.address) Hashtbl.t;
-  shims : (int, Shim.t) Hashtbl.t;
   admissions : pending_admission Queue.t;
   tenants : Tenant.t option;
   (* Incrementally maintained per-switch load caches — admission at
@@ -176,7 +175,6 @@ let create ?(policy = Placement.Least_loaded) ?(params = Rmt.Params.default)
       residency = Hashtbl.create 64;
       apps = Hashtbl.create 64;
       clients = Hashtbl.create 64;
-      shims = Hashtbl.create 64;
       admissions = Queue.create ();
       tenants;
       util = Array.make n 0.0;
@@ -209,7 +207,6 @@ let node t ~sw =
   t.nodes.(sw)
 
 let controller t ~sw = (node t ~sw).controller
-let fabric t ~sw = (node t ~sw).fabric
 
 let is_up t ~sw =
   if sw < 0 || sw >= Array.length t.nodes then
@@ -237,11 +234,6 @@ let inject t ~client msg =
   match Topology.home_of t.topo ~client with
   | None -> invalid_arg "Fleet.inject: unknown client"
   | Some home -> Fabric.inject t.nodes.(home).fabric msg
-
-let shim_step t ~fid ev =
-  match Hashtbl.find_opt t.shims fid with
-  | None -> ()
-  | Some shim -> ignore (Shim.transition shim ev)
 
 (* Try the service at one specific switch's controller; true on commit. *)
 let admit_at ?trace t ~sw ~fid app =
@@ -315,10 +307,6 @@ let commit_admission t pa ~sw =
   (match pa.pa_client with
   | Some c -> Hashtbl.replace t.clients pa.pa_fid c
   | None -> ());
-  let shim = Shim.create ~fid:pa.pa_fid in
-  ignore (Shim.transition shim Shim.Request_sent);
-  ignore (Shim.transition shim Shim.Response_granted);
-  Hashtbl.replace t.shims pa.pa_fid shim;
   bind_placement t ~fid:pa.pa_fid ~sw;
   (match (pa.pa_tenant, t.tenants) with
   | Some _, Some reg ->
@@ -397,7 +385,6 @@ let forget t ~fid =
   Hashtbl.remove t.residency fid;
   Hashtbl.remove t.apps fid;
   Hashtbl.remove t.clients fid;
-  Hashtbl.remove t.shims fid;
   match t.tenants with
   | Some reg -> Tenant.unbind reg ~fid
   | None -> ()
@@ -559,7 +546,6 @@ let depart t ~fid =
   | Some sw ->
     if not t.down.(sw) then
       ignore (Controller.handle_departure t.nodes.(sw).controller ~fid);
-    shim_step t ~fid Shim.Released;
     unbind_placement t ~fid ~sw;
     forget t ~fid;
     Telemetry.incr t.tel "fleet.departed";
@@ -722,7 +708,6 @@ let write_state t ~fid state =
 (* Bookkeeping once a service's state is repopulated at [dst]. *)
 let moved t ~fid ~src ~dst =
   bind_placement t ~fid ~sw:dst;
-  shim_step t ~fid Shim.Extraction_done;
   Telemetry.add t.tel "fleet.migrated";
   Telemetry.incr t.tel (sw_counter src "out");
   Telemetry.incr t.tel (sw_counter dst "in")
@@ -754,7 +739,6 @@ let migrate t ~fid ~dst =
           "fleet.migrate"
       in
       let app = Hashtbl.find t.apps fid in
-      shim_step t ~fid Shim.Realloc_notified;
       let state =
         Trace.with_span t.tracer root
           ~attrs:[ ("switch", string_of_int src) ]
@@ -788,7 +772,6 @@ let migrate t ~fid ~dst =
         (* Destination refused: restore at the source, state intact. *)
         inject_state t t.nodes.(src) ~fid state;
         bind_placement t ~fid ~sw:src;
-        shim_step t ~fid Shim.Extraction_done;
         Telemetry.incr t.tel "fleet.migrate_refused";
         outcome "fleet.migrate_refused" [ ("switch", string_of_int src) ];
         Error `Refused
@@ -877,7 +860,6 @@ let fail_switch t ~sw =
           | Some (dst, rest) ->
             if admit_at ?trace t ~sw:dst ~fid app then begin
               inject_state t t.nodes.(dst) ~fid state;
-              shim_step t ~fid Shim.Realloc_notified;
               moved t ~fid ~src:sw ~dst;
               (match trace with
               | Some ctx ->

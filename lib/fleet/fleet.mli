@@ -63,8 +63,7 @@ val create :
     ([fleet.memsync.fallback_words]), so a service is never lost or
     double-placed to capsule loss alone.  Passing a profile for which
     [Faults.is_none] holds is exactly equivalent to omitting it
-    (bit-identical runs).  A node's handle is reachable via
-    [Netsim.Fabric.faults (Fleet.fabric t ~sw)].
+    (bit-identical runs).
 
     [telemetry] (default {!Telemetry.default}) receives fleet counters
     ([fleet.admitted], [fleet.rejected], [fleet.spillover],
@@ -100,7 +99,6 @@ val create :
 val engine : t -> Engine.t
 
 val controller : t -> sw:Topology.switch_id -> Controller.t
-val fabric : t -> sw:Topology.switch_id -> Fabric.t
 val is_up : t -> sw:Topology.switch_id -> bool
 
 val loads : t -> Placement.load list
@@ -132,9 +130,9 @@ val admit :
     pod leads, and an unhomed service starts from pod [fid mod n_pods]
     so anonymous arrivals spread deterministically) and admit at the
     first switch whose allocator accepts.  On success the service's
-    tables are installed there and its shim is operational.  Note that
-    [client] must already be homed ({!attach_client} or
-    {!Topology.home}) for locality to apply — [admit] does not home it.
+    tables are installed there.  Note that [client] must already be
+    homed ({!attach_client} or {!Topology.home}) for locality to apply —
+    [admit] does not home it.
     @raise Invalid_argument if the FID is already placed. *)
 
 val depart : t -> fid:int -> bool
@@ -175,7 +173,7 @@ val drain_admissions :
     Returns one outcome per enqueued FID, ascending: the placed switch,
     [`No_capacity] once every up switch rejected it, or [`Over_quota]
     when the tenant's fleet-global quota blocked it.  Successful
-    placements get the same bookkeeping as {!admit} (shim, occupancy,
+    placements get the same bookkeeping as {!admit} (occupancy,
     [fleet.admitted]); counters
     [fleet.adm.enqueued]/[fleet.adm.epochs] cover the queue itself. *)
 
