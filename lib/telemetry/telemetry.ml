@@ -230,7 +230,14 @@ let span_end t =
 
 let with_span t name f =
   span_begin t name;
-  Fun.protect ~finally:(fun () -> span_end t) f
+  match f () with
+  | v ->
+    span_end t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    span_end t;
+    Printexc.raise_with_backtrace e bt
 
 (* -- Reads ----------------------------------------------------------------- *)
 
