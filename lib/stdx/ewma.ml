@@ -13,11 +13,3 @@ let update t x =
   in
   t.current <- Some v;
   v
-
-let value t = t.current
-
-let value_or t ~default = match t.current with Some v -> v | None -> default
-
-let smooth ~alpha series =
-  let t = create ~alpha in
-  List.map (update t) series

@@ -9,11 +9,3 @@ val create : alpha:float -> t
 
 val update : t -> float -> float
 (** Feed a sample; returns the new smoothed value. *)
-
-val value : t -> float option
-(** Current smoothed value, [None] before any sample. *)
-
-val value_or : t -> default:float -> float
-
-val smooth : alpha:float -> float list -> float list
-(** Convenience: smooth a whole series, returning a same-length series. *)

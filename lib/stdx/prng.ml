@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -31,10 +29,6 @@ let int t bound =
     if r - v > (max_int - bound) + 1 then draw () else v
   in
   draw ()
-
-let int_in t lo hi =
-  assert (lo <= hi);
-  lo + int t (hi - lo + 1)
 
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in

@@ -12,10 +12,6 @@ type t
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator from a 64-bit seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the remainder of [t]'s stream. *)
@@ -25,9 +21,6 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in the inclusive range [lo, hi]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)

@@ -48,19 +48,6 @@ let jain_fairness xs =
     if s2 = 0.0 then 1.0 else s *. s /. (float_of_int n *. s2)
   end
 
-let histogram ~bins ~lo ~hi xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if not (hi > lo) then invalid_arg "Stats.histogram: hi must exceed lo";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  let place x =
-    let i = int_of_float ((x -. lo) /. width) in
-    let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-    counts.(i) <- counts.(i) + 1
-  in
-  List.iter place xs;
-  counts
-
 type boxplot = {
   q1 : float;
   q2 : float;

@@ -1,5 +1,5 @@
 (** Small statistics toolkit backing the evaluation harness: summary
-    statistics, percentiles, Jain's fairness index and histogram bins. *)
+    statistics, percentiles, Jain's fairness index and boxplots. *)
 
 type summary = {
   n : int;
@@ -25,10 +25,6 @@ val jain_fairness : float list -> float
     as plotted in Figures 7d and 11.  Equals 1.0 for equal shares; 1/n for
     a single winner.  Returns 1.0 for empty or all-zero input (vacuously
     fair). *)
-
-val histogram : bins:int -> lo:float -> hi:float -> float list -> int array
-(** Fixed-width histogram; samples outside [lo, hi] are clamped to the
-    first/last bin. *)
 
 type boxplot = {
   q1 : float;
