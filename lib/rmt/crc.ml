@@ -14,14 +14,14 @@ let update tbl crc byte = tbl.((crc lxor byte) land 0xff) lxor (crc lsr 8)
 let bytes_of_word w =
   [ w land 0xff; (w lsr 8) land 0xff; (w lsr 16) land 0xff; (w lsr 24) land 0xff ]
 
-let run tbl ~seed words =
-  let crc = ref (0xFFFFFFFF lxor (seed land 0xFFFFFFFF)) in
+let run tbl words =
+  let crc = ref 0xFFFFFFFF in
   let feed byte = crc := update tbl !crc byte in
   List.iter (fun w -> List.iter feed (bytes_of_word w)) words;
   !crc lxor 0xFFFFFFFF
 
-let crc32 ?(seed = 0) words = run crc32_table ~seed words
-let crc32c words = run crc32c_table ~seed:0 words
+let crc32 words = run crc32_table words
+let crc32c words = run crc32c_table words
 
 (* CRC is linear over GF(2), so varying only the seed (or prepending a
    row constant) produces *affine translations* of one function — probes

@@ -4,10 +4,10 @@
     PHV fields; ActiveRMT's HASH instruction feeds the hash-data registers
     through one of them.  We implement CRC-32 (reflected, polynomial
     0xEDB88320) and CRC-32C so that independent sketch rows can use
-    independent hash functions, plus a seeded variant used to emulate
-    per-stage hash diversity. *)
+    independent hash functions, plus a row-indexed family ([hash_words])
+    that emulates per-stage hash diversity. *)
 
-val crc32 : ?seed:int -> int list -> int
+val crc32 : int list -> int
 (** CRC-32 over the 32-bit words of the input (little-endian byte order),
     truncated to a non-negative OCaml [int]. *)
 

@@ -45,10 +45,6 @@ let test_crc_input_sensitive () =
   Alcotest.(check bool) "different input" false
     (Rmt.Crc.crc32 [ 1; 2; 3 ] = Rmt.Crc.crc32 [ 1; 2; 4 ])
 
-let test_crc_seed_sensitive () =
-  Alcotest.(check bool) "seed changes hash" false
-    (Rmt.Crc.crc32 ~seed:0 [ 5 ] = Rmt.Crc.crc32 ~seed:1 [ 5 ])
-
 let test_crc_variants_differ () =
   Alcotest.(check bool) "crc32 vs crc32c" false
     (Rmt.Crc.crc32 [ 77 ] = Rmt.Crc.crc32c [ 77 ])
@@ -489,7 +485,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_crc_deterministic;
           Alcotest.test_case "input sensitive" `Quick test_crc_input_sensitive;
-          Alcotest.test_case "seed sensitive" `Quick test_crc_seed_sensitive;
           Alcotest.test_case "variants differ" `Quick test_crc_variants_differ;
           Alcotest.test_case "rows differ" `Quick test_crc_rows_differ;
           Alcotest.test_case "non-negative" `Quick test_crc_nonnegative;
