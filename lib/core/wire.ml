@@ -278,11 +278,6 @@ let unframe_traced framed =
     end
   end
 
-let unframe framed =
-  match unframe_traced framed with
-  | Ok (payload, _) -> Ok payload
-  | Error _ as e -> e
-
 let decode_program b ~off =
   let len = Bytes.length b in
   let rec go off acc =

@@ -45,11 +45,8 @@ val frame : ?trace:trace_ctx -> Bytes.t -> Bytes.t
 (** Append the trailer: optional 8-byte trace extension, flags byte, and
     2-byte checksum (3 bytes without a trace, 11 with one). *)
 
-val unframe : Bytes.t -> (Bytes.t, string) result
-(** Verify and strip the trailer, discarding any trace extension;
-    [Error] describes the mismatch. *)
-
 val unframe_traced : Bytes.t -> (Bytes.t * trace_ctx option, string) result
-(** Like {!unframe} but also returns the trace context when the frame
-    carries one.  The checksum is verified before the extension is
-    decoded, so corrupt frames never produce a context. *)
+(** Verify and strip the trailer, returning the payload and the trace
+    context when the frame carries one; [Error] describes the mismatch.
+    The checksum is verified before the extension is decoded, so corrupt
+    frames never produce a context. *)

@@ -31,11 +31,12 @@ let test_frame_roundtrip () =
   Alcotest.(check int) "trailer adds 3 bytes (checksum + flags)"
     (Bytes.length payload + 3)
     (Bytes.length framed);
-  (match Wire.unframe framed with
-  | Ok back ->
+  (match Wire.unframe_traced framed with
+  | Ok (back, None) ->
     Alcotest.(check string) "payload intact" (Bytes.to_string payload)
       (Bytes.to_string back)
-  | Error e -> Alcotest.failf "unframe: %s" e);
+  | Ok (_, Some _) -> Alcotest.fail "untraced frame yields a trace context"
+  | Error e -> Alcotest.failf "unframe_traced: %s" e);
   let ctx = { Wire.trace_id = 0xDEAD; span_id = 0xBEEF } in
   let traced = Wire.frame ~trace:ctx payload in
   Alcotest.(check int) "trace extension adds 8 more bytes"
@@ -59,7 +60,7 @@ let test_checksum_rejects_any_single_byte_flip () =
       for i = 0 to Bytes.length framed - 1 do
         let damaged = Bytes.copy framed in
         Bytes.set_uint8 damaged i (Bytes.get_uint8 framed i lxor mask);
-        match Wire.unframe damaged with
+        match Wire.unframe_traced damaged with
         | Ok _ ->
           Alcotest.failf "flip of byte %d (mask %#x) went undetected" i mask
         | Error _ -> ()
@@ -67,7 +68,7 @@ let test_checksum_rejects_any_single_byte_flip () =
     [ 0x01; 0x10; 0x80; 0xff ]
 
 let test_unframe_short () =
-  match Wire.unframe (Bytes.make 1 'x') with
+  match Wire.unframe_traced (Bytes.make 1 'x') with
   | Ok _ -> Alcotest.fail "1-byte frame accepted"
   | Error _ -> ()
 
