@@ -45,6 +45,11 @@
    device model itself).  Everything else falls back to the
    interpreter. *)
 
+(* Int-typed, so the MIN/MAX closures compare inline instead of calling
+   the polymorphic [Stdlib.min]/[max]. *)
+let[@inline] min (a : int) b = if a <= b then a else b
+let[@inline] max (a : int) b = if a >= b then a else b
+
 type state = {
   mutable mar : int;
   mutable mbr : int;

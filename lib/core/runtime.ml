@@ -41,6 +41,11 @@ type phv = {
 
 let mask32 v = v land 0xFFFFFFFF
 
+(* Int-typed, so MIN/MAX compare inline instead of calling the
+   polymorphic [Stdlib.min]/[max]. *)
+let[@inline] min (a : int) b = if a <= b then a else b
+let[@inline] max (a : int) b = if a >= b then a else b
+
 let default_meta = { src = 0; dst = 0; flow_key = [||] }
 
 let pass_through ?(args = [||]) ~quiesced (m : meta) =
