@@ -49,11 +49,6 @@ let admit t ~fid ~app_type ~demand_blocks =
     end
   end
 
-let depart t ~fid =
-  let had = Hashtbl.mem t.apps fid in
-  Hashtbl.remove t.apps fid;
-  had
-
 let utilization t =
   let useful = Hashtbl.fold (fun _ a acc -> acc + a.demand) t.apps 0 in
   float_of_int useful /. float_of_int t.params.Rmt.Params.blocks_per_stage
@@ -61,8 +56,6 @@ let utilization t =
 let gross_utilization t =
   float_of_int (reserved_blocks t)
   /. float_of_int t.params.Rmt.Params.blocks_per_stage
-
-let residents t = Hashtbl.length t.apps
 
 let waste_blocks t =
   Hashtbl.fold (fun _ a acc -> acc + ((a.pages * a.page_blocks) - a.demand)) t.apps 0

@@ -37,8 +37,6 @@ val admit : t -> fid:int -> app_type:string -> demand_blocks:int -> outcome
 (** [demand_blocks] is the app's per-stage demand; it rounds up to the
     smallest fitting page size and is charged against every stage. *)
 
-val depart : t -> fid:int -> bool
-
 val utilization : t -> float
 (** Useful blocks (pre-rounding demand) over the device's raw capacity —
     directly comparable with [Allocator.utilization]. *)
@@ -46,6 +44,5 @@ val utilization : t -> float
 val gross_utilization : t -> float
 (** Blocks actually reserved (pages + overhead) over raw capacity. *)
 
-val residents : t -> int
 val waste_blocks : t -> int
 (** Total internal fragmentation across residents (per stage). *)

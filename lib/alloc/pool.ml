@@ -89,7 +89,6 @@ let map t =
 
 let total_blocks t = t.total
 let high_water t = t.c_hw
-let elastic_min_total t = t.c_emin
 let n_elastic t = t.n_elastic
 let n_slots t = t.n_inelastic + t.n_elastic
 let used_blocks t = t.c_pinned + t.c_eblocks
@@ -128,14 +127,6 @@ let holes t =
   List.rev !out
 
 let max_hole t = List.fold_left (fun acc (_, gap) -> max acc gap) 0 (holes t)
-
-let can_fit_inelastic t ~blocks =
-  blocks > 0
-  && (List.exists (fun (_, gap) -> gap >= blocks) (holes t)
-     || fungible_blocks t >= blocks)
-
-let can_fit_elastic t ~min_blocks =
-  min_blocks > 0 && fungible_blocks t >= min_blocks
 
 let add_inelastic t ~fid ~blocks =
   if blocks <= 0 then invalid_arg "Pool.add_inelastic: blocks must be positive";

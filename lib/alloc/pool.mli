@@ -22,7 +22,7 @@ val create : total_blocks:int -> t
 val total_blocks : t -> int
 val high_water : t -> int
 (** Top of the pinned (inelastic) zone.  O(1): maintained as a counter on
-    add/remove, like [used_blocks], [n_slots] and [elastic_min_total]. *)
+    add/remove, like [used_blocks], [n_slots] and [fungible_blocks]. *)
 
 val used_blocks : t -> int
 val slots : t -> slot list
@@ -33,8 +33,6 @@ val n_elastic : t -> int
 val n_slots : t -> int
 (** Total resident slots, inelastic plus elastic. *)
 
-val elastic_min_total : t -> int
-
 val fungible_blocks : t -> int
 (** Free blocks plus blocks elastic residents could yield while keeping
     their minimums: total - high_water - sum of elastic minimums.  The
@@ -44,11 +42,6 @@ val max_hole : t -> int
 (** Largest free hole inside the pinned zone (0 when none) — with
     [fungible_blocks], everything admission feasibility needs; snapshotted
     once per arrival by the allocator's fast path. *)
-
-val can_fit_inelastic : t -> blocks:int -> bool
-(** Is there a hole or enough fungible headroom for a pinned region? *)
-
-val can_fit_elastic : t -> min_blocks:int -> bool
 
 val add_inelastic : t -> fid:int -> blocks:int -> (range, [ `No_space ]) result
 (** Place and pin; does not touch elastic residents (call

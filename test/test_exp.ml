@@ -45,14 +45,6 @@ let test_netvrm_capacity () =
   Alcotest.(check bool) "gross below availability" true
     (Netvrm.gross_utilization t <= 0.451)
 
-let test_netvrm_depart () =
-  let t = Netvrm.create params in
-  ignore (Netvrm.admit t ~fid:1 ~app_type:"cache" ~demand_blocks:8);
-  Alcotest.(check int) "resident" 1 (Netvrm.residents t);
-  Alcotest.(check bool) "freed" true (Netvrm.depart t ~fid:1);
-  Alcotest.(check bool) "idempotent" false (Netvrm.depart t ~fid:1);
-  Alcotest.(check int) "empty" 0 (Netvrm.residents t)
-
 let test_netvrm_vs_activermt_concurrency () =
   (* The headline comparison: same cache arrivals, ActiveRMT fits many
      more instances. *)
@@ -143,7 +135,6 @@ let () =
           Alcotest.test_case "page rounding" `Quick test_netvrm_page_rounding;
           Alcotest.test_case "unregistered" `Quick test_netvrm_unregistered;
           Alcotest.test_case "capacity" `Quick test_netvrm_capacity;
-          Alcotest.test_case "depart" `Quick test_netvrm_depart;
           Alcotest.test_case "concurrency gap" `Quick test_netvrm_vs_activermt_concurrency;
         ] );
       ( "report",
