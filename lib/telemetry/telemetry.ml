@@ -434,63 +434,6 @@ let write_json t ~path =
   output_char oc '\n';
   close_out oc
 
-(* Metric names must match [a-zA-Z_:][a-zA-Z0-9_:]* (promtext exposition
-   format); registry keys are free-form strings, so every other character
-   collapses to '_' and a leading digit gets a '_' prefix. *)
-let prom_name name =
-  let mapped =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-        | _ -> '_')
-      name
-  in
-  if mapped = "" then "_"
-  else
-    match mapped.[0] with '0' .. '9' -> "_" ^ mapped | _ -> mapped
-
-(* Label values may contain anything, but backslash, double-quote and
-   newline must be escaped per the exposition format. *)
-let prom_escape_label v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-let dump_prometheus t =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
-    (counters t);
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %g\n" n n v))
-    (gauges t);
-  List.iter
-    (fun (name, s) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" n);
-      List.iter
-        (fun (q, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s{quantile=\"%s\"} %g\n" n (prom_escape_label q)
-               v))
-        [ ("0.5", s.p50); ("0.9", s.p90); ("0.99", s.p99) ];
-      Buffer.add_string buf (Printf.sprintf "%s_sum %g\n" n s.sum);
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count))
-    (histograms t);
-  Buffer.contents buf
-
 (* -- Series dumps ----------------------------------------------------------- *)
 
 (* Sorted by name, windows ascending, no wall-clock field: same-seed

@@ -185,20 +185,6 @@ val quantile : ?last:int -> t -> string -> float -> float
 val dump_json : t -> string
 (** Pretty-printed JSON: counters, gauges, histogram summaries. *)
 
-val dump_prometheus : t -> string
-(** Prometheus text exposition: counters, gauges, summaries with
-    p50/p90/p99 quantiles.  Names are sanitized to the exposition
-    format's charset ([[a-zA-Z_:][a-zA-Z0-9_:]*]) and label values have
-    backslash, double-quote and newline escaped, so the output is
-    well-formed promtext for any registry key: every character outside
-    [[a-zA-Z0-9_:]] collapses to ['_'] and a leading digit gets a ['_']
-    prefix. *)
-
-val prom_escape_label : string -> string
-(** The label-value escaper {!dump_prometheus} uses: backslash,
-    double-quote and newline each gain a leading backslash (newline
-    becomes the two characters backslash-n). *)
-
 val write_json : t -> path:string -> unit
 
 (** {2 Series dumps} *)

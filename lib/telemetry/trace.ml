@@ -273,5 +273,3 @@ let render_tree evs =
       List.iter (walk 2) (List.rev !roots))
     (List.rev !order);
   Buffer.contents buf
-
-let dump_text t = render_tree (events t)

@@ -129,6 +129,3 @@ val render_tree : event list -> string
 (** Compact text form: one block per trace, events indented under their
     causal parent, ordered by emission.  Exposed on raw event lists so the
     [tracequery] CLI can render trees parsed back from a dump. *)
-
-val dump_text : t -> string
-(** [render_tree (events t)]. *)

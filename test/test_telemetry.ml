@@ -92,8 +92,7 @@ let prop_sources_match_names =
         ops;
       Telemetry.counters sourced = Telemetry.counters by_name
       && Telemetry.gauges sourced = Telemetry.gauges by_name
-      && Telemetry.dump_json sourced = Telemetry.dump_json by_name
-      && Telemetry.dump_prometheus sourced = Telemetry.dump_prometheus by_name)
+      && Telemetry.dump_json sourced = Telemetry.dump_json by_name)
 
 let test_reset_zeroes_sources () =
   let t = Telemetry.create () in
@@ -154,7 +153,7 @@ let test_source_kind_clash () =
   let t = clash ~cells:ignore ~name:"x" ~counter:true in
   Telemetry.source t ~read:(fun ~counter:_ ~gauge -> gauge "x" 2.0) ~zero:ignore;
   Alcotest.check_raises "two sources" (err "x" "gauge") (fun () ->
-      ignore (Telemetry.dump_prometheus t))
+      ignore (Telemetry.dump_json t))
 
 (* -- Histogram accuracy vs a sorted-sample oracle ------------------------- *)
 
@@ -309,110 +308,6 @@ let test_dump_json_roundtrip () =
       Json.(member "histograms" json |> Option.get |> member "alloc.score")
     in
     Alcotest.(check bool) "histogram present" true (hist <> None)
-
-let test_dump_prometheus () =
-  let t = Telemetry.create () in
-  Telemetry.incr t "alloc.admitted" ~by:2;
-  Telemetry.observe t "alloc.score" 0.001;
-  let out = Telemetry.dump_prometheus t in
-  let contains needle =
-    let nl = String.length needle and l = String.length out in
-    let rec go i = i + nl <= l && (String.sub out i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "counter line" true (contains "alloc_admitted 2");
-  Alcotest.(check bool) "quantile line" true
-    (contains "alloc_score{quantile=\"0.5\"}");
-  Alcotest.(check bool) "count line" true (contains "alloc_score_count 1")
-
-(* Well-formedness per the promtext exposition format: a non-comment line
-   is NAME{labels}? VALUE, where NAME matches [a-zA-Z_:][a-zA-Z0-9_:]*,
-   every label value is quoted with '\\', '"' and newline escaped, and
-   VALUE parses as a float.  Free-form registry keys must never leak
-   through unsanitized. *)
-let prom_line_ok line =
-  let n = String.length line in
-  let is_name_char c =
-    (c >= 'a' && c <= 'z')
-    || (c >= 'A' && c <= 'Z')
-    || (c >= '0' && c <= '9')
-    || c = '_' || c = ':'
-  in
-  if n = 0 || line.[0] = '#' then true
-  else begin
-    let ok = ref (is_name_char line.[0] && not (line.[0] >= '0' && line.[0] <= '9')) in
-    let i = ref 0 in
-    while !i < n && is_name_char line.[!i] do
-      incr i
-    done;
-    if !ok && !i < n && line.[!i] = '{' then begin
-      incr i;
-      let in_value = ref false and closed = ref false in
-      while !i < n && not !closed do
-        let c = line.[!i] in
-        if !in_value then
-          if c = '\\' then begin
-            (if !i + 1 >= n then ok := false
-             else
-               match line.[!i + 1] with
-               | '\\' | '"' | 'n' -> ()
-               | _ -> ok := false);
-            i := !i + 2
-          end
-          else begin
-            if c = '"' then in_value := false;
-            incr i
-          end
-        else begin
-          (match c with
-          | '"' -> in_value := true
-          | '}' -> closed := true
-          | _ -> ());
-          incr i
-        end
-      done;
-      if not !closed then ok := false
-    end;
-    (if !ok then
-       if !i >= n || line.[!i] <> ' ' then ok := false
-       else
-         ok :=
-           float_of_string_opt (String.sub line (!i + 1) (n - !i - 1)) <> None);
-    !ok
-  end
-
-let test_prometheus_wellformed () =
-  (* Exercise sanitization through the shared default registry — and
-     [Telemetry.reset] to leave it clean for whoever runs next. *)
-  Telemetry.reset Telemetry.default;
-  Telemetry.incr Telemetry.default {|weird "metric"\name|} ~by:3;
-  Telemetry.incr Telemetry.default "0starts.with.digit";
-  Telemetry.set_gauge Telemetry.default "spaced gauge name" 2.5;
-  Telemetry.observe Telemetry.default {|hist"quoted\|} 0.25;
-  let out = Telemetry.dump_prometheus Telemetry.default in
-  Telemetry.reset Telemetry.default;
-  List.iter
-    (fun line ->
-      Alcotest.(check bool)
-        (Printf.sprintf "well-formed: %S" line)
-        true (prom_line_ok line))
-    (String.split_on_char '\n' out);
-  let contains needle =
-    let nl = String.length needle and l = String.length out in
-    let rec go i = i + nl <= l && (String.sub out i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "punctuation collapses to _" true
-    (contains "weird__metric__name 3");
-  Alcotest.(check bool) "leading digit prefixed" true
-    (contains "_0starts_with_digit 1");
-  Alcotest.(check bool) "raw name never leaks" false (contains {|"metric"|})
-
-let test_prometheus_label_escaping () =
-  Alcotest.(check string) "backslash, quote, newline" {|a\\b\"c\nd|}
-    (Telemetry.prom_escape_label "a\\b\"c\nd");
-  Alcotest.(check string) "clean value untouched" "0.99"
-    (Telemetry.prom_escape_label "0.99")
 
 (* -- Json ----------------------------------------------------------------- *)
 
@@ -590,11 +485,6 @@ let () =
       ( "dumps",
         [
           Alcotest.test_case "json roundtrip" `Quick test_dump_json_roundtrip;
-          Alcotest.test_case "prometheus" `Quick test_dump_prometheus;
-          Alcotest.test_case "prometheus well-formed" `Quick
-            test_prometheus_wellformed;
-          Alcotest.test_case "label escaping" `Quick
-            test_prometheus_label_escaping;
         ] );
       ( "json",
         [

@@ -177,7 +177,7 @@ let test_render_tree () =
   in
   let hop = Trace.instant t root "sim.hop" in
   ignore (Trace.instant t hop ~attrs:[ ("cause", "loss_rate") ] "fault.drop");
-  let out = Trace.dump_text t in
+  let out = Trace.render_tree (Trace.events t) in
   let contains needle =
     let nl = String.length needle and l = String.length out in
     let rec go i = i + nl <= l && (String.sub out i nl = needle || go (i + 1)) in
