@@ -16,10 +16,3 @@ let value_of_rank rank = (mix32 (rank + 0x5151) lor 1) land 0xFFFFFFFF
 let rank_of_key k =
   let rank = k.k1 in
   if rank >= 0 && (key_of_rank rank).k0 = k.k0 then Some rank else None
-
-type request = { rank : int; key : key }
-
-let request_stream zipf ~n =
-  List.init n (fun _ ->
-      let rank = Zipf.sample zipf in
-      { rank; key = key_of_rank rank })

@@ -14,8 +14,3 @@ val value_of_rank : int -> int
 val rank_of_key : key -> int option
 (** Inverse of [key_of_rank] via the embedded check word; [None] when the
     key was not generated by [key_of_rank]. *)
-
-type request = { rank : int; key : key }
-
-val request_stream : Zipf.t -> n:int -> request list
-(** [n] Zipf-popular object requests. *)

@@ -84,16 +84,6 @@ let test_kv_keys_distinct () =
   let keys = List.init 1000 Kv.key_of_rank in
   Alcotest.(check int) "distinct" 1000 (List.length (List.sort_uniq compare keys))
 
-let test_kv_request_stream () =
-  let z = Zipf.create ~n:100 (Prng.create ~seed:2) in
-  let reqs = Kv.request_stream z ~n:50 in
-  Alcotest.(check int) "length" 50 (List.length reqs);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "key matches rank" true
-        (Kv.rank_of_key r.Kv.key = Some r.Kv.rank))
-    reqs
-
 (* -- Churn --------------------------------------------------------------- *)
 
 let test_churn_pure () =
@@ -334,7 +324,6 @@ let () =
           Alcotest.test_case "garbage key" `Quick test_kv_garbage_key;
           Alcotest.test_case "values non-zero" `Quick test_kv_values_nonzero;
           Alcotest.test_case "keys distinct" `Quick test_kv_keys_distinct;
-          Alcotest.test_case "request stream" `Quick test_kv_request_stream;
         ] );
       ( "churn",
         [
