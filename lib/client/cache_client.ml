@@ -46,14 +46,6 @@ let populate_packet t ~seq (k : Kv.key) ~value =
   in
   Activermt.Packet.exec ~flags:vflags ~fid:t.fid ~seq ~args t.populate_program
 
-let reply_value (pkt : Activermt.Packet.t) =
-  match pkt.Activermt.Packet.payload with
-  | Activermt.Packet.Exec { args; _ } when Array.length args = 4 ->
-    Some args.(Cache.arg_value)
-  | Activermt.Packet.Exec _ | Activermt.Packet.Request _
-  | Activermt.Packet.Response _ | Activermt.Packet.Bare ->
-    None
-
 let plan_population t ~objects =
   let seen = Hashtbl.create 64 in
   List.filter

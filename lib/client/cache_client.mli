@@ -25,10 +25,6 @@ val query_packet : t -> seq:int -> Workload.Kv.key -> Activermt.Packet.t
 val populate_packet :
   t -> seq:int -> Workload.Kv.key -> value:int -> Activermt.Packet.t
 
-val reply_value : Activermt.Packet.t -> int option
-(** Extract the value from an RTS'd query reply ([None] if the packet is
-    not an exec reply). *)
-
 val plan_population :
   t -> objects:(Workload.Kv.key * int) list -> (Workload.Kv.key * int) list
 (** Select the subset to install: at most one object per bucket (the

@@ -1,8 +1,7 @@
-(* Tests for the client shim: the protocol state machine, negotiation
-   packets, mutant-recovering synthesis, and the cache / heavy-hitter
-   service clients running against a real controller+runtime. *)
+(* Tests for the client library: negotiation packets, mutant-recovering
+   synthesis, and the cache / heavy-hitter / load-balancer service
+   clients running against a real controller+runtime. *)
 
-module Shim = Activermt_client.Shim
 module Negotiate = Activermt_client.Negotiate
 module Synthesis = Activermt_client.Synthesis
 module Cache_client = Activermt_client.Cache_client
@@ -15,50 +14,6 @@ module RT = Activermt.Runtime
 
 let params = Rmt.Params.default
 let policy = Mutant.Most_constrained
-
-(* -- Shim state machine -------------------------------------------------- *)
-
-let test_shim_happy_path () =
-  let s = Shim.create ~fid:1 in
-  Alcotest.(check bool) "starts idle" true (Shim.state s = Shim.Idle);
-  Alcotest.(check bool) "cannot transmit" false (Shim.can_transmit s);
-  let step e expected =
-    match Shim.transition s e with
-    | Ok st -> Alcotest.(check bool) "state" true (st = expected)
-    | Error m -> Alcotest.fail m
-  in
-  step Shim.Request_sent Shim.Negotiating;
-  step Shim.Response_granted Shim.Operational;
-  Alcotest.(check bool) "can transmit" true (Shim.can_transmit s);
-  step Shim.Realloc_notified Shim.Memory_management;
-  Alcotest.(check bool) "paused" false (Shim.can_transmit s);
-  step Shim.Extraction_done Shim.Operational;
-  step Shim.Released Shim.Idle
-
-let test_shim_rejection_path () =
-  let s = Shim.create ~fid:1 in
-  ignore (Shim.transition s Shim.Request_sent);
-  (match Shim.transition s Shim.Response_rejected with
-  | Ok Shim.Idle -> ()
-  | _ -> Alcotest.fail "rejected -> idle");
-  ()
-
-let test_shim_illegal_transitions () =
-  let s = Shim.create ~fid:1 in
-  (match Shim.transition s Shim.Response_granted with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "grant without request");
-  Alcotest.(check bool) "state unchanged" true (Shim.state s = Shim.Idle);
-  ignore (Shim.transition s Shim.Request_sent);
-  match Shim.transition s Shim.Realloc_notified with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "realloc while negotiating"
-
-let test_shim_seq_monotonic () =
-  let s = Shim.create ~fid:1 in
-  Alcotest.(check int) "0" 0 (Shim.next_seq s);
-  Alcotest.(check int) "1" 1 (Shim.next_seq s);
-  Alcotest.(check int) "current" 2 (Shim.seq s)
 
 (* -- Negotiate ----------------------------------------------------------- *)
 
@@ -211,12 +166,6 @@ let test_plan_population_dedups_buckets () =
     (List.length (List.sort_uniq compare buckets));
   Alcotest.(check bool) "keeps most-popular first" true
     (List.mem_assoc (Kv.key_of_rank 0) planned)
-
-let test_reply_value () =
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[| 0; 0; 0; 42 |] Activermt_apps.Cache.query_program in
-  Alcotest.(check (option int)) "value slot" (Some 42) (Cache_client.reply_value pkt);
-  let bare = { Pkt.fid = 1; seq = 0; flags = Pkt.no_flags; payload = Pkt.Bare } in
-  Alcotest.(check (option int)) "bare has none" None (Cache_client.reply_value bare)
 
 (* -- Load-balancer client ------------------------------------------------- *)
 
@@ -377,13 +326,6 @@ let test_hh_frequent_items_sorting () =
 let () =
   Alcotest.run "client"
     [
-      ( "shim",
-        [
-          Alcotest.test_case "happy path" `Quick test_shim_happy_path;
-          Alcotest.test_case "rejection" `Quick test_shim_rejection_path;
-          Alcotest.test_case "illegal transitions" `Quick test_shim_illegal_transitions;
-          Alcotest.test_case "seq monotonic" `Quick test_shim_seq_monotonic;
-        ] );
       ( "negotiate",
         [
           Alcotest.test_case "request flags" `Quick test_request_packet_flags;
@@ -403,7 +345,6 @@ let () =
             test_cache_client_shifted_mutant_roundtrip;
           Alcotest.test_case "wrong key misses" `Quick test_cache_client_wrong_key_misses;
           Alcotest.test_case "population plan" `Quick test_plan_population_dedups_buckets;
-          Alcotest.test_case "reply value" `Quick test_reply_value;
         ] );
       ( "lb client",
         [
