@@ -92,49 +92,6 @@ let test_balanced_braces () =
   let opens = count_occurrences program "{" and closes = count_occurrences program "}" in
   Alcotest.(check int) "balanced braces" opens closes
 
-(* -- control-plane entries -------------------------------------------------- *)
-
-module Entries = Activermt_p4gen.Entries
-
-let regions_with assoc =
-  let r = Array.make 20 None in
-  List.iter
-    (fun (s, start_word, n_words) ->
-      r.(s) <- Some { Activermt.Packet.start_word; n_words })
-    assoc;
-  r
-
-let test_entries_script () =
-  let regions = regions_with [ (1, 0, 65536); (4, 1024, 256) ] in
-  let script = Entries.entries_for_app cfg ~fid:7 ~regions in
-  Alcotest.(check bool) "bounds entry for stage 1" true
-    (count_occurrences script
-       "instruction_1.add_with_memory_bounds(fid=7, mar_start=0, mar_end=65535)"
-    = 1);
-  Alcotest.(check bool) "bounds entry for stage 4" true
-    (count_occurrences script
-       "instruction_4.add_with_memory_bounds(fid=7, mar_start=1024, mar_end=1279)"
-    = 1);
-  (* Stage 2 sits between the accesses: pass-through plus translation
-     pointing at stage 4's region. *)
-  Alcotest.(check bool) "passthrough for stage 2" true
-    (contains script "instruction_2.add_with_passthrough(fid=7)");
-  Alcotest.(check bool) "translation mask for stage 2" true
-    (contains script "instruction_2.add_with_translation(fid=7, xmask=0xff, xoffset=1024)");
-  (* 20 gating entries + translation entries up to the last access. *)
-  Alcotest.(check int) "entry count" (20 + 5) (Entries.entry_count cfg ~regions)
-
-let test_entries_removal () =
-  let script = Entries.removal_for_app cfg ~fid:9 in
-  Alcotest.(check int) "one delete per stage" 20
-    (count_occurrences script ".delete(fid=9)")
-
-let test_entries_deterministic () =
-  let regions = regions_with [ (0, 0, 256) ] in
-  Alcotest.(check string) "stable output"
-    (Entries.entries_for_app cfg ~fid:1 ~regions)
-    (Entries.entries_for_app cfg ~fid:1 ~regions)
-
 let () =
   Alcotest.run "p4gen"
     [
@@ -151,11 +108,5 @@ let () =
           Alcotest.test_case "scales with params" `Quick test_scales_with_params;
           Alcotest.test_case "pipeline split" `Quick test_pipeline_split;
           Alcotest.test_case "balanced braces" `Quick test_balanced_braces;
-        ] );
-      ( "entries",
-        [
-          Alcotest.test_case "install script" `Quick test_entries_script;
-          Alcotest.test_case "removal script" `Quick test_entries_removal;
-          Alcotest.test_case "deterministic" `Quick test_entries_deterministic;
         ] );
     ]
