@@ -54,7 +54,6 @@ let set_quota t ~tenant quota =
   | None -> invalid_arg (Printf.sprintf "Tenant.set_quota: unknown tenant %d" tenant)
   | Some s -> s.t_info <- { s.t_info with quota }
 
-let is_registered t id = Hashtbl.mem t.tenants id
 let info t id = Option.map (fun s -> s.t_info) (state t id)
 
 let tenants t =

@@ -51,7 +51,6 @@ val set_quota : t -> tenant:int -> quota -> unit
     resulting over-quota surplus on its next epoch.
     @raise Invalid_argument on unknown tenant. *)
 
-val is_registered : t -> int -> bool
 val info : t -> int -> info option
 val tenants : t -> info list
 (** All registered tenants, ascending id. *)

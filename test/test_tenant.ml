@@ -41,7 +41,7 @@ let test_registry_register () =
   let i = Tenant.register r ~name:"alpha" ~weight:3 1 in
   Alcotest.(check string) "name" "alpha" i.Tenant.name;
   Alcotest.(check int) "weight" 3 i.Tenant.weight;
-  Alcotest.(check bool) "registered" true (Tenant.is_registered r 1);
+  Alcotest.(check bool) "registered" true (Tenant.info r 1 = Some i);
   Alcotest.(check int) "total weight" 3 (Tenant.total_weight r);
   Alcotest.(check bool) "duplicate id raises" true
     (try
