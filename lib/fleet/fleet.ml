@@ -1,6 +1,4 @@
 open Import
-module Pool = Activermt_alloc.Pool
-module Runtime = Activermt.Runtime
 module Jit = Activermt.Jit
 
 type node = {
@@ -551,149 +549,30 @@ let depart t ~fid =
     Telemetry.incr t.tel "fleet.departed";
     true
 
-(* Run a memsync driver to completion directly against a switch's
-   tables.  Without faults this is loss-free, so one [start] pass
-   answers every index.  With faults each capsule (request and its RTS
-   reply, collapsed into one per-delivery decision) may be lost,
-   checksum-rejected or duplicated; the driver's timeout/retry loop
-   recovers under a synthetic clock, bounded by its per-index attempt
-   budget plus a round cap, and the caller falls back to the control
-   plane for whatever never got through. *)
-let run_memsync node driver =
-  let jit = Fabric.jit node.fabric in
-  let exec ~seq pkt =
-    let meta = Runtime.meta ~src:1 ~dst:0 () in
-    let r = Jit.run jit ~meta pkt in
-    match r.Runtime.decision with
-    | Runtime.Return_to_sender ->
-      ignore (Memsync_driver.on_reply driver ~seq ~args:r.Runtime.args_out)
-    | Runtime.Forward _ | Runtime.Dropped _ -> ()
-  in
-  (match node.faults with
-  | None -> Memsync_driver.start driver ~now:0.0 ~send:exec
-  | Some f ->
-    let clock = ref 0.0 in
-    let send ~seq pkt =
-      let v = Faults.plan f ~now:!clock in
-      if not (v.Faults.lose || v.Faults.corrupt) then
-        for _ = 1 to v.Faults.copies do
-          exec ~seq pkt
-        done
-    in
-    Memsync_driver.start driver ~now:!clock ~send;
-    let rounds = ref 0 in
-    let stalled = ref false in
-    while (not (Memsync_driver.is_done driver)) && (not !stalled) && !rounds < 64
-    do
-      incr rounds;
-      clock := !clock +. 2.0;
-      if Memsync_driver.tick driver ~now:!clock ~send = 0 then
-        (* Every unacked index is out of retry budget. *)
-        stalled := Memsync_driver.outstanding driver > 0
-    done);
-  Memsync_driver.is_done driver
+(* A node's fault model as the state move sees it: the intact copies of
+   one capsule (request and its RTS reply, collapsed into one
+   per-delivery decision). *)
+let copies f ~now =
+  let v = Faults.plan f ~now in
+  if v.Faults.lose || v.Faults.corrupt then 0 else v.Faults.copies
 
-let make_driver node ~fid ~stages ~count op =
-  let max_attempts = match node.faults with None -> 0 | Some _ -> 16 in
-  Memsync_driver.create ~max_attempts ~fid ~stages ~count ~timeout_s:1.0 op
-
-let words_per_block node =
-  Rmt.Params.words_per_block (Rmt.Device.params (Controller.device node.controller))
+let tally t words ~data_plane ~fallback =
+  Telemetry.incr t.tel words ~by:data_plane;
+  if fallback > 0 then
+    Telemetry.incr t.tel "fleet.memsync.fallback_words" ~by:fallback
 
 (* Drain a service's regions.  [data_plane] selects the normal migration
    path (memsync packets up to the word budget); switch failures force
    the control plane, since a dead switch executes nothing. *)
 let extract_state t node ~fid ~data_plane =
-  let alloc = Controller.allocator node.controller in
-  match Allocator.regions_of alloc ~fid with
-  | None -> []
-  | Some regions ->
-    let wpb = words_per_block node in
-    List.map
-      (fun { Allocator.stage; range } ->
-        let n_words = range.Pool.n_blocks * wpb in
-        let control_plane () =
-          match Controller.read_region node.controller ~fid ~stage with
-          | Some words -> words
-          | None -> Array.make n_words 0
-        in
-        let words =
-          if data_plane && n_words <= memsync_word_budget then begin
-            let driver =
-              make_driver node ~fid ~stages:[ stage ] ~count:n_words
-                Memsync_driver.Read
-            in
-            if run_memsync node driver then begin
-              Telemetry.incr t.tel "fleet.memsync.words_read" ~by:n_words;
-              (Memsync_driver.values driver).(0)
-            end
-            else begin
-              (* Partial data-plane read: keep what got through, fill
-                 the gaps from the control plane. *)
-              let survivors = Memsync_driver.unacked driver in
-              Telemetry.incr t.tel "fleet.memsync.words_read"
-                ~by:(n_words - List.length survivors);
-              Telemetry.incr t.tel "fleet.memsync.fallback_words"
-                ~by:(List.length survivors);
-              let words = Array.copy (Memsync_driver.values driver).(0) in
-              let cp = control_plane () in
-              List.iter
-                (fun i -> if i < Array.length cp then words.(i) <- cp.(i))
-                survivors;
-              words
-            end
-          end
-          else control_plane ()
-        in
-        (stage, words))
-      regions
+  State_move.extract node.controller (Fabric.jit node.fabric)
+    ~faults:(Option.map copies node.faults) ~word_budget:memsync_word_budget
+    ~tally:(tally t "fleet.memsync.words_read") ~data_plane ~fid
 
-(* Positional repopulation: k-th captured region into k-th current
-   region (both ascending stage), min of the two sizes. *)
 let inject_state t node ~fid state =
-  let alloc = Controller.allocator node.controller in
-  match Allocator.regions_of alloc ~fid with
-  | None -> ()
-  | Some regions ->
-    let wpb = words_per_block node in
-    List.iteri
-      (fun k { Allocator.stage; range } ->
-        match List.nth_opt state k with
-        | None -> ()
-        | Some (_src_stage, words) ->
-          let n_words = range.Pool.n_blocks * wpb in
-          let count = min n_words (Array.length words) in
-          if count > 0 then
-            if count <= memsync_word_budget then begin
-              let driver =
-                make_driver node ~fid ~stages:[ stage ] ~count
-                  (Memsync_driver.Write (fun i -> [ words.(i) ]))
-              in
-              if run_memsync node driver then
-                Telemetry.incr t.tel "fleet.memsync.words_written" ~by:count
-              else begin
-                (* Writes are idempotent, so only the indices that never
-                   got through need the control-plane fallback. *)
-                let survivors = Memsync_driver.unacked driver in
-                Telemetry.incr t.tel "fleet.memsync.words_written"
-                  ~by:(count - List.length survivors);
-                Telemetry.incr t.tel "fleet.memsync.fallback_words"
-                  ~by:(List.length survivors);
-                List.iter
-                  (fun i ->
-                    ignore
-                      (Controller.write_region_word node.controller ~fid ~stage
-                         ~index:i ~value:words.(i)))
-                  survivors
-              end
-            end
-            else
-              for i = 0 to count - 1 do
-                ignore
-                  (Controller.write_region_word node.controller ~fid ~stage
-                     ~index:i ~value:words.(i))
-              done)
-      regions
+  State_move.inject node.controller (Fabric.jit node.fabric)
+    ~faults:(Option.map copies node.faults) ~word_budget:memsync_word_budget
+    ~tally:(tally t "fleet.memsync.words_written") ~fid state
 
 let read_state t ~fid =
   match Hashtbl.find_opt t.residency fid with

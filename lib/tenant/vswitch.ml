@@ -154,88 +154,19 @@ let submit t ~tenant ~fid app =
 
 (* {2 Memsync-backed state relocation}
 
-   The PR 3 migration machinery run against this switch's own tables: a
-   memsync driver emits read/write capsules the JIT executes, with the
-   controller's BFRT-style region access as fallback for regions over
-   the word budget. *)
+   The fleet's migration move (State_move) run against this switch's own
+   tables, loss-free. *)
 
-let words_per_block t =
-  Rmt.Params.words_per_block (Rmt.Device.params (Controller.device t.ctrl))
-
-let run_memsync t driver =
-  let exec ~seq pkt =
-    let meta = Runtime.meta ~src:1 ~dst:0 () in
-    let r = Jit.run t.jit ~meta pkt in
-    match r.Runtime.decision with
-    | Runtime.Return_to_sender ->
-      ignore (Memsync_driver.on_reply driver ~seq ~args:r.Runtime.args_out)
-    | Runtime.Forward _ | Runtime.Dropped _ -> ()
-  in
-  Memsync_driver.start driver ~now:0.0 ~send:exec;
-  Memsync_driver.is_done driver
+let words_moved t ~data_plane ~fallback:_ =
+  Telemetry.incr t.tel "tenant.memsync.words_moved" ~by:data_plane
 
 let extract_state t ~fid =
-  match Allocator.regions_of (alloc t) ~fid with
-  | None -> []
-  | Some regions ->
-    let wpb = words_per_block t in
-    List.map
-      (fun { Allocator.stage; range } ->
-        let n_words = range.Pool.n_blocks * wpb in
-        let control_plane () =
-          match Controller.read_region t.ctrl ~fid ~stage with
-          | Some words -> words
-          | None -> Array.make n_words 0
-        in
-        let words =
-          if n_words <= memsync_word_budget then begin
-            let driver =
-              Memsync_driver.create ~max_attempts:0 ~fid ~stages:[ stage ]
-                ~count:n_words ~timeout_s:1.0 Memsync_driver.Read
-            in
-            if run_memsync t driver then begin
-              Telemetry.incr t.tel "tenant.memsync.words_moved" ~by:n_words;
-              (Memsync_driver.values driver).(0)
-            end
-            else control_plane ()
-          end
-          else control_plane ()
-        in
-        (stage, words))
-      regions
+  State_move.extract t.ctrl t.jit ~faults:None ~word_budget:memsync_word_budget
+    ~tally:(words_moved t) ~data_plane:true ~fid
 
 let inject_state t ~fid state =
-  match Allocator.regions_of (alloc t) ~fid with
-  | None -> ()
-  | Some regions ->
-    let wpb = words_per_block t in
-    List.iteri
-      (fun k { Allocator.stage; range } ->
-        match List.nth_opt state k with
-        | None -> ()
-        | Some (_src_stage, words) ->
-          let n_words = range.Pool.n_blocks * wpb in
-          let count = min n_words (Array.length words) in
-          let control_plane lo =
-            for i = lo to count - 1 do
-              ignore
-                (Controller.write_region_word t.ctrl ~fid ~stage ~index:i
-                   ~value:words.(i))
-            done
-          in
-          if count > 0 then
-            if count <= memsync_word_budget then begin
-              let driver =
-                Memsync_driver.create ~max_attempts:0 ~fid ~stages:[ stage ]
-                  ~count ~timeout_s:1.0
-                  (Memsync_driver.Write (fun i -> [ words.(i) ]))
-              in
-              if run_memsync t driver then
-                Telemetry.incr t.tel "tenant.memsync.words_moved" ~by:count
-              else control_plane 0
-            end
-            else control_plane 0)
-      regions
+  State_move.inject t.ctrl t.jit ~faults:None ~word_budget:memsync_word_budget
+    ~tally:(words_moved t) ~fid state
 
 let state_words state =
   List.fold_left (fun acc (_, words) -> acc + Array.length words) 0 state

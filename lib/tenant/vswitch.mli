@@ -19,11 +19,11 @@ open Import
       request is rejected for capacity, the vswitch evicts services from
       tenants holding more than their weighted fair share — most
       recently admitted first — drains their register state through
-      memsync capsules (the PR 3 migration machinery run against this
-      switch's own tables), parks the state, and re-queues the victims
-      for re-admission within their entitlement.  No FID is ever lost
-      or double-allocated: a victim is either resident, parked+queued,
-      or terminally denied-and-reported.
+      memsync capsules ({!State_move}, the fleet's migration move, run
+      against this switch's own tables), parks the state, and re-queues
+      the victims for re-admission within their entitlement.  No FID is
+      ever lost or double-allocated: a victim is either resident,
+      parked+queued, or terminally denied-and-reported.
 
     With a single registered tenant every mechanism degenerates to the
     identity: decisions are identical to driving the controller's drain

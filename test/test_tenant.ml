@@ -416,6 +416,109 @@ let prop_random_interleavings_conserve_fids =
       ignore (Vswitch.drain vs);
       audit_conservation vs registry ctrl ~submitted:!submitted)
 
+(* ---------- state move ---------- *)
+
+module State_move = Activermt_tenant.State_move
+
+(* Random residents with random register contents; one of them is
+   extracted, departs, is re-admitted and injected.  Whatever path each
+   region takes — capsules within the budget, the control plane over it
+   or with the data plane off, per-index fallback once capsules start
+   getting lost — every word comes back, and the tally sees exactly the
+   regions that went through the data plane. *)
+let prop_state_move_restores =
+  let apps = [| counter; hh; lb |] in
+  QCheck.Test.make ~name:"state move restores every word" ~count:100
+    QCheck.(
+      make
+        ~print:Print.(tup5 (list int) int bool bool (option int))
+        Gen.(
+          tup5
+            (list_size (int_range 1 6) (int_range 0 2))
+            nat bool bool
+            (opt (int_range 0 400))))
+    (fun (kinds, seed, above, data_plane, lose_after) ->
+      let ctrl = mk_controller () in
+      let jit = Activermt.Jit.create ~telemetry:(Telemetry.create ()) (Controller.tables ctrl) in
+      let rng = Stdx.Prng.create ~seed in
+      let request fid k = Negotiate.request_packet ~fid ~seq:0 apps.(k) in
+      let residents =
+        List.mapi (fun i k -> (i + 1, k)) kinds
+        |> List.filter (fun (fid, k) ->
+               Result.is_ok (Controller.handle_request ctrl (request fid k)))
+      in
+      let regions fid =
+        match Allocator.regions_of (Controller.allocator ctrl) ~fid with
+        | Some rs -> rs
+        | None -> []
+      in
+      let words_of (r : Allocator.stage_range) =
+        r.Allocator.range.Pool.n_blocks * Rmt.Params.words_per_block params
+      in
+      let written =
+        List.map
+          (fun (fid, _) ->
+            ( fid,
+              List.map
+                (fun r ->
+                  Array.init (words_of r) (fun index ->
+                      let value = Stdx.Prng.int rng (1 lsl 32) in
+                      ignore
+                        (Controller.write_region_word ctrl ~fid ~stage:r.Allocator.stage
+                           ~index ~value);
+                      value))
+                (regions fid) ))
+          residents
+      in
+      match residents with
+      | [] -> true
+      | (fid, kind) :: _ ->
+        let sizes = List.map words_of (regions fid) in
+        let word_budget =
+          if above then List.fold_left max 0 sizes else List.fold_left min max_int sizes - 1
+        in
+        let faults =
+          Option.map
+            (fun n ->
+              let sent = ref 0 in
+              fun ~now:_ ->
+                incr sent;
+                if !sent > n then 0 else 1)
+            lose_after
+        in
+        let tallied = ref 0 in
+        let tally ~data_plane ~fallback = tallied := !tallied + data_plane + fallback in
+        let captured =
+          State_move.extract ctrl jit ~faults ~word_budget ~tally ~data_plane ~fid
+        in
+        let expected_tally =
+          if data_plane then
+            List.fold_left (fun acc n -> if n <= word_budget then acc + n else acc) 0 sizes
+          else 0
+        in
+        ignore (Controller.handle_departure ctrl ~fid);
+        (match Controller.handle_request ctrl (request fid kind) with
+        | Ok _ -> ()
+        | Error _ -> QCheck.Test.fail_report "re-admission refused");
+        State_move.inject ctrl jit ~faults ~word_budget ~tally:(fun ~data_plane:_ ~fallback:_ -> ())
+          ~fid captured;
+        let restored =
+          List.map
+            (fun r -> Option.get (Controller.read_region ctrl ~fid ~stage:r.Allocator.stage))
+            (regions fid)
+        in
+        (* Positional: the k-th region written before against the k-th
+           region now, over the smaller of the two (a re-admission may
+           pick a mutant that merges two accesses into one stage). *)
+        let rec agree before restored =
+          match (before, restored) with
+          | want :: before, got :: restored ->
+            let n = min (Array.length want) (Array.length got) in
+            Array.sub want 0 n = Array.sub got 0 n && agree before restored
+          | _ -> true
+        in
+        !tallied = expected_tally && agree (List.assoc fid written) restored)
+
 let () =
   Alcotest.run "tenant"
     [
@@ -445,5 +548,9 @@ let () =
           Alcotest.test_case "single tenant differential" `Quick
             test_single_tenant_matches_plain_drain;
         ] );
-      ("qcheck", [ QCheck_alcotest.to_alcotest prop_random_interleavings_conserve_fids ]);
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest prop_random_interleavings_conserve_fids;
+          QCheck_alcotest.to_alcotest prop_state_move_restores;
+        ] );
     ]
