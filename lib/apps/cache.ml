@@ -1,7 +1,5 @@
 module Spec = Activermt_compiler.Spec
 
-let arg_value = 3
-
 let query_program =
   App.program_of_assembly ~name:"cache-query"
     {|

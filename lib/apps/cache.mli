@@ -19,8 +19,6 @@ val populate_program : Activermt.Program.t
 
 val service : App.t
 
-val arg_value : int
-
 val query_args : bucket:int -> key0:int -> key1:int -> int array
 val populate_args : bucket:int -> key0:int -> key1:int -> value:int -> int array
 
