@@ -790,7 +790,9 @@ and cmd_trace path args_str privileged metrics_out =
   in
   if Array.length args > 4 then
     die "at most 4 arguments fit a capsule, got %d" (Array.length args);
-  let pkt = Activermt.Packet.exec ~fid:1 ~seq:0 ~args program in
+  let pkt =
+    Activermt.Packet.exec ~flags:Activermt.Packet.no_flags ~fid:1 ~seq:0 ~args program
+  in
   let meta = Activermt.Runtime.meta ~src:100 ~dst:200 () in
   let r, events =
     Telemetry.with_span Telemetry.default "cli.trace" (fun () ->

@@ -58,5 +58,5 @@ let syn_packet t ~seq ~salt =
     t.syn_program
 
 let flow_packet t ~seq ~salt ~cookie =
-  Activermt.Packet.exec ~fid:t.fid ~seq ~args:(Lb.flow_args ~salt ~cookie)
-    t.flow_program
+  Activermt.Packet.exec ~flags:Activermt.Packet.no_flags ~fid:t.fid ~seq
+    ~args:(Lb.flow_args ~salt ~cookie) t.flow_program

@@ -867,24 +867,11 @@ let drive c st =
   st.f_pc <- !pc;
   st.f_passes <- (if !passes > 1 then !passes else 1)
 
-(* Load a capsule into the scratch state.  The args are copied: the copy
-   is the working argument store and then the capsule's output args, the
-   only per-packet allocation of a compiled execution.  The wire format
-   pads every Exec to exactly four argument words, so the common case is
-   an inline literal (a pointer-bump allocation) rather than the C call
-   behind [Array.copy]. *)
+(* Load a capsule into the scratch state.  [args] is the working
+   argument store, written in place by MBR_STORE and friends and left
+   holding the capsule's output args. *)
 let load st ~src ~dst ~flow_key args =
   let n_args = Array.length args in
-  let args =
-    if n_args = 4 then
-      [|
-        Array.unsafe_get args 0;
-        Array.unsafe_get args 1;
-        Array.unsafe_get args 2;
-        Array.unsafe_get args 3;
-      |]
-    else Array.copy args
-  in
   st.mar <- (if n_args > 0 then args.(0) else 0);
   st.mbr <- (if n_args > 1 then args.(1) else 0);
   st.mbr2 <- (if n_args > 2 then args.(2) else 0);
@@ -905,6 +892,20 @@ let load st ~src ~dst ~flow_key args =
   st.src <- src;
   st.flow_key <- flow_key
 
+(* A copy of a capsule's args, for the callers that keep their packet.
+   The wire format pads every Exec to exactly four argument words, so the
+   common case is an inline literal (a pointer-bump allocation) rather
+   than the C call behind [Array.copy]. *)
+let copy_args args =
+  if Array.length args = 4 then
+    [|
+      Array.unsafe_get args 0;
+      Array.unsafe_get args 1;
+      Array.unsafe_get args 2;
+      Array.unsafe_get args 3;
+    |]
+  else Array.copy args
+
 let drive_fast c st =
   match c.straight with
   | Some f -> f st
@@ -916,7 +917,7 @@ let pipelines c st =
 
 let exec_compiled c ~(meta : Runtime.meta) ~args ~st =
   load st ~src:meta.Runtime.src ~dst:meta.Runtime.dst
-    ~flow_key:meta.Runtime.flow_key args;
+    ~flow_key:meta.Runtime.flow_key (copy_args args);
   drive_fast c st;
   let decision =
     match st.dropped with
@@ -943,11 +944,9 @@ type outcome = {
   mutable rts : bool;
   mutable dst : int;
   mutable pipelines : int;
-  mutable args_out : int array;
 }
 
-let outcome () =
-  { dropped = None; rts = false; dst = 0; pipelines = 0; args_out = [||] }
+let outcome () = { dropped = None; rts = false; dst = 0; pipelines = 0 }
 
 let no_flow_key = [||]
 
@@ -957,8 +956,7 @@ let exec_compiled_into c o ~src ~dst ~args ~st =
   o.dropped <- st.dropped;
   o.rts <- st.rts;
   o.dst <- (if st.rts then src else st.dst);
-  o.pipelines <- pipelines c st;
-  o.args_out <- st.args
+  o.pipelines <- pipelines c st
 
 module Telemetry = Activermt_telemetry.Telemetry
 
@@ -1032,12 +1030,22 @@ let invalidate t ~fid =
   end
 
 (* The FID's compiled variant of [program]; raises [Not_found] rather
-   than returning an option, so a hit allocates nothing. *)
-let rec find_prog progs program =
+   than returning an option, so a hit allocates nothing.  A client sends
+   one program value per variant, so the list is scanned by identity
+   first and structurally only when that fails: a program structurally
+   equal to a stored one is never stored again, so the first physical
+   match is the only match. *)
+let rec find_equal progs program =
   match progs with
   | [] -> raise_notrace Not_found
-  | (p, c) :: tl ->
-    if p == program || Program.equal p program then c else find_prog tl program
+  | (p, c) :: tl -> if Program.equal p program then c else find_equal tl program
+
+let rec find_same all progs program =
+  match progs with
+  | [] -> find_equal all program
+  | (p, c) :: tl -> if p == program then c else find_same all tl program
+
+let find_prog progs program = find_same progs progs program
 
 let compile_into t ~fid ~program entry =
   let c =
@@ -1119,8 +1127,8 @@ let run t ?(meta = default_meta) (pkt : Packet.t) =
 
 (* Anything but a hit on a compiled variant under a valid epoch goes
    through [run]: it compiles, interprets and counts exactly as a [run]
-   call would. *)
-let run_copy t o ~src ~dst pkt =
+   call would, and its output args are written back into the capsule. *)
+let run_copy t o ~src ~dst (pkt : Packet.t) =
   let r = run t ~meta:(Runtime.meta ~src ~dst ()) pkt in
   (match r.Runtime.decision with
   | Runtime.Dropped why -> o.dropped <- Some why
@@ -1133,7 +1141,10 @@ let run_copy t o ~src ~dst pkt =
     o.rts <- false;
     o.dst <- d);
   o.pipelines <- r.Runtime.pipelines;
-  o.args_out <- r.Runtime.args_out
+  match pkt.Packet.payload with
+  | Packet.Exec { args; _ } ->
+    Array.blit r.Runtime.args_out 0 args 0 (Array.length args)
+  | Packet.Request _ | Packet.Response _ | Packet.Bare -> ()
 
 let run_into t o ~src ~dst (pkt : Packet.t) =
   match pkt.Packet.payload with

@@ -37,7 +37,8 @@ val create : ?enabled:bool -> ?telemetry:Activermt_telemetry.Telemetry.t -> Tabl
     the JIT or the tables it compiled against. *)
 
 val run : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result
-(** Drop-in replacement for {!Runtime.run}. *)
+(** Drop-in replacement for {!Runtime.run}: it executes on a copy of the
+    packet's args and never writes the packet. *)
 
 val run_info : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result * mode
 (** [run] plus how the packet was executed, for span attributes. *)
@@ -51,9 +52,6 @@ type outcome = {
       (** when not dropped: returned to sender, else forwarded to [dst] *)
   mutable dst : int;  (** the forward destination; the source on RTS *)
   mutable pipelines : int;  (** as {!Runtime.result.pipelines} *)
-  mutable args_out : int array;
-      (** the argument fields after execution, in a fresh array the
-          caller may hand on with the capsule *)
 }
 
 val outcome : unit -> outcome
@@ -61,12 +59,16 @@ val outcome : unit -> outcome
 
 val run_into : t -> outcome -> src:int -> dst:int -> Packet.t -> unit
 (** [run_into t o ~src ~dst pkt] is [run t ~meta:(Runtime.meta ~src ~dst ()) pkt]
-    written into [o] instead of a new result.  A capsule whose FID has a
-    compiled variant of its program, under a valid epoch, runs the same
-    drivers as [run] and allocates only [o.args_out].  Anything else —
-    misses, quiesced or uninstalled FIDs, non-[Exec] packets, a disabled
-    JIT — goes through [run] and copies its result, so the outcome, the
-    device state and the stats are always those of [run]. *)
+    written into [o] and into the capsule itself: it executes on [pkt]'s
+    own args, which afterwards hold {!Runtime.result.args_out}, as a
+    pipeline rewrites a packet's header fields.  The caller must own
+    [pkt] (see {!Packet.payload}).  A capsule whose FID has a compiled
+    variant of its program, under a valid epoch, runs the same drivers
+    as [run] and allocates nothing.  Anything else — misses, quiesced or
+    uninstalled FIDs, non-[Exec] packets, a disabled JIT — goes through
+    [run] and copies its result into [o] and the args, so the outcome,
+    the args, the device state and the stats are always those of
+    [run]. *)
 
 val would_specialize : t -> Packet.t -> bool
 (** Whether [run] would take the compiled path for this packet (modulo

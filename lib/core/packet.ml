@@ -25,7 +25,7 @@ type payload =
 
 type t = { fid : fid; seq : int; flags : flags; payload : payload }
 
-let exec ?(flags = no_flags) ~fid ~seq ~args program =
+let exec ~flags ~fid ~seq ~args program =
   let n = Array.length args in
   if n > 4 then invalid_arg "Packet.exec: more than 4 args";
   let args =

@@ -59,17 +59,23 @@ type payload =
   | Request of request
   | Response of response
   | Exec of { args : int array; program : Program.t }
-      (** [args] has exactly four 32-bit fields.  The packet owns the
-          array and nothing writes it: the interpreter and the JIT both
-          execute on a copy. *)
+      (** [args] has exactly four 32-bit fields: header fields, which
+          the switch step rewrites.  The packet owns the array.
+          {!Runtime.run} and {!Jit.run} execute on a copy and leave it
+          as it was; {!Jit.run_into} executes on the array itself, so a
+          switch that returns or forwards the capsule sends its results
+          (MBR_STORE) back in the same packet.  Whoever holds the packet
+          when it reaches a switch must therefore own it: a sender hands
+          it over with the message, and keeps no reference it reads
+          later. *)
   | Bare
 
 type t = { fid : fid; seq : int; flags : flags; payload : payload }
 
-val exec : ?flags:flags -> fid:fid -> seq:int -> args:int array -> Program.t -> t
+val exec : flags:flags -> fid:fid -> seq:int -> args:int array -> Program.t -> t
 (** Convenience constructor; pads/checks args to four fields.  A
     four-element [args] is taken as is, not copied: the packet owns it
-    from here, so the caller must not write it afterwards.
+    from here, so the caller must not write or read it afterwards.
     @raise Invalid_argument on more than four args. *)
 
 val wire_size : stages:int -> t -> int

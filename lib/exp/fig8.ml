@@ -98,7 +98,10 @@ let run_8b ?(packets = 1000) params =
   List.iter
     (fun n ->
       let program = nop_chain n in
-      let p = Activermt.Packet.exec ~fid ~seq:0 ~args:[||] program in
+      let p =
+        Activermt.Packet.exec ~flags:Activermt.Packet.no_flags ~fid ~seq:0 ~args:[||]
+          program
+      in
       measure
         (Printf.sprintf "%d instructions" n)
         (fun () ->

@@ -13,7 +13,12 @@ type payload =
   | Alloc_failed
   | Notify_realloc
 
-type msg = { src : address; dst : address; payload : payload; trace : Trace.ctx option }
+type msg = {
+  mutable src : address;
+  mutable dst : address;
+  payload : payload;
+  trace : Trace.ctx option;
+}
 
 let msg ~src ~dst payload = { src; dst; payload; trace = None }
 
@@ -128,20 +133,37 @@ let corruption_rejected t f m =
   if rejected then Telemetry.incr t.tel "faults.rejected.checksum";
   rejected
 
+(* A duplicate of [m] that shares nothing the switch step rewrites: its
+   own message, and for a capsule its own packet and args. *)
+let copy_msg m =
+  let payload =
+    match m.payload with
+    | Active ({ Activermt.Packet.payload = Activermt.Packet.Exec e; _ } as pkt) ->
+      let args = Array.copy e.args in
+      Active
+        { pkt with Activermt.Packet.payload = Activermt.Packet.Exec { e with args } }
+    | (Active _ | Kv_request _ | Kv_reply _ | Alloc_failed | Notify_realloc) as p -> p
+  in
+  { m with payload }
+
 (* One network hop under the fault model: decide the delivery's fate,
    then schedule the surviving copies (each with its own jitter, so
-   duplicates and back-to-back sends can reorder).  A jittered copy goes
-   straight to the engine's heap: its time is the float [Engine.schedule]
-   would compute from the same delay, and one-off delays would only
-   churn the engine's per-delay rings. *)
-let faulty_hop t f ~delay thunk =
+   duplicates and back-to-back sends can reorder).  Every copy after the
+   first is a [copy_msg], so each is rewritten on its own.  A jittered
+   copy goes straight to the engine's heap: its time is the float
+   [Engine.schedule] would compute from the same delay, and one-off
+   delays would only churn the engine's per-delay rings. *)
+let faulty_hop t f m ~delay ~event handler =
   let now = Engine.now t.engine in
   let v = Faults.plan f ~now in
   if v.Faults.lose then `Lost v.Faults.cause
   else if v.Faults.corrupt then `Corrupted
   else begin
-    for _ = 1 to v.Faults.copies do
-      Engine.schedule_at t.engine ~time:(now +. (delay +. Faults.jitter f)) thunk
+    for i = 1 to v.Faults.copies do
+      let m = if i = 1 then m else copy_msg m in
+      Engine.schedule_at t.engine
+        ~time:(now +. (delay +. Faults.jitter f))
+        (fun () -> handler (tr_hop t m event))
     done;
     `Scheduled v.Faults.copies
   end
@@ -154,11 +176,10 @@ let cause_attr = function
    with its trace advanced by an [event] child), emitting fault events
    under the message's trace as verdicts land. *)
 let traced_or_faulty_hop t m ~delay ~event handler =
-  let thunk () = handler (tr_hop t m event) in
   match t.faults with
-  | None -> Engine.schedule t.engine ~delay thunk
+  | None -> Engine.schedule t.engine ~delay (fun () -> handler (tr_hop t m event))
   | Some f -> (
-    match faulty_hop t f ~delay thunk with
+    match faulty_hop t f m ~delay ~event handler with
     | `Scheduled copies ->
       if copies > 1 then
         tr_fault t m
@@ -272,32 +293,31 @@ let exec_traced t pkt ~meta c =
          "device.result"));
   (r, exec_ctx)
 
-(* The executed capsule as it leaves the switch: the results of
-   execution (MBR_STORE) travel in its args. *)
-let executed pkt program args =
-  Active { pkt with Activermt.Packet.payload = Activermt.Packet.Exec { args; program } }
-
 (* Send an executed capsule on after the wire latency plus the pass
    latency of every pipeline it traversed: back to its source on RTS,
-   else toward [fwd] (0 or the capsule's own destination keep it on its
-   way). *)
-let send_on t m payload ~trace ~rts ~fwd ~pipelines =
+   else toward [fwd] (0 keeps it on its way).  The switch owns [m] and
+   rewrites its addresses as it does the capsule's args. *)
+let send_on t m ~rts ~fwd ~pipelines =
   let params = Rmt.Device.params (Controller.device t.controller) in
   let delay =
     (1.0e-6 *. params.Rmt.Params.pass_latency_us *. float_of_int pipelines)
     +. wire_latency_s
   in
-  if rts then deliver t { src = m.dst; dst = m.src; payload; trace } ~delay
-  else begin
-    let dst = if fwd = m.dst || fwd = 0 then m.dst else fwd in
-    deliver t { src = m.src; dst; payload; trace } ~delay
+  if rts then begin
+    let src = m.src in
+    m.src <- m.dst;
+    m.dst <- src
   end
+  else if fwd <> 0 then m.dst <- fwd;
+  deliver t m ~delay
 
 (* Act on the switch's decision for a traced capsule: count a drop, or
-   send the capsule on, chained under the exec span. *)
-let forward_result t m pkt program r ~exec_ctx =
-  let trace = match exec_ctx with Some c -> Some c | None -> m.trace in
-  let pipelines = r.Activermt.Runtime.pipelines in
+   send the capsule on, in a new message chained under the exec span. *)
+let forward_result t m r ~exec_ctx =
+  let reply ~rts ~fwd =
+    let m = match exec_ctx with Some c -> { m with trace = Some c } | None -> m in
+    send_on t m ~rts ~fwd ~pipelines:r.Activermt.Runtime.pipelines
+  in
   match r.Activermt.Runtime.decision with
   | Activermt.Runtime.Dropped _ -> (
     bump t.dropped;
@@ -309,22 +329,16 @@ let forward_result t m pkt program r ~exec_ctx =
            ~attrs:
              [ sw_attr t; ("reason", decision_string r.Activermt.Runtime.decision) ]
            "device.drop"))
-  | Activermt.Runtime.Return_to_sender ->
-    send_on t m (executed pkt program r.Activermt.Runtime.args_out) ~trace ~rts:true
-      ~fwd:0 ~pipelines
-  | Activermt.Runtime.Forward fwd ->
-    send_on t m (executed pkt program r.Activermt.Runtime.args_out) ~trace ~rts:false
-      ~fwd ~pipelines
+  | Activermt.Runtime.Return_to_sender -> reply ~rts:true ~fwd:0
+  | Activermt.Runtime.Forward fwd -> reply ~rts:false ~fwd
 
 (* [forward_result] for an untraced capsule, from the fabric's outcome:
-   only the capsule sent on is allocated. *)
-let forward_outcome t m pkt program (o : Activermt.Jit.outcome) =
+   [Jit.run_into] already left the results in the capsule's args. *)
+let forward_outcome t m (o : Activermt.Jit.outcome) =
   match o.Activermt.Jit.dropped with
   | Some _ -> bump t.dropped
   | None ->
-    send_on t m
-      (executed pkt program o.Activermt.Jit.args_out)
-      ~trace:m.trace ~rts:o.Activermt.Jit.rts ~fwd:o.Activermt.Jit.dst
+    send_on t m ~rts:o.Activermt.Jit.rts ~fwd:o.Activermt.Jit.dst
       ~pipelines:o.Activermt.Jit.pipelines
 
 let at_switch t m =
@@ -400,7 +414,7 @@ let at_switch t m =
         notify_impacted ?trace:m.trace t expanded
       end
     | Activermt.Packet.Response _ -> deliver t m ~delay:wire_latency_s
-    | Activermt.Packet.Exec { program; _ } ->
+    | Activermt.Packet.Exec { args; _ } ->
       let tables = Controller.tables t.controller in
       let fid = pkt.Activermt.Packet.fid in
       if not (Activermt.Table.installed tables ~fid) then
@@ -411,11 +425,13 @@ let at_switch t m =
         match tr_on t m with
         | None ->
           Activermt.Jit.run_into t.jit t.outcome ~src:m.src ~dst:m.dst pkt;
-          forward_outcome t m pkt program t.outcome
+          forward_outcome t m t.outcome
         | Some c ->
           let meta = Activermt.Runtime.meta ~src:m.src ~dst:m.dst () in
           let r, exec_ctx = exec_traced t pkt ~meta c in
-          forward_result t m pkt program r ~exec_ctx
+          (* The capsule's args, as [Jit.run_into] would leave them. *)
+          Array.blit r.Activermt.Runtime.args_out 0 args 0 (Array.length args);
+          forward_result t m r ~exec_ctx
       end)
 
 let source telemetry fixed tx rx =

@@ -31,13 +31,24 @@ type payload =
           and ack *)
 
 type msg = {
-  src : address;
-  dst : address;
+  mutable src : address;
+  mutable dst : address;
+      (** header fields: the switch step rewrites them as it returns a
+          capsule to its sender (swapping the two) or forwards it *)
   payload : payload;
   trace : Activermt_telemetry.Trace.ctx option;
       (** in-band trace context: set at {!inject} (head sampling), then
           advanced hop by hop so the trace follows the capsule *)
 }
+(** A message in flight.  The fabric owns a message handed to {!send} or
+    {!inject} until it delivers it, and a handler owns the message it
+    receives.  While the fabric owns a capsule, its switch step executes
+    on the capsule's own args and sends the same message and packet back
+    or on, with its results in the args and its addresses rewritten (a
+    traced reply is a new message for its trace context, with the same
+    packet).  A sender therefore keeps no reference to a message or its
+    packet that it reads later, and a duplicating fault delivers
+    independent copies. *)
 
 val msg : src:address -> dst:address -> payload -> msg
 (** Convenience constructor for an untraced message. *)
@@ -64,7 +75,9 @@ val create :
     control traffic included: probabilistic drop, duplication, jitter
     (reordering), byte corruption (rejected by the wire checksum and
     counted under [faults.rejected.checksum]), link flaps, and slow or
-    failed provisioning responses.  A handle whose profile
+    failed provisioning responses.  A duplicated message arrives as
+    independent copies: each after the first has its own message, and a
+    capsule's its own packet and args.  A handle whose profile
     {!Faults.is_none} is ignored entirely: the fabric then takes the
     same code paths as a fault-free build, bit for bit.  Every draw
     happens at a simulated instant that depends only on the seed and the

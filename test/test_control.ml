@@ -40,7 +40,10 @@ let test_admission_installs_tables () =
 
 let test_bad_packet () =
   let _, ctl = fresh () in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[||] Activermt_apps.Cache.query_program in
+  let pkt =
+    Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[||]
+      Activermt_apps.Cache.query_program
+  in
   match Controller.handle_request ctl pkt with
   | Error (`Bad_packet _) -> ()
   | _ -> Alcotest.fail "expected bad-packet error"
@@ -632,7 +635,10 @@ let test_drain_matches_sequential_decisions () =
            let retry = if i mod 5 = 4 then [ request (fid - 2) (app (fid - 2)) ] else [] in
            let bad =
              if i = 20 then
-               [ Pkt.exec ~fid ~seq:0 ~args:[||] Activermt_apps.Cache.query_program ]
+               [
+                 Pkt.exec ~flags:Pkt.no_flags ~fid ~seq:0 ~args:[||]
+                   Activermt_apps.Cache.query_program;
+               ]
              else []
            in
            (request fid (app fid) :: retry) @ bad))

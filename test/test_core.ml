@@ -287,7 +287,7 @@ let test_packet_response_roundtrip () =
   | _ -> Alcotest.fail "wrong payload"
 
 let test_packet_exec_roundtrip () =
-  let pkt = Pkt.exec ~fid:5 ~seq:3 ~args:[| 10; 20 |] listing1 in
+  let pkt = Pkt.exec ~flags:Pkt.no_flags ~fid:5 ~seq:3 ~args:[| 10; 20 |] listing1 in
   (match pkt.Pkt.payload with
   | Pkt.Exec { args; _ } ->
     Alcotest.(check (array int)) "padded args" [| 10; 20; 0; 0 |] args
@@ -299,7 +299,7 @@ let test_packet_exec_roundtrip () =
   | _ -> Alcotest.fail "wrong payload"
 
 let test_packet_wire_size () =
-  let pkt = Pkt.exec ~fid:5 ~seq:3 ~args:[||] listing1 in
+  let pkt = Pkt.exec ~flags:Pkt.no_flags ~fid:5 ~seq:3 ~args:[||] listing1 in
   Alcotest.(check int) "wire_size = encode length"
     (Bytes.length (Pkt.encode pkt))
     (Pkt.wire_size ~stages:20 pkt)
@@ -312,7 +312,8 @@ let test_packet_short () =
 let test_packet_too_many_args () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Pkt.exec ~fid:1 ~seq:0 ~args:(Array.make 5 0) listing1);
+       ignore
+         (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:(Array.make 5 0) listing1);
        false
      with Invalid_argument _ -> true)
 
@@ -700,7 +701,7 @@ let setup ?(privileged = false) ?max_passes ?(virtual_addressing = true)
 let run ?tables ?(args = [||]) ?(src = 100) ?(dst = 200) ?(flow_key = [||]) instrs =
   let tables = match tables with Some t -> t | None -> setup () in
   let meta = RT.meta ~flow_key ~src ~dst () in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args (P.v (P.plain instrs)) in
+  let pkt = Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args (P.v (P.plain instrs)) in
   RT.run tables ~meta pkt
 
 let test_rt_preloading () =
@@ -793,7 +794,9 @@ let test_rt_cjump_taken () =
       P.line ~label:1 I.Return;
     ]
   in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[| 0; 5; 9; 4 |] (P.v prog) in
+  let pkt =
+    Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[| 0; 5; 9; 4 |] (P.v prog)
+  in
   let r = RT.run (setup ()) ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
   Alcotest.(check int) "skipped load" 9 r.RT.final_mbr2;
   Alcotest.(check int) "3 executed (skipped one)" 3 r.RT.executed
@@ -807,7 +810,9 @@ let test_rt_cjumpi_not_taken () =
       P.line ~label:1 I.Return;
     ]
   in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[| 0; 5; 9; 4 |] (P.v prog) in
+  let pkt =
+    Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[| 0; 5; 9; 4 |] (P.v prog)
+  in
   let r = RT.run (setup ()) ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
   Alcotest.(check int) "executed load" 4 r.RT.final_mbr2
 
@@ -816,7 +821,9 @@ let test_rt_ujump () =
   let prog =
     [ P.line (I.Ujump 2); P.line (I.Mbr_load I.A2); P.line ~label:2 I.Return ]
   in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[| 0; 2; 5; 0 |] (P.v prog) in
+  let pkt =
+    Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[| 0; 2; 5; 0 |] (P.v prog)
+  in
   let r = RT.run (setup ()) ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
   Alcotest.(check int) "skipped" 2 r.RT.final_mbr
 
@@ -825,7 +832,7 @@ let test_rt_skipped_consume_stages () =
     (P.line (I.Ujump 1) :: List.init 18 (fun _ -> P.line I.Nop))
     @ [ P.line ~label:1 I.Return ]
   in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[||] (P.v prog) in
+  let pkt = Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[||] (P.v prog) in
   let r = RT.run (setup ()) ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
   Alcotest.(check int) "single pass" 1 r.RT.passes;
   Alcotest.(check int) "2 executed" 2 r.RT.executed
@@ -883,7 +890,10 @@ let test_rt_no_allocation_drop () =
 let test_rt_quiesced_passthrough () =
   let tables = setup () in
   Tbl.quiesce tables ~fid:1;
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[| 1; 2; 3; 4 |] (P.v (P.plain [ I.Drop ])) in
+  let pkt =
+    Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[| 1; 2; 3; 4 |]
+      (P.v (P.plain [ I.Drop ]))
+  in
   let r = RT.run tables ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
   Alcotest.(check bool) "marked quiesced" true r.RT.quiesced;
   (match r.RT.decision with
@@ -1006,7 +1016,9 @@ let test_rt_recirc_limit () =
   let t = Tbl.create device in
   ignore (Tbl.install t ~fid:1 ~virtual_addressing:true ~regions:(Array.make 20 None));
   let instrs = List.init 70 (fun _ -> I.Nop) @ [ I.Return ] in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[||] (P.v (P.plain instrs)) in
+  let pkt =
+    Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[||] (P.v (P.plain instrs))
+  in
   let r = RT.run t ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
   match r.RT.decision with
   | RT.Dropped RT.Recirculation_limit -> ()
@@ -1025,7 +1037,7 @@ let test_rt_pipelines_and_latency () =
   Alcotest.(check (float 1e-9)) "latency model" 10.5 (RT.latency_us params r)
 
 let test_packet_strip_executed () =
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args:[||] listing1 in
+  let pkt = Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[||] listing1 in
   let full = Pkt.wire_size ~stages:20 pkt in
   let stripped = Pkt.strip_executed pkt ~upto:4 in
   Alcotest.(check int) "4 headers = 8 bytes saved" (full - 8)
@@ -1071,7 +1083,9 @@ let prop_runtime_total =
            (array_size (return 4) (int_range 0 0xFFFF))))
     (fun (instrs, args) ->
       let tables = setup ~stages:[ (0, 0, 256); (5, 256, 256); (13, 0, 512) ] () in
-      let pkt = Pkt.exec ~fid:1 ~seq:0 ~args (P.v (P.plain instrs)) in
+      let pkt =
+        Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args (P.v (P.plain instrs))
+      in
       let r = RT.run tables ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt in
       (match r.RT.decision with
       | RT.Forward _ | RT.Return_to_sender | RT.Dropped _ -> true)
@@ -1091,7 +1105,7 @@ let same_result r1 r2 =
 
 let run_fresh instrs_program args =
   let tables = setup ~stages:[ (0, 0, 256); (5, 256, 256); (13, 0, 512) ] () in
-  let pkt = Pkt.exec ~fid:1 ~seq:0 ~args instrs_program in
+  let pkt = Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args instrs_program in
   RT.run tables ~meta:(RT.meta ~src:1 ~dst:2 ()) pkt
 
 let prop_assembler_preserves_semantics =

@@ -257,6 +257,56 @@ let test_memsync_attempt_budget () =
   Alcotest.(check (list int)) "unacked index" [ 0 ] (Memsync_driver.unacked driver);
   Alcotest.(check int) "three packets total" 3 (Memsync_driver.attempts driver)
 
+(* -- Duplicates are independent copies ------------------------------------ *)
+
+(* The switch step rewrites a capsule in place, so a duplicating link
+   must deliver copies that share no message, packet or args: a copy
+   that ran on what another left would come back holding f(f(x)), or
+   addressed back the way it came.  Every capsule here stores
+   arg0 + arg1 into arg1 and returns to its sender, over links that
+   duplicate every hop, so each capsule comes back four times, each
+   holding arg0 + arg1 of what was sent. *)
+let test_duplicates_independent () =
+  let tel = Telemetry.create () in
+  let engine = Engine.create ~telemetry:tel () in
+  let controller = Controller.create ~telemetry:tel (Rmt.Device.create params) in
+  (match
+     Controller.handle_request controller
+       (Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service)
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "admission rejected");
+  let faults = Faults.create ~seed:5 ~telemetry:tel (Faults.lossy ~duplicate:1.0 ()) in
+  let fabric = Fabric.create ~faults ~telemetry:tel ~engine ~controller () in
+  let client = 10 and server = 20 in
+  let add =
+    Activermt.Program.v
+      (Activermt.Program.plain
+         Activermt.Instr.[ Mbr2_load A0; Mbr_add_mbr2; Mbr_store A1; Rts ])
+  in
+  let replies = Hashtbl.create 16 and strays = ref 0 in
+  Fabric.attach fabric client (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active { Pkt.seq; payload = Pkt.Exec { args; _ }; _ } ->
+        Hashtbl.add replies seq (msg.Fabric.src, msg.Fabric.dst, args.(1))
+      | _ -> incr strays);
+  Fabric.attach fabric server (fun _ -> incr strays);
+  let n = 8 in
+  for seq = 1 to n do
+    let pkt =
+      Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq ~args:[| 1000 * seq; seq; 0; 0 |] add
+    in
+    Fabric.inject fabric (Fabric.msg ~src:client ~dst:server (Fabric.Active pkt))
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "nothing reached the server" 0 !strays;
+  for seq = 1 to n do
+    Alcotest.(check (list (triple int int int)))
+      (Printf.sprintf "capsule %d: four copies of f(input)" seq)
+      (List.init 4 (fun _ -> (server, client, (1000 * seq) + seq)))
+      (Hashtbl.find_all replies seq)
+  done
+
 (* -- Negotiation backoff ------------------------------------------------- *)
 
 let test_negotiate_backoff_growth () =
@@ -610,6 +660,8 @@ let () =
             test_memsync_duplicate_reply_idempotent;
           Alcotest.test_case "memsync attempt budget" `Quick
             test_memsync_attempt_budget;
+          Alcotest.test_case "duplicates are independent" `Quick
+            test_duplicates_independent;
         ] );
       ( "retry",
         [

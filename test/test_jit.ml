@@ -19,8 +19,10 @@
    with the wrong side effects.  A second pair checks Jit.run_into, the
    entry point the fabric executes untraced capsules through, against
    Runtime.run under the fabric's meta (which has no flow key): the same
-   decision, destination, pipeline count, output args and device
-   state. *)
+   decision, destination, pipeline count and device state, and the
+   capsule's own args rewritten to the interpreter's output args.  Each
+   side runs its own copy of a packet, since run_into writes the one it
+   is given. *)
 
 module I = Activermt.Instr
 module P = Activermt.Program
@@ -92,10 +94,22 @@ let same_state a b =
   && Rmt.Device.drops da = Rmt.Device.drops db
   && Rmt.Device.recirculations da = Rmt.Device.recirculations db
 
-(* Whether [Jit.run_into] wrote what [Runtime.run] returned: the decision
-   (with the forward destination), the RTS destination, the pipeline
-   count and the output args. *)
-let outcome_matches ~src (r : RT.result) (o : Jit.outcome) =
+(* A copy of [pkt] with its own args, as a capsule fresh off the wire
+   has: the packet [Jit.run_into] may rewrite. *)
+let capsule (pkt : Pkt.t) =
+  match pkt.Pkt.payload with
+  | Pkt.Exec e -> { pkt with Pkt.payload = Pkt.Exec { e with args = Array.copy e.args } }
+  | Pkt.Request _ | Pkt.Response _ | Pkt.Bare -> pkt
+
+let capsule_args (pkt : Pkt.t) =
+  match pkt.Pkt.payload with
+  | Pkt.Exec { args; _ } -> args
+  | Pkt.Request _ | Pkt.Response _ | Pkt.Bare -> [||]
+
+(* Whether [Jit.run_into] on [capsule] wrote what [Runtime.run] returned:
+   the decision (with the forward destination), the RTS destination, the
+   pipeline count, and the output args in the capsule's own args. *)
+let outcome_matches ~src (r : RT.result) (o : Jit.outcome) capsule =
   let decision =
     match o.Jit.dropped with
     | Some why -> RT.Dropped why
@@ -104,18 +118,18 @@ let outcome_matches ~src (r : RT.result) (o : Jit.outcome) =
   decision = r.RT.decision
   && ((not o.Jit.rts) || o.Jit.dst = src)
   && o.Jit.pipelines = r.RT.pipelines
-  && o.Jit.args_out = r.RT.args_out
+  && capsule_args capsule = r.RT.args_out
 
 (* Run [pkt] through the fabric pair: the interpreter on [ft] and
-   [Jit.run_into] on [ot]. *)
-let exec_into w pkt =
-  let r = RT.run w.ft ~meta:fabric_meta pkt in
-  Jit.run_into w.ojit w.o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst pkt;
-  (r, w.o)
+   [Jit.run_into] on [ot], on a copy of its own.  Whether they agree. *)
+let into_matches ~ojit ~o ~ft pkt =
+  let r = RT.run ft ~meta:fabric_meta pkt in
+  let c = capsule pkt in
+  Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst c;
+  outcome_matches ~src:fabric_meta.RT.src r o c
 
 let into_identical w pkt =
-  let r, o = exec_into w pkt in
-  outcome_matches ~src:fabric_meta.RT.src r o && same_state w.ft w.ot
+  into_matches ~ojit:w.ojit ~o:w.o ~ft:w.ft pkt && same_state w.ft w.ot
 
 let exec_both w pkt =
   let ri = RT.run w.it ~meta pkt in
@@ -132,16 +146,15 @@ let check_identical msg w pkt =
   let ri, rj, _ = exec_both w pkt in
   Alcotest.(check bool) (msg ^ ": result") true (ri = rj);
   Alcotest.(check bool) (msg ^ ": device state") true (same_state w.it w.jt);
-  let r, o = exec_into w pkt in
   Alcotest.(check bool)
     (msg ^ ": run_into outcome")
     true
-    (outcome_matches ~src:fabric_meta.RT.src r o);
+    (into_matches ~ojit:w.ojit ~o:w.o ~ft:w.ft pkt);
   Alcotest.(check bool) (msg ^ ": run_into device state") true (same_state w.ft w.ot);
   ri
 
 let exec_pkt ?(seq = 0) ?(args = [| 0; 0; 0; 0 |]) instrs =
-  Pkt.exec ~fid:1 ~seq ~args (P.v (P.plain instrs))
+  Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq ~args (P.v (P.plain instrs))
 
 (* -- Directed: real applications ------------------------------------------ *)
 
@@ -207,7 +220,6 @@ let test_real_apps_identical () =
   let ipool = app_pool ti in
   let jpool = app_pool tj in
   let fpool = app_pool tf in
-  let opool = app_pool tout in
   let lb_delivered = ref 0 in
   (* Three rounds: round 1 compiles (cache misses, cold sketches), later
      rounds serve from the closure cache with warm register state. *)
@@ -221,9 +233,7 @@ let test_real_apps_identical () =
         (match ri.RT.decision with
         | RT.Dropped _ -> ()
         | _ -> if k mod 4 = 3 then incr lb_delivered);
-        let rf = RT.run tf.tables ~meta:fabric_meta fpool.(k) in
-        Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst opool.(k);
-        if not (outcome_matches ~src:fabric_meta.RT.src rf o) then
+        if not (into_matches ~ojit ~o ~ft:tf.tables fpool.(k)) then
           Alcotest.failf "round %d packet %d: run_into diverged" round k)
       ipool;
     Alcotest.(check bool)
@@ -258,7 +268,7 @@ let test_branches_identical () =
       let run args seq =
         ignore
           (check_identical "branchy program" w
-             (Pkt.exec ~fid:1 ~seq ~args program))
+             (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq ~args program))
       in
       (* Taken and not-taken, through both the fresh-compile and cached
          path. *)
@@ -451,10 +461,8 @@ let test_disabled_jit () =
   Alcotest.(check bool) "interpreted" true (mode = Jit.Interpreted);
   Alcotest.(check bool) "same result" true (ri = rj);
   let ojit = Jit.create ~enabled:false w.ot in
-  let rf = RT.run w.ft ~meta:fabric_meta pkt in
-  Jit.run_into ojit w.o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst pkt;
   Alcotest.(check bool) "run_into falls back to the interpreter" true
-    (outcome_matches ~src:fabric_meta.RT.src rf w.o && same_state w.ft w.ot);
+    (into_matches ~ojit ~o:w.o ~ft:w.ft pkt && same_state w.ft w.ot);
   List.iter
     (fun jit ->
       let hits, misses, compiles, _ = Jit.stats jit in
@@ -498,8 +506,8 @@ let prop_jit_matches_interpreter =
     (fun ((instrs, privileged), (args1, args2)) ->
       let w = twin ~privileged () in
       let p = P.v (P.plain instrs) in
-      identical w (Pkt.exec ~fid:1 ~seq:0 ~args:args1 p)
-      && identical w (Pkt.exec ~fid:1 ~seq:1 ~args:args2 p))
+      identical w (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:args1 p)
+      && identical w (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:1 ~args:args2 p))
 
 (* Invalidation safety: after a random reallocation the JIT may never
    serve the closure specialized against the old bounds. *)
@@ -513,7 +521,9 @@ let prop_reinstall_safe =
     (fun (instrs, (stage, size_sel)) ->
       let w = twin () in
       let p = P.v (P.plain instrs) in
-      let ok1 = identical w (Pkt.exec ~fid:1 ~seq:0 ~args:[| 7; 1; 2; 3 |] p) in
+      let ok1 =
+        identical w (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[| 7; 1; 2; 3 |] p)
+      in
       let n_words = 32 lsl size_sel in
       let reinstall t =
         Tbl.remove t ~fid:1;
@@ -527,7 +537,58 @@ let prop_reinstall_safe =
       let d = reinstall w.ot in
       a = b && b = c && c = d
       && ok1
-      && identical w (Pkt.exec ~fid:1 ~seq:1 ~args:[| 7; 1; 2; 3 |] p))
+      && identical w
+           (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:1 ~args:[| 7; 1; 2; 3 |] p))
+
+(* The fabric's contract (jit.mli): [Jit.run_into] executes a capsule on
+   its own args and leaves in them, and in the outcome, what
+   [Runtime.run] returns.  Each step runs [Jit.run_into] on one copy of a
+   packet and [Runtime.run] on another, on twin switches, over what a
+   fabric sees: cache queries and populates alternating on one FID (one
+   of the two programs sits past the head of the FID's list), heavy-
+   hitter monitoring, the privileged LB's SYN and flow packets, a DROP,
+   an unprivileged SET_DST, a quiesced FID and an uninstalled FID (both
+   interpreter fallbacks). *)
+let drop_program = P.v (P.plain [ I.Mbr_load I.A2; I.Drop ])
+let set_dst_program = P.v (P.plain [ I.Mbr_load I.A0; I.Set_dst; I.Return ])
+
+let prop_run_into_rewrites_capsule =
+  QCheck.Test.make ~name:"run_into leaves Runtime.run's args in the capsule" ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 40)
+           (triple (int_range 0 8) (int_range 0 3) (int_range 0 0xFFFF))))
+    (fun steps ->
+      let ti = setup_tenants () and tout = setup_tenants () in
+      let ojit = Jit.create tout.tables in
+      let o = Jit.outcome () in
+      let both f =
+        f ti.tables;
+        f tout.tables
+      in
+      let step seq (kind, k, v) =
+        let key = Kv.key_of_rank k in
+        let pkt =
+          match kind with
+          | 1 -> Cache_client.populate_packet ti.cache ~seq key ~value:v
+          | 2 -> Hh_client.monitor_packet ti.hh ~seq key
+          | 3 -> Lb_client.syn_packet ti.lb ~seq ~salt:v
+          | 4 -> Lb_client.flow_packet ti.lb ~seq ~salt:k ~cookie:v
+          | 5 ->
+            Pkt.exec ~flags:Pkt.no_flags ~fid:2 ~seq ~args:[| k; v; v; 0 |] drop_program
+          | 6 ->
+            Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq ~args:[| v; k; 0; 0 |]
+              set_dst_program
+          | _ (* 0; 7 quiesced; 8 uninstalled *) ->
+            Cache_client.query_packet ti.cache ~seq key
+        in
+        let pkt = if kind = 8 then { pkt with Pkt.fid = 9 } else pkt in
+        if kind = 7 then both (fun t -> Tbl.quiesce t ~fid:1);
+        let ok = into_matches ~ojit ~o ~ft:ti.tables pkt in
+        if kind = 7 then both (fun t -> Tbl.unquiesce t ~fid:1);
+        ok
+      in
+      List.for_all Fun.id (List.mapi step steps) && same_state ti.tables tout.tables)
 
 (* The slicing-by-8 fast hash must agree with the byte-at-a-time CRC
    family everywhere — the JIT's hash superinstructions rely on it. *)
@@ -580,6 +641,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_jit_matches_interpreter;
           QCheck_alcotest.to_alcotest prop_reinstall_safe;
+          QCheck_alcotest.to_alcotest prop_run_into_rewrites_capsule;
           QCheck_alcotest.to_alcotest prop_hash_words2;
         ] );
     ]

@@ -316,7 +316,8 @@ let test_fabric_uninstalled_fid_forwards () =
   let at_server = ref false in
   Fabric.attach fabric 20 (fun _ -> at_server := true);
   let pkt =
-    Pkt.exec ~fid:77 ~seq:0 ~args:[||] Activermt_apps.Cache.query_program
+    Pkt.exec ~flags:Pkt.no_flags
+      ~fid:77 ~seq:0 ~args:[||] Activermt_apps.Cache.query_program
   in
   Fabric.send fabric { Fabric.src = 10; dst = 20; payload = Fabric.Active pkt; trace = None };
   Engine.run engine;
@@ -355,7 +356,9 @@ let test_fabric_drop_accounting () =
   Fabric.send fabric
     { Fabric.src = 10;
       dst = 20;
-      payload = Fabric.Active (Pkt.exec ~fid:1 ~seq:0 ~args:[||] dropper); trace = None };
+      payload =
+        Fabric.Active (Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:0 ~args:[||] dropper);
+      trace = None };
   Engine.run engine;
   Alcotest.(check int) "one drop counted" 1 (Fabric.stats_drops fabric)
 
@@ -499,12 +502,23 @@ let test_sources_release_components () =
 
 (* -- Allocation budget ----------------------------------------------------- *)
 
-(* Minor-heap words per reply of a closed loop of cache capsules: one
-   cache tenant keeps 16 capsules in flight over 256 hot keys, one in ten
-   a populate; a query that misses goes on to a server node, which
-   answers through the switch.  The count depends on the binary and the
-   work, not on the host, so it is exact from run to run. *)
-let cache_words_per_reply ~warmup ~measured =
+(* Minor-heap words of a closed loop of cache capsules: one cache tenant
+   keeps 16 capsules in flight over 256 hot keys, one in ten a populate;
+   a query that misses goes on to a server node, which answers through
+   the switch.  The engine's steps are split as perfbench's probe splits
+   them: a step that reached a node handler is a deliver step, any other
+   a switch step, and a handler's own words (the server's reply
+   included) are not its step's.  The counts depend on the binary and
+   the work, not on the host, so they are exact from run to run. *)
+type cache_words = {
+  per_reply : float;
+  per_switch_step : float;
+  per_deliver_step : float;
+}
+
+let words () = int_of_float (Gc.minor_words ())
+
+let cache_words ~warmup ~measured =
   let tel = Telemetry.create () in
   let engine = Engine.create ~telemetry:tel () in
   let controller =
@@ -533,16 +547,42 @@ let cache_words_per_reply ~warmup ~measured =
   let keys = Array.init 256 Workload.Kv.key_of_rank in
   let reply_key = Workload.Kv.key_of_rank 0 in
   let in_flight = ref 0 and replies = ref 0 and next = ref 0 in
-  Fabric.attach fabric client (fun _ ->
-      decr in_flight;
-      incr replies);
-  Fabric.attach fabric server (fun msg ->
-      match msg.Fabric.payload with
-      | Fabric.Active pkt ->
-        Fabric.send fabric
-          (Fabric.msg ~src:server ~dst:msg.Fabric.src
-             (Fabric.Kv_reply { key = reply_key; value = pkt.Pkt.seq }))
-      | _ -> ());
+  let delivered = ref false and handler_words = ref 0 in
+  let handler f msg =
+    delivered := true;
+    let w0 = words () in
+    f msg;
+    handler_words := !handler_words + (words () - w0)
+  in
+  Fabric.attach fabric client
+    (handler (fun _ ->
+         decr in_flight;
+         incr replies));
+  Fabric.attach fabric server
+    (handler (fun msg ->
+         match msg.Fabric.payload with
+         | Fabric.Active pkt ->
+           Fabric.send fabric
+             (Fabric.msg ~src:server ~dst:msg.Fabric.src
+                (Fabric.Kv_reply { key = reply_key; value = pkt.Pkt.seq }))
+         | _ -> ()));
+  let switch_steps = ref 0 and switch_words = ref 0 in
+  let deliver_steps = ref 0 and deliver_words = ref 0 in
+  let step () =
+    delivered := false;
+    handler_words := 0;
+    let w0 = words () in
+    ignore (Engine.step engine);
+    let w = words () - w0 - !handler_words in
+    if !delivered then begin
+      incr deliver_steps;
+      deliver_words := !deliver_words + w
+    end
+    else begin
+      incr switch_steps;
+      switch_words := !switch_words + w
+    end
+  in
   let run n =
     let target = !replies + n in
     while !replies < target do
@@ -558,17 +598,41 @@ let cache_words_per_reply ~warmup ~measured =
         incr in_flight;
         Fabric.inject fabric (Fabric.msg ~src:client ~dst:server (Fabric.Active pkt))
       done;
-      ignore (Engine.step engine)
+      step ()
     done
   in
   run warmup;
-  let w0 = Gc.minor_words () in
+  switch_steps := 0;
+  switch_words := 0;
+  deliver_steps := 0;
+  deliver_words := 0;
+  let w0 = words () in
   run measured;
-  (Gc.minor_words () -. w0) /. float_of_int measured
+  let per n d = float_of_int n /. float_of_int (max 1 d) in
+  {
+    per_reply = per (words () - w0) measured;
+    per_switch_step = per !switch_words !switch_steps;
+    per_deliver_step = per !deliver_words !deliver_steps;
+  }
+
+let cache_reading = lazy (cache_words ~warmup:10_000 ~measured:20_000)
+
+let check_budget what words budget =
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words <= %g per %s" words budget what)
+    true (words <= budget)
 
 let test_cache_capsule_budget () =
-  let words = cache_words_per_reply ~warmup:10_000 ~measured:20_000 in
-  Alcotest.(check bool) (Printf.sprintf "%.2f words <= 58" words) true (words <= 58.0)
+  check_budget "reply" (Lazy.force cache_reading).per_reply 35.0
+
+(* The switch step executes a capsule on its own args and sends the same
+   message back or on: what it allocates is the engine's event and the
+   boxed delay of its next hop. *)
+let test_switch_step_budget () =
+  check_budget "switch step" (Lazy.force cache_reading).per_switch_step 5.0
+
+let test_deliver_step_budget () =
+  check_budget "deliver step" (Lazy.force cache_reading).per_deliver_step 0.0
 
 let () =
   Alcotest.run "sim"
@@ -599,5 +663,9 @@ let () =
             test_sources_release_components;
         ] );
       ( "budget",
-        [ Alcotest.test_case "words per cache reply" `Quick test_cache_capsule_budget ] );
+        [
+          Alcotest.test_case "words per cache reply" `Quick test_cache_capsule_budget;
+          Alcotest.test_case "words per switch step" `Quick test_switch_step_budget;
+          Alcotest.test_case "words per deliver step" `Quick test_deliver_step_budget;
+        ] );
     ]
