@@ -1,4 +1,4 @@
-type t = { data : Bytes.t; mutable accesses : int }
+type t = { data : Bytes.t; zeroed : Bytes.t; mutable accesses : int }
 
 external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
@@ -12,17 +12,28 @@ type op =
 
 type access_result = { value : int }
 
+let chunk_shift = 8
+let chunk_words = 1 lsl chunk_shift
+
 let mask32 v = v land 0xFFFFFFFF
 
 (* Word [i] lives at byte offset [4 * i]: loads zero-extend, stores keep
-   the low 32 bits.  Callers check [i] first. *)
+   the low 32 bits and clear the byte of [i]'s chunk in [zeroed].  Callers
+   check [i] first. *)
 let[@inline] load d i = Int32.to_int (unsafe_get32 d (i lsl 2)) land 0xFFFFFFFF
-let[@inline] store d i v = unsafe_set32 d (i lsl 2) (Int32.of_int v)
+
+let[@inline] store t i v =
+  Bytes.unsafe_set t.zeroed (i lsr chunk_shift) '\000';
+  unsafe_set32 t.data (i lsl 2) (Int32.of_int v)
 
 let create ~words =
   if words <= 0 || words > Sys.max_string_length / 4 then
     invalid_arg "Register_array.create: words out of range";
-  { data = Bytes.make (words * 4) '\000'; accesses = 0 }
+  {
+    data = Bytes.make (words * 4) '\000';
+    zeroed = Bytes.make (((words - 1) lsr chunk_shift) + 1) '\001';
+    accesses = 0;
+  }
 
 let words t = Bytes.length t.data lsr 2
 
@@ -40,16 +51,16 @@ let access t ~index op =
     match op with
     | Read -> load d index
     | Write v ->
-      store d index v;
+      store t index v;
       mask32 v
     | Add_read v ->
       let nv = mask32 (load d index + v) in
-      store d index nv;
+      store t index nv;
       nv
     | Min_read v -> min (load d index) (mask32 v)
     | Max_write v ->
       let old = load d index in
-      store d index (max old (mask32 v));
+      store t index (max old (mask32 v));
       old
   in
   { value }
@@ -65,13 +76,13 @@ let read_counted t index =
 let write_counted t index v =
   check t index;
   t.accesses <- t.accesses + 1;
-  store t.data index v
+  store t index v
 
 let add_read_counted t index v =
   check t index;
   t.accesses <- t.accesses + 1;
   let nv = mask32 (load t.data index + v) in
-  store t.data index nv;
+  store t index nv;
   nv
 
 let min_read_counted t index v =
@@ -85,12 +96,29 @@ let get t index =
 
 let set t index v =
   check t index;
-  store t.data index v
+  store t index v
+
+(* Zero the words [lo, hi) (in range, [lo < hi]): fill each chunk part
+   whose chunk may hold a non-zero word, then mark the chunks the range
+   covers in full, the array's partial last chunk included. *)
+let clear t lo hi =
+  for c = lo lsr chunk_shift to (hi - 1) lsr chunk_shift do
+    if Bytes.unsafe_get t.zeroed c = '\000' then begin
+      let c_lo = c lsl chunk_shift and n = words t in
+      let c_hi = if c_lo + chunk_words < n then c_lo + chunk_words else n in
+      let a = if lo > c_lo then lo else c_lo in
+      let b = if hi < c_hi then hi else c_hi in
+      Bytes.fill t.data (a * 4) ((b - a) * 4) '\000';
+      if a = c_lo && b = c_hi then Bytes.unsafe_set t.zeroed c '\001'
+    end
+  done
 
 let zero_range t ~lo ~hi =
   check t lo;
   check t hi;
-  Bytes.fill t.data (lo * 4) ((hi - lo + 1) * 4) '\000'
+  if hi < lo - 1 then
+    invalid_arg (Printf.sprintf "Register_array.zero_range: hi %d < lo %d - 1" hi lo);
+  if hi >= lo then clear t lo (hi + 1)
 
 let access_count t = t.accesses
 
@@ -100,12 +128,55 @@ let snapshot_range t ~lo ~hi =
   let d = t.data in
   Array.init (hi - lo + 1) (fun i -> load d (lo + i))
 
-(* The range check up front is overflow-safe and covers every byte the
-   blit touches; [Bytes.blit] is a memmove, so overlap is fine. *)
+(* The [len] source words at [s] go to [s + delta]: a blit of the parts
+   in chunks that may hold a non-zero word, a clear of the others.  The
+   parts run away from the destination (downward when it lies above), so
+   no part's destination overwrites a source word not yet read, and a
+   clear marks only chunks that hold no such word. *)
+let move_part t s e delta =
+  if Bytes.unsafe_get t.zeroed (s lsr chunk_shift) = '\000' then begin
+    for c = (s + delta) lsr chunk_shift to (e - 1 + delta) lsr chunk_shift do
+      Bytes.unsafe_set t.zeroed c '\000'
+    done;
+    Bytes.blit t.data (s * 4) t.data ((s + delta) * 4) ((e - s) * 4)
+  end
+  else clear t (s + delta) (e + delta)
+
+(* Whether every chunk holding a word of [lo, hi) is marked zero. *)
+let marked t lo hi =
+  let c = ref (lo lsr chunk_shift) and last = (hi - 1) lsr chunk_shift in
+  while !c <= last && Bytes.unsafe_get t.zeroed !c <> '\000' do
+    incr c
+  done;
+  !c > last
+
+(* The range check up front is overflow-safe and covers every word the
+   parts touch.  A source of marked chunks only is one clear of the
+   destination. *)
 let move t ~src ~dst ~len =
   let n = words t in
   if len < 0 || src < 0 || dst < 0 || src > n - len || dst > n - len then
     invalid_arg
       (Printf.sprintf "Register_array.move: src %d dst %d len %d outside [0,%d)"
          src dst len n);
-  Bytes.blit t.data (src * 4) t.data (dst * 4) (len * 4)
+  let delta = dst - src and stop = src + len in
+  if len = 0 || delta = 0 then ()
+  else if marked t src stop then clear t dst (dst + len)
+  else if delta < 0 then begin
+    let s = ref src in
+    while !s < stop do
+      let e = ((!s lsr chunk_shift) + 1) lsl chunk_shift in
+      let e = if e < stop then e else stop in
+      move_part t !s e delta;
+      s := e
+    done
+  end
+  else begin
+    let e = ref stop in
+    while !e > src do
+      let s = ((!e - 1) lsr chunk_shift) lsl chunk_shift in
+      let s = if s > src then s else src in
+      move_part t s !e delta;
+      e := s
+    done
+  end

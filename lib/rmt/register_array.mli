@@ -8,18 +8,39 @@
 
     Values are packed 32-bit words: stores truncate, loads zero-extend.
     Each access is counted so tests can assert the
-    one-access-per-stage-per-packet invariant end to end. *)
+    one-access-per-stage-per-packet invariant end to end.
+
+    The words fall into chunks of {!chunk_words}, each with one byte in
+    [zeroed] that is set only while the chunk holds nothing but zeros.
+    The invariant: a chunk whose byte is set reads all zeros.  Every
+    write clears its chunk's byte, so {!move} and {!zero_range} copy or
+    fill only the chunks written since they were last cleared: a
+    relocation or a recycle costs what the data plane wrote, not the
+    address range. *)
 
 type t = {
   data : Bytes.t;
       (** Live backing store: word [i] occupies bytes [4i .. 4i+3] in
           native byte order (it is never serialised).  Exposed (with
-          [accesses]) so compiled per-packet code ({!Jit}) can inline
-          accesses it has proven in bounds through {!unsafe_get32} and
-          {!unsafe_set32}; everything else should go through {!access}
-          or the [*_counted] entry points. *)
+          [zeroed] and [accesses]) so compiled per-packet code ({!Jit})
+          can inline accesses it has proven in bounds through
+          {!unsafe_get32} and {!unsafe_set32}; everything else should go
+          through {!access} or the [*_counted] entry points. *)
+  zeroed : Bytes.t;
+      (** Byte [c] is ['\001'] only if words [c * chunk_words] to the
+          end of their chunk are all zero, ['\000'] if any of them may
+          not be.  Whoever stores into [data] directly clears byte
+          [i lsr chunk_shift] of word [i] first, or a later {!move} or
+          {!zero_range} takes the stored word for a zero. *)
   mutable accesses : int;
 }
+
+val chunk_shift : int
+(** A word's chunk is its index shifted right by this (8). *)
+
+val chunk_words : int
+(** Words per chunk ([1 lsl chunk_shift] = 256; the last chunk of an
+    array whose size is not a multiple is shorter). *)
 
 (** {2 Unchecked word access}
 
@@ -74,8 +95,12 @@ val set : t -> int -> int -> unit
 (** Control-plane write. *)
 
 val zero_range : t -> lo:int -> hi:int -> unit
-(** Control-plane bulk clear of the inclusive range (one memset), used
-    when recycling a freed allocation. *)
+(** Control-plane bulk clear of the inclusive range, used when recycling
+    a freed allocation: it fills only the chunks written since they were
+    last cleared, then marks each chunk it covers in full.  An empty
+    range is [hi = lo - 1].
+    @raise Invalid_argument if [lo] or [hi] is out of bounds or
+    [hi < lo - 1]. *)
 
 val access_count : t -> int
 (** Total data-plane accesses since creation. *)
@@ -85,7 +110,10 @@ val snapshot_range : t -> lo:int -> hi:int -> int array
 
 val move : t -> src:int -> dst:int -> len:int -> unit
 (** Control-plane copy of the [len] words at [src] to [dst] within the
-    array, correct when the two ranges overlap (one memmove) — how the
-    controller relocates a reallocated app's state (Section 4.3).
+    array, correct when the two ranges overlap (memmove semantics) — how
+    the controller relocates a reallocated app's state (Section 4.3).
+    Source words in chunks written since they were last cleared are
+    copied; the rest are zeros, and their destination is cleared as by
+    {!zero_range}.
     @raise Invalid_argument if either range leaves the array or
     [len < 0]. *)

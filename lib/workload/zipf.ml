@@ -3,6 +3,10 @@ type t = {
   n : int;
   exponent : float;
   cdf : float array;  (* cdf.(i) = P(rank <= i) *)
+  guide : int array;
+      (* guide.(j) = the first index whose cdf is >= j / m, for m the
+         next power of two >= n *)
+  m : float;  (* m, the guide's length *)
 }
 
 let create ?(exponent = 0.99) ~n rng =
@@ -17,19 +21,34 @@ let create ?(exponent = 0.99) ~n rng =
       cdf.(i) <- !acc)
     weights;
   cdf.(n - 1) <- 1.0;
-  { rng; n; exponent; cdf }
+  let m = ref 1 in
+  while !m < n do
+    m := 2 * !m
+  done;
+  let m = !m in
+  let guide = Array.make m 0 in
+  let i = ref 0 in
+  for j = 0 to m - 1 do
+    let x = float_of_int j /. float_of_int m in
+    while cdf.(!i) < x do
+      incr i
+    done;
+    guide.(j) <- !i
+  done;
+  { rng; n; exponent; cdf; guide; m = float_of_int m }
 
+(* The first index whose cdf is >= u, by indexed search: start at the
+   guide entry of the 1/m-wide slice of [0, 1) that holds u, then step
+   forward while the cdf is below u.  As m is a power of two, [u *. m]
+   and every [j / m] are exact, so the rank is the one a binary search
+   over the cdf returns. *)
 let sample t =
   let u = Stdx.Prng.float t.rng 1.0 in
-  (* Binary search for the first index with cdf >= u. *)
-  let rec bs lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if t.cdf.(mid) >= u then bs lo mid else bs (mid + 1) hi
-    end
-  in
-  bs 0 (t.n - 1)
+  let i = ref t.guide.(int_of_float (u *. t.m)) in
+  while t.cdf.(!i) < u do
+    incr i
+  done;
+  !i
 
 let pmf t i =
   if i < 0 || i >= t.n then 0.0

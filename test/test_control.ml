@@ -124,24 +124,53 @@ let test_snapshot_contents () =
   | None -> Alcotest.fail "region"
 
 (* Reference model of relocation.  Random admissions (through [drain]
-   epochs or [handle_request]) and departures run on a small device
-   whose every register holds a fresh random word before each operation.
-   Afterwards every word must be: zero in a newly admitted app's region;
-   for an app resident before and after, its old word at offset [k] in
-   its new region, for [k] below the smaller of the two sizes; otherwise
-   the word from before the operation.  The oracle builds its expectation
-   from a copy, so it does not depend on the order the moves run in. *)
+   epochs or [handle_request]) and departures run on a small device.
+   Before each operation every stage gets one of: a fresh random word in
+   every register, a [zero_range] over the whole stage (every chunk
+   marked zero), or that clear followed by random words in some chunks
+   only, so moves run from written chunks, from marked ones and across
+   the edge between them.  Afterwards every word must be: zero in a newly
+   admitted app's region; for an app resident before and after, its old
+   word at offset [k] in its new region, for [k] below the smaller of
+   the two sizes; otherwise the word from before the operation.  The
+   oracle builds its expectation from a copy, so it does not depend on
+   the order the moves run in.  [small_params] has 2-word blocks, so
+   regions straddle chunk edges; [chunk_params] has chunk-sized blocks,
+   so whole regions skip. *)
 let small_params = { params with Rmt.Params.words_per_stage = 256 * 2 }
 
-let relocation_run ~scheme ~batched ~seed =
+let chunk_params =
+  {
+    params with
+    Rmt.Params.words_per_stage = 4 * Rmt.Register_array.chunk_words;
+    blocks_per_stage = 4;
+  }
+
+let fill_stage rng regs words =
+  let random lo hi =
+    for i = lo to hi - 1 do
+      Rmt.Register_array.set regs i (Random.State.bits rng)
+    done
+  in
+  match Random.State.int rng 3 with
+  | 0 -> random 0 words
+  | 1 -> Rmt.Register_array.zero_range regs ~lo:0 ~hi:(words - 1)
+  | _ ->
+    Rmt.Register_array.zero_range regs ~lo:0 ~hi:(words - 1);
+    let cw = Rmt.Register_array.chunk_words in
+    for c = 0 to (words - 1) / cw do
+      if Random.State.bool rng then random (c * cw) (Int.min words ((c + 1) * cw))
+    done
+
+let relocation_run ~params ~scheme ~batched ~seed =
   let rng = Random.State.make [| seed |] in
-  let device = Rmt.Device.create small_params in
+  let device = Rmt.Device.create params in
   let ctl = Controller.create ~scheme device in
   let alloc = Controller.allocator ctl in
   let tables = Controller.tables ctl in
-  let n_stages = small_params.Rmt.Params.logical_stages in
+  let n_stages = params.Rmt.Params.logical_stages in
   let regs s = (Rmt.Device.stage device s).Rmt.Device.regs in
-  let words = small_params.Rmt.Params.words_per_stage in
+  let words = params.Rmt.Params.words_per_stage in
   let apps =
     [|
       cache;
@@ -156,9 +185,7 @@ let relocation_run ~scheme ~batched ~seed =
   let moved_words = ref 0 in
   for op = 1 to 120 do
     for s = 0 to n_stages - 1 do
-      for i = 0 to words - 1 do
-        Rmt.Register_array.set (regs s) i (Random.State.bits rng)
-      done
+      fill_stage rng (regs s) words
     done;
     let pre =
       Array.init n_stages (fun s ->
@@ -209,24 +236,30 @@ let relocation_run ~scheme ~batched ~seed =
         if got <> expected.(s).(i) then
           Alcotest.failf "seed %d op %d: stage %d word %d is %d, expected %d" seed op s i
             got expected.(s).(i)
-      done
+      done;
+      if not (Chunks.hold_zeros (regs s)) then
+        Alcotest.failf "seed %d op %d: stage %d has a chunk marked zero that is not" seed
+          op s
     done
   done;
   !moved_words
 
 let test_relocation_reference_model () =
   List.iter
-    (fun (scheme, batched) ->
+    (fun (params, scheme, batched) ->
       for seed = 1 to 3 do
         Alcotest.(check bool) "some state moved" true
-          (relocation_run ~scheme ~batched ~seed > 0)
+          (relocation_run ~params ~scheme ~batched ~seed > 0)
       done)
-    [
-      (Activermt_alloc.Allocator.Worst_fit, true);
-      (Activermt_alloc.Allocator.Worst_fit, false);
-      (Activermt_alloc.Allocator.Best_fit, true);
-      (Activermt_alloc.Allocator.Best_fit, false);
-    ]
+    (List.concat_map
+       (fun params ->
+         [
+           (params, Activermt_alloc.Allocator.Worst_fit, true);
+           (params, Activermt_alloc.Allocator.Worst_fit, false);
+           (params, Activermt_alloc.Allocator.Best_fit, true);
+           (params, Activermt_alloc.Allocator.Best_fit, false);
+         ])
+       [ small_params; chunk_params ])
 
 let test_departure_expands () =
   let ctl =
@@ -789,7 +822,9 @@ let test_cost_model_breakdown () =
 (* Minor-heap words per arrival of arrival-churn's shape: seed-1 Zipf
    churn in epochs of 64 through [enqueue_request], one [drain] and the
    epoch's [handle_departure]s, after 8 warm-up epochs.  Returns words
-   per arrival in total, in the drain and in the departures.  The counts
+   per arrival in total, in the drain and in the departures, and whether
+   every chunk of every stage is still marked zero at the end: with no
+   data plane, relocation and recycling write nothing.  The counts
    depend on the binary and the work, not on the host. *)
 let arrival_words ~warmup ~measured =
   let module Churn = Workload.Churn in
@@ -835,10 +870,18 @@ let arrival_words ~warmup ~measured =
   Array.iteri (fun i e -> if i >= warmup then run_epoch e) epochs;
   let total = Gc.minor_words () -. w0 in
   let per x = x /. float_of_int !arrivals in
-  (per total, per !drain_w, per !depart_w)
+  let marked_zero (st : Rmt.Device.stage) =
+    Bytes.for_all (fun b -> b <> '\000') st.Rmt.Device.regs.Rmt.Register_array.zeroed
+  in
+  ( per total,
+    per !drain_w,
+    per !depart_w,
+    Array.for_all marked_zero (Rmt.Device.stages (Controller.device ctl)) )
 
 let test_arrival_budget () =
-  let ((total, drain, depart) as first) = arrival_words ~warmup:8 ~measured:64 in
+  let ((total, drain, depart, marked_zero) as first) =
+    arrival_words ~warmup:8 ~measured:64
+  in
   let check name words budget =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %.2f words per arrival <= %d" name words budget)
@@ -848,6 +891,7 @@ let test_arrival_budget () =
   check "total" total 3700;
   check "drain" drain 1500;
   check "departure" depart 2300;
+  Alcotest.(check bool) "every chunk still marked zero" true marked_zero;
   Alcotest.(check bool) "a fresh controller reads the same" true
     (arrival_words ~warmup:8 ~measured:64 = first)
 

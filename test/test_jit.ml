@@ -82,13 +82,16 @@ let fabric_meta = RT.meta ~src:meta.RT.src ~dst:meta.RT.dst ()
 
 (* Full observable device state: register contents and access counts for
    every stage, plus the drop/recirculation counters.  Compared in place:
-   a copy of every register file costs more than the executions. *)
+   a copy of every register file costs more than the executions.  Each
+   stage of both devices must also keep the chunk invariant, so a write
+   closure that skips its chunk mark fails here. *)
 let same_state a b =
   let da = Tbl.device a and db = Tbl.device b in
   let same_stage (sa : Rmt.Device.stage) (sb : Rmt.Device.stage) =
     let ra = sa.Rmt.Device.regs and rb = sb.Rmt.Device.regs in
     ra.Rmt.Register_array.data = rb.Rmt.Register_array.data
     && Rmt.Register_array.access_count ra = Rmt.Register_array.access_count rb
+    && Chunks.twins_hold_zeros ra rb
   in
   Array.for_all2 same_stage (Rmt.Device.stages da) (Rmt.Device.stages db)
   && Rmt.Device.drops da = Rmt.Device.drops db

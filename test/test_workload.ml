@@ -62,6 +62,34 @@ let test_zipf_invalid () =
        false
      with Invalid_argument _ -> true)
 
+(* [Zipf.sample]'s guide table against a binary search for the first
+   rank whose cdf is >= u, built on [head_mass] (the cdf entries exactly)
+   and fed the same u from a second generator of the same seed: the ranks
+   must be identical, draw for draw. *)
+let test_zipf_guide_matches_binary_search () =
+  List.iter
+    (fun (n, exponent) ->
+      let seed = 11 in
+      let z = Zipf.create ~exponent ~n (Prng.create ~seed) in
+      let cdf = Array.init n (fun i -> Zipf.head_mass z (i + 1)) in
+      let oracle = Prng.create ~seed in
+      let rec bs u lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if cdf.(mid) >= u then bs u lo mid else bs u (mid + 1) hi
+      in
+      for k = 1 to 1_000_000 do
+        let want = bs (Prng.float oracle 1.0) 0 (n - 1) in
+        let got = Zipf.sample z in
+        if got <> want then
+          Alcotest.failf "n %d exponent %g draw %d: rank %d, binary search %d" n exponent k
+            got want
+      done)
+    (List.concat_map
+       (fun n -> List.map (fun e -> (n, e)) [ 0.0; 0.99; 2.5 ])
+       [ 1; 2; 5; 4096; 100_000 ])
+
 (* -- Kv ------------------------------------------------------------------ *)
 
 let test_kv_key_roundtrip () =
@@ -317,6 +345,8 @@ let () =
           Alcotest.test_case "empirical skew" `Quick test_zipf_empirical_skew;
           Alcotest.test_case "deterministic" `Quick test_zipf_deterministic;
           Alcotest.test_case "invalid" `Quick test_zipf_invalid;
+          Alcotest.test_case "guide = binary search" `Quick
+            test_zipf_guide_matches_binary_search;
         ] );
       ( "kv",
         [
