@@ -128,20 +128,6 @@ let snapshot_range t ~lo ~hi =
   let d = t.data in
   Array.init (hi - lo + 1) (fun i -> load d (lo + i))
 
-(* The [len] source words at [s] go to [s + delta]: a blit of the parts
-   in chunks that may hold a non-zero word, a clear of the others.  The
-   parts run away from the destination (downward when it lies above), so
-   no part's destination overwrites a source word not yet read, and a
-   clear marks only chunks that hold no such word. *)
-let move_part t s e delta =
-  if Bytes.unsafe_get t.zeroed (s lsr chunk_shift) = '\000' then begin
-    for c = (s + delta) lsr chunk_shift to (e - 1 + delta) lsr chunk_shift do
-      Bytes.unsafe_set t.zeroed c '\000'
-    done;
-    Bytes.blit t.data (s * 4) t.data ((s + delta) * 4) ((e - s) * 4)
-  end
-  else clear t (s + delta) (e + delta)
-
 (* Whether every chunk holding a word of [lo, hi) is marked zero. *)
 let marked t lo hi =
   let c = ref (lo lsr chunk_shift) and last = (hi - 1) lsr chunk_shift in
@@ -150,33 +136,20 @@ let marked t lo hi =
   done;
   !c > last
 
-(* The range check up front is overflow-safe and covers every word the
-   parts touch.  A source of marked chunks only is one clear of the
-   destination. *)
+(* The range check up front is overflow-safe.  A source of marked chunks
+   only is a clear of the destination; any other source is one blit,
+   after which the destination's chunks are no longer known zero. *)
 let move t ~src ~dst ~len =
   let n = words t in
   if len < 0 || src < 0 || dst < 0 || src > n - len || dst > n - len then
     invalid_arg
       (Printf.sprintf "Register_array.move: src %d dst %d len %d outside [0,%d)"
          src dst len n);
-  let delta = dst - src and stop = src + len in
-  if len = 0 || delta = 0 then ()
-  else if marked t src stop then clear t dst (dst + len)
-  else if delta < 0 then begin
-    let s = ref src in
-    while !s < stop do
-      let e = ((!s lsr chunk_shift) + 1) lsl chunk_shift in
-      let e = if e < stop then e else stop in
-      move_part t !s e delta;
-      s := e
-    done
-  end
+  if len = 0 || src = dst then ()
+  else if marked t src (src + len) then clear t dst (dst + len)
   else begin
-    let e = ref stop in
-    while !e > src do
-      let s = ((!e - 1) lsr chunk_shift) lsl chunk_shift in
-      let s = if s > src then s else src in
-      move_part t s !e delta;
-      e := s
-    done
+    Bytes.fill t.zeroed (dst lsr chunk_shift)
+      (((dst + len - 1) lsr chunk_shift) - (dst lsr chunk_shift) + 1)
+      '\000';
+    Bytes.blit t.data (src * 4) t.data (dst * 4) (len * 4)
   end

@@ -13,10 +13,11 @@
     The words fall into chunks of {!chunk_words}, each with one byte in
     [zeroed] that is set only while the chunk holds nothing but zeros.
     The invariant: a chunk whose byte is set reads all zeros.  Every
-    write clears its chunk's byte, so {!move} and {!zero_range} copy or
-    fill only the chunks written since they were last cleared: a
-    relocation or a recycle costs what the data plane wrote, not the
-    address range. *)
+    write clears its chunk's byte, so {!zero_range} fills only the
+    chunks written since they were last cleared, and a {!move} whose
+    source holds no such chunk is that clear of its destination: a
+    relocation or a recycle of words the data plane never wrote costs a
+    scan of one byte per chunk, not the address range. *)
 
 type t = {
   data : Bytes.t;
@@ -112,8 +113,8 @@ val move : t -> src:int -> dst:int -> len:int -> unit
 (** Control-plane copy of the [len] words at [src] to [dst] within the
     array, correct when the two ranges overlap (memmove semantics) — how
     the controller relocates a reallocated app's state (Section 4.3).
-    Source words in chunks written since they were last cleared are
-    copied; the rest are zeros, and their destination is cleared as by
-    {!zero_range}.
+    A source whose chunks are all marked zero is a clear of the
+    destination as by {!zero_range}; any other source is copied whole,
+    and the destination's chunks are then no longer marked.
     @raise Invalid_argument if either range leaves the array or
     [len < 0]. *)

@@ -37,18 +37,22 @@ let create ?(exponent = 0.99) ~n rng =
   done;
   { rng; n; exponent; cdf; guide; m = float_of_int m }
 
-(* The first index whose cdf is >= u, by indexed search: start at the
-   guide entry of the 1/m-wide slice of [0, 1) that holds u, then step
-   forward while the cdf is below u.  As m is a power of two, [u *. m]
-   and every [j / m] are exact, so the rank is the one a binary search
-   over the cdf returns. *)
+(* The first index whose cdf is >= u, by indexed search: u lies in the
+   1/m-wide slice [j / m, (j + 1) / m) of [0, 1), so the rank lies
+   between the guide entries of slices j and j + 1 (the last index for
+   the last slice), and a binary search between them finds it.  As m is
+   a power of two, [u *. m] and every [j / m] are exact, so the rank is
+   the one a binary search over the whole cdf returns. *)
 let sample t =
   let u = Stdx.Prng.float t.rng 1.0 in
-  let i = ref t.guide.(int_of_float (u *. t.m)) in
-  while t.cdf.(!i) < u do
-    incr i
+  let j = int_of_float (u *. t.m) in
+  let lo = ref t.guide.(j) in
+  let hi = ref (if j + 1 < Array.length t.guide then t.guide.(j + 1) else t.n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.cdf.(mid) >= u then hi := mid else lo := mid + 1
   done;
-  !i
+  !lo
 
 let pmf t i =
   if i < 0 || i >= t.n then 0.0

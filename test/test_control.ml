@@ -128,8 +128,8 @@ let test_snapshot_contents () =
    Before each operation every stage gets one of: a fresh random word in
    every register, a [zero_range] over the whole stage (every chunk
    marked zero), or that clear followed by random words in some chunks
-   only, so moves run from written chunks, from marked ones and across
-   the edge between them.  Afterwards every word must be: zero in a newly
+   only, so moves run from sources of zeros and from sources with
+   written chunks.  Afterwards every word must be: zero in a newly
    admitted app's region; for an app resident before and after, its old
    word at offset [k] in its new region, for [k] below the smaller of
    the two sizes; otherwise the word from before the operation.  The

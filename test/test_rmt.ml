@@ -147,8 +147,8 @@ let test_regs_snapshot () =
    sign-extends or a store that fails to truncate shows up as a word or a
    result the model does not have.  [move] is checked against a copy-out
    model: overlap in either direction must read every source word before
-   it is overwritten, whether it copies a written chunk or clears for a
-   zero one. *)
+   it is overwritten, whether it copies a source with a written chunk or
+   clears for a source of zeros. *)
 type reg_op =
   | Access of int * R.op
   | Read_counted of int
