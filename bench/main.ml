@@ -8,7 +8,9 @@
 
    --metrics-out FILE dumps the process-wide telemetry registry
    (counters, gauges, span histograms — see docs/TELEMETRY.md) as JSON
-   after the selected experiments finish.
+   after the selected experiments finish.  A section whose gates fail
+   does not stop the ones after it: the run lists the failed sections
+   last and exits 1.
 
    Output is plain text series (see lib/exp/report.ml); EXPERIMENTS.md
    records the headline numbers against the paper's.  The BENCH_alloc.json
@@ -18,120 +20,69 @@
 module E = Experiments
 module Section = Activermt_bench.Section
 
-type experiment = { name : string; info : string; run : quick:bool -> unit }
+type experiment = { name : string; info : string; run : quick:bool -> Section.result list }
+
+(* A paper figure: plain text series, no gates. *)
+let figure name info run = { name; info; run = (fun ~quick -> run ~quick; []) }
 
 let params = Rmt.Params.default
 
 let experiments =
   [
-    {
-      name = "fig5a";
-      info = "allocation time, pure workloads, mc vs lc";
-      run =
-        (fun ~quick ->
-          let n = if quick then 100 else 500 in
-          E.Fig5.run_5a ~n ~every:(n / 25) params);
-    };
-    {
-      name = "fig5b";
-      info = "allocation time, mixed workload, 10 trials, EWMA";
-      run =
-        (fun ~quick ->
-          let n = if quick then 100 else 500 in
-          let trials = if quick then 3 else 10 in
-          E.Fig5.run_5b ~n ~trials ~every:(n / 25) params);
-    };
-    {
-      name = "fig6";
-      info = "memory utilization vs. arrivals, pure workloads";
-      run =
-        (fun ~quick ->
-          let n = if quick then 100 else 500 in
-          E.Fig6.run ~n ~every:(n / 25) params);
-    };
-    {
-      name = "fig7";
-      info = "online churn: utilization/concurrency/reallocation/fairness";
-      run =
-        (fun ~quick ->
-          let epochs = if quick then 200 else 1000 in
-          let trials = if quick then 3 else 10 in
-          E.Fig7.run ~epochs ~trials ~every:(epochs / 20) E.Fig7.all params);
-    };
-    {
-      name = "fig8a";
-      info = "provisioning time breakdown per arrival";
-      run =
-        (fun ~quick ->
-          let epochs = if quick then 100 else 300 in
-          E.Fig8.run_8a ~epochs ~every:10 params);
-    };
-    {
-      name = "fig8b";
-      info = "processing latency vs. program length";
-      run = (fun ~quick -> E.Fig8.run_8b ~packets:(if quick then 200 else 1000) params);
-    };
-    {
-      name = "fig9a";
-      info = "case study: monitor -> context switch -> cache";
-      run = (fun ~quick:_ -> E.Case_study.print_9a params);
-    };
-    {
-      name = "fig9b";
-      info = "case study: four staggered cache tenants";
-      run = (fun ~quick:_ -> E.Case_study.print_9b params);
-    };
-    {
-      name = "fig10";
-      info = "per-arrival zoom: provisioning gaps and disruption";
-      run = (fun ~quick:_ -> E.Case_study.print_10 params);
-    };
-    {
-      name = "fig11";
-      info = "allocation schemes wf/ff/bf/realloc (boxplots)";
-      run =
-        (fun ~quick ->
-          let trials = if quick then 3 else 10 in
-          E.Fig11.run ~epochs:100 ~trials params);
-    };
-    {
-      name = "fig12";
-      info = "allocation time vs. block granularity";
-      run = (fun ~quick -> E.Fig12.run ~n:(if quick then 50 else 100) params);
-    };
-    {
-      name = "capacity";
-      info = "Section 5 resource overheads and concurrency";
-      run = (fun ~quick:_ -> E.Capacity.run params);
-    };
-    {
-      name = "baseline";
-      info = "comparisons: NetVRM-style allocator; monolithic-P4 deployment";
-      run =
-        (fun ~quick ->
-          E.Baseline.run_netvrm ~n:(if quick then 100 else 400) params;
-          E.Baseline.run_deployment ~changes:(if quick then 20 else 50) params);
-    };
-    {
-      name = "ablation";
-      info = "design-knob ablations: mutant budget, TCAM capacity";
-      run =
-        (fun ~quick ->
-          let n = if quick then 50 else 150 in
-          E.Ablation.run_mutant_limit ~n params;
-          E.Ablation.run_tcam ~n:(if quick then 150 else 600) params;
-          E.Ablation.run_bandwidth ~n:(if quick then 80 else 150) params);
-    };
-    {
-      name = "extended";
-      info = "beyond-paper: five-service churn workload";
-      run =
-        (fun ~quick ->
-          E.Extended.run
-            ~epochs:(if quick then 100 else 300)
-            ~trials:(if quick then 2 else 5)
-            params);
-    };
+    figure "fig5a" "allocation time, pure workloads, mc vs lc"
+      (fun ~quick ->
+        let n = if quick then 100 else 500 in
+        E.Fig5.run_5a ~n ~every:(n / 25) params);
+    figure "fig5b" "allocation time, mixed workload, 10 trials, EWMA"
+      (fun ~quick ->
+        let n = if quick then 100 else 500 in
+        let trials = if quick then 3 else 10 in
+        E.Fig5.run_5b ~n ~trials ~every:(n / 25) params);
+    figure "fig6" "memory utilization vs. arrivals, pure workloads"
+      (fun ~quick ->
+        let n = if quick then 100 else 500 in
+        E.Fig6.run ~n ~every:(n / 25) params);
+    figure "fig7" "online churn: utilization/concurrency/reallocation/fairness"
+      (fun ~quick ->
+        let epochs = if quick then 200 else 1000 in
+        let trials = if quick then 3 else 10 in
+        E.Fig7.run ~epochs ~trials ~every:(epochs / 20) E.Fig7.all params);
+    figure "fig8a" "provisioning time breakdown per arrival"
+      (fun ~quick ->
+        let epochs = if quick then 100 else 300 in
+        E.Fig8.run_8a ~epochs ~every:10 params);
+    figure "fig8b" "processing latency vs. program length"
+      (fun ~quick -> E.Fig8.run_8b ~packets:(if quick then 200 else 1000) params);
+    figure "fig9a" "case study: monitor -> context switch -> cache"
+      (fun ~quick:_ -> E.Case_study.print_9a params);
+    figure "fig9b" "case study: four staggered cache tenants"
+      (fun ~quick:_ -> E.Case_study.print_9b params);
+    figure "fig10" "per-arrival zoom: provisioning gaps and disruption"
+      (fun ~quick:_ -> E.Case_study.print_10 params);
+    figure "fig11" "allocation schemes wf/ff/bf/realloc (boxplots)"
+      (fun ~quick ->
+        let trials = if quick then 3 else 10 in
+        E.Fig11.run ~epochs:100 ~trials params);
+    figure "fig12" "allocation time vs. block granularity"
+      (fun ~quick -> E.Fig12.run ~n:(if quick then 50 else 100) params);
+    figure "capacity" "Section 5 resource overheads and concurrency"
+      (fun ~quick:_ -> E.Capacity.run params);
+    figure "baseline" "comparisons: NetVRM-style allocator; monolithic-P4 deployment"
+      (fun ~quick ->
+        E.Baseline.run_netvrm ~n:(if quick then 100 else 400) params;
+        E.Baseline.run_deployment ~changes:(if quick then 20 else 50) params);
+    figure "ablation" "design-knob ablations: mutant budget, TCAM capacity"
+      (fun ~quick ->
+        let n = if quick then 50 else 150 in
+        E.Ablation.run_mutant_limit ~n params;
+        E.Ablation.run_tcam ~n:(if quick then 150 else 600) params;
+        E.Ablation.run_bandwidth ~n:(if quick then 80 else 150) params);
+    figure "extended" "beyond-paper: five-service churn workload"
+      (fun ~quick ->
+        E.Extended.run
+          ~epochs:(if quick then 100 else 300)
+          ~trials:(if quick then 2 else 5)
+          params);
   ]
   @ List.map
       (fun (s : Section.t) -> { name = s.name; info = s.info; run = Section.bench s })
@@ -179,15 +130,14 @@ let () =
      high as the runs that recorded bench/baseline_alloc.json, which
      built a device at start-up. *)
   ignore (Sys.opaque_identity (Rmt.Device.create params));
-  List.iter
-    (fun e ->
-      let t0 = Sys.time () in
-      e.run ~quick;
-      Printf.printf "\n[%s done in %.1fs cpu]\n" e.name (Sys.time () -. t0))
-    selected;
-  match !metrics_out with
+  let failed = Section.run_all ~quick (List.map (fun e -> (e.name, e.run)) selected) in
+  (match !metrics_out with
   | None -> ()
   | Some path ->
     let module Telemetry = Activermt_telemetry.Telemetry in
     Telemetry.write_json Telemetry.default ~path;
-    Printf.printf "wrote telemetry to %s\n" path
+    Printf.printf "wrote telemetry to %s\n" path);
+  if failed <> [] then begin
+    List.iter (fun (name, n) -> Printf.eprintf "%s bench: %d gate(s) failed\n" name n) failed;
+    exit 1
+  end

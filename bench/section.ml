@@ -10,7 +10,8 @@
      section's own keys and stamping the run mode ("quick") into the
      first body;
    - [bench] is what bench/main.exe runs: run, write, then check the
-     absolute gates (relative ones need the baseline);
+     absolute gates (relative ones need the baseline), and [run_all]
+     runs every selected section, whatever the ones before it failed;
    - [compare] is the whole of bench_compare.exe: every gate of every
      section against the committed baseline (bench/baseline_alloc.json),
      printed as one markdown table.
@@ -215,7 +216,8 @@ let print_table results =
         r.baseline r.value r.detail)
     results
 
-(* One section of bench/main.exe: measure, write, then check. *)
+(* One section of bench/main.exe: measure, write, then check.  Returns
+   the gates that failed. *)
 let bench s ~quick =
   let bodies = s.run ~quick in
   write ~path ~quick s bodies;
@@ -223,9 +225,20 @@ let bench s ~quick =
   let candidate = s.metrics (Json.Obj (List.combine s.keys bodies)) in
   let results = check s ~quick ~baseline:None ~candidate in
   if results <> [] then print_table results;
-  match List.length (List.filter failed results) with
-  | 0 -> ()
-  | n -> failwith (Printf.sprintf "%s bench: %d gate(s) failed" s.name n)
+  List.filter failed results
+
+(* bench/main.exe's loop: each named run in order, whatever the runs
+   before it failed, with its cpu time.  A run returns its failed gates
+   (a paper figure has none); the result is every run that failed some,
+   with its count. *)
+let run_all ~quick runs =
+  List.filter_map
+    (fun (name, run) ->
+      let t0 = Sys.time () in
+      let failures = List.length (run ~quick) in
+      Printf.printf "\n[%s done in %.1fs cpu]\n" name (Sys.time () -. t0);
+      if failures = 0 then None else Some (name, failures))
+    runs
 
 (* bench_compare.exe; returns the exit code. *)
 let compare_files sections ~baseline ~candidate =

@@ -187,6 +187,44 @@ let test_writer_reverse_order () =
   let sorted = function Json.Obj fs -> List.sort compare (List.map fst fs) | _ -> [] in
   Alcotest.(check (list string)) "all keys" (sorted baseline) (sorted written)
 
+(* bench/main.exe's loop over two small fake sections, the first of
+   which fails its gate: the second still runs and writes its key, and
+   only the first is reported failed.  They write BENCH_alloc.json in a
+   directory of their own. *)
+let fake name value ran =
+  {
+    Section.name;
+    info = "fake";
+    keys = [ name ];
+    run =
+      (fun ~quick:_ ->
+        ran := true;
+        [ Json.Obj [ ("value", Json.Num value) ] ]);
+    metrics = (fun file -> [ ("", Section.nums [ "value" ] (Section.member name file)) ]);
+    gates = [ Section.gate "value" (Section.At_least 1.0) ];
+  }
+
+let test_failing_section_runs_the_next () =
+  let cwd = Sys.getcwd () and dir = Filename.temp_dir "bench_main" "" in
+  Sys.chdir dir;
+  let ran_a = ref false and ran_b = ref false in
+  let a = fake "fake_a" 0.0 ran_a and b = fake "fake_b" 2.0 ran_b in
+  let failed =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () ->
+        Section.run_all ~quick:true
+          (List.map (fun (s : Section.t) -> (s.name, Section.bench s)) [ a; b ]))
+  in
+  let path = Filename.concat dir Section.path in
+  let written = Section.load path in
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check (list (pair string int))) "only the first failed" [ ("fake_a", 1) ] failed;
+  Alcotest.(check (list bool)) "both ran" [ true; true ] [ !ran_a; !ran_b ];
+  Alcotest.(check (list bool)) "both written" [ true; true ]
+    (List.map (fun k -> Json.member k written <> None) [ "fake_a"; "fake_b" ])
+
 let () =
   Alcotest.run "bench"
     [
@@ -202,5 +240,10 @@ let () =
         [
           Alcotest.test_case "keeps other sections" `Quick test_writer_keeps_others;
           Alcotest.test_case "reverse order keeps every key" `Quick test_writer_reverse_order;
+        ] );
+      ( "main",
+        [
+          Alcotest.test_case "a failing section runs the next" `Quick
+            test_failing_section_runs_the_next;
         ] );
     ]

@@ -69,25 +69,34 @@ let to_request ~elastic ~demand_blocks t =
     accesses = List.init m access;
   }
 
+(* The placeholder program's three kinds of line, shared by every
+   request's program. *)
+let nop_line = Activermt.Program.line Activermt.Instr.Nop
+let access_line = Activermt.Program.line Activermt.Instr.Mem_read
+let rts_line = Activermt.Program.line Activermt.Instr.Rts
+
+(* Each access's position and gap into [accesses] and [gaps] from [i]
+   on, and its line into [lines] when it falls inside the program. *)
+let rec fill_accesses ~accesses ~gaps ~lines i = function
+  | [] -> ()
+  | (a : Activermt.Packet.access_constraint) :: tl ->
+    accesses.(i) <- a.position;
+    gaps.(i) <- a.min_gap;
+    if a.position >= 0 && a.position < Array.length lines then
+      lines.(a.position) <- access_line;
+    fill_accesses ~accesses ~gaps ~lines (i + 1) tl
+
 let of_request (r : Activermt.Packet.request) =
-  let accesses =
-    Array.of_list (List.map (fun a -> a.Activermt.Packet.position) r.accesses)
-  in
-  let gaps =
-    Array.of_list (List.map (fun a -> a.Activermt.Packet.min_gap) r.accesses)
-  in
-  let lines =
-    List.init r.prog_length (fun i ->
-        let is_access = Array.exists (fun a -> a = i) accesses in
-        let instr =
-          if is_access then Activermt.Instr.Mem_read
-          else if r.rts_position = Some i then Activermt.Instr.Rts
-          else Activermt.Instr.Nop
-        in
-        Activermt.Program.line instr)
-  in
+  let m = List.length r.accesses in
+  let accesses = Array.make m 0 and gaps = Array.make m 0 in
+  let lines = Array.make r.prog_length nop_line in
+  (* An access wins over the RTS at the same position. *)
+  (match r.rts_position with
+  | Some i when i >= 0 && i < r.prog_length -> lines.(i) <- rts_line
+  | Some _ | None -> ());
+  fill_accesses ~accesses ~gaps ~lines 0 r.accesses;
   {
-    program = Activermt.Program.v ~name:"request" lines;
+    program = Activermt.Program.of_array ~name:"request" lines;
     length = r.prog_length;
     accesses;
     gaps;

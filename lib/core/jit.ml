@@ -26,8 +26,7 @@
      file's packed 32-bit words directly once a mask or the sign test of
      [vread]/[vwrite]/[vincr] proves the index in range, through
      [Register_array]'s primitive [external]s, which compile inline even
-     across an [-opaque] module boundary; every write goes through
-     [store], which marks the word's chunk as written.
+     across an [-opaque] module boundary.
 
    Two drivers run the blocks: a jump-free program (every workload's
    program is one) runs one [straight] chain with its pass boundaries
@@ -40,10 +39,10 @@
    pass-limit changes, deactivation) therefore invalidates.  The cached
    closure captures the FID's epoch cell ([Table.epoch_ref]), so
    revalidation is a single dereference per packet; a valid epoch implies
-   the FID is installed and not quiesced.  Dispatch goes through a small
-   direct-mapped front cache in front of the hashtable, and execution
-   reuses one scratch state record per JIT (single-threaded, like the
-   device model itself).  Everything else falls back to the
+   the FID is installed and not quiesced.  Dispatch goes through a
+   direct-mapped front ([Stdx.Slots]) in front of the hashtable, and
+   execution reuses one scratch state record per JIT (single-threaded,
+   like the device model itself).  Everything else falls back to the
    interpreter. *)
 
 (* Int-typed, so the MIN/MAX closures compare inline instead of calling
@@ -102,8 +101,6 @@ type cache_entry = {
 (* Never valid: the dummy cell can't equal a real epoch. *)
 let no_entry = { ce_cell = ref (-1); ce_version = 0; ce_progs = [] }
 
-let dm_slots = 64
-
 (* Stats are plain ints, as a registry increment costs more than a whole
    compiled execution.  The JIT's source reads them from a record apart
    from [t]: compiled closures point into the register file, which a
@@ -120,8 +117,7 @@ type t = {
   enabled : bool;
   telemetry : Activermt_telemetry.Telemetry.t;
   cache : (Packet.fid, cache_entry) Hashtbl.t;
-  dm_fid : int array;  (* direct-mapped dispatch cache: fid per slot, -1 empty *)
-  dm_entry : cache_entry array;
+  front : cache_entry Stdx.Slots.t;  (* direct-mapped front of [cache]; [no_entry] empty *)
   scratch : state;
   counts : counts;
   mutable last_mode : mode;
@@ -131,26 +127,17 @@ let mask32 v = v land 0xFFFFFFFF
 
 (* Register words by index through [Register_array]'s unchecked
    primitives, for indices already proven in range: [load] zero-extends,
-   [store] keeps the low 32 bits, so values stored need no mask.  [store]
-   is the JIT's one raw register write: it clears the byte of the word's
-   chunk in the array's [zeroed] bytes first, which every write closure
-   captures beside [data], so relocation and recycling copy the word.
-   The shift is [Register_array.chunk_shift] as a literal: under [-opaque]
-   (dune's dev profile) the other module's value is a load on every
-   store, about 4% of the device gate's pure JIT rate on a 2-vCPU VM. *)
-let chunk_shift = 8
-let () = assert (chunk_shift = Rmt.Register_array.chunk_shift)
-
+   [store] keeps the low 32 bits, so values stored need no mask.  Every
+   caller counts the access first: a count that moves is what tells
+   [Register_array] the array may no longer be all zero. *)
 let[@inline] load data i =
   Int32.to_int (Rmt.Register_array.unsafe_get32 data (i lsl 2)) land 0xFFFFFFFF
 
-let[@inline] store data zeroed i v =
-  Bytes.unsafe_set zeroed (i lsr chunk_shift) '\000';
+let[@inline] store data i v =
   Rmt.Register_array.unsafe_set32 data (i lsl 2) (Int32.of_int v)
 
 (* Virtually addressed accesses to word [a mod n] of the region at [lo]
-   of [r], whose packed words are [data] and chunk bytes [zeroed];
-   [vincr] returns the new word.
+   of [r], whose packed words are [data]; [vincr] returns the new word.
    The index is in range by construction when the remainder is
    non-negative (the granted region lies within the stage's array); a
    negative MAR — possible only from unmasked packet args — falls back to
@@ -164,20 +151,20 @@ let[@inline] vread r data lo n a =
   end
   else Rmt.Register_array.read_counted r (lo + mm)
 
-let[@inline] vwrite r data zeroed lo n a v =
+let[@inline] vwrite r data lo n a v =
   let mm = a mod n in
   if mm >= 0 then begin
     r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
-    store data zeroed (lo + mm) v
+    store data (lo + mm) v
   end
   else Rmt.Register_array.write_counted r (lo + mm) v
 
-let[@inline] vincr r data zeroed lo n a =
+let[@inline] vincr r data lo n a =
   let mm = a mod n in
   if mm >= 0 then begin
     r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
     let nv = (load data (lo + mm) + 1) land 0xFFFFFFFF in
-    store data zeroed (lo + mm) nv;
+    store data (lo + mm) nv;
     nv
   end
   else Rmt.Register_array.add_read_counted r (lo + mm) 1
@@ -316,11 +303,11 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
     | Some { Table.region = Some rg; virtual_addressing = true; _ } -> (
       let lo = rg.Packet.start_word and n = rg.Packet.n_words in
       let r = (Device.stage device stage).Device.regs in
-      let data = r.Register_array.data and zeroed = r.Register_array.zeroed in
+      let data = r.Register_array.data in
       match m with
-      | Instr.Mem_write -> fun st -> vwrite r data zeroed lo n st.mar st.mbr
+      | Instr.Mem_write -> fun st -> vwrite r data lo n st.mar st.mbr
       | Instr.Mem_read -> fun st -> st.mbr <- vread r data lo n st.mar
-      | Instr.Mem_increment -> fun st -> st.mbr <- vincr r data zeroed lo n st.mar
+      | Instr.Mem_increment -> fun st -> st.mbr <- vincr r data lo n st.mar
       | Instr.Mem_minread ->
         fun st ->
           let mm = st.mar mod n in
@@ -331,21 +318,21 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           else st.mbr <- Register_array.min_read_counted r (lo + mm) st.mbr
       | Instr.Mem_minreadinc ->
         fun st ->
-          st.mbr <- vincr r data zeroed lo n st.mar;
+          st.mbr <- vincr r data lo n st.mar;
           st.mbr2 <- min st.mbr st.mbr2
       | _ -> assert false)
     | Some { Table.region = Some rg; virtual_addressing = false; _ } -> (
       let lo = rg.Packet.start_word and n = rg.Packet.n_words in
       let hi = lo + n in
       let r = (Device.stage device stage).Device.regs in
-      let data = r.Register_array.data and zeroed = r.Register_array.zeroed in
+      let data = r.Register_array.data in
       match m with
       | Instr.Mem_write ->
         fun st ->
           let a = st.mar in
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
-            store data zeroed a st.mbr
+            store data a st.mbr
           end
           else drop_with device st (Runtime.Protection_violation { stage; mar = a })
       | Instr.Mem_read ->
@@ -362,7 +349,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
             let nv = (load data a + 1) land 0xFFFFFFFF in
-            store data zeroed a nv;
+            store data a nv;
             st.mbr <- nv
           end
           else drop_with device st (Runtime.Protection_violation { stage; mar = a })
@@ -380,7 +367,7 @@ let compile_op ~tables ~fid ~device ~ingress ~privileged ~stage
           if a >= lo && a < hi then begin
             r.Register_array.accesses <- r.Register_array.accesses + 1;
             let nv = (load data a + 1) land 0xFFFFFFFF in
-            store data zeroed a nv;
+            store data a nv;
             st.mbr <- nv;
             st.mbr2 <- min st.mbr st.mbr2
           end
@@ -515,20 +502,15 @@ let compile tables ~fid (program : Program.t) =
   let stage_of pc = pc mod n_stages in
   let entry_at pc = Table.lookup tables ~fid ~stage:(stage_of pc) in
   (* A virtually-addressed memory slot's baked constants: region bounds
-     plus the stage's register file and its exposed words and chunk
-     bytes.  Inside a block any non-trailing memory slot is necessarily
-     of this kind (a direct-addressed access is a stopper and would have
-     ended the block). *)
+     plus the stage's register file (exposed representation).  Inside a
+     block any non-trailing memory slot is necessarily of this kind (a
+     direct-addressed access is a stopper and would have ended the
+     block). *)
   let virt_mem pc =
     match entry_at pc with
     | Some { Table.region = Some rg; virtual_addressing = true; _ } ->
       let r = (Rmt.Device.stage device (stage_of pc)).Rmt.Device.regs in
-      Some
-        ( rg.Packet.start_word,
-          rg.Packet.n_words,
-          r,
-          r.Rmt.Register_array.data,
-          r.Rmt.Register_array.zeroed )
+      Some (rg.Packet.start_word, rg.Packet.n_words, r, r.Rmt.Register_array.data)
     | _ -> None
   in
   (* Peephole over a block's (non-NOP) slot sequence: each idiom below
@@ -546,7 +528,7 @@ let compile tables ~fid (program : Program.t) =
            && instrs.(p3) = Instr.Addr_offset
            && instrs.(p4) = Instr.Mem_minreadinc -> (
       match (entry_at p2, entry_at p3, virt_mem p4) with
-      | Some e2, Some e3, Some (lo, n, r, data, zeroed) ->
+      | Some e2, Some e3, Some (lo, n, r, data) ->
         let row = (Rmt.Device.stage device (stage_of p1)).Rmt.Device.hash_row in
         let m = e2.Table.xmask and o = e3.Table.xoffset in
         (fun st ->
@@ -558,7 +540,7 @@ let compile tables ~fid (program : Program.t) =
           r.Rmt.Register_array.accesses <- r.Rmt.Register_array.accesses + 1;
           let ix = lo + (a mod n) in
           let nv = (load data ix + 1) land 0xFFFFFFFF in
-          store data zeroed ix nv;
+          store data ix nv;
           st.mbr <- nv;
           st.mbr2 <- min nv st.mbr2)
         :: peep rest
@@ -570,7 +552,7 @@ let compile tables ~fid (program : Program.t) =
            && instrs.(p3) = Instr.Addr_offset
            && instrs.(p4) = Instr.Mem_read -> (
       match (instrs.(p1), entry_at p2, entry_at p3, virt_mem p4) with
-      | Instr.Mar_load a, Some e2, Some e3, Some (lo, n, r, data, _) ->
+      | Instr.Mar_load a, Some e2, Some e3, Some (lo, n, r, data) ->
         let i = Instr.arg_index a in
         let m = e2.Table.xmask and o = e3.Table.xoffset in
         (fun st ->
@@ -588,7 +570,7 @@ let compile tables ~fid (program : Program.t) =
            && instrs.(p4) = Instr.Mbr_equals_mbr2
            && instrs.(p5) = Instr.Creti -> (
       match (instrs.(p1), virt_mem p2) with
-      | Instr.Mar_load a, Some (lo, n, r, data, _) ->
+      | Instr.Mar_load a, Some (lo, n, r, data) ->
         let i = Instr.arg_index a in
         (fun st ->
           let adr = st.args.(i) in
@@ -622,7 +604,7 @@ let compile tables ~fid (program : Program.t) =
               | _ -> false)
            && instrs.(p4) = Instr.Cret -> (
       match (instrs.(p1), instrs.(p3), virt_mem p2) with
-      | Instr.Mar_load a, Instr.Mbr_equals_data b, Some (lo, n, r, data, _) ->
+      | Instr.Mar_load a, Instr.Mbr_equals_data b, Some (lo, n, r, data) ->
         let ia = Instr.arg_index a and ib = Instr.arg_index b in
         (fun st ->
           let adr = st.args.(ia) in
@@ -641,7 +623,7 @@ let compile tables ~fid (program : Program.t) =
               | _ -> false)
            && instrs.(p3) = Instr.Cret -> (
       match (instrs.(p2), virt_mem p1) with
-      | Instr.Mbr_equals_data b, Some (lo, n, r, data, _) ->
+      | Instr.Mbr_equals_data b, Some (lo, n, r, data) ->
         let ib = Instr.arg_index b in
         (fun st ->
           let v = vread r data lo n st.mar in
@@ -658,7 +640,7 @@ let compile tables ~fid (program : Program.t) =
            && (match instrs.(p3) with Instr.Mbr_store _ -> true | _ -> false)
            && instrs.(p4) = Instr.Return -> (
       match (instrs.(p3), virt_mem p2) with
-      | Instr.Mbr_store b, Some (lo, n, r, data, _) ->
+      | Instr.Mbr_store b, Some (lo, n, r, data) ->
         let ib = Instr.arg_index b in
         let egress = stage_of p1 >= ingress in
         (fun st ->
@@ -680,7 +662,7 @@ let compile tables ~fid (program : Program.t) =
            && instrs.(p2) = Instr.Mem_write
            && instrs.(p3) = Instr.Return -> (
       match virt_mem p2 with
-      | Some (lo, n, r, data, zeroed) ->
+      | Some (lo, n, r, data) ->
         let egress = stage_of p1 >= ingress in
         (fun st ->
           st.rts <- true;
@@ -689,7 +671,7 @@ let compile tables ~fid (program : Program.t) =
             st.port_recircs <- st.port_recircs + 1;
             Rmt.Device.count_recirculation device
           end;
-          vwrite r data zeroed lo n st.mar st.mbr;
+          vwrite r data lo n st.mar st.mbr;
           st.complete <- true)
         :: peep rest
       | None -> ops.(p1) :: peep (p2 :: p3 :: rest))
@@ -717,10 +699,10 @@ let compile tables ~fid (program : Program.t) =
       when instrs.(p1) = Instr.Copy_mbr2_mbr
            && instrs.(p2) = Instr.Mem_increment -> (
       match virt_mem p2 with
-      | Some (lo, n, r, data, zeroed) ->
+      | Some (lo, n, r, data) ->
         (fun st ->
           st.mbr2 <- st.mbr;
-          st.mbr <- vincr r data zeroed lo n st.mar)
+          st.mbr <- vincr r data lo n st.mar)
         :: peep rest
       | None -> ops.(p1) :: peep (p2 :: rest))
     (* loaded-operand stores: MAR_LOAD or MBR(2)_LOAD straight into a
@@ -729,12 +711,12 @@ let compile tables ~fid (program : Program.t) =
       when (match instrs.(p1) with Instr.Mar_load _ -> true | _ -> false)
            && instrs.(p2) = Instr.Mem_write -> (
       match (instrs.(p1), virt_mem p2) with
-      | Instr.Mar_load a, Some (lo, n, r, data, zeroed) ->
+      | Instr.Mar_load a, Some (lo, n, r, data) ->
         let i = Instr.arg_index a in
         (fun st ->
           let adr = st.args.(i) in
           st.mar <- adr;
-          vwrite r data zeroed lo n adr st.mbr)
+          vwrite r data lo n adr st.mbr)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: rest))
     | p1 :: p2 :: rest
@@ -743,18 +725,18 @@ let compile tables ~fid (program : Program.t) =
            | _ -> false)
            && instrs.(p2) = Instr.Mem_write -> (
       match (instrs.(p1), virt_mem p2) with
-      | Instr.Mbr_load a, Some (lo, n, r, data, zeroed) ->
+      | Instr.Mbr_load a, Some (lo, n, r, data) ->
         let i = Instr.arg_index a in
         (fun st ->
           let v = st.args.(i) in
           st.mbr <- v;
-          vwrite r data zeroed lo n st.mar v)
+          vwrite r data lo n st.mar v)
         :: peep rest
-      | Instr.Mbr2_load a, Some (lo, n, r, data, zeroed) ->
+      | Instr.Mbr2_load a, Some (lo, n, r, data) ->
         let i = Instr.arg_index a in
         (fun st ->
           st.mbr2 <- st.args.(i);
-          vwrite r data zeroed lo n st.mar st.mbr)
+          vwrite r data lo n st.mar st.mbr)
         :: peep rest
       | _ -> ops.(p1) :: peep (p2 :: rest))
     | p :: rest -> ops.(p) :: peep rest
@@ -1022,8 +1004,7 @@ let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
     enabled;
     telemetry;
     cache = Hashtbl.create 64;
-    dm_fid = Array.make dm_slots (-1);
-    dm_entry = Array.make dm_slots no_entry;
+    front = Stdx.Slots.create no_entry;
     scratch = fresh_state ();
     counts = c;
     last_mode = Interpreted;
@@ -1038,11 +1019,7 @@ let stats t =
 let invalidate t ~fid =
   if Hashtbl.mem t.cache fid then begin
     Hashtbl.remove t.cache fid;
-    let slot = fid land (dm_slots - 1) in
-    if t.dm_fid.(slot) = fid then begin
-      t.dm_fid.(slot) <- -1;
-      t.dm_entry.(slot) <- no_entry
-    end;
+    Stdx.Slots.remove t.front fid;
     t.counts.invalidates <- t.counts.invalidates + 1
   end
 
@@ -1083,29 +1060,30 @@ let compile_into t ~fid ~program entry =
     let cell = Table.epoch_ref t.tables ~fid in
     let ce = { ce_cell = cell; ce_version = !cell; ce_progs = [ (program, c) ] } in
     Hashtbl.replace t.cache fid ce;
-    let slot = fid land (dm_slots - 1) in
-    t.dm_fid.(slot) <- fid;
-    t.dm_entry.(slot) <- ce);
+    Stdx.Slots.set t.front fid ce);
   c
 
 let default_meta = Runtime.meta ~src:0 ~dst:0 ()
 
-(* The FID's cache entry, through the direct-mapped slot; [no_entry],
-   which is never valid, when it has none.  Allocates nothing. *)
+(* The FID's cache entry, through its slot; [no_entry], which is never
+   valid, when it has none.  Allocates nothing. *)
 let entry t fid =
-  let slot = fid land (dm_slots - 1) in
-  if Array.unsafe_get t.dm_fid slot = fid then Array.unsafe_get t.dm_entry slot
+  let ce = Stdx.Slots.find t.front fid in
+  if ce != no_entry then ce
   else
     match Hashtbl.find t.cache fid with
     | ce ->
-      t.dm_fid.(slot) <- fid;
-      t.dm_entry.(slot) <- ce;
+      Stdx.Slots.set t.front fid ce;
       ce
     | exception Not_found -> no_entry
 
 (* A valid epoch implies the FID is installed and not quiesced: install,
    remove and quiescence transitions all bump it. *)
 let[@inline] valid ce = !(ce.ce_cell) = ce.ce_version
+
+(* The slot alone: a FID whose entry sits only in the hashtable answers
+   no, which sends the caller to the tables. *)
+let holds t ~fid = valid (Stdx.Slots.find t.front fid)
 
 (* Miss path: the FID has no valid cached closure for this program.
    Uninstalled or quiesced FIDs execute in the interpreter (which handles

@@ -70,6 +70,15 @@ val run_into : t -> outcome -> src:int -> dst:int -> Packet.t -> unit
     the args, the device state and the stats are always those of
     [run]. *)
 
+val holds : t -> fid:Packet.fid -> bool
+(** Whether the JIT's direct-mapped slot for [fid] holds closures
+    compiled under the FID's current {!Table.epoch}: one slot read, no
+    hashing.  Yes means the FID is installed and not quiesced, since
+    install, reinstall, remove, quiesce and unquiesce all bump the
+    epoch, and closures are compiled only for an installed FID that is
+    not quiesced.  No says nothing (the entry may sit only behind the
+    slot, or not exist): ask the tables. *)
+
 val would_specialize : t -> Packet.t -> bool
 (** Whether [run] would take the compiled path for this packet (modulo
     compilation itself): enabled, [Exec] payload, installed, not

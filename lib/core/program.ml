@@ -2,6 +2,7 @@ type line = { instr : Instr.t; label : Instr.label option }
 type t = { name : string; lines : line array }
 
 let v ?(name = "anon") lines = { name; lines = Array.of_list lines }
+let of_array ~name lines = { name; lines }
 let line ?label instr = { instr; label }
 let plain instrs = List.map (fun i -> { instr = i; label = None }) instrs
 let length t = Array.length t.lines

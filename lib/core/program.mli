@@ -15,6 +15,10 @@ type t = private {
 val v : ?name:string -> line list -> t
 (** Build without validation (tests use this to make bad programs). *)
 
+val of_array : name:string -> line array -> t
+(** {!v} over an array the program keeps: the caller must not write it
+    afterwards. *)
+
 val line : ?label:Instr.label -> Instr.t -> line
 val plain : Instr.t list -> line list
 (** Lines without labels, for label-free programs. *)

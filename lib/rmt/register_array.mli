@@ -10,38 +10,30 @@
     Each access is counted so tests can assert the
     one-access-per-stage-per-packet invariant end to end.
 
-    The words fall into chunks of {!chunk_words}, each with one byte in
-    [zeroed] that is set only while the chunk holds nothing but zeros.
-    The invariant: a chunk whose byte is set reads all zeros.  Every
-    write clears its chunk's byte, so {!zero_range} fills only the
-    chunks written since they were last cleared, and a {!move} whose
-    source holds no such chunk is that clear of its destination: a
-    relocation or a recycle of words the data plane never wrote costs a
-    scan of one byte per chunk, not the address range. *)
+    An array also keeps the access count at which it was last known to
+    hold nothing but zeros: {!create} sets it, a {!zero_range} over the
+    whole array sets it again, and {!set} forgets it.  While the count
+    has not moved since, the array reads all zeros, so {!move} and
+    {!zero_range} do nothing: a relocation or a recycle on a stage the
+    data plane never touched costs no copy and no fill. *)
 
 type t = {
   data : Bytes.t;
       (** Live backing store: word [i] occupies bytes [4i .. 4i+3] in
           native byte order (it is never serialised).  Exposed (with
-          [zeroed] and [accesses]) so compiled per-packet code ({!Jit})
-          can inline accesses it has proven in bounds through
-          {!unsafe_get32} and {!unsafe_set32}; everything else should go
-          through {!access} or the [*_counted] entry points. *)
-  zeroed : Bytes.t;
-      (** Byte [c] is ['\001'] only if words [c * chunk_words] to the
-          end of their chunk are all zero, ['\000'] if any of them may
-          not be.  Whoever stores into [data] directly clears byte
-          [i lsr chunk_shift] of word [i] first, or a later {!move} or
-          {!zero_range} takes the stored word for a zero. *)
+          [accesses]) so compiled per-packet code ({!Jit}) can inline
+          accesses it has proven in bounds through {!unsafe_get32} and
+          {!unsafe_set32}; everything else should go through {!access}
+          or the [*_counted] entry points. *)
   mutable accesses : int;
+      (** Data-plane accesses since creation.  Whoever stores into
+          [data] directly counts the access first, or a later {!move}
+          or {!zero_range} may take the array for all zeros. *)
+  mutable zero_at : int;
+      (** The value of [accesses] at which the array was last known all
+          zero, or [-1] once a control-plane write forgot it.  Only this
+          module writes it. *)
 }
-
-val chunk_shift : int
-(** A word's chunk is its index shifted right by this (8). *)
-
-val chunk_words : int
-(** Words per chunk ([1 lsl chunk_shift] = 256; the last chunk of an
-    array whose size is not a multiple is shorter). *)
 
 (** {2 Unchecked word access}
 
@@ -93,13 +85,14 @@ val get : t -> int -> int
 (** Control-plane read (BFRT-style), not counted as a data-plane access. *)
 
 val set : t -> int -> int -> unit
-(** Control-plane write. *)
+(** Control-plane write.  It is not a counted access, so it forgets that
+    the array is known zero. *)
 
 val zero_range : t -> lo:int -> hi:int -> unit
 (** Control-plane bulk clear of the inclusive range, used when recycling
-    a freed allocation: it fills only the chunks written since they were
-    last cleared, then marks each chunk it covers in full.  An empty
-    range is [hi = lo - 1].
+    a freed allocation: nothing while the array is known zero, else one
+    fill; a clear of the whole array makes it known zero again.  An
+    empty range is [hi = lo - 1].
     @raise Invalid_argument if [lo] or [hi] is out of bounds or
     [hi < lo - 1]. *)
 
@@ -113,8 +106,6 @@ val move : t -> src:int -> dst:int -> len:int -> unit
 (** Control-plane copy of the [len] words at [src] to [dst] within the
     array, correct when the two ranges overlap (memmove semantics) — how
     the controller relocates a reallocated app's state (Section 4.3).
-    A source whose chunks are all marked zero is a clear of the
-    destination as by {!zero_range}; any other source is copied whole,
-    and the destination's chunks are then no longer marked.
+    Nothing while the array is known zero, else one copy.
     @raise Invalid_argument if either range leaves the array or
     [len < 0]. *)

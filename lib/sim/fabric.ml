@@ -34,7 +34,17 @@ type count = { name : string; mutable n : int }
 
 let[@inline] bump c = c.n <- c.n + 1
 
-type node = { handler : msg -> unit; rx : count }
+(* Everything the fabric knows of an address: the handler attached to
+   it ([None]: its messages go to the default handler), and its receive
+   and send counts, made when the address is first seen.  Attaching
+   again makes a new record around the same counts.  The counts are
+   also in the source's list, which holds no handler: a handler may
+   hold the fabric. *)
+type node = { handler : (msg -> unit) option; rx : count; tx : count }
+
+(* What a slot holds when empty: never attached, never counted. *)
+let no_node =
+  { handler = None; rx = { name = ""; n = 0 }; tx = { name = ""; n = 0 } }
 
 type t = {
   engine : Engine.t;
@@ -42,6 +52,8 @@ type t = {
   address : address;
   faults : Faults.t option;
   nodes : node Addr_tbl.t;
+  slots : node Stdx.Slots.t;  (* direct-mapped front of [nodes] *)
+  counts : count list ref;  (* every count, as the source reads them *)
   mutable default_node : (msg -> unit) option;
   owners : (Activermt.Packet.fid, address) Hashtbl.t;
   jit : Activermt.Jit.t;
@@ -50,8 +62,6 @@ type t = {
   delivered : count;
   lost : count;
   dropped : count;
-  tx : count Addr_tbl.t; (* by source address *)
-  rx : count Addr_tbl.t; (* by attached address *)
   tracer : Trace.t;
   (* Built once per fabric: the events of a hop are these handlers and
      the message, and untraced capsules execute into [outcome]. *)
@@ -63,18 +73,38 @@ type t = {
 let faults t = t.faults
 let jit t = t.jit
 
-(* [addr]'s count in [tbl], its node's [dir] count, made on first use. *)
-let node_count tbl addr dir =
-  match Addr_tbl.find tbl addr with
-  | c -> c
-  | exception Not_found ->
-    let c = { name = Printf.sprintf "sim.node.%d.%s" addr dir; n = 0 } in
-    Addr_tbl.add tbl addr c;
-    c
+(* [addr]'s record, through its slot, then the table; [no_node] when the
+   address has none.  A record found in the table takes the slot. *)
+let find_node t addr =
+  let node = Stdx.Slots.find t.slots addr in
+  if node != no_node then node
+  else
+    match Addr_tbl.find t.nodes addr with
+    | node ->
+      Stdx.Slots.set t.slots addr node;
+      node
+    | exception Not_found -> no_node
+
+(* Bind [addr] to [node] in the table and its slot. *)
+let bind t addr node =
+  Addr_tbl.replace t.nodes addr node;
+  Stdx.Slots.set t.slots addr node
+
+(* [addr]'s record, made (unattached, counts at zero) if it has none. *)
+let node t addr =
+  let node = find_node t addr in
+  if node != no_node then node
+  else begin
+    let count dir = { name = Printf.sprintf "sim.node.%d.%s" addr dir; n = 0 } in
+    let node = { handler = None; rx = count "rx"; tx = count "tx" } in
+    t.counts := node.rx :: node.tx :: !(t.counts);
+    bind t addr node;
+    node
+  end
 
 let attach t addr handler =
   if addr = t.address then invalid_arg "Fabric.attach: switch address reserved";
-  Addr_tbl.replace t.nodes addr { handler; rx = node_count t.rx addr "rx" }
+  bind t addr { (node t addr) with handler = Some handler }
 
 let attach_default t handler = t.default_node <- Some handler
 
@@ -203,12 +233,13 @@ let hop t m ~delay ~event handler =
   | Some _, _ | _, Some _ -> traced_or_faulty_hop t m ~delay ~event handler
 
 let arrive t m =
-  match Addr_tbl.find t.nodes m.dst with
-  | node ->
+  let node = find_node t m.dst in
+  match node.handler with
+  | Some handler ->
     bump t.delivered;
     bump node.rx;
-    node.handler m
-  | exception Not_found -> (
+    handler m
+  | None -> (
     match t.default_node with
     | Some handler ->
       bump t.delivered;
@@ -415,9 +446,14 @@ let at_switch t m =
       end
     | Activermt.Packet.Response _ -> deliver t m ~delay:wire_latency_s
     | Activermt.Packet.Exec { args; _ } ->
-      let tables = Controller.tables t.controller in
       let fid = pkt.Activermt.Packet.fid in
-      if not (Activermt.Table.installed tables ~fid) then
+      (* A FID the JIT holds valid closures for is installed (jit.mli);
+         any other asks the tables. *)
+      if
+        not
+          (Activermt.Jit.holds t.jit ~fid
+          || Activermt.Table.installed (Controller.tables t.controller) ~fid)
+      then
         (* Unknown FID: no table entries match, the packet forwards as
            plain traffic. *)
         deliver t m ~delay:wire_latency_s
@@ -434,12 +470,8 @@ let at_switch t m =
           forward_result t m r ~exec_ctx
       end)
 
-let source telemetry fixed tx rx =
-  let each f =
-    List.iter f fixed;
-    Addr_tbl.iter (fun _ k -> f k) tx;
-    Addr_tbl.iter (fun _ k -> f k) rx
-  in
+let source telemetry counts =
+  let each f = List.iter f !counts in
   Telemetry.source telemetry
     ~read:(fun ~counter ~gauge:_ -> each (fun k -> if k.n > 0 then counter k.name k.n))
     ~zero:(fun () -> each (fun k -> k.n <- 0))
@@ -457,8 +489,8 @@ let create ?(address = switch_address) ?faults ?(jit = true)
   let count what = { name = "sim.packets." ^ what; n = 0 } in
   let sent = count "sent" and delivered = count "delivered" in
   let lost = count "lost" and dropped = count "dropped" in
-  let tx = Addr_tbl.create 16 and rx = Addr_tbl.create 16 in
-  source telemetry [ sent; delivered; lost; dropped ] tx rx;
+  let counts = ref [ sent; delivered; lost; dropped ] in
+  source telemetry counts;
   let rec t =
     {
       engine;
@@ -466,6 +498,8 @@ let create ?(address = switch_address) ?faults ?(jit = true)
       address;
       faults;
       nodes = Addr_tbl.create 16;
+      slots = Stdx.Slots.create no_node;
+      counts;
       default_node = None;
       owners = Hashtbl.create 16;
       jit =
@@ -476,8 +510,6 @@ let create ?(address = switch_address) ?faults ?(jit = true)
       delivered;
       lost;
       dropped;
-      tx;
-      rx;
       tracer;
       to_switch = (fun m -> at_switch t m);
       to_node = (fun m -> arrive t m);
@@ -488,7 +520,7 @@ let create ?(address = switch_address) ?faults ?(jit = true)
 
 let send t m =
   bump t.sent;
-  bump (node_count t.tx m.src "tx");
+  bump (node t m.src).tx;
   hop t m ~delay:wire_latency_s ~event:"sim.hop" t.to_switch
 
 (* Head-based sampling happens exactly once, here, when a capsule enters

@@ -89,16 +89,19 @@ val create :
     [--no-jit]).  Either way results are bit-identical — the JIT changes
     throughput, never semantics.  Departures invalidate the FID's cached
     closures; reallocation and quiescence invalidate through the
-    allocation epoch.
+    allocation epoch.  A capsule whose FID the JIT holds valid closures
+    for ({!Activermt.Jit.holds}) is known installed and goes straight to
+    them; any other asks the match tables whether its FID is installed,
+    and forwards as plain traffic if not.
 
     [telemetry] (default [Telemetry.default]) reads the fabric's traffic
     counts through a source registered here:
     [sim.packets.sent/delivered/lost/dropped] plus per-node
     [sim.node.<addr>.tx]/[sim.node.<addr>.rx], each once it is nonzero.
     The fabric counts into plain ints, each per-node name formatted once,
-    when that node's count is created, so a packet hashes no metric
-    name; the source holds the counts but not the fabric, so the registry
-    never keeps a fabric (or its controller's device) alive.
+    when the address is first seen, so a packet hashes no metric name;
+    the source holds the counts but not the fabric or a handler, so the
+    registry never keeps a fabric (or its controller's device) alive.
 
     [tracer] (default [Trace.noop]) records per-capsule causal events:
     [capsule.inject], [sim.hop]/[sim.deliver],
@@ -124,8 +127,18 @@ val jit : t -> Activermt.Jit.t
     stats and for invalidation on migration. *)
 
 val attach : t -> address -> (msg -> unit) -> unit
-(** Register a node's receive handler.  This fabric's own switch address
-    is reserved. *)
+(** Register a node's receive handler, replacing any handler the address
+    had.  This fabric's own switch address is reserved.
+
+    The fabric keeps one record per address it has seen: the attached
+    handler, if any, and the address's receive and send counts.  In
+    front of that table sits a direct-mapped array of slots
+    ({!Stdx.Slots}), indexed by the address's low bits and tagged with
+    the address: {!send} and every arrival read the slot and fall back
+    to the table on a miss, so a hop hashes nothing while the addresses
+    in flight keep their slots.  [attach] writes the address's new
+    record into its slot as well as the table, so no message reaches a
+    replaced handler. *)
 
 val attach_default : t -> (msg -> unit) -> unit
 (** Register the fallback handler for destinations with no attached

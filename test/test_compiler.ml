@@ -62,6 +62,62 @@ let test_request_demand_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+(* [Spec.of_request] against the construction it replaced, kept here as
+   the oracle: one line record per instruction from [List.init], each
+   scanning the accesses, copied into the program.  Over random
+   decodable requests (positions past the program and an RTS sharing an
+   access's position included), both must give the same [Spec.t]. *)
+let of_request_oracle (r : Activermt.Packet.request) =
+  let accesses =
+    Array.of_list (List.map (fun a -> a.Activermt.Packet.position) r.accesses)
+  in
+  let gaps = Array.of_list (List.map (fun a -> a.Activermt.Packet.min_gap) r.accesses) in
+  let lines =
+    List.init r.prog_length (fun i ->
+        let is_access = Array.exists (fun a -> a = i) accesses in
+        let instr =
+          if is_access then I.Mem_read
+          else if r.rts_position = Some i then I.Rts
+          else I.Nop
+        in
+        P.line instr)
+  in
+  {
+    Spec.program = P.v ~name:"request" lines;
+    length = r.prog_length;
+    accesses;
+    gaps;
+    rts = r.rts_position;
+  }
+
+let request_gen =
+  let open QCheck.Gen in
+  let byte = frequency [ (3, int_range 0 40); (1, int_range 0 0xff) ] in
+  let access =
+    map3
+      (fun position min_gap demand_blocks ->
+        { Activermt.Packet.position; min_gap; demand_blocks })
+      byte byte byte
+  in
+  map3
+    (fun prog_length rts_position accesses ->
+      { Activermt.Packet.prog_length; rts_position; accesses })
+    byte
+    (opt (map (fun p -> min p 0xfe) byte))
+    (list_size (int_range 0 Activermt.Packet.max_request_accesses) access)
+
+let prop_of_request_oracle =
+  QCheck.Test.make ~name:"of_request = the List.init construction" ~count:500
+    (QCheck.make request_gen) (fun r ->
+      let got = Spec.of_request r and want = of_request_oracle r in
+      Activermt.Packet.decodable_request r
+      && P.equal got.Spec.program want.Spec.program
+      && got.Spec.program.P.name = want.Spec.program.P.name
+      && got.Spec.length = want.Spec.length
+      && got.Spec.accesses = want.Spec.accesses
+      && got.Spec.gaps = want.Spec.gaps
+      && got.Spec.rts = want.Spec.rts)
+
 (* -- Mutant enumeration -------------------------------------------------- *)
 
 let test_base_passes () =
@@ -330,6 +386,7 @@ let () =
           Alcotest.test_case "no-access spec" `Quick test_no_access_spec;
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "demand mismatch" `Quick test_request_demand_mismatch;
+          QCheck_alcotest.to_alcotest prop_of_request_oracle;
         ] );
       ( "mutants",
         [

@@ -126,25 +126,25 @@ let test_snapshot_contents () =
 (* Reference model of relocation.  Random admissions (through [drain]
    epochs or [handle_request]) and departures run on a small device.
    Before each operation every stage gets one of: a fresh random word in
-   every register, a [zero_range] over the whole stage (every chunk
-   marked zero), or that clear followed by random words in some chunks
-   only, so moves run from sources of zeros and from sources with
-   written chunks.  Afterwards every word must be: zero in a newly
+   every register, a [zero_range] over the whole stage (which makes the
+   array known zero), or that clear followed by random words in some
+   quarters only, so moves and recycles run on arrays known zero and on
+   written ones.  Afterwards every word must be: zero in a newly
    admitted app's region; for an app resident before and after, its old
    word at offset [k] in its new region, for [k] below the smaller of
-   the two sizes; otherwise the word from before the operation.  The
-   oracle builds its expectation from a copy, so it does not depend on
-   the order the moves run in.  [small_params] has 2-word blocks, so
-   regions straddle chunk edges; [chunk_params] has chunk-sized blocks,
-   so whole regions skip. *)
+   the two sizes; otherwise the word from before the operation.  An
+   array known zero must read all zeros.  The oracle builds its
+   expectation from a copy, so it does not depend on the order the moves
+   run in.  [small_params] has 2-word blocks, [big_params] 256-word
+   ones. *)
 let small_params = { params with Rmt.Params.words_per_stage = 256 * 2 }
 
-let chunk_params =
-  {
-    params with
-    Rmt.Params.words_per_stage = 4 * Rmt.Register_array.chunk_words;
-    blocks_per_stage = 4;
-  }
+let big_params =
+  { params with Rmt.Params.words_per_stage = 1024; blocks_per_stage = 4 }
+
+(* Whether [Register_array] takes the array for all zeros. *)
+let known_zero (r : Rmt.Register_array.t) =
+  r.Rmt.Register_array.accesses = r.Rmt.Register_array.zero_at
 
 let fill_stage rng regs words =
   let random lo hi =
@@ -157,9 +157,9 @@ let fill_stage rng regs words =
   | 1 -> Rmt.Register_array.zero_range regs ~lo:0 ~hi:(words - 1)
   | _ ->
     Rmt.Register_array.zero_range regs ~lo:0 ~hi:(words - 1);
-    let cw = Rmt.Register_array.chunk_words in
-    for c = 0 to (words - 1) / cw do
-      if Random.State.bool rng then random (c * cw) (Int.min words ((c + 1) * cw))
+    let q = words / 4 in
+    for k = 0 to 3 do
+      if Random.State.bool rng then random (k * q) ((k + 1) * q)
     done
 
 let relocation_run ~params ~scheme ~batched ~seed =
@@ -237,9 +237,8 @@ let relocation_run ~params ~scheme ~batched ~seed =
           Alcotest.failf "seed %d op %d: stage %d word %d is %d, expected %d" seed op s i
             got expected.(s).(i)
       done;
-      if not (Chunks.hold_zeros (regs s)) then
-        Alcotest.failf "seed %d op %d: stage %d has a chunk marked zero that is not" seed
-          op s
+      if known_zero (regs s) && Array.exists (( <> ) 0) expected.(s) then
+        Alcotest.failf "seed %d op %d: stage %d is known zero but is not" seed op s
     done
   done;
   !moved_words
@@ -259,7 +258,7 @@ let test_relocation_reference_model () =
            (params, Activermt_alloc.Allocator.Best_fit, true);
            (params, Activermt_alloc.Allocator.Best_fit, false);
          ])
-       [ small_params; chunk_params ])
+       [ small_params; big_params ])
 
 let test_departure_expands () =
   let ctl =
@@ -823,8 +822,8 @@ let test_cost_model_breakdown () =
    churn in epochs of 64 through [enqueue_request], one [drain] and the
    epoch's [handle_departure]s, after 8 warm-up epochs.  Returns words
    per arrival in total, in the drain and in the departures, and whether
-   every chunk of every stage is still marked zero at the end: with no
-   data plane, relocation and recycling write nothing.  The counts
+   every stage's array is still known zero at the end: with no data
+   plane, relocation and recycling write nothing.  The counts
    depend on the binary and the work, not on the host. *)
 let arrival_words ~warmup ~measured =
   let module Churn = Workload.Churn in
@@ -870,16 +869,15 @@ let arrival_words ~warmup ~measured =
   Array.iteri (fun i e -> if i >= warmup then run_epoch e) epochs;
   let total = Gc.minor_words () -. w0 in
   let per x = x /. float_of_int !arrivals in
-  let marked_zero (st : Rmt.Device.stage) =
-    Bytes.for_all (fun b -> b <> '\000') st.Rmt.Device.regs.Rmt.Register_array.zeroed
-  in
   ( per total,
     per !drain_w,
     per !depart_w,
-    Array.for_all marked_zero (Rmt.Device.stages (Controller.device ctl)) )
+    Array.for_all
+      (fun (st : Rmt.Device.stage) -> known_zero st.Rmt.Device.regs)
+      (Rmt.Device.stages (Controller.device ctl)) )
 
 let test_arrival_budget () =
-  let ((total, drain, depart, marked_zero) as first) =
+  let ((total, drain, depart, known_zero) as first) =
     arrival_words ~warmup:8 ~measured:64
   in
   let check name words budget =
@@ -888,10 +886,10 @@ let test_arrival_budget () =
       true
       (words <= float_of_int budget)
   in
-  check "total" total 3700;
-  check "drain" drain 1500;
+  check "total" total 3300;
+  check "drain" drain 1100;
   check "departure" depart 2300;
-  Alcotest.(check bool) "every chunk still marked zero" true marked_zero;
+  Alcotest.(check bool) "every array still known zero" true known_zero;
   Alcotest.(check bool) "a fresh controller reads the same" true
     (arrival_words ~warmup:8 ~measured:64 = first)
 

@@ -82,16 +82,16 @@ let fabric_meta = RT.meta ~src:meta.RT.src ~dst:meta.RT.dst ()
 
 (* Full observable device state: register contents and access counts for
    every stage, plus the drop/recirculation counters.  Compared in place:
-   a copy of every register file costs more than the executions.  Each
-   stage of both devices must also keep the chunk invariant, so a write
-   closure that skips its chunk mark fails here. *)
+   a copy of every register file costs more than the executions.  Equal
+   access counts also keep [Register_array]'s known-zero mark honest: a
+   write closure that skips the count leaves a written array taken for
+   all zeros. *)
 let same_state a b =
   let da = Tbl.device a and db = Tbl.device b in
   let same_stage (sa : Rmt.Device.stage) (sb : Rmt.Device.stage) =
     let ra = sa.Rmt.Device.regs and rb = sb.Rmt.Device.regs in
     ra.Rmt.Register_array.data = rb.Rmt.Register_array.data
     && Rmt.Register_array.access_count ra = Rmt.Register_array.access_count rb
-    && Chunks.twins_hold_zeros ra rb
   in
   Array.for_all2 same_stage (Rmt.Device.stages da) (Rmt.Device.stages db)
   && Rmt.Device.drops da = Rmt.Device.drops db
@@ -386,10 +386,26 @@ let test_boundary_words ~virtual_addressing ~region ~addr () =
 
 (* -- Directed: quiescence and invalidation -------------------------------- *)
 
+(* [Jit.holds] for FID 1 on both of [w]'s JITs must answer [expect], and
+   a yes must mean what the fabric takes it for: the FID is installed
+   and not quiesced in that JIT's tables. *)
+let check_holds msg w expect =
+  List.iter
+    (fun (jit, t) ->
+      let held = Jit.holds jit ~fid:1 in
+      Alcotest.(check bool) (msg ^ ": holds") expect held;
+      if held then
+        Alcotest.(check bool)
+          (msg ^ ": held FID installed and not quiesced")
+          true
+          (Tbl.installed t ~fid:1 && not (Tbl.is_quiesced t ~fid:1)))
+    [ (w.jit, w.jt); (w.ojit, w.ot) ]
+
 let test_quiescence_identical () =
   let w = twin () in
   let incr = exec_pkt ~args:[| 9; 0; 0; 0 |] [ I.Mem_increment; I.Return ] in
   ignore (check_identical "before quiesce" w incr);
+  check_holds "compiled" w true;
   let _, _, compiles0, _ = Jit.stats w.jit in
   Tbl.quiesce w.it ~fid:1;
   Tbl.quiesce w.jt ~fid:1;
@@ -397,11 +413,13 @@ let test_quiescence_identical () =
     (Jit.would_specialize w.jit incr);
   Tbl.quiesce w.ft ~fid:1;
   Tbl.quiesce w.ot ~fid:1;
+  check_holds "quiesced" w false;
   let _, rj, mode = exec_both w incr in
   Alcotest.(check bool) "passes through unprocessed" true rj.RT.quiesced;
   Alcotest.(check bool) "interpreter fallback while quiesced" true
     (mode = Jit.Interpreted);
   Alcotest.(check bool) "run_into passes through too" true (into_identical w incr);
+  check_holds "run while quiesced" w false;
   Tbl.unquiesce w.it ~fid:1;
   Tbl.unquiesce w.jt ~fid:1;
   Tbl.unquiesce w.ft ~fid:1;
@@ -409,7 +427,9 @@ let test_quiescence_identical () =
   (* Quiescence transitions bump the allocation epoch, so the cached
      closure from before the quiesce window is stale: the next packet
      recompiles rather than reusing it. *)
+  check_holds "unquiesced, not yet recompiled" w false;
   let r = check_identical "after unquiesce" w incr in
+  check_holds "recompiled" w true;
   Alcotest.(check int) "register survived the window" 2 r.RT.final_mbr;
   let _, _, compiles1, _ = Jit.stats w.jit in
   Alcotest.(check bool) "recompiled after epoch bump" true (compiles1 > compiles0)
@@ -418,6 +438,7 @@ let test_reinstall_invalidates () =
   let w = twin ~stages:[ (0, 0, 256) ] () in
   let incr = exec_pkt ~args:[| 5; 0; 0; 0 |] [ I.Mem_increment; I.Return ] in
   ignore (check_identical "initial allocation" w incr);
+  check_holds "initial allocation" w true;
   (* Reallocation: remove + reinstall with a different region, as the
      controller does for elastic reallocation or migration repopulate.
      The stale closure bakes the old bounds; the epoch key must prevent
@@ -432,8 +453,10 @@ let test_reinstall_invalidates () =
     | Error _ -> Alcotest.fail "reinstall"
   in
   List.iter reinstall [ w.it; w.jt; w.ft; w.ot ];
+  check_holds "reinstalled" w false;
   let _, _, compiles0, _ = Jit.stats w.jit in
   ignore (check_identical "after reallocation" w incr);
+  check_holds "recompiled" w true;
   let _, _, compiles1, _ = Jit.stats w.jit in
   Alcotest.(check bool) "recompiled against the new allocation" true
     (compiles1 > compiles0)
@@ -442,11 +465,14 @@ let test_departure_invalidation () =
   let w = twin () in
   ignore (check_identical "resident" w (exec_pkt [ I.Return ]));
   Alcotest.(check bool) "closure cached" true (Jit.cache_size w.jit > 0);
+  check_holds "resident" w true;
   (* Departure / migration source path (what Fabric and Fleet.migrate do):
      remove the tables, then evict the dead closures. *)
   List.iter (fun t -> Tbl.remove t ~fid:1) [ w.it; w.jt; w.ft; w.ot ];
+  check_holds "removed, not yet invalidated" w false;
   Jit.invalidate w.jit ~fid:1;
   Jit.invalidate w.ojit ~fid:1;
+  check_holds "invalidated" w false;
   Alcotest.(check int) "cache emptied" 0 (Jit.cache_size w.jit);
   Alcotest.(check bool) "departed FID not specialized" false
     (Jit.would_specialize w.jit (exec_pkt [ I.Return ]));
@@ -466,6 +492,8 @@ let test_disabled_jit () =
   let ojit = Jit.create ~enabled:false w.ot in
   Alcotest.(check bool) "run_into falls back to the interpreter" true
     (into_matches ~ojit ~o:w.o ~ft:w.ft pkt && same_state w.ft w.ot);
+  Alcotest.(check (list bool)) "a disabled jit holds nothing" [ false; false ]
+    [ Jit.holds jit ~fid:1; Jit.holds ojit ~fid:1 ];
   List.iter
     (fun jit ->
       let hits, misses, compiles, _ = Jit.stats jit in

@@ -136,19 +136,18 @@ let test_regs_snapshot () =
   Alcotest.(check (array int)) "snapshot" [| 20; 30; 40 |] (R.snapshot_range r ~lo:2 ~hi:4)
 
 (* Every entry point against an [int array] model with 32-bit masking
-   semantics, over random op sequences on an array of three whole chunks
-   and a partial one.  After each op the returned value (or
-   [Invalid_argument], which must leave the array untouched), the access
-   count and every word must match the model, and every chunk whose
-   zero byte is set must read all zeros.  Indices, lengths and range ends
-   are drawn around the chunk edges and the bounds, with [max_int] and
-   [min_int] (where a naive end check overflows); operands uniformly plus
-   the 32-bit boundaries, negatives and the int extremes, so a load that
-   sign-extends or a store that fails to truncate shows up as a word or a
-   result the model does not have.  [move] is checked against a copy-out
-   model: overlap in either direction must read every source word before
-   it is overwritten, whether it copies a source with a written chunk or
-   clears for a source of zeros. *)
+   semantics, over random op sequences on one 40-word array.  After each
+   op the returned value (or [Invalid_argument], which must leave the
+   array untouched), the access count and every word must match the
+   model, and an array known zero must read all zeros.  Indices, lengths
+   and range ends are drawn around the bounds, with [max_int] and
+   [min_int] (where a naive end check overflows), and one op in eleven
+   clears the whole array, which makes it known zero again; operands
+   uniformly plus the 32-bit boundaries, negatives and the int extremes,
+   so a load that sign-extends or a store that fails to truncate shows
+   up as a word or a result the model does not have.  [move] is checked
+   against a copy-out model: overlap in either direction must read every
+   source word before it is overwritten. *)
 type reg_op =
   | Access of int * R.op
   | Read_counted of int
@@ -254,11 +253,10 @@ let model_reg_op m count op =
 
 let reg_op_gen n =
   let open QCheck.Gen in
-  let edges = List.init ((n / R.chunk_words) + 1) (fun c -> c * R.chunk_words) @ [ n ] in
   let ix =
     frequency
       [
-        (9, map2 ( + ) (oneofl edges) (int_range (-2) 2));
+        (9, map2 ( + ) (oneofl [ 0; n ]) (int_range (-2) 2));
         (10, int_range (-1) (n + 1));
         (1, oneofl [ max_int; min_int ]);
       ]
@@ -293,12 +291,17 @@ let reg_op_gen n =
       map (fun i -> Get i) ix;
       map2 (fun i v -> Set (i, v)) ix v;
       map2 (fun lo hi -> Zero_range (lo, hi)) ix ix;
+      return (Zero_range (0, n - 1));
       map3 (fun src dst len -> Move (src, dst, len)) ix ix ix;
       map2 (fun lo hi -> Snapshot_range (lo, hi)) ix ix;
     ]
 
+(* Whether the array takes itself for all zeros, which [move] and
+   [zero_range] then skip. *)
+let known_zero (r : R.t) = r.R.accesses = r.R.zero_at
+
 let prop_regs_model =
-  let n = (3 * R.chunk_words) + 40 in
+  let n = 40 in
   QCheck.Test.make ~name:"op sequences = int array model" ~count:500
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_reg_op ops))
@@ -319,7 +322,7 @@ let prop_regs_model =
           got = want
           && R.access_count r = !count
           && List.init n (R.get r) = Array.to_list m
-          && Chunks.hold_zeros r)
+          && ((not (known_zero r)) || Array.for_all (( = ) 0) m))
         ops)
 
 (* -- Tcam ---------------------------------------------------------------- *)

@@ -381,6 +381,155 @@ let test_fabric_release () =
   Alcotest.(check bool) "released" false
     (Activermt.Table.installed (Controller.tables controller) ~fid:1)
 
+(* A cache capsule for a FID whose tables are removed after its program
+   was compiled, without the departure that would evict the JIT's
+   closures: the switch must treat it as an unknown FID, forwarding it as
+   plain traffic after the wire latency, its args untouched and nothing
+   executed. *)
+let test_fabric_removed_fid_forwards () =
+  let engine, controller, fabric = make_world () in
+  let regions = ref None in
+  Fabric.attach fabric 10 (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active pkt -> regions := Negotiate.granted_regions pkt
+      | _ -> ());
+  Fabric.send fabric
+    (Fabric.msg ~src:10 ~dst:Fabric.switch_address
+       (Fabric.Active (Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service)));
+  Engine.run engine;
+  let cc =
+    match
+      Activermt_client.Cache_client.create params
+        ~policy:Activermt_compiler.Mutant.Most_constrained ~fid:1
+        ~regions:(Option.get !regions)
+    with
+    | Ok cc -> cc
+    | Error e -> Alcotest.fail e
+  in
+  let key = Workload.Kv.key_of_rank 3 in
+  let query seq = Activermt_client.Cache_client.query_packet cc ~seq key in
+  let arrivals = ref [] in
+  Fabric.attach fabric 20 (fun msg ->
+      match msg.Fabric.payload with
+      | Fabric.Active pkt -> arrivals := (Engine.now engine, pkt) :: !arrivals
+      | _ -> ());
+  Fabric.send fabric (Fabric.msg ~src:10 ~dst:20 (Fabric.Active (query 1)));
+  Engine.run engine;
+  Alcotest.(check bool) "compiled" true (Activermt.Jit.holds (Fabric.jit fabric) ~fid:1);
+  Activermt.Table.remove (Controller.tables controller) ~fid:1;
+  let stats = Activermt.Jit.stats (Fabric.jit fabric) in
+  let pkt = query 2 in
+  let args_of (p : Pkt.t) =
+    match p.Pkt.payload with Pkt.Exec { args; _ } -> args | _ -> [||]
+  in
+  let args = Array.copy (args_of pkt) in
+  arrivals := [];
+  let t0 = Engine.now engine in
+  Fabric.send fabric (Fabric.msg ~src:10 ~dst:20 (Fabric.Active pkt));
+  Engine.run engine;
+  (match !arrivals with
+  | [ (t, got) ] ->
+    Alcotest.(check (float 1e-12)) "after two wire latencies" (t0 +. 10.0e-6) t;
+    Alcotest.(check bool) "the same capsule" true (got == pkt);
+    Alcotest.(check (array int)) "args untouched" args (args_of got)
+  | l -> Alcotest.failf "%d arrivals at the destination" (List.length l));
+  Alcotest.(check bool) "nothing executed" true
+    (Activermt.Jit.stats (Fabric.jit fabric) = stats)
+
+(* The fabric's per-address records and their direct-mapped slots, over
+   random sequences of attaches (re-attaching an address, and addresses
+   equal modulo the slot count), default handlers, transit sends from
+   attached and unattached sources, and engine steps.  Each message must
+   reach the handler attached to its destination when it arrives, or the
+   default handler, and every [sim.node.<a>.tx]/[rx] counter must equal
+   a reference tally. *)
+type fabric_op =
+  | Attach of int
+  | Attach_default
+  | Send of int * int
+  | Steps of int
+
+let show_fabric_op = function
+  | Attach a -> Printf.sprintf "attach %d" a
+  | Attach_default -> "attach_default"
+  | Send (src, dst) -> Printf.sprintf "send %d->%d" src dst
+  | Steps k -> Printf.sprintf "steps %d" k
+
+let fabric_op_gen =
+  let open QCheck.Gen in
+  let slots = Stdx.Slots.size in
+  let addr = oneofl [ 1; 2; 3; 1 + slots; 2 + slots; 1 + (2 * slots); 5 + slots ] in
+  frequency
+    [
+      (3, map (fun a -> Attach a) addr);
+      (1, return Attach_default);
+      (6, map2 (fun src dst -> Send (src, dst)) addr addr);
+      (3, map (fun k -> Steps k) (int_range 1 4));
+    ]
+
+let fabric_matches_model ops =
+  let tel = Telemetry.create () in
+  let engine = Engine.create ~telemetry:tel () in
+  let controller =
+    Controller.create ~mode:`Interactive ~telemetry:tel (Rmt.Device.create params)
+  in
+  let fabric = Fabric.create ~telemetry:tel ~engine ~controller () in
+  let attached = Hashtbl.create 8 and default = ref None in
+  let tally = Hashtbl.create 16 in
+  let count name = Hashtbl.replace tally name (1 + Option.value ~default:0 (Hashtbl.find_opt tally name)) in
+  let next_id = ref 0 and ok = ref true in
+  (* Handler [id]; [addr] is [None] for a default handler. *)
+  let handler ?addr id msg =
+    let want =
+      match Hashtbl.find_opt attached msg.Fabric.dst with
+      | Some h -> Some h
+      | None -> !default
+    in
+    if want <> Some id then ok := false;
+    match addr with
+    | Some a -> if a = msg.Fabric.dst then count (Printf.sprintf "sim.node.%d.rx" a) else ok := false
+    | None -> ()
+  in
+  let fresh () =
+    incr next_id;
+    !next_id
+  in
+  List.iter
+    (function
+      | Attach a ->
+        let id = fresh () in
+        Hashtbl.replace attached a id;
+        Fabric.attach fabric a (handler ~addr:a id)
+      | Attach_default ->
+        let id = fresh () in
+        default := Some id;
+        Fabric.attach_default fabric (handler id)
+      | Send (src, dst) ->
+        count (Printf.sprintf "sim.node.%d.tx" src);
+        Fabric.send fabric
+          (Fabric.msg ~src ~dst (Fabric.Kv_request { key = Workload.Kv.key_of_rank 1 }))
+      | Steps k ->
+        for _ = 1 to k do
+          ignore (Engine.step engine)
+        done)
+    ops;
+  Engine.run engine;
+  let want = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []) in
+  let got =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"sim.node." name)
+      (Telemetry.counters tel)
+  in
+  !ok && got = want
+
+let prop_fabric_slots =
+  QCheck.Test.make ~name:"handlers and node counts = reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_fabric_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) fabric_op_gen))
+    fabric_matches_model
+
 module Memsync_driver = Activermt_client.Memsync_driver
 
 let test_memsync_driver_over_lossy_fabric () =
@@ -461,15 +610,17 @@ let test_memsync_driver_over_lossy_fabric () =
 
 (* The registry reads an engine's and a fabric's counts through sources
    that hold neither: both are collected once dropped, and their counts
-   still read back.  A transit request takes two events, one hop to the
-   switch and one on to its node. *)
+   still read back.  The node's handler closes over the fabric, as a
+   client's does, so a source that held a handler would keep the fabric
+   alive.  A transit request takes two events, one hop to the switch and
+   one on to its node. *)
 let[@inline never] run_and_drop tel =
   let engine = Engine.create ~telemetry:tel () in
   let controller =
     Controller.create ~mode:`Interactive ~telemetry:tel (Rmt.Device.create params)
   in
   let fabric = Fabric.create ~telemetry:tel ~engine ~controller () in
-  Fabric.attach fabric 30 ignore;
+  Fabric.attach fabric 30 (fun _ -> ignore (Sys.opaque_identity fabric));
   Fabric.send fabric
     (Fabric.msg ~src:10 ~dst:30 (Fabric.Kv_request { key = Workload.Kv.key_of_rank 1 }));
   Engine.run engine;
@@ -655,6 +806,9 @@ let () =
           Alcotest.test_case "request/response" `Quick test_fabric_request_response;
           Alcotest.test_case "exec + RTS" `Quick test_fabric_exec_and_rts;
           Alcotest.test_case "uninstalled fid" `Quick test_fabric_uninstalled_fid_forwards;
+          Alcotest.test_case "fid removed after compiling" `Quick
+            test_fabric_removed_fid_forwards;
+          QCheck_alcotest.to_alcotest prop_fabric_slots;
           Alcotest.test_case "transit payloads" `Quick test_fabric_transit_payloads;
           Alcotest.test_case "drop accounting" `Quick test_fabric_drop_accounting;
           Alcotest.test_case "memsync over loss" `Quick test_memsync_driver_over_lossy_fabric;
