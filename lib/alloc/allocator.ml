@@ -376,17 +376,19 @@ let repoint t s fid (range : Pool.range) =
 
 let refill t s = Pool.refill_elastic t.pools.(s) (repoint t s)
 
-(* The apps moved since [begin_report], in report order, each with its
-   moves in stage order. *)
-let end_report t =
+(* The apps moved since [begin_report], in report order. *)
+let take_moved t =
   let apps = List.sort (fun a b -> Int.compare b.rank a.rank) t.moved in
   t.moved <- [];
-  List.map
-    (fun app ->
-      let moves = List.rev app.moves in
-      app.moves <- [];
-      (app, (app.app_fid, moves)))
-    apps
+  apps
+
+(* The app's report entry: its fid and its moves in stage order. *)
+let take_entry app =
+  let moves = List.rev app.moves in
+  app.moves <- [];
+  (app.app_fid, moves)
+
+let end_report t = List.map (fun app -> (app, take_entry app)) (take_moved t)
 
 (* Score every mutant against the immutable snapshot, then reduce: first-fit
    takes the lowest feasible index; the cost schemes take the minimum cost
@@ -821,6 +823,6 @@ let depart ?trace t ~fid =
         List.iter (fun (s, _) -> ignore (Pool.remove t.pools.(s) ~fid)) app.app_demand;
         Hashtbl.remove t.apps fid;
         List.iter (fun (s, _) -> refill t s) app.app_demand;
-        let expanded = List.map snd (end_report t) in
+        let expanded = List.map take_entry (take_moved t) in
         Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length expanded);
         expanded)

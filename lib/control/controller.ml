@@ -20,6 +20,11 @@ type pending = {
   mutable deadline_s : float;
 }
 
+(* One stage's moves for the relocation under way: [n] triples
+   [(src, dst, len)] in words, sorted by source, in the first [3 * n]
+   cells.  Reused across calls. *)
+type stage_moves = { mutable cells : int array; mutable n : int }
+
 type t = {
   device : Rmt.Device.t;
   tables : Activermt.Table.t;
@@ -38,6 +43,7 @@ type t = {
   admit_traces : (Activermt.Packet.fid, Trace.ctx) Hashtbl.t;
       (* the control.provision span that admitted each resident FID, so
          data-plane execution events can link back to it *)
+  relocation : stage_moves array;  (* by stage *)
 }
 
 let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
@@ -61,6 +67,9 @@ let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
     pending = None;
     queue = Queue.create ();
     epoch_counter = 0;
+    relocation =
+      Array.init (Rmt.Device.params device).Rmt.Params.logical_stages (fun _ ->
+          { cells = [||]; n = 0 });
   }
 
 let tables t = t.tables
@@ -104,61 +113,94 @@ let install_current t ~fid ~virtual_addressing =
     | Error (`Tcam_capacity s) ->
       failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s))
 
-(* Apply one stage's moves, each [(src, dst, len)] in words.  Regions
-   within a stage are disjoint before and after a reallocation and keep
-   their relative order — inelastic slots never move, elastic slots are
-   repacked in arrival order — so running the left moves in ascending and
-   then the right moves in descending destination order reads every
-   source before anything overwrites it. *)
-let move_stage t ~stage moves =
-  let moves = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) moves in
-  let rec check = function
-    | (s1, d1, l1) :: ((s2, d2, _) :: _ as rest) ->
-      if s1 + l1 > s2 || d1 + l1 > d2 then
-        failwith
-          (Printf.sprintf "Controller: relocation reorders regions at stage %d" stage);
-      check rest
-    | [ _ ] | [] -> ()
-  in
-  check moves;
+(* Add a move to its stage's buffer, after every move with a source no
+   larger. *)
+let add_move m ~src ~dst ~len =
+  let n = m.n in
+  if 3 * (n + 1) > Array.length m.cells then begin
+    let bigger = Array.make (max 24 (2 * Array.length m.cells)) 0 in
+    Array.blit m.cells 0 bigger 0 (3 * n);
+    m.cells <- bigger
+  end;
+  let c = m.cells in
+  let k = ref (3 * n) in
+  while !k > 0 && c.(!k - 3) > src do
+    c.(!k) <- c.(!k - 3);
+    c.(!k + 1) <- c.(!k - 2);
+    c.(!k + 2) <- c.(!k - 1);
+    k := !k - 3
+  done;
+  c.(!k) <- src;
+  c.(!k + 1) <- dst;
+  c.(!k + 2) <- len;
+  m.n <- n + 1
+
+(* Apply one stage's moves.  Regions within a stage are disjoint before
+   and after a reallocation and keep their relative order — inelastic
+   slots never move, elastic slots are repacked in arrival order — so
+   running the left moves in ascending and then the right moves in
+   descending destination order reads every source before anything
+   overwrites it. *)
+let move_stage t ~stage m =
+  let c = m.cells and n = m.n in
+  for i = 0 to n - 2 do
+    let k = 3 * i in
+    if c.(k) + c.(k + 2) > c.(k + 3) || c.(k + 1) + c.(k + 2) > c.(k + 4) then
+      failwith (Printf.sprintf "Controller: relocation reorders regions at stage %d" stage)
+  done;
   let regs = (Rmt.Device.stage t.device stage).Rmt.Device.regs in
-  let move (src, dst, len) = Rmt.Register_array.move regs ~src ~dst ~len in
-  let left, right = List.partition (fun (src, dst, _) -> dst < src) moves in
-  List.iter move left;
-  List.iter move (List.rev right)
+  for i = 0 to n - 1 do
+    let k = 3 * i in
+    if c.(k + 1) < c.(k) then
+      Rmt.Register_array.move regs ~src:c.(k) ~dst:c.(k + 1) ~len:c.(k + 2)
+  done;
+  for i = n - 1 downto 0 do
+    let k = 3 * i in
+    if c.(k + 1) >= c.(k) then
+      Rmt.Register_array.move regs ~src:c.(k) ~dst:c.(k + 1) ~len:c.(k + 2)
+  done
+
+let rec add_moves t = function
+  | [] -> ()
+  | { Allocator.on_stage; before; after } :: rest ->
+    let src = before.Activermt.Packet.start_word
+    and dst = after.Activermt.Packet.start_word in
+    if dst <> src then
+      add_move t.relocation.(on_stage) ~src ~dst
+        ~len:(min before.Activermt.Packet.n_words after.Activermt.Packet.n_words);
+    add_moves t rest
+
+(* The installed words of the reported apps; in [`Auto] mode, their
+   moves go into the stage buffers. *)
+let rec collect t words = function
+  | [] -> words
+  | (fid, moves) :: rest ->
+    (match t.mode with `Interactive -> () | `Auto -> add_moves t moves);
+    collect t (words + Activermt.Table.installed_words t.tables ~fid) rest
 
 (* Relocate the register state of apps the allocator just moved
-   (Section 4.3), given each app's moves.  In [`Auto] mode, on each stage
-   an app moved on, its first [min old new] words move in place from its
-   installed (old) region to its allocated (new) one; destinations are
-   disjoint, so the result is what copying every old region out and back
-   would leave.  Must run before the apps' tables are reinstalled, since
-   the old regions are read from them, and before new apps' regions are
-   zeroed.  Returns the old regions' words, which the cost model charges
-   as the snapshot. *)
+   (Section 4.3), given each app's moves.  In [`Auto] mode the tables
+   follow the allocator after every call, so a move's [before] is the
+   app's installed region; on each stage an app moved on, its first
+   [min old new] words move in place from there to [after].
+   Destinations are disjoint, so the result is what copying every old
+   region out and back would leave.  Must run before the apps' tables
+   are reinstalled, and before new apps' regions are zeroed.  Returns
+   the installed regions' words, which the cost model charges as the
+   snapshot. *)
 let relocate t moved =
-  let moves = Array.make (Rmt.Device.params t.device).Rmt.Params.logical_stages [] in
-  let words = ref 0 in
-  List.iter
-    (fun (fid, stage_moves) ->
-      words := !words + Activermt.Table.installed_words t.tables ~fid;
-      match t.mode with
-      | `Interactive -> ()
-      | `Auto ->
-        List.iter
-          (fun { Allocator.on_stage = stage; after = { start_word = dst; n_words = n_new }; _ } ->
-            match Activermt.Table.lookup t.tables ~fid ~stage with
-            | Some { Activermt.Table.region = Some { start_word = src; n_words }; _ }
-              when dst <> src ->
-              moves.(stage) <- (src, dst, min n_words n_new) :: moves.(stage)
-            | Some _ | None -> ())
-          stage_moves)
-    moved;
-  Array.iteri (fun stage ms -> if ms <> [] then move_stage t ~stage ms) moves;
-  !words
+  let stages = t.relocation in
+  for s = 0 to Array.length stages - 1 do
+    stages.(s).n <- 0
+  done;
+  let words = collect t 0 moved in
+  for s = 0 to Array.length stages - 1 do
+    if stages.(s).n > 0 then move_stage t ~stage:s stages.(s)
+  done;
+  words
 
 let virtual_of t fid =
-  Option.value ~default:true (Hashtbl.find_opt t.virtual_flags fid)
+  match Hashtbl.find t.virtual_flags fid with v -> v | exception Not_found -> true
 
 let commit_app t ~fid =
   install_current t ~fid ~virtual_addressing:(virtual_of t fid);

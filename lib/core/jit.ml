@@ -1081,10 +1081,6 @@ let entry t fid =
    remove and quiescence transitions all bump it. *)
 let[@inline] valid ce = !(ce.ce_cell) = ce.ce_version
 
-(* The slot alone: a FID whose entry sits only in the hashtable answers
-   no, which sends the caller to the tables. *)
-let holds t ~fid = valid (Stdx.Slots.find t.front fid)
-
 (* Miss path: the FID has no valid cached closure for this program.
    Uninstalled or quiesced FIDs execute in the interpreter (which handles
    pass-through); otherwise compile against the current allocation. *)
@@ -1141,20 +1137,33 @@ let run_copy t o ~src ~dst (pkt : Packet.t) =
     Array.blit r.Runtime.args_out 0 args 0 (Array.length args)
   | Packet.Request _ | Packet.Response _ | Packet.Bare -> ()
 
+(* A FID without tables executes nothing. *)
+let run_if_installed t o ~src ~dst (pkt : Packet.t) =
+  Table.installed t.tables ~fid:pkt.Packet.fid
+  && begin
+       run_copy t o ~src ~dst pkt;
+       true
+     end
+
+(* A valid entry means the FID has tables (see [valid]), so a hit asks
+   nothing else. *)
 let run_into t o ~src ~dst (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Exec { args; program } when t.enabled -> (
     let ce = entry t pkt.Packet.fid in
-    if not (valid ce) then run_copy t o ~src ~dst pkt
+    if not (valid ce) then run_if_installed t o ~src ~dst pkt
     else
       match find_prog ce.ce_progs program with
       | c ->
         t.counts.hits <- t.counts.hits + 1;
         t.last_mode <- Compiled;
-        exec_compiled_into c o ~src ~dst ~args ~st:t.scratch
-      | exception Not_found -> run_copy t o ~src ~dst pkt)
+        exec_compiled_into c o ~src ~dst ~args ~st:t.scratch;
+        true
+      | exception Not_found ->
+        run_copy t o ~src ~dst pkt;
+        true)
   | Packet.Exec _ | Packet.Request _ | Packet.Response _ | Packet.Bare ->
-    run_copy t o ~src ~dst pkt
+    run_if_installed t o ~src ~dst pkt
 
 let run_info t ?meta pkt =
   let r = run t ?meta pkt in

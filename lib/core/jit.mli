@@ -57,27 +57,23 @@ type outcome = {
 val outcome : unit -> outcome
 (** A blank outcome, to be filled by {!run_into}. *)
 
-val run_into : t -> outcome -> src:int -> dst:int -> Packet.t -> unit
-(** [run_into t o ~src ~dst pkt] is [run t ~meta:(Runtime.meta ~src ~dst ()) pkt]
+val run_into : t -> outcome -> src:int -> dst:int -> Packet.t -> bool
+(** Whether [pkt]'s FID has tables ({!Table.installed}).  If it has none,
+    nothing executes and [o] and [pkt] are left as they were: a switch
+    forwards such a packet as plain traffic.  Otherwise [run_into t o
+    ~src ~dst pkt] is [run t ~meta:(Runtime.meta ~src ~dst ()) pkt]
     written into [o] and into the capsule itself: it executes on [pkt]'s
     own args, which afterwards hold {!Runtime.result.args_out}, as a
     pipeline rewrites a packet's header fields.  The caller must own
     [pkt] (see {!Packet.payload}).  A capsule whose FID has a compiled
     variant of its program, under a valid epoch, runs the same drivers
-    as [run] and allocates nothing.  Anything else — misses, quiesced or
-    uninstalled FIDs, non-[Exec] packets, a disabled JIT — goes through
-    [run] and copies its result into [o] and the args, so the outcome,
-    the args, the device state and the stats are always those of
-    [run]. *)
-
-val holds : t -> fid:Packet.fid -> bool
-(** Whether the JIT's direct-mapped slot for [fid] holds closures
-    compiled under the FID's current {!Table.epoch}: one slot read, no
-    hashing.  Yes means the FID is installed and not quiesced, since
-    install, reinstall, remove, quiesce and unquiesce all bump the
-    epoch, and closures are compiled only for an installed FID that is
-    not quiesced.  No says nothing (the entry may sit only behind the
-    slot, or not exist): ask the tables. *)
+    as [run], allocates nothing and asks the tables nothing: install,
+    reinstall, remove, quiesce and unquiesce all bump the epoch, and
+    closures are compiled only for an installed FID that is not
+    quiesced.  Anything else — misses, quiesced FIDs, non-[Exec]
+    packets, a disabled JIT — goes through [run] and copies its result
+    into [o] and the args, so the outcome, the args, the device state
+    and the stats are always those of [run]. *)
 
 val would_specialize : t -> Packet.t -> bool
 (** Whether [run] would take the compiled path for this packet (modulo

@@ -9,7 +9,7 @@ type entry = {
    entries, never the arrays. *)
 type app_state = {
   entries : entry array;  (* indexed by stage *)
-  handles : Rmt.Tcam.handle option array;  (* protection range, by stage *)
+  ranges : int array;  (* TCAM entries of the protection range, by stage; 0: none *)
   regions : Packet.region option array;
   mutable n_ranges : int;  (* stages with a region: ranges held *)
   mutable words : int;  (* words across the regions *)
@@ -71,13 +71,16 @@ let same_region (a : Packet.region option) (b : Packet.region option) =
     x.Packet.start_word = y.Packet.start_word && x.Packet.n_words = y.Packet.n_words
   | Some _, None | None, Some _ -> false
 
+let release t app s =
+  let n = app.ranges.(s) in
+  if n > 0 then begin
+    Rmt.Tcam.release (Rmt.Device.stage t.device s).Rmt.Device.protection n;
+    app.ranges.(s) <- 0
+  end
+
 let release_all t app =
-  for s = 0 to Array.length app.handles - 1 do
-    match app.handles.(s) with
-    | None -> ()
-    | Some h ->
-      Rmt.Tcam.remove (Rmt.Device.stage t.device s).Rmt.Device.protection h;
-      app.handles.(s) <- None
+  for s = 0 to Array.length app.ranges - 1 do
+    release t app s
   done
 
 (* What removing [app] counts and clears; also the first half of a
@@ -99,21 +102,17 @@ let remove t ~fid =
    range, then install the new one.  False if the stage's TCAM cannot
    hold it. *)
 let reprotect t app s (region : Packet.region option) =
-  let tcam = (Rmt.Device.stage t.device s).Rmt.Device.protection in
-  (match app.handles.(s) with
-  | Some h ->
-    Rmt.Tcam.remove tcam h;
-    app.handles.(s) <- None
-  | None -> ());
+  release t app s;
   match region with
   | None -> true
-  | Some r -> (
+  | Some r ->
     let lo = r.Packet.start_word in
-    match Rmt.Tcam.install_range tcam ~lo ~hi:(lo + r.Packet.n_words - 1) with
-    | Ok h ->
-      app.handles.(s) <- Some h;
-      true
-    | Error `Capacity -> false)
+    let n =
+      Rmt.Tcam.install_range (Rmt.Device.stage t.device s).Rmt.Device.protection ~lo
+        ~hi:(lo + r.Packet.n_words - 1)
+    in
+    app.ranges.(s) <- n;
+    n > 0
 
 (* Translation constants at stage s describe the app's next memory-access
    region at or above s (the compiler schedules ADDR_* right before the
@@ -239,7 +238,7 @@ let install ?(privileged = false) ?max_passes t ~fid ~virtual_addressing ~region
       let blank = { region = None; xmask = 0; xoffset = 0; virtual_addressing } in
       {
         entries = Array.make n blank;
-        handles = Array.make n None;
+        ranges = Array.make n 0;
         regions = Array.make n None;
         n_ranges = 0;
         words = 0;
@@ -269,11 +268,11 @@ let install ?(privileged = false) ?max_passes t ~fid ~virtual_addressing ~region
     Error (`Tcam_capacity s)
 
 let lookup t ~fid ~stage =
-  match Hashtbl.find_opt t.apps fid with
-  | None -> None
-  | Some app ->
+  match Hashtbl.find t.apps fid with
+  | app ->
     if stage < 0 || stage >= Array.length app.entries then None
     else Some app.entries.(stage)
+  | exception Not_found -> None
 
 let installed t ~fid = Hashtbl.mem t.apps fid
 
@@ -281,7 +280,7 @@ let regions_of t ~fid =
   Option.map (fun app -> Array.copy app.regions) (Hashtbl.find_opt t.apps fid)
 
 let installed_words t ~fid =
-  match Hashtbl.find_opt t.apps fid with Some app -> app.words | None -> 0
+  match Hashtbl.find t.apps fid with app -> app.words | exception Not_found -> 0
 
 let is_privileged t ~fid =
   match Hashtbl.find_opt t.apps fid with

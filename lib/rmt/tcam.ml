@@ -44,8 +44,6 @@ let entries_for_range ~width ~lo ~hi =
     popcount (m - lo) 0 + popcount (b - m) 0
   end
 
-(* A handle keeps only what removal needs: the entries to give back. *)
-type handle = { cost : int; mutable live : bool }
 type t = { width : int; capacity : int; mutable used : int }
 
 let create ~width ~capacity =
@@ -55,16 +53,13 @@ let create ~width ~capacity =
 let used t = t.used
 let free t = t.capacity - t.used
 
+(* A range costs at least one entry, so 0 can mean "did not fit". *)
 let install_range t ~lo ~hi =
   let cost = entries_for_range ~width:t.width ~lo ~hi in
-  if t.used + cost > t.capacity then Error `Capacity
+  if t.used + cost > t.capacity then 0
   else begin
     t.used <- t.used + cost;
-    Ok { cost; live = true }
+    cost
   end
 
-let remove t h =
-  if h.live then begin
-    h.live <- false;
-    t.used <- t.used - h.cost
-  end
+let release t n = t.used <- t.used - n

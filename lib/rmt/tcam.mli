@@ -26,15 +26,14 @@ type t
 (** A per-stage TCAM's entry accounting: how many of its bounded
     capacity the installed ranges' prefix covers take. *)
 
-type handle
-
 val create : width:int -> capacity:int -> t
 val used : t -> int
 val free : t -> int
 
-val install_range : t -> lo:int -> hi:int -> (handle, [ `Capacity ]) result
-(** Charge a range's prefix cover against the capacity; fails without
-    side effects if it does not fit. *)
+val install_range : t -> lo:int -> hi:int -> int
+(** Charge the prefix cover of the range [[lo, hi]] ([lo <= hi]) against
+    the capacity, and return the entries charged: at least one.  Returns
+    0, charging nothing, if they do not fit. *)
 
-val remove : t -> handle -> unit
-(** Remove a previously installed range.  Idempotent. *)
+val release : t -> int -> unit
+(** [release t n] gives back [n] entries an {!install_range} charged. *)

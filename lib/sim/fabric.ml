@@ -446,29 +446,25 @@ let at_switch t m =
       end
     | Activermt.Packet.Response _ -> deliver t m ~delay:wire_latency_s
     | Activermt.Packet.Exec { args; _ } ->
-      let fid = pkt.Activermt.Packet.fid in
-      (* A FID the JIT holds valid closures for is installed (jit.mli);
-         any other asks the tables. *)
-      if
-        not
-          (Activermt.Jit.holds t.jit ~fid
-          || Activermt.Table.installed (Controller.tables t.controller) ~fid)
-      then
-        (* Unknown FID: no table entries match, the packet forwards as
-           plain traffic. *)
-        deliver t m ~delay:wire_latency_s
-      else begin
-        match tr_on t m with
-        | None ->
-          Activermt.Jit.run_into t.jit t.outcome ~src:m.src ~dst:m.dst pkt;
+      (* A FID without tables matches no entry: the packet forwards as
+         plain traffic. *)
+      match tr_on t m with
+      | None ->
+        if Activermt.Jit.run_into t.jit t.outcome ~src:m.src ~dst:m.dst pkt then
           forward_outcome t m t.outcome
-        | Some c ->
+        else deliver t m ~delay:wire_latency_s
+      | Some c ->
+        if
+          Activermt.Table.installed (Controller.tables t.controller)
+            ~fid:pkt.Activermt.Packet.fid
+        then begin
           let meta = Activermt.Runtime.meta ~src:m.src ~dst:m.dst () in
           let r, exec_ctx = exec_traced t pkt ~meta c in
           (* The capsule's args, as [Jit.run_into] would leave them. *)
           Array.blit r.Activermt.Runtime.args_out 0 args 0 (Array.length args);
           forward_result t m r ~exec_ctx
-      end)
+        end
+        else deliver t m ~delay:wire_latency_s)
 
 let source telemetry counts =
   let each f = List.iter f !counts in

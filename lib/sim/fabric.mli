@@ -89,10 +89,10 @@ val create :
     [--no-jit]).  Either way results are bit-identical — the JIT changes
     throughput, never semantics.  Departures invalidate the FID's cached
     closures; reallocation and quiescence invalidate through the
-    allocation epoch.  A capsule whose FID the JIT holds valid closures
-    for ({!Activermt.Jit.holds}) is known installed and goes straight to
-    them; any other asks the match tables whether its FID is installed,
-    and forwards as plain traffic if not.
+    allocation epoch.  A capsule whose FID has no tables forwards as
+    plain traffic: untraced, {!Activermt.Jit.run_into} says so, and a
+    capsule the JIT holds valid closures for goes straight to them
+    without asking the tables.
 
     [telemetry] (default [Telemetry.default]) reads the fabric's traffic
     counts through a source registered here:

@@ -124,7 +124,9 @@ let test_snapshot_contents () =
   | None -> Alcotest.fail "region"
 
 (* Reference model of relocation.  Random admissions (through [drain]
-   epochs or [handle_request]) and departures run on a small device.
+   epochs or [handle_request]), departures and policy changes (privilege
+   granted or revoked, a pass limit; each reinstalls without moving
+   anything) run on a small device.
    Before each operation every stage gets one of: a fresh random word in
    every register, a [zero_range] over the whole stage (which makes the
    array known zero), or that clear followed by random words in some
@@ -135,7 +137,10 @@ let test_snapshot_contents () =
    the two sizes; otherwise the word from before the operation.  An
    array known zero must read all zeros.  The oracle builds its
    expectation from a copy, so it does not depend on the order the moves
-   run in.  [small_params] has 2-word blocks, [big_params] 256-word
+   run in.  After every operation each resident's installed regions must
+   equal its placement: relocation reads a move's source from the
+   allocator's report, which is the installed region only while the
+   tables follow the allocator.  [small_params] has 2-word blocks, [big_params] 256-word
    ones. *)
 let small_params = { params with Rmt.Params.words_per_stage = 256 * 2 }
 
@@ -197,9 +202,16 @@ let relocation_run ~params ~scheme ~batched ~seed =
       (fun f ->
         Option.iter (Hashtbl.replace old_regions f) (Activermt.Table.regions_of tables ~fid:f))
       residents;
-    (if residents <> [] && Random.State.int rng 3 = 0 then
-       let fid = List.nth residents (Random.State.int rng (List.length residents)) in
-       ignore (Controller.handle_departure ctl ~fid)
+    let pick () = List.nth residents (Random.State.int rng (List.length residents)) in
+    let r = Random.State.int rng 6 in
+    (if residents <> [] && r < 2 then ignore (Controller.handle_departure ctl ~fid:(pick ()))
+     else if residents <> [] && r = 2 then
+       let fid = pick () in
+       match Random.State.int rng 3 with
+       | 0 -> Controller.grant_privilege ctl ~fid
+       | 1 -> Controller.revoke_privilege ctl ~fid
+       | _ ->
+         Controller.limit_recirculation ctl ~fid ~max_passes:(1 + Random.State.int rng 4)
      else
        let k = if batched then 1 + Random.State.int rng 4 else 1 in
        for _ = 1 to k do
@@ -209,6 +221,13 @@ let relocation_run ~params ~scheme ~batched ~seed =
          else ignore (Controller.handle_request ctl pkt)
        done;
        if batched then ignore (Controller.drain ctl));
+    List.iter
+      (fun f ->
+        if
+          Activermt.Table.regions_of tables ~fid:f
+          <> Activermt_alloc.Allocator.placement alloc ~fid:f
+        then Alcotest.failf "seed %d op %d: fid %d's tables are not its placement" seed op f)
+      (Activermt_alloc.Allocator.resident alloc);
     let expected = Array.map Array.copy pre in
     List.iter
       (fun f ->
@@ -886,9 +905,9 @@ let test_arrival_budget () =
       true
       (words <= float_of_int budget)
   in
-  check "total" total 3300;
-  check "drain" drain 1100;
-  check "departure" depart 2300;
+  check "total" total 2200;
+  check "drain" drain 1000;
+  check "departure" depart 1200;
   Alcotest.(check bool) "every array still known zero" true known_zero;
   Alcotest.(check bool) "a fresh controller reads the same" true
     (arrival_words ~warmup:8 ~measured:64 = first)

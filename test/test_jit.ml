@@ -20,9 +20,10 @@
    entry point the fabric executes untraced capsules through, against
    Runtime.run under the fabric's meta (which has no flow key): the same
    decision, destination, pipeline count and device state, and the
-   capsule's own args rewritten to the interpreter's output args.  Each
-   side runs its own copy of a packet, since run_into writes the one it
-   is given. *)
+   capsule's own args rewritten to the interpreter's output args.  For
+   a FID without tables run_into must answer false and execute nothing,
+   as a switch forwards such a capsule untouched.  Each side runs its
+   own copy of a packet, since run_into writes the one it is given. *)
 
 module I = Activermt.Instr
 module P = Activermt.Program
@@ -123,13 +124,24 @@ let outcome_matches ~src (r : RT.result) (o : Jit.outcome) capsule =
   && o.Jit.pipelines = r.RT.pipelines
   && capsule_args capsule = r.RT.args_out
 
-(* Run [pkt] through the fabric pair: the interpreter on [ft] and
-   [Jit.run_into] on [ot], on a copy of its own.  Whether they agree. *)
-let into_matches ~ojit ~o ~ft pkt =
-  let r = RT.run ft ~meta:fabric_meta pkt in
+(* Run [pkt] through the fabric pair as a switch does: [Jit.run_into] on
+   [ot], on a copy of its own, and, when the FID has tables, the
+   interpreter on [ft].  Returns run_into's answer, and whether it is
+   [Tbl.installed]'s and the two sides agree; without tables the capsule
+   must come back untouched. *)
+let into_run ~ojit ~o ~ft pkt =
   let c = capsule pkt in
-  Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst c;
-  outcome_matches ~src:fabric_meta.RT.src r o c
+  let ran = Jit.run_into ojit o ~src:fabric_meta.RT.src ~dst:fabric_meta.RT.dst c in
+  let agree =
+    ran = Tbl.installed ft ~fid:pkt.Pkt.fid
+    &&
+    if ran then
+      outcome_matches ~src:fabric_meta.RT.src (RT.run ft ~meta:fabric_meta pkt) o c
+    else capsule_args c = capsule_args pkt
+  in
+  (ran, agree)
+
+let into_matches ~ojit ~o ~ft pkt = snd (into_run ~ojit ~o ~ft pkt)
 
 let into_identical w pkt =
   into_matches ~ojit:w.ojit ~o:w.o ~ft:w.ft pkt && same_state w.ft w.ot
@@ -386,26 +398,20 @@ let test_boundary_words ~virtual_addressing ~region ~addr () =
 
 (* -- Directed: quiescence and invalidation -------------------------------- *)
 
-(* [Jit.holds] for FID 1 on both of [w]'s JITs must answer [expect], and
-   a yes must mean what the fabric takes it for: the FID is installed
-   and not quiesced in that JIT's tables. *)
-let check_holds msg w expect =
-  List.iter
-    (fun (jit, t) ->
-      let held = Jit.holds jit ~fid:1 in
-      Alcotest.(check bool) (msg ^ ": holds") expect held;
-      if held then
-        Alcotest.(check bool)
-          (msg ^ ": held FID installed and not quiesced")
-          true
-          (Tbl.installed t ~fid:1 && not (Tbl.is_quiesced t ~fid:1)))
-    [ (w.jit, w.jt); (w.ojit, w.ot) ]
+(* [Jit.run_into]'s answer for [pkt] on [w]'s fabric pair must be
+   [expect], whether FID 1 has tables, and its outcome and device state
+   the interpreter's. *)
+let check_answer msg w pkt expect =
+  let ran, agree = into_run ~ojit:w.ojit ~o:w.o ~ft:w.ft pkt in
+  Alcotest.(check bool) (msg ^ ": run_into's answer") expect ran;
+  Alcotest.(check bool) (msg ^ ": run_into as the interpreter") true
+    (agree && same_state w.ft w.ot)
 
 let test_quiescence_identical () =
   let w = twin () in
   let incr = exec_pkt ~args:[| 9; 0; 0; 0 |] [ I.Mem_increment; I.Return ] in
   ignore (check_identical "before quiesce" w incr);
-  check_holds "compiled" w true;
+  check_answer "compiled" w incr true;
   let _, _, compiles0, _ = Jit.stats w.jit in
   Tbl.quiesce w.it ~fid:1;
   Tbl.quiesce w.jt ~fid:1;
@@ -413,13 +419,12 @@ let test_quiescence_identical () =
     (Jit.would_specialize w.jit incr);
   Tbl.quiesce w.ft ~fid:1;
   Tbl.quiesce w.ot ~fid:1;
-  check_holds "quiesced" w false;
+  check_answer "quiesced" w incr true;
   let _, rj, mode = exec_both w incr in
   Alcotest.(check bool) "passes through unprocessed" true rj.RT.quiesced;
   Alcotest.(check bool) "interpreter fallback while quiesced" true
     (mode = Jit.Interpreted);
   Alcotest.(check bool) "run_into passes through too" true (into_identical w incr);
-  check_holds "run while quiesced" w false;
   Tbl.unquiesce w.it ~fid:1;
   Tbl.unquiesce w.jt ~fid:1;
   Tbl.unquiesce w.ft ~fid:1;
@@ -427,9 +432,8 @@ let test_quiescence_identical () =
   (* Quiescence transitions bump the allocation epoch, so the cached
      closure from before the quiesce window is stale: the next packet
      recompiles rather than reusing it. *)
-  check_holds "unquiesced, not yet recompiled" w false;
+  check_answer "unquiesced" w incr true;
   let r = check_identical "after unquiesce" w incr in
-  check_holds "recompiled" w true;
   Alcotest.(check int) "register survived the window" 2 r.RT.final_mbr;
   let _, _, compiles1, _ = Jit.stats w.jit in
   Alcotest.(check bool) "recompiled after epoch bump" true (compiles1 > compiles0)
@@ -438,7 +442,7 @@ let test_reinstall_invalidates () =
   let w = twin ~stages:[ (0, 0, 256) ] () in
   let incr = exec_pkt ~args:[| 5; 0; 0; 0 |] [ I.Mem_increment; I.Return ] in
   ignore (check_identical "initial allocation" w incr);
-  check_holds "initial allocation" w true;
+  check_answer "initial allocation" w incr true;
   (* Reallocation: remove + reinstall with a different region, as the
      controller does for elastic reallocation or migration repopulate.
      The stale closure bakes the old bounds; the epoch key must prevent
@@ -453,10 +457,9 @@ let test_reinstall_invalidates () =
     | Error _ -> Alcotest.fail "reinstall"
   in
   List.iter reinstall [ w.it; w.jt; w.ft; w.ot ];
-  check_holds "reinstalled" w false;
+  check_answer "reinstalled" w incr true;
   let _, _, compiles0, _ = Jit.stats w.jit in
   ignore (check_identical "after reallocation" w incr);
-  check_holds "recompiled" w true;
   let _, _, compiles1, _ = Jit.stats w.jit in
   Alcotest.(check bool) "recompiled against the new allocation" true
     (compiles1 > compiles0)
@@ -465,14 +468,14 @@ let test_departure_invalidation () =
   let w = twin () in
   ignore (check_identical "resident" w (exec_pkt [ I.Return ]));
   Alcotest.(check bool) "closure cached" true (Jit.cache_size w.jit > 0);
-  check_holds "resident" w true;
+  check_answer "resident" w (exec_pkt [ I.Return ]) true;
   (* Departure / migration source path (what Fabric and Fleet.migrate do):
      remove the tables, then evict the dead closures. *)
   List.iter (fun t -> Tbl.remove t ~fid:1) [ w.it; w.jt; w.ft; w.ot ];
-  check_holds "removed, not yet invalidated" w false;
+  check_answer "removed, not yet invalidated" w (exec_pkt [ I.Return ]) false;
   Jit.invalidate w.jit ~fid:1;
   Jit.invalidate w.ojit ~fid:1;
-  check_holds "invalidated" w false;
+  check_answer "invalidated" w (exec_pkt [ I.Return ]) false;
   Alcotest.(check int) "cache emptied" 0 (Jit.cache_size w.jit);
   Alcotest.(check bool) "departed FID not specialized" false
     (Jit.would_specialize w.jit (exec_pkt [ I.Return ]));
@@ -492,8 +495,6 @@ let test_disabled_jit () =
   let ojit = Jit.create ~enabled:false w.ot in
   Alcotest.(check bool) "run_into falls back to the interpreter" true
     (into_matches ~ojit ~o:w.o ~ft:w.ft pkt && same_state w.ft w.ot);
-  Alcotest.(check (list bool)) "a disabled jit holds nothing" [ false; false ]
-    [ Jit.holds jit ~fid:1; Jit.holds ojit ~fid:1 ];
   List.iter
     (fun jit ->
       let hits, misses, compiles, _ = Jit.stats jit in
@@ -578,8 +579,8 @@ let prop_reinstall_safe =
    fabric sees: cache queries and populates alternating on one FID (one
    of the two programs sits past the head of the FID's list), heavy-
    hitter monitoring, the privileged LB's SYN and flow packets, a DROP,
-   an unprivileged SET_DST, a quiesced FID and an uninstalled FID (both
-   interpreter fallbacks). *)
+   an unprivileged SET_DST, a quiesced FID (an interpreter fallback) and
+   an uninstalled FID (which executes nothing). *)
 let drop_program = P.v (P.plain [ I.Mbr_load I.A2; I.Drop ])
 let set_dst_program = P.v (P.plain [ I.Mbr_load I.A0; I.Set_dst; I.Return ])
 

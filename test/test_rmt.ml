@@ -401,44 +401,93 @@ let prop_tcam_count =
 
 let test_tcam_capacity () =
   let t = T.create ~width:8 ~capacity:3 in
-  (match T.install_range t ~lo:0 ~hi:255 with
-  | Ok _ -> ()
-  | Error `Capacity -> Alcotest.fail "should fit");
+  Alcotest.(check int) "whole range: 1 entry" 1 (T.install_range t ~lo:0 ~hi:255);
   Alcotest.(check int) "used 1" 1 (T.used t);
   (* [1,2] costs 2 entries; only 2 left. *)
-  (match T.install_range t ~lo:1 ~hi:2 with
-  | Ok _ -> ()
-  | Error `Capacity -> Alcotest.fail "should fit exactly");
+  Alcotest.(check int) "fits exactly: 2 entries" 2 (T.install_range t ~lo:1 ~hi:2);
   Alcotest.(check int) "full" 0 (T.free t);
-  match T.install_range t ~lo:0 ~hi:0 with
-  | Ok _ -> Alcotest.fail "expected capacity failure"
-  | Error `Capacity -> ()
-
-let test_tcam_remove_idempotent () =
-  let t = T.create ~width:8 ~capacity:10 in
-  match T.install_range t ~lo:4 ~hi:7 with
-  | Error `Capacity -> Alcotest.fail "fit"
-  | Ok h ->
-    T.remove t h;
-    T.remove t h;
-    Alcotest.(check int) "freed once" 0 (T.used t)
+  Alcotest.(check int) "does not fit" 0 (T.install_range t ~lo:0 ~hi:0);
+  Alcotest.(check int) "a failed install charges nothing" 3 (T.used t);
+  T.release t 2;
+  Alcotest.(check int) "released" 2 (T.free t)
 
 let prop_tcam_install_remove_balance =
   QCheck.Test.make ~name:"tcam install/remove leaves no residue" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 20) (pair (int_range 0 255) (int_range 0 255)))
     (fun ranges ->
       let t = T.create ~width:8 ~capacity:10_000 in
-      let handles =
-        List.filter_map
-          (fun (a, b) ->
-            let lo = min a b and hi = max a b in
-            match T.install_range t ~lo ~hi with
-            | Ok h -> Some h
-            | Error `Capacity -> None)
+      let charged =
+        List.map
+          (fun (a, b) -> T.install_range t ~lo:(min a b) ~hi:(max a b))
           ranges
       in
-      List.iter (T.remove t) handles;
+      List.iter (T.release t) charged;
       T.used t = 0)
+
+(* Random installs and releases of outstanding ranges against a small
+   capacity: [used] is always the sum of the outstanding counts and never
+   above capacity, a failed install changes nothing, and each count is
+   the range's [entries_for_range]. *)
+type tcam_op = Install of int * int | Release of int
+
+let prop_tcam_accounting =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun a b -> Install (min a b, max a b)) (int_range 0 255) (int_range 0 255));
+          (2, map (fun i -> Release i) nat);
+        ])
+  in
+  QCheck.Test.make ~name:"tcam install/release counts entries" ~count:200
+    QCheck.(
+      make
+        ~print:
+          (Print.list (function
+            | Install (lo, hi) -> Printf.sprintf "install %d-%d" lo hi
+            | Release i -> Printf.sprintf "release #%d" i))
+        Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let capacity = 24 in
+      let t = T.create ~width:8 ~capacity in
+      let step outstanding = function
+        | Install (lo, hi) ->
+          let before = T.used t in
+          let n = T.install_range t ~lo ~hi in
+          let cost = T.entries_for_range ~width:8 ~lo ~hi in
+          if n = 0 then begin
+            if T.used t <> before || before + cost <= capacity then
+              QCheck.Test.fail_reportf "install %d-%d: failed, used %d -> %d" lo hi before
+                (T.used t);
+            outstanding
+          end
+          else begin
+            if n <> cost then
+              QCheck.Test.fail_reportf "install %d-%d: charged %d, cover %d" lo hi n cost;
+            n :: outstanding
+          end
+        | Release i -> (
+          match outstanding with
+          | [] -> outstanding
+          | _ ->
+            let i = i mod List.length outstanding in
+            T.release t (List.nth outstanding i);
+            List.filteri (fun j _ -> j <> i) outstanding)
+      in
+      let check outstanding =
+        let sum = List.fold_left ( + ) 0 outstanding in
+        if T.used t <> sum || T.used t > capacity || T.free t <> capacity - sum then
+          QCheck.Test.fail_reportf "used %d, outstanding %d, capacity %d" (T.used t) sum
+            capacity
+      in
+      ignore
+        (List.fold_left
+           (fun outstanding op ->
+             let outstanding = step outstanding op in
+             check outstanding;
+             outstanding)
+           [] ops);
+      true)
 
 (* -- Device & Resource --------------------------------------------------- *)
 
@@ -526,8 +575,8 @@ let () =
             test_tcam_count_exhaustive;
           QCheck_alcotest.to_alcotest prop_tcam_count;
           Alcotest.test_case "capacity" `Quick test_tcam_capacity;
-          Alcotest.test_case "remove idempotent" `Quick test_tcam_remove_idempotent;
           QCheck_alcotest.to_alcotest prop_tcam_install_remove_balance;
+          QCheck_alcotest.to_alcotest prop_tcam_accounting;
         ] );
       ( "device",
         [
