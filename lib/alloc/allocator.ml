@@ -23,17 +23,12 @@ type arrival = {
 }
 
 type stage_range = { stage : int; range : Pool.range }
-type move = {
-  on_stage : int;
-  before : Activermt.Packet.region;
-  after : Activermt.Packet.region;
-}
 
 type admitted = {
   fid : int;
   mutant : Mutant.t;
   regions : stage_range list;
-  reallocated : (int * move list) list;
+  reallocated : int list;
   considered_mutants : int;
   feasible_mutants : int;
   compute_time_s : float;
@@ -55,9 +50,11 @@ type batch_stats = {
 
 type batch = {
   outcomes : outcome list;
-  batch_reallocated : (int * move list) list;
+  batch_reallocated : int list;
   stats : batch_stats;
 }
+
+type moves = { mutable cells : int array; mutable n : int }
 
 (* A resident's placement is kept per stage, in words (block-aligned), and
    a refill repoints only the stages it moved. *)
@@ -68,7 +65,6 @@ type app = {
   app_regions : Activermt.Packet.region option array;
   mutable rank : int;  (* position in [t.apps]' iteration order *)
   mutable listed : int;  (* the last report that listed the app *)
-  mutable moves : move list;  (* that report's moves, latest first *)
 }
 
 type spec_key = {
@@ -98,6 +94,7 @@ type t = {
   mutable ranked : bool;  (* every app's [rank] is current *)
   mutable report : int;  (* the report being collected *)
   mutable moved : app list;  (* the apps it lists so far *)
+  stage_moves : moves array;  (* the current call's moves, by stage *)
 }
 
 let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
@@ -120,6 +117,8 @@ let create ?(scheme = Worst_fit) ?(policy = Mutant.Most_constrained)
     ranked = false;
     report = 0;
     moved = [];
+    stage_moves =
+      Array.init params.Rmt.Params.logical_stages (fun _ -> { cells = [||]; n = 0 });
   }
 
 let mutants_of t (spec : Spec.t) =
@@ -316,7 +315,6 @@ let new_app t (a : arrival) mutant demand =
     app_regions = Array.make n None;
     rank = 0;
     listed = -1;
-    moves = [];
   }
 
 let place t app s (range : Pool.range) =
@@ -328,6 +326,28 @@ let place t app s (range : Pool.range) =
   in
   app.app_regions.(s) <- Some region;
   region
+
+let moves t ~stage = t.stage_moves.(stage)
+
+(* Every call starts with no moves on any stage, so a call that moves
+   nobody leaves nothing of the call before it. *)
+let clear_moves t =
+  for s = 0 to Array.length t.stage_moves - 1 do
+    t.stage_moves.(s).n <- 0
+  done
+
+let add_move m ~src ~dst ~len =
+  let n = m.n in
+  if 3 * (n + 1) > Array.length m.cells then begin
+    let bigger = Array.make (max 24 (2 * Array.length m.cells)) 0 in
+    Array.blit m.cells 0 bigger 0 (3 * n);
+    m.cells <- bigger
+  end;
+  let k = 3 * n in
+  m.cells.(k) <- src;
+  m.cells.(k + 1) <- dst;
+  m.cells.(k + 2) <- len;
+  m.n <- n + 1
 
 (* Start collecting the apps an admission or departure moves.  Reports
    list them in the order {!resident} gave before the operation, which
@@ -352,8 +372,11 @@ let insert t app =
   t.ranked <- false
 
 (* The refill of stage [s] moved [fid] to [range].  A stage the app held
-   before is a move for the report; a first range (an app being
-   admitted) is not. *)
+   before puts the app in the report, and where its start changed, its
+   first [min old new] words on the stage's move buffer; a first range
+   (an app being admitted) does neither.  The refill names the slots in
+   arrival order, which is their order on the stage before and after,
+   so each buffer's sources and destinations ascend. *)
 let repoint t s fid (range : Pool.range) =
   match Hashtbl.find_opt t.apps fid with
   | None -> ()
@@ -361,34 +384,31 @@ let repoint t s fid (range : Pool.range) =
     match app.app_regions.(s) with
     | None -> ignore (place t app s range)
     | Some before ->
+      let src = before.Activermt.Packet.start_word in
       if
-        before.Activermt.Packet.start_word <> range.Pool.first_block * t.wpb
+        src <> range.Pool.first_block * t.wpb
         || before.Activermt.Packet.n_words <> range.Pool.n_blocks * t.wpb
       then begin
         let after = place t app s range in
+        let dst = after.Activermt.Packet.start_word in
+        if dst <> src then
+          add_move t.stage_moves.(s) ~src ~dst
+            ~len:(min before.Activermt.Packet.n_words after.Activermt.Packet.n_words);
         if app.listed <> t.report then begin
           app.listed <- t.report;
-          app.moves <- [];
           t.moved <- app :: t.moved
-        end;
-        app.moves <- { on_stage = s; before; after } :: app.moves
+        end
       end)
 
 let refill t s = Pool.refill_elastic t.pools.(s) (repoint t s)
 
 (* The apps moved since [begin_report], in report order. *)
-let take_moved t =
+let end_report t =
   let apps = List.sort (fun a b -> Int.compare b.rank a.rank) t.moved in
   t.moved <- [];
   apps
 
-(* The app's report entry: its fid and its moves in stage order. *)
-let take_entry app =
-  let moves = List.rev app.moves in
-  app.moves <- [];
-  (app.app_fid, moves)
-
-let end_report t = List.map (fun app -> (app, take_entry app)) (take_moved t)
+let fid_of app = app.app_fid
 
 (* Score every mutant against the immutable snapshot, then reduce: first-fit
    takes the lowest feasible index; the cost schemes take the minimum cost
@@ -427,6 +447,7 @@ let score_mutants ?arrs t snap ~elastic ~demand_blocks (mutants : Mutant.t array
   (!feasible_count, !best)
 
 let admit ?trace t (a : arrival) =
+  clear_moves t;
   if Hashtbl.mem t.apps a.fid then
     invalid_arg (Printf.sprintf "Allocator.admit: fid %d already resident" a.fid);
   if Array.length a.demand_blocks <> Array.length a.spec.Spec.accesses then
@@ -494,7 +515,7 @@ let admit ?trace t (a : arrival) =
       demand;
     insert t app;
     List.iter (fun (s, _) -> refill t s) demand;
-    let reallocated = List.map snd (end_report t) in
+    let reallocated = List.map fid_of (end_report t) in
     let regions = layout_regions t app in
     Telemetry.span_end t.tel (* alloc.fill *);
     Telemetry.add t.tel "alloc.admitted";
@@ -560,6 +581,7 @@ let empty_batch_stats =
    placements and reallocation reports are bit-identical (the qcheck
    differential suite in test/test_alloc.ml holds this invariant). *)
 let admit_batch ?trace t arrivals =
+  clear_moves t;
   (* Validate everything up front so a bad arrival cannot leave the epoch
      partially committed. *)
   let batch_fids = Hashtbl.create 16 in
@@ -725,7 +747,7 @@ let admit_batch ?trace t arrivals =
     Telemetry.span_begin t.tel "alloc.fill";
     List.iter (refill t) touched_stages;
     let moved = end_report t in
-    let batch_reallocated = List.map snd moved in
+    let batch_reallocated = List.map fid_of moved in
     Telemetry.span_end t.tel (* alloc.fill *);
     let t_tail = Unix.gettimeofday () in
     let outcomes =
@@ -741,12 +763,12 @@ let admit_batch ?trace t arrivals =
                deduplicated union once per epoch). *)
             let reallocated =
               List.filter_map
-                (fun (moved_app, entry) ->
+                (fun moved_app ->
                   if
                     List.exists
                       (fun (s, _) -> Option.is_some moved_app.app_regions.(s))
                       demand
-                  then Some entry
+                  then Some moved_app.app_fid
                   else None)
                 moved
             in
@@ -809,6 +831,7 @@ let admit_batch ?trace t arrivals =
   end
 
 let depart ?trace t ~fid =
+  clear_moves t;
   match Hashtbl.find_opt t.apps fid with
   | None -> []
   | Some app ->
@@ -823,6 +846,6 @@ let depart ?trace t ~fid =
         List.iter (fun (s, _) -> ignore (Pool.remove t.pools.(s) ~fid)) app.app_demand;
         Hashtbl.remove t.apps fid;
         List.iter (fun (s, _) -> refill t s) app.app_demand;
-        let expanded = List.map take_entry (take_moved t) in
+        let expanded = List.map fid_of (end_report t) in
         Telemetry.incr t.tel "alloc.reallocated" ~by:(List.length expanded);
         expanded)

@@ -8,8 +8,8 @@ open Import
     over per-stage fungible memory, and computes the resulting within-stage
     placements.  Elastic residents of the touched stages are resized by
     progressive filling; any resident whose region changed is reported as
-    reallocated, with the stages it moved on (it must snapshot and migrate
-    its state, Section 4.3).
+    reallocated (it must snapshot and migrate its state, Section 4.3),
+    and each stage's moves are left in {!moves}.
 
     Departures free the region and expand the remaining elastic residents
     of the affected stages. *)
@@ -30,22 +30,13 @@ type arrival = {
 
 type stage_range = { stage : int; range : Pool.range }
 
-type move = {
-  on_stage : int;
-  before : Activermt.Packet.region;
-  after : Activermt.Packet.region;
-}
-(** A resident's region on one stage changed from [before] to [after], in
-    words as {!placement} holds them. *)
-
 type admitted = {
   fid : int;
   mutant : Mutant.t;
   regions : stage_range list;  (** the new app's placement *)
-  reallocated : (int * move list) list;
-      (** existing apps whose placement changed, each with the stages it
-          moved on in ascending order, in the order {!resident} listed
-          them before the admission *)
+  reallocated : int list;
+      (** existing apps whose placement changed, in the order {!resident}
+          listed them before the admission *)
   considered_mutants : int;
   feasible_mutants : int;
   compute_time_s : float;
@@ -76,13 +67,22 @@ type batch_stats = {
 
 type batch = {
   outcomes : outcome list;  (** 1:1 with the arrivals, in order *)
-  batch_reallocated : (int * move list) list;
+  batch_reallocated : int list;
       (** deduplicated union of pre-existing apps whose placement changed
-          anywhere in the epoch, each with the stages it moved on, in the
-          order {!resident} listed them before the epoch — what the
-          controller must snapshot and reinstall, once per epoch *)
+          anywhere in the epoch, in the order {!resident} listed them
+          before the epoch — what the controller must snapshot and
+          reinstall, once per epoch *)
   stats : batch_stats;
 }
+
+type moves = private { mutable cells : int array; mutable n : int }
+(** One stage's moves in the allocator's last call: [n] triples
+    [(src, dst, len)] in words in the first [3 * n] cells, one for each
+    reallocated resident whose region's start changed on the stage: its
+    first [len = min old new] words go from its old start [src] to its
+    new start [dst].  A resident that only changed size is reported but
+    moves nothing.  Sources and destinations both ascend: regions on a
+    stage keep their relative order. *)
 
 type t
 
@@ -150,13 +150,20 @@ val admit_batch : ?trace:Trace.ctx -> t -> arrival list -> batch
     already resident or duplicated within the batch, or a demand array
     does not match its spec. *)
 
-val depart : ?trace:Trace.ctx -> t -> fid:int -> (int * move list) list
+val depart : ?trace:Trace.ctx -> t -> fid:int -> int list
 (** Remove the app; returns the apps reallocated (expanded) as a result,
-    each with the stages it moved on, in the order {!resident} listed
-    them before the departure.  Only the refill of the departed app's
-    stages moves anyone, and it names the residents it moved, so the work
-    is in proportion to those stages and moves.  Unknown FIDs return
-    []. *)
+    in the order {!resident} listed them before the departure.  Only the
+    refill of the departed app's stages moves anyone, and it names the
+    residents it moved, so the work is in proportion to those stages and
+    moves.  Unknown FIDs return []. *)
+
+val moves : t -> stage:int -> moves
+(** The stage's moves in the last {!admit}, {!admit_batch} or {!depart}
+    call.  Every such call starts with every stage empty, a rejection
+    and a departure of a FID that is not resident included, so a call
+    that moves nobody leaves none.  This is the allocator's own buffer,
+    reused by its next call: callers must treat it as read-only and
+    read it before that call, as the controller's relocation does. *)
 
 val resident : t -> int list
 val is_resident : t -> fid:int -> bool

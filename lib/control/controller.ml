@@ -20,11 +20,6 @@ type pending = {
   mutable deadline_s : float;
 }
 
-(* One stage's moves for the relocation under way: [n] triples
-   [(src, dst, len)] in words, sorted by source, in the first [3 * n]
-   cells.  Reused across calls. *)
-type stage_moves = { mutable cells : int array; mutable n : int }
-
 type t = {
   device : Rmt.Device.t;
   tables : Activermt.Table.t;
@@ -43,7 +38,6 @@ type t = {
   admit_traces : (Activermt.Packet.fid, Trace.ctx) Hashtbl.t;
       (* the control.provision span that admitted each resident FID, so
          data-plane execution events can link back to it *)
-  relocation : stage_moves array;  (* by stage *)
 }
 
 let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
@@ -67,9 +61,6 @@ let create ?scheme ?policy ?(cost = Cost_model.default) ?(mode = `Auto)
     pending = None;
     queue = Queue.create ();
     epoch_counter = 0;
-    relocation =
-      Array.init (Rmt.Device.params device).Rmt.Params.logical_stages (fun _ ->
-          { cells = [||]; n = 0 });
   }
 
 let tables t = t.tables
@@ -113,36 +104,14 @@ let install_current t ~fid ~virtual_addressing =
     | Error (`Tcam_capacity s) ->
       failwith (Printf.sprintf "Controller: TCAM overflow at stage %d" s))
 
-(* Add a move to its stage's buffer, after every move with a source no
-   larger. *)
-let add_move m ~src ~dst ~len =
-  let n = m.n in
-  if 3 * (n + 1) > Array.length m.cells then begin
-    let bigger = Array.make (max 24 (2 * Array.length m.cells)) 0 in
-    Array.blit m.cells 0 bigger 0 (3 * n);
-    m.cells <- bigger
-  end;
-  let c = m.cells in
-  let k = ref (3 * n) in
-  while !k > 0 && c.(!k - 3) > src do
-    c.(!k) <- c.(!k - 3);
-    c.(!k + 1) <- c.(!k - 2);
-    c.(!k + 2) <- c.(!k - 1);
-    k := !k - 3
-  done;
-  c.(!k) <- src;
-  c.(!k + 1) <- dst;
-  c.(!k + 2) <- len;
-  m.n <- n + 1
-
 (* Apply one stage's moves.  Regions within a stage are disjoint before
    and after a reallocation and keep their relative order — inelastic
    slots never move, elastic slots are repacked in arrival order — so
    running the left moves in ascending and then the right moves in
    descending destination order reads every source before anything
    overwrites it. *)
-let move_stage t ~stage m =
-  let c = m.cells and n = m.n in
+let move_stage t ~stage (m : Allocator.moves) =
+  let c = m.Allocator.cells and n = m.Allocator.n in
   for i = 0 to n - 2 do
     let k = 3 * i in
     if c.(k) + c.(k + 2) > c.(k + 3) || c.(k + 1) + c.(k + 2) > c.(k + 4) then
@@ -160,44 +129,30 @@ let move_stage t ~stage m =
       Rmt.Register_array.move regs ~src:c.(k) ~dst:c.(k + 1) ~len:c.(k + 2)
   done
 
-let rec add_moves t = function
-  | [] -> ()
-  | { Allocator.on_stage; before; after } :: rest ->
-    let src = before.Activermt.Packet.start_word
-    and dst = after.Activermt.Packet.start_word in
-    if dst <> src then
-      add_move t.relocation.(on_stage) ~src ~dst
-        ~len:(min before.Activermt.Packet.n_words after.Activermt.Packet.n_words);
-    add_moves t rest
-
-(* The installed words of the reported apps; in [`Auto] mode, their
-   moves go into the stage buffers. *)
-let rec collect t words = function
+let rec installed_words t words = function
   | [] -> words
-  | (fid, moves) :: rest ->
-    (match t.mode with `Interactive -> () | `Auto -> add_moves t moves);
-    collect t (words + Activermt.Table.installed_words t.tables ~fid) rest
+  | fid :: rest ->
+    installed_words t (words + Activermt.Table.installed_words t.tables ~fid) rest
 
-(* Relocate the register state of apps the allocator just moved
-   (Section 4.3), given each app's moves.  In [`Auto] mode the tables
-   follow the allocator after every call, so a move's [before] is the
-   app's installed region; on each stage an app moved on, its first
-   [min old new] words move in place from there to [after].
+(* Relocate the register state of the apps the allocator's last call
+   moved (Section 4.3), from its per-stage moves.  In [`Auto] mode the
+   tables follow the allocator after every controller call, so a move's
+   source is the app's installed region; [`Interactive] mode leaves the
+   old regions to the clients' extraction and moves nothing.
    Destinations are disjoint, so the result is what copying every old
    region out and back would leave.  Must run before the apps' tables
    are reinstalled, and before new apps' regions are zeroed.  Returns
-   the installed regions' words, which the cost model charges as the
-   snapshot. *)
+   the reported apps' installed words, which the cost model charges as
+   the snapshot. *)
 let relocate t moved =
-  let stages = t.relocation in
-  for s = 0 to Array.length stages - 1 do
-    stages.(s).n <- 0
-  done;
-  let words = collect t 0 moved in
-  for s = 0 to Array.length stages - 1 do
-    if stages.(s).n > 0 then move_stage t ~stage:s stages.(s)
-  done;
-  words
+  (match t.mode with
+  | `Interactive -> ()
+  | `Auto ->
+    for stage = 0 to Rmt.Device.n_stages t.device - 1 do
+      let m = Allocator.moves t.allocator ~stage in
+      if m.Allocator.n > 0 then move_stage t ~stage m
+    done);
+  installed_words t 0 moved
 
 let virtual_of t fid =
   match Hashtbl.find t.virtual_flags fid with v -> v | exception Not_found -> true
@@ -325,15 +280,17 @@ let duplicate ?trace t (pkt : Activermt.Packet.t) =
   }
 
 (* Move the reallocated apps' register state, then (re)install every
-   reallocated and admitted app once, in one table-write session.
-   Returns the words moved and the table entries written. *)
+   reallocated and admitted app once, in one table-write session.  A
+   reallocated app of an admission awaiting extraction keeps its old
+   tables until that admission commits; an admission's own apps are all
+   committed.  Returns the words moved and the table entries written. *)
 let commit t ~reallocated ~admitted =
   let words =
     Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t reallocated)
   in
   Activermt.Table.reset_update_stats t.tables;
   Telemetry.with_span t.tel "control.table_update" (fun () ->
-      List.iter (fun (fid, _) -> commit_app t ~fid) reallocated;
+      List.iter (fun fid -> if committed t fid then commit_app t ~fid) reallocated;
       List.iter (fun fid -> commit_new_app t ~fid) admitted);
   let stats = Activermt.Table.update_stats t.tables in
   (words, stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed)
@@ -381,7 +338,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
       Error (`Rejected r)
     | Allocator.Admitted adm ->
       Hashtbl.replace t.virtual_flags fid flags.Activermt.Packet.virtual_addressing;
-      let realloc_fids = List.map fst adm.Allocator.reallocated in
+      let realloc_fids = adm.Allocator.reallocated in
       let words, entries, phase =
         match (t.mode, realloc_fids) with
         | `Interactive, (_ :: _ as impacted) ->
@@ -390,7 +347,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
              event, estimated from the impacted set. *)
           let words =
             Telemetry.with_span t.tel "control.snapshot" (fun () ->
-                relocate t adm.Allocator.reallocated)
+                relocate t impacted)
           in
           Telemetry.with_span t.tel "control.table_update" (fun () ->
               List.iter (fun f -> Activermt.Table.quiesce t.tables ~fid:f) impacted;
@@ -405,7 +362,7 @@ let handle_request ?trace t (pkt : Activermt.Packet.t) =
           (words, entries, Awaiting_extraction { impacted })
         | (`Auto | `Interactive), _ ->
           let words, entries =
-            commit t ~reallocated:adm.Allocator.reallocated ~admitted:[ fid ]
+            commit t ~reallocated:realloc_fids ~admitted:[ fid ]
           in
           (words, entries, Committed)
       in
@@ -567,7 +524,7 @@ let drain_epoch t slots =
                 fid;
                 response =
                   response_packet t ~fid ~flags:pkt.Activermt.Packet.flags ~granted:true;
-                reallocated = List.map fst adm.Allocator.reallocated;
+                reallocated = adm.Allocator.reallocated;
                 phase = Committed;
                 timing = epoch_timing;
               }))
@@ -610,7 +567,6 @@ let handle_departure ?trace t ~fid =
     p.waiting <- List.filter (fun f -> f <> fid) p.waiting;
     finish_pending_if_done t
   | Some _ | None -> ());
-  Activermt.Table.reset_update_stats t.tables;
   Telemetry.incr t.tel "control.departures";
   let t0 = Unix.gettimeofday () in
   let expanded =
@@ -618,24 +574,14 @@ let handle_departure ?trace t ~fid =
         Allocator.depart ?trace:tctx t.allocator ~fid)
   in
   let alloc_s = Unix.gettimeofday () -. t0 in
-  let expanded_fids = List.map fst expanded in
-  let words =
-    Telemetry.with_span t.tel "control.snapshot" (fun () -> relocate t expanded)
-  in
-  Telemetry.with_span t.tel "control.table_update" (fun () ->
-      List.iter
-        (fun f ->
-          if committed t f then install_current t ~fid:f ~virtual_addressing:(virtual_of t f))
-        expanded_fids);
-  let stats = Activermt.Table.update_stats t.tables in
+  let words, entries = commit t ~reallocated:expanded ~admitted:[] in
   let timing =
-    Cost_model.breakdown t.cost ~allocation_s:alloc_s
-      ~entries_updated:(stats.Activermt.Table.entries_added + stats.Activermt.Table.entries_removed)
-      ~apps_touched:(List.length expanded_fids + 1)
+    Cost_model.breakdown t.cost ~allocation_s:alloc_s ~entries_updated:entries
+      ~apps_touched:(List.length expanded + 1)
       ~words_snapshotted:words
-      ~notifications:(List.length expanded_fids)
+      ~notifications:(List.length expanded)
   in
-  (timing, expanded_fids)
+  (timing, expanded)
 
 
 let complete_extraction t ~fid =

@@ -155,10 +155,12 @@ val handle_departure :
   fid:Activermt.Packet.fid ->
   Cost_model.breakdown * Activermt.Packet.fid list
 (** Release a service's allocation; returns timing and the apps expanded
-    (reallocated) into the freed space.  Each expanded app is moved and
-    reinstalled on its new regions, except the apps of an admission
-    still awaiting extraction, which keep their old, quiesced tables (its
-    new app, none) until its acks or timeout commit them. *)
+    (reallocated) into the freed space.  The departure commits as an
+    admission does, with no new app: each expanded app's state moves and
+    its tables are reinstalled on its new regions, except the apps of an
+    admission still awaiting extraction, which keep their old, quiesced
+    tables (its new app, none) until its acks or timeout commit them.  A
+    FID that is not resident expands nobody and moves nothing. *)
 
 val complete_extraction : t -> fid:Activermt.Packet.fid -> unit
 (** Client signals (bare active packet with ack) that it finished

@@ -90,8 +90,6 @@ type compiled = {
   c_device : Rmt.Device.t;
 }
 
-type mode = Compiled | Compiled_fresh | Interpreted
-
 type cache_entry = {
   ce_cell : int ref;  (* the FID's [Table.epoch_ref] cell *)
   ce_version : int;  (* epoch the closures were compiled against *)
@@ -120,7 +118,6 @@ type t = {
   front : cache_entry Stdx.Slots.t;  (* direct-mapped front of [cache]; [no_entry] empty *)
   scratch : state;
   counts : counts;
-  mutable last_mode : mode;
 }
 
 let mask32 v = v land 0xFFFFFFFF
@@ -943,9 +940,12 @@ type outcome = {
   mutable rts : bool;
   mutable dst : int;
   mutable pipelines : int;
+  mutable executed : int;
+  mutable passes : int;
 }
 
-let outcome () = { dropped = None; rts = false; dst = 0; pipelines = 0 }
+let outcome () =
+  { dropped = None; rts = false; dst = 0; pipelines = 0; executed = 0; passes = 0 }
 
 let no_flow_key = [||]
 
@@ -955,7 +955,9 @@ let exec_compiled_into c o ~src ~dst ~args ~st =
   o.dropped <- st.dropped;
   o.rts <- st.rts;
   o.dst <- (if st.rts then src else st.dst);
-  o.pipelines <- pipelines c st
+  o.pipelines <- pipelines c st;
+  o.executed <- st.executed;
+  o.passes <- st.f_passes
 
 module Telemetry = Activermt_telemetry.Telemetry
 
@@ -1007,7 +1009,6 @@ let create ?(enabled = true) ?(telemetry = Telemetry.default) tables =
     front = Stdx.Slots.create no_entry;
     scratch = fresh_state ();
     counts = c;
-    last_mode = Interpreted;
   }
 
 let cache_size t = Hashtbl.length t.cache
@@ -1087,14 +1088,11 @@ let[@inline] valid ce = !(ce.ce_cell) = ce.ce_version
 let run_slow t ~meta ~fid ~args ~program ~entry pkt =
   let stale = entry != no_entry && not (valid entry) in
   if stale then invalidate t ~fid;
-  if Table.is_quiesced t.tables ~fid || not (Table.installed t.tables ~fid) then begin
-    t.last_mode <- Interpreted;
+  if Table.is_quiesced t.tables ~fid || not (Table.installed t.tables ~fid) then
     Runtime.run t.tables ~meta pkt
-  end
   else begin
     let entry = if stale || entry == no_entry then None else Some entry in
     let c = compile_into t ~fid ~program entry in
-    t.last_mode <- Compiled_fresh;
     exec_compiled c ~meta ~args ~st:t.scratch
   end
 
@@ -1108,13 +1106,10 @@ let run t ?(meta = default_meta) (pkt : Packet.t) =
       match find_prog ce.ce_progs program with
       | c ->
         t.counts.hits <- t.counts.hits + 1;
-        t.last_mode <- Compiled;
         exec_compiled c ~meta ~args ~st:t.scratch
       | exception Not_found ->
         run_slow t ~meta ~fid ~args ~program ~entry:ce pkt)
-  | _ ->
-    t.last_mode <- Interpreted;
-    Runtime.run t.tables ~meta pkt
+  | _ -> Runtime.run t.tables ~meta pkt
 
 (* Anything but a hit on a compiled variant under a valid epoch goes
    through [run]: it compiles, interprets and counts exactly as a [run]
@@ -1132,6 +1127,8 @@ let run_copy t o ~src ~dst (pkt : Packet.t) =
     o.rts <- false;
     o.dst <- d);
   o.pipelines <- r.Runtime.pipelines;
+  o.executed <- r.Runtime.executed;
+  o.passes <- r.Runtime.passes;
   match pkt.Packet.payload with
   | Packet.Exec { args; _ } ->
     Array.blit r.Runtime.args_out 0 args 0 (Array.length args)
@@ -1156,7 +1153,6 @@ let run_into t o ~src ~dst (pkt : Packet.t) =
       match find_prog ce.ce_progs program with
       | c ->
         t.counts.hits <- t.counts.hits + 1;
-        t.last_mode <- Compiled;
         exec_compiled_into c o ~src ~dst ~args ~st:t.scratch;
         true
       | exception Not_found ->
@@ -1164,10 +1160,6 @@ let run_into t o ~src ~dst (pkt : Packet.t) =
         true)
   | Packet.Exec _ | Packet.Request _ | Packet.Response _ | Packet.Bare ->
     run_if_installed t o ~src ~dst pkt
-
-let run_info t ?meta pkt =
-  let r = run t ?meta pkt in
-  (r, t.last_mode)
 
 let would_specialize t (pkt : Packet.t) =
   t.enabled

@@ -20,11 +20,6 @@
 
 type t
 
-type mode =
-  | Compiled  (** served from the closure cache *)
-  | Compiled_fresh  (** compiled on this packet (cache miss) *)
-  | Interpreted  (** interpreter fallback *)
-
 val create : ?enabled:bool -> ?telemetry:Activermt_telemetry.Telemetry.t -> Table.t -> t
 (** A JIT over a switch's match tables.  [enabled] (default true) false
     turns every execution into an interpreter fallback.  The
@@ -40,9 +35,6 @@ val run : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result
 (** Drop-in replacement for {!Runtime.run}: it executes on a copy of the
     packet's args and never writes the packet. *)
 
-val run_info : t -> ?meta:Runtime.meta -> Packet.t -> Runtime.result * mode
-(** [run] plus how the packet was executed, for span attributes. *)
-
 (** What a switch needs of an execution to act on it, in a record the
     caller owns and reuses, as a pipeline slot owns its header vector. *)
 type outcome = {
@@ -52,6 +44,8 @@ type outcome = {
       (** when not dropped: returned to sender, else forwarded to [dst] *)
   mutable dst : int;  (** the forward destination; the source on RTS *)
   mutable pipelines : int;  (** as {!Runtime.result.pipelines} *)
+  mutable executed : int;  (** as {!Runtime.result.executed} *)
+  mutable passes : int;  (** as {!Runtime.result.passes} *)
 }
 
 val outcome : unit -> outcome

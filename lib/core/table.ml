@@ -227,26 +227,25 @@ let install ?(privileged = false) ?max_passes t ~fid ~virtual_addressing ~region
   let n = Rmt.Device.n_stages t.device in
   if Array.length regions <> n then
     invalid_arg "Table.install: regions array must have one slot per stage";
-  let installed = Hashtbl.find_opt t.apps fid in
-  let fresh = Option.is_none installed in
-  let app =
-    match installed with
-    | Some app ->
+  let app, fresh =
+    match Hashtbl.find t.apps fid with
+    | app ->
       retire t ~fid app;
-      app
-    | None ->
+      (app, false)
+    | exception Not_found ->
       let blank = { region = None; xmask = 0; xoffset = 0; virtual_addressing } in
-      {
-        entries = Array.make n blank;
-        ranges = Array.make n 0;
-        regions = Array.make n None;
-        n_ranges = 0;
-        words = 0;
-        virtual_addressing;
-        epoch = epoch_ref t ~fid;
-        privileged;
-        max_passes;
-      }
+      ( {
+          entries = Array.make n blank;
+          ranges = Array.make n 0;
+          regions = Array.make n None;
+          n_ranges = 0;
+          words = 0;
+          virtual_addressing;
+          epoch = epoch_ref t ~fid;
+          privileged;
+          max_passes;
+        },
+        true )
   in
   match resync t app regions (n - 1) ~low:n ~failed:(-1) with
   | -1 ->

@@ -76,7 +76,7 @@ let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop)
   let calibrated = ref false in
   let words_of_realloc reallocated =
     List.fold_left
-      (fun acc (fid, _) -> acc + (Allocator.app_blocks alloc ~fid * wpb))
+      (fun acc fid -> acc + (Allocator.app_blocks alloc ~fid * wpb))
       0 reallocated
   in
   let process_epoch (e : Churn.epoch) =
@@ -173,7 +173,7 @@ let run ?(telemetry = Telemetry.default) ?(tracer = Trace.noop)
           let expanded = Allocator.depart alloc ~fid in
           Hashtbl.replace dep_touched fid ();
           List.iter
-            (fun (f, _) ->
+            (fun f ->
               Hashtbl.replace dep_touched f ();
               Hashtbl.replace dep_expanded f ())
             expanded)

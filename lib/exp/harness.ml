@@ -73,7 +73,7 @@ let run ?scheme ?policy ~params trace =
           | Allocator.Admitted adm ->
             incr admitted;
             time := !time +. adm.Allocator.compute_time_s;
-            note_realloc (List.map fst adm.Allocator.reallocated)
+            note_realloc adm.Allocator.reallocated
           | Allocator.Rejected r ->
             incr failed;
             incr total_failures;
@@ -82,7 +82,7 @@ let run ?scheme ?policy ~params trace =
         | Churn.Depart { fid } ->
           let expanded = Allocator.depart alloc ~fid in
           Hashtbl.remove kinds fid;
-          note_realloc (List.map fst expanded))
+          note_realloc expanded)
       e.Churn.events;
     let resident_fids = Allocator.resident alloc in
     let cache_fids = List.filter is_cache resident_fids in

@@ -259,11 +259,9 @@ let notify_impacted ?trace t fids =
           ~delay:wire_latency_s)
     fids
 
-let decision_string r =
-  match r with
-  | Activermt.Runtime.Forward d -> Printf.sprintf "forward:%d" d
-  | Activermt.Runtime.Return_to_sender -> "rts"
-  | Activermt.Runtime.Dropped reason ->
+let decision_string (o : Activermt.Jit.outcome) =
+  match o.Activermt.Jit.dropped with
+  | Some reason ->
     let why =
       match reason with
       | Activermt.Runtime.Protection_violation _ -> "protection"
@@ -273,56 +271,8 @@ let decision_string r =
       | Activermt.Runtime.Explicit_drop -> "drop"
     in
     "dropped:" ^ why
-
-(* Execute a traced capsule under a device.exec span: the result hangs
-   off it, and admit.* attrs link the data plane back to the
-   control-plane provision span that placed this program. *)
-let exec_traced t pkt ~meta c =
-  let fid = pkt.Activermt.Packet.fid in
-  let exec_attrs =
-    let jit_attr =
-      ( "jit",
-        if Activermt.Jit.would_specialize t.jit pkt then "true" else "false" )
-    in
-    match Controller.admit_trace t.controller ~fid with
-    | None -> [ sw_attr t; ("fid", string_of_int fid); jit_attr ]
-    | Some a ->
-      [
-        sw_attr t;
-        ("fid", string_of_int fid);
-        jit_attr;
-        ("admit.trace_id", string_of_int a.Trace.trace_id);
-        ("admit.span_id", string_of_int a.Trace.span_id);
-      ]
-  in
-  let r, exec_ctx =
-    Trace.with_span t.tracer (Some c) ~attrs:exec_attrs "device.exec"
-    @@ fun ec ->
-    let r, mode = Activermt.Jit.run_info t.jit ~meta pkt in
-    (match (mode, ec) with
-    | Activermt.Jit.Compiled_fresh, Some c ->
-      ignore
-        (Trace.instant t.tracer c
-           ~attrs:[ sw_attr t; ("fid", string_of_int fid) ]
-           "jit.compile")
-    | _ -> ());
-    (r, ec)
-  in
-  (match exec_ctx with
-  | None -> ()
-  | Some c ->
-    ignore
-      (Trace.instant t.tracer c
-         ~attrs:
-           [
-             sw_attr t;
-             ("decision", decision_string r.Activermt.Runtime.decision);
-             ("executed", string_of_int r.Activermt.Runtime.executed);
-             ("passes", string_of_int r.Activermt.Runtime.passes);
-             ("pipelines", string_of_int r.Activermt.Runtime.pipelines);
-           ]
-         "device.result"));
-  (r, exec_ctx)
+  | None ->
+    if o.Activermt.Jit.rts then "rts" else Printf.sprintf "forward:%d" o.Activermt.Jit.dst
 
 (* Send an executed capsule on after the wire latency plus the pass
    latency of every pipeline it traversed: back to its source on RTS,
@@ -342,35 +292,78 @@ let send_on t m ~rts ~fwd ~pipelines =
   else if fwd <> 0 then m.dst <- fwd;
   deliver t m ~delay
 
-(* Act on the switch's decision for a traced capsule: count a drop, or
-   send the capsule on, in a new message chained under the exec span. *)
-let forward_result t m r ~exec_ctx =
-  let reply ~rts ~fwd =
-    let m = match exec_ctx with Some c -> { m with trace = Some c } | None -> m in
-    send_on t m ~rts ~fwd ~pipelines:r.Activermt.Runtime.pipelines
-  in
-  match r.Activermt.Runtime.decision with
-  | Activermt.Runtime.Dropped _ -> (
-    bump t.dropped;
-    match exec_ctx with
-    | None -> ()
-    | Some c ->
-      ignore
-        (Trace.instant t.tracer c
-           ~attrs:
-             [ sw_attr t; ("reason", decision_string r.Activermt.Runtime.decision) ]
-           "device.drop"))
-  | Activermt.Runtime.Return_to_sender -> reply ~rts:true ~fwd:0
-  | Activermt.Runtime.Forward fwd -> reply ~rts:false ~fwd
-
-(* [forward_result] for an untraced capsule, from the fabric's outcome:
-   [Jit.run_into] already left the results in the capsule's args. *)
+(* Act on the switch's decision for a capsule, from the fabric's outcome:
+   count a drop, or send the capsule on.  [Jit.run_into] already left the
+   results in the capsule's args. *)
 let forward_outcome t m (o : Activermt.Jit.outcome) =
   match o.Activermt.Jit.dropped with
   | Some _ -> bump t.dropped
   | None ->
     send_on t m ~rts:o.Activermt.Jit.rts ~fwd:o.Activermt.Jit.dst
       ~pipelines:o.Activermt.Jit.pipelines
+
+let compiles t =
+  let _, _, compiles, _ = Activermt.Jit.stats t.jit in
+  compiles
+
+(* Execute a traced capsule whose FID has tables under a device.exec
+   span, then forward it as an untraced one, in a new message chained
+   under the span: the result and a drop hang off the span, and admit.*
+   attrs link the data plane back to the control-plane provision span
+   that placed this program. *)
+let exec_traced t m pkt c =
+  let fid = pkt.Activermt.Packet.fid in
+  let exec_attrs =
+    let jit_attr =
+      ( "jit",
+        if Activermt.Jit.would_specialize t.jit pkt then "true" else "false" )
+    in
+    match Controller.admit_trace t.controller ~fid with
+    | None -> [ sw_attr t; ("fid", string_of_int fid); jit_attr ]
+    | Some a ->
+      [
+        sw_attr t;
+        ("fid", string_of_int fid);
+        jit_attr;
+        ("admit.trace_id", string_of_int a.Trace.trace_id);
+        ("admit.span_id", string_of_int a.Trace.span_id);
+      ]
+  in
+  let o = t.outcome in
+  let exec_ctx =
+    Trace.with_span t.tracer (Some c) ~attrs:exec_attrs "device.exec"
+    @@ fun ec ->
+    let compiled = compiles t in
+    ignore (Activermt.Jit.run_into t.jit o ~src:m.src ~dst:m.dst pkt);
+    (match ec with
+    | Some c when compiles t <> compiled ->
+      ignore
+        (Trace.instant t.tracer c
+           ~attrs:[ sw_attr t; ("fid", string_of_int fid) ]
+           "jit.compile")
+    | Some _ | None -> ());
+    ec
+  in
+  match exec_ctx with
+  | None -> forward_outcome t m o
+  | Some c ->
+    ignore
+      (Trace.instant t.tracer c
+         ~attrs:
+           [
+             sw_attr t;
+             ("decision", decision_string o);
+             ("executed", string_of_int o.Activermt.Jit.executed);
+             ("passes", string_of_int o.Activermt.Jit.passes);
+             ("pipelines", string_of_int o.Activermt.Jit.pipelines);
+           ]
+         "device.result");
+    if Option.is_some o.Activermt.Jit.dropped then
+      ignore
+        (Trace.instant t.tracer c
+           ~attrs:[ sw_attr t; ("reason", decision_string o) ]
+           "device.drop");
+    forward_outcome t { m with trace = exec_ctx } o
 
 let at_switch t m =
   match m.payload with
@@ -445,7 +438,7 @@ let at_switch t m =
         notify_impacted ?trace:m.trace t expanded
       end
     | Activermt.Packet.Response _ -> deliver t m ~delay:wire_latency_s
-    | Activermt.Packet.Exec { args; _ } ->
+    | Activermt.Packet.Exec _ ->
       (* A FID without tables matches no entry: the packet forwards as
          plain traffic. *)
       match tr_on t m with
@@ -457,13 +450,7 @@ let at_switch t m =
         if
           Activermt.Table.installed (Controller.tables t.controller)
             ~fid:pkt.Activermt.Packet.fid
-        then begin
-          let meta = Activermt.Runtime.meta ~src:m.src ~dst:m.dst () in
-          let r, exec_ctx = exec_traced t pkt ~meta c in
-          (* The capsule's args, as [Jit.run_into] would leave them. *)
-          Array.blit r.Activermt.Runtime.args_out 0 args 0 (Array.length args);
-          forward_result t m r ~exec_ctx
-        end
+        then exec_traced t m pkt c
         else deliver t m ~delay:wire_latency_s)
 
 let source telemetry counts =

@@ -550,15 +550,14 @@ let test_departure_expands_elastic () =
   ignore (admit_exn alloc (cache_arrival 2));
   let before = Allocator.app_blocks alloc ~fid:2 in
   let expanded = Allocator.depart alloc ~fid:1 in
-  Alcotest.(check (list int)) "app 2 expanded" [ 2 ] (List.map fst expanded);
+  Alcotest.(check (list int)) "app 2 expanded" [ 2 ] expanded;
   Alcotest.(check bool) "strictly larger" true
     (Allocator.app_blocks alloc ~fid:2 > before);
   Alcotest.(check int) "full stages again" 768 (Allocator.app_blocks alloc ~fid:2)
 
 let test_depart_unknown_fid () =
   let alloc = Allocator.create params in
-  Alcotest.(check (list int)) "no-op" []
-    (List.map fst (Allocator.depart alloc ~fid:99))
+  Alcotest.(check (list int)) "no-op" [] (Allocator.depart alloc ~fid:99)
 
 let test_utilization_monotone_pure_cache () =
   let alloc = Allocator.create params in
@@ -855,8 +854,10 @@ let test_batch_mixed_decision_identity () =
 (* Every reallocation report — [admit]'s [reallocated], [admit_batch]'s
    [batch_reallocated], [depart]'s expanded list — names exactly the
    pre-existing residents whose [regions_of] changed, in their
-   pre-operation [resident] order, each with exactly the stages whose
-   range changed, from the old range to the new one, in stage order.
+   pre-operation [resident] order.  After every call, rejections and
+   departures of a FID that is not resident included, each stage's
+   [Allocator.moves] holds exactly the stage's changed starts, as
+   [(old start, new start, smaller size)] in words, sorted by source.
    Small pools keep reallocations frequent. *)
 let prop_reallocation_reports =
   let small = { params with Rmt.Params.blocks_per_stage = 16 } in
@@ -878,12 +879,6 @@ let prop_reallocation_reports =
         | _ -> small_hh !next
       in
       let wpb = Rmt.Params.words_per_block small in
-      let words (r : Pool.range) =
-        {
-          Activermt.Packet.start_word = r.Pool.first_block * wpb;
-          n_words = r.Pool.n_blocks * wpb;
-        }
-      in
       (* A resident keeps its stages, so old and new layouts pair up. *)
       let changed before =
         List.filter_map
@@ -892,23 +887,38 @@ let prop_reallocation_reports =
             | Some now when now <> old ->
               Some
                 ( fid,
-                  List.concat
-                    (List.map2
-                       (fun (o : Allocator.stage_range) (n : Allocator.stage_range) ->
-                         if o.Allocator.stage <> n.Allocator.stage then
-                           QCheck.Test.fail_report "a resident changed stages";
-                         if o.Allocator.range = n.Allocator.range then []
-                         else
-                           [
-                             {
-                               Allocator.on_stage = o.Allocator.stage;
-                               before = words o.Allocator.range;
-                               after = words n.Allocator.range;
-                             };
-                           ])
-                       old now) )
+                  List.map2
+                    (fun (o : Allocator.stage_range) (n : Allocator.stage_range) ->
+                      if o.Allocator.stage <> n.Allocator.stage then
+                        QCheck.Test.fail_report "a resident changed stages";
+                      (o.Allocator.stage, o.Allocator.range, n.Allocator.range))
+                    old now )
             | Some _ | None -> None)
           before
+      in
+      let moves_are changed =
+        let expected = Array.make small.Rmt.Params.logical_stages [] in
+        List.iter
+          (fun (_, stages) ->
+            List.iter
+              (fun (s, (o : Pool.range), (n : Pool.range)) ->
+                if o.Pool.first_block <> n.Pool.first_block then
+                  expected.(s) <-
+                    ( o.Pool.first_block * wpb,
+                      n.Pool.first_block * wpb,
+                      min o.Pool.n_blocks n.Pool.n_blocks * wpb )
+                    :: expected.(s))
+              stages)
+          changed;
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun stage want ->
+               let m = Allocator.moves alloc ~stage in
+               let c = m.Allocator.cells in
+               List.init m.Allocator.n (fun i ->
+                   (c.(3 * i), c.(3 * i + 1), c.(3 * i + 2)))
+               = List.sort compare want)
+             expected)
       in
       List.for_all
         (fun (op, pick) ->
@@ -917,22 +927,24 @@ let prop_reallocation_reports =
               (fun fid -> (fid, Option.get (Allocator.regions_of alloc ~fid)))
               (Allocator.resident alloc)
           in
-          match op with
-          | 0 | 1 -> (
-            match Allocator.admit alloc (arrival pick) with
-            | Allocator.Admitted a -> a.Allocator.reallocated = changed before
-            | Allocator.Rejected _ -> changed before = [])
-          | 2 | 3 ->
-            let arrivals = List.init (1 + (pick mod 4)) (fun i -> arrival (pick + i)) in
-            let b = Allocator.admit_batch alloc arrivals in
-            b.Allocator.batch_reallocated = changed before
-          | _ -> (
-            match Allocator.resident alloc with
-            | [] -> true
-            | residents ->
-              let fid = List.nth residents (pick mod List.length residents) in
-              let expanded = Allocator.depart alloc ~fid in
-              expanded = changed before))
+          let reported =
+            match op with
+            | 0 | 1 -> (
+              match Allocator.admit alloc (arrival pick) with
+              | Allocator.Admitted a -> a.Allocator.reallocated
+              | Allocator.Rejected _ -> [])
+            | 2 | 3 ->
+              let arrivals = List.init (1 + (pick mod 4)) (fun i -> arrival (pick + i)) in
+              (Allocator.admit_batch alloc arrivals).Allocator.batch_reallocated
+            | _ ->
+              (* A FID never admitted is one more pick. *)
+              let residents = Allocator.resident alloc in
+              let n = List.length residents in
+              let i = pick mod (n + 1) in
+              Allocator.depart alloc ~fid:(if i = n then -1 else List.nth residents i)
+          in
+          let changed = changed before in
+          reported = List.map fst changed && moves_are changed)
         ops)
 
 (* Random churn keeps the allocator's central invariants. *)

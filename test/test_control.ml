@@ -291,6 +291,61 @@ let test_departure_expands () =
   Alcotest.(check bool) "tables removed" false
     (Activermt.Table.installed (Controller.tables ctl) ~fid:1)
 
+(* A call that moves nobody writes no register words, even right after
+   a departure that moved residents: a second departure of the same
+   FID, a departure of a FID never admitted and a rejected admission
+   each leave every word as it was and report nobody.  The allocator
+   keeps its move buffers between calls, so one that let a call start
+   on the previous call's moves would have the controller replay them
+   here. *)
+let test_idle_calls_write_nothing () =
+  let moved_then ~name call =
+    let device = Rmt.Device.create params in
+    let ctl =
+      Controller.create ~scheme:Activermt_alloc.Allocator.Best_fit device
+    in
+    ignore (admit_exn ctl 1 cache);
+    ignore (admit_exn ctl 2 cache);
+    (* Heavy hitters until the switch rejects one. *)
+    let rec fill fid =
+      match Controller.handle_request ctl (request fid hh) with
+      | Ok _ -> fill (fid + 1)
+      | Error _ -> fid
+    in
+    let rejected = fill 3 in
+    let _, expanded = Controller.handle_departure ctl ~fid:1 in
+    Alcotest.(check (list int)) (name ^ ": the departure moves app 2") [ 2 ] expanded;
+    (* Fresh words everywhere, so a replayed move would change some. *)
+    let rng = Random.State.make [| 7 |] in
+    let stages = Rmt.Device.stages device in
+    Array.iter
+      (fun (st : Rmt.Device.stage) ->
+        for i = 0 to params.Rmt.Params.words_per_stage - 1 do
+          Rmt.Register_array.set st.Rmt.Device.regs i (Random.State.bits rng)
+        done)
+      stages;
+    let words () =
+      Array.map
+        (fun (st : Rmt.Device.stage) ->
+          Bytes.copy st.Rmt.Device.regs.Rmt.Register_array.data)
+        stages
+    in
+    let before = words () in
+    Alcotest.(check (list int)) (name ^ ": reports nobody") [] (call ctl ~rejected);
+    Alcotest.(check bool) (name ^ ": writes no register word") true (words () = before)
+  in
+  moved_then ~name:"second departure" (fun ctl ~rejected:_ ->
+      snd (Controller.handle_departure ctl ~fid:1));
+  moved_then ~name:"departure of a FID never admitted" (fun ctl ~rejected:_ ->
+      snd (Controller.handle_departure ctl ~fid:999));
+  (* Through the provision queue, whose epoch commits (and relocates)
+     even when it admits nobody. *)
+  moved_then ~name:"rejected admission" (fun ctl ~rejected ->
+      Controller.enqueue_request ctl (request rejected hh);
+      match Controller.drain ctl with
+      | [ { Controller.results = [ Error (`Rejected _) ]; installs = 0; _ } ] -> []
+      | _ -> Alcotest.fail "expected one epoch that rejects and installs nothing")
+
 let test_interactive_protocol () =
   let ctl =
     Controller.create ~mode:`Interactive
@@ -905,9 +960,11 @@ let test_arrival_budget () =
       true
       (words <= float_of_int budget)
   in
-  check "total" total 2200;
+  (* Read under OCaml 5.1.1: dev 1795.53, 944.39 and 846.00; release
+     1768.82, 941.65 and 822.02. *)
+  check "total" total 1800;
   check "drain" drain 1000;
-  check "departure" depart 1200;
+  check "departure" depart 900;
   Alcotest.(check bool) "every array still known zero" true known_zero;
   Alcotest.(check bool) "a fresh controller reads the same" true
     (arrival_words ~warmup:8 ~measured:64 = first)
@@ -931,6 +988,8 @@ let () =
           Alcotest.test_case "relocation matches reference model" `Quick
             test_relocation_reference_model;
           Alcotest.test_case "departure expands" `Quick test_departure_expands;
+          Alcotest.test_case "a call that moves nobody writes nothing" `Quick
+            test_idle_calls_write_nothing;
           Alcotest.test_case "interactive protocol" `Quick test_interactive_protocol;
           Alcotest.test_case "interactive no-realloc" `Quick
             test_interactive_no_realloc_commits_directly;

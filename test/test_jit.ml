@@ -8,22 +8,24 @@
    (reinstall, migration, departure).
 
    Every check runs a "twin world": two identical device+table pairs, one
-   driven by Runtime.run, the other by Jit.run/Jit.run_info, fed the same
-   packet sequence under a meta with a flow key.  Those are the entry
-   points traced capsules take, and they run the same fused drivers as
-   production (the straight chain of a jump-free program, the block loop
-   of one with jumps), so the whole result record — executed-instruction
-   count, passes, consumed prefix, final registers — is checked against
-   the interpreter's.  Comparing full post-run device state (not just
-   results) catches a specialized closure that computes the right answer
-   with the wrong side effects.  A second pair checks Jit.run_into, the
-   entry point the fabric executes untraced capsules through, against
-   Runtime.run under the fabric's meta (which has no flow key): the same
-   decision, destination, pipeline count and device state, and the
+   driven by Runtime.run, the other by Jit.run, fed the same packet
+   sequence under a meta with a flow key.  Jit.run runs the same fused
+   drivers as production (the straight chain of a jump-free program, the
+   block loop of one with jumps), so the whole result record —
+   executed-instruction count, passes, consumed prefix, final registers —
+   is checked against the interpreter's.  Comparing full post-run device
+   state (not just results) catches a specialized closure that computes
+   the right answer with the wrong side effects.  A second pair checks
+   Jit.run_into, the entry point the fabric executes every capsule
+   through, traced or not, against Runtime.run under the fabric's meta
+   (which has no flow key): the same decision, destination, pipeline
+   count, executed-instruction count, passes and device state, and the
    capsule's own args rewritten to the interpreter's output args.  For
    a FID without tables run_into must answer false and execute nothing,
    as a switch forwards such a capsule untouched.  Each side runs its
-   own copy of a packet, since run_into writes the one it is given. *)
+   own copy of a packet, since run_into writes the one it is given.  A
+   call that moves neither the JIT's hit count nor its compile count ran
+   in the interpreter. *)
 
 module I = Activermt.Instr
 module P = Activermt.Program
@@ -112,7 +114,8 @@ let capsule_args (pkt : Pkt.t) =
 
 (* Whether [Jit.run_into] on [capsule] wrote what [Runtime.run] returned:
    the decision (with the forward destination), the RTS destination, the
-   pipeline count, and the output args in the capsule's own args. *)
+   pipeline, instruction and pass counts, and the output args in the
+   capsule's own args. *)
 let outcome_matches ~src (r : RT.result) (o : Jit.outcome) capsule =
   let decision =
     match o.Jit.dropped with
@@ -122,6 +125,8 @@ let outcome_matches ~src (r : RT.result) (o : Jit.outcome) capsule =
   decision = r.RT.decision
   && ((not o.Jit.rts) || o.Jit.dst = src)
   && o.Jit.pipelines = r.RT.pipelines
+  && o.Jit.executed = r.RT.executed
+  && o.Jit.passes = r.RT.passes
   && capsule_args capsule = r.RT.args_out
 
 (* Run [pkt] through the fabric pair as a switch does: [Jit.run_into] on
@@ -146,10 +151,17 @@ let into_matches ~ojit ~o ~ft pkt = snd (into_run ~ojit ~o ~ft pkt)
 let into_identical w pkt =
   into_matches ~ojit:w.ojit ~o:w.o ~ft:w.ft pkt && same_state w.ft w.ot
 
+(* [Jit.run jit ~meta pkt], and whether it ran in the interpreter. *)
+let run_interpreted jit pkt =
+  let hits, _, compiles, _ = Jit.stats jit in
+  let r = Jit.run jit ~meta pkt in
+  let hits', _, compiles', _ = Jit.stats jit in
+  (r, hits' = hits && compiles' = compiles)
+
 let exec_both w pkt =
   let ri = RT.run w.it ~meta pkt in
-  let rj, mode = Jit.run_info w.jit ~meta pkt in
-  (ri, rj, mode)
+  let rj, interpreted = run_interpreted w.jit pkt in
+  (ri, rj, interpreted)
 
 (* Structural comparison covers the whole result record (args_out arrays,
    drop reasons, counts). *)
@@ -420,10 +432,9 @@ let test_quiescence_identical () =
   Tbl.quiesce w.ft ~fid:1;
   Tbl.quiesce w.ot ~fid:1;
   check_answer "quiesced" w incr true;
-  let _, rj, mode = exec_both w incr in
+  let _, rj, interpreted = exec_both w incr in
   Alcotest.(check bool) "passes through unprocessed" true rj.RT.quiesced;
-  Alcotest.(check bool) "interpreter fallback while quiesced" true
-    (mode = Jit.Interpreted);
+  Alcotest.(check bool) "interpreter fallback while quiesced" true interpreted;
   Alcotest.(check bool) "run_into passes through too" true (into_identical w incr);
   Tbl.unquiesce w.it ~fid:1;
   Tbl.unquiesce w.jt ~fid:1;
@@ -489,8 +500,8 @@ let test_disabled_jit () =
   Alcotest.(check bool) "disabled jit never specializes" false
     (Jit.would_specialize jit pkt);
   let ri = RT.run w.it ~meta pkt in
-  let rj, mode = Jit.run_info jit ~meta pkt in
-  Alcotest.(check bool) "interpreted" true (mode = Jit.Interpreted);
+  let rj, interpreted = run_interpreted jit pkt in
+  Alcotest.(check bool) "interpreted" true interpreted;
   Alcotest.(check bool) "same result" true (ri = rj);
   let ojit = Jit.create ~enabled:false w.ot in
   Alcotest.(check bool) "run_into falls back to the interpreter" true
@@ -506,8 +517,8 @@ let test_non_exec_passthrough () =
   let w = twin () in
   let pkt = { Pkt.fid = 1; seq = 0; flags = Pkt.no_flags; payload = Pkt.Bare } in
   let ri = RT.run w.it ~meta pkt in
-  let rj, mode = Jit.run_info w.jit ~meta pkt in
-  Alcotest.(check bool) "bare packets interpreted" true (mode = Jit.Interpreted);
+  let rj, interpreted = run_interpreted w.jit pkt in
+  Alcotest.(check bool) "bare packets interpreted" true interpreted;
   Alcotest.(check bool) "same result" true (ri = rj)
 
 (* -- Properties ----------------------------------------------------------- *)

@@ -445,6 +445,97 @@ let test_fabric_removed_fid_forwards () =
   Alcotest.(check bool) "nothing executed" true
     (Activermt.Jit.stats (Fabric.jit fabric) = stats)
 
+(* One capsule stream through two fabrics over twin devices, one traced
+   at sample 1.0 and one untraced: a traced capsule must take the same
+   switch step as an untraced one.  Both sides deliver the same messages
+   (source, destination, args), drop as many capsules, leave the same
+   register words and the same JIT stats; the traced side records the
+   step's spans and instants as well.  The stream covers a first
+   compile, hits, an RTS, a forward, a drop and a FID without tables. *)
+let test_traced_step_matches_untraced () =
+  let module Trace = Activermt_telemetry.Trace in
+  let module Cache_client = Activermt_client.Cache_client in
+  let world tracer =
+    let engine = Engine.create () in
+    let device = Rmt.Device.create params in
+    let controller = Controller.create device in
+    let fabric = Fabric.create ~tracer ~engine ~controller () in
+    let delivered = ref [] in
+    List.iter
+      (fun addr ->
+        Fabric.attach fabric addr (fun m ->
+            match m.Fabric.payload with
+            | Fabric.Active { Pkt.payload = Pkt.Exec { args; _ }; _ } ->
+              delivered := (m.Fabric.src, m.Fabric.dst, Array.copy args) :: !delivered
+            | _ -> ()))
+      [ 10; 20 ];
+    let request = Negotiate.request_packet ~fid:1 ~seq:0 Activermt_apps.Cache.service in
+    let regions =
+      match Controller.handle_request controller request with
+      | Ok p -> Option.get (Negotiate.granted_regions p.Controller.response)
+      | Error _ -> Alcotest.fail "cache admission"
+    in
+    let cc =
+      match
+        Cache_client.create params ~policy:Activermt_compiler.Mutant.Most_constrained
+          ~fid:1 ~regions
+      with
+      | Ok cc -> cc
+      | Error e -> Alcotest.fail e
+    in
+    (engine, device, fabric, cc, delivered)
+  in
+  let traced = Trace.create ~sample:1.0 () in
+  let sides = [ (world traced, Some traced); (world Trace.noop, None) ] in
+  let dropper =
+    Activermt.Program.v
+      (Activermt.Program.plain [ Activermt.Instr.Drop; Activermt.Instr.Return ])
+  in
+  let stream cc =
+    let key rank = Workload.Kv.key_of_rank rank in
+    [
+      Cache_client.populate_packet cc ~seq:1 (key 3) ~value:5;
+      Cache_client.query_packet cc ~seq:2 (key 3);
+      Cache_client.query_packet cc ~seq:3 (key 3);
+      Cache_client.query_packet cc ~seq:4 (key 4);
+      Pkt.exec ~flags:Pkt.no_flags ~fid:1 ~seq:5 ~args:[| 0; 0; 0; 0 |] dropper;
+      Pkt.exec ~flags:Pkt.no_flags ~fid:77 ~seq:6 ~args:[| 1; 2; 3; 4 |]
+        Activermt_apps.Cache.query_program;
+    ]
+  in
+  let run ((engine, device, fabric, cc, delivered), tracer) =
+    List.iter
+      (fun pkt ->
+        let trace = Option.bind tracer (fun tr -> Trace.start_trace tr "test.capsule") in
+        Fabric.send fabric { Fabric.src = 10; dst = 20; payload = Fabric.Active pkt; trace };
+        Engine.run engine)
+      (stream cc);
+    ( List.rev !delivered,
+      Fabric.stats_drops fabric,
+      Array.map
+        (fun (st : Rmt.Device.stage) ->
+          Bytes.copy st.Rmt.Device.regs.Rmt.Register_array.data)
+        (Rmt.Device.stages device),
+      Activermt.Jit.stats (Fabric.jit fabric) )
+  in
+  match List.map run sides with
+  | [ (t_msgs, t_drops, t_regs, t_stats); (u_msgs, u_drops, u_regs, u_stats) ] ->
+    Alcotest.(check (list (triple int int (array int)))) "delivered messages" u_msgs t_msgs;
+    Alcotest.(check bool) "an RTS and a forward" true
+      (List.exists (fun (_, dst, _) -> dst = 10) u_msgs
+      && List.exists (fun (_, dst, _) -> dst = 20) u_msgs);
+    Alcotest.(check int) "one drop each" 1 u_drops;
+    Alcotest.(check int) "drops" u_drops t_drops;
+    Alcotest.(check bool) "register words" true (u_regs = t_regs);
+    let hits, _, compiles, _ = u_stats in
+    Alcotest.(check bool) "compiled, then hit" true (compiles > 0 && hits > 0);
+    Alcotest.(check bool) "JIT stats" true (u_stats = t_stats);
+    let names = List.map (fun e -> e.Trace.name) (Trace.events traced) in
+    List.iter
+      (fun name -> Alcotest.(check bool) (name ^ " recorded") true (List.mem name names))
+      [ "device.exec"; "jit.compile"; "device.result"; "device.drop" ]
+  | _ -> assert false
+
 (* The fabric's per-address records and their direct-mapped slots, over
    random sequences of attaches (re-attaching an address, and addresses
    equal modulo the slot count), default handlers, transit sends from
@@ -820,6 +911,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fabric_slots;
           Alcotest.test_case "transit payloads" `Quick test_fabric_transit_payloads;
           Alcotest.test_case "drop accounting" `Quick test_fabric_drop_accounting;
+          Alcotest.test_case "traced step = untraced step" `Quick
+            test_traced_step_matches_untraced;
           Alcotest.test_case "memsync over loss" `Quick test_memsync_driver_over_lossy_fabric;
           Alcotest.test_case "release" `Quick test_fabric_release;
           Alcotest.test_case "sources hold no component" `Quick
