@@ -37,4 +37,6 @@ let validate t =
   else if t.words_per_stage > 1 lsl t.mar_bits then
     Error "mar_bits too small to address words_per_stage"
   else if t.recirc_limit < 0 then Error "recirc_limit must be non-negative"
+  else if not (t.pass_latency_us >= 0.0 && t.pass_latency_us < Float.infinity) then
+    Error "pass_latency_us must be finite and non-negative"
   else Ok t

@@ -1,11 +1,11 @@
 module Telemetry = Activermt_telemetry.Telemetry
 
-(* An event is a handler and its argument in one cell.  The argument's
-   type is existential, so a hop can queue its message and a shared
-   handler instead of a fresh closure over both. *)
+(* A heap cell: a handler and its argument.  The argument's type is
+   existential, so a lane's event that finds no slot waits in the heap
+   with its lane's handler, and a thunk is [(thunk, ())]. *)
 type event = Call : ('a -> unit) * 'a -> event
 
-(* A free cell holds [idle], so the queue keeps no fired event alive. *)
+(* A free heap cell holds [idle], so the heap keeps no fired event alive. *)
 let idle = Call (ignore, ())
 
 (* The queue has two parts, and the next event is the least (time, seq)
@@ -14,26 +14,21 @@ let idle = Call (ignore, ())
    - A binary min-heap on (time, seq) held in parallel arrays, so
      ordering two events reads an unboxed float and an int, and neither a
      push nor a pop allocates.  An event stays in one cell of [events]
-     from push to pop; the heap moves only the cell's index ([slots]), so
+     from push to pop; the heap moves only the cell's index ([cells]), so
      sifts write no pointers and pay no write barrier.  Sifts move a hole
-     rather than swapping.  [slots.(size ..)] holds the free cells.
-   - [n_rings] FIFO rings, each bound to one delay.  Events scheduled
-     with the same delay from a clock that never goes back arrive in
-     (time, seq) order, because IEEE addition is monotone and seqs only
-     grow; a ring takes an event only when that order holds, so its head
-     is its least event.  Most traffic uses a few fixed delays (the wire,
-     plus a pass latency per pipeline), so most events skip the heap. *)
+     rather than swapping.  [cells.(size ..)] holds the free cells.
+   - Lanes: FIFOs, each with a fixed delay and handler.  A lane's events
+     are pushed from a clock that never goes back, with one delay, so
+     they arrive in (time, seq) order (IEEE addition is monotone and seqs
+     only grow) and its head is its least event.  At most [n_slots]
+     lanes are bound at once, so finding the next event reads at most
+     that many heads besides the heap's top; a push onto an unbound lane
+     binds it to a new slot, or to the slot of a bound lane that is
+     empty, and otherwise goes to the heap as a cell.  Most traffic uses
+     a few fixed delays (the wire, plus a pass latency per pipeline), so
+     most events skip the heap. *)
 
-let n_rings = 8
-
-(* A ring's arrays are a power of two long; [head] is its oldest event. *)
-type ring = {
-  mutable r_times : float array;
-  mutable r_seqs : int array;
-  mutable r_events : event array;
-  mutable head : int;
-  mutable count : int;
-}
+let n_slots = 8
 
 (* A float-only record is stored flat: setting the clock allocates nothing. *)
 type clock = { mutable now : float }
@@ -46,30 +41,35 @@ type counts = { mutable scheduled : int; mutable processed : int; mutable depth 
 type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable slots : int array;
+  mutable cells : int array;
   mutable events : event array;
   mutable size : int;
-  rings : ring array;
-  delays : float array;  (* each ring's delay; NaN (equal to none) when unbound *)
-  mutable bound : int;
-      (* rings [0 .. bound - 1] are bound; a ring is only bound when every
-         ring below it is busy, so the others are unbound and empty *)
-  mutable queued : int;  (* heap and rings *)
+  mutable bound : any array;  (* the bound lanes, one per slot *)
+  mutable thunks : (unit -> unit) lane array;  (* the engine's own, for [schedule] *)
+  mutable queued : int;  (* heap and lanes *)
   clock : clock;
   mutable next_seq : int;
   counts : counts;
 }
 
-let ring_cap = 16
+(* A lane's arrays are a power of two long; [head] is its oldest event.
+   A lane holds events only while bound: it loses its slot only when
+   empty.  [delay] is fixed, but for the engine's lanes of thunks, which
+   it moves to another delay only while they are empty. *)
+and 'a lane = {
+  engine : t;
+  mutable delay : float;
+  handler : 'a -> unit;
+  none : 'a;  (* what a free cell holds, so the lane keeps nothing it fired *)
+  mutable q_times : float array;
+  mutable q_seqs : int array;
+  mutable q_values : 'a array;
+  mutable head : int;
+  mutable count : int;
+  mutable slot : int;  (* its index in [bound]; -1 when unbound *)
+}
 
-let make_ring () =
-  {
-    r_times = Array.make ring_cap 0.0;
-    r_seqs = Array.make ring_cap 0;
-    r_events = Array.make ring_cap idle;
-    head = 0;
-    count = 0;
-  }
+and any = Lane : 'a lane -> any [@@unboxed]
 
 let create ?(telemetry = Telemetry.default) () =
   let cap = 16 in
@@ -86,12 +86,11 @@ let create ?(telemetry = Telemetry.default) () =
   {
     times = Array.make cap 0.0;
     seqs = Array.make cap 0;
-    slots = Array.init cap Fun.id;
+    cells = Array.init cap Fun.id;
     events = Array.make cap idle;
     size = 0;
-    rings = Array.init n_rings (fun _ -> make_ring ());
-    delays = Array.make n_rings Float.nan;
-    bound = 0;
+    bound = [||];
+    thunks = [||];
     queued = 0;
     clock = { now = 0.0 };
     next_seq = 0;
@@ -114,18 +113,18 @@ let grow t =
   in
   t.times <- extend t.times 0.0;
   t.seqs <- extend t.seqs 0;
-  t.slots <- Array.init cap (fun i -> if i < n then t.slots.(i) else i);
+  t.cells <- Array.init cap (fun i -> if i < n then t.cells.(i) else i);
   t.events <- extend t.events idle
 
 let[@inline] move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
   t.seqs.(dst) <- t.seqs.(src);
-  t.slots.(dst) <- t.slots.(src)
+  t.cells.(dst) <- t.cells.(src)
 
-let[@inline] place t i time seq slot =
+let[@inline] place t i time seq cell =
   t.times.(i) <- time;
   t.seqs.(i) <- seq;
-  t.slots.(i) <- slot
+  t.cells.(i) <- cell
 
 (* Event [i] fires before the event at ([time], [seq]). *)
 let[@inline] before t i time seq =
@@ -142,8 +141,8 @@ let[@inline] take_seq t =
 let heap_push t ~time ev =
   if t.size = Array.length t.times then grow t;
   let seq = take_seq t in
-  let slot = t.slots.(t.size) in
-  t.events.(slot) <- ev;
+  let cell = t.cells.(t.size) in
+  t.events.(cell) <- ev;
   (* Sift a hole up from the new leaf.  [seq] is the largest queued, so
      the new event only rises past strictly later times. *)
   let i = ref t.size and rising = ref true in
@@ -156,20 +155,20 @@ let heap_push t ~time ev =
     end
     else rising := false
   done;
-  place t !i time seq slot
+  place t !i time seq cell
 
 (* Remove the heap's earliest event, advance the clock to it and return
    it.  The heap must be non-empty. *)
 let heap_pop t =
-  let slot0 = t.slots.(0) in
-  let ev = t.events.(slot0) in
-  t.events.(slot0) <- idle;
+  let cell0 = t.cells.(0) in
+  let ev = t.events.(cell0) in
+  t.events.(cell0) <- idle;
   t.clock.now <- t.times.(0);
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
     (* Sift a hole down from the root, then drop the last event into it. *)
-    let time = t.times.(n) and seq = t.seqs.(n) and slot = t.slots.(n) in
+    let time = t.times.(n) and seq = t.seqs.(n) and cell = t.cells.(n) in
     let i = ref 0 and sifting = ref true in
     while !sifting do
       let l = (2 * !i) + 1 in
@@ -186,122 +185,178 @@ let heap_pop t =
         else sifting := false
       end
     done;
-    place t !i time seq slot
+    place t !i time seq cell
   end;
-  t.slots.(n) <- slot0;
+  t.cells.(n) <- cell0;
   ev
 
-(* ---- The rings ---- *)
+(* ---- Lanes ---- *)
 
-(* Only called when full: unroll the ring into arrays twice as long. *)
-let ring_grow g =
-  let cap = Array.length g.r_times in
+let lane_cap = 16
+
+let lane t ~delay ~none handler =
+  if not (delay >= 0.0 && delay < Float.infinity) then
+    invalid_arg "Engine.lane: the delay must be finite and >= 0";
+  {
+    engine = t;
+    delay;
+    handler;
+    none;
+    q_times = Array.make lane_cap 0.0;
+    q_seqs = Array.make lane_cap 0;
+    q_values = Array.make lane_cap none;
+    head = 0;
+    count = 0;
+    slot = -1;
+  }
+
+(* Only called when full: unroll the lane into arrays twice as long. *)
+let grow_lane l =
+  let cap = Array.length l.q_times in
   let unroll a fill =
     let b = Array.make (2 * cap) fill in
-    let first = cap - g.head in
-    Array.blit a g.head b 0 first;
-    Array.blit a 0 b first g.head;
+    let first = cap - l.head in
+    Array.blit a l.head b 0 first;
+    Array.blit a 0 b first l.head;
     b
   in
-  g.r_times <- unroll g.r_times 0.0;
-  g.r_seqs <- unroll g.r_seqs 0;
-  g.r_events <- unroll g.r_events idle;
-  g.head <- 0
+  l.q_times <- unroll l.q_times 0.0;
+  l.q_seqs <- unroll l.q_seqs 0;
+  l.q_values <- unroll l.q_values l.none;
+  l.head <- 0
 
-let ring_pop t g =
-  let h = g.head in
-  let ev = g.r_events.(h) in
-  g.r_events.(h) <- idle;
-  t.clock.now <- g.r_times.(h);
-  g.head <- (h + 1) land (Array.length g.r_times - 1);
-  g.count <- g.count - 1;
-  ev
-
-(* The ring bound to [delay]; else the lowest empty ring, bound to it;
-   else -1. *)
-let ring_for t delay =
-  let found = ref (-1) and free = ref (-1) and r = ref 0 in
-  let candidates = if t.bound < n_rings then t.bound + 1 else n_rings in
-  while !found < 0 && !r < candidates do
-    if Array.unsafe_get t.delays !r = delay then found := !r
-    else if !free < 0 && (Array.unsafe_get t.rings !r).count = 0 then free := !r;
-    incr r
-  done;
-  if !found < 0 && !free >= 0 then begin
-    t.delays.(!free) <- delay;
-    if !free = t.bound then t.bound <- t.bound + 1;
-    found := !free
-  end;
-  !found
-
-(* ---- Scheduling ---- *)
-
-let schedule_at_event t ~time ev =
-  (* Clamp to now; a NaN time fires now too. *)
-  let time = if time > t.clock.now then time else t.clock.now in
-  heap_push t ~time ev
-
-(* A finite delay >= 0 goes to its ring when the ring's order allows;
-   everything else goes to the heap. *)
-let schedule_event t ~delay ev =
-  let time = t.clock.now +. delay in
-  let r = if delay >= 0.0 && delay < Float.infinity then ring_for t delay else -1 in
-  if r < 0 then schedule_at_event t ~time ev
+(* Bind [l] to a slot: a new one while fewer than [n_slots] are bound,
+   else the lowest whose lane is empty, which loses it.  False when every
+   slot's lane holds events. *)
+let bind t l =
+  let n = Array.length t.bound in
+  if n < n_slots then begin
+    t.bound <- Array.append t.bound [| Lane l |];
+    l.slot <- n;
+    true
+  end
   else begin
-    let g = t.rings.(r) in
-    let last = (g.head + g.count - 1) land (Array.length g.r_times - 1) in
-    if g.count > 0 && time < g.r_times.(last) then heap_push t ~time ev
+    let s = ref 0 in
+    while !s < n && (match Array.unsafe_get t.bound !s with Lane v -> v.count > 0) do
+      incr s
+    done;
+    if !s = n then false
     else begin
-      if g.count = Array.length g.r_times then ring_grow g;
-      let i = (g.head + g.count) land (Array.length g.r_times - 1) in
-      g.r_times.(i) <- time;
-      g.r_seqs.(i) <- take_seq t;
-      g.r_events.(i) <- ev;
-      g.count <- g.count + 1
+      (match t.bound.(!s) with Lane v -> v.slot <- -1);
+      t.bound.(!s) <- Lane l;
+      l.slot <- !s;
+      true
     end
   end
 
-let schedule_call t ~delay f x = schedule_event t ~delay (Call (f, x))
-let schedule t ~delay thunk = schedule_event t ~delay (Call (thunk, ()))
-let schedule_at t ~time thunk = schedule_at_event t ~time (Call (thunk, ()))
+let push l x =
+  let t = l.engine in
+  if l.slot >= 0 || bind t l then begin
+    if l.count = Array.length l.q_times then grow_lane l;
+    let i = (l.head + l.count) land (Array.length l.q_times - 1) in
+    l.q_times.(i) <- t.clock.now +. l.delay;
+    l.q_seqs.(i) <- take_seq t;
+    l.q_values.(i) <- x;
+    l.count <- l.count + 1
+  end
+  else heap_push t ~time:(t.clock.now +. l.delay) (Call (l.handler, x))
+
+(* ---- Scheduling ---- *)
+
+let run_thunk thunk = thunk ()
+
+(* The index of the engine's lane of thunks at [delay]: the lane at that
+   delay, else the lowest empty lane, moved to it, else a new lane while
+   there are fewer than [n_slots]; -1 when every lane is busy at other
+   delays. *)
+let thunk_lane t delay =
+  let lanes = t.thunks in
+  let n = Array.length lanes in
+  let found = ref (-1) and free = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    let l = Array.unsafe_get lanes !i in
+    if l.delay = delay then found := !i
+    else if !free < 0 && l.count = 0 then free := !i;
+    incr i
+  done;
+  if !found >= 0 then !found
+  else if !free >= 0 then begin
+    lanes.(!free).delay <- delay;
+    !free
+  end
+  else if n < n_slots then begin
+    t.thunks <- Array.append lanes [| lane t ~delay ~none:ignore run_thunk |];
+    n
+  end
+  else -1
+
+let schedule_at t ~time thunk =
+  (* Clamp to now; a NaN time fires now too. *)
+  let time = if time > t.clock.now then time else t.clock.now in
+  heap_push t ~time (Call (thunk, ()))
+
+(* A finite delay >= 0 goes onto a lane of thunks; everything else, and
+   a delay arriving while every lane of thunks is busy, to the heap. *)
+let schedule t ~delay thunk =
+  let i = if delay >= 0.0 && delay < Float.infinity then thunk_lane t delay else -1 in
+  if i >= 0 then push t.thunks.(i) thunk
+  else schedule_at t ~time:(t.clock.now +. delay) thunk
 
 (* ---- Firing ---- *)
 
-(* [heap] stands for the heap where a ring index would. *)
-let heap = n_rings
+(* [heap] stands for the heap where a slot index would. *)
+let heap = n_slots
 
 let[@inline] head_time t s =
   if s = heap then t.times.(0)
-  else
-    let g = Array.unsafe_get t.rings s in
-    Array.unsafe_get g.r_times g.head
+  else match Array.unsafe_get t.bound s with Lane l -> Array.unsafe_get l.q_times l.head
 
-(* The part holding the earliest event: a ring index or [heap]; -1 when
+(* The part holding the earliest event: a slot index or [heap]; -1 when
    the queue is empty. *)
 let earliest t =
   let best = ref (if t.size > 0 then heap else -1) in
   let bt = ref (if t.size > 0 then t.times.(0) else 0.0) in
   let bs = ref (if t.size > 0 then t.seqs.(0) else 0) in
-  for r = 0 to t.bound - 1 do
-    let g = Array.unsafe_get t.rings r in
-    if g.count > 0 then begin
-      let h = g.head in
-      let time = Array.unsafe_get g.r_times h and seq = Array.unsafe_get g.r_seqs h in
-      if !best < 0 || time < !bt || (time = !bt && seq < !bs) then begin
-        best := r;
-        bt := time;
-        bs := seq
+  let bound = t.bound in
+  for s = 0 to Array.length bound - 1 do
+    match Array.unsafe_get bound s with
+    | Lane l ->
+      if l.count > 0 then begin
+        let h = l.head in
+        let time = Array.unsafe_get l.q_times h and seq = Array.unsafe_get l.q_seqs h in
+        if !best < 0 || time < !bt || (time = !bt && seq < !bs) then begin
+          best := s;
+          bt := time;
+          bs := seq
+        end
       end
-    end
   done;
   !best
 
-let fire t s =
-  let ev = if s = heap then heap_pop t else ring_pop t t.rings.(s) in
+let[@inline] count_fired t =
   t.queued <- t.queued - 1;
   t.counts.processed <- t.counts.processed + 1;
-  t.counts.depth <- t.queued;
-  match ev with Call (f, x) -> f x
+  t.counts.depth <- t.queued
+
+(* Pop the lane's head into the clock and hand it to the handler; the
+   freed cell gets [none]. *)
+let fire_lane t l =
+  let h = l.head in
+  let x = l.q_values.(h) in
+  l.q_values.(h) <- l.none;
+  t.clock.now <- l.q_times.(h);
+  l.head <- (h + 1) land (Array.length l.q_times - 1);
+  l.count <- l.count - 1;
+  count_fired t;
+  l.handler x
+
+let fire t s =
+  if s = heap then begin
+    let ev = heap_pop t in
+    count_fired t;
+    match ev with Call (f, x) -> f x
+  end
+  else match t.bound.(s) with Lane l -> fire_lane t l
 
 let step t =
   let s = earliest t in

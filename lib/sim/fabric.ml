@@ -63,10 +63,14 @@ type t = {
   lost : count;
   dropped : count;
   tracer : Trace.t;
-  (* Built once per fabric: the events of a hop are these handlers and
-     the message, and untraced capsules execute into [outcome]. *)
+  (* Built once per fabric: a hop ends in one of these handlers, and
+     untraced capsules execute into [outcome]. *)
   to_switch : msg -> unit;
   to_node : msg -> unit;
+  mutable lanes : msg Engine.lane array;
+      (* made on first use: [lanes.(0)] runs [to_switch] after the wire
+         latency, [lanes.(1 + p)] runs [to_node] after [p] pipeline passes
+         and the wire *)
   outcome : Activermt.Jit.outcome;
 }
 
@@ -182,7 +186,7 @@ let copy_msg m =
    first is a [copy_msg], so each is rewritten on its own.  A jittered
    copy goes straight to the engine's heap: its time is the float
    [Engine.schedule] would compute from the same delay, and one-off
-   delays would only churn the engine's per-delay rings. *)
+   delays would only churn the engine's lanes of thunks. *)
 let faulty_hop t f m ~delay ~event handler =
   let now = Engine.now t.engine in
   let v = Faults.plan f ~now in
@@ -225,12 +229,46 @@ let traced_or_faulty_hop t m ~delay ~event handler =
         bump t.lost
       end)
 
-(* Without a trace context or faults [tr_hop] is the identity, so the
-   event is the handler and the message as they are: no closure. *)
-let hop t m ~delay ~event handler =
+(* What a fired lane cell holds: never delivered. *)
+let no_msg = { src = 0; dst = 0; payload = Alloc_failed; trace = None }
+
+(* The delay of a hop to a node after [pipelines] pipeline passes: the
+   pass latency of each, then the wire. *)
+let node_delay t pipelines =
+  let params = Rmt.Device.params (Controller.device t.controller) in
+  (1.0e-6 *. params.Rmt.Params.pass_latency_us *. float_of_int pipelines)
+  +. wire_latency_s
+
+(* Lane [i], made with every lane below it that [t] lacks. *)
+let add_lanes t i =
+  let have = t.lanes in
+  let make j =
+    if j < Array.length have then have.(j)
+    else if j = 0 then Engine.lane t.engine ~delay:wire_latency_s ~none:no_msg t.to_switch
+    else Engine.lane t.engine ~delay:(node_delay t (j - 1)) ~none:no_msg t.to_node
+  in
+  t.lanes <- Array.init (i + 1) make;
+  t.lanes.(i)
+
+let[@inline] lane t i =
+  let lanes = t.lanes in
+  if i < Array.length lanes then Array.unsafe_get lanes i else add_lanes t i
+
+(* Without a trace context or faults [tr_hop] is the identity, so an
+   untraced hop on a fault-free fabric pushes the message as it is onto
+   one of the fabric's lanes: no closure, no cell, no float.  Any other
+   hop takes [traced_or_faulty_hop], the one path that computes a
+   delay. *)
+let deliver t m ~pipelines =
   match (m.trace, t.faults) with
-  | None, None -> Engine.schedule_call t.engine ~delay handler m
-  | Some _, _ | _, Some _ -> traced_or_faulty_hop t m ~delay ~event handler
+  | None, None -> Engine.push (lane t (1 + pipelines)) m
+  | Some _, _ | _, Some _ ->
+    traced_or_faulty_hop t m ~delay:(node_delay t pipelines) ~event:"sim.deliver"
+      t.to_node
+
+(* A controller response, after its modeled delay: one closure per
+   request. *)
+let respond t m ~delay = traced_or_faulty_hop t m ~delay ~event:"sim.deliver" t.to_node
 
 let arrive t m =
   let node = find_node t m.dst in
@@ -246,8 +284,6 @@ let arrive t m =
       handler m
     | None -> ())
 
-let deliver t m ~delay = hop t m ~delay ~event:"sim.deliver" t.to_node
-
 let notify_impacted ?trace t fids =
   List.iter
     (fun fid ->
@@ -256,7 +292,7 @@ let notify_impacted ?trace t fids =
       | Some owner ->
         deliver t
           { src = t.address; dst = owner; payload = Notify_realloc; trace }
-          ~delay:wire_latency_s)
+          ~pipelines:0)
     fids
 
 let decision_string (o : Activermt.Jit.outcome) =
@@ -274,23 +310,18 @@ let decision_string (o : Activermt.Jit.outcome) =
   | None ->
     if o.Activermt.Jit.rts then "rts" else Printf.sprintf "forward:%d" o.Activermt.Jit.dst
 
-(* Send an executed capsule on after the wire latency plus the pass
-   latency of every pipeline it traversed: back to its source on RTS,
-   else toward [fwd] (0 keeps it on its way).  The switch owns [m] and
-   rewrites its addresses as it does the capsule's args. *)
+(* Send an executed capsule on after the pass latency of every pipeline
+   it traversed and the wire: back to its source on RTS, else toward
+   [fwd] (0 keeps it on its way).  The switch owns [m] and rewrites its
+   addresses as it does the capsule's args. *)
 let send_on t m ~rts ~fwd ~pipelines =
-  let params = Rmt.Device.params (Controller.device t.controller) in
-  let delay =
-    (1.0e-6 *. params.Rmt.Params.pass_latency_us *. float_of_int pipelines)
-    +. wire_latency_s
-  in
   if rts then begin
     let src = m.src in
     m.src <- m.dst;
     m.dst <- src
   end
   else if fwd <> 0 then m.dst <- fwd;
-  deliver t m ~delay
+  deliver t m ~pipelines
 
 (* Act on the switch's decision for a capsule, from the fabric's outcome:
    count a drop, or send the capsule on.  [Jit.run_into] already left the
@@ -369,7 +400,7 @@ let at_switch t m =
   match m.payload with
   | Kv_request _ | Kv_reply _ | Alloc_failed | Notify_realloc ->
     (* Transit traffic: forward to the destination. *)
-    deliver t m ~delay:wire_latency_s
+    deliver t m ~pipelines:0
   | Active pkt -> (
     match pkt.Activermt.Packet.payload with
     | Activermt.Packet.Request _ -> (
@@ -399,7 +430,7 @@ let at_switch t m =
         if response_failed then
           tr_fault t m ~attrs:[ ("cause", "ctl_fail") ] "fault.drop"
         else
-          deliver t
+          respond t
             {
               src = t.address;
               dst = m.src;
@@ -408,7 +439,7 @@ let at_switch t m =
             }
             ~delay:(dt +. wire_latency_s)
       | Error (`Rejected _) ->
-        deliver t
+        respond t
           { src = t.address; dst = m.src; payload = Alloc_failed; trace = m.trace }
           ~delay:(0.01 +. wire_latency_s)
       | Error (`Bad_packet _) -> ())
@@ -422,7 +453,7 @@ let at_switch t m =
         | Some response ->
           deliver t
             { src = t.address; dst = m.src; payload = Active response; trace = m.trace }
-            ~delay:wire_latency_s
+            ~pipelines:0
         | None -> ()
       end
       else begin
@@ -437,7 +468,7 @@ let at_switch t m =
         Hashtbl.remove t.owners fid;
         notify_impacted ?trace:m.trace t expanded
       end
-    | Activermt.Packet.Response _ -> deliver t m ~delay:wire_latency_s
+    | Activermt.Packet.Response _ -> deliver t m ~pipelines:0
     | Activermt.Packet.Exec _ ->
       (* A FID without tables matches no entry: the packet forwards as
          plain traffic. *)
@@ -445,13 +476,13 @@ let at_switch t m =
       | None ->
         if Activermt.Jit.run_into t.jit t.outcome ~src:m.src ~dst:m.dst pkt then
           forward_outcome t m t.outcome
-        else deliver t m ~delay:wire_latency_s
+        else deliver t m ~pipelines:0
       | Some c ->
         if
           Activermt.Table.installed (Controller.tables t.controller)
             ~fid:pkt.Activermt.Packet.fid
         then exec_traced t m pkt c
-        else deliver t m ~delay:wire_latency_s)
+        else deliver t m ~pipelines:0)
 
 let source telemetry counts =
   let each f = List.iter f !counts in
@@ -496,6 +527,7 @@ let create ?(address = switch_address) ?faults ?(jit = true)
       tracer;
       to_switch = (fun m -> at_switch t m);
       to_node = (fun m -> arrive t m);
+      lanes = [||];
       outcome = Activermt.Jit.outcome ();
     }
   in
@@ -504,7 +536,10 @@ let create ?(address = switch_address) ?faults ?(jit = true)
 let send t m =
   bump t.sent;
   bump (node t m.src).tx;
-  hop t m ~delay:wire_latency_s ~event:"sim.hop" t.to_switch
+  match (m.trace, t.faults) with
+  | None, None -> Engine.push (lane t 0) m
+  | Some _, _ | _, Some _ ->
+    traced_or_faulty_hop t m ~delay:wire_latency_s ~event:"sim.hop" t.to_switch
 
 (* Head-based sampling happens exactly once, here, when a capsule enters
    the network — bridged or forwarded messages go through [send] and keep

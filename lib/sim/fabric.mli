@@ -115,9 +115,18 @@ val create :
     a fleet so traces follow capsules between switches.  An untraced
     capsule (no context, or a disabled tracer) skips all of this: it runs
     straight through {!Activermt.Jit.run_into} into an outcome the fabric
-    owns and builds no attribute; without faults, each of its hops queues
-    one of the fabric's two prebuilt handlers with the message
-    ({!Engine.schedule_call}), not a closure. *)
+    owns and builds no attribute.
+
+    Hops.  The fabric owns {!Engine.lane}s, made on first use: one to
+    its switch at the wire latency, and one to its nodes per pipeline
+    count [p], at [p] times the device's [pass_latency_us] plus the
+    wire ([p = 0] carries transit traffic, notifications, regions
+    responses and capsules whose FID has no tables).  An untraced hop
+    on a fault-free fabric pushes its message onto one of them
+    ({!Engine.push}): it allocates nothing and computes no delay.  A
+    traced or faulty hop schedules a closure with its delay, and so
+    does a controller response with a modeled delay (a grant, or
+    [Alloc_failed]), once per request. *)
 
 val faults : t -> Faults.t option
 (** The fault model attached at creation, if any (and not all-off). *)
